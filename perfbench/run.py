@@ -11,10 +11,13 @@ required: ``eigenbases.cached_basis`` is a process-global cache, and a
 CLI user never sees it warm.  Workloads, and why each was chosen, are in
 WORKLOADS.md next to this file.
 
-``--trace 0`` repeats passes of the workload (a pass is a fixed list of
-ops drawn from the seed) for about ``--seconds`` seconds and reports the
-end-to-end metrics, with times scaled to a reference machine speed (see
-calibration_s).  ``--trace 1`` runs the first pass of the seed
+``--trace 0`` runs passes of the workload (a pass is a fixed list of
+ops drawn from the seed) and reports the end-to-end metrics.  The number
+of passes is ``--seconds`` over the workload's nominal pass time, rounded,
+so that a run takes about ``--seconds`` seconds and its op list, and with
+it ``attempted`` and ``failed``, depends only on the seed and
+``--seconds``, never on the machine's speed.  Times are scaled to a
+reference machine speed (see calibration_s).  ``--trace 1`` runs the first pass of the seed
 through tracer.py, which wraps each layer's public functions, and runs
 each op again untraced right after it; it reports the per-layer metrics
 and the tracing overhead (traced minus untraced time).  Its op list is
@@ -74,12 +77,13 @@ class Workload:
     N: int
     sets_per_pass: int
     commands: tuple  # run in order on each drawn set
+    pass_s: float  # nominal wall time of one pass, sets the number of passes
 
 
 WORKLOADS = {
-    "verify-grid": Workload(N=8, sets_per_pass=2, commands=VERIFY),
-    "verify-sweep": Workload(N=4, sets_per_pass=8, commands=VERIFY),
-    "emit": Workload(N=24, sets_per_pass=1, commands=EMIT),
+    "verify-grid": Workload(N=8, sets_per_pass=2, commands=VERIFY, pass_s=9.0),
+    "verify-sweep": Workload(N=4, sets_per_pass=8, commands=VERIFY, pass_s=9.0),
+    "emit": Workload(N=24, sets_per_pass=1, commands=EMIT, pass_s=11.0),
 }
 
 EXIT_OK, EXIT_FAIL, EXIT_DEGENERATE = 0, 1, 2
@@ -407,14 +411,11 @@ def source_identity() -> dict:
 def untraced_run(wl, seed, seconds, runner) -> tuple:
     setup = [runner.setup() for _ in range(SETUP_SAMPLES)]
     rng = random.Random(seed)
-    rejected, passes = [], []
-    t0 = time.perf_counter()
-    while True:
-        passes.append(run_pass(wl, rng, runner.cli, rejected))
-        elapsed = time.perf_counter() - t0
-        # another pass only if the run then ends within half a pass of `seconds`
-        if elapsed + elapsed / len(passes) / 2 > seconds:
-            break
+    rejected = []
+    # a fixed count, not a deadline: a run on a slower machine takes longer
+    # but attempts the same ops, so two runs of one seed fail the same ops
+    passes = [run_pass(wl, rng, runner.cli, rejected)
+              for _ in range(max(1, round(seconds / wl.pass_s)))]
     setup += [runner.setup() for _ in range(SETUP_SAMPLES)]
     ops = [op for p in passes for op in p.ops]
     timed = [op.result for op in ops if op.result is not None]
