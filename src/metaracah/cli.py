@@ -22,6 +22,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .algebra import (
     Params,
@@ -33,9 +34,11 @@ from .algebra import (
     check_casimir_central,
     check_defining_relations,
     check_subalgebras,
+    require_generic,
     validate_params,
 )
 from .eigenbases import (
+    FAMILIES,
     FParams,
     LABELS,
     build_basis,
@@ -75,7 +78,20 @@ from .report import VerificationReport
 
 Q = Fraction
 
-SUITES = ("algebra", "bases", "matrixreps", "racah", "rational", "model")
+# Suite name -> the reports it produces.  The lambdas look their callees
+# up at call time, so wrappers installed on the module names see every call.
+SUITE_RUNNERS = {
+    "algebra": lambda p, fp: [check_defining_relations(p), check_casimir_central(p),
+                              check_subalgebras(p, fp.rho)],
+    "bases": lambda p, fp: [_bases_report(p, fp)],
+    "matrixreps": lambda p, fp: [verify_coefficients(p, fp), verify_leonard_trio(p)],
+    "racah": lambda p, fp: [verify_racah(p, fp)],
+    "rational": lambda p, fp: [verify_rational(p)],
+    "model": lambda p, fp: [verify_model(p, fp)],
+}
+SUITES = tuple(SUITE_RUNNERS)
+
+
 SWEEP_DENOMINATORS = (3, 5, 7, 11, 13, 17, 19, 23)
 SWEEP_NUMERATORS = tuple(k for k in range(-40, 41) if k != 0)
 MAX_RESAMPLES = 100
@@ -154,9 +170,7 @@ def build_parser() -> Parser:
 
     sp = sub.add_parser("table", help="emit an overlap value grid")
     add_common(sp)
-    sp.add_argument("--which", required=True,
-                    choices=("racah", "S", "Stilde", "calU", "calUtilde",
-                             "U", "Utilde", "dualHahn"))
+    sp.add_argument("--which", required=True, choices=tuple(TABLES))
     sp.add_argument("--exact", action="store_true",
                     help="csv only: append an exact p/q column")
 
@@ -199,24 +213,7 @@ def _bases_report(p: Params, fp: FParams) -> VerificationReport:
 
 
 def run_suites(p: Params, fp: FParams, suites) -> list:
-    reports = []
-    for suite in suites:
-        if suite == "algebra":
-            reports.append(check_defining_relations(p))
-            reports.append(check_casimir_central(p))
-            reports.append(check_subalgebras(p, fp.rho))
-        elif suite == "bases":
-            reports.append(_bases_report(p, fp))
-        elif suite == "matrixreps":
-            reports.append(verify_coefficients(p, fp))
-            reports.append(verify_leonard_trio(p))
-        elif suite == "racah":
-            reports.append(verify_racah(p, fp))
-        elif suite == "rational":
-            reports.append(verify_rational(p))
-        elif suite == "model":
-            reports.append(verify_model(p, fp))
-    return reports
+    return [rep for suite in suites for rep in SUITE_RUNNERS[suite](p, fp)]
 
 
 def sweep_parameters(rng: random.Random, N: int):
@@ -226,18 +223,20 @@ def sweep_parameters(rng: random.Random, N: int):
     return Params(N=N, alpha=draw(), beta=draw(), zeta=draw()), FParams(rho=draw())
 
 
-def cmd_verify(cfg: RunConfig) -> tuple:
-    try:
-        p = cfg.params()
-        fp = cfg.fparams()
-        offenders = validate_params(p, fp.rho)
-        if offenders:
-            raise DegenerateParameters(offenders)
-        reports = run_suites(p, fp, cfg.suites)
-    except DegenerateParameters as exc:
-        payload = {"error": "degenerate-parameters", "offenders": exc.offenders}
-        return EXIT_DEGENERATE, json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _validated(cfg: RunConfig, needs_rho: bool) -> tuple:
+    """(p, fp) from the config; raises DegenerateParameters for a degenerate set."""
+    p, fp = cfg.params(), cfg.fparams()
+    require_generic(p, fp.rho if needs_rho else None)
+    return p, fp
 
+
+def _json(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def cmd_verify(cfg: RunConfig) -> tuple:
+    p, fp = _validated(cfg, needs_rho=True)
+    reports = run_suites(p, fp, cfg.suites)
     if cfg.inject_fault:
         reports.append(_fault_report(p))
 
@@ -278,7 +277,7 @@ def cmd_verify(cfg: RunConfig) -> tuple:
                 lines.append(f"{r.suite},{c.id},{c.status},{detail}")
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = _json(payload)
     return (EXIT_OK if ok else EXIT_FAIL), text
 
 
@@ -292,42 +291,25 @@ def _decimal_str(v: Fraction, precision: int) -> str:
     return str(d)
 
 
-def table_value(which: str, m: int, n: int, p: Params, fp: FParams) -> Fraction:
-    if which == "racah":
-        return racah(m, n, RacahParams.from_params(p, fp))
-    if which == "S":
-        return closed_form_S(m, n, RacahParams.from_params(p, fp))
-    if which == "Stilde":
-        return closed_form_Stilde(m, n, RacahParams.from_params(p, fp))
-    if which == "calU":
-        return calU(m, n, p)
-    if which == "calUtilde":
-        return calU_tilde(m, n, p)
-    if which == "U":
-        return closed_form_U(m, n, p)
-    if which == "Utilde":
-        return closed_form_Utilde(m, n, p)
-    if which == "dualHahn":
-        return dual_hahn(m, n, dual_hahn_params(p))
-    raise ValueError(which)
+# --which -> (needs rho, value at (m, n)); lambdas as in SUITE_RUNNERS.
+TABLES = {
+    "racah": (True, lambda m, n, p, fp: racah(m, n, RacahParams.from_params(p, fp))),
+    "S": (True, lambda m, n, p, fp: closed_form_S(m, n, RacahParams.from_params(p, fp))),
+    "Stilde": (True,
+               lambda m, n, p, fp: closed_form_Stilde(m, n, RacahParams.from_params(p, fp))),
+    "calU": (False, lambda m, n, p, fp: calU(m, n, p)),
+    "calUtilde": (False, lambda m, n, p, fp: calU_tilde(m, n, p)),
+    "U": (False, lambda m, n, p, fp: closed_form_U(m, n, p)),
+    "Utilde": (False, lambda m, n, p, fp: closed_form_Utilde(m, n, p)),
+    "dualHahn": (False, lambda m, n, p, fp: dual_hahn(m, n, dual_hahn_params(p))),
+}
 
 
 def cmd_table(cfg: RunConfig) -> tuple:
     which = cfg.extra["which"]
-    try:
-        p = cfg.params()
-        fp = cfg.fparams()
-        needs_rho = which in ("racah", "S", "Stilde")
-        offenders = validate_params(p, fp.rho if needs_rho else None)
-        if offenders:
-            raise DegenerateParameters(offenders)
-        grid = [
-            [table_value(which, m, n, p, fp) for n in range(p.N + 1)]
-            for m in range(p.N + 1)
-        ]
-    except DegenerateParameters as exc:
-        payload = {"error": "degenerate-parameters", "offenders": exc.offenders}
-        return EXIT_DEGENERATE, json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    needs_rho, value = TABLES[which]
+    p, fp = _validated(cfg, needs_rho)
+    grid = [[value(m, n, p, fp) for n in range(p.N + 1)] for m in range(p.N + 1)]
 
     if cfg.output_format == "csv":
         header = "m,n,value" + (",exact" if cfg.extra.get("exact") else "")
@@ -346,83 +328,96 @@ def cmd_table(cfg: RunConfig) -> tuple:
             "params": {**p.as_dict(), "rho": str(fp.rho)},
             "grid": [[str(v) for v in row] for row in grid],
         }
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = _json(payload)
     return EXIT_OK, text
 
 
 # -- matrix -------------------------------------------------------------------
 
 
+class _EmitFailed(Exception):
+    """An emitted object failed its re-validation; the message is the output."""
+
+
 def _matrix_rows(mat: RationalMatrix) -> list:
     return [[str(mat[(i, j)]) for j in range(mat.cols)] for i in range(mat.rows)]
 
 
-MATRIX_SELECTORS = ("X", "V", "Z", "Xt", "Vt", "Zt", "C")
-COEFF_BASES = ("e", "f", "d", "dStar", "z")
+def _casimir_checked(p: Params) -> RationalMatrix:
+    if not check_casimir_central(p).passed:
+        raise _EmitFailed("casimir centrality failed on emit\n")
+    return casimir(p)
+
+
+# selector -> the matrix at p; lambdas for the reason given at SUITE_RUNNERS
+MATRICES = {
+    "X": lambda p: build_X(p),
+    "V": lambda p: build_V(p),
+    "Z": lambda p: build_Z(p),
+    "Xt": lambda p: build_transposes(p)[2],
+    "Vt": lambda p: build_transposes(p)[1],
+    "Zt": lambda p: build_transposes(p)[0],
+    "C": _casimir_checked,
+}
+
+# coeffs:<basis> -> (needs rho, named band coefficients at (p, fp))
+COEFFS = {
+    "e": (False, lambda p, fp: {"Z": coeffs_Z_on_e(p), "X": coeffs_X_on_e(p)}),
+    "f": (True, lambda p, fp: {"V": coeffs_V_on_f(p, fp)}),
+    "d": (False, lambda p, fp: coeffs_on_d(p)),
+    "dStar": (False, lambda p, fp: coeffs_on_dstar(p)),
+    "z": (False, lambda p, fp: coeffs_on_z(p)),
+}
+
+
+def _basis_payload(label: str, p: Params, fp: FParams) -> dict:
+    fam = build_basis(p, fp, label)
+    if fam.vectors != oracle_basis(p, fp, label).vectors:
+        raise _EmitFailed(f"basis {label} failed revalidation on emit\n")
+    return {"rows": _matrix_rows(fam.vectors),
+            "eigenvalues": [str(v) for v in fam.eigenvalues]}
+
+
+def _rows_payload(matrix, p: Params, fp: FParams) -> dict:
+    return {"rows": _matrix_rows(matrix(p))}
+
+
+def _coeffs_payload(bands, p: Params, fp: FParams) -> dict:
+    return {"bands": {
+        name: {
+            "sup": [str(v) for v in tc.sup],
+            "diag": [str(v) for v in tc.diag],
+            "sub": [str(v) for v in tc.sub],
+        }
+        for name, tc in bands(p, fp).items()
+    }}
 
 
 def cmd_matrix(cfg: RunConfig) -> tuple:
     which = cfg.extra["which"]
-    if which.startswith("basis:"):
-        if which.split(":", 1)[1] not in LABELS:
+    kind, sep, name = which.partition(":")
+    if sep and kind == "basis":
+        if name not in FAMILIES:
             return EXIT_USAGE, f"metaracah: unknown basis label in {which!r}\n"
-    elif which.startswith("coeffs:"):
-        if which.split(":", 1)[1] not in COEFF_BASES:
+        needs_rho = FAMILIES[name].needs_rho
+        build = partial(_basis_payload, name)
+    elif sep and kind == "coeffs":
+        if name not in COEFFS:
             return EXIT_USAGE, f"metaracah: no coefficient table for {which!r}\n"
-    elif which not in MATRIX_SELECTORS:
+        needs_rho, bands = COEFFS[name]
+        build = partial(_coeffs_payload, bands)
+    elif which in MATRICES:
+        needs_rho = False
+        build = partial(_rows_payload, MATRICES[which])
+    else:
         return EXIT_USAGE, f"metaracah: unknown matrix selector {which!r}\n"
+    p, fp = _validated(cfg, needs_rho)
     try:
-        p = cfg.params()
-        fp = cfg.fparams()
-        needs_rho = which in ("basis:f", "basis:fStar", "coeffs:f")
-        offenders = validate_params(p, fp.rho if needs_rho else None)
-        if offenders:
-            raise DegenerateParameters(offenders)
-
-        payload = {"which": which, "params": {**p.as_dict(), "rho": str(fp.rho)}}
-        if which in ("X", "V", "Z"):
-            mat = {"X": build_X, "V": build_V, "Z": build_Z}[which](p)
-            payload["rows"] = _matrix_rows(mat)
-        elif which in ("Xt", "Vt", "Zt"):
-            Zt, Vt, Xt = build_transposes(p)
-            mat = {"Xt": Xt, "Vt": Vt, "Zt": Zt}[which]
-            payload["rows"] = _matrix_rows(mat)
-        elif which == "C":
-            if not check_casimir_central(p).passed:
-                return EXIT_FAIL, "casimir centrality failed on emit\n"
-            payload["rows"] = _matrix_rows(casimir(p))
-        elif which.startswith("basis:"):
-            label = which.split(":", 1)[1]
-            fam = build_basis(p, fp, label)
-            if fam.vectors != oracle_basis(p, fp, label).vectors:
-                return EXIT_FAIL, f"basis {label} failed revalidation on emit\n"
-            payload["rows"] = _matrix_rows(fam.vectors)
-            payload["eigenvalues"] = [str(v) for v in fam.eigenvalues]
-        elif which.startswith("coeffs:"):
-            basis = which.split(":", 1)[1]
-            if basis == "e":
-                bands = {"Z": coeffs_Z_on_e(p), "X": coeffs_X_on_e(p)}
-            elif basis == "f":
-                bands = {"V": coeffs_V_on_f(p, fp)}
-            elif basis == "d":
-                bands = coeffs_on_d(p)
-            elif basis == "dStar":
-                bands = coeffs_on_dstar(p)
-            else:
-                bands = coeffs_on_z(p)
-            payload["bands"] = {
-                name: {
-                    "sup": [str(v) for v in tc.sup],
-                    "diag": [str(v) for v in tc.diag],
-                    "sub": [str(v) for v in tc.sub],
-                }
-                for name, tc in bands.items()
-            }
-    except DegenerateParameters as exc:
-        payload = {"error": "degenerate-parameters", "offenders": exc.offenders}
-        return EXIT_DEGENERATE, json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-    return EXIT_OK, json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        payload = build(p, fp)
+    except _EmitFailed as exc:
+        return EXIT_FAIL, str(exc)
+    return EXIT_OK, _json({"which": which, "params": {**p.as_dict(), "rho": str(fp.rho)},
+                           **payload})
 
 
 # -- entry point ---------------------------------------------------------------
@@ -475,7 +470,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     handler = {"verify": cmd_verify, "table": cmd_table, "matrix": cmd_matrix}[args.command]
-    code, text = handler(cfg)
+    try:
+        code, text = handler(cfg)
+    except DegenerateParameters as exc:
+        code = EXIT_DEGENERATE
+        text = _json({"error": "degenerate-parameters", "offenders": exc.offenders})
     if code == EXIT_USAGE:
         sys.stderr.write(text)
     else:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Params, build_transposes, build_V, build_X, build_Z, require_generic
-from .eigenbases import FParams, LABELS, cached_basis
+from .eigenbases import FParams, LABELS, cached_basis, family, rho_of
 from .errors import PreconditionViolated
 from .hyper import multi_pochhammer, pochhammer
 from .matrices import RationalMatrix
@@ -140,10 +140,6 @@ class DiffOp:
     def apply(self, f: LaurentPoly) -> LaurentPoly:
         df = f.derivative()
         return self.a2 * df.derivative() + self.a1 * df + self.a0 * f
-
-
-def apply_diffop(D: DiffOp, f: LaurentPoly) -> LaurentPoly:
-    return D.apply(f)
 
 
 def residue_pair(f: LaurentPoly, g: LaurentPoly) -> Fraction:
@@ -296,84 +292,119 @@ def jacobi_poly(n: int, a, b) -> LaurentPoly:
     return LaurentPoly.from_dict(terms)
 
 
+# One function per family: the n-th model polynomial at (p, rho).
+
+
+def _model_e(p, rho, n):
+    a, b, z, N = p.alpha, p.beta, p.zeta, p.N
+    pre = multi_pochhammer((Q(-N), N - 2 * a - b - 2 * z), n) / pochhammer(
+        n - 2 * b - 2 * z - 1, n
+    )
+    terms = {}
+    term = pre
+    for k in range(n + 1):
+        terms[k] = term
+        term = (
+            term
+            * (-n + k)
+            * (n - 2 * b - 2 * z - 1 + k)
+            / ((N - 2 * a - b - 2 * z + k) * (k + 1))
+        )
+    return LaurentPoly.from_dict(terms)
+
+
+def _model_d(p, rho, n):
+    N = p.N
+    head = Q(-1) ** n * pochhammer(Q(-N), n)
+    f21 = _hyp2f1_window(Q(n - N), p.alpha - p.beta, -p.alpha + n + 1, N - n)
+    return LaurentPoly.monomial(n, head) * f21
+
+
+def _model_f(p, rho, n):
+    N, a, b = p.N, p.alpha, p.beta
+    head = Q(-1) ** n * pochhammer(Q(-N), n)
+    f21 = _hyp2f1_window(Q(n - N), n - b - rho, 2 * n - 2 * a - rho + 1, N - n)
+    return LaurentPoly.monomial(n, head) * f21
+
+
+def _model_z(p, rho, n):
+    N = p.N
+    head = Q(-1) ** n * pochhammer(Q(-N), n)
+    onemx = LaurentPoly.from_dict({0: Q(1), 1: Q(-1)})
+    acc = LaurentPoly.monomial(n, head)
+    for _ in range(N - n):
+        acc = acc * onemx
+    return acc
+
+
+def _model_dstar(p, rho, n):
+    N, a, b = p.N, p.alpha, p.beta
+    pre = Q(-1) ** (n + 1) / pochhammer(Q(-N), n)
+    terms = {}
+    for l in range(n + 1):
+        terms[l - n - 1] = (
+            pre
+            * multi_pochhammer((b - a + 1, 1 + N - n), l)
+            / (pochhammer(Q(1), l) * pochhammer(a - n, l + 1))
+        )
+    return LaurentPoly.from_dict(terms)
+
+
+def _model_estar(p, rho, n):
+    a, b, z, N = p.alpha, p.beta, p.zeta, p.N
+    pre = Q(-1) ** n / pochhammer(Q(-N), n)
+    terms = {}
+    for l in range(N - n + 1):
+        terms[-n - 1 - l] = (
+            pre
+            * multi_pochhammer((Q(n + 1), N + n - 2 * a - b - 2 * z), l)
+            / (pochhammer(Q(1), l) * pochhammer(2 * n - 2 * b - 2 * z, l))
+        )
+    return LaurentPoly.from_dict(terms)
+
+
+def _model_fstar(p, rho, n):
+    N, a, b = p.N, p.alpha, p.beta
+    pre = Q(-1) ** n / pochhammer(Q(-N), n)
+    terms = {}
+    for l in range(n + 1):
+        terms[l - n - 1] = (
+            pre
+            * multi_pochhammer((b + rho + 1 - n, 1 + N - n), l)
+            / (pochhammer(Q(1), l) * pochhammer(1 + 2 * a + rho - 2 * n, l))
+        )
+    return LaurentPoly.from_dict(terms)
+
+
+def _model_zstar(p, rho, n):
+    # expansion of x^(-n-1)(1-x)^(n-1-N) cut at the dual-range edge
+    N = p.N
+    pre = Q(-1) ** n / pochhammer(Q(-N), n)
+    terms = {}
+    for l in range(n + 1):
+        terms[l - n - 1] = pre * pochhammer(Q(1 + N - n), l) / pochhammer(Q(1), l)
+    return LaurentPoly.from_dict(terms)
+
+
+_MODELS = {
+    "d": _model_d,
+    "dStar": _model_dstar,
+    "e": _model_e,
+    "eStar": _model_estar,
+    "f": _model_f,
+    "fStar": _model_fstar,
+    "z": _model_z,
+    "zStar": _model_zstar,
+}
+
+
 def model_basis(label: str, p: Params, fp: FParams | None = None) -> list:
     """The printed Laurent-polynomial model of one eigenbasis family."""
-    require_generic(p, fp.rho if fp is not None else None)
-    if label in ("f", "fStar") and fp is None:
-        raise PreconditionViolated(f"label {label!r} needs FParams")
-    a, b, z, N = p.alpha, p.beta, p.zeta, p.N
-    out = []
-    for n in range(N + 1):
-        if label == "e":
-            pre = multi_pochhammer((Q(-N), N - 2 * a - b - 2 * z), n) / pochhammer(
-                n - 2 * b - 2 * z - 1, n
-            )
-            terms = {}
-            term = pre
-            for k in range(n + 1):
-                terms[k] = term
-                term = (
-                    term
-                    * (-n + k)
-                    * (n - 2 * b - 2 * z - 1 + k)
-                    / ((N - 2 * a - b - 2 * z + k) * (k + 1))
-                )
-            out.append(LaurentPoly.from_dict(terms))
-        elif label == "d":
-            head = Q(-1) ** n * pochhammer(Q(-N), n)
-            f21 = _hyp2f1_window(Q(n - N), a - b, -a + n + 1, N - n)
-            out.append(LaurentPoly.monomial(n, head) * f21)
-        elif label == "f":
-            head = Q(-1) ** n * pochhammer(Q(-N), n)
-            f21 = _hyp2f1_window(Q(n - N), n - b - fp.rho, 2 * n - 2 * a - fp.rho + 1, N - n)
-            out.append(LaurentPoly.monomial(n, head) * f21)
-        elif label == "z":
-            head = Q(-1) ** n * pochhammer(Q(-N), n)
-            onemx = LaurentPoly.from_dict({0: Q(1), 1: Q(-1)})
-            acc = LaurentPoly.monomial(n, head)
-            for _ in range(N - n):
-                acc = acc * onemx
-            out.append(acc)
-        elif label == "dStar":
-            pre = Q(-1) ** (n + 1) / pochhammer(Q(-N), n)
-            terms = {}
-            for l in range(n + 1):
-                terms[l - n - 1] = (
-                    pre
-                    * multi_pochhammer((b - a + 1, 1 + N - n), l)
-                    / (pochhammer(Q(1), l) * pochhammer(a - n, l + 1))
-                )
-            out.append(LaurentPoly.from_dict(terms))
-        elif label == "eStar":
-            pre = Q(-1) ** n / pochhammer(Q(-N), n)
-            terms = {}
-            for l in range(N - n + 1):
-                terms[-n - 1 - l] = (
-                    pre
-                    * multi_pochhammer((Q(n + 1), N + n - 2 * a - b - 2 * z), l)
-                    / (pochhammer(Q(1), l) * pochhammer(2 * n - 2 * b - 2 * z, l))
-                )
-            out.append(LaurentPoly.from_dict(terms))
-        elif label == "fStar":
-            pre = Q(-1) ** n / pochhammer(Q(-N), n)
-            terms = {}
-            for l in range(n + 1):
-                terms[l - n - 1] = (
-                    pre
-                    * multi_pochhammer((b + fp.rho + 1 - n, 1 + N - n), l)
-                    / (pochhammer(Q(1), l) * pochhammer(1 + 2 * a + fp.rho - 2 * n, l))
-                )
-            out.append(LaurentPoly.from_dict(terms))
-        elif label == "zStar":
-            # expansion of x^(-n-1)(1-x)^(n-1-N) cut at the dual-range edge
-            pre = Q(-1) ** n / pochhammer(Q(-N), n)
-            terms = {}
-            for l in range(n + 1):
-                terms[l - n - 1] = pre * pochhammer(Q(1 + N - n), l) / pochhammer(Q(1), l)
-            out.append(LaurentPoly.from_dict(terms))
-        else:
-            raise PreconditionViolated(f"unknown basis label {label!r}")
-    return out
+    family(label, fp)  # refuses unknown labels, and f / f* without FParams
+    rho = rho_of(fp)
+    require_generic(p, rho)
+    model = _MODELS[label]
+    return [model(p, rho, n) for n in range(p.N + 1)]
 
 
 def _in_g_basis(f: LaurentPoly, p: Params) -> list:
@@ -444,33 +475,21 @@ def model_orthogonality(p: Params, fp: FParams) -> VerificationReport:
     for label, dual in pairs:
         fam = model_basis(label, p, fp)
         dual_fam = model_basis(dual, p, fp)
-        bad = [
-            (m, n)
-            for m in range(N + 1)
-            for n in range(N + 1)
-            if residue_pair(dual_fam[m], fam[n]) != (1 if m == n else 0)
-        ]
-        rep.add(
+        rep.add_grid(
             f"gram-{label}",
             f"<{dual}_m, {label}_n> = delta_mn under the residue pairing",
-            not bad,
-            detail="" if not bad else f"failing (m, n): {bad[:4]}",
+            N,
+            lambda m, n: residue_pair(dual_fam[m], fam[n]) == (1 if m == n else 0),
         )
 
     d_fam = model_basis("d", p, fp)
     dstar_fam = model_basis("dStar", p, fp)
     Zop = diff_Z(p)
-    bad = [
-        (m, n)
-        for m in range(N + 1)
-        for n in range(N + 1)
-        if residue_pair(dstar_fam[m], Zop.apply(d_fam[n])) != (1 if m == n else 0)
-    ]
-    rep.add(
+    rep.add_grid(
         "gram-d",
         "<d*_m, Z d_n> = delta_mn under the residue pairing",
-        not bad,
-        detail="" if not bad else f"failing (m, n): {bad[:4]}",
+        N,
+        lambda m, n: residue_pair(dstar_fam[m], Zop.apply(d_fam[n])) == (1 if m == n else 0),
     )
 
     plain = RationalMatrix.from_columns(
@@ -498,77 +517,70 @@ def integral_representations(p: Params, fp: FParams) -> VerificationReport:
     jac = [jacobi_poly(m, a_jac, b_jac) for m in range(N + 1)]
     rp = RacahParams.from_params(p, fp)
 
-    bad = []
-    for m in range(N + 1):
-        for n in range(N + 1):
-            integrand = (
-                LaurentPoly.monomial(-n - 1)
-                * jac[m]
-                * _hyp2f1_window(1 + b + rho - n, Q(1 + N - n), 1 + 2 * a + rho - 2 * n, n)
+    def integral_S(m, n):
+        integrand = (
+            LaurentPoly.monomial(-n - 1)
+            * jac[m]
+            * _hyp2f1_window(1 + b + rho - n, Q(1 + N - n), 1 + 2 * a + rho - 2 * n, n)
+        )
+        return (
+            Q(-1) ** n
+            * pochhammer(Q(1), m)
+            * pochhammer(Q(-N), m)
+            / (
+                pochhammer(Q(-N), n)
+                * pochhammer(m - 2 * b - 2 * z - 1, m)
             )
-            val = (
-                Q(-1) ** n
-                * pochhammer(Q(1), m)
-                * pochhammer(Q(-N), m)
-                / (
-                    pochhammer(Q(-N), n)
-                    * pochhammer(m - 2 * b - 2 * z - 1, m)
-                )
-                * integrand.coefficient(-1)
-            )
-            if val != closed_form_S(m, n, rp):
-                bad.append((m, n))
-    rep.add("integral-S", "residue formula reproduces S_m(n) on the full grid",
-            not bad, detail="" if not bad else f"failing (m, n): {bad[:4]}")
+            * integrand.coefficient(-1)
+        )
 
-    bad = []
-    for m in range(N + 1):
-        for n in range(N + 1):
-            integrand = (
-                LaurentPoly.monomial(-n - 1)
-                * jac[m]
-                * _hyp2f1_window(Q(N + 1 - n), b - a + 1, a - n + 1, n)
+    rep.add_grid("integral-S", "residue formula reproduces S_m(n) on the full grid", N,
+                 lambda m, n: integral_S(m, n) == closed_form_S(m, n, rp))
+
+    def integral_U(m, n):
+        integrand = (
+            LaurentPoly.monomial(-n - 1)
+            * jac[m]
+            * _hyp2f1_window(Q(N + 1 - n), b - a + 1, a - n + 1, n)
+        )
+        return (
+            Q(-1) ** n
+            * pochhammer(Q(1), m)
+            * pochhammer(Q(-N), m)
+            / (
+                pochhammer(Q(-N), n)
+                * (n - a)
+                * pochhammer(m - 2 * b - 2 * z - 1, m)
             )
-            val = (
-                Q(-1) ** n
-                * pochhammer(Q(1), m)
-                * pochhammer(Q(-N), m)
-                / (
-                    pochhammer(Q(-N), n)
-                    * (n - a)
-                    * pochhammer(m - 2 * b - 2 * z - 1, m)
-                )
-                * integrand.coefficient(-1)
-            )
-            if val != closed_form_U(m, n, p):
-                bad.append((m, n))
-    rep.add("integral-U", "residue formula reproduces U_m(n) on the full grid",
-            not bad, detail="" if not bad else f"failing (m, n): {bad[:4]}")
+            * integrand.coefficient(-1)
+        )
+
+    rep.add_grid("integral-U", "residue formula reproduces U_m(n) on the full grid", N,
+                 lambda m, n: integral_U(m, n) == closed_form_U(m, n, p))
 
     rho_dh = dual_hahn_params(p)
-    bad = []
-    for m in range(N + 1):
-        for k in range(N + 1):
-            # (1-x)^(k-1-N) expanded to the window that can reach x^(-1)
-            onemx = LaurentPoly.from_dict(
-                {l: pochhammer(Q(N + 1 - k), l) / pochhammer(Q(1), l) for l in range(k + 1)}
+
+    def integral_dual_hahn(m, k):
+        # (1-x)^(k-1-N) expanded to the window that can reach x^(-1)
+        onemx = LaurentPoly.from_dict(
+            {l: pochhammer(Q(N + 1 - k), l) / pochhammer(Q(1), l) for l in range(k + 1)}
+        )
+        integrand = LaurentPoly.monomial(-k - 1) * onemx * jac[m]
+        return (
+            Q(-1) ** k
+            * pochhammer(Q(1), m)
+            * pochhammer(Q(1), k)
+            / (
+                pochhammer(N - 2 * a - b - 2 * z, m)
+                * pochhammer(Q(-N), k)
             )
-            integrand = LaurentPoly.monomial(-k - 1) * onemx * jac[m]
-            val = (
-                Q(-1) ** k
-                * pochhammer(Q(1), m)
-                * pochhammer(Q(1), k)
-                / (
-                    pochhammer(N - 2 * a - b - 2 * z, m)
-                    * pochhammer(Q(-N), k)
-                )
-                * integrand.coefficient(-1)
-            )
-            if val != dual_hahn(k, m, rho_dh):
-                bad.append((m, k))
-    rep.add("integral-dual-hahn",
-            "residue formula reproduces R^(dH)_k(m) on the full grid",
-            not bad, detail="" if not bad else f"failing (m, k): {bad[:4]}")
+            * integrand.coefficient(-1)
+        )
+
+    rep.add_grid("integral-dual-hahn",
+                 "residue formula reproduces R^(dH)_k(m) on the full grid", N,
+                 lambda m, k: integral_dual_hahn(m, k) == dual_hahn(k, m, rho_dh),
+                 axes="(m, k)")
     return rep
 
 
@@ -583,18 +595,12 @@ def model_transposes(p: Params) -> VerificationReport:
         ("X", diff_X(p), diff_Xt(p), Xt_m),
     ]
     for name, op, op_t, abstract_t in table:
-        bad = [
-            (m, n)
-            for m in range(N + 1)
-            for n in range(N + 1)
-            if residue_pair(op_t.apply(g_dual_poly(p, m)), g_poly(p, n))
-            != residue_pair(g_dual_poly(p, m), op.apply(g_poly(p, n)))
-        ]
-        rep.add(
+        rep.add_grid(
             f"adjoint-{name}",
             f"<{name}t g*_m, g_n> = <g*_m, {name} g_n> for all m, n",
-            not bad,
-            detail="" if not bad else f"failing (m, n): {bad[:4]}",
+            N,
+            lambda m, n: residue_pair(op_t.apply(g_dual_poly(p, m)), g_poly(p, n))
+            == residue_pair(g_dual_poly(p, m), op.apply(g_poly(p, n))),
         )
 
         quotient, ghosts = dual_matrix_in_monomial_basis(op_t, p)
@@ -617,9 +623,9 @@ def model_transposes(p: Params) -> VerificationReport:
 def verify_model(p: Params, fp: FParams) -> VerificationReport:
     """Aggregate suite for the differential model."""
     rep = VerificationReport(suite="model", params={**p.as_dict(), "rho": str(fp.rho)})
-    for name, builder in (("Z", build_Z), ("V", build_V), ("X", build_X)):
-        op = {"Z": diff_Z, "V": diff_V, "X": diff_X}[name](p)
-        got = matrix_in_monomial_basis(op, p)
+    for name, diff, builder in (("Z", diff_Z, build_Z), ("V", diff_V, build_V),
+                                ("X", diff_X, build_X)):
+        got = matrix_in_monomial_basis(diff(p), p)
         want = builder(p)
         rep.add(
             f"g-basis-{name}",

@@ -12,6 +12,8 @@ Every basis vector has an explicit expansion over the standard basis with
 Pochhammer-ratio coefficients; build_basis evaluates those closed forms,
 while oracle_basis recomputes each vector from scratch as a kernel of the
 relevant matrix pencil and only borrows the closed form's normalization.
+FAMILIES maps each label to its eigenvalue, coefficient and pencil; every
+entry point looks its label up there.
 
 Pairings are bilinear (no conjugation).  The families pair up as
 
@@ -25,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
+from typing import Callable
 
 from .algebra import Params, build_Z, build_V, build_X, build_transposes, require_generic
 from .errors import NondegenerateSpectrumViolated, PreconditionViolated
@@ -33,8 +37,6 @@ from .matrices import RationalMatrix, nullspace
 from .report import VerificationReport
 
 Q = Fraction
-
-LABELS = ("d", "dStar", "e", "eStar", "f", "fStar", "z", "zStar")
 
 
 @dataclass(frozen=True)
@@ -59,24 +61,33 @@ class BasisFamily:
         return self.vectors.column(n)
 
 
-def eigenvalue(label: str, p: Params, fp: FParams | None, n: int) -> Fraction:
-    a, b, z = p.alpha, p.beta, p.zeta
-    if label in ("d", "dStar"):
-        return a - n
-    if label in ("e", "eStar"):
-        return (n - b - z - 1) * (b + z - n)
-    if label in ("f", "fStar"):
-        return (n - a - fp.rho) * (a - n)
-    if label in ("z", "zStar"):
-        return n - a
-    raise PreconditionViolated(f"unknown basis label {label!r}")
+def rho_of(fp: FParams | None):
+    """rho, or None when no FParams are given."""
+    return fp.rho if fp is not None else None
 
 
-# -- closed-form columns ------------------------------------------------------
-# Each function returns the coefficient of |l> in the n-th basis vector.
+# -- eigenvalues and closed-form columns ------------------------------------
+# _eig_* return the eigenvalue at index n; _coeff_* the coefficient of |l>
+# in the n-th basis vector.  rho is None for families that do not use it.
 
 
-def _coeff_d(p, n, l):
+def _eig_d(p, rho, n):
+    return p.alpha - n
+
+
+def _eig_e(p, rho, n):
+    return (n - p.beta - p.zeta - 1) * (p.beta + p.zeta - n)
+
+
+def _eig_f(p, rho, n):
+    return (n - p.alpha - rho) * (p.alpha - n)
+
+
+def _eig_z(p, rho, n):
+    return n - p.alpha
+
+
+def _coeff_d(p, rho, n, l):
     N, a, b = p.N, p.alpha, p.beta
     pref = pochhammer(n - N - a + b + 1, N - n) / (
         pochhammer(n - N, N - n) * pochhammer(a - N, N - n)
@@ -86,7 +97,7 @@ def _coeff_d(p, n, l):
     )
 
 
-def _coeff_dstar(p, n, l):
+def _coeff_dstar(p, rho, n, l):
     a, b = p.alpha, p.beta
     pref = pochhammer(-n + a - b, n) / (pochhammer(1, n) * pochhammer(-a, n + 1))
     return (
@@ -98,7 +109,7 @@ def _coeff_dstar(p, n, l):
     )
 
 
-def _coeff_e(p, n, l):
+def _coeff_e(p, rho, n, l):
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
     pref = (
         pochhammer(-N, n)
@@ -114,7 +125,7 @@ def _coeff_e(p, n, l):
     )
 
 
-def _coeff_estar(p, n, l):
+def _coeff_estar(p, rho, n, l):
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
     pref = (
         pochhammer(-N, N - n)
@@ -133,7 +144,7 @@ def _coeff_estar(p, n, l):
     )
 
 
-def _coeff_f(p, n, l, rho):
+def _coeff_f(p, rho, n, l):
     N, a, b = p.N, p.alpha, p.beta
     pref = pochhammer(b + rho - N + 1, N - n) / (
         pochhammer(n - N, N - n) * pochhammer(2 * a + rho - N - n, N - n)
@@ -146,7 +157,7 @@ def _coeff_f(p, n, l, rho):
     )
 
 
-def _coeff_fstar(p, n, l, rho):
+def _coeff_fstar(p, rho, n, l):
     a, b = p.alpha, p.beta
     pref = pochhammer(-b - rho, n) / (pochhammer(1, n) * pochhammer(n - 2 * a - rho, n))
     return (
@@ -158,47 +169,70 @@ def _coeff_fstar(p, n, l, rho):
     )
 
 
-def _coeff_z(p, n, l):
+def _coeff_z(p, rho, n, l):
     N = p.N
     return pochhammer(n - N, N - l) / pochhammer(n - N, N - n)
 
 
-def _coeff_zstar(p, n, l):
+def _coeff_zstar(p, rho, n, l):
     return (-1) ** (l + n) * pochhammer(-n, l) / pochhammer(-n, n)
 
 
+@dataclass(frozen=True)
+class Family:
+    """One row of the family table.
+
+    The family solves A v = eigenvalue * B v with (A, B) = pencil(g, rho),
+    where g holds the generators Z, V, X, their transposes Zt, Vt, Xt and
+    the identity I.
+    """
+
+    eigenvalue: Callable  # (p, rho, n) -> Fraction
+    coefficient: Callable  # (p, rho, n, l) -> Fraction
+    pencil: Callable  # (g, rho) -> (A, B)
+    needs_rho: bool = False
+
+
+FAMILIES = {
+    "d": Family(_eig_d, _coeff_d, lambda g, rho: (g.X, g.Z)),
+    "dStar": Family(_eig_d, _coeff_dstar, lambda g, rho: (g.Xt, g.Zt)),
+    "e": Family(_eig_e, _coeff_e, lambda g, rho: (g.V, g.I)),
+    "eStar": Family(_eig_e, _coeff_estar, lambda g, rho: (g.Vt, g.I)),
+    "f": Family(_eig_f, _coeff_f, lambda g, rho: (g.X + rho * g.Z, g.I), needs_rho=True),
+    "fStar": Family(_eig_f, _coeff_fstar, lambda g, rho: (g.Xt + rho * g.Zt, g.I),
+                    needs_rho=True),
+    "z": Family(_eig_z, _coeff_z, lambda g, rho: (g.Z, g.I)),
+    "zStar": Family(_eig_z, _coeff_zstar, lambda g, rho: (g.Zt, g.I)),
+}
+LABELS = tuple(FAMILIES)
+
+
+def family(label: str, fp: FParams | None) -> Family:
+    """The table row for label; every entry point validates its label here."""
+    fam = FAMILIES.get(label)
+    if fam is None:
+        raise PreconditionViolated(f"unknown basis label {label!r}")
+    if fam.needs_rho and fp is None:
+        raise PreconditionViolated(f"label {label!r} needs FParams")
+    return fam
+
+
+def eigenvalue(label: str, p: Params, fp: FParams | None, n: int) -> Fraction:
+    return family(label, fp).eigenvalue(p, rho_of(fp), n)
+
+
 def closed_form_coefficient(label: str, p: Params, fp: FParams | None, n: int, l: int) -> Fraction:
-    if label == "d":
-        return _coeff_d(p, n, l)
-    if label == "dStar":
-        return _coeff_dstar(p, n, l)
-    if label == "e":
-        return _coeff_e(p, n, l)
-    if label == "eStar":
-        return _coeff_estar(p, n, l)
-    if label == "f":
-        return _coeff_f(p, n, l, fp.rho)
-    if label == "fStar":
-        return _coeff_fstar(p, n, l, fp.rho)
-    if label == "z":
-        return _coeff_z(p, n, l)
-    if label == "zStar":
-        return _coeff_zstar(p, n, l)
-    raise PreconditionViolated(f"unknown basis label {label!r}")
+    return family(label, fp).coefficient(p, rho_of(fp), n, l)
 
 
 def build_basis(p: Params, fp: FParams | None, label: str) -> BasisFamily:
     """Evaluate the closed-form expansion of every vector in the family."""
-    rho = fp.rho if fp is not None else None
-    if label in ("f", "fStar") and fp is None:
-        raise PreconditionViolated(f"label {label!r} needs FParams")
+    fam = family(label, fp)
+    rho = rho_of(fp)
     require_generic(p, rho)
     N = p.N
-    cols = [
-        [closed_form_coefficient(label, p, fp, n, l) for l in range(N + 1)]
-        for n in range(N + 1)
-    ]
-    eigs = tuple(eigenvalue(label, p, fp, n) for n in range(N + 1))
+    cols = [[fam.coefficient(p, rho, n, l) for l in range(N + 1)] for n in range(N + 1)]
+    eigs = tuple(fam.eigenvalue(p, rho, n) for n in range(N + 1))
     return BasisFamily(label=label, vectors=RationalMatrix.from_columns(cols), eigenvalues=eigs)
 
 
@@ -208,26 +242,11 @@ cached_basis = lru_cache(maxsize=256)(build_basis)
 
 def _pencil(label: str, p: Params, fp: FParams | None):
     """(A, B) such that the family solves A v = eigenvalue * B v."""
+    fam = family(label, fp)
     Z, V, X = build_Z(p), build_V(p), build_X(p)
     Zt, Vt, Xt = build_transposes(p)
-    ident = RationalMatrix.identity(p.N + 1)
-    if label == "d":
-        return X, Z
-    if label == "dStar":
-        return Xt, Zt
-    if label == "e":
-        return V, ident
-    if label == "eStar":
-        return Vt, ident
-    if label == "f":
-        return X + fp.rho * Z, ident
-    if label == "fStar":
-        return Xt + fp.rho * Zt, ident
-    if label == "z":
-        return Z, ident
-    if label == "zStar":
-        return Zt, ident
-    raise PreconditionViolated(f"unknown basis label {label!r}")
+    g = SimpleNamespace(Z=Z, V=V, X=X, Zt=Zt, Vt=Vt, Xt=Xt, I=RationalMatrix.identity(p.N + 1))
+    return fam.pencil(g, rho_of(fp))
 
 
 def oracle_basis(p: Params, fp: FParams | None, label: str) -> BasisFamily:
@@ -238,14 +257,13 @@ def oracle_basis(p: Params, fp: FParams | None, label: str) -> BasisFamily:
     so its component on |n> matches the closed form's, which is the only use
     made of the closed-form data.
     """
-    rho = fp.rho if fp is not None else None
-    require_generic(p, rho)
+    require_generic(p, rho_of(fp))
     A, B = _pencil(label, p, fp)
     N = p.N
+    eigs = tuple(eigenvalue(label, p, fp, n) for n in range(N + 1))
     cols = []
     for n in range(N + 1):
-        lam = eigenvalue(label, p, fp, n)
-        kernel = nullspace(A - lam * B)
+        kernel = nullspace(A - eigs[n] * B)
         if len(kernel) != 1:
             raise NondegenerateSpectrumViolated(
                 f"family {label}, index {n}: kernel dimension {len(kernel)}, expected 1"
@@ -258,7 +276,6 @@ def oracle_basis(p: Params, fp: FParams | None, label: str) -> BasisFamily:
             )
         scale = anchor / v[n]
         cols.append([scale * x for x in v])
-    eigs = tuple(eigenvalue(label, p, fp, n) for n in range(N + 1))
     return BasisFamily(label=label, vectors=RationalMatrix.from_columns(cols), eigenvalues=eigs)
 
 

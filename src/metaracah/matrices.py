@@ -252,12 +252,12 @@ def nullspace(m: RationalMatrix):
     return basis
 
 
-def solve(m: RationalMatrix, rhs):
-    """Solve m x = rhs exactly; m must be square and nonsingular."""
+def _gauss_jordan(m: RationalMatrix, augment, name: str) -> list:
+    """Reduce [m | augment] to [I | m^-1 augment]; return the right block's rows."""
     if m.rows != m.cols:
-        raise ValueError("solve needs a square matrix")
+        raise ValueError(f"{name} needs a square matrix")
     n = m.rows
-    a = [list(row) + [Q(rhs[i])] for i, row in enumerate(m._e)]
+    a = [list(row) + list(augment[i]) for i, row in enumerate(m._e)]
     for c in range(n):
         pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
         if pivot is None:
@@ -269,27 +269,18 @@ def solve(m: RationalMatrix, rhs):
             if i != c and a[i][c] != 0:
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return tuple(a[i][n] for i in range(n))
+    return [row[n:] for row in a]
+
+
+def solve(m: RationalMatrix, rhs):
+    """Solve m x = rhs exactly; m must be square and nonsingular."""
+    return tuple(x for (x,) in _gauss_jordan(m, [[Q(v)] for v in rhs], "solve"))
 
 
 def inverse(m: RationalMatrix) -> RationalMatrix:
     """Exact inverse via Gauss-Jordan; raises ValueError when singular."""
-    if m.rows != m.cols:
-        raise ValueError("inverse needs a square matrix")
-    n = m.rows
-    a = [list(row) + [Q(1) if i == j else Q(0) for j in range(n)] for i, row in enumerate(m._e)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        a[c], a[pivot] = a[pivot], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return RationalMatrix([row[n:] for row in a])
+    ident = [[Q(1) if i == j else Q(0) for j in range(m.rows)] for i in range(m.rows)]
+    return RationalMatrix(_gauss_jordan(m, ident, "inverse"))
 
 
 def determinant(m: RationalMatrix) -> Fraction:

@@ -107,23 +107,13 @@ def closed_form_Stilde(m: int, n: int, rp: RacahParams) -> Fraction:
 
 
 def overlap_S(m: int, n: int, p: Params, fp: FParams) -> Fraction:
-    """<f*_n|e_m> as a dot product; asserted equal to the closed form."""
-    e = cached_basis(p, fp, "e")
-    fstar = cached_basis(p, fp, "fStar")
-    value = dot(fstar.column(n), e.column(m))
-    closed = closed_form_S(m, n, RacahParams.from_params(p, fp))
-    assert value == closed, f"S_{m}({n}): dot product {value} != closed form {closed}"
-    return value
+    """<f*_n|e_m> as a dot product of closed-form basis vectors."""
+    return dot(cached_basis(p, fp, "fStar").column(n), cached_basis(p, fp, "e").column(m))
 
 
 def overlap_Stilde(m: int, n: int, p: Params, fp: FParams) -> Fraction:
-    """<f_n|e*_m> as a dot product; asserted equal to the closed form."""
-    f = cached_basis(p, fp, "f")
-    estar = cached_basis(p, fp, "eStar")
-    value = dot(f.column(n), estar.column(m))
-    closed = closed_form_Stilde(m, n, RacahParams.from_params(p, fp))
-    assert value == closed, f"St_{m}({n}): dot product {value} != closed form {closed}"
-    return value
+    """<f_n|e*_m> as a dot product of closed-form basis vectors."""
+    return dot(cached_basis(p, fp, "f").column(n), cached_basis(p, fp, "eStar").column(m))
 
 
 def weight(n: int, rp: RacahParams) -> Fraction:
@@ -172,44 +162,26 @@ def racah_orthogonality(p: Params, fp: FParams) -> VerificationReport:
     W = [weight(n, rp) for n in range(N + 1)]
     Nm = [norm(m, rp) for m in range(N + 1)]
 
-    bad = [
-        (k, m)
-        for k in range(N + 1)
-        for m in range(N + 1)
-        if sum(St[k][n] * S[m][n] for n in range(N + 1)) != (1 if k == m else 0)
-    ]
-    rep.add(
+    rep.add_grid(
         "gram-S",
         "sum_n Stilde_k(n) S_m(n) = delta_km",
-        not bad,
-        detail="" if not bad else f"failing (k, m): {bad[:4]}",
+        N,
+        lambda k, m: sum(St[k][n] * S[m][n] for n in range(N + 1)) == (1 if k == m else 0),
+        axes="(k, m)",
     )
-
-    bad = [
-        (k, m)
-        for k in range(N + 1)
-        for m in range(N + 1)
-        if sum(W[n] * R[k][n] * R[m][n] for n in range(N + 1))
-        != (Nm[m] if k == m else 0)
-    ]
-    rep.add(
+    rep.add_grid(
         "weight-orthogonality",
         "sum_n W_n R_k(n) R_m(n) = N_m delta_km",
-        not bad,
-        detail="" if not bad else f"failing (k, m): {bad[:4]}",
+        N,
+        lambda k, m: sum(W[n] * R[k][n] * R[m][n] for n in range(N + 1))
+        == (Nm[m] if k == m else 0),
+        axes="(k, m)",
     )
-
-    bad = [
-        (m, n)
-        for m in range(N + 1)
-        for n in range(N + 1)
-        if Nm[m] * St[m][n] * S[m][n] != W[n] * R[m][n] ** 2
-    ]
-    rep.add(
+    rep.add_grid(
         "weight-norm-consistency",
         "N_m Stilde_m(n) S_m(n) = W_n R_m(n)^2",
-        not bad,
-        detail="" if not bad else f"failing (m, n): {bad[:4]}",
+        N,
+        lambda m, n: Nm[m] * St[m][n] * S[m][n] == W[n] * R[m][n] ** 2,
     )
 
     signs = "".join("+" if w > 0 else ("-" if w < 0 else "0") for w in W)
@@ -270,47 +242,21 @@ def verify_racah(p: Params, fp: FParams) -> VerificationReport:
     N = p.N
     rep = VerificationReport(suite="racah", params={**p.as_dict(), "rho": str(fp.rho)})
 
-    bad = [
-        (m, n)
-        for m in range(N + 1)
-        for n in range(N + 1)
-        if dot(cached_basis(p, fp, "fStar").column(n), cached_basis(p, fp, "e").column(m))
-        != closed_form_S(m, n, rp)
-    ]
-    rep.add(
+    rep.add_grid(
         "identify-S",
         "<f*_n|e_m> = prefactor * R_m(n) on the full grid",
-        not bad,
-        detail="" if not bad else f"failing (m, n): {bad[:4]}",
+        N,
+        lambda m, n: overlap_S(m, n, p, fp) == closed_form_S(m, n, rp),
     )
-
-    bad = [
-        (m, n)
-        for m in range(N + 1)
-        for n in range(N + 1)
-        if dot(cached_basis(p, fp, "f").column(n), cached_basis(p, fp, "eStar").column(m))
-        != closed_form_Stilde(m, n, rp)
-    ]
-    rep.add(
+    rep.add_grid(
         "identify-Stilde",
         "<f_n|e*_m> = prefactor * R_m(n) on the full grid",
-        not bad,
-        detail="" if not bad else f"failing (m, n): {bad[:4]}",
+        N,
+        lambda m, n: overlap_Stilde(m, n, p, fp) == closed_form_Stilde(m, n, rp),
     )
-
     for check_id, fn in (("recurrence", racah_recurrence), ("difference", racah_difference)):
-        bad = [
-            (m, n)
-            for m in range(N + 1)
-            for n in range(N + 1)
-            if fn(m, n, p, fp) != 0
-        ]
-        rep.add(
-            check_id,
-            f"{check_id} residual vanishes on the full grid",
-            not bad,
-            detail="" if not bad else f"failing (m, n): {bad[:4]}",
-        )
+        rep.add_grid(check_id, f"{check_id} residual vanishes on the full grid", N,
+                     lambda m, n: fn(m, n, p, fp) == 0)
 
     for check in racah_orthogonality(p, fp).checks:
         rep.checks.append(check)

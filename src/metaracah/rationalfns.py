@@ -26,7 +26,6 @@ limit at large finite parameter values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Params, build_X, build_Z
@@ -55,20 +54,6 @@ def calU(m: int, n: int, p: Params) -> Fraction:
 def calU_tilde(m: int, n: int, p: Params) -> Fraction:
     N = p.N
     return calU_general(m, N - n, N - p.alpha - 1, p.beta + 2 * p.zeta - 2, 2 - p.zeta, N)
-
-
-@dataclass(frozen=True)
-class RationalRacahValue:
-    """calU_m(n) tagged with the evaluation point."""
-
-    value: Fraction
-    m: int
-    n: int
-    params: Params
-
-
-def rational_value(m: int, n: int, p: Params) -> RationalRacahValue:
-    return RationalRacahValue(value=calU(m, n, p), m=m, n=n, params=p)
 
 
 def closed_form_U(m: int, n: int, p: Params) -> Fraction:
@@ -101,23 +86,14 @@ def closed_form_Utilde(m: int, n: int, p: Params) -> Fraction:
 
 
 def overlap_U(m: int, n: int, p: Params) -> Fraction:
-    """<e_m|d*_n> as a dot product; asserted equal to the closed form."""
-    e = cached_basis(p, None, "e")
-    dstar = cached_basis(p, None, "dStar")
-    value = dot(e.column(m), dstar.column(n))
-    closed = closed_form_U(m, n, p)
-    assert value == closed, f"U_{m}({n}): dot product {value} != closed form {closed}"
-    return value
+    """<e_m|d*_n> as a dot product of closed-form basis vectors."""
+    return dot(cached_basis(p, None, "e").column(m), cached_basis(p, None, "dStar").column(n))
 
 
 def overlap_Utilde(m: int, n: int, p: Params) -> Fraction:
-    """<e*_m|Z|d_n> as a dot product; asserted equal to the closed form."""
-    estar = cached_basis(p, None, "eStar")
-    d = cached_basis(p, None, "d")
-    value = dot(estar.column(m), build_Z(p).apply(d.column(n)))
-    closed = closed_form_Utilde(m, n, p)
-    assert value == closed, f"Ut_{m}({n}): dot product {value} != closed form {closed}"
-    return value
+    """<e*_m|Z|d_n> as a dot product of closed-form basis vectors."""
+    d_n = cached_basis(p, None, "d").column(n)
+    return dot(cached_basis(p, None, "eStar").column(m), build_Z(p).apply(d_n))
 
 
 # -- biorthogonality ---------------------------------------------------------
@@ -175,32 +151,19 @@ def biorthogonality(p: Params) -> VerificationReport:
     rep.add("h0-normalization", "h_0 = h*_0 = 1", h[0] == 1 and hs[0] == 1,
             detail=f"h_0 = {h[0]}, h*_0 = {hs[0]}")
 
-    bad = [
-        (m, n)
-        for m in range(N + 1)
-        for n in range(N + 1)
-        if sum(W[j] * cUt[m][j] * cU[n][j] for j in range(N + 1))
-        != (h[n] if n == m else 0)
-    ]
-    rep.add(
+    rep.add_grid(
         "biorth-point",
         "sum_j W(j) calUt_m(j) calU_n(j) = h_n delta_nm",
-        not bad,
-        detail="" if not bad else f"failing (m, n): {bad[:4]}",
+        N,
+        lambda m, n: sum(W[j] * cUt[m][j] * cU[n][j] for j in range(N + 1))
+        == (h[n] if n == m else 0),
     )
-
-    bad = [
-        (m, n)
-        for m in range(N + 1)
-        for n in range(N + 1)
-        if sum(Ws[j] * cUt[j][m] * cU[j][n] for j in range(N + 1))
-        != (hs[n] if n == m else 0)
-    ]
-    rep.add(
+    rep.add_grid(
         "biorth-degree",
         "sum_j W*(j) calUt_j(m) calU_j(n) = h*_n delta_nm",
-        not bad,
-        detail="" if not bad else f"failing (m, n): {bad[:4]}",
+        N,
+        lambda m, n: sum(Ws[j] * cUt[j][m] * cU[j][n] for j in range(N + 1))
+        == (hs[n] if n == m else 0),
     )
 
     U = [[closed_form_U(m, n, p) for n in range(N + 1)] for m in range(N + 1)]
@@ -221,6 +184,12 @@ def biorthogonality(p: Params) -> VerificationReport:
 
 
 # -- bispectrality -----------------------------------------------------------
+
+
+def _boundary_vanishes(coeff: Fraction, edge: str) -> None:
+    """An out-of-range neighbour is dropped only because its coefficient is zero."""
+    if coeff != 0:
+        raise ArithmeticError(f"boundary coefficient at {edge} must vanish")
 
 
 def recurrence_A(m: int, p: Params) -> Fraction:
@@ -246,7 +215,7 @@ def gevp_recurrence_residual(m: int, n: int, p: Params) -> Fraction:
         - (m-alpha-beta-2zeta-1) C_m calU_{m-1}
 
     Out-of-range neighbours carry a vanishing coefficient (A_N and C_0
-    both contain an explicit zero factor); this is asserted instead of
+    both contain an explicit zero factor); this is checked instead of
     evaluating calU outside 0..N.
     """
     a, b, z, N = p.alpha, p.beta, p.zeta, p.N
@@ -260,11 +229,11 @@ def gevp_recurrence_residual(m: int, n: int, p: Params) -> Fraction:
     if m + 1 <= N:
         res += c_up * calU(m + 1, n, p)
     else:
-        assert c_up == 0, "boundary coefficient at m = N must vanish"
+        _boundary_vanishes(c_up, "m = N")
     if m - 1 >= 0:
         res += c_dn * calU(m - 1, n, p)
     else:
-        assert c_dn == 0, "boundary coefficient at m = 0 must vanish"
+        _boundary_vanishes(c_dn, "m = 0")
     return res
 
 
@@ -299,11 +268,11 @@ def difference_residual(m: int, n: int, p: Params) -> Fraction:
     if n + 1 <= N:
         res += c_up * calU(m, n + 1, p)
     else:
-        assert c_up == 0, "boundary coefficient at n = N must vanish"
+        _boundary_vanishes(c_up, "n = N")
     if n - 1 >= 0:
         res += c_dn * calU(m, n - 1, p)
     else:
-        assert c_dn == 0, "boundary coefficient at n = 0 must vanish"
+        _boundary_vanishes(c_dn, "n = 0")
     return res
 
 
@@ -338,7 +307,7 @@ def contiguity_residual(m: int, n: int, p: Params) -> Fraction:
     if n - 1 >= 0:
         res -= c1 * calU(m, n - 1, p)
     else:
-        assert c1 == 0, "boundary coefficient at n = 0 must vanish"
+        _boundary_vanishes(c1, "n = 0")
     return res
 
 
@@ -491,61 +460,29 @@ def verify_rational(p: Params) -> VerificationReport:
     dstar = cached_basis(p, None, "dStar")
     ZD = build_Z(p) * d.vectors
 
-    bad = [
-        (m, n)
-        for m in range(N + 1)
-        for n in range(N + 1)
-        if dot(e.column(m), dstar.column(n)) != closed_form_U(m, n, p)
-    ]
-    rep.add(
+    rep.add_grid(
         "identify-U",
         "<e_m|d*_n> = prefactor * calU_m(n) on the full grid",
-        not bad,
-        detail="" if not bad else f"failing (m, n): {bad[:4]}",
+        N,
+        lambda m, n: dot(e.column(m), dstar.column(n)) == closed_form_U(m, n, p),
     )
-
-    bad = [
-        (m, n)
-        for m in range(N + 1)
-        for n in range(N + 1)
-        if dot(estar.column(m), ZD.column(n)) != closed_form_Utilde(m, n, p)
-    ]
-    rep.add(
+    rep.add_grid(
         "identify-Utilde",
         "<e*_m|Z|d_n> = prefactor * calU_tilde_m(n) on the full grid",
-        not bad,
-        detail="" if not bad else f"failing (m, n): {bad[:4]}",
+        N,
+        lambda m, n: dot(estar.column(m), ZD.column(n)) == closed_form_Utilde(m, n, p),
     )
 
     for check in biorthogonality(p).checks:
         rep.checks.append(check)
 
-    bad = [
-        (m, n)
-        for m in range(N + 1)
-        for n in range(N + 1)
-        if gevp_recurrence_residual(m, n, p) != 0
-    ]
-    rep.add("gevp-recurrence", "GEVP recurrence residual vanishes on the full grid",
-            not bad, detail="" if not bad else f"failing (m, n): {bad[:4]}")
-
-    bad = [
-        (m, n)
-        for m in range(N + 1)
-        for n in range(N + 1)
-        if difference_residual(m, n, p) != 0
-    ]
-    rep.add("difference", "difference-equation residual vanishes on the full grid",
-            not bad, detail="" if not bad else f"failing (m, n): {bad[:4]}")
-
-    bad = [
-        (m, n)
-        for m in range(N + 1)
-        for n in range(N + 1)
-        if contiguity_residual(m, n, p) != 0
-    ]
-    rep.add("contiguity", "contiguity residual vanishes on the full grid",
-            not bad, detail="" if not bad else f"failing (m, n): {bad[:4]}")
+    for check_id, statement, residual in (
+        ("gevp-recurrence", "GEVP recurrence", gevp_recurrence_residual),
+        ("difference", "difference-equation", difference_residual),
+        ("contiguity", "contiguity", contiguity_residual),
+    ):
+        rep.add_grid(check_id, f"{statement} residual vanishes on the full grid", N,
+                     lambda m, n: residual(m, n, p) == 0)
 
     for check in contiguity_operator_check(p).checks:
         rep.checks.append(check)

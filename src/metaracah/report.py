@@ -40,9 +40,7 @@ class VerificationReport:
     checks: list = field(default_factory=list)
 
     def add(self, check_id: str, statement: str, ok: bool, detail: str = ""):
-        self.checks.append(
-            Check(check_id, statement, PASS if ok else FAIL, detail if not ok else detail)
-        )
+        self.checks.append(Check(check_id, statement, PASS if ok else FAIL, detail))
         return ok
 
     def add_matrix_zero(self, check_id: str, statement: str, residual):
@@ -50,6 +48,17 @@ class VerificationReport:
         ok = residual.is_zero()
         return self.add(check_id, statement, ok,
                         "" if ok else describe_matrix_mismatch(residual))
+
+    def add_grid(self, check_id: str, statement: str, N: int, predicate, axes: str = "(m, n)"):
+        """Pass iff predicate(i, j) holds on the whole (N+1) x (N+1) grid.
+
+        Every point is evaluated, row by row; a failure lists the first four
+        failing points under the axis names ``axes``, as in
+        "failing (m, n): [(0, 1), (2, 2)]".
+        """
+        bad = [(i, j) for i in range(N + 1) for j in range(N + 1) if not predicate(i, j)]
+        return self.add(check_id, statement, not bad,
+                        "" if not bad else f"failing {axes}: {bad[:4]}")
 
     def add_info(self, check_id: str, statement: str, detail: str = ""):
         """Informational entry that never fails."""

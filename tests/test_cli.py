@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as Q
 
@@ -141,3 +142,29 @@ def test_sweeps_are_reported(capsys):
     sweep_suites = [r["suite"] for r in payload["reports"]
                     if r["suite"].startswith("sweep-")]
     assert len(sweep_suites) >= 2
+
+
+# stdout sha256 of fixed invocations; a refactor must leave every byte as is
+PINNED_STDOUT = [
+    ("verify --suite all --N 3",
+     "e3c72fe985b46c4a53c309e51c147825644ac1869a8bf49b4fd204998f487662"),
+    ("verify --suite all --N 5",
+     "2ed005f89d9a7f854b01632fb01b3c2728b97f09a13fb41fe291a2f884fa0227"),
+    ("verify --suite all --N 3 --sweeps 3 --seed 42",
+     "0350e94dcdbcb743e78a2511bea0c0fe6023fe1a37f4955a5db37b2538181d32"),
+    ("verify --N 3 --format csv",
+     "e649de9566b54fab9e656cad27190bbeb090c0cfb715c28b68ecbcc8a4fecdb2"),
+    ("table --which Stilde --N 6",
+     "3a028a77c9b23f77f8531b6383e3285f81d65dbc6699ed3cd616cf854e35af41"),
+    ("matrix --which basis:fStar --N 6",
+     "a6d406771f1fc04bf5ddc2fb8d3c2d3ecd886204f95c743bcf25ecb5f00d362f"),
+    ("matrix --which coeffs:e --N 4",
+     "37f58784f26147f44ee508143ae5361fca608bf3b4fe015bd5815890843759de"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_STDOUT, ids=[a for a, _ in PINNED_STDOUT])
+def test_stdout_is_pinned(capsys, argv, digest):
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

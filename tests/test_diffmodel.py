@@ -5,7 +5,6 @@ import pytest
 from metaracah import LABELS, build_basis
 from metaracah.diffmodel import (
     LaurentPoly,
-    apply_diffop,
     diff_V,
     diff_X,
     diff_Z,
@@ -64,7 +63,7 @@ def test_monomial_rays_are_dual(p3):
 
 
 def test_Z_on_the_first_ray(p3):
-    got = apply_diffop(diff_Z(p3), g_poly(p3, 0))
+    got = diff_Z(p3).apply(g_poly(p3, 0))
     expected = -p3.alpha * g_poly(p3, 0) + g_poly(p3, 1)
     assert got == expected
 
@@ -142,10 +141,10 @@ def test_transposed_operators(p3):
 def test_adjoint_identity_single_pair(p3):
     # <Zt g*_0, g_1> = <g*_0, Z g_1> spelled out by hand
     left = residue_pair(
-        apply_diffop(diff_Zt(p3), g_dual_poly(p3, 0)), g_poly(p3, 1)
+        diff_Zt(p3).apply(g_dual_poly(p3, 0)), g_poly(p3, 1)
     )
     right = residue_pair(
-        g_dual_poly(p3, 0), apply_diffop(diff_Z(p3), g_poly(p3, 1))
+        g_dual_poly(p3, 0), diff_Z(p3).apply(g_poly(p3, 1))
     )
     assert left == right
 

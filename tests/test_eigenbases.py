@@ -6,11 +6,14 @@ import metaracah.eigenbases as eb
 from metaracah import (
     LABELS,
     NondegenerateSpectrumViolated,
+    PreconditionViolated,
     build_Z,
     build_basis,
     check_orthogonality,
+    closed_form_coefficient,
     oracle_basis,
 )
+from metaracah.diffmodel import model_basis
 from metaracah.eigenbases import eigenvalue, z_action_on_d
 
 
@@ -76,6 +79,14 @@ def test_oracle_guards_empty_kernel(p3, fp, monkeypatch):
         eb.oracle_basis(p3, fp, "z")
 
 
-def test_unknown_label_rejected(p3, fp):
-    with pytest.raises(Exception):
-        build_basis(p3, fp, "q")
+@pytest.mark.parametrize("entry", [
+    pytest.param(lambda p, fp, label: eigenvalue(label, p, fp, 0), id="eigenvalue"),
+    pytest.param(lambda p, fp, label: closed_form_coefficient(label, p, fp, 0, 0),
+                 id="closed_form_coefficient"),
+    pytest.param(lambda p, fp, label: build_basis(p, fp, label), id="build_basis"),
+    pytest.param(lambda p, fp, label: oracle_basis(p, fp, label), id="oracle_basis"),
+    pytest.param(lambda p, fp, label: model_basis(label, p, fp), id="model_basis"),
+])
+def test_unknown_label_rejected(entry, p3, fp):
+    with pytest.raises(PreconditionViolated, match="unknown basis label 'q'"):
+        entry(p3, fp, "q")
