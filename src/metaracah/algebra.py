@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateParameters
-from .hyper import pochhammer
 from .matrices import RationalMatrix, anticommutator, commutator
 from .report import VerificationReport, describe_matrix_mismatch
 
@@ -74,50 +73,54 @@ def central_params(p: Params) -> CentralParams:
     return CentralParams(xi=xi, eta=eta)
 
 
+def _pochhammer_vanishes(x: Fraction, k: int) -> bool:
+    """(x)_k = x (x+1) ... (x+k-1) is zero exactly when x is an integer in [1-k, 0]."""
+    return x.denominator == 1 and 1 - k <= x <= 0
+
+
 def genericity_registry(p: Params, rho=None):
-    """Denominator expressions that must stay nonzero, as (label, value) pairs.
+    """Denominator expressions that must stay nonzero, as (label, vanishes) pairs.
 
     The list is the union, over basis indices 0 <= n <= N, of every
     denominator appearing in the closed-form bases, tridiagonal
     coefficients, overlap prefactors, weights and norms used downstream.
-    Expressions involving rho are included only when rho is given.
+    Expressions involving rho are included only when rho is given.  A
+    Pochhammer entry is tested through its factors, never multiplied out.
     """
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
     items = []
+
+    def poch(label, x, k):
+        items.append((label, _pochhammer_vanishes(x, k)))
+
+    def linear(label, x):
+        items.append((label, x == 0))
+
     for n in range(N + 1):
-        items.append((f"(-alpha)_({n}+1)", pochhammer(-a, n + 1)))
-        items.append((f"(alpha-beta-{n})_{n}", pochhammer(a - b - n, n)))
-        items.append(
-            (f"({n}-N-alpha+beta+1)_(N-{n})", pochhammer(n - N - a + b + 1, N - n))
-        )
+        poch(f"(-alpha)_({n}+1)", -a, n + 1)
+        poch(f"(alpha-beta-{n})_{n}", a - b - n, n)
+        poch(f"({n}-N-alpha+beta+1)_(N-{n})", n - N - a + b + 1, N - n)
         for k in range(-3, 4):
-            items.append((f"(2*{n}-2beta-2zeta-({k}))", 2 * n - 2 * b - 2 * z - k))
-        items.append((f"({n}-alpha)", n - a))
-        items.append((f"({n}-alpha+beta)", n - a + b))
-        items.append((f"({n}-2beta-2zeta-1)_{n}", pochhammer(n - 2 * b - 2 * z - 1, n)))
-        items.append(
-            (f"(2beta+2zeta-N-{n}+1)_(N-{n})", pochhammer(2 * b + 2 * z - N - n + 1, N - n))
-        )
-        items.append(
-            (
-                f"(2alpha+beta+2zeta-2N+1)_(N-{n})",
-                pochhammer(2 * a + b + 2 * z - 2 * N + 1, N - n),
-            )
-        )
-        items.append((f"({n}-1-2beta-2zeta)_(N+1)", pochhammer(n - 1 - 2 * b - 2 * z, N + 1)))
+            linear(f"(2*{n}-2beta-2zeta-({k}))", 2 * n - 2 * b - 2 * z - k)
+        linear(f"({n}-alpha)", n - a)
+        linear(f"({n}-alpha+beta)", n - a + b)
+        poch(f"({n}-2beta-2zeta-1)_{n}", n - 2 * b - 2 * z - 1, n)
+        poch(f"(2beta+2zeta-N-{n}+1)_(N-{n})", 2 * b + 2 * z - N - n + 1, N - n)
+        poch(f"(2alpha+beta+2zeta-2N+1)_(N-{n})", 2 * a + b + 2 * z - 2 * N + 1, N - n)
+        poch(f"({n}-1-2beta-2zeta)_(N+1)", n - 1 - 2 * b - 2 * z, N + 1)
         if rho is not None:
             r = Q(rho)
             for k in range(-1, 3):
-                items.append((f"(2*{n}-2alpha-rho+({k}))", 2 * n - 2 * a - r + k))
-            items.append((f"({n}-2alpha-rho)_{n}", pochhammer(n - 2 * a - r, n)))
-            items.append((f"(-beta-rho)_{n}", pochhammer(-b - r, n)))
-            items.append((f"(beta+rho-N+1)_(N-{n})", pochhammer(b + r - N + 1, N - n)))
+                linear(f"(2*{n}-2alpha-rho+({k}))", 2 * n - 2 * a - r + k)
+            poch(f"({n}-2alpha-rho)_{n}", n - 2 * a - r, n)
+            poch(f"(-beta-rho)_{n}", -b - r, n)
+            poch(f"(beta+rho-N+1)_(N-{n})", b + r - N + 1, N - n)
     return items
 
 
 def validate_params(p: Params, rho=None) -> list[str]:
     """Empty list when the parameters are generic, else the vanishing labels."""
-    return [label for label, value in genericity_registry(p, rho) if value == 0]
+    return [label for label, vanishes in genericity_registry(p, rho) if vanishes]
 
 
 def require_generic(p: Params, rho=None) -> None:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Params, build_transposes, build_V, build_X, build_Z, require_generic
-from .eigenbases import FParams, LABELS, cached_basis, family, rho_of
+from .eigenbases import FParams, LABELS, closed_form_basis, family, rho_of
 from .errors import PreconditionViolated
 from .hyper import multi_pochhammer, pochhammer
 from .matrices import RationalMatrix
@@ -425,7 +425,7 @@ def verify_model_bases(p: Params, fp: FParams) -> VerificationReport:
     rep = VerificationReport(suite="model-bases", params={**p.as_dict(), "rho": str(fp.rho)})
     for label in LABELS:
         fam = model_basis(label, p, fp)
-        abstract = cached_basis(p, fp, label)
+        abstract = closed_form_basis(p, fp, label)
         expand = _in_gstar_basis if label.endswith("Star") else _in_g_basis
         bad = [
             n

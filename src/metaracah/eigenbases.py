@@ -236,8 +236,18 @@ def build_basis(p: Params, fp: FParams | None, label: str) -> BasisFamily:
     return BasisFamily(label=label, vectors=RationalMatrix.from_columns(cols), eigenvalues=eigs)
 
 
-# Overlap grids rebuild the same four families for every (m, n) pair.
+# The suites of one parameter set share its families; read them through
+# closed_form_basis, which keys the cache on rho only where it matters.
 cached_basis = lru_cache(maxsize=256)(build_basis)
+
+
+def closed_form_basis(p: Params, fp: FParams | None, label: str) -> BasisFamily:
+    """The closed-form family, built once per parameter set.
+
+    The cache key carries rho only for the families that use it, so a
+    caller with FParams and a caller without share one entry.
+    """
+    return cached_basis(p, fp if family(label, fp).needs_rho else None, label)
 
 
 def _pencil(label: str, p: Params, fp: FParams | None):
@@ -316,7 +326,7 @@ def check_orthogonality(p: Params, fp: FParams) -> VerificationReport:
     rep = VerificationReport(
         suite="eigenbases:orthogonality", params={**p.as_dict(), "rho": str(fp.rho)}
     )
-    fams = {label: build_basis(p, fp, label).vectors for label in LABELS}
+    fams = {label: closed_form_basis(p, fp, label).vectors for label in LABELS}
     for label in ("e", "f", "z"):
         dual = fams[label + "Star"]
         rep.add_matrix_zero(

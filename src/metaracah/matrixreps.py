@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Params, build_Z, build_V, build_X, build_transposes, require_generic
-from .eigenbases import FParams, build_basis, z_action_on_d
+from .eigenbases import FParams, closed_form_basis, z_action_on_d
 from .hyper import pochhammer
 from .matrices import RationalMatrix, inverse
 from .report import VerificationReport
@@ -61,6 +61,23 @@ def conjugate_dstar(op_t: RationalMatrix, p: Params, d_basis, dstar_basis) -> Ra
 # -- closed forms --------------------------------------------------------------
 
 
+def _z_on_e_sub(p: Params, n: int) -> Fraction:
+    """Entry (n-1, n) of Z on e, stored at index n-1; X on e shares it."""
+    N, a, b, z = p.N, p.alpha, p.beta, p.zeta
+    return (
+        n * (N + 1 - n)
+        * (n + 2 * a - b - N - 1)
+        * (n - 2 * b - 2 * z - 2)
+        * (n - 2 * b - 2 * z + N - 1)
+        * (n - 2 * a - b - 2 * z + N - 1)
+        / (
+            (2 * n - 2 * b - 2 * z - 3)
+            * (2 * n - 2 * b - 2 * z - 2) ** 2
+            * (2 * n - 2 * b - 2 * z - 1)
+        )
+    )
+
+
 def coeffs_Z_on_e(p: Params) -> TridiagonalCoeffs:
     """Z is irreducible tridiagonal on the V eigenbasis, with unit lower band."""
     require_generic(p)
@@ -75,25 +92,10 @@ def coeffs_Z_on_e(p: Params) -> TridiagonalCoeffs:
             - a
         )
 
-    def sub(n):
-        # entry (n-1, n): stored at index n-1
-        return (
-            n * (N + 1 - n)
-            * (n + 2 * a - b - N - 1)
-            * (n - 2 * b - 2 * z - 2)
-            * (n - 2 * b - 2 * z + N - 1)
-            * (n - 2 * a - b - 2 * z + N - 1)
-            / (
-                (2 * n - 2 * b - 2 * z - 3)
-                * (2 * n - 2 * b - 2 * z - 2) ** 2
-                * (2 * n - 2 * b - 2 * z - 1)
-            )
-        )
-
     return TridiagonalCoeffs(
         sup=tuple(Q(1) for _ in range(N)),
         diag=tuple(diag(n) for n in range(N + 1)),
-        sub=tuple(sub(n + 1) for n in range(N)),
+        sub=tuple(_z_on_e_sub(p, n + 1) for n in range(N)),
     )
 
 
@@ -101,7 +103,6 @@ def coeffs_X_on_e(p: Params) -> TridiagonalCoeffs:
     """X, a Heun-type combination for the pair (V, Z), is tridiagonal on e."""
     require_generic(p)
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
-    z_on_e = coeffs_Z_on_e(p)
 
     def diag(n):
         return (
@@ -115,7 +116,7 @@ def coeffs_X_on_e(p: Params) -> TridiagonalCoeffs:
     return TridiagonalCoeffs(
         sup=tuple(b - n for n in range(N)),
         diag=tuple(diag(n) for n in range(N + 1)),
-        sub=tuple((n + 1 - b - 2 * z - 1) * z_on_e.sub[n] for n in range(N)),
+        sub=tuple((n - b - 2 * z) * _z_on_e_sub(p, n + 1) for n in range(N)),
     )
 
 
@@ -287,38 +288,41 @@ def verify_coefficients(p: Params, fp: FParams) -> VerificationReport:
         suite="matrixreps:coefficients", params={**p.as_dict(), "rho": str(fp.rho)}
     )
 
-    e = build_basis(p, fp, "e")
-    estar = build_basis(p, fp, "eStar")
+    e = closed_form_basis(p, fp, "e")
+    estar = closed_form_basis(p, fp, "eStar")
+    z_on_e = coeffs_Z_on_e(p).assemble()
+    x_on_e = coeffs_X_on_e(p).assemble()
     rep.add_matrix_zero(
         "Z-on-e", "closed-form Z coefficients on e match (e*)^T Z e",
-        coeffs_Z_on_e(p).assemble() - conjugate_plain(Z, e, estar),
+        z_on_e - conjugate_plain(Z, e, estar),
     )
     rep.add_matrix_zero(
         "X-on-e", "closed-form X coefficients on e match (e*)^T X e",
-        coeffs_X_on_e(p).assemble() - conjugate_plain(X, e, estar),
+        x_on_e - conjugate_plain(X, e, estar),
     )
     rep.add_matrix_zero(
         "Zt-on-estar", "transposed-operator coefficients on e* are the transpose of Z on e",
-        coeffs_Z_on_e(p).assemble().transpose() - conjugate_plain(Zt, estar, e),
+        z_on_e.transpose() - conjugate_plain(Zt, estar, e),
     )
     rep.add_matrix_zero(
         "Xt-on-estar", "transposed-operator coefficients on e* are the transpose of X on e",
-        coeffs_X_on_e(p).assemble().transpose() - conjugate_plain(Xt, estar, e),
+        x_on_e.transpose() - conjugate_plain(Xt, estar, e),
     )
 
-    f = build_basis(p, fp, "f")
-    fstar = build_basis(p, fp, "fStar")
+    f = closed_form_basis(p, fp, "f")
+    fstar = closed_form_basis(p, fp, "fStar")
+    v_on_f = coeffs_V_on_f(p, fp).assemble()
     rep.add_matrix_zero(
         "V-on-f", "closed-form V coefficients on f match (f*)^T V f",
-        coeffs_V_on_f(p, fp).assemble() - conjugate_plain(V, f, fstar),
+        v_on_f - conjugate_plain(V, f, fstar),
     )
     rep.add_matrix_zero(
         "Vt-on-fstar", "transposed-operator coefficients on f* are the transpose of V on f",
-        coeffs_V_on_f(p, fp).assemble().transpose() - conjugate_plain(Vt, fstar, f),
+        v_on_f.transpose() - conjugate_plain(Vt, fstar, f),
     )
 
-    d = build_basis(p, fp, "d")
-    dstar = build_basis(p, fp, "dStar")
+    d = closed_form_basis(p, fp, "d")
+    dstar = closed_form_basis(p, fp, "dStar")
     dd = coeffs_on_d(p)
     rep.add_matrix_zero(
         "Z-on-d", "closed-form Z coefficients on d match (d*)^T Z Z d",
@@ -346,8 +350,8 @@ def verify_coefficients(p: Params, fp: FParams) -> VerificationReport:
         ds["VtZt"].assemble() - conjugate_dstar(Vt * Zt, p, d, dstar),
     )
 
-    zb = build_basis(p, fp, "z")
-    zstar = build_basis(p, fp, "zStar")
+    zb = closed_form_basis(p, fp, "z")
+    zstar = closed_form_basis(p, fp, "zStar")
     zz = coeffs_on_z(p)
     Vtilde = X * inverse(Z)
     rep.add_matrix_zero(
@@ -389,8 +393,8 @@ def verify_leonard_trio(p: Params) -> VerificationReport:
     fp = None
     rep = VerificationReport(suite="matrixreps:leonard-trio", params=p.as_dict())
 
-    e = build_basis(p, fp, "e")
-    estar = build_basis(p, fp, "eStar")
+    e = closed_form_basis(p, fp, "e")
+    estar = closed_form_basis(p, fp, "eStar")
     v_e = conjugate_plain(V, e, estar)
     z_e = conjugate_plain(Z, e, estar)
     rep.add("trio-i-V-diagonal", "clause (i): V diagonal on e", v_e.is_diagonal())
@@ -405,8 +409,8 @@ def verify_leonard_trio(p: Params) -> VerificationReport:
         [z_e[n + 1, n] for n in range(N)] + [z_e[n, n + 1] for n in range(N)],
     )
 
-    d = build_basis(p, fp, "d")
-    dstar = build_basis(p, fp, "dStar")
+    d = closed_form_basis(p, fp, "d")
+    dstar = closed_form_basis(p, fp, "dStar")
     # the coefficient extraction for vectors Z d_n reuses the d pairing:
     # <d*_m | O Z d_n> gives O's matrix on the Z d family.
     etilde = Z * d.vectors
@@ -451,8 +455,8 @@ def verify_leonard_trio(p: Params) -> VerificationReport:
         [z_et[n + 1, n] for n in range(N)],
     )
 
-    zb = build_basis(p, fp, "z")
-    zstar = build_basis(p, fp, "zStar")
+    zb = closed_form_basis(p, fp, "z")
+    zstar = closed_form_basis(p, fp, "zStar")
     z_z = conjugate_plain(Z, zb, zstar)
     vt_z = conjugate_plain(Vtilde, zb, zstar)
     v_z = conjugate_plain(V, zb, zstar)

@@ -26,12 +26,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Params
-from .eigenbases import FParams, cached_basis, eigenvalue
+from .eigenbases import FParams, closed_form_basis, eigenvalue
 from .errors import PreconditionViolated
 from .hyper import multi_pochhammer, pochhammer, terminating_hyp
 from .matrices import dot
 from .matrixreps import TridiagonalCoeffs, coeffs_V_on_f, coeffs_X_on_e, coeffs_Z_on_e
-from .report import VerificationReport
+from .report import VerificationReport, grid
 
 Q = Fraction
 
@@ -108,12 +108,14 @@ def closed_form_Stilde(m: int, n: int, rp: RacahParams) -> Fraction:
 
 def overlap_S(m: int, n: int, p: Params, fp: FParams) -> Fraction:
     """<f*_n|e_m> as a dot product of closed-form basis vectors."""
-    return dot(cached_basis(p, fp, "fStar").column(n), cached_basis(p, fp, "e").column(m))
+    fstar, e = closed_form_basis(p, fp, "fStar"), closed_form_basis(p, fp, "e")
+    return dot(fstar.column(n), e.column(m))
 
 
 def overlap_Stilde(m: int, n: int, p: Params, fp: FParams) -> Fraction:
     """<f_n|e*_m> as a dot product of closed-form basis vectors."""
-    return dot(cached_basis(p, fp, "f").column(n), cached_basis(p, fp, "eStar").column(m))
+    f, estar = closed_form_basis(p, fp, "f"), closed_form_basis(p, fp, "eStar")
+    return dot(f.column(n), estar.column(m))
 
 
 def weight(n: int, rp: RacahParams) -> Fraction:
@@ -153,12 +155,18 @@ def racah_orthogonality(p: Params, fp: FParams) -> VerificationReport:
     needs parameter restrictions this library does not impose.
     """
     rp = RacahParams.from_params(p, fp)
+    S = grid(p.N, lambda m, n: closed_form_S(m, n, rp))
+    St = grid(p.N, lambda m, n: closed_form_Stilde(m, n, rp))
+    return _orthogonality_report(p, fp, rp, S, St)
+
+
+def _orthogonality_report(p: Params, fp: FParams, rp: RacahParams,
+                          S, St) -> VerificationReport:
+    """The racah_orthogonality checks on given closed-form S and Stilde grids."""
     N = p.N
     rep = VerificationReport(suite="racah-orthogonality", params={**p.as_dict(), "rho": str(fp.rho)})
 
-    S = [[closed_form_S(m, n, rp) for n in range(N + 1)] for m in range(N + 1)]
-    St = [[closed_form_Stilde(m, n, rp) for n in range(N + 1)] for m in range(N + 1)]
-    R = [[racah(m, n, rp) for n in range(N + 1)] for m in range(N + 1)]
+    R = grid(N, lambda m, n: racah(m, n, rp))
     W = [weight(n, rp) for n in range(N + 1)]
     Nm = [norm(m, rp) for m in range(N + 1)]
 
@@ -191,6 +199,16 @@ def racah_orthogonality(p: Params, fp: FParams) -> VerificationReport:
     return rep
 
 
+def _recurrence_residual(m: int, n: int, N: int, S, vf: TridiagonalCoeffs, mu_m) -> Fraction:
+    """mu_m S_m(n) minus the V band on f applied along n; S(i, j) is S_i(j)."""
+    rhs = vf.diag[n] * S(m, n)
+    if n >= 1:
+        rhs += vf.sup[n - 1] * S(m, n - 1)
+    if n <= N - 1:
+        rhs += vf.sub[n] * S(m, n + 1)
+    return mu_m * S(m, n) - rhs
+
+
 def racah_recurrence(m: int, n: int, p: Params, fp: FParams,
                      vf: TridiagonalCoeffs | None = None) -> Fraction:
     """Residual of the three-term recurrence in n.
@@ -206,13 +224,30 @@ def racah_recurrence(m: int, n: int, p: Params, fp: FParams,
     rp = RacahParams.from_params(p, fp)
     if vf is None:
         vf = coeffs_V_on_f(p, fp)
-    mu_m = eigenvalue("e", p, fp, m)
-    rhs = vf.diag[n] * closed_form_S(m, n, rp)
-    if n >= 1:
-        rhs += vf.sup[n - 1] * closed_form_S(m, n - 1, rp)
-    if n <= p.N - 1:
-        rhs += vf.sub[n] * closed_form_S(m, n + 1, rp)
-    return mu_m * closed_form_S(m, n, rp) - rhs
+    return _recurrence_residual(m, n, p.N, lambda i, j: closed_form_S(i, j, rp), vf,
+                                eigenvalue("e", p, fp, m))
+
+
+def _pencil_on_e(p: Params, rho: Fraction) -> TridiagonalCoeffs:
+    """The band coefficients of X + rho Z on the e family."""
+    xe, ze = coeffs_X_on_e(p), coeffs_Z_on_e(p)
+
+    def combine(x, z):
+        return tuple(xi + rho * zi for xi, zi in zip(x, z))
+
+    return TridiagonalCoeffs(sup=combine(xe.sup, ze.sup), diag=combine(xe.diag, ze.diag),
+                             sub=combine(xe.sub, ze.sub))
+
+
+def _difference_residual(m: int, n: int, N: int, S, we: TridiagonalCoeffs, nu_n) -> Fraction:
+    """nu_n S_m(n) minus the (X + rho Z) band on e applied along m; S(i, j) is S_i(j)."""
+    rhs = we.diag[m] * S(m, n)
+    if m >= 1:
+        # (X + rho Z)^{(e)}_{m-1,m} is the sub coefficient at index m-1.
+        rhs += we.sub[m - 1] * S(m - 1, n)
+    if m <= N - 1:
+        rhs += we.sup[m] * S(m + 1, n)
+    return nu_n * S(m, n) - rhs
 
 
 def racah_difference(m: int, n: int, p: Params, fp: FParams) -> Fraction:
@@ -223,41 +258,51 @@ def racah_difference(m: int, n: int, p: Params, fp: FParams) -> Fraction:
     the e family on the right.  Returns the difference, exactly zero.
     """
     rp = RacahParams.from_params(p, fp)
-    xe = coeffs_X_on_e(p)
-    ze = coeffs_Z_on_e(p)
-    rho = fp.rho
-    nu_n = eigenvalue("f", p, fp, n)
-    rhs = (xe.diag[m] + rho * ze.diag[m]) * closed_form_S(m, n, rp)
-    if m >= 1:
-        # (X + rho Z)^{(e)}_{m-1,m} is the sub coefficient at index m-1.
-        rhs += (xe.sub[m - 1] + rho * ze.sub[m - 1]) * closed_form_S(m - 1, n, rp)
-    if m <= p.N - 1:
-        rhs += (xe.sup[m] + rho * ze.sup[m]) * closed_form_S(m + 1, n, rp)
-    return nu_n * closed_form_S(m, n, rp) - rhs
+    return _difference_residual(m, n, p.N, lambda i, j: closed_form_S(i, j, rp),
+                                _pencil_on_e(p, fp.rho), eigenvalue("f", p, fp, n))
 
 
 def verify_racah(p: Params, fp: FParams) -> VerificationReport:
-    """Full identification + bispectrality suite on the (m, n) grid."""
+    """Full identification + bispectrality suite on the (m, n) grid.
+
+    Each table that depends only on (p, rho) is built once and read by
+    every check: the closed-form S and Stilde grids, the bands of V on f
+    and of X + rho Z on e, and the eigenvalue rows of the bases.  The
+    dot-product sides come from the bases, never from these tables.
+    """
     rp = RacahParams.from_params(p, fp)
     N = p.N
     rep = VerificationReport(suite="racah", params={**p.as_dict(), "rho": str(fp.rho)})
 
+    # Each basis pair comes before its closed-form grid: on a set that
+    # breaks both, the basis error is raised, and the exception type
+    # decides between exit codes 1 and 2.
+    fstar, e = closed_form_basis(p, fp, "fStar"), closed_form_basis(p, fp, "e")
+    S = grid(N, lambda m, n: closed_form_S(m, n, rp))
     rep.add_grid(
         "identify-S",
         "<f*_n|e_m> = prefactor * R_m(n) on the full grid",
         N,
-        lambda m, n: overlap_S(m, n, p, fp) == closed_form_S(m, n, rp),
+        lambda m, n: dot(fstar.column(n), e.column(m)) == S[m][n],
     )
+    f, estar = closed_form_basis(p, fp, "f"), closed_form_basis(p, fp, "eStar")
+    St = grid(N, lambda m, n: closed_form_Stilde(m, n, rp))
     rep.add_grid(
         "identify-Stilde",
         "<f_n|e*_m> = prefactor * R_m(n) on the full grid",
         N,
-        lambda m, n: overlap_Stilde(m, n, p, fp) == closed_form_Stilde(m, n, rp),
+        lambda m, n: dot(f.column(n), estar.column(m)) == St[m][n],
     )
-    for check_id, fn in (("recurrence", racah_recurrence), ("difference", racah_difference)):
-        rep.add_grid(check_id, f"{check_id} residual vanishes on the full grid", N,
-                     lambda m, n: fn(m, n, p, fp) == 0)
 
-    for check in racah_orthogonality(p, fp).checks:
-        rep.checks.append(check)
+    def s_at(i, j):
+        return S[i][j]
+
+    vf = coeffs_V_on_f(p, fp)
+    rep.add_grid("recurrence", "recurrence residual vanishes on the full grid", N,
+                 lambda m, n: _recurrence_residual(m, n, N, s_at, vf, e.eigenvalues[m]) == 0)
+    we = _pencil_on_e(p, fp.rho)
+    rep.add_grid("difference", "difference residual vanishes on the full grid", N,
+                 lambda m, n: _difference_residual(m, n, N, s_at, we, f.eigenvalues[n]) == 0)
+
+    rep.checks.extend(_orthogonality_report(p, fp, rp, S, St).checks)
     return rep

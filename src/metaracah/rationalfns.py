@@ -29,11 +29,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import Params, build_X, build_Z
-from .eigenbases import cached_basis
+from .eigenbases import closed_form_basis
 from .errors import DegenerateParameters
 from .hyper import multi_pochhammer, pochhammer, terminating_hyp
 from .matrices import RationalMatrix, dot
-from .report import VerificationReport
+from .report import VerificationReport, grid
 
 Q = Fraction
 
@@ -56,10 +56,9 @@ def calU_tilde(m: int, n: int, p: Params) -> Fraction:
     return calU_general(m, N - n, N - p.alpha - 1, p.beta + 2 * p.zeta - 2, 2 - p.zeta, N)
 
 
-def closed_form_U(m: int, n: int, p: Params) -> Fraction:
-    """Prefactor times calU_m(n) for U_m(n) = <e_m|d*_n>."""
+def _prefactor_U(m: int, n: int, p: Params) -> Fraction:
     a, b, z, N = p.alpha, p.beta, p.zeta, p.N
-    pre = (
+    return (
         pochhammer(a - b - n, n)
         * multi_pochhammer((Q(-N), N - 2 * a - b - 2 * z), m)
         / (
@@ -68,11 +67,9 @@ def closed_form_U(m: int, n: int, p: Params) -> Fraction:
             * pochhammer(m - 2 * b - 2 * z - 1, m)
         )
     )
-    return pre * calU(m, n, p)
 
 
-def closed_form_Utilde(m: int, n: int, p: Params) -> Fraction:
-    """Prefactor times calU_tilde_m(n) for Utilde_m(n) = <e*_m|Z|d_n>."""
+def _prefactor_Utilde(m: int, n: int, p: Params) -> Fraction:
     a, b, z, N = p.alpha, p.beta, p.zeta, p.N
     num = (
         (n - a)
@@ -82,18 +79,36 @@ def closed_form_Utilde(m: int, n: int, p: Params) -> Fraction:
     den = multi_pochhammer(
         (Q(n - N), n - a, -2 * N + 2 * a + b + 2 * z + 1), N - n
     ) * pochhammer(-N - m + 2 * b + 2 * z + 1, N - m)
-    return num / den * calU_tilde(m, n, p)
+    return num / den
+
+
+def closed_form_U(m: int, n: int, p: Params) -> Fraction:
+    """Prefactor times calU_m(n) for U_m(n) = <e_m|d*_n>."""
+    return _prefactor_U(m, n, p) * calU(m, n, p)
+
+
+def closed_form_Utilde(m: int, n: int, p: Params) -> Fraction:
+    """Prefactor times calU_tilde_m(n) for Utilde_m(n) = <e*_m|Z|d_n>."""
+    return _prefactor_Utilde(m, n, p) * calU_tilde(m, n, p)
+
+
+def _closed_form_grids(p: Params, cU, cUt) -> tuple:
+    """The U and Utilde grids from given calU and calU_tilde grids."""
+    U = grid(p.N, lambda m, n: _prefactor_U(m, n, p) * cU[m][n])
+    Ut = grid(p.N, lambda m, n: _prefactor_Utilde(m, n, p) * cUt[m][n])
+    return U, Ut
 
 
 def overlap_U(m: int, n: int, p: Params) -> Fraction:
     """<e_m|d*_n> as a dot product of closed-form basis vectors."""
-    return dot(cached_basis(p, None, "e").column(m), cached_basis(p, None, "dStar").column(n))
+    e, dstar = closed_form_basis(p, None, "e"), closed_form_basis(p, None, "dStar")
+    return dot(e.column(m), dstar.column(n))
 
 
 def overlap_Utilde(m: int, n: int, p: Params) -> Fraction:
     """<e*_m|Z|d_n> as a dot product of closed-form basis vectors."""
-    d_n = cached_basis(p, None, "d").column(n)
-    return dot(cached_basis(p, None, "eStar").column(m), build_Z(p).apply(d_n))
+    d_n = closed_form_basis(p, None, "d").column(n)
+    return dot(closed_form_basis(p, None, "eStar").column(m), build_Z(p).apply(d_n))
 
 
 # -- biorthogonality ---------------------------------------------------------
@@ -138,11 +153,16 @@ def norm_hstar(n: int, p: Params) -> Fraction:
 
 def biorthogonality(p: Params) -> VerificationReport:
     """Both biorthogonality relations, exactly, with the explicit weights."""
+    cU = grid(p.N, lambda m, n: calU(m, n, p))
+    cUt = grid(p.N, lambda m, n: calU_tilde(m, n, p))
+    return _biorthogonality_report(p, cU, cUt, *_closed_form_grids(p, cU, cUt))
+
+
+def _biorthogonality_report(p: Params, cU, cUt, U, Ut) -> VerificationReport:
+    """The biorthogonality checks on given calU, calU_tilde, U and Utilde grids."""
     N = p.N
     rep = VerificationReport(suite="rational-biorthogonality", params=p.as_dict())
 
-    cU = [[calU(m, n, p) for n in range(N + 1)] for m in range(N + 1)]
-    cUt = [[calU_tilde(m, n, p) for n in range(N + 1)] for m in range(N + 1)]
     W = [weight_W(j, p) for j in range(N + 1)]
     Ws = [weight_Wstar(j, p) for j in range(N + 1)]
     h = [norm_h(n, p) for n in range(N + 1)]
@@ -166,8 +186,6 @@ def biorthogonality(p: Params) -> VerificationReport:
         == (hs[n] if n == m else 0),
     )
 
-    U = [[closed_form_U(m, n, p) for n in range(N + 1)] for m in range(N + 1)]
-    Ut = [[closed_form_Utilde(m, n, p) for n in range(N + 1)] for m in range(N + 1)]
     ok1 = all(
         sum(Ut[k][n] * U[m][n] for n in range(N + 1)) == (1 if k == m else 0)
         for k in range(N + 1)
@@ -218,6 +236,11 @@ def gevp_recurrence_residual(m: int, n: int, p: Params) -> Fraction:
     both contain an explicit zero factor); this is checked instead of
     evaluating calU outside 0..N.
     """
+    return _gevp_residual(m, n, p, lambda i, j: calU(i, j, p))
+
+
+def _gevp_residual(m: int, n: int, p: Params, cU) -> Fraction:
+    """gevp_recurrence_residual with calU_i(j) read as cU(i, j)."""
     a, b, z, N = p.alpha, p.beta, p.zeta, p.N
     A = recurrence_A(m, p)
     C = recurrence_C(m, p)
@@ -225,13 +248,13 @@ def gevp_recurrence_residual(m: int, n: int, p: Params) -> Fraction:
     c_mid = -n * (A + C + a) + (m + a - b) * A - (m - a - b - 2 * z - 1) * C
     c_dn = (n + m - a - b - 2 * z - 1) * C
 
-    res = c_mid * calU(m, n, p)
+    res = c_mid * cU(m, n)
     if m + 1 <= N:
-        res += c_up * calU(m + 1, n, p)
+        res += c_up * cU(m + 1, n)
     else:
         _boundary_vanishes(c_up, "m = N")
     if m - 1 >= 0:
-        res += c_dn * calU(m - 1, n, p)
+        res += c_dn * cU(m - 1, n)
     else:
         _boundary_vanishes(c_dn, "m = 0")
     return res
@@ -254,6 +277,11 @@ def difference_residual(m: int, n: int, p: Params) -> Fraction:
       = m (2beta+2zeta+1-m) ((n-alpha) calU_m(n)
           - n (n-2alpha+beta)/(n-alpha+beta) calU_m(n-1))
     """
+    return _difference_residual(m, n, p, lambda i, j: calU(i, j, p))
+
+
+def _difference_residual(m: int, n: int, p: Params, cU) -> Fraction:
+    """difference_residual with calU_i(j) read as cU(i, j)."""
     a, b, z, N = p.alpha, p.beta, p.zeta, p.N
     B = difference_B(n, p)
     D = difference_D(n, p)
@@ -264,13 +292,13 @@ def difference_residual(m: int, n: int, p: Params) -> Fraction:
     c_mid = -(B + D) - fac * (n - a)
     c_dn = D + fac * n * (n - 2 * a + b) / (n - a + b)
 
-    res = c_mid * calU(m, n, p)
+    res = c_mid * cU(m, n)
     if n + 1 <= N:
-        res += c_up * calU(m, n + 1, p)
+        res += c_up * cU(m, n + 1)
     else:
         _boundary_vanishes(c_up, "n = N")
     if n - 1 >= 0:
-        res += c_dn * calU(m, n - 1, p)
+        res += c_dn * cU(m, n - 1)
     else:
         _boundary_vanishes(c_dn, "n = 0")
     return res
@@ -291,6 +319,11 @@ def contiguity_residual(m: int, n: int, p: Params) -> Fraction:
       = (n-alpha)(n-alpha+beta)/(alpha(alpha-beta)) calU_m(n)
         + n(n-2alpha+beta)/(alpha(beta-alpha)) calU_m(n-1)
     """
+    return _contiguity_residual(m, n, p, lambda i, j: calU(i, j, p))
+
+
+def _contiguity_residual(m: int, n: int, p: Params, cU) -> Fraction:
+    """contiguity_residual with the unshifted calU_i(j) read as cU(i, j)."""
     a, b, z, N = p.alpha, p.beta, p.zeta, p.N
     offenders = []
     if a == 0:
@@ -303,9 +336,9 @@ def contiguity_residual(m: int, n: int, p: Params) -> Fraction:
     lhs = calU_general(m, n, sp.alpha, sp.beta, sp.zeta, N)
     c0 = (n - a) * (n - a + b) / (a * (a - b))
     c1 = n * (n - 2 * a + b) / (a * (b - a))
-    res = lhs - c0 * calU(m, n, p)
+    res = lhs - c0 * cU(m, n)
     if n - 1 >= 0:
-        res -= c1 * calU(m, n - 1, p)
+        res -= c1 * cU(m, n - 1)
     else:
         _boundary_vanishes(c1, "n = 0")
     return res
@@ -365,41 +398,62 @@ def zk_dstar_closed(k: int, n: int, p: Params) -> Fraction:
     )
 
 
-def dual_hahn_expansion(m: int, n: int, p: Params) -> VerificationReport:
-    """Expansion of calU_m(n) over dual Hahn values, verified exactly."""
-    a, b, z, N = p.alpha, p.beta, p.zeta, p.N
-    rho = dual_hahn_params(p)
-    rep = VerificationReport(suite="dual-hahn-expansion",
-                             params={**p.as_dict(), "m": str(m), "n": str(n)})
-
+def _dual_hahn_sum(m: int, n: int, p: Params, R) -> Fraction:
+    """n!/(alpha-beta-n)_n sum_k (-alpha)_k (2alpha-beta-n)_{n-k} / ((n-k)! k!) R(k, m),
+    with R(k, x) the dual Hahn value R^(dH)_k(x)."""
+    a, b = p.alpha, p.beta
     total = sum(
         pochhammer(-a, k)
         * pochhammer(2 * a - b - n, n - k)
         / (pochhammer(Q(1), n - k) * pochhammer(Q(1), k))
-        * dual_hahn(k, m, rho)
+        * R(k, m)
         for k in range(n + 1)
     )
-    expansion = pochhammer(Q(1), n) / pochhammer(a - b - n, n) * total
+    return pochhammer(Q(1), n) / pochhammer(a - b - n, n) * total
+
+
+def _em_zstar_failures(m: int, p: Params, e, zstar) -> list:
+    """The k at which <e_m|z*_k> differs from em_zstar_closed."""
+    return [k for k in range(p.N + 1)
+            if dot(e.column(m), zstar.column(k)) != em_zstar_closed(m, k, p)]
+
+
+def _zk_dstar_failures(n: int, p: Params, zfam, dstar) -> list:
+    """The k at which <z_k|d*_n> differs from zk_dstar_closed."""
+    return [k for k in range(p.N + 1)
+            if dot(zfam.column(k), dstar.column(n)) != zk_dstar_closed(k, n, p)]
+
+
+def _dual_hahn_bases(p: Params) -> tuple:
+    """The e, z*, z and d* families that the dual Hahn overlaps pair."""
+    return tuple(closed_form_basis(p, None, label) for label in ("e", "zStar", "z", "dStar"))
+
+
+def dual_hahn_expansion(m: int, n: int, p: Params) -> VerificationReport:
+    """Expansion of calU_m(n) over dual Hahn values, verified exactly."""
+    rho = dual_hahn_params(p)
+    rep = VerificationReport(suite="dual-hahn-expansion",
+                             params={**p.as_dict(), "m": str(m), "n": str(n)})
+
+    expansion = _dual_hahn_sum(m, n, p, lambda k, x: dual_hahn(k, x, rho))
+    value = calU(m, n, p)
     rep.add(
         "expansion",
         "calU_m(n) = n!/(alpha-beta-n)_n sum_k (-alpha)_k (2alpha-beta-n)_{n-k}"
         " / ((n-k)! k!) R^(dH)_k(m)",
-        expansion == calU(m, n, p),
-        detail=f"expansion = {expansion}, calU = {calU(m, n, p)}",
+        expansion == value,
+        detail=f"expansion = {expansion}, calU = {value}",
     )
 
-    e = cached_basis(p, None, "e")
-    zstar = cached_basis(p, None, "zStar")
-    zfam = cached_basis(p, None, "z")
-    dstar = cached_basis(p, None, "dStar")
-    bad = [k for k in range(N + 1) if dot(e.column(m), zstar.column(k)) != em_zstar_closed(m, k, p)]
+    e, zstar, zfam, dstar = _dual_hahn_bases(p)
+    bad = _em_zstar_failures(m, p, e, zstar)
     rep.add(
         "em-zstar",
         "<e_m|z*_k> matches the dual Hahn closed form for all k",
         not bad,
         detail="" if not bad else f"failing k: {bad}",
     )
-    bad = [k for k in range(N + 1) if dot(zfam.column(k), dstar.column(n)) != zk_dstar_closed(k, n, p)]
+    bad = _zk_dstar_failures(n, p, zfam, dstar)
     rep.add(
         "zk-dstar",
         "<z_k|d*_n> is triangular with Pochhammer-ratio entries",
@@ -407,6 +461,26 @@ def dual_hahn_expansion(m: int, n: int, p: Params) -> VerificationReport:
         detail="" if not bad else f"failing k: {bad}",
     )
     return rep
+
+
+def _dual_hahn_first_failure(p: Params, cU):
+    """The first (m, n), row by row, where dual_hahn_expansion would fail, or None.
+
+    The dual Hahn table is built once, the em-zstar check runs once per m
+    and the zk-dstar check once per n.
+    """
+    N = p.N
+    rho = dual_hahn_params(p)
+    R = grid(N, lambda k, x: dual_hahn(k, x, rho))
+    e, zstar, zfam, dstar = _dual_hahn_bases(p)
+    em_ok = [not _em_zstar_failures(m, p, e, zstar) for m in range(N + 1)]
+    zk_ok = [not _zk_dstar_failures(n, p, zfam, dstar) for n in range(N + 1)]
+    return next(
+        ((m, n) for m in range(N + 1) for n in range(N + 1)
+         if not (em_ok[m] and zk_ok[n]
+                 and _dual_hahn_sum(m, n, p, lambda k, x: R[k][x]) == cU[m][n])),
+        None,
+    )
 
 
 # -- Hahn-type limit -----------------------------------------------------------
@@ -450,57 +524,57 @@ def hahn_limit_check(m: int, n: int, aH, bH, p0: Params, tValues) -> Verificatio
 
 
 def verify_rational(p: Params) -> VerificationReport:
-    """Full identification / biorthogonality / bispectrality suite."""
+    """Full identification / biorthogonality / bispectrality suite.
+
+    The calU and calU_tilde grids, and the U and Utilde grids built on
+    them, are evaluated once and shared by every check; the dot-product
+    sides come from the bases.
+    """
     N = p.N
     rep = VerificationReport(suite="rational", params=p.as_dict())
 
-    e = cached_basis(p, None, "e")
-    estar = cached_basis(p, None, "eStar")
-    d = cached_basis(p, None, "d")
-    dstar = cached_basis(p, None, "dStar")
+    e = closed_form_basis(p, None, "e")
+    estar = closed_form_basis(p, None, "eStar")
+    d = closed_form_basis(p, None, "d")
+    dstar = closed_form_basis(p, None, "dStar")
     ZD = build_Z(p) * d.vectors
 
+    cU = grid(N, lambda m, n: calU(m, n, p))
+    cUt = grid(N, lambda m, n: calU_tilde(m, n, p))
+    U, Ut = _closed_form_grids(p, cU, cUt)
     rep.add_grid(
         "identify-U",
         "<e_m|d*_n> = prefactor * calU_m(n) on the full grid",
         N,
-        lambda m, n: dot(e.column(m), dstar.column(n)) == closed_form_U(m, n, p),
+        lambda m, n: dot(e.column(m), dstar.column(n)) == U[m][n],
     )
     rep.add_grid(
         "identify-Utilde",
         "<e*_m|Z|d_n> = prefactor * calU_tilde_m(n) on the full grid",
         N,
-        lambda m, n: dot(estar.column(m), ZD.column(n)) == closed_form_Utilde(m, n, p),
+        lambda m, n: dot(estar.column(m), ZD.column(n)) == Ut[m][n],
     )
 
-    for check in biorthogonality(p).checks:
-        rep.checks.append(check)
+    rep.checks.extend(_biorthogonality_report(p, cU, cUt, U, Ut).checks)
+
+    def cu_at(i, j):
+        return cU[i][j]
 
     for check_id, statement, residual in (
-        ("gevp-recurrence", "GEVP recurrence", gevp_recurrence_residual),
-        ("difference", "difference-equation", difference_residual),
-        ("contiguity", "contiguity", contiguity_residual),
+        ("gevp-recurrence", "GEVP recurrence", _gevp_residual),
+        ("difference", "difference-equation", _difference_residual),
+        ("contiguity", "contiguity", _contiguity_residual),
     ):
         rep.add_grid(check_id, f"{statement} residual vanishes on the full grid", N,
-                     lambda m, n: residual(m, n, p) == 0)
+                     lambda m, n: residual(m, n, p, cu_at) == 0)
 
-    for check in contiguity_operator_check(p).checks:
-        rep.checks.append(check)
+    rep.checks.extend(contiguity_operator_check(p).checks)
 
-    ok = True
-    first_bad = ""
-    for m in range(N + 1):
-        for n in range(N + 1):
-            sub = dual_hahn_expansion(m, n, p)
-            if not sub.passed:
-                ok = False
-                first_bad = f"first failure at (m, n) = ({m}, {n})"
-                break
-        if not ok:
-            break
+    first_bad = _dual_hahn_first_failure(p, cU)
     rep.add("dual-hahn", "dual Hahn expansion and overlap closed forms on the full grid",
-            ok, detail=first_bad)
+            first_bad is None,
+            detail="" if first_bad is None else f"first failure at (m, n) = {first_bad}")
 
-    for check in hahn_limit_check(1, 1, Q(1, 3), Q(1, 5), p, (1000, 10000, 100000)).checks:
-        rep.checks.append(check)
+    rep.checks.extend(
+        hahn_limit_check(1, 1, Q(1, 3), Q(1, 5), p, (1000, 10000, 100000)).checks)
     return rep

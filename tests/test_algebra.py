@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -13,9 +14,11 @@ from metaracah.algebra import (
     check_casimir_central,
     check_defining_relations,
     check_subalgebras,
+    genericity_registry,
     heun_bidiagonal,
     validate_params,
 )
+from metaracah.hyper import pochhammer
 from metaracah.matrices import RationalMatrix, commutator, determinant
 
 P2 = Params(N=2, alpha=Q(1, 3), beta=Q(1, 5), zeta=Q(1, 7))
@@ -112,3 +115,59 @@ def test_validate_params_flags_integer_alpha():
 def test_params_reject_bad_N():
     with pytest.raises(ValueError):
         Params(N=0, alpha=Q(1, 3), beta=Q(1, 5), zeta=Q(1, 7))
+
+
+def _reference_registry(p, rho=None):
+    """The registry with every Pochhammer product multiplied out."""
+    N, a, b, z = p.N, p.alpha, p.beta, p.zeta
+    items = []
+    for n in range(N + 1):
+        items.append((f"(-alpha)_({n}+1)", pochhammer(-a, n + 1)))
+        items.append((f"(alpha-beta-{n})_{n}", pochhammer(a - b - n, n)))
+        items.append(
+            (f"({n}-N-alpha+beta+1)_(N-{n})", pochhammer(n - N - a + b + 1, N - n))
+        )
+        for k in range(-3, 4):
+            items.append((f"(2*{n}-2beta-2zeta-({k}))", 2 * n - 2 * b - 2 * z - k))
+        items.append((f"({n}-alpha)", n - a))
+        items.append((f"({n}-alpha+beta)", n - a + b))
+        items.append((f"({n}-2beta-2zeta-1)_{n}", pochhammer(n - 2 * b - 2 * z - 1, n)))
+        items.append(
+            (f"(2beta+2zeta-N-{n}+1)_(N-{n})", pochhammer(2 * b + 2 * z - N - n + 1, N - n))
+        )
+        items.append(
+            (
+                f"(2alpha+beta+2zeta-2N+1)_(N-{n})",
+                pochhammer(2 * a + b + 2 * z - 2 * N + 1, N - n),
+            )
+        )
+        items.append((f"({n}-1-2beta-2zeta)_(N+1)", pochhammer(n - 1 - 2 * b - 2 * z, N + 1)))
+        if rho is not None:
+            r = Q(rho)
+            for k in range(-1, 3):
+                items.append((f"(2*{n}-2alpha-rho+({k}))", 2 * n - 2 * a - r + k))
+            items.append((f"({n}-2alpha-rho)_{n}", pochhammer(n - 2 * a - r, n)))
+            items.append((f"(-beta-rho)_{n}", pochhammer(-b - r, n)))
+            items.append((f"(beta+rho-N+1)_(N-{n})", pochhammer(b + r - N + 1, N - n)))
+    return items
+
+
+def test_registry_labels_match_multiplied_out_reference():
+    # small denominators put many parameters on an exact zero of some entry
+    rng = random.Random(7)
+    values = sorted({Q(k, d) for k in range(-12, 13) for d in (1, 2, 3)})
+    for rho in (None, Q(1, 13)):
+        assert [label for label, _ in genericity_registry(P2, rho)] == \
+            [label for label, _ in _reference_registry(P2, rho)]
+    degenerate = 0
+    for N in range(1, 7):
+        for _ in range(60):
+            p = Params(N=N, alpha=rng.choice(values), beta=rng.choice(values),
+                       zeta=rng.choice(values))
+            rho = rng.choice(values)
+            for r in (None, rho):
+                expected = [label for label, value in _reference_registry(p, r)
+                            if value == 0]
+                assert validate_params(p, r) == expected, (p, r)
+                degenerate += bool(expected)
+    assert degenerate > 200

@@ -144,27 +144,33 @@ def test_sweeps_are_reported(capsys):
     assert len(sweep_suites) >= 2
 
 
-# stdout sha256 of fixed invocations; a refactor must leave every byte as is
+# stdout sha256 and exit code of fixed invocations; a refactor must leave
+# every byte as is, including the offender list of a degenerate set
 PINNED_STDOUT = [
-    ("verify --suite all --N 3",
+    ("verify --suite all --N 3", 0,
      "e3c72fe985b46c4a53c309e51c147825644ac1869a8bf49b4fd204998f487662"),
-    ("verify --suite all --N 5",
+    ("verify --suite all --N 5", 0,
      "2ed005f89d9a7f854b01632fb01b3c2728b97f09a13fb41fe291a2f884fa0227"),
-    ("verify --suite all --N 3 --sweeps 3 --seed 42",
+    ("verify --suite all --N 3 --sweeps 3 --seed 42", 0,
      "0350e94dcdbcb743e78a2511bea0c0fe6023fe1a37f4955a5db37b2538181d32"),
-    ("verify --N 3 --format csv",
+    ("verify --N 3 --format csv", 0,
      "e649de9566b54fab9e656cad27190bbeb090c0cfb715c28b68ecbcc8a4fecdb2"),
-    ("table --which Stilde --N 6",
+    ("table --which Stilde --N 6", 0,
      "3a028a77c9b23f77f8531b6383e3285f81d65dbc6699ed3cd616cf854e35af41"),
-    ("matrix --which basis:fStar --N 6",
+    ("matrix --which basis:fStar --N 6", 0,
      "a6d406771f1fc04bf5ddc2fb8d3c2d3ecd886204f95c743bcf25ecb5f00d362f"),
-    ("matrix --which coeffs:e --N 4",
+    ("matrix --which coeffs:e --N 4", 0,
      "37f58784f26147f44ee508143ae5361fca608bf3b4fe015bd5815890843759de"),
+    ("verify --N 3 --alpha 1", 2,
+     "cd49efbb1ee74ef28af167a3c869f7edabcb58e8a59a6a4ab8f599947db1acbd"),
+    ("table --which S --N 3 --rho=-2/3", 2,
+     "5e59271e1bd126181093b256503c021bd4a4fa3a507a5a546b10d9c9b4bc96f5"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", PINNED_STDOUT, ids=[a for a, _ in PINNED_STDOUT])
-def test_stdout_is_pinned(capsys, argv, digest):
-    code, out = run(capsys, *argv.split())
-    assert code == 0
+@pytest.mark.parametrize("argv, code, digest", PINNED_STDOUT,
+                         ids=[a for a, _, _ in PINNED_STDOUT])
+def test_stdout_is_pinned(capsys, argv, code, digest):
+    got, out = run(capsys, *argv.split())
+    assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest

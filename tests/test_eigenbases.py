@@ -13,6 +13,7 @@ from metaracah import (
     closed_form_coefficient,
     oracle_basis,
 )
+from metaracah.cli import SUITES, run_suites
 from metaracah.diffmodel import model_basis
 from metaracah.eigenbases import eigenvalue, z_action_on_d
 
@@ -90,3 +91,10 @@ def test_oracle_guards_empty_kernel(p3, fp, monkeypatch):
 def test_unknown_label_rejected(entry, p3, fp):
     with pytest.raises(PreconditionViolated, match="unknown basis label 'q'"):
         entry(p3, fp, "q")
+
+
+def test_each_family_is_built_once_per_set(p3, fp):
+    # every suite reads the families through one cache key per family
+    eb.cached_basis.cache_clear()
+    run_suites(p3, fp, SUITES)
+    assert eb.cached_basis.cache_info().misses == len(LABELS)

@@ -1,3 +1,5 @@
+import sys
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -18,7 +20,7 @@ from metaracah.racahpoly import (
     verify_racah,
     weight,
 )
-from metaracah.matrixreps import TridiagonalCoeffs, coeffs_V_on_f
+from metaracah.matrixreps import TridiagonalCoeffs, coeffs_V_on_f, coeffs_X_on_e, coeffs_Z_on_e
 
 
 @pytest.fixture
@@ -113,3 +115,23 @@ def test_full_suite(p5, fp):
 
 def test_full_suite_negative_params(p_other, fp_other):
     assert verify_racah(p_other, fp_other).passed
+
+
+def test_suite_builds_each_table_once(p5, fp, monkeypatch):
+    # count calls at every binding of each builder in the package
+    counts = Counter()
+    modules = [m for name, m in sys.modules.items()
+               if name == "metaracah" or name.startswith("metaracah.")]
+    for target in (coeffs_V_on_f, coeffs_X_on_e, coeffs_Z_on_e, closed_form_S):
+        def counted(*args, _target=target, **kwargs):
+            counts[_target.__name__] += 1
+            return _target(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is target:
+                    monkeypatch.setattr(module, attr, counted)
+    assert verify_racah(p5, fp).passed
+    assert counts["closed_form_S"] == (p5.N + 1) ** 2
+    for band in ("coeffs_V_on_f", "coeffs_X_on_e", "coeffs_Z_on_e"):
+        assert counts[band] <= 1, (band, counts[band])

@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+import metaracah.rationalfns as rf
 from metaracah.errors import DegenerateParameters
 from metaracah.hyper import pochhammer
 from metaracah.rationalfns import (
@@ -209,3 +210,19 @@ def test_full_suite(p5):
 
 def test_full_suite_negative_params(p_other):
     assert verify_rational(p_other).passed
+
+
+@pytest.mark.parametrize("bad_m, bad_n", [(2, None), (None, 1), (1, 3)])
+def test_dual_hahn_detail_names_first_failing_point(p3, monkeypatch, bad_m, bad_n):
+    # break <e_m|z*_k> at one m and <z_k|d*_n> at one n; the suite must name
+    # the first point, row by row, where dual_hahn_expansion fails
+    em, zk = rf.em_zstar_closed, rf.zk_dstar_closed
+    monkeypatch.setattr(rf, "em_zstar_closed",
+                        lambda m, k, p: em(m, k, p) + (m == bad_m))
+    monkeypatch.setattr(rf, "zk_dstar_closed",
+                        lambda k, n, p: zk(k, n, p) + (n == bad_n))
+    first = next((m, n) for m in range(p3.N + 1) for n in range(p3.N + 1)
+                 if not dual_hahn_expansion(m, n, p3).passed)
+    check = next(c for c in verify_rational(p3).checks if c.id == "dual-hahn")
+    assert check.status == "fail"
+    assert check.detail == f"first failure at (m, n) = ({first[0]}, {first[1]})"
