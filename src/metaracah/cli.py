@@ -292,25 +292,34 @@ def _decimal_str(v: Fraction, precision: int) -> str:
     return str(d)
 
 
-# --which -> (needs rho, value at (m, n)); lambdas as in SUITE_RUNNERS.
+def _on_racah_params(value):
+    """A table whose value(m, n, rp) reads the RacahParams built once per table."""
+    def cells(p, fp):
+        rp = RacahParams.from_params(p, fp)
+        return lambda m, n: value(m, n, rp)
+    return cells
+
+
+# --which -> (needs rho, (p, fp) -> value at (m, n)); lambdas as in
+# SUITE_RUNNERS, so each table still looks its callee up at every point.
 TABLES = {
-    "racah": (True, lambda m, n, p, fp: racah(m, n, RacahParams.from_params(p, fp))),
-    "S": (True, lambda m, n, p, fp: closed_form_S(m, n, RacahParams.from_params(p, fp))),
-    "Stilde": (True,
-               lambda m, n, p, fp: closed_form_Stilde(m, n, RacahParams.from_params(p, fp))),
-    "calU": (False, lambda m, n, p, fp: calU(m, n, p)),
-    "calUtilde": (False, lambda m, n, p, fp: calU_tilde(m, n, p)),
-    "U": (False, lambda m, n, p, fp: closed_form_U(m, n, p)),
-    "Utilde": (False, lambda m, n, p, fp: closed_form_Utilde(m, n, p)),
-    "dualHahn": (False, lambda m, n, p, fp: dual_hahn(m, n, dual_hahn_params(p))),
+    "racah": (True, _on_racah_params(lambda m, n, rp: racah(m, n, rp))),
+    "S": (True, _on_racah_params(lambda m, n, rp: closed_form_S(m, n, rp))),
+    "Stilde": (True, _on_racah_params(lambda m, n, rp: closed_form_Stilde(m, n, rp))),
+    "calU": (False, lambda p, fp: lambda m, n: calU(m, n, p)),
+    "calUtilde": (False, lambda p, fp: lambda m, n: calU_tilde(m, n, p)),
+    "U": (False, lambda p, fp: lambda m, n: closed_form_U(m, n, p)),
+    "Utilde": (False, lambda p, fp: lambda m, n: closed_form_Utilde(m, n, p)),
+    "dualHahn": (False, lambda p, fp: lambda m, n: dual_hahn(m, n, dual_hahn_params(p))),
 }
 
 
 def cmd_table(cfg: RunConfig) -> tuple:
     which = cfg.extra["which"]
-    needs_rho, value = TABLES[which]
+    needs_rho, cells = TABLES[which]
     p, fp = _validated(cfg, needs_rho)
-    grid = [[value(m, n, p, fp) for n in range(p.N + 1)] for m in range(p.N + 1)]
+    value = cells(p, fp)
+    grid = [[value(m, n) for n in range(p.N + 1)] for m in range(p.N + 1)]
 
     if cfg.output_format == "csv":
         header = "m,n,value" + (",exact" if cfg.extra.get("exact") else "")

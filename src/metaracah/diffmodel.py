@@ -422,9 +422,20 @@ def _in_gstar_basis(f: LaurentPoly, p: Params) -> list:
 
 def verify_model_bases(p: Params, fp: FParams) -> VerificationReport:
     """Model families expand to exactly the abstract closed-form columns."""
+    return _model_bases_report(p, fp)[0]
+
+
+def _model_bases_report(p: Params, fp: FParams) -> tuple:
+    """The model-bases report and the model families it built, by label.
+
+    Each family is built next to its closed-form counterpart, in LABELS
+    order, so a set that breaks several families fails at the same call
+    as when each check built its own.
+    """
     rep = VerificationReport(suite="model-bases", params={**p.as_dict(), "rho": str(fp.rho)})
+    families = {}
     for label in LABELS:
-        fam = model_basis(label, p, fp)
+        fam = families[label] = model_basis(label, p, fp)
         abstract = closed_form_basis(p, fp, label)
         expand = _in_gstar_basis if label.endswith("Star") else _in_g_basis
         bad = [
@@ -441,7 +452,7 @@ def verify_model_bases(p: Params, fp: FParams) -> VerificationReport:
 
     a_jac = p.N - 2 * p.alpha - p.beta - 2 * p.zeta - 1
     b_jac = 2 * p.alpha - p.beta - p.N - 1
-    e_fam = model_basis("e", p, fp)
+    e_fam = families["e"]
     bad = [
         n
         for n in range(p.N + 1)
@@ -459,11 +470,16 @@ def verify_model_bases(p: Params, fp: FParams) -> VerificationReport:
         not bad,
         detail="" if not bad else f"failing n: {bad}",
     )
-    return rep
+    return rep, families
 
 
-def model_orthogonality(p: Params, fp: FParams) -> VerificationReport:
-    """The four residue-pairing Grams are exactly the identity."""
+def model_orthogonality(p: Params, fp: FParams,
+                        families: dict | None = None) -> VerificationReport:
+    """The four residue-pairing Grams are exactly the identity.
+
+    families maps each label to its model family; without it the families
+    are built here, in the order the Grams read them.
+    """
     rep = VerificationReport(suite="model-orthogonality",
                              params={**p.as_dict(), "rho": str(fp.rho)})
     N = p.N
@@ -472,9 +488,12 @@ def model_orthogonality(p: Params, fp: FParams) -> VerificationReport:
         ("e", "eStar"),
         ("z", "zStar"),
     ]
+    if families is None:
+        order = [label for pair in pairs for label in pair] + ["d", "dStar"]
+        families = {label: model_basis(label, p, fp) for label in order}
     for label, dual in pairs:
-        fam = model_basis(label, p, fp)
-        dual_fam = model_basis(dual, p, fp)
+        fam = families[label]
+        dual_fam = families[dual]
         rep.add_grid(
             f"gram-{label}",
             f"<{dual}_m, {label}_n> = delta_mn under the residue pairing",
@@ -482,8 +501,8 @@ def model_orthogonality(p: Params, fp: FParams) -> VerificationReport:
             lambda m, n: residue_pair(dual_fam[m], fam[n]) == (1 if m == n else 0),
         )
 
-    d_fam = model_basis("d", p, fp)
-    dstar_fam = model_basis("dStar", p, fp)
+    d_fam = families["d"]
+    dstar_fam = families["dStar"]
     Zop = diff_Z(p)
     rep.add_grid(
         "gram-d",
@@ -633,9 +652,10 @@ def verify_model(p: Params, fp: FParams) -> VerificationReport:
             got == want,
             detail="" if got == want else "matrix mismatch",
         )
+    bases, families = _model_bases_report(p, fp)
     for sub in (
-        verify_model_bases(p, fp),
-        model_orthogonality(p, fp),
+        bases,
+        model_orthogonality(p, fp, families),
         integral_representations(p, fp),
         model_transposes(p),
     ):

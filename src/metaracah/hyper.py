@@ -1,7 +1,7 @@
 """Exact Pochhammer symbols and terminating hypergeometric sums.
 
-Everything here is computed in exact rational arithmetic with
-``fractions.Fraction``.  A terminating series
+Everything here is computed in exact rational arithmetic.  A terminating
+series
 
     pFq(u_1,...,u_p; l_1,...,l_q; z) = sum_{k=0}^K
         [prod_i (u_i)_k / prod_j (l_j)_k] * z^k / k!
@@ -9,12 +9,20 @@ Everything here is computed in exact rational arithmetic with
 requires at least one upper parameter to be a nonpositive integer; the
 truncation order K is the smallest absolute value among those.  Lower
 parameters must not kill a denominator inside the summation range.
+
+The kernels are fraction-free: writing each rational parameter as p/q,
+every factor a + k becomes the integer p + k q over q, so ``pochhammer``
+and ``hyp_sum`` multiply plain integer numerators and denominators and
+reduce once, building a single ``Fraction`` from them at the end.
+``hyp_sum_reference`` evaluates Fraction by Fraction and stays the
+independent oracle for ``hyp_sum``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Sequence
 
 from .errors import DegenerateParameters, PreconditionViolated
@@ -27,14 +35,16 @@ def is_nonpositive_int(x: Fraction) -> bool:
 
 
 def pochhammer(a, n: int) -> Fraction:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
+    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1.
+
+    With a = p/q this is prod_k (p + k q) / q^n, one reduction in all.
+    """
     if n < 0:
         raise PreconditionViolated(f"pochhammer index must be >= 0, got {n}")
-    a = Q(a)
-    out = Q(1)
-    for k in range(n):
-        out *= a + k
-    return out
+    if type(a) is not Q:
+        a = Q(a)
+    p, q = a.numerator, a.denominator
+    return Q(prod(range(p, p + n * q, q)), q**n)
 
 
 def multi_pochhammer(params: Iterable, n: int) -> Fraction:
@@ -85,21 +95,31 @@ def hyp_sum(series: HypSeries) -> Fraction:
     """Evaluate a terminating sum by running-ratio updates.
 
     term_{k+1} = term_k * prod(u_i + k) / prod(l_j + k) * z / (k + 1).
+
+    The ratio is kept as an integer numerator and denominator (u = p/q
+    gives u + k = (p + k q)/q), and the partial sums share one unreduced
+    denominator, so the only reduction is the final Fraction.
     """
-    total = Q(1)
-    term = Q(1)
+    upper = [(u.numerator, u.denominator) for u in series.upper]
+    lower = [(l.numerator, l.denominator) for l in series.lower]
+    z = series.argument
+    # the parameter denominators enter every ratio alike
+    num_const = z.numerator * prod(d for _, d in lower)
+    den_const = z.denominator * prod(q for _, q in upper)
+    total = term = den = 1  # the sum is total / den, the last term term / den
     for k in range(series.termination_index):
-        num = Q(1)
-        for u in series.upper:
-            num *= u + k
-        den = Q(k + 1)
-        for l in series.lower:
-            den *= l + k
-        if den == 0:
+        ratio_den = (k + 1) * den_const
+        for c, d in lower:
+            ratio_den *= c + k * d
+        if ratio_den == 0:
             raise DegenerateParameters([f"lower Pochhammer vanishes at k={k + 1}"])
-        term *= series.argument * num / den
-        total += term
-    return total
+        ratio_num = num_const
+        for p, q in upper:
+            ratio_num *= p + k * q
+        term *= ratio_num
+        total = total * ratio_den + term
+        den *= ratio_den
+    return Q(total, den)
 
 
 def hyp_sum_reference(series: HypSeries) -> Fraction:

@@ -8,7 +8,7 @@ standard basis, so composition reads left to right as matrix product.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 Q = Fraction
 
@@ -19,7 +19,7 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "_e")
 
     def __init__(self, entries):
-        rows = tuple(tuple(Q(x) for x in row) for row in entries)
+        rows = tuple(tuple(x if type(x) is Q else Q(x) for x in row) for row in entries)
         if not rows or not rows[0]:
             raise ValueError("matrix must have at least one row and column")
         width = len(rows[0])
@@ -121,13 +121,13 @@ class RationalMatrix:
     def __add__(self, other):
         self._check_shape(other)
         return RationalMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._e, other._e)]
+            [[a + b if b else a for a, b in zip(ra, rb)] for ra, rb in zip(self._e, other._e)]
         )
 
     def __sub__(self, other):
         self._check_shape(other)
         return RationalMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._e, other._e)]
+            [[a - b if b else a for a, b in zip(ra, rb)] for ra, rb in zip(self._e, other._e)]
         )
 
     def _check_shape(self, other):
@@ -154,7 +154,7 @@ class RationalMatrix:
         return RationalMatrix([[x * other for x in row] for row in self._e])
 
     def __rmul__(self, scalar):
-        return RationalMatrix([[scalar * x for x in row] for row in self._e])
+        return RationalMatrix([[scalar * x if x else x for x in row] for row in self._e])
 
     def transpose(self):
         return RationalMatrix(
@@ -198,19 +198,20 @@ def _integer_rows(m: RationalMatrix):
     """Scale each row by the lcm of its denominators; kernel is unchanged."""
     out = []
     for row in m._e:
-        scale = 1
-        for x in row:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        out.append([int(x * scale) for x in row])
+        scale = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (scale // x.denominator) for x in row])
     return out
 
 
 def nullspace(m: RationalMatrix):
     """Basis of the right kernel, via fraction-free (Bareiss) elimination.
 
-    Rows are first scaled to integers, then reduced with the two-step
-    division-free pivoting rule; back substitution runs over Fraction.
-    Returns a list of tuples, one per free column.
+    Each row is first scaled to integers by the lcm of its denominators
+    (integer numerators, no Fraction arithmetic), then reduced with the
+    two-step division-free pivoting rule.  Back substitution runs over
+    Fraction and skips the zero entries of each pivot row, which for a
+    banded matrix are nearly all of them.  Returns a list of tuples, one
+    per free column.
     """
     a = _integer_rows(m)
     rows, cols = len(a), len(a[0])
@@ -246,8 +247,9 @@ def nullspace(m: RationalMatrix):
         v = [Q(0)] * cols
         v[fc] = Q(1)
         for (pr, pc) in reversed(pivots):
-            s = sum((Q(a[pr][j]) * v[j] for j in range(pc + 1, cols)), Q(0))
-            v[pc] = -s / a[pr][pc]
+            row = a[pr]
+            s = sum((row[j] * v[j] for j in range(pc + 1, cols) if row[j]), Q(0))
+            v[pc] = -s / row[pc]
         basis.append(tuple(v))
     return basis
 

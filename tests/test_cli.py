@@ -165,6 +165,10 @@ PINNED_STDOUT = [
      "cd49efbb1ee74ef28af167a3c869f7edabcb58e8a59a6a4ab8f599947db1acbd"),
     ("table --which S --N 3 --rho=-2/3", 2,
      "5e59271e1bd126181093b256503c021bd4a4fa3a507a5a546b10d9c9b4bc96f5"),
+    ("table --which Utilde --N 12", 0,
+     "7da222e3ebf016cc07780963207d22edb3b74745b47f54cbceb0f184d0f7f6d3"),
+    ("matrix --which basis:eStar --N 12", 0,
+     "fbcba7adea9a397f14813ec0dd4d0809df4abe2a75da3ca7df3cc7a3f7aec6fc"),
 ]
 
 

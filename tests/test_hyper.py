@@ -32,6 +32,9 @@ def test_pochhammer_base_cases():
     assert pochhammer(Q(7, 3), 1) == Q(7, 3)
     assert pochhammer(3, 4) == 3 * 4 * 5 * 6
     assert pochhammer(-2, 3) == 0
+    assert pochhammer(Q(-6, 2), 4) == 0
+    assert pochhammer(-4, 4) == 24
+    assert pochhammer(0, 0) == 1
     with pytest.raises(PreconditionViolated):
         pochhammer(Q(1, 2), -1)
 
@@ -40,6 +43,25 @@ def test_pochhammer_base_cases():
        n=st.integers(min_value=0, max_value=12))
 def test_pochhammer_matches_naive(a, n):
     assert pochhammer(a, n) == naive_pochhammer(a, n)
+
+
+# the benchmark's draw range: numerators -40..40, denominators up to 23
+bench_rationals = st.builds(
+    Q, st.integers(min_value=-40, max_value=40), st.integers(min_value=1, max_value=23)
+)
+
+
+@given(a=bench_rationals, n=st.integers(min_value=0, max_value=32))
+@settings(max_examples=200, deadline=None)
+def test_pochhammer_matches_naive_on_long_products(a, n):
+    assert pochhammer(a, n) == naive_pochhammer(a, n)
+
+
+@given(a=bench_rationals, n=st.integers(min_value=0, max_value=32))
+@settings(max_examples=200, deadline=None)
+def test_pochhammer_vanishes_exactly_on_nonpositive_integers_in_range(a, n):
+    # (a)_n = 0 iff a is an integer with -n < a <= 0
+    assert (pochhammer(a, n) == 0) == (a.denominator == 1 and -n < a <= 0)
 
 
 @given(a=st.fractions(min_value=-8, max_value=8, max_denominator=10),
@@ -99,6 +121,27 @@ def two_loop_oracle(upper, lower, z):
 @settings(max_examples=60, deadline=None)
 def test_hyp_sum_against_naive_reference(n, a, b, c):
     s = HypSeries(upper=(-n, a, b), lower=(c, Q(17, 2)))
+    assert hyp_sum(s) == hyp_sum_reference(s)
+
+
+# lower parameters are never integers, so no lower Pochhammer vanishes
+non_integers = st.fractions(min_value=-10, max_value=10, max_denominator=23).filter(
+    lambda q: q.denominator > 1
+)
+
+
+@given(
+    n=st.integers(min_value=0, max_value=12),
+    upper=st.lists(rationals, min_size=0, max_size=3),
+    lower=st.lists(non_integers, min_size=1, max_size=3,
+                   unique_by=lambda q: q.denominator),
+    z=st.fractions(min_value=-6, max_value=Q(-1, 23), max_denominator=23).filter(
+        lambda q: q != -1
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_hyp_sum_mixed_denominators_negative_argument(n, upper, lower, z):
+    s = HypSeries(upper=(-n, *upper), lower=tuple(lower), argument=z)
     assert hyp_sum(s) == hyp_sum_reference(s)
 
 

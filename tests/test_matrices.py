@@ -1,0 +1,109 @@
+from fractions import Fraction as Q
+
+from hypothesis import given, settings, strategies as st
+
+from metaracah.matrices import RationalMatrix, nullspace
+
+# entries with mixed denominators, zero about half the time
+entries = st.one_of(
+    st.just(Q(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=23),
+)
+
+
+def rank(rows):
+    # in-test oracle: plain Fraction row reduction, written independently
+    a = [[Q(x) for x in row] for row in rows]
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c] / a[r][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
+
+
+@st.composite
+def planted(draw):
+    """A matrix with zero rows, zero columns and a planted kernel vector."""
+    rows = draw(st.integers(min_value=1, max_value=6))
+    cols = draw(st.integers(min_value=2, max_value=7))
+    m = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+        m[i] = [Q(0)] * cols
+    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=2))
+    for row in m:
+        for j in zero_cols:
+            row[j] = Q(0)
+    # column c0 is a combination of the others: w = coef - e_c0 is in the kernel
+    c0 = draw(st.integers(0, cols - 1))
+    coef = [Q(0) if j == c0 else draw(entries) for j in range(cols)]
+    for row in m:
+        row[c0] = sum((coef[j] * row[j] for j in range(cols)), Q(0))
+    w = [Q(-1) if j == c0 else coef[j] for j in range(cols)]
+    units = [[Q(int(j == k)) for j in range(cols)] for k in zero_cols if k != c0]
+    return m, [w] + units
+
+
+@given(planted())
+@settings(max_examples=150, deadline=None)
+def test_nullspace_is_the_kernel(case):
+    rows, known = case
+    m = RationalMatrix(rows)
+    kernel = nullspace(m)
+    zero = tuple(Q(0) for _ in range(m.rows))
+    for v in kernel:
+        assert len(v) == m.cols
+        assert m.apply(v) == zero
+    assert len(kernel) == m.cols - rank(rows)
+    assert rank(kernel) == len(kernel)
+    # the planted vectors lie in the span of the returned basis
+    assert rank(kernel + known) == len(kernel)
+
+
+def test_nullspace_of_zero_and_full_rank():
+    assert nullspace(RationalMatrix.zeros(2, 3)) == [
+        (Q(1), Q(0), Q(0)), (Q(0), Q(1), Q(0)), (Q(0), Q(0), Q(1))
+    ]
+    assert nullspace(RationalMatrix.identity(3)) == []
+    assert nullspace(RationalMatrix([[Q(1, 2), Q(1, 3)]])) == [(Q(-2, 3), Q(1))]
+
+
+def banded(draw, n, width):
+    return [
+        [draw(entries) if abs(i - j) <= width else Q(0) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@given(data=st.data(), n=st.integers(min_value=1, max_value=7),
+       lam=st.one_of(st.integers(-5, 5), entries))
+@settings(max_examples=100, deadline=None)
+def test_pencil_arithmetic_matches_entrywise_reference(data, n, lam):
+    a = banded(data.draw, n, 1)
+    b = banded(data.draw, n, data.draw(st.integers(0, 1)))
+    A, B = RationalMatrix(a), RationalMatrix(b)
+    assert A - lam * B == RationalMatrix(
+        [[a[i][j] - Q(lam) * b[i][j] for j in range(n)] for i in range(n)]
+    )
+    assert lam * A == RationalMatrix(
+        [[Q(lam) * a[i][j] for j in range(n)] for i in range(n)]
+    )
+    assert A + B == RationalMatrix(
+        [[a[i][j] + b[i][j] for j in range(n)] for i in range(n)]
+    )
+    for mat in (A - lam * B, lam * A, A + B):
+        assert all(type(mat[i, j]) is Q for i in range(n) for j in range(n))
+
+
+def test_int_entries_become_fractions():
+    m = RationalMatrix([[1, 0], [-3, True]])
+    assert m.to_strings() == [["1", "0"], ["-3", "1"]]
+    ident = RationalMatrix.identity(3)
+    for mat in (m, ident, RationalMatrix.zeros(2, 3)):
+        assert all(type(x) is Q for i in range(mat.rows) for x in mat.row(i))
