@@ -73,9 +73,9 @@ def central_params(p: Params) -> CentralParams:
     return CentralParams(xi=xi, eta=eta)
 
 
-def _pochhammer_vanishes(x: Fraction, k: int) -> bool:
-    """(x)_k = x (x+1) ... (x+k-1) is zero exactly when x is an integer in [1-k, 0]."""
-    return x.denominator == 1 and 1 - k <= x <= 0
+def _as_int(x: Fraction):
+    """x as an int when it is an integer, else None."""
+    return x.numerator if x.denominator == 1 else None
 
 
 def genericity_registry(p: Params, rho=None):
@@ -84,37 +84,52 @@ def genericity_registry(p: Params, rho=None):
     The list is the union, over basis indices 0 <= n <= N, of every
     denominator appearing in the closed-form bases, tridiagonal
     coefficients, overlap prefactors, weights and norms used downstream.
-    Expressions involving rho are included only when rho is given.  A
-    Pochhammer entry is tested through its factors, never multiplied out.
+    Expressions involving rho are included only when rho is given.
+
+    Every entry is an integer shift s + c or s - c of one of six
+    combinations c: -alpha, alpha-beta, 2beta+2zeta, 2alpha+beta+2zeta,
+    2alpha+rho and beta+rho.  Each combination is computed once.  When it
+    is not an integer, no entry built on it can vanish; when it is, its
+    entries are tested in int arithmetic.  A linear entry vanishes when
+    its value is 0, and a Pochhammer entry (x)_k when x is an integer in
+    [1-k, 0]; nothing is multiplied out.
     """
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
+    neg_a = _as_int(-a)
+    a_b = _as_int(a - b)
+    bz2 = _as_int(2 * b + 2 * z)
+    abz = _as_int(2 * a + b + 2 * z)
     items = []
 
-    def poch(label, x, k):
-        items.append((label, _pochhammer_vanishes(x, k)))
+    # the entry is s + sign * c, which is never an integer when c is None
+    def poch(label, c, s, k, sign=1):
+        items.append((label, c is not None and 1 - k <= s + sign * c <= 0))
 
-    def linear(label, x):
-        items.append((label, x == 0))
+    def linear(label, c, s, sign=1):
+        items.append((label, c is not None and s + sign * c == 0))
 
+    if rho is not None:
+        r = Q(rho)
+        ar2 = _as_int(2 * a + r)
+        br = _as_int(b + r)
     for n in range(N + 1):
-        poch(f"(-alpha)_({n}+1)", -a, n + 1)
-        poch(f"(alpha-beta-{n})_{n}", a - b - n, n)
-        poch(f"({n}-N-alpha+beta+1)_(N-{n})", n - N - a + b + 1, N - n)
+        poch(f"(-alpha)_({n}+1)", neg_a, 0, n + 1)
+        poch(f"(alpha-beta-{n})_{n}", a_b, -n, n)
+        poch(f"({n}-N-alpha+beta+1)_(N-{n})", a_b, n - N + 1, N - n, -1)
         for k in range(-3, 4):
-            linear(f"(2*{n}-2beta-2zeta-({k}))", 2 * n - 2 * b - 2 * z - k)
-        linear(f"({n}-alpha)", n - a)
-        linear(f"({n}-alpha+beta)", n - a + b)
-        poch(f"({n}-2beta-2zeta-1)_{n}", n - 2 * b - 2 * z - 1, n)
-        poch(f"(2beta+2zeta-N-{n}+1)_(N-{n})", 2 * b + 2 * z - N - n + 1, N - n)
-        poch(f"(2alpha+beta+2zeta-2N+1)_(N-{n})", 2 * a + b + 2 * z - 2 * N + 1, N - n)
-        poch(f"({n}-1-2beta-2zeta)_(N+1)", n - 1 - 2 * b - 2 * z, N + 1)
+            linear(f"(2*{n}-2beta-2zeta-({k}))", bz2, 2 * n - k, -1)
+        linear(f"({n}-alpha)", neg_a, n)
+        linear(f"({n}-alpha+beta)", a_b, n, -1)
+        poch(f"({n}-2beta-2zeta-1)_{n}", bz2, n - 1, n, -1)
+        poch(f"(2beta+2zeta-N-{n}+1)_(N-{n})", bz2, 1 - N - n, N - n)
+        poch(f"(2alpha+beta+2zeta-2N+1)_(N-{n})", abz, 1 - 2 * N, N - n)
+        poch(f"({n}-1-2beta-2zeta)_(N+1)", bz2, n - 1, N + 1, -1)
         if rho is not None:
-            r = Q(rho)
             for k in range(-1, 3):
-                linear(f"(2*{n}-2alpha-rho+({k}))", 2 * n - 2 * a - r + k)
-            poch(f"({n}-2alpha-rho)_{n}", n - 2 * a - r, n)
-            poch(f"(-beta-rho)_{n}", -b - r, n)
-            poch(f"(beta+rho-N+1)_(N-{n})", b + r - N + 1, N - n)
+                linear(f"(2*{n}-2alpha-rho+({k}))", ar2, 2 * n + k, -1)
+            poch(f"({n}-2alpha-rho)_{n}", ar2, n, n, -1)
+            poch(f"(-beta-rho)_{n}", br, 0, n, -1)
+            poch(f"(beta+rho-N+1)_(N-{n})", br, 1 - N, N - n)
     return items
 
 

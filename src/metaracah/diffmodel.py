@@ -50,7 +50,7 @@ class LaurentPoly:
     coeffs: tuple
 
     def __post_init__(self):
-        cs = [Q(c) for c in self.coeffs]
+        cs = [c if type(c) is Q else Q(c) for c in self.coeffs]
         lo = self.min_exp
         while cs and cs[-1] == 0:
             cs.pop()
@@ -125,6 +125,10 @@ class LaurentPoly:
     def __rmul__(self, other):
         return self.__mul__(other)
 
+    def shifted(self, k: int) -> "LaurentPoly":
+        """x^k times self."""
+        return LaurentPoly(self.min_exp + k, self.coeffs)
+
     def derivative(self) -> "LaurentPoly":
         return LaurentPoly.from_dict({e - 1: e * c for e, c in self.items() if e != 0})
 
@@ -143,8 +147,18 @@ class DiffOp:
 
 
 def residue_pair(f: LaurentPoly, g: LaurentPoly) -> Fraction:
-    """<f, g>: the coefficient of 1/x in the product."""
-    return (f * g).coefficient(-1)
+    """<f, g>: the coefficient of 1/x in the product f*g.
+
+    Only that one coefficient is read, as the sum of f_e g_(-1-e) over the
+    exponents e where both factors have a term; f*g is never formed.
+    """
+    lo = max(f.min_exp, -1 - g.max_exp)
+    hi = min(f.max_exp, -1 - g.min_exp)
+    fc, gc = f.coeffs, g.coeffs
+    total = Q(0)
+    for e in range(lo, hi + 1):
+        total += fc[e - f.min_exp] * gc[-1 - e - g.min_exp]
+    return total
 
 
 _X = LaurentPoly.monomial(1)
@@ -202,35 +216,54 @@ def diff_Xt(p: Params) -> DiffOp:
     )
 
 
+def _g_norms(N: int) -> list:
+    """(-1)^k (-N)_k = N (N-1) ... (N-k+1) for k = 0..N: the coefficient of
+    x^k in g_k, and the reciprocal of the coefficient of x^(-k-1) in g*_k."""
+    norms = [1]
+    for k in range(N):
+        norms.append(norms[-1] * (N - k))
+    return norms
+
+
 def g_poly(p: Params, n: int) -> LaurentPoly:
     """g_n(x) = (-1)^n (-N)_n x^n, the model of |n>."""
-    return LaurentPoly.monomial(n, Q(-1) ** n * pochhammer(Q(-p.N), n))
+    return LaurentPoly.monomial(n, _g_norms(p.N)[n])
 
 
 def g_dual_poly(p: Params, n: int) -> LaurentPoly:
     """g*_n(x) = (-1)^n x^(-n-1) / (-N)_n, the model of <n|."""
-    return LaurentPoly.monomial(-n - 1, Q(-1) ** n / pochhammer(Q(-p.N), n))
+    return LaurentPoly.monomial(-n - 1, Q(1, _g_norms(p.N)[n]))
+
+
+def _in_g_basis(f: LaurentPoly, norms: list) -> list:
+    """Coefficients of f over g_0..g_N."""
+    return [f.coefficient(k) / c for k, c in enumerate(norms)]
+
+
+def _in_gstar_basis(f: LaurentPoly, norms: list) -> list:
+    """Coefficients of f over g*_0..g*_N."""
+    return [f.coefficient(-k - 1) * c for k, c in enumerate(norms)]
+
+
+def _outside(h: LaurentPoly, lo: int, hi: int) -> LaurentPoly:
+    """The terms of h whose exponents lie outside [lo, hi]."""
+    return LaurentPoly.from_dict({e: c for e, c in h.items() if not lo <= e <= hi})
 
 
 def matrix_in_monomial_basis(op: DiffOp, p: Params) -> RationalMatrix:
     """Matrix of op on g_0..g_N; raises if the image leaves the span."""
     N = p.N
+    norms = _g_norms(N)
     cols = []
     for n in range(N + 1):
         h = op.apply(g_poly(p, n))
-        col = []
-        for k in range(N + 1):
-            gk = Q(-1) ** k * pochhammer(Q(-N), k)
-            col.append(h.coefficient(k) / gk)
-        leftover = h - LaurentPoly.from_dict(
-            {k: col[k] * (Q(-1) ** k * pochhammer(Q(-N), k)) for k in range(N + 1)}
-        )
+        leftover = _outside(h, 0, N)
         if not leftover.is_zero:
             raise PreconditionViolated(
                 f"image of g_{n} leaves span(g_0..g_N): exponents "
                 f"{[e for e, _ in leftover.items()]}"
             )
-        cols.append(col)
+        cols.append(_in_g_basis(h, norms))
     return RationalMatrix.from_columns(cols)
 
 
@@ -243,18 +276,12 @@ def dual_matrix_in_monomial_basis(op_t: DiffOp, p: Params):
     at exponents 0 and -N-2.
     """
     N = p.N
+    norms = _g_norms(N)
     cols = []
     ghosts = {}
     for n in range(N + 1):
         h = op_t.apply(g_dual_poly(p, n))
-        col = []
-        recon = {}
-        for k in range(N + 1):
-            gk = Q(-1) ** k / pochhammer(Q(-N), k)
-            c = h.coefficient(-k - 1) / gk
-            col.append(c)
-            recon[-k - 1] = c * gk
-        leftover = h - LaurentPoly.from_dict(recon)
+        leftover = _outside(h, -N - 1, -1)
         if not leftover.is_zero:
             bad = [e for e, _ in leftover.items() if e not in (0, -N - 2)]
             if bad:
@@ -262,7 +289,7 @@ def dual_matrix_in_monomial_basis(op_t: DiffOp, p: Params):
                     f"dual image of g*_{n} has non-ghost leftover exponents {bad}"
                 )
             ghosts[n] = leftover
-        cols.append(col)
+        cols.append(_in_gstar_basis(h, norms))
     return RationalMatrix.from_columns(cols), ghosts
 
 
@@ -290,6 +317,19 @@ def jacobi_poly(n: int, a, b) -> LaurentPoly:
         terms[k] = term
         term = term * (-n + k) * (n + a + b + 1 + k) / ((a + 1 + k) * (k + 1))
     return LaurentPoly.from_dict(terms)
+
+
+def _e_as_jacobi(p: Params) -> tuple:
+    """The Jacobi polynomials J_n = J_n^(a,b), a = N-2alpha-beta-2zeta-1,
+    b = 2alpha-beta-N-1, and the scales c_n = (1)_n (-N)_n / (n-2beta-2zeta-1)_n
+    with e_n = c_n J_n, each for n = 0..N."""
+    N, a, b, z = p.N, p.alpha, p.beta, p.zeta
+    scales = [
+        pochhammer(Q(1), n) * pochhammer(Q(-N), n) / pochhammer(n - 2 * b - 2 * z - 1, n)
+        for n in range(N + 1)
+    ]
+    jac = [jacobi_poly(n, N - 2 * a - b - 2 * z - 1, 2 * a - b - N - 1) for n in range(N + 1)]
+    return jac, scales
 
 
 # One function per family: the n-th model polynomial at (p, rho).
@@ -407,19 +447,6 @@ def model_basis(label: str, p: Params, fp: FParams | None = None) -> list:
     return [model(p, rho, n) for n in range(p.N + 1)]
 
 
-def _in_g_basis(f: LaurentPoly, p: Params) -> list:
-    return [
-        f.coefficient(k) / (Q(-1) ** k * pochhammer(Q(-p.N), k)) for k in range(p.N + 1)
-    ]
-
-
-def _in_gstar_basis(f: LaurentPoly, p: Params) -> list:
-    return [
-        f.coefficient(-k - 1) / (Q(-1) ** k / pochhammer(Q(-p.N), k))
-        for k in range(p.N + 1)
-    ]
-
-
 def verify_model_bases(p: Params, fp: FParams) -> VerificationReport:
     """Model families expand to exactly the abstract closed-form columns."""
     return _model_bases_report(p, fp)[0]
@@ -434,6 +461,7 @@ def _model_bases_report(p: Params, fp: FParams) -> tuple:
     """
     rep = VerificationReport(suite="model-bases", params={**p.as_dict(), "rho": str(fp.rho)})
     families = {}
+    norms = _g_norms(p.N)
     for label in LABELS:
         fam = families[label] = model_basis(label, p, fp)
         abstract = closed_form_basis(p, fp, label)
@@ -441,7 +469,7 @@ def _model_bases_report(p: Params, fp: FParams) -> tuple:
         bad = [
             n
             for n in range(p.N + 1)
-            if expand(fam[n], p) != list(abstract.column(n))
+            if expand(fam[n], norms) != list(abstract.column(n))
         ]
         rep.add(
             f"model-{label}",
@@ -450,20 +478,9 @@ def _model_bases_report(p: Params, fp: FParams) -> tuple:
             detail="" if not bad else f"failing n: {bad}",
         )
 
-    a_jac = p.N - 2 * p.alpha - p.beta - 2 * p.zeta - 1
-    b_jac = 2 * p.alpha - p.beta - p.N - 1
     e_fam = families["e"]
-    bad = [
-        n
-        for n in range(p.N + 1)
-        if e_fam[n]
-        != (
-            pochhammer(Q(1), n)
-            * pochhammer(Q(-p.N), n)
-            / pochhammer(n - 2 * p.beta - 2 * p.zeta - 1, n)
-        )
-        * jacobi_poly(n, a_jac, b_jac)
-    ]
+    jac, scales = _e_as_jacobi(p)
+    bad = [n for n in range(p.N + 1) if e_fam[n] != scales[n] * jac[n]]
     rep.add(
         "model-e-jacobi",
         "e_n(x) is a Jacobi polynomial up to the stated prefactor",
@@ -504,11 +521,12 @@ def model_orthogonality(p: Params, fp: FParams,
     d_fam = families["d"]
     dstar_fam = families["dStar"]
     Zop = diff_Z(p)
+    z_d_fam = [Zop.apply(d) for d in d_fam]
     rep.add_grid(
         "gram-d",
         "<d*_m, Z d_n> = delta_mn under the residue pairing",
         N,
-        lambda m, n: residue_pair(dstar_fam[m], Zop.apply(d_fam[n])) == (1 if m == n else 0),
+        lambda m, n: residue_pair(dstar_fam[m], z_d_fam[n]) == (1 if m == n else 0),
     )
 
     plain = RationalMatrix.from_columns(
@@ -531,74 +549,45 @@ def integral_representations(p: Params, fp: FParams) -> VerificationReport:
                              params={**p.as_dict(), "rho": str(fp.rho)})
     a, b, z, N = p.alpha, p.beta, p.zeta, p.N
     rho = fp.rho
-    a_jac = N - 2 * a - b - 2 * z - 1
-    b_jac = 2 * a - b - N - 1
-    jac = [jacobi_poly(m, a_jac, b_jac) for m in range(N + 1)]
+    jac, jac_scale = _e_as_jacobi(p)
     rp = RacahParams.from_params(p, fp)
+    # each formula is a factor in m times a factor in n times the pairing
+    # of jac[m] with a window in n: x^(-n-1) times a terminating series
+    norms = _g_norms(N)
 
-    def integral_S(m, n):
-        integrand = (
-            LaurentPoly.monomial(-n - 1)
-            * jac[m]
-            * _hyp2f1_window(1 + b + rho - n, Q(1 + N - n), 1 + 2 * a + rho - 2 * n, n)
-        )
-        return (
-            Q(-1) ** n
-            * pochhammer(Q(1), m)
-            * pochhammer(Q(-N), m)
-            / (
-                pochhammer(Q(-N), n)
-                * pochhammer(m - 2 * b - 2 * z - 1, m)
-            )
-            * integrand.coefficient(-1)
-        )
-
+    s_windows = [
+        _hyp2f1_window(1 + b + rho - n, Q(1 + N - n), 1 + 2 * a + rho - 2 * n, n)
+        .shifted(-n - 1)
+        for n in range(N + 1)
+    ]
     rep.add_grid("integral-S", "residue formula reproduces S_m(n) on the full grid", N,
-                 lambda m, n: integral_S(m, n) == closed_form_S(m, n, rp))
+                 lambda m, n: jac_scale[m] / norms[n] * residue_pair(jac[m], s_windows[n])
+                 == closed_form_S(m, n, rp))
 
-    def integral_U(m, n):
-        integrand = (
-            LaurentPoly.monomial(-n - 1)
-            * jac[m]
-            * _hyp2f1_window(Q(N + 1 - n), b - a + 1, a - n + 1, n)
-        )
-        return (
-            Q(-1) ** n
-            * pochhammer(Q(1), m)
-            * pochhammer(Q(-N), m)
-            / (
-                pochhammer(Q(-N), n)
-                * (n - a)
-                * pochhammer(m - 2 * b - 2 * z - 1, m)
-            )
-            * integrand.coefficient(-1)
-        )
-
+    u_windows = [
+        _hyp2f1_window(Q(N + 1 - n), b - a + 1, a - n + 1, n).shifted(-n - 1)
+        for n in range(N + 1)
+    ]
     rep.add_grid("integral-U", "residue formula reproduces U_m(n) on the full grid", N,
-                 lambda m, n: integral_U(m, n) == closed_form_U(m, n, p))
+                 lambda m, n: jac_scale[m] / (norms[n] * (n - a))
+                 * residue_pair(jac[m], u_windows[n])
+                 == closed_form_U(m, n, p))
 
     rho_dh = dual_hahn_params(p)
-
-    def integral_dual_hahn(m, k):
-        # (1-x)^(k-1-N) expanded to the window that can reach x^(-1)
-        onemx = LaurentPoly.from_dict(
+    dh_scale = [pochhammer(Q(1), m) / pochhammer(N - 2 * a - b - 2 * z, m)
+                for m in range(N + 1)]
+    dh_col = [pochhammer(Q(1), k) / norms[k] for k in range(N + 1)]
+    # (1-x)^(k-1-N) expanded to the window that can reach x^(-1)
+    dh_windows = [
+        LaurentPoly.from_dict(
             {l: pochhammer(Q(N + 1 - k), l) / pochhammer(Q(1), l) for l in range(k + 1)}
-        )
-        integrand = LaurentPoly.monomial(-k - 1) * onemx * jac[m]
-        return (
-            Q(-1) ** k
-            * pochhammer(Q(1), m)
-            * pochhammer(Q(1), k)
-            / (
-                pochhammer(N - 2 * a - b - 2 * z, m)
-                * pochhammer(Q(-N), k)
-            )
-            * integrand.coefficient(-1)
-        )
-
+        ).shifted(-k - 1)
+        for k in range(N + 1)
+    ]
     rep.add_grid("integral-dual-hahn",
                  "residue formula reproduces R^(dH)_k(m) on the full grid", N,
-                 lambda m, k: integral_dual_hahn(m, k) == dual_hahn(k, m, rho_dh),
+                 lambda m, k: dh_scale[m] * dh_col[k] * residue_pair(jac[m], dh_windows[k])
+                 == dual_hahn(k, m, rho_dh),
                  axes="(m, k)")
     return rep
 
@@ -613,13 +602,17 @@ def model_transposes(p: Params) -> VerificationReport:
         ("V", diff_V(p), diff_Vt(p), Vt_m),
         ("X", diff_X(p), diff_Xt(p), Xt_m),
     ]
+    g = [g_poly(p, n) for n in range(N + 1)]
+    g_dual = [g_dual_poly(p, m) for m in range(N + 1)]
     for name, op, op_t, abstract_t in table:
+        op_g = [op.apply(x) for x in g]
+        op_t_g_dual = [op_t.apply(x) for x in g_dual]
         rep.add_grid(
             f"adjoint-{name}",
             f"<{name}t g*_m, g_n> = <g*_m, {name} g_n> for all m, n",
             N,
-            lambda m, n: residue_pair(op_t.apply(g_dual_poly(p, m)), g_poly(p, n))
-            == residue_pair(g_dual_poly(p, m), op.apply(g_poly(p, n))),
+            lambda m, n: residue_pair(op_t_g_dual[m], g[n])
+            == residue_pair(g_dual[m], op_g[n]),
         )
 
         quotient, ghosts = dual_matrix_in_monomial_basis(op_t, p)

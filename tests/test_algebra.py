@@ -152,13 +152,36 @@ def _reference_registry(p, rho=None):
     return items
 
 
+def _integer_combination_draw(rng, N):
+    """Parameters whose values are not integers, with one of the registry's
+    combinations (alpha-beta, 2beta+2zeta, 2alpha+beta+2zeta, 2alpha+rho,
+    beta+rho) set to an integer near its degenerate range."""
+    fractional = [Q(k, d) for k in range(-20, 21) for d in (2, 3, 4) if k % d]
+    a, b, z, r = (rng.choice(fractional) for _ in range(4))
+    k = rng.randint(-2, 2 * N + 2)
+    which = rng.randrange(5)
+    if which == 0:
+        b = a - k
+    elif which == 1:
+        z = Q(k, 2) - b
+    elif which == 2:
+        z = (k - 2 * a - b) / 2
+    elif which == 3:
+        r = k - 2 * a
+    else:
+        r = k - b
+    return Params(N=N, alpha=a, beta=b, zeta=z), r
+
+
 def test_registry_labels_match_multiplied_out_reference():
     # small denominators put many parameters on an exact zero of some entry
     rng = random.Random(7)
     values = sorted({Q(k, d) for k in range(-12, 13) for d in (1, 2, 3)})
-    for rho in (None, Q(1, 13)):
-        assert [label for label, _ in genericity_registry(P2, rho)] == \
-            [label for label, _ in _reference_registry(P2, rho)]
+    for p, rho in ((P2, None), (P2, Q(1, 13)),
+                   (Params(N=24, alpha=Q(1, 2), beta=Q(1, 2), zeta=Q(1, 2)), None),
+                   (Params(N=24, alpha=Q(1, 2), beta=Q(1, 2), zeta=Q(1, 2)), Q(-1))):
+        assert [label for label, _ in genericity_registry(p, rho)] == \
+            [label for label, _ in _reference_registry(p, rho)]
     degenerate = 0
     for N in range(1, 7):
         for _ in range(60):
@@ -171,3 +194,21 @@ def test_registry_labels_match_multiplied_out_reference():
                 assert validate_params(p, r) == expected, (p, r)
                 degenerate += bool(expected)
     assert degenerate > 200
+
+    # a combination is an integer while alpha, beta, zeta and rho are not
+    for p, rho in [
+        (Params(N=4, alpha=Q(1, 3), beta=Q(1, 2), zeta=Q(1, 2)), None),
+        (Params(N=4, alpha=Q(1, 2), beta=Q(1, 5), zeta=Q(1, 7)), Q(-1)),
+        (Params(N=4, alpha=Q(1, 4), beta=Q(1, 3), zeta=Q(37, 12)), None),
+        (Params(N=4, alpha=Q(1, 3), beta=Q(1, 3), zeta=Q(1, 7)), Q(2, 3)),
+    ]:
+        expected = [label for label, value in _reference_registry(p, rho) if value == 0]
+        assert expected and validate_params(p, rho) == expected
+    degenerate = 0
+    for _ in range(300):
+        p, rho = _integer_combination_draw(rng, rng.randint(1, 24))
+        for r in (None, rho):
+            expected = [label for label, value in _reference_registry(p, r) if value == 0]
+            assert validate_params(p, r) == expected, (p, r)
+            degenerate += bool(expected)
+    assert degenerate > 300

@@ -169,6 +169,18 @@ PINNED_STDOUT = [
      "7da222e3ebf016cc07780963207d22edb3b74745b47f54cbceb0f184d0f7f6d3"),
     ("matrix --which basis:eStar --N 12", 0,
      "fbcba7adea9a397f14813ec0dd4d0809df4abe2a75da3ca7df3cc7a3f7aec6fc"),
+    # offenders that come only from an integer combination of fractions
+    ("verify --N 4 --beta 1/2 --zeta 1/2", 2,
+     "6d895f1f1f0981b58fd664532eb4c3bf475278ba02b6227360b2f90697686166"),
+    ("verify --N 4 --alpha 1/2 --rho=-1", 2,
+     "5e59271e1bd126181093b256503c021bd4a4fa3a507a5a546b10d9c9b4bc96f5"),
+    ("table --which S --N 4 --beta 1/3 --rho 2/3", 2,
+     "9d582687f3d22f73831b1d873766b92fbb0f44b91b9e48eaf011152cf6d0ab70"),
+    ("verify --N 4 --alpha 1/4 --beta 1/3 --zeta 37/12", 2,
+     "8194fb10db36c9f7d8a80ce8832cc09c0b9a5d510de2af8377e740e00fc42563"),
+    # a set drawn as the benchmark draws them
+    ("verify --suite all --N 8 --alpha=-28/3 --beta=22/17 --zeta=3/19 --rho=10/11", 0,
+     "5a186067ac1bf7f7044885672d3057d32c48d910459a94a7fd6558ae80439f47"),
 ]
 
 

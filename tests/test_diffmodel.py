@@ -1,9 +1,11 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from metaracah import LABELS, build_basis
 from metaracah.diffmodel import (
+    DiffOp,
     LaurentPoly,
     diff_V,
     diff_X,
@@ -45,6 +47,45 @@ def test_residue_pairing_bilinear_symmetric():
     h = mono(0, 2)
     assert residue_pair(f, g) == residue_pair(g, f)
     assert residue_pair(f + h, g) == residue_pair(f, g) + residue_pair(h, g)
+
+
+# coefficients with mixed denominators and many exact zeros, so that
+# polynomials have zero inner coefficients and zero ends to trim
+coefficients = st.one_of(
+    st.just(Q(0)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+)
+laurent_polys = st.builds(
+    LaurentPoly,
+    min_exp=st.integers(min_value=-12, max_value=8),
+    coeffs=st.lists(coefficients, max_size=9).map(tuple),
+)
+
+
+# x^-3/2 - 2x^-1/3 against: the zero polynomial on either side, a
+# monomial no exponent of f meets, a constant, and overlapping supports
+_F = LaurentPoly(-3, (Q(1, 2), 0, Q(-2, 3)))
+
+
+@given(f=laurent_polys, g=laurent_polys)
+@example(f=_F, g=LaurentPoly.zero())
+@example(f=LaurentPoly.zero(), g=_F)
+@example(f=_F, g=LaurentPoly.monomial(5))
+@example(f=_F, g=LaurentPoly.monomial(0, Q(7)))
+@example(f=_F, g=LaurentPoly(0, (5, 11, 13)))
+@settings(max_examples=300, deadline=None)
+def test_residue_pair_reads_the_product_coefficient(f, g):
+    assert residue_pair(f, g) == (f * g).coefficient(-1)
+    assert type(residue_pair(f, g)) is Q
+
+
+def test_laurent_poly_normalizes_its_coefficients():
+    f = LaurentPoly(-2, (0, 0, 3, 0, Q(1, 2), 0, 0))
+    assert f.min_exp == 0 and f.coeffs == (Q(3), Q(0), Q(1, 2))
+    assert all(type(c) is Q for c in f.coeffs)
+    zero = LaurentPoly(4, (0, Q(0), 0))
+    assert zero.is_zero and zero.min_exp == 0 and zero.coeffs == ()
+    assert LaurentPoly(1, (2,)).shifted(-3) == mono(-2, 2)
 
 
 def test_laurent_arithmetic():
@@ -152,3 +193,18 @@ def test_adjoint_identity_single_pair(p3):
 def test_full_model_suite(p5, fp):
     rep = verify_model(p5, fp)
     assert rep.passed, [(c.id, c.detail) for c in rep.failures]
+
+
+def test_model_suite_applies_each_operator_once(p5, fp, monkeypatch):
+    # g-basis matrices (3 ops), adjoint images of g_n and g*_m (3 + 3),
+    # dual quotient matrices (3) and Z on d_n: 13 applications per index
+    calls = []
+    apply = DiffOp.apply
+
+    def counted(self, f):
+        calls.append(f)
+        return apply(self, f)
+
+    monkeypatch.setattr(DiffOp, "apply", counted)
+    assert verify_model(p5, fp).passed
+    assert len(calls) <= 13 * (p5.N + 1)
