@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .errors import DegenerateParameters
 from .matrices import RationalMatrix, anticommutator, commutator
-from .report import VerificationReport, describe_matrix_mismatch
+from .report import VerificationReport
 
 Q = Fraction
 

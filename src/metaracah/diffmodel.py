@@ -33,7 +33,7 @@ from fractions import Fraction
 from .algebra import Params, build_transposes, build_V, build_X, build_Z, require_generic
 from .eigenbases import FParams, LABELS, closed_form_basis, family, rho_of
 from .errors import PreconditionViolated
-from .hyper import multi_pochhammer, pochhammer
+from .hyper import multi_pochhammer, pochhammer, series_terms
 from .matrices import RationalMatrix
 from .racahpoly import RacahParams, closed_form_S
 from .rationalfns import closed_form_U, dual_hahn, dual_hahn_params
@@ -125,10 +125,6 @@ class LaurentPoly:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def shifted(self, k: int) -> "LaurentPoly":
-        """x^k times self."""
-        return LaurentPoly(self.min_exp + k, self.coeffs)
-
     def derivative(self) -> "LaurentPoly":
         return LaurentPoly.from_dict({e - 1: e * c for e, c in self.items() if e != 0})
 
@@ -219,10 +215,7 @@ def diff_Xt(p: Params) -> DiffOp:
 def _g_norms(N: int) -> list:
     """(-1)^k (-N)_k = N (N-1) ... (N-k+1) for k = 0..N: the coefficient of
     x^k in g_k, and the reciprocal of the coefficient of x^(-k-1) in g*_k."""
-    norms = [1]
-    for k in range(N):
-        norms.append(norms[-1] * (N - k))
-    return norms
+    return series_terms((-N, 1), (), N + 1, argument=-1)
 
 
 def g_poly(p: Params, n: int) -> LaurentPoly:
@@ -296,27 +289,11 @@ def dual_matrix_in_monomial_basis(op_t: DiffOp, p: Params):
 # -- model bases ---------------------------------------------------------------
 
 
-def _hyp2f1_window(A, B, C, window: int) -> LaurentPoly:
-    # 2F1(A, B; C; x) truncated after x^window; enough whenever the
-    # integrand pairs against monomials of exponent >= -window-1.
-    terms = {}
-    term = Q(1)
-    for k in range(window + 1):
-        terms[k] = term
-        term = term * (A + k) * (B + k) / ((C + k) * (k + 1))
-    return LaurentPoly.from_dict(terms)
-
-
 def jacobi_poly(n: int, a, b) -> LaurentPoly:
     """J_n^(a,b)(x) = (a+1)_n/n! 2F1(-n, n+a+b+1; a+1; x) on (0, 1)."""
     a, b = Q(a), Q(b)
     pre = pochhammer(a + 1, n) / pochhammer(Q(1), n)
-    terms = {}
-    term = pre
-    for k in range(n + 1):
-        terms[k] = term
-        term = term * (-n + k) * (n + a + b + 1 + k) / ((a + 1 + k) * (k + 1))
-    return LaurentPoly.from_dict(terms)
+    return LaurentPoly(0, series_terms((-n, n + a + b + 1), (a + 1,), n + 1, head=pre))
 
 
 def _e_as_jacobi(p: Params) -> tuple:
@@ -340,90 +317,65 @@ def _model_e(p, rho, n):
     pre = multi_pochhammer((Q(-N), N - 2 * a - b - 2 * z), n) / pochhammer(
         n - 2 * b - 2 * z - 1, n
     )
-    terms = {}
-    term = pre
-    for k in range(n + 1):
-        terms[k] = term
-        term = (
-            term
-            * (-n + k)
-            * (n - 2 * b - 2 * z - 1 + k)
-            / ((N - 2 * a - b - 2 * z + k) * (k + 1))
-        )
-    return LaurentPoly.from_dict(terms)
+    return LaurentPoly(
+        0, series_terms((-n, n - 2 * b - 2 * z - 1), (N - 2 * a - b - 2 * z,), n + 1, head=pre)
+    )
 
 
 def _model_d(p, rho, n):
-    N = p.N
+    N, a, b = p.N, p.alpha, p.beta
     head = Q(-1) ** n * pochhammer(Q(-N), n)
-    f21 = _hyp2f1_window(Q(n - N), p.alpha - p.beta, -p.alpha + n + 1, N - n)
-    return LaurentPoly.monomial(n, head) * f21
+    return LaurentPoly(n, series_terms((n - N, a - b), (n + 1 - a,), N - n + 1, head=head))
 
 
 def _model_f(p, rho, n):
     N, a, b = p.N, p.alpha, p.beta
     head = Q(-1) ** n * pochhammer(Q(-N), n)
-    f21 = _hyp2f1_window(Q(n - N), n - b - rho, 2 * n - 2 * a - rho + 1, N - n)
-    return LaurentPoly.monomial(n, head) * f21
+    return LaurentPoly(
+        n, series_terms((n - N, n - b - rho), (2 * n - 2 * a - rho + 1,), N - n + 1, head=head)
+    )
 
 
 def _model_z(p, rho, n):
+    # x^n (1-x)^(N-n), scaled like g_n
     N = p.N
     head = Q(-1) ** n * pochhammer(Q(-N), n)
-    onemx = LaurentPoly.from_dict({0: Q(1), 1: Q(-1)})
-    acc = LaurentPoly.monomial(n, head)
-    for _ in range(N - n):
-        acc = acc * onemx
-    return acc
+    return LaurentPoly(n, series_terms((n - N,), (), N - n + 1, head=head))
 
 
 def _model_dstar(p, rho, n):
+    # (a-n)_(l+1) = (a-n) (a-n+1)_l
     N, a, b = p.N, p.alpha, p.beta
-    pre = Q(-1) ** (n + 1) / pochhammer(Q(-N), n)
-    terms = {}
-    for l in range(n + 1):
-        terms[l - n - 1] = (
-            pre
-            * multi_pochhammer((b - a + 1, 1 + N - n), l)
-            / (pochhammer(Q(1), l) * pochhammer(a - n, l + 1))
-        )
-    return LaurentPoly.from_dict(terms)
+    pre = Q(-1) ** (n + 1) / (pochhammer(Q(-N), n) * (a - n))
+    return LaurentPoly(
+        -n - 1, series_terms((b - a + 1, 1 + N - n), (a - n + 1,), n + 1, head=pre)
+    )
 
 
 def _model_estar(p, rho, n):
+    # exponents run down from -n-1 to -N-1
     a, b, z, N = p.alpha, p.beta, p.zeta, p.N
     pre = Q(-1) ** n / pochhammer(Q(-N), n)
-    terms = {}
-    for l in range(N - n + 1):
-        terms[-n - 1 - l] = (
-            pre
-            * multi_pochhammer((Q(n + 1), N + n - 2 * a - b - 2 * z), l)
-            / (pochhammer(Q(1), l) * pochhammer(2 * n - 2 * b - 2 * z, l))
-        )
-    return LaurentPoly.from_dict(terms)
+    terms = series_terms(
+        (n + 1, N + n - 2 * a - b - 2 * z), (2 * n - 2 * b - 2 * z,), N - n + 1, head=pre
+    )
+    return LaurentPoly(-N - 1, terms[::-1])
 
 
 def _model_fstar(p, rho, n):
     N, a, b = p.N, p.alpha, p.beta
     pre = Q(-1) ** n / pochhammer(Q(-N), n)
-    terms = {}
-    for l in range(n + 1):
-        terms[l - n - 1] = (
-            pre
-            * multi_pochhammer((b + rho + 1 - n, 1 + N - n), l)
-            / (pochhammer(Q(1), l) * pochhammer(1 + 2 * a + rho - 2 * n, l))
-        )
-    return LaurentPoly.from_dict(terms)
+    return LaurentPoly(
+        -n - 1,
+        series_terms((b + rho + 1 - n, 1 + N - n), (1 + 2 * a + rho - 2 * n,), n + 1, head=pre),
+    )
 
 
 def _model_zstar(p, rho, n):
     # expansion of x^(-n-1)(1-x)^(n-1-N) cut at the dual-range edge
     N = p.N
     pre = Q(-1) ** n / pochhammer(Q(-N), n)
-    terms = {}
-    for l in range(n + 1):
-        terms[l - n - 1] = pre * pochhammer(Q(1 + N - n), l) / pochhammer(Q(1), l)
-    return LaurentPoly.from_dict(terms)
+    return LaurentPoly(-n - 1, series_terms((1 + N - n,), (), n + 1, head=pre))
 
 
 _MODELS = {
@@ -556,8 +508,8 @@ def integral_representations(p: Params, fp: FParams) -> VerificationReport:
     norms = _g_norms(N)
 
     s_windows = [
-        _hyp2f1_window(1 + b + rho - n, Q(1 + N - n), 1 + 2 * a + rho - 2 * n, n)
-        .shifted(-n - 1)
+        LaurentPoly(-n - 1, series_terms((1 + b + rho - n, 1 + N - n),
+                                         (1 + 2 * a + rho - 2 * n,), n + 1))
         for n in range(N + 1)
     ]
     rep.add_grid("integral-S", "residue formula reproduces S_m(n) on the full grid", N,
@@ -565,7 +517,7 @@ def integral_representations(p: Params, fp: FParams) -> VerificationReport:
                  == closed_form_S(m, n, rp))
 
     u_windows = [
-        _hyp2f1_window(Q(N + 1 - n), b - a + 1, a - n + 1, n).shifted(-n - 1)
+        LaurentPoly(-n - 1, series_terms((N + 1 - n, b - a + 1), (a - n + 1,), n + 1))
         for n in range(N + 1)
     ]
     rep.add_grid("integral-U", "residue formula reproduces U_m(n) on the full grid", N,
@@ -579,10 +531,7 @@ def integral_representations(p: Params, fp: FParams) -> VerificationReport:
     dh_col = [pochhammer(Q(1), k) / norms[k] for k in range(N + 1)]
     # (1-x)^(k-1-N) expanded to the window that can reach x^(-1)
     dh_windows = [
-        LaurentPoly.from_dict(
-            {l: pochhammer(Q(N + 1 - k), l) / pochhammer(Q(1), l) for l in range(k + 1)}
-        ).shifted(-k - 1)
-        for k in range(N + 1)
+        LaurentPoly(-k - 1, series_terms((N + 1 - k,), (), k + 1)) for k in range(N + 1)
     ]
     rep.add_grid("integral-dual-hahn",
                  "residue formula reproduces R^(dH)_k(m) on the full grid", N,

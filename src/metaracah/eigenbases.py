@@ -12,7 +12,7 @@ Every basis vector has an explicit expansion over the standard basis with
 Pochhammer-ratio coefficients; build_basis evaluates those closed forms,
 while oracle_basis recomputes each vector from scratch as a kernel of the
 relevant matrix pencil and only borrows the closed form's normalization.
-FAMILIES maps each label to its eigenvalue, coefficient and pencil; every
+FAMILIES maps each label to its eigenvalue, column and pencil; every
 entry point looks its label up there.
 
 Pairings are bilinear (no conjugation).  The families pair up as
@@ -32,7 +32,7 @@ from typing import Callable
 
 from .algebra import Params, build_Z, build_V, build_X, build_transposes, require_generic
 from .errors import NondegenerateSpectrumViolated, PreconditionViolated
-from .hyper import pochhammer
+from .hyper import pochhammer, series_terms
 from .matrices import RationalMatrix, nullspace
 from .report import VerificationReport
 
@@ -67,8 +67,11 @@ def rho_of(fp: FParams | None):
 
 
 # -- eigenvalues and closed-form columns ------------------------------------
-# _eig_* return the eigenvalue at index n; _coeff_* the coefficient of |l>
-# in the n-th basis vector.  rho is None for families that do not use it.
+# _eig_* return the eigenvalue at index n; _col_* the n-th basis vector as
+# its coefficients on |0>..|N>: a prefactor in n times the terms of a
+# terminating series, reversed for the families indexed by N - l (d, e*, f,
+# z).  The upper parameter 1 cancels the series' k! where the expansion has
+# none.  rho is None for families that do not use it.
 
 
 def _eig_d(p, rho, n):
@@ -87,95 +90,70 @@ def _eig_z(p, rho, n):
     return n - p.alpha
 
 
-def _coeff_d(p, rho, n, l):
+def _col_d(p, rho, n):
     N, a, b = p.N, p.alpha, p.beta
     pref = pochhammer(n - N - a + b + 1, N - n) / (
         pochhammer(n - N, N - n) * pochhammer(a - N, N - n)
     )
-    return pref * pochhammer(n - N, N - l) * pochhammer(a - N, N - l) / pochhammer(
-        n - N - a + b + 1, N - l
-    )
+    return series_terms((n - N, a - N, 1), (n - N - a + b + 1,), N + 1, head=pref)[::-1]
 
 
-def _coeff_dstar(p, rho, n, l):
+def _col_dstar(p, rho, n):
     a, b = p.alpha, p.beta
     pref = pochhammer(-n + a - b, n) / (pochhammer(1, n) * pochhammer(-a, n + 1))
-    return (
-        pref
-        * (-1) ** l
-        * pochhammer(-n, l)
-        * pochhammer(-a, l)
-        / pochhammer(-n + a - b, l)
-    )
+    return series_terms((-n, -a, 1), (-n + a - b,), p.N + 1, head=pref, argument=-1)
 
 
-def _coeff_e(p, rho, n, l):
+def _col_e(p, rho, n):
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
     pref = (
         pochhammer(-N, n)
         * pochhammer(N - 2 * a - b - 2 * z, n)
         / pochhammer(n - 2 * b - 2 * z - 1, n)
     )
-    return (
-        pref
-        * (-1) ** l
-        * pochhammer(-n, l)
-        * pochhammer(n - 2 * b - 2 * z - 1, l)
-        / (pochhammer(1, l) * pochhammer(-N, l) * pochhammer(N - 2 * a - b - 2 * z, l))
+    return series_terms(
+        (-n, n - 2 * b - 2 * z - 1), (-N, N - 2 * a - b - 2 * z), N + 1, head=pref, argument=-1
     )
 
 
-def _coeff_estar(p, rho, n, l):
+def _col_estar(p, rho, n):
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
     pref = (
         pochhammer(-N, N - n)
         * pochhammer(n + N - 2 * a - b - 2 * z, N - n)
         / pochhammer(2 * b + 2 * z - N - n + 1, N - n)
     )
-    return (
-        pref
-        * pochhammer(n - N, N - l)
-        * pochhammer(2 * b + 2 * z - N - n + 1, N - l)
-        / (
-            pochhammer(1, N - l)
-            * pochhammer(-N, N - l)
-            * pochhammer(2 * a + b + 2 * z - 2 * N + 1, N - l)
-        )
-    )
+    return series_terms(
+        (n - N, 2 * b + 2 * z - N - n + 1),
+        (-N, 2 * a + b + 2 * z - 2 * N + 1),
+        N + 1,
+        head=pref,
+    )[::-1]
 
 
-def _coeff_f(p, rho, n, l):
+def _col_f(p, rho, n):
     N, a, b = p.N, p.alpha, p.beta
     pref = pochhammer(b + rho - N + 1, N - n) / (
         pochhammer(n - N, N - n) * pochhammer(2 * a + rho - N - n, N - n)
     )
-    return (
-        pref
-        * pochhammer(n - N, N - l)
-        * pochhammer(2 * a + rho - N - n, N - l)
-        / pochhammer(b + rho - N + 1, N - l)
-    )
+    return series_terms(
+        (n - N, 2 * a + rho - N - n, 1), (b + rho - N + 1,), N + 1, head=pref
+    )[::-1]
 
 
-def _coeff_fstar(p, rho, n, l):
+def _col_fstar(p, rho, n):
     a, b = p.alpha, p.beta
     pref = pochhammer(-b - rho, n) / (pochhammer(1, n) * pochhammer(n - 2 * a - rho, n))
-    return (
-        pref
-        * (-1) ** l
-        * pochhammer(-n, l)
-        * pochhammer(n - 2 * a - rho, l)
-        / pochhammer(-b - rho, l)
-    )
+    return series_terms((-n, n - 2 * a - rho, 1), (-b - rho,), p.N + 1, head=pref, argument=-1)
 
 
-def _coeff_z(p, rho, n, l):
+def _col_z(p, rho, n):
     N = p.N
-    return pochhammer(n - N, N - l) / pochhammer(n - N, N - n)
+    return series_terms((n - N, 1), (), N + 1, head=1 / pochhammer(n - N, N - n))[::-1]
 
 
-def _coeff_zstar(p, rho, n, l):
-    return (-1) ** (l + n) * pochhammer(-n, l) / pochhammer(-n, n)
+def _col_zstar(p, rho, n):
+    return series_terms((-n, 1), (), p.N + 1, head=(-1) ** n / pochhammer(-n, n), argument=-1)
 
 
 @dataclass(frozen=True)
@@ -188,21 +166,21 @@ class Family:
     """
 
     eigenvalue: Callable  # (p, rho, n) -> Fraction
-    coefficient: Callable  # (p, rho, n, l) -> Fraction
+    column: Callable  # (p, rho, n) -> [coefficient of |l> for l = 0..N]
     pencil: Callable  # (g, rho) -> (A, B)
     needs_rho: bool = False
 
 
 FAMILIES = {
-    "d": Family(_eig_d, _coeff_d, lambda g, rho: (g.X, g.Z)),
-    "dStar": Family(_eig_d, _coeff_dstar, lambda g, rho: (g.Xt, g.Zt)),
-    "e": Family(_eig_e, _coeff_e, lambda g, rho: (g.V, g.I)),
-    "eStar": Family(_eig_e, _coeff_estar, lambda g, rho: (g.Vt, g.I)),
-    "f": Family(_eig_f, _coeff_f, lambda g, rho: (g.X + rho * g.Z, g.I), needs_rho=True),
-    "fStar": Family(_eig_f, _coeff_fstar, lambda g, rho: (g.Xt + rho * g.Zt, g.I),
+    "d": Family(_eig_d, _col_d, lambda g, rho: (g.X, g.Z)),
+    "dStar": Family(_eig_d, _col_dstar, lambda g, rho: (g.Xt, g.Zt)),
+    "e": Family(_eig_e, _col_e, lambda g, rho: (g.V, g.I)),
+    "eStar": Family(_eig_e, _col_estar, lambda g, rho: (g.Vt, g.I)),
+    "f": Family(_eig_f, _col_f, lambda g, rho: (g.X + rho * g.Z, g.I), needs_rho=True),
+    "fStar": Family(_eig_f, _col_fstar, lambda g, rho: (g.Xt + rho * g.Zt, g.I),
                     needs_rho=True),
-    "z": Family(_eig_z, _coeff_z, lambda g, rho: (g.Z, g.I)),
-    "zStar": Family(_eig_z, _coeff_zstar, lambda g, rho: (g.Zt, g.I)),
+    "z": Family(_eig_z, _col_z, lambda g, rho: (g.Z, g.I)),
+    "zStar": Family(_eig_z, _col_zstar, lambda g, rho: (g.Zt, g.I)),
 }
 LABELS = tuple(FAMILIES)
 
@@ -222,7 +200,7 @@ def eigenvalue(label: str, p: Params, fp: FParams | None, n: int) -> Fraction:
 
 
 def closed_form_coefficient(label: str, p: Params, fp: FParams | None, n: int, l: int) -> Fraction:
-    return family(label, fp).coefficient(p, rho_of(fp), n, l)
+    return family(label, fp).column(p, rho_of(fp), n)[l]
 
 
 def build_basis(p: Params, fp: FParams | None, label: str) -> BasisFamily:
@@ -231,7 +209,7 @@ def build_basis(p: Params, fp: FParams | None, label: str) -> BasisFamily:
     rho = rho_of(fp)
     require_generic(p, rho)
     N = p.N
-    cols = [[fam.coefficient(p, rho, n, l) for l in range(N + 1)] for n in range(N + 1)]
+    cols = [fam.column(p, rho, n) for n in range(N + 1)]
     eigs = tuple(fam.eigenvalue(p, rho, n) for n in range(N + 1))
     return BasisFamily(label=label, vectors=RationalMatrix.from_columns(cols), eigenvalues=eigs)
 
@@ -299,18 +277,13 @@ def z_action_on_d(p: Params, n: int):
     """
     require_generic(p)
     N, a, b = p.N, p.alpha, p.beta
-    pref = (
-        (a - b - 1)
-        * pochhammer(n - N - a + b + 1, N - n)
-        / (pochhammer(n - N, N - n) * pochhammer(a - N, N - n))
+    c = n - N - a + b + 1
+    pref = (a - b - 1) * pochhammer(c, N - n) / (
+        pochhammer(n - N, N - n) * pochhammer(a - N, N - n)
     )
-    return tuple(
-        pref
-        * pochhammer(n - N, N - l)
-        * pochhammer(a - N, N - l + 1)
-        / pochhammer(n - N - a + b + 1, N - l + 1)
-        for l in range(N + 1)
-    )
+    # (alpha-N)_(k+1) / (c)_(k+1) = (alpha-N)/c * (alpha-N+1)_k / (c+1)_k, k = N - l
+    head = pref * (a - N) / c
+    return tuple(series_terms((n - N, a - N + 1, 1), (c + 1,), N + 1, head=head)[::-1])
 
 
 def check_orthogonality(p: Params, fp: FParams) -> VerificationReport:

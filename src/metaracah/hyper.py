@@ -16,6 +16,10 @@ and ``hyp_sum`` multiply plain integer numerators and denominators and
 reduce once, building a single ``Fraction`` from them at the end.
 ``hyp_sum_reference`` evaluates Fraction by Fraction and stays the
 independent oracle for ``hyp_sum``.
+
+``series_terms`` returns the terms of such a series instead of their sum.
+It is the one way the closed-form basis columns, the Laurent model
+families and their residue windows build a coefficient list.
 """
 
 from __future__ import annotations
@@ -53,6 +57,29 @@ def multi_pochhammer(params: Iterable, n: int) -> Fraction:
     for a in params:
         out *= pochhammer(a, n)
     return out
+
+
+def series_terms(upper: Sequence, lower: Sequence, count: int, head=1, argument=1) -> list:
+    """The first count terms of head * pFq(upper; lower; argument):
+
+        [head * prod(u)_k / (prod(l)_k k!) * argument^k for k = 0..count-1]
+
+    built by term ratios, t_(k+1) = t_k * prod(u + k) z / (prod(l + k) (k + 1)),
+    with each ratio kept as an integer numerator and denominator as in
+    hyp_sum.  The ratio after the last term is never formed, so a lower
+    parameter may vanish at l + count - 1.
+    """
+    upper = [Q(u) for u in upper]
+    lower = [Q(l) for l in lower]
+    z = Q(argument)
+    num_const = z.numerator * prod(l.denominator for l in lower)
+    den_const = z.denominator * prod(u.denominator for u in upper)
+    terms = [Q(head)][:count]
+    for k in range(count - 1):
+        num = num_const * prod(u.numerator + k * u.denominator for u in upper)
+        den = (k + 1) * den_const * prod(l.numerator + k * l.denominator for l in lower)
+        terms.append(terms[-1] * Q(num, den))
+    return terms
 
 
 @dataclass(frozen=True)

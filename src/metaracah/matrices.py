@@ -98,11 +98,6 @@ class RationalMatrix:
             x == 0 for i, row in enumerate(self._e) for j, x in enumerate(row) if i - j not in (0, 1)
         )
 
-    def is_upper_bidiagonal(self) -> bool:
-        return all(
-            x == 0 for i, row in enumerate(self._e) for j, x in enumerate(row) if j - i not in (0, 1)
-        )
-
     # -- arithmetic ----------------------------------------------------------
 
     def __eq__(self, other):

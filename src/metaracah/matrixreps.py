@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Params, build_Z, build_V, build_X, build_transposes, require_generic
-from .eigenbases import FParams, closed_form_basis, z_action_on_d
-from .hyper import pochhammer
+from .eigenbases import FParams, closed_form_basis
+from .hyper import series_terms
 from .matrices import RationalMatrix, inverse
 from .report import VerificationReport
 
@@ -47,14 +47,14 @@ def conjugate_plain(op: RationalMatrix, basis, dual) -> RationalMatrix:
     return dual.vectors.transpose() * op * basis.vectors
 
 
-def conjugate_d(op: RationalMatrix, p: Params, d_basis, dstar_basis) -> RationalMatrix:
+def conjugate_d(op: RationalMatrix, Z: RationalMatrix, d_basis, dstar_basis) -> RationalMatrix:
     """Coefficients of op on the d family, extracted through the Z pairing."""
-    return dstar_basis.vectors.transpose() * build_Z(p) * op * d_basis.vectors
+    return dstar_basis.vectors.transpose() * Z * op * d_basis.vectors
 
 
-def conjugate_dstar(op_t: RationalMatrix, p: Params, d_basis, dstar_basis) -> RationalMatrix:
+def conjugate_dstar(op_t: RationalMatrix, Zt: RationalMatrix, d_basis,
+                    dstar_basis) -> RationalMatrix:
     """Coefficients of a transposed operator on the d* family."""
-    Zt = build_transposes(p)[0]
     return d_basis.vectors.transpose() * Zt * op_t * dstar_basis.vectors
 
 
@@ -267,13 +267,7 @@ def etilde_in_z(p: Params, n: int):
     """
     require_generic(p)
     N, a, b = p.N, p.alpha, p.beta
-    return tuple(
-        Q(0)
-        if l < n
-        else pochhammer(n - 2 * a + b + 1, l - n)
-        / (pochhammer(1, l - n) * pochhammer(n - a, l - n))
-        for l in range(N + 1)
-    )
+    return (Q(0),) * n + tuple(series_terms((n - 2 * a + b + 1,), (n - a,), N - n + 1))
 
 
 # -- verification ---------------------------------------------------------------
@@ -326,28 +320,28 @@ def verify_coefficients(p: Params, fp: FParams) -> VerificationReport:
     dd = coeffs_on_d(p)
     rep.add_matrix_zero(
         "Z-on-d", "closed-form Z coefficients on d match (d*)^T Z Z d",
-        dd["Z"].assemble() - conjugate_d(Z, p, d, dstar),
+        dd["Z"].assemble() - conjugate_d(Z, Z, d, dstar),
     )
     rep.add_matrix_zero(
         "X-on-d", "closed-form X coefficients on d match (d*)^T Z X d",
-        dd["X"].assemble() - conjugate_d(X, p, d, dstar),
+        dd["X"].assemble() - conjugate_d(X, Z, d, dstar),
     )
     rep.add_matrix_zero(
         "VZ-on-d", "closed-form VZ coefficients on d match (d*)^T Z (VZ) d",
-        dd["VZ"].assemble() - conjugate_d(V * Z, p, d, dstar),
+        dd["VZ"].assemble() - conjugate_d(V * Z, Z, d, dstar),
     )
     ds = coeffs_on_dstar(p)
     rep.add_matrix_zero(
         "Zt-on-dstar", "closed-form Zt coefficients on d* match d^T Zt Zt d*",
-        ds["Zt"].assemble() - conjugate_dstar(Zt, p, d, dstar),
+        ds["Zt"].assemble() - conjugate_dstar(Zt, Zt, d, dstar),
     )
     rep.add_matrix_zero(
         "Xt-on-dstar", "closed-form Xt coefficients on d* match d^T Zt Xt d*",
-        ds["Xt"].assemble() - conjugate_dstar(Xt, p, d, dstar),
+        ds["Xt"].assemble() - conjugate_dstar(Xt, Zt, d, dstar),
     )
     rep.add_matrix_zero(
         "VtZt-on-dstar", "closed-form VtZt coefficients on d* match d^T Zt (VtZt) d*",
-        ds["VtZt"].assemble() - conjugate_dstar(Vt * Zt, p, d, dstar),
+        ds["VtZt"].assemble() - conjugate_dstar(Vt * Zt, Zt, d, dstar),
     )
 
     zb = closed_form_basis(p, fp, "z")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 PASS = "pass"
@@ -87,6 +86,3 @@ class VerificationReport:
             "params": dict(sorted(self.params.items())),
             "checks": [c.as_dict() for c in sorted(self.checks, key=lambda c: c.id)],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2)

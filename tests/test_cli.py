@@ -144,6 +144,19 @@ def test_sweeps_are_reported(capsys):
     assert len(sweep_suites) >= 2
 
 
+# sets that validate_params accepts and whose model once divided by the
+# factor of the term after the last one: N - 2alpha - beta - 2zeta + n = 0
+# in the e family, alpha + 1 = 0 in the residue window of U
+@pytest.mark.parametrize("argv", [
+    "verify --suite model --N 2 --alpha 1/3 --beta 17/6 --zeta 1/4",
+    "verify --suite model --N 3 --alpha=-1",
+])
+def test_model_runs_where_only_the_unformed_ratio_vanishes(capsys, argv):
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert json.loads(out)["status"] == "pass"
+
+
 # stdout sha256 and exit code of fixed invocations; a refactor must leave
 # every byte as is, including the offender list of a degenerate set
 PINNED_STDOUT = [
@@ -181,6 +194,11 @@ PINNED_STDOUT = [
     # a set drawn as the benchmark draws them
     ("verify --suite all --N 8 --alpha=-28/3 --beta=22/17 --zeta=3/19 --rho=10/11", 0,
      "5a186067ac1bf7f7044885672d3057d32c48d910459a94a7fd6558ae80439f47"),
+    # the Laurent model and a whole-column closed form at larger N
+    ("verify --suite model --N 12", 0,
+     "acd01d720363c08256f116bc1554e33ab237bf1ee2b5377859e65e67706e98e3"),
+    ("matrix --which basis:d --N 24", 0,
+     "13d27c960ecb9b5a96bb2d2954df8809dd76b983dfe4f9de67b9b4a2b8edb99b"),
 ]
 
 

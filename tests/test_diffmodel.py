@@ -85,7 +85,6 @@ def test_laurent_poly_normalizes_its_coefficients():
     assert all(type(c) is Q for c in f.coeffs)
     zero = LaurentPoly(4, (0, Q(0), 0))
     assert zero.is_zero and zero.min_exp == 0 and zero.coeffs == ()
-    assert LaurentPoly(1, (2,)).shifted(-3) == mono(-2, 2)
 
 
 def test_laurent_arithmetic():
@@ -152,6 +151,18 @@ def test_e_is_a_jacobi_polynomial(p3):
             / pochhammer(n - 2 * p3.beta - 2 * p3.zeta - 1, n)
         )
         assert model_basis("e", p3, None)[n] == scale * jacobi_poly(n, a, b)
+
+
+@pytest.mark.parametrize("n, a, b", [(2, -3, Q(1, 2)), (3, Q(-4), Q(-7, 3)), (1, -2, 5)])
+def test_jacobi_poly_where_a_plus_one_plus_n_vanishes(n, a, b):
+    # (a+1)_k is nonzero for k <= n-1; only the ratio after x^n would divide by 0
+    assert a + 1 + n == 0
+    want = {
+        k: pochhammer(a + 1, n) / pochhammer(1, n) * pochhammer(-n, k)
+        * pochhammer(n + a + b + 1, k) / (pochhammer(a + 1, k) * pochhammer(1, k))
+        for k in range(n + 1)
+    }
+    assert jacobi_poly(n, a, b) == LaurentPoly.from_dict(want)
 
 
 def test_model_bases_report(p5, fp):

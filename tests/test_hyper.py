@@ -1,7 +1,7 @@
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from metaracah.errors import DegenerateParameters, PreconditionViolated
 from metaracah.hyper import (
@@ -10,6 +10,7 @@ from metaracah.hyper import (
     hyp_sum_reference,
     is_nonpositive_int,
     pochhammer,
+    series_terms,
     terminating_hyp,
     whipple_check,
 )
@@ -194,3 +195,61 @@ def test_argument_other_than_one():
     # 1F0(-n; ; z) = (1 - z)^n
     for n in range(6):
         assert terminating_hyp((-n,), (), Q(1, 2)) == (1 - Q(1, 2)) ** n
+
+
+def reference_terms(upper, lower, count, head, argument):
+    # per-term oracle: whole Pochhammer products for every k, no ratios
+    out = []
+    for k in range(count):
+        num = Q(head) * Q(argument) ** k
+        for u in upper:
+            num *= pochhammer(u, k)
+        den = pochhammer(1, k)
+        for l in lower:
+            den *= pochhammer(l, k)
+        out.append(num / den)
+    return out
+
+
+ints_or_rationals = st.one_of(
+    st.integers(min_value=-8, max_value=8),
+    st.fractions(min_value=-8, max_value=8, max_denominator=12),
+)
+
+
+@given(
+    upper=st.lists(ints_or_rationals, max_size=3),
+    lower=st.lists(non_integers, max_size=2),
+    count=st.integers(min_value=0, max_value=12),
+    head=ints_or_rationals,
+    argument=st.sampled_from([1, -1, Q(-1), Q(2, 3)]),
+    cap=st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
+)
+@example(upper=[], lower=[], count=1, head=Q(5, 3), argument=-1, cap=None)
+@example(upper=[Q(1, 2)], lower=[Q(7, 3)], count=1, head=2, argument=1, cap=0)
+@settings(max_examples=300, deadline=None)
+def test_series_terms_against_per_term_reference(upper, lower, count, head, argument, cap):
+    # cap adds a terminating upper parameter -cap; terms past it are zero
+    upper = upper + ([] if cap is None else [-cap])
+    got = series_terms(upper, lower, count, head=head, argument=argument)
+    assert got == reference_terms(upper, lower, count, head, argument)
+    assert len(got) == count and all(type(t) is Q for t in got)
+
+
+@given(count=st.integers(min_value=1, max_value=10), a=ints_or_rationals,
+       data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_series_terms_never_forms_the_ratio_after_the_last_term(count, a, data):
+    # lower parameter 1 - count: (l)_k != 0 for k < count, but the ratio
+    # t_count / t_(count-1) would divide by l + count - 1 = 0
+    lower = Q(1 - count, 1) if data.draw(st.booleans()) else 1 - count
+    got = series_terms((a, -count), (lower,), count, argument=-1)
+    assert got == reference_terms((a, -count), (lower,), count, 1, -1)
+    with pytest.raises(ZeroDivisionError):
+        series_terms((a, -count), (lower,), count + 1, argument=-1)
+
+
+def test_series_terms_small_cases():
+    assert series_terms((), (), 0) == []
+    assert series_terms((-3,), (), 5, argument=-1) == [1, 3, 3, 1, 0]  # (1+x)^3
+    assert series_terms((1,), (), 4, head=Q(1, 2), argument=2) == [Q(1, 2), 1, 2, 4]
