@@ -25,7 +25,6 @@ from .eigenbases import (
     LABELS,
     build_basis,
     check_orthogonality,
-    closed_form_coefficient,
     eigenvalue,
     oracle_basis,
 )
@@ -46,11 +45,9 @@ from .racahpoly import (
     closed_form_S,
     closed_form_Stilde,
     racah,
-    racah_orthogonality,
     verify_racah,
 )
 from .rationalfns import (
-    biorthogonality,
     calU,
     calU_tilde,
     closed_form_U,
@@ -84,7 +81,6 @@ __all__ = [
     "TridiagonalCoeffs",
     "VerificationReport",
     "anticommutator",
-    "biorthogonality",
     "build_V",
     "build_X",
     "build_Z",
@@ -102,7 +98,6 @@ __all__ = [
     "closed_form_Stilde",
     "closed_form_U",
     "closed_form_Utilde",
-    "closed_form_coefficient",
     "commutator",
     "dot",
     "dual_hahn",
@@ -111,7 +106,6 @@ __all__ = [
     "oracle_basis",
     "pochhammer",
     "racah",
-    "racah_orthogonality",
     "residue_pair",
     "terminating_hyp",
     "validate_params",

@@ -86,9 +86,12 @@ def genericity_registry(p: Params, rho=None):
     coefficients, overlap prefactors, weights and norms used downstream.
     Expressions involving rho are included only when rho is given.
 
-    Every entry is an integer shift s + c or s - c of one of six
+    Every entry is an integer shift s + c or s - c of one of eight
     combinations c: -alpha, alpha-beta, 2beta+2zeta, 2alpha+beta+2zeta,
-    2alpha+rho and beta+rho.  Each combination is computed once.  When it
+    2alpha+rho, beta+rho, beta-2alpha and beta-rho+2zeta.  The last two
+    are the Racah-hat g-a-N and -N-b of the Stilde prefactor, weight and
+    norm; like every Racah-hat parameter, they enter only with rho.
+    Each combination is computed once.  When it
     is not an integer, no entry built on it can vanish; when it is, its
     entries are tested in int arithmetic.  A linear entry vanishes when
     its value is 0, and a Pochhammer entry (x)_k when x is an integer in
@@ -112,6 +115,8 @@ def genericity_registry(p: Params, rho=None):
         r = Q(rho)
         ar2 = _as_int(2 * a + r)
         br = _as_int(b + r)
+        b_a2 = _as_int(b - 2 * a)
+        brz = _as_int(b - r + 2 * z)
     for n in range(N + 1):
         poch(f"(-alpha)_({n}+1)", neg_a, 0, n + 1)
         poch(f"(alpha-beta-{n})_{n}", a_b, -n, n)
@@ -130,6 +135,8 @@ def genericity_registry(p: Params, rho=None):
             poch(f"({n}-2alpha-rho)_{n}", ar2, n, n, -1)
             poch(f"(-beta-rho)_{n}", br, 0, n, -1)
             poch(f"(beta+rho-N+1)_(N-{n})", br, 1 - N, N - n)
+            poch(f"(beta-2alpha+1)_{n}", b_a2, 1, n)
+            poch(f"(beta-rho+2zeta-N+1)_{n}", brz, 1 - N, n)
     return items
 
 

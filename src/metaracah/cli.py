@@ -42,7 +42,6 @@ from .eigenbases import (
     FParams,
     LABELS,
     closed_form_basis,
-    build_basis,
     check_orthogonality,
     oracle_basis,
 )
@@ -381,7 +380,7 @@ COEFFS = {
 
 
 def _basis_payload(label: str, p: Params, fp: FParams) -> dict:
-    fam = build_basis(p, fp, label)
+    fam = closed_form_basis(p, fp, label)
     if fam.vectors != oracle_basis(p, fp, label).vectors:
         raise _EmitFailed(f"basis {label} failed revalidation on emit\n")
     return {"rows": _matrix_rows(fam.vectors),

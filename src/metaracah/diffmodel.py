@@ -399,13 +399,10 @@ def model_basis(label: str, p: Params, fp: FParams | None = None) -> list:
     return [model(p, rho, n) for n in range(p.N + 1)]
 
 
-def verify_model_bases(p: Params, fp: FParams) -> VerificationReport:
-    """Model families expand to exactly the abstract closed-form columns."""
-    return _model_bases_report(p, fp)[0]
-
-
 def _model_bases_report(p: Params, fp: FParams) -> tuple:
-    """The model-bases report and the model families it built, by label.
+    """Model families expand to exactly the abstract closed-form columns.
+
+    Returns the report and the model families it built, by label.
 
     Each family is built next to its closed-form counterpart, in LABELS
     order, so a set that breaks several families fails at the same call
@@ -442,12 +439,10 @@ def _model_bases_report(p: Params, fp: FParams) -> tuple:
     return rep, families
 
 
-def model_orthogonality(p: Params, fp: FParams,
-                        families: dict | None = None) -> VerificationReport:
+def model_orthogonality(p: Params, fp: FParams, families: dict) -> VerificationReport:
     """The four residue-pairing Grams are exactly the identity.
 
-    families maps each label to its model family; without it the families
-    are built here, in the order the Grams read them.
+    families maps each label to its model family.
     """
     rep = VerificationReport(suite="model-orthogonality",
                              params={**p.as_dict(), "rho": str(fp.rho)})
@@ -457,9 +452,6 @@ def model_orthogonality(p: Params, fp: FParams,
         ("e", "eStar"),
         ("z", "zStar"),
     ]
-    if families is None:
-        order = [label for pair in pairs for label in pair] + ["d", "dStar"]
-        families = {label: model_basis(label, p, fp) for label in order}
     for label, dual in pairs:
         fam = families[label]
         dual_fam = families[dual]

@@ -199,10 +199,6 @@ def eigenvalue(label: str, p: Params, fp: FParams | None, n: int) -> Fraction:
     return family(label, fp).eigenvalue(p, rho_of(fp), n)
 
 
-def closed_form_coefficient(label: str, p: Params, fp: FParams | None, n: int, l: int) -> Fraction:
-    return family(label, fp).column(p, rho_of(fp), n)[l]
-
-
 def build_basis(p: Params, fp: FParams | None, label: str) -> BasisFamily:
     """Evaluate the closed-form expansion of every vector in the family."""
     fam = family(label, fp)
@@ -243,12 +239,14 @@ def oracle_basis(p: Params, fp: FParams | None, label: str) -> BasisFamily:
     Fraction-free elimination must return a one-dimensional kernel for every
     index (NondegenerateSpectrumViolated otherwise); the solution is scaled
     so its component on |n> matches the closed form's, which is the only use
-    made of the closed-form data.
+    made of the closed-form data: the anchors are the diagonal of the
+    closed-form family.
     """
     require_generic(p, rho_of(fp))
     A, B = _pencil(label, p, fp)
     N = p.N
     eigs = tuple(eigenvalue(label, p, fp, n) for n in range(N + 1))
+    closed = closed_form_basis(p, fp, label).vectors
     cols = []
     for n in range(N + 1):
         kernel = nullspace(A - eigs[n] * B)
@@ -257,7 +255,7 @@ def oracle_basis(p: Params, fp: FParams | None, label: str) -> BasisFamily:
                 f"family {label}, index {n}: kernel dimension {len(kernel)}, expected 1"
             )
         v = list(kernel[0])
-        anchor = closed_form_coefficient(label, p, fp, n, n)
+        anchor = closed[n, n]
         if v[n] == 0 or anchor == 0:
             raise NondegenerateSpectrumViolated(
                 f"family {label}, index {n}: vanishing component on |{n}>"

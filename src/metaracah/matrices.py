@@ -249,55 +249,19 @@ def nullspace(m: RationalMatrix):
     return basis
 
 
-def _gauss_jordan(m: RationalMatrix, augment, name: str) -> list:
-    """Reduce [m | augment] to [I | m^-1 augment]; return the right block's rows."""
-    if m.rows != m.cols:
-        raise ValueError(f"{name} needs a square matrix")
-    n = m.rows
-    a = [list(row) + list(augment[i]) for i, row in enumerate(m._e)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        a[c], a[pivot] = a[pivot], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return [row[n:] for row in a]
-
-
-def solve(m: RationalMatrix, rhs):
-    """Solve m x = rhs exactly; m must be square and nonsingular."""
-    return tuple(x for (x,) in _gauss_jordan(m, [[Q(v)] for v in rhs], "solve"))
-
-
 def inverse(m: RationalMatrix) -> RationalMatrix:
-    """Exact inverse via Gauss-Jordan; raises ValueError when singular."""
-    ident = [[Q(1) if i == j else Q(0) for j in range(m.rows)] for i in range(m.rows)]
-    return RationalMatrix(_gauss_jordan(m, ident, "inverse"))
+    """Exact inverse, read from the right kernel of [m | -I].
 
-
-def determinant(m: RationalMatrix) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
+    The kernel vector whose -I block is e_j is (column j of m^-1, e_j).
+    When m is singular, one of m's own columns is free in the elimination
+    and the -I blocks of the kernel basis are not the identity: ValueError.
+    """
     if m.rows != m.cols:
-        raise ValueError("determinant needs a square matrix")
+        raise ValueError("inverse needs a square matrix")
     n = m.rows
-    a = [list(row) for row in m._e]
-    det = Q(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot is None:
-            return Q(0)
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return det
+    kernel = nullspace(RationalMatrix(
+        [list(row) + [-1 if i == j else 0 for j in range(n)] for i, row in enumerate(m._e)]
+    ))
+    if [v[n:] for v in kernel] != [tuple(Q(int(i == j)) for j in range(n)) for i in range(n)]:
+        raise ValueError("matrix is singular")
+    return RationalMatrix.from_columns(v[:n] for v in kernel)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Params
-from .eigenbases import FParams, closed_form_basis, eigenvalue
+from .eigenbases import FParams, closed_form_basis
 from .errors import PreconditionViolated
 from .hyper import multi_pochhammer, pochhammer, terminating_hyp
 from .matrices import dot
@@ -106,18 +106,6 @@ def closed_form_Stilde(m: int, n: int, rp: RacahParams) -> Fraction:
     return sign * num / den * racah(m, n, rp)
 
 
-def overlap_S(m: int, n: int, p: Params, fp: FParams) -> Fraction:
-    """<f*_n|e_m> as a dot product of closed-form basis vectors."""
-    fstar, e = closed_form_basis(p, fp, "fStar"), closed_form_basis(p, fp, "e")
-    return dot(fstar.column(n), e.column(m))
-
-
-def overlap_Stilde(m: int, n: int, p: Params, fp: FParams) -> Fraction:
-    """<f_n|e*_m> as a dot product of closed-form basis vectors."""
-    f, estar = closed_form_basis(p, fp, "f"), closed_form_basis(p, fp, "eStar")
-    return dot(f.column(n), estar.column(m))
-
-
 def weight(n: int, rp: RacahParams) -> Fraction:
     """Discrete orthogonality weight W_n of the Racah family."""
     a, b, g, N = rp.alpha_hat, rp.beta_hat, rp.gamma_hat, rp.N
@@ -141,77 +129,8 @@ def norm(m: int, rp: RacahParams) -> Fraction:
     return sign * num / den
 
 
-def racah_orthogonality(p: Params, fp: FParams) -> VerificationReport:
-    """Orthogonality of the S overlaps and of the bare polynomials.
-
-    Checks, all exact:
-      * sum_n Stilde_k(n) S_m(n) = delta_km  (closed forms on both slots);
-      * sum_n W_n R_k(n) R_m(n) = N_m delta_km with the explicit weight
-        and norm;
-      * the weight/norm pair is consistent with the overlap Gram:
-        N_m * Stilde_m(n) * S_m(n) = W_n * R_m(n)^2.
-
-    Signs of W_n and N_m are recorded for information only; positivity
-    needs parameter restrictions this library does not impose.
-    """
-    rp = RacahParams.from_params(p, fp)
-    S = grid(p.N, lambda m, n: closed_form_S(m, n, rp))
-    St = grid(p.N, lambda m, n: closed_form_Stilde(m, n, rp))
-    return _orthogonality_report(p, fp, rp, S, St)
-
-
-def _orthogonality_report(p: Params, fp: FParams, rp: RacahParams,
-                          S, St) -> VerificationReport:
-    """The racah_orthogonality checks on given closed-form S and Stilde grids."""
-    N = p.N
-    rep = VerificationReport(suite="racah-orthogonality", params={**p.as_dict(), "rho": str(fp.rho)})
-
-    R = grid(N, lambda m, n: racah(m, n, rp))
-    W = [weight(n, rp) for n in range(N + 1)]
-    Nm = [norm(m, rp) for m in range(N + 1)]
-
-    rep.add_grid(
-        "gram-S",
-        "sum_n Stilde_k(n) S_m(n) = delta_km",
-        N,
-        lambda k, m: sum(St[k][n] * S[m][n] for n in range(N + 1)) == (1 if k == m else 0),
-        axes="(k, m)",
-    )
-    rep.add_grid(
-        "weight-orthogonality",
-        "sum_n W_n R_k(n) R_m(n) = N_m delta_km",
-        N,
-        lambda k, m: sum(W[n] * R[k][n] * R[m][n] for n in range(N + 1))
-        == (Nm[m] if k == m else 0),
-        axes="(k, m)",
-    )
-    rep.add_grid(
-        "weight-norm-consistency",
-        "N_m Stilde_m(n) S_m(n) = W_n R_m(n)^2",
-        N,
-        lambda m, n: Nm[m] * St[m][n] * S[m][n] == W[n] * R[m][n] ** 2,
-    )
-
-    signs = "".join("+" if w > 0 else ("-" if w < 0 else "0") for w in W)
-    rep.add_info("weight-signs", f"signs of W_0..W_{N}: {signs} (positivity not asserted)")
-    signs = "".join("+" if v > 0 else ("-" if v < 0 else "0") for v in Nm)
-    rep.add_info("norm-signs", f"signs of N_0..N_{N}: {signs} (positivity not asserted)")
-    return rep
-
-
 def _recurrence_residual(m: int, n: int, N: int, S, vf: TridiagonalCoeffs, mu_m) -> Fraction:
-    """mu_m S_m(n) minus the V band on f applied along n; S(i, j) is S_i(j)."""
-    rhs = vf.diag[n] * S(m, n)
-    if n >= 1:
-        rhs += vf.sup[n - 1] * S(m, n - 1)
-    if n <= N - 1:
-        rhs += vf.sub[n] * S(m, n + 1)
-    return mu_m * S(m, n) - rhs
-
-
-def racah_recurrence(m: int, n: int, p: Params, fp: FParams,
-                     vf: TridiagonalCoeffs | None = None) -> Fraction:
-    """Residual of the three-term recurrence in n.
+    """Residual of the three-term recurrence in n; S(i, j) is S_i(j).
 
     mu_m S_m(n) = VF_{n,n-1} S_m(n-1) + VF_{n,n} S_m(n) + VF_{n,n+1} S_m(n+1)
 
@@ -219,13 +138,14 @@ def racah_recurrence(m: int, n: int, p: Params, fp: FParams,
     mu_m the V eigenvalue.  Out-of-range neighbours never contribute:
     VF_{0,-1} and VF_{N,N+1} do not exist because the band vectors
     stop at the edge.  Returns LHS - RHS, exactly zero when the
-    identity holds.  ``vf`` overrides the coefficients (fault injection).
+    identity holds.
     """
-    rp = RacahParams.from_params(p, fp)
-    if vf is None:
-        vf = coeffs_V_on_f(p, fp)
-    return _recurrence_residual(m, n, p.N, lambda i, j: closed_form_S(i, j, rp), vf,
-                                eigenvalue("e", p, fp, m))
+    rhs = vf.diag[n] * S(m, n)
+    if n >= 1:
+        rhs += vf.sup[n - 1] * S(m, n - 1)
+    if n <= N - 1:
+        rhs += vf.sub[n] * S(m, n + 1)
+    return mu_m * S(m, n) - rhs
 
 
 def _pencil_on_e(p: Params, rho: Fraction) -> TridiagonalCoeffs:
@@ -240,7 +160,13 @@ def _pencil_on_e(p: Params, rho: Fraction) -> TridiagonalCoeffs:
 
 
 def _difference_residual(m: int, n: int, N: int, S, we: TridiagonalCoeffs, nu_n) -> Fraction:
-    """nu_n S_m(n) minus the (X + rho Z) band on e applied along m; S(i, j) is S_i(j)."""
+    """Residual of the difference equation in m; S(i, j) is S_i(j).
+
+    <f*_n|(X + rho Z)|e_m> evaluated two ways: through the f* eigenvalue
+    nu_n on the left, and through the band we of X + rho Z on the e
+    family, applied along m, on the right.  Returns the difference,
+    exactly zero when the identity holds.
+    """
     rhs = we.diag[m] * S(m, n)
     if m >= 1:
         # (X + rho Z)^{(e)}_{m-1,m} is the sub coefficient at index m-1.
@@ -250,18 +176,6 @@ def _difference_residual(m: int, n: int, N: int, S, we: TridiagonalCoeffs, nu_n)
     return nu_n * S(m, n) - rhs
 
 
-def racah_difference(m: int, n: int, p: Params, fp: FParams) -> Fraction:
-    """Residual of the difference equation in m.
-
-    <f*_n|(X + rho Z)|e_m> evaluated two ways: through the f* eigenvalue
-    nu_n on the left, and through the tridiagonal actions of X and Z on
-    the e family on the right.  Returns the difference, exactly zero.
-    """
-    rp = RacahParams.from_params(p, fp)
-    return _difference_residual(m, n, p.N, lambda i, j: closed_form_S(i, j, rp),
-                                _pencil_on_e(p, fp.rho), eigenvalue("f", p, fp, n))
-
-
 def verify_racah(p: Params, fp: FParams) -> VerificationReport:
     """Full identification + bispectrality suite on the (m, n) grid.
 
@@ -269,6 +183,16 @@ def verify_racah(p: Params, fp: FParams) -> VerificationReport:
     every check: the closed-form S and Stilde grids, the bands of V on f
     and of X + rho Z on e, and the eigenvalue rows of the bases.  The
     dot-product sides come from the bases, never from these tables.
+
+    The orthogonality checks, all exact:
+      * sum_n Stilde_k(n) S_m(n) = delta_km  (closed forms on both slots);
+      * sum_n W_n R_k(n) R_m(n) = N_m delta_km with the explicit weight
+        and norm;
+      * the weight/norm pair is consistent with the overlap Gram:
+        N_m * Stilde_m(n) * S_m(n) = W_n * R_m(n)^2.
+
+    Signs of W_n and N_m are recorded for information only; positivity
+    needs parameter restrictions this library does not impose.
     """
     rp = RacahParams.from_params(p, fp)
     N = p.N
@@ -304,5 +228,34 @@ def verify_racah(p: Params, fp: FParams) -> VerificationReport:
     rep.add_grid("difference", "difference residual vanishes on the full grid", N,
                  lambda m, n: _difference_residual(m, n, N, s_at, we, f.eigenvalues[n]) == 0)
 
-    rep.checks.extend(_orthogonality_report(p, fp, rp, S, St).checks)
+    R = grid(N, lambda m, n: racah(m, n, rp))
+    W = [weight(n, rp) for n in range(N + 1)]
+    Nm = [norm(m, rp) for m in range(N + 1)]
+
+    rep.add_grid(
+        "gram-S",
+        "sum_n Stilde_k(n) S_m(n) = delta_km",
+        N,
+        lambda k, m: sum(St[k][n] * S[m][n] for n in range(N + 1)) == (1 if k == m else 0),
+        axes="(k, m)",
+    )
+    rep.add_grid(
+        "weight-orthogonality",
+        "sum_n W_n R_k(n) R_m(n) = N_m delta_km",
+        N,
+        lambda k, m: sum(W[n] * R[k][n] * R[m][n] for n in range(N + 1))
+        == (Nm[m] if k == m else 0),
+        axes="(k, m)",
+    )
+    rep.add_grid(
+        "weight-norm-consistency",
+        "N_m Stilde_m(n) S_m(n) = W_n R_m(n)^2",
+        N,
+        lambda m, n: Nm[m] * St[m][n] * S[m][n] == W[n] * R[m][n] ** 2,
+    )
+
+    signs = "".join("+" if w > 0 else ("-" if w < 0 else "0") for w in W)
+    rep.add_info("weight-signs", f"signs of W_0..W_{N}: {signs} (positivity not asserted)")
+    signs = "".join("+" if v > 0 else ("-" if v < 0 else "0") for v in Nm)
+    rep.add_info("norm-signs", f"signs of N_0..N_{N}: {signs} (positivity not asserted)")
     return rep

@@ -92,25 +92,6 @@ def closed_form_Utilde(m: int, n: int, p: Params) -> Fraction:
     return _prefactor_Utilde(m, n, p) * calU_tilde(m, n, p)
 
 
-def _closed_form_grids(p: Params, cU, cUt) -> tuple:
-    """The U and Utilde grids from given calU and calU_tilde grids."""
-    U = grid(p.N, lambda m, n: _prefactor_U(m, n, p) * cU[m][n])
-    Ut = grid(p.N, lambda m, n: _prefactor_Utilde(m, n, p) * cUt[m][n])
-    return U, Ut
-
-
-def overlap_U(m: int, n: int, p: Params) -> Fraction:
-    """<e_m|d*_n> as a dot product of closed-form basis vectors."""
-    e, dstar = closed_form_basis(p, None, "e"), closed_form_basis(p, None, "dStar")
-    return dot(e.column(m), dstar.column(n))
-
-
-def overlap_Utilde(m: int, n: int, p: Params) -> Fraction:
-    """<e*_m|Z|d_n> as a dot product of closed-form basis vectors."""
-    d_n = closed_form_basis(p, None, "d").column(n)
-    return dot(closed_form_basis(p, None, "eStar").column(m), build_Z(p).apply(d_n))
-
-
 # -- biorthogonality ---------------------------------------------------------
 
 
@@ -151,56 +132,6 @@ def norm_hstar(n: int, p: Params) -> Fraction:
     return num / den
 
 
-def biorthogonality(p: Params) -> VerificationReport:
-    """Both biorthogonality relations, exactly, with the explicit weights."""
-    cU = grid(p.N, lambda m, n: calU(m, n, p))
-    cUt = grid(p.N, lambda m, n: calU_tilde(m, n, p))
-    return _biorthogonality_report(p, cU, cUt, *_closed_form_grids(p, cU, cUt))
-
-
-def _biorthogonality_report(p: Params, cU, cUt, U, Ut) -> VerificationReport:
-    """The biorthogonality checks on given calU, calU_tilde, U and Utilde grids."""
-    N = p.N
-    rep = VerificationReport(suite="rational-biorthogonality", params=p.as_dict())
-
-    W = [weight_W(j, p) for j in range(N + 1)]
-    Ws = [weight_Wstar(j, p) for j in range(N + 1)]
-    h = [norm_h(n, p) for n in range(N + 1)]
-    hs = [norm_hstar(n, p) for n in range(N + 1)]
-
-    rep.add("h0-normalization", "h_0 = h*_0 = 1", h[0] == 1 and hs[0] == 1,
-            detail=f"h_0 = {h[0]}, h*_0 = {hs[0]}")
-
-    rep.add_grid(
-        "biorth-point",
-        "sum_j W(j) calUt_m(j) calU_n(j) = h_n delta_nm",
-        N,
-        lambda m, n: sum(W[j] * cUt[m][j] * cU[n][j] for j in range(N + 1))
-        == (h[n] if n == m else 0),
-    )
-    rep.add_grid(
-        "biorth-degree",
-        "sum_j W*(j) calUt_j(m) calU_j(n) = h*_n delta_nm",
-        N,
-        lambda m, n: sum(Ws[j] * cUt[j][m] * cU[j][n] for j in range(N + 1))
-        == (hs[n] if n == m else 0),
-    )
-
-    ok1 = all(
-        sum(Ut[k][n] * U[m][n] for n in range(N + 1)) == (1 if k == m else 0)
-        for k in range(N + 1)
-        for m in range(N + 1)
-    )
-    ok2 = all(
-        sum(Ut[m][k] * U[m][n] for m in range(N + 1)) == (1 if k == n else 0)
-        for k in range(N + 1)
-        for n in range(N + 1)
-    )
-    rep.add("gram-U", "sum_n Ut_k(n) U_m(n) = delta_km", ok1)
-    rep.add("gram-U-dual", "sum_m Ut_m(k) U_m(n) = delta_kn", ok2)
-    return rep
-
-
 # -- bispectrality -----------------------------------------------------------
 
 
@@ -224,8 +155,8 @@ def recurrence_C(m: int, p: Params) -> Fraction:
     return -(num / den)
 
 
-def gevp_recurrence_residual(m: int, n: int, p: Params) -> Fraction:
-    """Residual of the generalized-eigenvalue recurrence in m.
+def _gevp_residual(m: int, n: int, p: Params, cU) -> Fraction:
+    """Residual of the generalized-eigenvalue recurrence in m; calU_i(j) is cU(i, j).
 
     n (A_m calU_{m+1} - (A_m + C_m + alpha) calU_m + C_m calU_{m-1})
       = (m+alpha-beta) A_m calU_{m+1}
@@ -236,11 +167,6 @@ def gevp_recurrence_residual(m: int, n: int, p: Params) -> Fraction:
     both contain an explicit zero factor); this is checked instead of
     evaluating calU outside 0..N.
     """
-    return _gevp_residual(m, n, p, lambda i, j: calU(i, j, p))
-
-
-def _gevp_residual(m: int, n: int, p: Params, cU) -> Fraction:
-    """gevp_recurrence_residual with calU_i(j) read as cU(i, j)."""
     a, b, z, N = p.alpha, p.beta, p.zeta, p.N
     A = recurrence_A(m, p)
     C = recurrence_C(m, p)
@@ -270,18 +196,13 @@ def difference_D(n: int, p: Params) -> Fraction:
     return n * (n - 2 * a + b) * (n - a - b - 2 * z - 1)
 
 
-def difference_residual(m: int, n: int, p: Params) -> Fraction:
-    """Residual of the difference equation in n.
+def _difference_residual(m: int, n: int, p: Params, cU) -> Fraction:
+    """Residual of the difference equation in n; calU_i(j) is cU(i, j).
 
     B_n calU_m(n+1) - (B_n + D_n) calU_m(n) + D_n calU_m(n-1)
       = m (2beta+2zeta+1-m) ((n-alpha) calU_m(n)
           - n (n-2alpha+beta)/(n-alpha+beta) calU_m(n-1))
     """
-    return _difference_residual(m, n, p, lambda i, j: calU(i, j, p))
-
-
-def _difference_residual(m: int, n: int, p: Params, cU) -> Fraction:
-    """difference_residual with calU_i(j) read as cU(i, j)."""
     a, b, z, N = p.alpha, p.beta, p.zeta, p.N
     B = difference_B(n, p)
     D = difference_D(n, p)
@@ -312,18 +233,14 @@ def shifted_params(p: Params) -> Params:
     return Params(N=p.N, alpha=p.alpha - 1, beta=p.beta - 2, zeta=p.zeta + 2)
 
 
-def contiguity_residual(m: int, n: int, p: Params) -> Fraction:
-    """Residual of the contiguity relation under the parameter shift.
+def _contiguity_residual(m: int, n: int, p: Params, cU) -> Fraction:
+    """Residual of the contiguity relation under the parameter shift; the
+    unshifted calU_i(j) is cU(i, j).
 
     calU_m(n; alpha-1, beta-2, zeta+2)
       = (n-alpha)(n-alpha+beta)/(alpha(alpha-beta)) calU_m(n)
         + n(n-2alpha+beta)/(alpha(beta-alpha)) calU_m(n-1)
     """
-    return _contiguity_residual(m, n, p, lambda i, j: calU(i, j, p))
-
-
-def _contiguity_residual(m: int, n: int, p: Params, cU) -> Fraction:
-    """contiguity_residual with the unshifted calU_i(j) read as cU(i, j)."""
     a, b, z, N = p.alpha, p.beta, p.zeta, p.N
     offenders = []
     if a == 0:
@@ -528,7 +445,8 @@ def verify_rational(p: Params) -> VerificationReport:
 
     The calU and calU_tilde grids, and the U and Utilde grids built on
     them, are evaluated once and shared by every check; the dot-product
-    sides come from the bases.
+    sides come from the bases.  Both biorthogonality relations are
+    checked exactly, with the explicit weights.
     """
     N = p.N
     rep = VerificationReport(suite="rational", params=p.as_dict())
@@ -541,7 +459,8 @@ def verify_rational(p: Params) -> VerificationReport:
 
     cU = grid(N, lambda m, n: calU(m, n, p))
     cUt = grid(N, lambda m, n: calU_tilde(m, n, p))
-    U, Ut = _closed_form_grids(p, cU, cUt)
+    U = grid(N, lambda m, n: _prefactor_U(m, n, p) * cU[m][n])
+    Ut = grid(N, lambda m, n: _prefactor_Utilde(m, n, p) * cUt[m][n])
     rep.add_grid(
         "identify-U",
         "<e_m|d*_n> = prefactor * calU_m(n) on the full grid",
@@ -555,7 +474,41 @@ def verify_rational(p: Params) -> VerificationReport:
         lambda m, n: dot(estar.column(m), ZD.column(n)) == Ut[m][n],
     )
 
-    rep.checks.extend(_biorthogonality_report(p, cU, cUt, U, Ut).checks)
+    W = [weight_W(j, p) for j in range(N + 1)]
+    Ws = [weight_Wstar(j, p) for j in range(N + 1)]
+    h = [norm_h(n, p) for n in range(N + 1)]
+    hs = [norm_hstar(n, p) for n in range(N + 1)]
+
+    rep.add("h0-normalization", "h_0 = h*_0 = 1", h[0] == 1 and hs[0] == 1,
+            detail=f"h_0 = {h[0]}, h*_0 = {hs[0]}")
+    rep.add_grid(
+        "biorth-point",
+        "sum_j W(j) calUt_m(j) calU_n(j) = h_n delta_nm",
+        N,
+        lambda m, n: sum(W[j] * cUt[m][j] * cU[n][j] for j in range(N + 1))
+        == (h[n] if n == m else 0),
+    )
+    rep.add_grid(
+        "biorth-degree",
+        "sum_j W*(j) calUt_j(m) calU_j(n) = h*_n delta_nm",
+        N,
+        lambda m, n: sum(Ws[j] * cUt[j][m] * cU[j][n] for j in range(N + 1))
+        == (hs[n] if n == m else 0),
+    )
+    rep.add_grid(
+        "gram-U",
+        "sum_n Ut_k(n) U_m(n) = delta_km",
+        N,
+        lambda k, m: sum(Ut[k][n] * U[m][n] for n in range(N + 1)) == (1 if k == m else 0),
+        axes="(k, m)",
+    )
+    rep.add_grid(
+        "gram-U-dual",
+        "sum_m Ut_m(k) U_m(n) = delta_kn",
+        N,
+        lambda k, n: sum(Ut[m][k] * U[m][n] for m in range(N + 1)) == (1 if k == n else 0),
+        axes="(k, n)",
+    )
 
     def cu_at(i, j):
         return cU[i][j]

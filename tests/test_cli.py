@@ -1,12 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import metaracah.eigenbases as eb
 from metaracah.cli import main
 from metaracah.racahpoly import RacahParams, closed_form_S
-from metaracah import FParams, Params
+from metaracah import FParams, Params, validate_params
 
 
 def run(capsys, *argv):
@@ -199,6 +204,15 @@ PINNED_STDOUT = [
      "acd01d720363c08256f116bc1554e33ab237bf1ee2b5377859e65e67706e98e3"),
     ("matrix --which basis:d --N 24", 0,
      "13d27c960ecb9b5a96bb2d2954df8809dd76b983dfe4f9de67b9b4a2b8edb99b"),
+    # the three overlap suites in csv, and the oracle anchored on the
+    # closed-form diagonal; basis:e does not use rho, yet 2alpha + rho = 0
+    # still makes it degenerate
+    ("verify --suite racah,rational,model --N 6 --format csv", 0,
+     "732ac2bc92234cc7810ff815ed680c73c7e6a0d49c0abc7266cb6df3750a6298"),
+    ("matrix --which basis:e --N 3 --rho=-2/3", 2,
+     "5e59271e1bd126181093b256503c021bd4a4fa3a507a5a546b10d9c9b4bc96f5"),
+    ("matrix --which basis:fStar --N 12 --rho=-7/5", 0,
+     "661ec481c8d648296e41d089571e3a39fa5ef85a04f7a6d1daabc3f9bf795249"),
 ]
 
 
@@ -208,3 +222,72 @@ def test_stdout_is_pinned(capsys, argv, code, digest):
     got, out = run(capsys, *argv.split())
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_matrix_basis_builds_the_family_once(capsys, monkeypatch):
+    # the oracle reads its anchors from the emitted family's diagonal
+    calls = []
+    fam = eb.FAMILIES["e"]
+
+    def column(p, rho, n):
+        calls.append(n)
+        return fam.column(p, rho, n)
+
+    monkeypatch.setitem(eb.FAMILIES, "e", replace(fam, column=column))
+    eb.cached_basis.cache_clear()
+    code, _ = run(capsys, "matrix", "--which", "basis:e", "--N", "4", "--alpha", "2/9")
+    assert code == 0
+    assert sorted(calls) == list(range(5))
+
+
+# sets that validate_params accepted while the registry lacked the Racah-hat
+# (g-a-N)_n = (beta-2alpha+1)_n and (-N-b)_n = (beta-rho+2zeta-N+1)_n, on
+# which closed_form_Stilde divided by zero: the ZeroDivisionErrors of the
+# 400-draw reproduction in ROADMAP.md
+STILDE_POLES = [
+    "--N 3 --alpha=1/3 --beta=-4/3 --zeta=2 --rho=1",
+    "--N 3 --alpha=-5/2 --beta=-6 --zeta=1 --rho=-5",
+    "--N 1 --alpha=-1/3 --beta=-5/3 --zeta=-1/2 --rho=-3",
+    "--N 4 --alpha=-1 --beta=-6 --zeta=-2 --rho=-5/3",
+    "--N 3 --alpha=-1/2 --beta=-2/3 --zeta=-2/3 --rho=-3",
+    "--N 4 --alpha=-6 --beta=-2 --zeta=2/3 --rho=-2/3",
+    "--N 3 --alpha=-1/3 --beta=4/3 --zeta=-1 --rho=-5/3",
+    "--N 1 --alpha=-4 --beta=5 --zeta=-5/3 --rho=5/3",
+    "--N 3 --alpha=1/3 --beta=-4/3 --zeta=5 --rho=5",
+    "--N 3 --alpha=-3/2 --beta=-4 --zeta=5/3 --rho=1",
+    "--N 2 --alpha=-5/2 --beta=-6 --zeta=-1/3 --rho=0",
+    "--N 1 --alpha=4/3 --beta=5/3 --zeta=-5 --rho=-1/3",
+]
+
+
+@pytest.mark.parametrize("args", STILDE_POLES)
+def test_stilde_poles_are_degenerate(capsys, args):
+    code, out = run(capsys, "verify", *args.split())
+    assert code == 2
+    offenders = json.loads(out)["offenders"]
+    assert any(o.startswith(("(beta-2alpha+1)_", "(beta-rho+2zeta-N+1)_")) for o in offenders)
+
+
+SMALL_DENOMINATORS = sorted({Q(k, d) for k in range(-6, 7) for d in (1, 2, 3)})
+
+
+@given(N=st.integers(1, 4), alpha=st.sampled_from(SMALL_DENOMINATORS),
+       beta=st.sampled_from(SMALL_DENOMINATORS), zeta=st.sampled_from(SMALL_DENOMINATORS),
+       rho=st.sampled_from(SMALL_DENOMINATORS))
+@settings(max_examples=200, deadline=None)
+def test_accepted_sets_complete_every_suite(N, alpha, beta, zeta, rho):
+    # "generic" means "runs to completion": a set is refused with exit 2
+    # and its own offenders, or every suite runs without raising.  A suite
+    # may still exit 2 on a check the registry does not list yet: the
+    # generators at the contiguity shift (alpha-1, beta-2, zeta+2), or a
+    # vanishing lower parameter of calU-tilde that hyp_sum refuses.
+    offenders = validate_params(Params(N=N, alpha=alpha, beta=beta, zeta=zeta), rho)
+    argv = ["verify", "--N", str(N), f"--alpha={alpha}", f"--beta={beta}",
+            f"--zeta={zeta}", f"--rho={rho}"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    if offenders:
+        assert code == 2 and json.loads(out.getvalue())["offenders"] == offenders
+    else:
+        assert code in (0, 1, 2)

@@ -7,6 +7,7 @@ from metaracah import LABELS, build_basis
 from metaracah.diffmodel import (
     DiffOp,
     LaurentPoly,
+    _model_bases_report,
     diff_V,
     diff_X,
     diff_Z,
@@ -21,7 +22,6 @@ from metaracah.diffmodel import (
     model_transposes,
     residue_pair,
     verify_model,
-    verify_model_bases,
 )
 from metaracah.hyper import pochhammer
 
@@ -166,12 +166,14 @@ def test_jacobi_poly_where_a_plus_one_plus_n_vanishes(n, a, b):
 
 
 def test_model_bases_report(p5, fp):
-    rep = verify_model_bases(p5, fp)
+    rep, families = _model_bases_report(p5, fp)
     assert rep.passed, [(c.id, c.detail) for c in rep.failures]
+    assert tuple(families) == LABELS
 
 
 def test_model_orthogonality(p3, fp):
-    rep = model_orthogonality(p3, fp)
+    families = {label: model_basis(label, p3, fp) for label in LABELS}
+    rep = model_orthogonality(p3, fp, families)
     assert rep.passed, [(c.id, c.detail) for c in rep.failures]
     # the pencil pair is recorded as non-orthogonal without the Z insertion
     info = [c for c in rep.checks if c.id == "gram-d-no-Z"]

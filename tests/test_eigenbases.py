@@ -10,12 +10,11 @@ from metaracah import (
     build_Z,
     build_basis,
     check_orthogonality,
-    closed_form_coefficient,
     oracle_basis,
 )
 from metaracah.cli import SUITES, run_suites
 from metaracah.diffmodel import model_basis
-from metaracah.eigenbases import eigenvalue, z_action_on_d
+from metaracah.eigenbases import closed_form_basis, eigenvalue, z_action_on_d
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -82,8 +81,8 @@ def test_oracle_guards_empty_kernel(p3, fp, monkeypatch):
 
 @pytest.mark.parametrize("entry", [
     pytest.param(lambda p, fp, label: eigenvalue(label, p, fp, 0), id="eigenvalue"),
-    pytest.param(lambda p, fp, label: closed_form_coefficient(label, p, fp, 0, 0),
-                 id="closed_form_coefficient"),
+    pytest.param(lambda p, fp, label: closed_form_basis(p, fp, label),
+                 id="closed_form_basis"),
     pytest.param(lambda p, fp, label: build_basis(p, fp, label), id="build_basis"),
     pytest.param(lambda p, fp, label: oracle_basis(p, fp, label), id="oracle_basis"),
     pytest.param(lambda p, fp, label: model_basis(label, p, fp), id="model_basis"),

@@ -1,8 +1,9 @@
 from fractions import Fraction as Q
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from metaracah.matrices import RationalMatrix, nullspace
+from metaracah.matrices import RationalMatrix, inverse, nullspace
 
 # entries with mixed denominators, zero about half the time
 entries = st.one_of(
@@ -107,3 +108,37 @@ def test_int_entries_become_fractions():
     ident = RationalMatrix.identity(3)
     for mat in (m, ident, RationalMatrix.zeros(2, 3)):
         assert all(type(x) is Q for i in range(mat.rows) for x in mat.row(i))
+
+
+
+@st.composite
+def square(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    return [[draw(entries) for _ in range(n)] for _ in range(n)]
+
+
+# a lower bidiagonal matrix as Z is, and one whose middle column is the sum
+# of the outer two
+@given(square())
+@example([[Q(1, 3), Q(0)], [Q(1), Q(-2, 3)]])
+@example([[Q(1), Q(3), Q(2)], [Q(0), Q(1, 2), Q(1, 2)], [Q(5, 7), Q(5, 7), Q(0)]])
+@settings(max_examples=200, deadline=None)
+def test_inverse_is_the_two_sided_inverse(rows):
+    m = RationalMatrix(rows)
+    n = m.rows
+    if rank(rows) < n:
+        with pytest.raises(ValueError, match="singular"):
+            inverse(m)
+        return
+    inv = inverse(m)
+    assert m * inv == RationalMatrix.identity(n)
+    assert inv * m == RationalMatrix.identity(n)
+
+
+def test_inverse_rejects_singular_and_non_square():
+    with pytest.raises(ValueError, match="singular"):
+        inverse(RationalMatrix([[Q(1, 2), Q(1, 3)], [Q(3, 2), Q(1)]]))
+    with pytest.raises(ValueError, match="singular"):
+        inverse(RationalMatrix.zeros(3))
+    with pytest.raises(ValueError, match="square"):
+        inverse(RationalMatrix([[Q(1), Q(2)]]))

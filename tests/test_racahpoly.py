@@ -4,23 +4,25 @@ from fractions import Fraction as Q
 
 import pytest
 
+import metaracah.racahpoly as racahpoly
+from metaracah.eigenbases import closed_form_basis, eigenvalue
 from metaracah.errors import PreconditionViolated
 from metaracah.hyper import pochhammer
+from metaracah.matrices import dot
 from metaracah.racahpoly import (
     RacahParams,
+    _difference_residual,
+    _pencil_on_e,
+    _recurrence_residual,
     closed_form_S,
     closed_form_Stilde,
     norm,
-    overlap_S,
-    overlap_Stilde,
     racah,
-    racah_difference,
-    racah_orthogonality,
-    racah_recurrence,
     verify_racah,
     weight,
 )
 from metaracah.matrixreps import TridiagonalCoeffs, coeffs_V_on_f, coeffs_X_on_e, coeffs_Z_on_e
+from metaracah.report import grid
 
 
 @pytest.fixture
@@ -50,26 +52,31 @@ def test_racah_rejects_out_of_window(rp):
 
 
 def test_overlaps_match_closed_forms(p5, fp, rp):
+    fstar, e = closed_form_basis(p5, fp, "fStar"), closed_form_basis(p5, fp, "e")
+    f, estar = closed_form_basis(p5, fp, "f"), closed_form_basis(p5, fp, "eStar")
     for m in range(p5.N + 1):
         for n in range(p5.N + 1):
-            assert overlap_S(m, n, p5, fp) == closed_form_S(m, n, rp)
-            assert overlap_Stilde(m, n, p5, fp) == closed_form_Stilde(m, n, rp)
+            assert dot(fstar.column(n), e.column(m)) == closed_form_S(m, n, rp)
+            assert dot(f.column(n), estar.column(m)) == closed_form_Stilde(m, n, rp)
 
 
 def test_S_row_zero_is_pure_prefactor(p5, fp, rp):
     # R_0 = 1, so the m = 0 row exposes the prefactor alone
     a, g = rp.alpha_hat, rp.gamma_hat
+    fstar, e = closed_form_basis(p5, fp, "fStar"), closed_form_basis(p5, fp, "e")
     for n in range(p5.N + 1):
         pref = pochhammer(a + 1, n) / (
             pochhammer(1, n) * pochhammer(n - rp.N + g, n)
         )
         assert closed_form_S(0, n, rp) == pref
-        assert overlap_S(0, n, p5, fp) == pref
+        assert dot(fstar.column(n), e.column(0)) == pref
 
 
 def test_gram_biorthogonality(p5, fp):
-    rep = racah_orthogonality(p5, fp)
-    assert rep.passed, [(c.id, c.detail) for c in rep.failures]
+    checks = {c.id: c for c in verify_racah(p5, fp).checks}
+    for check_id in ("gram-S", "weight-orthogonality", "weight-norm-consistency"):
+        assert checks[check_id].status == "pass", checks[check_id]
+    assert {"weight-signs", "norm-signs"} <= set(checks)
 
 
 def test_weight_orthogonality_row_sums(p5, fp, rp):
@@ -83,29 +90,43 @@ def test_weight_orthogonality_row_sums(p5, fp, rp):
     assert mixed == 0
 
 
+def _s_table(p, fp):
+    rp = RacahParams.from_params(p, fp)
+    S = grid(p.N, lambda m, n: closed_form_S(m, n, rp))
+    return lambda i, j: S[i][j]
+
+
 def test_recurrence_residuals_vanish(p5, fp):
+    S, vf = _s_table(p5, fp), coeffs_V_on_f(p5, fp)
     for m in range(p5.N + 1):
+        mu = eigenvalue("e", p5, fp, m)
         for n in range(p5.N + 1):
-            assert racah_recurrence(m, n, p5, fp) == 0
+            assert _recurrence_residual(m, n, p5.N, S, vf, mu) == 0
 
 
-def test_recurrence_detects_perturbed_band(p5, fp):
-    vf = coeffs_V_on_f(p5, fp)
-    bad = TridiagonalCoeffs(
-        sup=vf.sup,
-        diag=tuple(x + (1 if i == 2 else 0) for i, x in enumerate(vf.diag)),
-        sub=vf.sub,
-    )
-    residuals = [racah_recurrence(m, 2, p5, fp, vf=bad) for m in range(p5.N + 1)]
-    assert any(r != 0 for r in residuals)
-    # untouched columns stay clean
-    assert all(racah_recurrence(m, 3, p5, fp, vf=bad) == 0 for m in range(p5.N + 1))
+def test_recurrence_detects_perturbed_band(p3, fp, monkeypatch):
+    # V on f with diag[2] bumped breaks the recurrence in column n = 2 only
+    def bumped(p, fp):
+        vf = coeffs_V_on_f(p, fp)
+        return TridiagonalCoeffs(
+            sup=vf.sup,
+            diag=tuple(x + (1 if i == 2 else 0) for i, x in enumerate(vf.diag)),
+            sub=vf.sub,
+        )
+
+    monkeypatch.setattr(racahpoly, "coeffs_V_on_f", bumped)
+    rep = verify_racah(p3, fp)
+    assert [(c.id, c.detail) for c in rep.failures] == [
+        ("recurrence", "failing (m, n): [(0, 2), (1, 2), (2, 2), (3, 2)]")
+    ]
 
 
 def test_difference_residuals_vanish(p5, fp):
-    for m in range(p5.N + 1):
-        for n in range(p5.N + 1):
-            assert racah_difference(m, n, p5, fp) == 0
+    S, we = _s_table(p5, fp), _pencil_on_e(p5, fp.rho)
+    for n in range(p5.N + 1):
+        nu = eigenvalue("f", p5, fp, n)
+        for m in range(p5.N + 1):
+            assert _difference_residual(m, n, p5.N, S, we, nu) == 0
 
 
 def test_full_suite(p5, fp):

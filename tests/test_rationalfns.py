@@ -3,28 +3,28 @@ from fractions import Fraction as Q
 import pytest
 
 import metaracah.rationalfns as rf
+from metaracah.algebra import build_Z
+from metaracah.eigenbases import closed_form_basis
 from metaracah.errors import DegenerateParameters
 from metaracah.hyper import pochhammer
+from metaracah.matrices import dot
 from metaracah.rationalfns import (
-    biorthogonality,
+    _contiguity_residual,
+    _difference_residual,
+    _gevp_residual,
     calU,
     calU_general,
     calU_tilde,
     closed_form_U,
     closed_form_Utilde,
     contiguity_operator_check,
-    contiguity_residual,
-    difference_residual,
     dual_hahn,
     dual_hahn_expansion,
     dual_hahn_params,
     em_zstar_closed,
-    gevp_recurrence_residual,
     hahn_limit_check,
     norm_h,
     norm_hstar,
-    overlap_U,
-    overlap_Utilde,
     recurrence_C,
     shifted_params,
     verify_rational,
@@ -33,6 +33,11 @@ from metaracah.rationalfns import (
     zk_dstar_closed,
 )
 from metaracah import Params
+
+
+def cu(p):
+    """calU_i(j) as the residual kernels read it."""
+    return lambda i, j: calU(i, j, p)
 
 
 def test_calU_trivial_rows(p5):
@@ -61,15 +66,37 @@ def test_U_row_zero_is_pure_prefactor(p5):
 
 
 def test_overlaps_match_closed_forms(p5):
+    e, dstar = closed_form_basis(p5, None, "e"), closed_form_basis(p5, None, "dStar")
+    estar, d = closed_form_basis(p5, None, "eStar"), closed_form_basis(p5, None, "d")
+    Z = build_Z(p5)
     for m in range(p5.N + 1):
         for n in range(p5.N + 1):
-            assert overlap_U(m, n, p5) == closed_form_U(m, n, p5)
-            assert overlap_Utilde(m, n, p5) == closed_form_Utilde(m, n, p5)
+            assert dot(e.column(m), dstar.column(n)) == closed_form_U(m, n, p5)
+            assert dot(estar.column(m), Z.apply(d.column(n))) == closed_form_Utilde(m, n, p5)
 
 
 def test_biorthogonality_report(p5):
-    rep = biorthogonality(p5)
-    assert rep.passed, [(c.id, c.detail) for c in rep.failures]
+    checks = {c.id: c for c in verify_rational(p5).checks}
+    for check_id in ("h0-normalization", "biorth-point", "biorth-degree",
+                     "gram-U", "gram-U-dual"):
+        assert checks[check_id].status == "pass", checks[check_id]
+
+
+def test_gram_U_failures_name_their_points(p3, monkeypatch):
+    # doubling Utilde_1(2) breaks row k = 1 of gram-U wherever U_m(2) != 0,
+    # and row k = 2 of gram-U-dual wherever U_1(n) != 0
+    pre = rf._prefactor_Utilde
+    monkeypatch.setattr(rf, "_prefactor_Utilde",
+                        lambda m, n, p: pre(m, n, p) * (2 if (m, n) == (1, 2) else 1))
+    checks = {c.id: c for c in verify_rational(p3).checks}
+    N = p3.N
+    row = [(1, m) for m in range(N + 1) if closed_form_U(m, 2, p3) != 0]
+    dual = [(2, n) for n in range(N + 1) if closed_form_U(1, n, p3) != 0]
+    assert row and dual
+    assert checks["gram-U"].status == "fail"
+    assert checks["gram-U"].detail == f"failing (k, m): {row[:4]}"
+    assert checks["gram-U-dual"].status == "fail"
+    assert checks["gram-U-dual"].detail == f"failing (k, n): {dual[:4]}"
 
 
 def test_point_mass_sums_by_hand(p5):
@@ -106,27 +133,27 @@ def test_degree_sums_by_hand(p5):
 def test_gevp_recurrence_grid(p5):
     for m in range(p5.N + 1):
         for n in range(p5.N + 1):
-            assert gevp_recurrence_residual(m, n, p5) == 0
+            assert _gevp_residual(m, n, p5, cu(p5)) == 0
 
 
 def test_gevp_boundary_structure(p5):
     # m = 0 leans on C_0 = 0, n = 0 on both sides evaluating to constants
     assert recurrence_C(0, p5) == 0
-    assert gevp_recurrence_residual(0, 3, p5) == 0
-    assert gevp_recurrence_residual(4, 0, p5) == 0
+    assert _gevp_residual(0, 3, p5, cu(p5)) == 0
+    assert _gevp_residual(4, 0, p5, cu(p5)) == 0
 
 
 def test_difference_grid(p5):
     for m in range(p5.N + 1):
         for n in range(p5.N + 1):
-            assert difference_residual(m, n, p5) == 0
+            assert _difference_residual(m, n, p5, cu(p5)) == 0
 
 
 def test_difference_degenerate_point():
     # n - alpha + beta = 0 hits the divided coefficient
     p = Params(N=4, alpha=Q(7, 3), beta=Q(1, 3), zeta=Q(1, 7))
     with pytest.raises(DegenerateParameters):
-        difference_residual(1, 2, p)
+        _difference_residual(1, 2, p, cu(p))
 
 
 def test_contiguity_grid_and_shift(p5):
@@ -136,7 +163,7 @@ def test_contiguity_grid_and_shift(p5):
     )
     for m in range(p5.N + 1):
         for n in range(p5.N + 1):
-            assert contiguity_residual(m, n, p5) == 0
+            assert _contiguity_residual(m, n, p5, cu(p5)) == 0
 
 
 def test_contiguity_head_coefficient_is_one(p5):
@@ -146,12 +173,10 @@ def test_contiguity_head_coefficient_is_one(p5):
 
 
 def test_contiguity_rejects_degenerate_shift():
-    with pytest.raises(DegenerateParameters):
-        contiguity_residual(1, 1, Params(N=3, alpha=Q(0), beta=Q(1, 5), zeta=Q(1, 7)))
-    with pytest.raises(DegenerateParameters):
-        contiguity_residual(
-            1, 1, Params(N=3, alpha=Q(1, 5), beta=Q(1, 5), zeta=Q(1, 7))
-        )
+    for p in (Params(N=3, alpha=Q(0), beta=Q(1, 5), zeta=Q(1, 7)),
+              Params(N=3, alpha=Q(1, 5), beta=Q(1, 5), zeta=Q(1, 7))):
+        with pytest.raises(DegenerateParameters):
+            _contiguity_residual(1, 1, p, cu(p))
 
 
 def test_contiguity_operator_identities(p5):
