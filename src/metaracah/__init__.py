@@ -21,6 +21,7 @@ from .algebra import (
 )
 from .eigenbases import (
     BasisFamily,
+    Context,
     FParams,
     LABELS,
     build_basis,
@@ -68,6 +69,7 @@ __all__ = [
     "BasisFamily",
     "CentralParams",
     "Check",
+    "Context",
     "DegenerateParameters",
     "DiffOp",
     "FParams",

@@ -23,16 +23,21 @@ where the two central parameters attached to this realization are
 be cross-derived from the zeta-free presentation, where the shifted
 generators have xi_b = (beta_b + 1)(beta_b - N)(N - 2 alpha_b) and
 xi = xi_b + eta zeta with alpha_b = alpha + zeta/2, beta_b = beta + zeta.)
+The builders check nothing; the checks read the generators of a Context.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateParameters
 from .matrices import RationalMatrix, anticommutator, commutator
 from .report import VerificationReport
+
+if TYPE_CHECKING:
+    from .eigenbases import Context
 
 Q = Fraction
 
@@ -86,11 +91,13 @@ def genericity_registry(p: Params, rho=None):
     coefficients, overlap prefactors, weights and norms used downstream.
     Expressions involving rho are included only when rho is given.
 
-    Every entry is an integer shift s + c or s - c of one of eight
+    Every entry is an integer shift s + c or s - c of one of nine
     combinations c: -alpha, alpha-beta, 2beta+2zeta, 2alpha+beta+2zeta,
-    2alpha+rho, beta+rho, beta-2alpha and beta-rho+2zeta.  The last two
-    are the Racah-hat g-a-N and -N-b of the Stilde prefactor, weight and
-    norm; like every Racah-hat parameter, they enter only with rho.
+    alpha+beta+2zeta, 2alpha+rho, beta+rho, beta-2alpha and
+    beta-rho+2zeta.  alpha+beta+2zeta enters through the lower parameter
+    n-alpha-beta-2zeta+1 of calU-tilde.  The last two are the Racah-hat
+    g-a-N and -N-b of the Stilde prefactor, weight and norm; like every
+    Racah-hat parameter, they enter only with rho.
     Each combination is computed once.  When it
     is not an integer, no entry built on it can vanish; when it is, its
     entries are tested in int arithmetic.  A linear entry vanishes when
@@ -102,6 +109,7 @@ def genericity_registry(p: Params, rho=None):
     a_b = _as_int(a - b)
     bz2 = _as_int(2 * b + 2 * z)
     abz = _as_int(2 * a + b + 2 * z)
+    ab2z = _as_int(a + b + 2 * z)
     items = []
 
     # the entry is s + sign * c, which is never an integer when c is None
@@ -128,6 +136,7 @@ def genericity_registry(p: Params, rho=None):
         poch(f"({n}-2beta-2zeta-1)_{n}", bz2, n - 1, n, -1)
         poch(f"(2beta+2zeta-N-{n}+1)_(N-{n})", bz2, 1 - N - n, N - n)
         poch(f"(2alpha+beta+2zeta-2N+1)_(N-{n})", abz, 1 - 2 * N, N - n)
+        poch(f"({n}-alpha-beta-2zeta+1)_(N-{n})", ab2z, n + 1, N - n, -1)
         poch(f"({n}-1-2beta-2zeta)_(N+1)", bz2, n - 1, N + 1, -1)
         if rho is not None:
             for k in range(-1, 3):
@@ -155,7 +164,6 @@ def require_generic(p: Params, rho=None) -> None:
 
 
 def build_Z(p: Params) -> RationalMatrix:
-    require_generic(p)
     N, a = p.N, p.alpha
     m = [[Q(0)] * (N + 1) for _ in range(N + 1)]
     for n in range(N + 1):
@@ -166,7 +174,6 @@ def build_Z(p: Params) -> RationalMatrix:
 
 
 def build_V(p: Params) -> RationalMatrix:
-    require_generic(p)
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
     m = [[Q(0)] * (N + 1) for _ in range(N + 1)]
     for n in range(N + 1):
@@ -177,7 +184,6 @@ def build_V(p: Params) -> RationalMatrix:
 
 
 def build_X(p: Params) -> RationalMatrix:
-    require_generic(p)
     N, a, b = p.N, p.alpha, p.beta
     m = [[Q(0)] * (N + 1) for _ in range(N + 1)]
     for n in range(N + 1):
@@ -197,7 +203,6 @@ def build_transposes(p: Params):
 
     Each equals the matrix transpose of the corresponding builder output.
     """
-    require_generic(p)
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
     zt = [[Q(0)] * (N + 1) for _ in range(N + 1)]
     vt = [[Q(0)] * (N + 1) for _ in range(N + 1)]
@@ -214,12 +219,12 @@ def build_transposes(p: Params):
     return RationalMatrix(zt), RationalMatrix(vt), RationalMatrix(xt)
 
 
-def casimir(p: Params) -> RationalMatrix:
+def casimir(ctx: Context) -> RationalMatrix:
     """The central element 2ZVZ + {X,V} + 2 zeta {X,Z} + 2X^2 + 2 zeta^2 Z^2
     + 2 eta X + V + 2 xi Z as a matrix."""
-    Z, V, X = build_Z(p), build_V(p), build_X(p)
-    z = p.zeta
-    cp = central_params(p)
+    Z, V, X = ctx.Z, ctx.V, ctx.X
+    z = ctx.p.zeta
+    cp = central_params(ctx.p)
     return (
         2 * (Z * V * Z)
         + anticommutator(X, V)
@@ -235,17 +240,16 @@ def casimir(p: Params) -> RationalMatrix:
 # -- relation checks ----------------------------------------------------------
 
 
-def check_defining_relations(p: Params, Z=None, V=None, X=None) -> VerificationReport:
+def check_defining_relations(ctx: Context, Z=None) -> VerificationReport:
     """Verify the three defining relations on the generator matrices.
 
-    Matrices may be overridden (fault injection in tests and the CLI).
+    Z may be overridden (fault injection in tests and the CLI).
     """
-    Z = build_Z(p) if Z is None else Z
-    V = build_V(p) if V is None else V
-    X = build_X(p) if X is None else X
+    p, V, X = ctx.p, ctx.V, ctx.X
+    Z = ctx.Z if Z is None else Z
     cp = central_params(p)
     z = p.zeta
-    ident = RationalMatrix.identity(p.N + 1)
+    ident = ctx.I
     rep = VerificationReport(suite="algebra:relations", params=p.as_dict())
     rep.add_matrix_zero(
         "relation-ZX", "[Z,X] - (Z^2 + X) = 0", commutator(Z, X) - (Z * Z + X)
@@ -264,17 +268,16 @@ def check_defining_relations(p: Params, Z=None, V=None, X=None) -> VerificationR
     return rep
 
 
-def check_casimir_central(p: Params) -> VerificationReport:
+def check_casimir_central(ctx: Context) -> VerificationReport:
     """Verify that the Casimir matrix commutes with all three generators."""
-    Z, V, X = build_Z(p), build_V(p), build_X(p)
-    C = casimir(p)
-    rep = VerificationReport(suite="algebra:casimir", params=p.as_dict())
-    for name, g in (("Z", Z), ("V", V), ("X", X)):
+    C = casimir(ctx)
+    rep = VerificationReport(suite="algebra:casimir", params=ctx.p.as_dict())
+    for name, g in (("Z", ctx.Z), ("V", ctx.V), ("X", ctx.X)):
         rep.add_matrix_zero(f"casimir-{name}", f"[C,{name}] = 0", commutator(C, g))
     return rep
 
 
-def check_subalgebras(p: Params, rho) -> VerificationReport:
+def check_subalgebras(ctx: Context) -> VerificationReport:
     """Verify the derived presentations living inside the algebra.
 
     (a) the shifted generators Zb = Z - zeta/2, Xb = X + zeta Z - zeta^2/4,
@@ -289,12 +292,14 @@ def check_subalgebras(p: Params, rho) -> VerificationReport:
             [[W,V],W] = 2{W,V} + 2W^2 + 2(eta + zeta(zeta - rho))W
                         + (1 - rho^2)V - C + rho(xi - rho eta)I;
     (d) the solvable pair E = X + Z^2, H = Z with [H,E] = E.
+
+    rho is the Context's, so the Context needs FParams.
     """
-    rho = Q(rho)
-    Z, V, X = build_Z(p), build_V(p), build_X(p)
+    p, rho = ctx.p, ctx.rho
+    Z, V, X = ctx.Z, ctx.V, ctx.X
     cp = central_params(p)
     z = p.zeta
-    ident = RationalMatrix.identity(p.N + 1)
+    ident = ctx.I
     rep = VerificationReport(suite="algebra:subalgebras", params={**p.as_dict(), "rho": str(rho)})
 
     Zb = Z - (z / 2) * ident
@@ -329,7 +334,7 @@ def check_subalgebras(p: Params, rho) -> VerificationReport:
     )
 
     W = X + rho * Z
-    C = casimir(p)
+    C = casimir(ctx)
     e1 = cp.eta + z * (z - rho)
     rep.add_matrix_zero(
         "racah-1",

@@ -23,25 +23,20 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from operator import attrgetter
 
 from .algebra import (
     Params,
-    build_V,
-    build_X,
-    build_Z,
-    build_transposes,
     casimir,
     check_casimir_central,
     check_defining_relations,
     check_subalgebras,
-    require_generic,
-    validate_params,
 )
 from .eigenbases import (
     FAMILIES,
-    FParams,
     LABELS,
-    closed_form_basis,
+    Context,
+    FParams,
     check_orthogonality,
     oracle_basis,
 )
@@ -78,16 +73,16 @@ from .report import VerificationReport
 
 Q = Fraction
 
-# Suite name -> the reports it produces.  The lambdas look their callees
+# Suite name -> its reports on one Context.  The lambdas look their callees
 # up at call time, so wrappers installed on the module names see every call.
 SUITE_RUNNERS = {
-    "algebra": lambda p, fp: [check_defining_relations(p), check_casimir_central(p),
-                              check_subalgebras(p, fp.rho)],
-    "bases": lambda p, fp: [_bases_report(p, fp)],
-    "matrixreps": lambda p, fp: [verify_coefficients(p, fp), verify_leonard_trio(p)],
-    "racah": lambda p, fp: [verify_racah(p, fp)],
-    "rational": lambda p, fp: [verify_rational(p)],
-    "model": lambda p, fp: [verify_model(p, fp)],
+    "algebra": lambda ctx: [check_defining_relations(ctx), check_casimir_central(ctx),
+                            check_subalgebras(ctx)],
+    "bases": lambda ctx: [_bases_report(ctx)],
+    "matrixreps": lambda ctx: [verify_coefficients(ctx), verify_leonard_trio(ctx)],
+    "racah": lambda ctx: [verify_racah(ctx)],
+    "rational": lambda ctx: [verify_rational(ctx)],
+    "model": lambda ctx: [verify_model(ctx)],
 }
 SUITES = tuple(SUITE_RUNNERS)
 
@@ -184,24 +179,23 @@ def build_parser() -> Parser:
 # -- verify -------------------------------------------------------------------
 
 
-def _fault_report(p: Params) -> VerificationReport:
+def _fault_report(ctx: Context) -> VerificationReport:
     # bidiagonal Z with the corner entry bumped: relations must break
-    Z = build_Z(p)
+    Z, n1 = ctx.Z, ctx.p.N + 1
     bumped = RationalMatrix(
-        [[Z[i, j] + (1 if i == j == 0 else 0) for j in range(p.N + 1)]
-         for i in range(p.N + 1)]
+        [[Z[i, j] + (1 if i == j == 0 else 0) for j in range(n1)] for i in range(n1)]
     )
-    rep = check_defining_relations(p, Z=bumped)
+    rep = check_defining_relations(ctx, Z=bumped)
     rep.suite = "algebra-fault-injection"
     return rep
 
 
-def _bases_report(p: Params, fp: FParams) -> VerificationReport:
-    rep = check_orthogonality(p, fp)
+def _bases_report(ctx: Context) -> VerificationReport:
+    rep = check_orthogonality(ctx)
     bad = [
         label
         for label in LABELS
-        if closed_form_basis(p, fp, label).vectors != oracle_basis(p, fp, label).vectors
+        if ctx.basis(label).vectors != oracle_basis(ctx, label).vectors
     ]
     rep.add(
         "closed-vs-oracle",
@@ -213,7 +207,13 @@ def _bases_report(p: Params, fp: FParams) -> VerificationReport:
 
 
 def run_suites(p: Params, fp: FParams, suites) -> list:
-    return [rep for suite in suites for rep in SUITE_RUNNERS[suite](p, fp)]
+    """The reports of the named suites, all read from one Context of (p, fp).
+
+    Raises DegenerateParameters, before any suite runs, when the set is
+    not generic.
+    """
+    ctx = Context(p, fp)
+    return [rep for suite in suites for rep in SUITE_RUNNERS[suite](ctx)]
 
 
 def sweep_parameters(rng: random.Random, N: int):
@@ -223,11 +223,9 @@ def sweep_parameters(rng: random.Random, N: int):
     return Params(N=N, alpha=draw(), beta=draw(), zeta=draw()), FParams(rho=draw())
 
 
-def _validated(cfg: RunConfig, needs_rho: bool) -> tuple:
-    """(p, fp) from the config; raises DegenerateParameters for a degenerate set."""
-    p, fp = cfg.params(), cfg.fparams()
-    require_generic(p, fp.rho if needs_rho else None)
-    return p, fp
+def _context(cfg: RunConfig, needs_rho: bool) -> Context:
+    """The config's Context; its validation includes rho only when needs_rho."""
+    return Context(cfg.params(), cfg.fparams() if needs_rho else None)
 
 
 def _json(payload) -> str:
@@ -235,19 +233,15 @@ def _json(payload) -> str:
 
 
 def cmd_verify(cfg: RunConfig) -> tuple:
-    p, fp = _validated(cfg, needs_rho=True)
-    reports = run_suites(p, fp, cfg.suites)
+    reports = run_suites(cfg.params(), cfg.fparams(), cfg.suites)
     if cfg.inject_fault:
-        reports.append(_fault_report(p))
+        reports.append(_fault_report(_context(cfg, needs_rho=True)))
 
     skipped = 0
     rng = random.Random(cfg.seed)
     for i in range(cfg.sweeps):
-        done = False
         for _ in range(MAX_RESAMPLES):
             sp, sfp = sweep_parameters(rng, cfg.N)
-            if validate_params(sp, sfp.rho):
-                continue
             try:
                 sweep_reports = run_suites(sp, sfp, cfg.suites)
             except DegenerateParameters:
@@ -255,9 +249,8 @@ def cmd_verify(cfg: RunConfig) -> tuple:
             for r in sweep_reports:
                 r.suite = f"sweep-{i}/{r.suite}"
             reports.extend(sweep_reports)
-            done = True
             break
-        if not done:
+        else:
             skipped += 1
             rep = VerificationReport(suite=f"sweep-{i}", params={"N": str(cfg.N)})
             rep.add_skipped("sweep", "no nondegenerate parameters found within budget")
@@ -293,31 +286,31 @@ def _decimal_str(v: Fraction, precision: int) -> str:
 
 def _on_racah_params(value):
     """A table whose value(m, n, rp) reads the RacahParams built once per table."""
-    def cells(p, fp):
-        rp = RacahParams.from_params(p, fp)
+    def cells(ctx):
+        rp = RacahParams.from_params(ctx.p, ctx.fp)
         return lambda m, n: value(m, n, rp)
     return cells
 
 
-# --which -> (needs rho, (p, fp) -> value at (m, n)); lambdas as in
+# --which -> (needs rho, ctx -> value at (m, n)); lambdas as in
 # SUITE_RUNNERS, so each table still looks its callee up at every point.
 TABLES = {
     "racah": (True, _on_racah_params(lambda m, n, rp: racah(m, n, rp))),
     "S": (True, _on_racah_params(lambda m, n, rp: closed_form_S(m, n, rp))),
     "Stilde": (True, _on_racah_params(lambda m, n, rp: closed_form_Stilde(m, n, rp))),
-    "calU": (False, lambda p, fp: lambda m, n: calU(m, n, p)),
-    "calUtilde": (False, lambda p, fp: lambda m, n: calU_tilde(m, n, p)),
-    "U": (False, lambda p, fp: lambda m, n: closed_form_U(m, n, p)),
-    "Utilde": (False, lambda p, fp: lambda m, n: closed_form_Utilde(m, n, p)),
-    "dualHahn": (False, lambda p, fp: lambda m, n: dual_hahn(m, n, dual_hahn_params(p))),
+    "calU": (False, lambda ctx: lambda m, n: calU(m, n, ctx.p)),
+    "calUtilde": (False, lambda ctx: lambda m, n: calU_tilde(m, n, ctx.p)),
+    "U": (False, lambda ctx: lambda m, n: closed_form_U(m, n, ctx.p)),
+    "Utilde": (False, lambda ctx: lambda m, n: closed_form_Utilde(m, n, ctx.p)),
+    "dualHahn": (False, lambda ctx: lambda m, n: dual_hahn(m, n, dual_hahn_params(ctx.p))),
 }
 
 
 def cmd_table(cfg: RunConfig) -> tuple:
     which = cfg.extra["which"]
     needs_rho, cells = TABLES[which]
-    p, fp = _validated(cfg, needs_rho)
-    value = cells(p, fp)
+    ctx = _context(cfg, needs_rho)
+    p, value = ctx.p, cells(ctx)
     grid = [[value(m, n) for n in range(p.N + 1)] for m in range(p.N + 1)]
 
     if cfg.output_format == "csv":
@@ -334,7 +327,7 @@ def cmd_table(cfg: RunConfig) -> tuple:
     else:
         payload = {
             "which": which,
-            "params": {**p.as_dict(), "rho": str(fp.rho)},
+            "params": {**p.as_dict(), "rho": str(cfg.rho)},
             "grid": [[str(v) for v in row] for row in grid],
         }
         text = _json(payload)
@@ -352,53 +345,46 @@ def _matrix_rows(mat: RationalMatrix) -> list:
     return [[str(mat[(i, j)]) for j in range(mat.cols)] for i in range(mat.rows)]
 
 
-def _casimir_checked(p: Params) -> RationalMatrix:
-    if not check_casimir_central(p).passed:
+def _casimir_checked(ctx: Context) -> RationalMatrix:
+    if not check_casimir_central(ctx).passed:
         raise _EmitFailed("casimir centrality failed on emit\n")
-    return casimir(p)
+    return casimir(ctx)
 
 
-# selector -> the matrix at p; lambdas for the reason given at SUITE_RUNNERS
-MATRICES = {
-    "X": lambda p: build_X(p),
-    "V": lambda p: build_V(p),
-    "Z": lambda p: build_Z(p),
-    "Xt": lambda p: build_transposes(p)[2],
-    "Vt": lambda p: build_transposes(p)[1],
-    "Zt": lambda p: build_transposes(p)[0],
-    "C": _casimir_checked,
-}
+# selector -> the matrix of a Context
+MATRICES = {**{name: attrgetter(name) for name in ("X", "V", "Z", "Xt", "Vt", "Zt")},
+            "C": _casimir_checked}
 
-# coeffs:<basis> -> (needs rho, named band coefficients at (p, fp))
+# coeffs:<basis> -> (needs rho, named band coefficients of a Context)
 COEFFS = {
-    "e": (False, lambda p, fp: {"Z": coeffs_Z_on_e(p), "X": coeffs_X_on_e(p)}),
-    "f": (True, lambda p, fp: {"V": coeffs_V_on_f(p, fp)}),
-    "d": (False, lambda p, fp: coeffs_on_d(p)),
-    "dStar": (False, lambda p, fp: coeffs_on_dstar(p)),
-    "z": (False, lambda p, fp: coeffs_on_z(p)),
+    "e": (False, lambda ctx: {"Z": coeffs_Z_on_e(ctx.p), "X": coeffs_X_on_e(ctx.p)}),
+    "f": (True, lambda ctx: {"V": coeffs_V_on_f(ctx.p, ctx.fp)}),
+    "d": (False, lambda ctx: coeffs_on_d(ctx.p)),
+    "dStar": (False, lambda ctx: coeffs_on_dstar(ctx.p)),
+    "z": (False, lambda ctx: coeffs_on_z(ctx.p)),
 }
 
 
-def _basis_payload(label: str, p: Params, fp: FParams) -> dict:
-    fam = closed_form_basis(p, fp, label)
-    if fam.vectors != oracle_basis(p, fp, label).vectors:
+def _basis_payload(label: str, ctx: Context) -> dict:
+    fam = ctx.basis(label)
+    if fam.vectors != oracle_basis(ctx, label).vectors:
         raise _EmitFailed(f"basis {label} failed revalidation on emit\n")
     return {"rows": _matrix_rows(fam.vectors),
             "eigenvalues": [str(v) for v in fam.eigenvalues]}
 
 
-def _rows_payload(matrix, p: Params, fp: FParams) -> dict:
-    return {"rows": _matrix_rows(matrix(p))}
+def _rows_payload(matrix, ctx: Context) -> dict:
+    return {"rows": _matrix_rows(matrix(ctx))}
 
 
-def _coeffs_payload(bands, p: Params, fp: FParams) -> dict:
+def _coeffs_payload(bands, ctx: Context) -> dict:
     return {"bands": {
         name: {
             "sup": [str(v) for v in tc.sup],
             "diag": [str(v) for v in tc.diag],
             "sub": [str(v) for v in tc.sub],
         }
-        for name, tc in bands(p, fp).items()
+        for name, tc in bands(ctx).items()
     }}
 
 
@@ -408,7 +394,7 @@ def cmd_matrix(cfg: RunConfig) -> tuple:
     if sep and kind == "basis":
         if name not in FAMILIES:
             return EXIT_USAGE, f"metaracah: unknown basis label in {which!r}\n"
-        needs_rho = FAMILIES[name].needs_rho
+        needs_rho = True  # even for a family that does not use rho
         build = partial(_basis_payload, name)
     elif sep and kind == "coeffs":
         if name not in COEFFS:
@@ -420,12 +406,12 @@ def cmd_matrix(cfg: RunConfig) -> tuple:
         build = partial(_rows_payload, MATRICES[which])
     else:
         return EXIT_USAGE, f"metaracah: unknown matrix selector {which!r}\n"
-    p, fp = _validated(cfg, needs_rho)
+    ctx = _context(cfg, needs_rho)
     try:
-        payload = build(p, fp)
+        payload = build(ctx)
     except _EmitFailed as exc:
         return EXIT_FAIL, str(exc)
-    return EXIT_OK, _json({"which": which, "params": {**p.as_dict(), "rho": str(fp.rho)},
+    return EXIT_OK, _json({"which": which, "params": {**ctx.p.as_dict(), "rho": str(cfg.rho)},
                            **payload})
 
 

@@ -30,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Params, build_transposes, build_V, build_X, build_Z, require_generic
-from .eigenbases import FParams, LABELS, closed_form_basis, family, rho_of
+from .algebra import Params
+from .eigenbases import LABELS, Context, family
 from .errors import PreconditionViolated
 from .hyper import multi_pochhammer, pochhammer, series_terms
 from .matrices import RationalMatrix
@@ -390,30 +390,25 @@ _MODELS = {
 }
 
 
-def model_basis(label: str, p: Params, fp: FParams | None = None) -> list:
+def model_basis(ctx: Context, label: str) -> list:
     """The printed Laurent-polynomial model of one eigenbasis family."""
-    family(label, fp)  # refuses unknown labels, and f / f* without FParams
-    rho = rho_of(fp)
-    require_generic(p, rho)
+    family(label, ctx.fp)  # refuses unknown labels, and f / f* without FParams
     model = _MODELS[label]
-    return [model(p, rho, n) for n in range(p.N + 1)]
+    return [model(ctx.p, ctx.rho, n) for n in range(ctx.p.N + 1)]
 
 
-def _model_bases_report(p: Params, fp: FParams) -> tuple:
+def _model_bases_report(ctx: Context) -> tuple:
     """Model families expand to exactly the abstract closed-form columns.
 
     Returns the report and the model families it built, by label.
-
-    Each family is built next to its closed-form counterpart, in LABELS
-    order, so a set that breaks several families fails at the same call
-    as when each check built its own.
     """
-    rep = VerificationReport(suite="model-bases", params={**p.as_dict(), "rho": str(fp.rho)})
+    p = ctx.p
+    rep = VerificationReport(suite="model-bases", params={**p.as_dict(), "rho": str(ctx.rho)})
     families = {}
     norms = _g_norms(p.N)
     for label in LABELS:
-        fam = families[label] = model_basis(label, p, fp)
-        abstract = closed_form_basis(p, fp, label)
+        fam = families[label] = model_basis(ctx, label)
+        abstract = ctx.basis(label)
         expand = _in_gstar_basis if label.endswith("Star") else _in_g_basis
         bad = [
             n
@@ -439,13 +434,14 @@ def _model_bases_report(p: Params, fp: FParams) -> tuple:
     return rep, families
 
 
-def model_orthogonality(p: Params, fp: FParams, families: dict) -> VerificationReport:
+def model_orthogonality(ctx: Context, families: dict) -> VerificationReport:
     """The four residue-pairing Grams are exactly the identity.
 
     families maps each label to its model family.
     """
+    p = ctx.p
     rep = VerificationReport(suite="model-orthogonality",
-                             params={**p.as_dict(), "rho": str(fp.rho)})
+                             params={**p.as_dict(), "rho": str(ctx.rho)})
     N = p.N
     pairs = [
         ("f", "fStar"),
@@ -487,14 +483,14 @@ def model_orthogonality(p: Params, fp: FParams, families: dict) -> VerificationR
     return rep
 
 
-def integral_representations(p: Params, fp: FParams) -> VerificationReport:
+def integral_representations(ctx: Context) -> VerificationReport:
     """Residue formulas for S, U and the dual Hahn values, full grid."""
+    p, rho = ctx.p, ctx.rho
     rep = VerificationReport(suite="model-integrals",
-                             params={**p.as_dict(), "rho": str(fp.rho)})
+                             params={**p.as_dict(), "rho": str(rho)})
     a, b, z, N = p.alpha, p.beta, p.zeta, p.N
-    rho = fp.rho
     jac, jac_scale = _e_as_jacobi(p)
-    rp = RacahParams.from_params(p, fp)
+    rp = RacahParams.from_params(p, ctx.fp)
     # each formula is a factor in m times a factor in n times the pairing
     # of jac[m] with a window in n: x^(-n-1) times a terminating series
     norms = _g_norms(N)
@@ -533,15 +529,15 @@ def integral_representations(p: Params, fp: FParams) -> VerificationReport:
     return rep
 
 
-def model_transposes(p: Params) -> VerificationReport:
+def model_transposes(ctx: Context) -> VerificationReport:
     """Adjoint property of the transposed differential operators."""
+    p = ctx.p
     rep = VerificationReport(suite="model-transposes", params=p.as_dict())
     N = p.N
-    Zt_m, Vt_m, Xt_m = build_transposes(p)
     table = [
-        ("Z", diff_Z(p), diff_Zt(p), Zt_m),
-        ("V", diff_V(p), diff_Vt(p), Vt_m),
-        ("X", diff_X(p), diff_Xt(p), Xt_m),
+        ("Z", diff_Z(p), diff_Zt(p), ctx.Zt),
+        ("V", diff_V(p), diff_Vt(p), ctx.Vt),
+        ("X", diff_X(p), diff_Xt(p), ctx.Xt),
     ]
     g = [g_poly(p, n) for n in range(N + 1)]
     g_dual = [g_dual_poly(p, m) for m in range(N + 1)]
@@ -573,25 +569,24 @@ def model_transposes(p: Params) -> VerificationReport:
     return rep
 
 
-def verify_model(p: Params, fp: FParams) -> VerificationReport:
+def verify_model(ctx: Context) -> VerificationReport:
     """Aggregate suite for the differential model."""
-    rep = VerificationReport(suite="model", params={**p.as_dict(), "rho": str(fp.rho)})
-    for name, diff, builder in (("Z", diff_Z, build_Z), ("V", diff_V, build_V),
-                                ("X", diff_X, build_X)):
+    p = ctx.p
+    rep = VerificationReport(suite="model", params={**p.as_dict(), "rho": str(ctx.rho)})
+    for name, diff, want in (("Z", diff_Z, ctx.Z), ("V", diff_V, ctx.V), ("X", diff_X, ctx.X)):
         got = matrix_in_monomial_basis(diff(p), p)
-        want = builder(p)
         rep.add(
             f"g-basis-{name}",
             f"differential {name} on g_n equals the abstract matrix",
             got == want,
             detail="" if got == want else "matrix mismatch",
         )
-    bases, families = _model_bases_report(p, fp)
+    bases, families = _model_bases_report(ctx)
     for sub in (
         bases,
-        model_orthogonality(p, fp, families),
-        integral_representations(p, fp),
-        model_transposes(p),
+        model_orthogonality(ctx, families),
+        integral_representations(ctx),
+        model_transposes(ctx),
     ):
         rep.checks.extend(sub.checks)
     return rep

@@ -13,7 +13,8 @@ Pochhammer-ratio coefficients; build_basis evaluates those closed forms,
 while oracle_basis recomputes each vector from scratch as a kernel of the
 relevant matrix pencil and only borrows the closed form's normalization.
 FAMILIES maps each label to its eigenvalue, column and pencil; every
-entry point looks its label up there.
+entry point looks its label up there.  A Context is one validated
+parameter set; every suite reads the generators and families from it.
 
 Pairings are bilinear (no conjugation).  The families pair up as
 
@@ -24,10 +25,9 @@ with matching resolutions of identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from types import SimpleNamespace
+from functools import cached_property, lru_cache
 from typing import Callable
 
 from .algebra import Params, build_Z, build_V, build_X, build_transposes, require_generic
@@ -59,11 +59,6 @@ class BasisFamily:
 
     def column(self, n: int):
         return self.vectors.column(n)
-
-
-def rho_of(fp: FParams | None):
-    """rho, or None when no FParams are given."""
-    return fp.rho if fp is not None else None
 
 
 # -- eigenvalues and closed-form columns ------------------------------------
@@ -160,27 +155,26 @@ def _col_zstar(p, rho, n):
 class Family:
     """One row of the family table.
 
-    The family solves A v = eigenvalue * B v with (A, B) = pencil(g, rho),
-    where g holds the generators Z, V, X, their transposes Zt, Vt, Xt and
-    the identity I.
+    The family solves A v = eigenvalue * B v with (A, B) = pencil(ctx),
+    read from the generators Z, V, X, their transposes Zt, Vt, Xt, the
+    identity I and rho of a Context.
     """
 
     eigenvalue: Callable  # (p, rho, n) -> Fraction
     column: Callable  # (p, rho, n) -> [coefficient of |l> for l = 0..N]
-    pencil: Callable  # (g, rho) -> (A, B)
+    pencil: Callable  # (ctx) -> (A, B)
     needs_rho: bool = False
 
 
 FAMILIES = {
-    "d": Family(_eig_d, _col_d, lambda g, rho: (g.X, g.Z)),
-    "dStar": Family(_eig_d, _col_dstar, lambda g, rho: (g.Xt, g.Zt)),
-    "e": Family(_eig_e, _col_e, lambda g, rho: (g.V, g.I)),
-    "eStar": Family(_eig_e, _col_estar, lambda g, rho: (g.Vt, g.I)),
-    "f": Family(_eig_f, _col_f, lambda g, rho: (g.X + rho * g.Z, g.I), needs_rho=True),
-    "fStar": Family(_eig_f, _col_fstar, lambda g, rho: (g.Xt + rho * g.Zt, g.I),
-                    needs_rho=True),
-    "z": Family(_eig_z, _col_z, lambda g, rho: (g.Z, g.I)),
-    "zStar": Family(_eig_z, _col_zstar, lambda g, rho: (g.Zt, g.I)),
+    "d": Family(_eig_d, _col_d, lambda c: (c.X, c.Z)),
+    "dStar": Family(_eig_d, _col_dstar, lambda c: (c.Xt, c.Zt)),
+    "e": Family(_eig_e, _col_e, lambda c: (c.V, c.I)),
+    "eStar": Family(_eig_e, _col_estar, lambda c: (c.Vt, c.I)),
+    "f": Family(_eig_f, _col_f, lambda c: (c.X + c.rho * c.Z, c.I), needs_rho=True),
+    "fStar": Family(_eig_f, _col_fstar, lambda c: (c.Xt + c.rho * c.Zt, c.I), needs_rho=True),
+    "z": Family(_eig_z, _col_z, lambda c: (c.Z, c.I)),
+    "zStar": Family(_eig_z, _col_zstar, lambda c: (c.Zt, c.I)),
 }
 LABELS = tuple(FAMILIES)
 
@@ -196,44 +190,67 @@ def family(label: str, fp: FParams | None) -> Family:
 
 
 def eigenvalue(label: str, p: Params, fp: FParams | None, n: int) -> Fraction:
-    return family(label, fp).eigenvalue(p, rho_of(fp), n)
+    return family(label, fp).eigenvalue(p, fp.rho if fp else None, n)
 
 
 def build_basis(p: Params, fp: FParams | None, label: str) -> BasisFamily:
     """Evaluate the closed-form expansion of every vector in the family."""
     fam = family(label, fp)
-    rho = rho_of(fp)
-    require_generic(p, rho)
+    rho = fp.rho if fp else None
     N = p.N
     cols = [fam.column(p, rho, n) for n in range(N + 1)]
     eigs = tuple(fam.eigenvalue(p, rho, n) for n in range(N + 1))
     return BasisFamily(label=label, vectors=RationalMatrix.from_columns(cols), eigenvalues=eigs)
 
 
-# The suites of one parameter set share its families; read them through
-# closed_form_basis, which keys the cache on rho only where it matters.
+# Nothing in the library calls cached_basis: the families live in a Context.
+# perfbench/tracer.py still wraps it and reads its cache_info(), so the name
+# stays until the benchmark stops reading it.
 cached_basis = lru_cache(maxsize=256)(build_basis)
 
 
-def closed_form_basis(p: Params, fp: FParams | None, label: str) -> BasisFamily:
-    """The closed-form family, built once per parameter set.
+@dataclass(frozen=True)
+class Context:
+    """One parameter set: p, and FParams where rho is given.
 
-    The cache key carries rho only for the families that use it, so a
-    caller with FParams and a caller without share one entry.
+    Making a Context is the one genericity check: it raises
+    DegenerateParameters unless (p, rho) is generic, and nothing that
+    takes a Context checks again.  The generators Z, V, X, their
+    transposes Zt, Vt, Xt, the identity I and each closed-form family are
+    built on first use and kept for the Context's lifetime.  Equality and
+    hashing follow (p, fp).
     """
-    return cached_basis(p, fp if family(label, fp).needs_rho else None, label)
+
+    p: Params
+    fp: FParams | None = None
+    _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        require_generic(self.p, self.rho)
+
+    @property
+    def rho(self):
+        """rho, or None when no FParams are given."""
+        return self.fp.rho if self.fp else None
+
+    Z = cached_property(lambda self: build_Z(self.p))
+    V = cached_property(lambda self: build_V(self.p))
+    X = cached_property(lambda self: build_X(self.p))
+    _transposes = cached_property(lambda self: build_transposes(self.p))
+    Zt = property(lambda self: self._transposes[0])
+    Vt = property(lambda self: self._transposes[1])
+    Xt = property(lambda self: self._transposes[2])
+    I = cached_property(lambda self: RationalMatrix.identity(self.p.N + 1))
+
+    def basis(self, label: str) -> BasisFamily:
+        """The closed-form family, built on first use."""
+        fam = self._bases.get(label)
+        if fam is None:
+            fam = self._bases[label] = build_basis(self.p, self.fp, label)
+        return fam
 
 
-def _pencil(label: str, p: Params, fp: FParams | None):
-    """(A, B) such that the family solves A v = eigenvalue * B v."""
-    fam = family(label, fp)
-    Z, V, X = build_Z(p), build_V(p), build_X(p)
-    Zt, Vt, Xt = build_transposes(p)
-    g = SimpleNamespace(Z=Z, V=V, X=X, Zt=Zt, Vt=Vt, Xt=Xt, I=RationalMatrix.identity(p.N + 1))
-    return fam.pencil(g, rho_of(fp))
-
-
-def oracle_basis(p: Params, fp: FParams | None, label: str) -> BasisFamily:
+def oracle_basis(ctx: Context, label: str) -> BasisFamily:
     """Recompute each basis vector as a kernel of (A - eigenvalue B).
 
     Fraction-free elimination must return a one-dimensional kernel for every
@@ -242,11 +259,11 @@ def oracle_basis(p: Params, fp: FParams | None, label: str) -> BasisFamily:
     made of the closed-form data: the anchors are the diagonal of the
     closed-form family.
     """
-    require_generic(p, rho_of(fp))
-    A, B = _pencil(label, p, fp)
+    p, fp = ctx.p, ctx.fp
+    A, B = family(label, fp).pencil(ctx)
     N = p.N
     eigs = tuple(eigenvalue(label, p, fp, n) for n in range(N + 1))
-    closed = closed_form_basis(p, fp, label).vectors
+    closed = ctx.basis(label).vectors
     cols = []
     for n in range(N + 1):
         kernel = nullspace(A - eigs[n] * B)
@@ -273,7 +290,6 @@ def z_action_on_d(p: Params, n: int):
 
     with pref(n) the same prefactor as in the d-family closed form.
     """
-    require_generic(p)
     N, a, b = p.N, p.alpha, p.beta
     c = n - N - a + b + 1
     pref = (a - b - 1) * pochhammer(c, N - n) / (
@@ -284,20 +300,19 @@ def z_action_on_d(p: Params, n: int):
     return tuple(series_terms((n - N, a - N + 1, 1), (c + 1,), N + 1, head=head)[::-1])
 
 
-def check_orthogonality(p: Params, fp: FParams) -> VerificationReport:
+def check_orthogonality(ctx: Context) -> VerificationReport:
     """Gram and completeness relations for all four basis pairs.
 
     Self-dual pairs use the plain bilinear Gram; the pencil pair is paired
     through Z.  Completeness bundles the three plain resolutions of identity
     and the Z-weighted one for the pencil family.
     """
-    require_generic(p, fp.rho)
-    ident = RationalMatrix.identity(p.N + 1)
-    Z = build_Z(p)
+    p, fp = ctx.p, ctx.fp
+    ident, Z = ctx.I, ctx.Z
     rep = VerificationReport(
         suite="eigenbases:orthogonality", params={**p.as_dict(), "rho": str(fp.rho)}
     )
-    fams = {label: closed_form_basis(p, fp, label).vectors for label in LABELS}
+    fams = {label: ctx.basis(label).vectors for label in LABELS}
     for label in ("e", "f", "z"):
         dual = fams[label + "Star"]
         rep.add_matrix_zero(

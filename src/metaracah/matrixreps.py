@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Params, build_Z, build_V, build_X, build_transposes, require_generic
-from .eigenbases import FParams, closed_form_basis
+from .algebra import Params
+from .eigenbases import Context, FParams
 from .hyper import series_terms
 from .matrices import RationalMatrix, inverse
 from .report import VerificationReport
@@ -80,7 +80,6 @@ def _z_on_e_sub(p: Params, n: int) -> Fraction:
 
 def coeffs_Z_on_e(p: Params) -> TridiagonalCoeffs:
     """Z is irreducible tridiagonal on the V eigenbasis, with unit lower band."""
-    require_generic(p)
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
 
     def diag(n):
@@ -101,7 +100,6 @@ def coeffs_Z_on_e(p: Params) -> TridiagonalCoeffs:
 
 def coeffs_X_on_e(p: Params) -> TridiagonalCoeffs:
     """X, a Heun-type combination for the pair (V, Z), is tridiagonal on e."""
-    require_generic(p)
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
 
     def diag(n):
@@ -122,7 +120,6 @@ def coeffs_X_on_e(p: Params) -> TridiagonalCoeffs:
 
 def coeffs_V_on_f(p: Params, fp: FParams) -> TridiagonalCoeffs:
     """V is irreducible tridiagonal on the eigenbasis of X + rho Z."""
-    require_generic(p, fp.rho)
     N, a, b, z, r = p.N, p.alpha, p.beta, p.zeta, fp.rho
 
     def sup(n):
@@ -159,7 +156,6 @@ def coeffs_V_on_f(p: Params, fp: FParams) -> TridiagonalCoeffs:
 
 def coeffs_on_d(p: Params) -> dict:
     """Z and X act lower-bidiagonally on the pencil family; VZ is tridiagonal."""
-    require_generic(p)
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
     zero = tuple(Q(0) for _ in range(N))
     Zc = TridiagonalCoeffs(
@@ -196,7 +192,6 @@ def coeffs_on_d(p: Params) -> dict:
 
 def coeffs_on_dstar(p: Params) -> dict:
     """Transposed actions on the adjoint pencil family (upper-bidiagonal)."""
-    require_generic(p)
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
     zero = tuple(Q(0) for _ in range(N))
     Ztc = TridiagonalCoeffs(
@@ -230,7 +225,6 @@ def coeffs_on_z(p: Params) -> dict:
     X shares its lower band with -V and is bidiagonal; Vtilde is lower
     bidiagonal with diagonal -(n - alpha).
     """
-    require_generic(p)
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
     zero = tuple(Q(0) for _ in range(N))
     v_sup = tuple(-(n - 2 * a + b + 1) for n in range(N))
@@ -265,7 +259,6 @@ def etilde_in_z(p: Params, n: int):
 
     Z d_n / (n - a) = sum_{l=n}^N (n-2a+b+1)_(l-n) / ((l-n)! (n-a)_(l-n)) z_l.
     """
-    require_generic(p)
     N, a, b = p.N, p.alpha, p.beta
     return (Q(0),) * n + tuple(series_terms((n - 2 * a + b + 1,), (n - a,), N - n + 1))
 
@@ -273,17 +266,17 @@ def etilde_in_z(p: Params, n: int):
 # -- verification ---------------------------------------------------------------
 
 
-def verify_coefficients(p: Params, fp: FParams) -> VerificationReport:
+def verify_coefficients(ctx: Context) -> VerificationReport:
     """Every closed-form coefficient family against its conjugation oracle."""
-    require_generic(p, fp.rho)
-    Z, V, X = build_Z(p), build_V(p), build_X(p)
-    Zt, Vt, Xt = build_transposes(p)
+    p, fp = ctx.p, ctx.fp
+    Z, V, X = ctx.Z, ctx.V, ctx.X
+    Zt, Vt, Xt = ctx.Zt, ctx.Vt, ctx.Xt
     rep = VerificationReport(
         suite="matrixreps:coefficients", params={**p.as_dict(), "rho": str(fp.rho)}
     )
 
-    e = closed_form_basis(p, fp, "e")
-    estar = closed_form_basis(p, fp, "eStar")
+    e = ctx.basis("e")
+    estar = ctx.basis("eStar")
     z_on_e = coeffs_Z_on_e(p).assemble()
     x_on_e = coeffs_X_on_e(p).assemble()
     rep.add_matrix_zero(
@@ -303,8 +296,8 @@ def verify_coefficients(p: Params, fp: FParams) -> VerificationReport:
         x_on_e.transpose() - conjugate_plain(Xt, estar, e),
     )
 
-    f = closed_form_basis(p, fp, "f")
-    fstar = closed_form_basis(p, fp, "fStar")
+    f = ctx.basis("f")
+    fstar = ctx.basis("fStar")
     v_on_f = coeffs_V_on_f(p, fp).assemble()
     rep.add_matrix_zero(
         "V-on-f", "closed-form V coefficients on f match (f*)^T V f",
@@ -315,8 +308,8 @@ def verify_coefficients(p: Params, fp: FParams) -> VerificationReport:
         v_on_f.transpose() - conjugate_plain(Vt, fstar, f),
     )
 
-    d = closed_form_basis(p, fp, "d")
-    dstar = closed_form_basis(p, fp, "dStar")
+    d = ctx.basis("d")
+    dstar = ctx.basis("dStar")
     dd = coeffs_on_d(p)
     rep.add_matrix_zero(
         "Z-on-d", "closed-form Z coefficients on d match (d*)^T Z Z d",
@@ -344,8 +337,8 @@ def verify_coefficients(p: Params, fp: FParams) -> VerificationReport:
         ds["VtZt"].assemble() - conjugate_dstar(Vt * Zt, Zt, d, dstar),
     )
 
-    zb = closed_form_basis(p, fp, "z")
-    zstar = closed_form_basis(p, fp, "zStar")
+    zb = ctx.basis("z")
+    zstar = ctx.basis("zStar")
     zz = coeffs_on_z(p)
     Vtilde = X * inverse(Z)
     rep.add_matrix_zero(
@@ -368,7 +361,7 @@ def _band_nonzero(rep, check_id, statement, entries):
     rep.add(check_id, statement, not bad, "" if not bad else f"zero at index {bad[0]}")
 
 
-def verify_leonard_trio(p: Params) -> VerificationReport:
+def verify_leonard_trio(ctx: Context) -> VerificationReport:
     """The ordered triple (V, Vtilde, Z) with Vtilde = X Z^{-1} forms a lower
     reduced Leonard trio; the three clauses are checked in explicit bases.
 
@@ -380,15 +373,14 @@ def verify_leonard_trio(p: Params) -> VerificationReport:
 
     Irreducibility failures are reported with the offending band index.
     """
-    require_generic(p)
+    p = ctx.p
     N = p.N
-    Z, V, X = build_Z(p), build_V(p), build_X(p)
+    Z, V, X = ctx.Z, ctx.V, ctx.X
     Vtilde = X * inverse(Z)
-    fp = None
     rep = VerificationReport(suite="matrixreps:leonard-trio", params=p.as_dict())
 
-    e = closed_form_basis(p, fp, "e")
-    estar = closed_form_basis(p, fp, "eStar")
+    e = ctx.basis("e")
+    estar = ctx.basis("eStar")
     v_e = conjugate_plain(V, e, estar)
     z_e = conjugate_plain(Z, e, estar)
     rep.add("trio-i-V-diagonal", "clause (i): V diagonal on e", v_e.is_diagonal())
@@ -403,8 +395,8 @@ def verify_leonard_trio(p: Params) -> VerificationReport:
         [z_e[n + 1, n] for n in range(N)] + [z_e[n, n + 1] for n in range(N)],
     )
 
-    d = closed_form_basis(p, fp, "d")
-    dstar = closed_form_basis(p, fp, "dStar")
+    d = ctx.basis("d")
+    dstar = ctx.basis("dStar")
     # the coefficient extraction for vectors Z d_n reuses the d pairing:
     # <d*_m | O Z d_n> gives O's matrix on the Z d family.
     etilde = Z * d.vectors
@@ -449,8 +441,8 @@ def verify_leonard_trio(p: Params) -> VerificationReport:
         [z_et[n + 1, n] for n in range(N)],
     )
 
-    zb = closed_form_basis(p, fp, "z")
-    zstar = closed_form_basis(p, fp, "zStar")
+    zb = ctx.basis("z")
+    zstar = ctx.basis("zStar")
     z_z = conjugate_plain(Z, zb, zstar)
     vt_z = conjugate_plain(Vtilde, zb, zstar)
     v_z = conjugate_plain(V, zb, zstar)

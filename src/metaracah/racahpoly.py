@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Params
-from .eigenbases import FParams, closed_form_basis
+from .eigenbases import Context, FParams
 from .errors import PreconditionViolated
 from .hyper import multi_pochhammer, pochhammer, terminating_hyp
 from .matrices import dot
@@ -74,10 +74,9 @@ def racah(i: int, x: int, rp: RacahParams) -> Fraction:
     )
 
 
-def closed_form_S(m: int, n: int, rp: RacahParams) -> Fraction:
-    """Prefactor times R_m(n) for S_m(n) = <f*_n|e_m>."""
+def _prefactor_S(m: int, n: int, rp: RacahParams) -> Fraction:
     a, b, g, N = rp.alpha_hat, rp.beta_hat, rp.gamma_hat, rp.N
-    pre = (
+    return (
         pochhammer(a + 1, n)
         * multi_pochhammer((Q(-N), b + g + 1), m)
         / (
@@ -86,11 +85,9 @@ def closed_form_S(m: int, n: int, rp: RacahParams) -> Fraction:
             * pochhammer(m + a + b + 1, m)
         )
     )
-    return pre * racah(m, n, rp)
 
 
-def closed_form_Stilde(m: int, n: int, rp: RacahParams) -> Fraction:
-    """Prefactor times R_m(n) for Stilde_m(n) = <f_n|e*_m>."""
+def _prefactor_Stilde(m: int, n: int, rp: RacahParams) -> Fraction:
     a, b, g, N = rp.alpha_hat, rp.beta_hat, rp.gamma_hat, rp.N
     sign = Q(-1) ** N
     num = (
@@ -103,7 +100,17 @@ def closed_form_Stilde(m: int, n: int, rp: RacahParams) -> Fraction:
         * multi_pochhammer((Q(n - N), -g - n), N - n)
         * multi_pochhammer((g - a - N, -N - b), n)
     )
-    return sign * num / den * racah(m, n, rp)
+    return sign * num / den
+
+
+def closed_form_S(m: int, n: int, rp: RacahParams) -> Fraction:
+    """Prefactor times R_m(n) for S_m(n) = <f*_n|e_m>."""
+    return _prefactor_S(m, n, rp) * racah(m, n, rp)
+
+
+def closed_form_Stilde(m: int, n: int, rp: RacahParams) -> Fraction:
+    """Prefactor times R_m(n) for Stilde_m(n) = <f_n|e*_m>."""
+    return _prefactor_Stilde(m, n, rp) * racah(m, n, rp)
 
 
 def weight(n: int, rp: RacahParams) -> Fraction:
@@ -176,13 +183,14 @@ def _difference_residual(m: int, n: int, N: int, S, we: TridiagonalCoeffs, nu_n)
     return nu_n * S(m, n) - rhs
 
 
-def verify_racah(p: Params, fp: FParams) -> VerificationReport:
+def verify_racah(ctx: Context) -> VerificationReport:
     """Full identification + bispectrality suite on the (m, n) grid.
 
     Each table that depends only on (p, rho) is built once and read by
-    every check: the closed-form S and Stilde grids, the bands of V on f
-    and of X + rho Z on e, and the eigenvalue rows of the bases.  The
-    dot-product sides come from the bases, never from these tables.
+    every check: the R grid, the closed-form S and Stilde grids built on
+    it, the bands of V on f and of X + rho Z on e, and the eigenvalue
+    rows of the bases.  The dot-product sides come from the bases, never
+    from these tables.
 
     The orthogonality checks, all exact:
       * sum_n Stilde_k(n) S_m(n) = delta_km  (closed forms on both slots);
@@ -194,23 +202,22 @@ def verify_racah(p: Params, fp: FParams) -> VerificationReport:
     Signs of W_n and N_m are recorded for information only; positivity
     needs parameter restrictions this library does not impose.
     """
+    p, fp = ctx.p, ctx.fp
     rp = RacahParams.from_params(p, fp)
     N = p.N
     rep = VerificationReport(suite="racah", params={**p.as_dict(), "rho": str(fp.rho)})
 
-    # Each basis pair comes before its closed-form grid: on a set that
-    # breaks both, the basis error is raised, and the exception type
-    # decides between exit codes 1 and 2.
-    fstar, e = closed_form_basis(p, fp, "fStar"), closed_form_basis(p, fp, "e")
-    S = grid(N, lambda m, n: closed_form_S(m, n, rp))
+    R = grid(N, lambda m, n: racah(m, n, rp))
+    S = grid(N, lambda m, n: _prefactor_S(m, n, rp) * R[m][n])
+    St = grid(N, lambda m, n: _prefactor_Stilde(m, n, rp) * R[m][n])
+    fstar, e = ctx.basis("fStar"), ctx.basis("e")
     rep.add_grid(
         "identify-S",
         "<f*_n|e_m> = prefactor * R_m(n) on the full grid",
         N,
         lambda m, n: dot(fstar.column(n), e.column(m)) == S[m][n],
     )
-    f, estar = closed_form_basis(p, fp, "f"), closed_form_basis(p, fp, "eStar")
-    St = grid(N, lambda m, n: closed_form_Stilde(m, n, rp))
+    f, estar = ctx.basis("f"), ctx.basis("eStar")
     rep.add_grid(
         "identify-Stilde",
         "<f_n|e*_m> = prefactor * R_m(n) on the full grid",
@@ -228,7 +235,6 @@ def verify_racah(p: Params, fp: FParams) -> VerificationReport:
     rep.add_grid("difference", "difference residual vanishes on the full grid", N,
                  lambda m, n: _difference_residual(m, n, N, s_at, we, f.eigenvalues[n]) == 0)
 
-    R = grid(N, lambda m, n: racah(m, n, rp))
     W = [weight(n, rp) for n in range(N + 1)]
     Nm = [norm(m, rp) for m in range(N + 1)]
 

@@ -29,10 +29,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import Params, build_X, build_Z
-from .eigenbases import closed_form_basis
+from .eigenbases import Context
 from .errors import DegenerateParameters
 from .hyper import multi_pochhammer, pochhammer, terminating_hyp
-from .matrices import RationalMatrix, dot
+from .matrices import dot
 from .report import VerificationReport, grid
 
 Q = Fraction
@@ -261,12 +261,12 @@ def _contiguity_residual(m: int, n: int, p: Params, cU) -> Fraction:
     return res
 
 
-def contiguity_operator_check(p: Params) -> VerificationReport:
-    """The matrix identities behind the contiguity relation."""
-    rep = VerificationReport(suite="rational-contiguity-operators", params=p.as_dict())
-    sp = shifted_params(p)
-    X, Z = build_X(p), build_Z(p)
-    I = RationalMatrix.identity(p.N + 1)
+def contiguity_operator_check(ctx: Context) -> VerificationReport:
+    """The matrix identities behind the contiguity relation; the shifted
+    set need not be generic, as only generator formulas are read there."""
+    rep = VerificationReport(suite="rational-contiguity-operators", params=ctx.p.as_dict())
+    sp = shifted_params(ctx.p)
+    X, Z, I = ctx.X, ctx.Z, ctx.I
     rep.add_matrix_zero(
         "shift-X",
         "X - 2Z - I equals X at (alpha-1, beta-2, zeta+2)",
@@ -341,13 +341,9 @@ def _zk_dstar_failures(n: int, p: Params, zfam, dstar) -> list:
             if dot(zfam.column(k), dstar.column(n)) != zk_dstar_closed(k, n, p)]
 
 
-def _dual_hahn_bases(p: Params) -> tuple:
-    """The e, z*, z and d* families that the dual Hahn overlaps pair."""
-    return tuple(closed_form_basis(p, None, label) for label in ("e", "zStar", "z", "dStar"))
-
-
-def dual_hahn_expansion(m: int, n: int, p: Params) -> VerificationReport:
+def dual_hahn_expansion(ctx: Context, m: int, n: int) -> VerificationReport:
     """Expansion of calU_m(n) over dual Hahn values, verified exactly."""
+    p = ctx.p
     rho = dual_hahn_params(p)
     rep = VerificationReport(suite="dual-hahn-expansion",
                              params={**p.as_dict(), "m": str(m), "n": str(n)})
@@ -362,7 +358,7 @@ def dual_hahn_expansion(m: int, n: int, p: Params) -> VerificationReport:
         detail=f"expansion = {expansion}, calU = {value}",
     )
 
-    e, zstar, zfam, dstar = _dual_hahn_bases(p)
+    e, zstar, zfam, dstar = (ctx.basis(label) for label in ("e", "zStar", "z", "dStar"))
     bad = _em_zstar_failures(m, p, e, zstar)
     rep.add(
         "em-zstar",
@@ -380,16 +376,17 @@ def dual_hahn_expansion(m: int, n: int, p: Params) -> VerificationReport:
     return rep
 
 
-def _dual_hahn_first_failure(p: Params, cU):
+def _dual_hahn_first_failure(ctx: Context, cU):
     """The first (m, n), row by row, where dual_hahn_expansion would fail, or None.
 
     The dual Hahn table is built once, the em-zstar check runs once per m
     and the zk-dstar check once per n.
     """
+    p = ctx.p
     N = p.N
     rho = dual_hahn_params(p)
     R = grid(N, lambda k, x: dual_hahn(k, x, rho))
-    e, zstar, zfam, dstar = _dual_hahn_bases(p)
+    e, zstar, zfam, dstar = (ctx.basis(label) for label in ("e", "zStar", "z", "dStar"))
     em_ok = [not _em_zstar_failures(m, p, e, zstar) for m in range(N + 1)]
     zk_ok = [not _zk_dstar_failures(n, p, zfam, dstar) for n in range(N + 1)]
     return next(
@@ -440,7 +437,7 @@ def hahn_limit_check(m: int, n: int, aH, bH, p0: Params, tValues) -> Verificatio
     return rep
 
 
-def verify_rational(p: Params) -> VerificationReport:
+def verify_rational(ctx: Context) -> VerificationReport:
     """Full identification / biorthogonality / bispectrality suite.
 
     The calU and calU_tilde grids, and the U and Utilde grids built on
@@ -448,14 +445,12 @@ def verify_rational(p: Params) -> VerificationReport:
     sides come from the bases.  Both biorthogonality relations are
     checked exactly, with the explicit weights.
     """
+    p = ctx.p
     N = p.N
     rep = VerificationReport(suite="rational", params=p.as_dict())
 
-    e = closed_form_basis(p, None, "e")
-    estar = closed_form_basis(p, None, "eStar")
-    d = closed_form_basis(p, None, "d")
-    dstar = closed_form_basis(p, None, "dStar")
-    ZD = build_Z(p) * d.vectors
+    e, estar, d, dstar = (ctx.basis(label) for label in ("e", "eStar", "d", "dStar"))
+    ZD = ctx.Z * d.vectors
 
     cU = grid(N, lambda m, n: calU(m, n, p))
     cUt = grid(N, lambda m, n: calU_tilde(m, n, p))
@@ -521,9 +516,9 @@ def verify_rational(p: Params) -> VerificationReport:
         rep.add_grid(check_id, f"{statement} residual vanishes on the full grid", N,
                      lambda m, n: residual(m, n, p, cu_at) == 0)
 
-    rep.checks.extend(contiguity_operator_check(p).checks)
+    rep.checks.extend(contiguity_operator_check(ctx).checks)
 
-    first_bad = _dual_hahn_first_failure(p, cU)
+    first_bad = _dual_hahn_first_failure(ctx, cU)
     rep.add("dual-hahn", "dual Hahn expansion and overlap closed forms on the full grid",
             first_bad is None,
             detail="" if first_bad is None else f"first failure at (m, n) = {first_bad}")

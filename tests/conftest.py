@@ -2,7 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from metaracah import FParams, Params
+from metaracah import Context, FParams, Params
 
 
 @pytest.fixture
@@ -29,3 +29,18 @@ def p_other():
 @pytest.fixture
 def fp_other():
     return FParams(rho=Q(4, 9))
+
+
+@pytest.fixture
+def ctx3(p3, fp):
+    return Context(p3, fp)
+
+
+@pytest.fixture
+def ctx5(p5, fp):
+    return Context(p5, fp)
+
+
+@pytest.fixture
+def ctx_other(p_other, fp_other):
+    return Context(p_other, fp_other)

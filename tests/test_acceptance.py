@@ -13,6 +13,7 @@ import time
 from fractions import Fraction as Q
 
 from metaracah import (
+    Context,
     FParams,
     LABELS,
     Params,
@@ -74,7 +75,7 @@ def sweep(seed, per_n, n_values):
 def test_criterion_01_defining_relations():
     start = time.perf_counter()
     sets = sweep(SEED, 5, range(1, 13))  # 60 sets >= 50, every N in 1..12
-    ok = all(check_defining_relations(p).passed for p, _ in sets)
+    ok = all(check_defining_relations(Context(p, fp)).passed for p, fp in sets)
     elapsed = time.perf_counter() - start
     _line(1, ok and elapsed < 5.0, "defining relations exact on random sweep",
           f"{len(sets)} sets, {elapsed:.2f}s < 5s")
@@ -84,8 +85,8 @@ def test_criterion_02_casimir_centrality():
     # same sweep as criterion 1 by construction (same seed and schedule)
     sets = sweep(SEED, 5, range(1, 13))
     ok = True
-    for p, _ in sets:
-        C = casimir(p)
+    for p, fp in sets:
+        C = casimir(Context(p, fp))
         for G in (build_X(p), build_V(p), build_Z(p)):
             ok = ok and commutator(C, G).is_zero()
     _line(2, ok, "Casimir commutes with X, V, Z on the same sweep",
@@ -96,7 +97,7 @@ def test_criterion_03_subalgebra_embeddings():
     ok = True
     for N in range(1, 9):
         p = Params(N=N, **DEFAULTS)
-        rep = check_subalgebras(p, RHO)
+        rep = check_subalgebras(Context(p, FParams(rho=RHO)))
         ok = ok and rep.passed
     _line(3, ok, "shifted, Hahn-type, Racah-type and Borel relations", "N = 1..8")
 
@@ -122,9 +123,10 @@ def test_criterion_05_eigenbases_vs_oracle():
     sets = sweep(SEED + 5, 2, range(1, 11))  # 20 sets, N = 1..10
     ok = True
     for p, fp in sets:
+        ctx = Context(p, fp)
         for label in LABELS:
             closed = build_basis(p, fp, label)
-            oracle = oracle_basis(p, fp, label)
+            oracle = oracle_basis(ctx, label)
             ok = ok and closed.vectors == oracle.vectors
     elapsed = time.perf_counter() - start
     _line(5, ok and elapsed < 30.0, "closed-form bases equal kernel oracle",
@@ -135,7 +137,7 @@ def test_criterion_06_orthogonality_completeness():
     ok = True
     for N in (4, 8):
         p = Params(N=N, **DEFAULTS)
-        rep = check_orthogonality(p, FParams(rho=RHO))
+        rep = check_orthogonality(Context(p, FParams(rho=RHO)))
         ok = ok and rep.passed
     _line(6, ok, "four Grams and both resolutions of identity", "N = 4, 8")
 
@@ -144,7 +146,7 @@ def test_criterion_07_coefficient_formulas():
     ok = True
     for N in (2, 5, 8):
         p = Params(N=N, **DEFAULTS)
-        rep = verify_coefficients(p, FParams(rho=RHO))
+        rep = verify_coefficients(Context(p, FParams(rho=RHO)))
         ok = ok and rep.passed
     _line(7, ok, "printed action coefficients equal conjugation oracles",
           "N = 2, 5, 8")
@@ -152,10 +154,10 @@ def test_criterion_07_coefficient_formulas():
 
 def test_criterion_08_leonard_trio():
     p = Params(N=6, **DEFAULTS)
-    rep = verify_leonard_trio(p)
+    rep = verify_leonard_trio(Context(p))
     ok = rep.passed
     degenerate = Params(N=5, alpha=Q(1, 3), beta=Q(-1, 3), zeta=Q(1, 7))
-    bad = verify_leonard_trio(degenerate)
+    bad = verify_leonard_trio(Context(degenerate))
     located = [c for c in bad.failures if "zero at index" in c.detail]
     ok = ok and not bad.passed and located
     _line(8, bool(ok), "trio clauses pass; degenerate control located",
@@ -166,7 +168,7 @@ def test_criterion_09_racah_identification():
     ok = True
     for N in (2, 5, 8):
         p = Params(N=N, **DEFAULTS)
-        rep = verify_racah(p, FParams(rho=RHO))
+        rep = verify_racah(Context(p, FParams(rho=RHO)))
         ok = ok and rep.passed
     _line(9, ok, "overlaps are Racah polynomials; weights, norms, "
           "recurrence, difference exact", "full grids, N = 2, 5, 8")
@@ -177,7 +179,7 @@ def test_criterion_10_rational_suite():
     ok = True
     for N in (2, 5, 8):
         p = Params(N=N, **DEFAULTS)
-        rep = verify_rational(p)
+        rep = verify_rational(Context(p))
         ok = ok and rep.passed
     elapsed = time.perf_counter() - start
     _line(10, ok and elapsed < 60.0, "rational biorthogonal suite exact",
@@ -208,7 +210,7 @@ def test_criterion_12_differential_model():
     ok = True
     for N in (4, 6):
         p = Params(N=N, **DEFAULTS)
-        rep = verify_model(p, FParams(rho=RHO))
+        rep = verify_model(Context(p, FParams(rho=RHO)))
         ok = ok and rep.passed
     _line(12, ok, "differential realization: matrices, orthogonality, "
           "integral representations", "N = 4, 6")

@@ -18,6 +18,7 @@ from metaracah.algebra import (
     heun_bidiagonal,
     validate_params,
 )
+from metaracah.eigenbases import Context
 from metaracah.hyper import pochhammer
 from metaracah.matrices import RationalMatrix, commutator, nullspace
 
@@ -36,44 +37,44 @@ def test_central_params_frozen_values():
     assert cp.eta == ETA_P2
 
 
-def test_relations_hold_on_defaults(p5):
-    rep = check_defining_relations(p5)
+def test_relations_hold_on_defaults(ctx5):
+    rep = check_defining_relations(ctx5)
     assert rep.passed
     assert sorted(c.id for c in rep.checks) == [
         "relation-VZ", "relation-XV", "relation-ZX",
     ]
 
 
-def test_relations_hold_on_negative_parameters(p_other):
-    assert check_defining_relations(p_other).passed
+def test_relations_hold_on_negative_parameters(ctx_other):
+    assert check_defining_relations(ctx_other).passed
 
 
-def test_relations_fail_under_matrix_override(p3):
+def test_relations_fail_under_matrix_override(p3, ctx3):
     Z = build_Z(p3)
     bumped = RationalMatrix(
         [[Z[i, j] + (1 if (i, j) == (1, 1) else 0) for j in range(p3.N + 1)]
          for i in range(p3.N + 1)]
     )
-    rep = check_defining_relations(p3, Z=bumped)
+    rep = check_defining_relations(ctx3, Z=bumped)
     assert not rep.passed
     # the detail carries the location of the first bad entry
     assert any("(" in c.detail for c in rep.failures)
 
 
 def test_casimir_is_scalar_at_p2():
-    C = casimir(P2)
+    C = casimir(Context(P2))
     assert C == CASIMIR_SCALAR_P2 * RationalMatrix.identity(3)
 
 
-def test_casimir_commutes(p5):
-    rep = check_casimir_central(p5)
+def test_casimir_commutes(p5, ctx5):
+    rep = check_casimir_central(ctx5)
     assert rep.passed
-    C = casimir(p5)
+    C = casimir(ctx5)
     assert commutator(C, build_V(p5)).is_zero()
 
 
-def test_subalgebra_report(p5, fp):
-    rep = check_subalgebras(p5, fp.rho)
+def test_subalgebra_report(ctx5):
+    rep = check_subalgebras(ctx5)
     assert rep.passed
     ids = {c.id for c in rep.checks}
     assert {"shifted-ZX", "hahn-1", "racah-1", "borel"} <= ids
@@ -141,6 +142,10 @@ def _reference_registry(p, rho=None):
                 pochhammer(2 * a + b + 2 * z - 2 * N + 1, N - n),
             )
         )
+        # the lower parameter a-b-n of calU-tilde at its substituted arguments
+        items.append(
+            (f"({n}-alpha-beta-2zeta+1)_(N-{n})", pochhammer(n - a - b - 2 * z + 1, N - n))
+        )
         items.append((f"({n}-1-2beta-2zeta)_(N+1)", pochhammer(n - 1 - 2 * b - 2 * z, N + 1)))
         if rho is not None:
             r = Q(rho)
@@ -160,11 +165,11 @@ def _reference_registry(p, rho=None):
 def _integer_combination_draw(rng, N):
     """Parameters whose values are not integers, with one of the registry's
     combinations (alpha-beta, 2beta+2zeta, 2alpha+beta+2zeta, 2alpha+rho,
-    beta+rho) set to an integer near its degenerate range."""
+    beta+rho, alpha+beta+2zeta) set to an integer near its degenerate range."""
     fractional = [Q(k, d) for k in range(-20, 21) for d in (2, 3, 4) if k % d]
     a, b, z, r = (rng.choice(fractional) for _ in range(4))
     k = rng.randint(-2, 2 * N + 2)
-    which = rng.randrange(5)
+    which = rng.randrange(6)
     if which == 0:
         b = a - k
     elif which == 1:
@@ -173,8 +178,10 @@ def _integer_combination_draw(rng, N):
         z = (k - 2 * a - b) / 2
     elif which == 3:
         r = k - 2 * a
-    else:
+    elif which == 4:
         r = k - b
+    else:
+        z = (k - a - b) / 2
     return Params(N=N, alpha=a, beta=b, zeta=z), r
 
 

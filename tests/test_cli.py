@@ -2,12 +2,14 @@ import contextlib
 import hashlib
 import io
 import json
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import metaracah.algebra as algebra
 import metaracah.eigenbases as eb
 from metaracah.cli import main
 from metaracah.racahpoly import RacahParams, closed_form_S
@@ -213,6 +215,21 @@ PINNED_STDOUT = [
      "5e59271e1bd126181093b256503c021bd4a4fa3a507a5a546b10d9c9b4bc96f5"),
     ("matrix --which basis:fStar --N 12 --rho=-7/5", 0,
      "661ec481c8d648296e41d089571e3a39fa5ef85a04f7a6d1daabc3f9bf795249"),
+    # a rho-dependent band, a calU-tilde grid, the Leonard trio's degenerate
+    # control (refused at the boundary, since the CLI validates with rho),
+    # the Casimir emit, fault injection and a sweep
+    ("matrix --which coeffs:f --N 6", 0,
+     "c25e593596b3c28f1c6a1af39e14a0d9a7c4324eee995b212bea6d720b2a4a80"),
+    ("table --which calUtilde --N 6", 0,
+     "663dac71d013f93781e1fa41704d1d02ee3776afd40369456fa59dbeb0aa7c90"),
+    ("verify --suite matrixreps --N 5 --alpha 1/3 --beta=-1/3", 2,
+     "f73da39d8f91a5864409af8890696aa559325ba6725a6531e883b6019bae555a"),
+    ("matrix --which C --N 5", 0,
+     "2bd4cb90799c3066001119b3c7892b8e20f7f281b6e8884e274fd5c2d3158dc0"),
+    ("verify --suite algebra --N 4 --inject-fault", 1,
+     "76e97f2714feee63dbbb88a006358b2f8d0744093f122c466500ad8377805d99"),
+    ("verify --suite all --N 4 --sweeps 2 --seed 7", 0,
+     "3a1c10bb0f9fea44a9b6644ef9a612f27812b2286fd2cc5310acb9b63356325c"),
 ]
 
 
@@ -234,7 +251,6 @@ def test_matrix_basis_builds_the_family_once(capsys, monkeypatch):
         return fam.column(p, rho, n)
 
     monkeypatch.setitem(eb.FAMILIES, "e", replace(fam, column=column))
-    eb.cached_basis.cache_clear()
     code, _ = run(capsys, "matrix", "--which", "basis:e", "--N", "4", "--alpha", "2/9")
     assert code == 0
     assert sorted(calls) == list(range(5))
@@ -277,10 +293,7 @@ SMALL_DENOMINATORS = sorted({Q(k, d) for k in range(-6, 7) for d in (1, 2, 3)})
 @settings(max_examples=200, deadline=None)
 def test_accepted_sets_complete_every_suite(N, alpha, beta, zeta, rho):
     # "generic" means "runs to completion": a set is refused with exit 2
-    # and its own offenders, or every suite runs without raising.  A suite
-    # may still exit 2 on a check the registry does not list yet: the
-    # generators at the contiguity shift (alpha-1, beta-2, zeta+2), or a
-    # vanishing lower parameter of calU-tilde that hyp_sum refuses.
+    # and its own offenders, or every suite runs without raising
     offenders = validate_params(Params(N=N, alpha=alpha, beta=beta, zeta=zeta), rho)
     argv = ["verify", "--N", str(N), f"--alpha={alpha}", f"--beta={beta}",
             f"--zeta={zeta}", f"--rho={rho}"]
@@ -290,4 +303,51 @@ def test_accepted_sets_complete_every_suite(N, alpha, beta, zeta, rho):
     if offenders:
         assert code == 2 and json.loads(out.getvalue())["offenders"] == offenders
     else:
-        assert code in (0, 1, 2)
+        assert code in (0, 1)
+
+
+def test_calU_tilde_lower_parameter_is_degenerate(capsys):
+    # alpha + beta + 2zeta = 1 makes the lower parameter n-alpha-beta-2zeta+1
+    # of calU-tilde vanish at n = 0; it is refused before any suite runs
+    code, out = run(capsys, "verify", "--N", "1", "--alpha=-2", "--beta=6",
+                    "--zeta=-3/2", "--rho=-5")
+    assert code == 2
+    assert json.loads(out)["offenders"] == ["(0-alpha-beta-2zeta+1)_(N-0)"]
+
+
+def test_contiguity_shift_need_not_be_generic(capsys):
+    # the shifted set (alpha-1, beta-2, zeta+2) is degenerate here, but the
+    # contiguity checks only evaluate generator formulas at it
+    code, out = run(capsys, "verify", "--N", "1", "--alpha=-2", "--beta=-1",
+                    "--zeta=-6", "--rho=-6")
+    assert code == 0
+    assert json.loads(out)["status"] == "pass"
+
+
+@pytest.mark.parametrize("argv", [
+    "verify --suite all --N 3",
+    "verify --suite all --N 2 --format csv",
+    "table --which Stilde --N 3",
+    "matrix --which basis:f --N 3",
+    "matrix --which C --N 3",
+])
+def test_one_validation_and_one_build_per_set(capsys, monkeypatch, argv):
+    # the one Context of a command validates its set once and builds each
+    # family at most once
+    calls = Counter()
+    registry, build = algebra.genericity_registry, eb.build_basis
+
+    def counted_registry(*args):
+        calls["registry"] += 1
+        return registry(*args)
+
+    def counted_build(p, fp, label):
+        calls[label] += 1
+        return build(p, fp, label)
+
+    monkeypatch.setattr(algebra, "genericity_registry", counted_registry)
+    monkeypatch.setattr(eb, "build_basis", counted_build)
+    code, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert calls.pop("registry") == 1
+    assert set(calls.values()) <= {1}

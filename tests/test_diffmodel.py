@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from metaracah import LABELS, build_basis
+from metaracah import LABELS, Context, build_basis
 from metaracah.diffmodel import (
     DiffOp,
     LaurentPoly,
@@ -116,12 +116,12 @@ def test_operator_matrices_match_abstract(p3):
     assert matrix_in_monomial_basis(diff_X(p3), p3) == build_X(p3)
 
 
-def test_model_polynomials_carry_the_abstract_columns(p3, fp):
+def test_model_polynomials_carry_the_abstract_columns(p3, fp, ctx3):
     # residue pairing against the dual rays reads off g-expansion
     # coefficients, which must match the abstract basis columns
     for label in ("d", "e", "z", "f"):
         fam = build_basis(p3, fp, label)
-        polys = model_basis(label, p3, fp)
+        polys = model_basis(ctx3, label)
         for n in range(p3.N + 1):
             coeffs = tuple(
                 residue_pair(g_dual_poly(p3, l), polys[n]) for l in range(p3.N + 1)
@@ -129,11 +129,11 @@ def test_model_polynomials_carry_the_abstract_columns(p3, fp):
             assert coeffs == fam.column(n), (label, n)
 
 
-def test_dual_model_polynomials(p3, fp):
+def test_dual_model_polynomials(p3, fp, ctx3):
     # dual families expand over the dual rays; pair against the plain rays
     for label in ("dStar", "eStar", "zStar", "fStar"):
         fam = build_basis(p3, fp, label)
-        polys = model_basis(label, p3, fp)
+        polys = model_basis(ctx3, label)
         for n in range(p3.N + 1):
             coeffs = tuple(
                 residue_pair(polys[n], g_poly(p3, l)) for l in range(p3.N + 1)
@@ -150,7 +150,7 @@ def test_e_is_a_jacobi_polynomial(p3):
             * pochhammer(-p3.N, n)
             / pochhammer(n - 2 * p3.beta - 2 * p3.zeta - 1, n)
         )
-        assert model_basis("e", p3, None)[n] == scale * jacobi_poly(n, a, b)
+        assert model_basis(Context(p3), "e")[n] == scale * jacobi_poly(n, a, b)
 
 
 @pytest.mark.parametrize("n, a, b", [(2, -3, Q(1, 2)), (3, Q(-4), Q(-7, 3)), (1, -2, 5)])
@@ -165,28 +165,28 @@ def test_jacobi_poly_where_a_plus_one_plus_n_vanishes(n, a, b):
     assert jacobi_poly(n, a, b) == LaurentPoly.from_dict(want)
 
 
-def test_model_bases_report(p5, fp):
-    rep, families = _model_bases_report(p5, fp)
+def test_model_bases_report(ctx5):
+    rep, families = _model_bases_report(ctx5)
     assert rep.passed, [(c.id, c.detail) for c in rep.failures]
     assert tuple(families) == LABELS
 
 
-def test_model_orthogonality(p3, fp):
-    families = {label: model_basis(label, p3, fp) for label in LABELS}
-    rep = model_orthogonality(p3, fp, families)
+def test_model_orthogonality(ctx3):
+    families = {label: model_basis(ctx3, label) for label in LABELS}
+    rep = model_orthogonality(ctx3, families)
     assert rep.passed, [(c.id, c.detail) for c in rep.failures]
     # the pencil pair is recorded as non-orthogonal without the Z insertion
     info = [c for c in rep.checks if c.id == "gram-d-no-Z"]
     assert info and "(0, 0)" in info[0].detail
 
 
-def test_integral_representations(p_other, fp_other):
-    rep = integral_representations(p_other, fp_other)
+def test_integral_representations(ctx_other):
+    rep = integral_representations(ctx_other)
     assert rep.passed, [(c.id, c.detail) for c in rep.failures]
 
 
-def test_transposed_operators(p3):
-    rep = model_transposes(p3)
+def test_transposed_operators(ctx3):
+    rep = model_transposes(ctx3)
     assert rep.passed, [(c.id, c.detail) for c in rep.failures]
     ghost_checks = [c for c in rep.checks if c.id.startswith("ghosts-")]
     assert len(ghost_checks) == 3
@@ -203,12 +203,12 @@ def test_adjoint_identity_single_pair(p3):
     assert left == right
 
 
-def test_full_model_suite(p5, fp):
-    rep = verify_model(p5, fp)
+def test_full_model_suite(ctx5):
+    rep = verify_model(ctx5)
     assert rep.passed, [(c.id, c.detail) for c in rep.failures]
 
 
-def test_model_suite_applies_each_operator_once(p5, fp, monkeypatch):
+def test_model_suite_applies_each_operator_once(p5, ctx5, monkeypatch):
     # g-basis matrices (3 ops), adjoint images of g_n and g*_m (3 + 3),
     # dual quotient matrices (3) and Z on d_n: 13 applications per index
     calls = []
@@ -219,5 +219,5 @@ def test_model_suite_applies_each_operator_once(p5, fp, monkeypatch):
         return apply(self, f)
 
     monkeypatch.setattr(DiffOp, "apply", counted)
-    assert verify_model(p5, fp).passed
+    assert verify_model(ctx5).passed
     assert len(calls) <= 13 * (p5.N + 1)

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -5,7 +6,10 @@ import pytest
 import metaracah.eigenbases as eb
 from metaracah import (
     LABELS,
+    Context,
+    DegenerateParameters,
     NondegenerateSpectrumViolated,
+    Params,
     PreconditionViolated,
     build_Z,
     build_basis,
@@ -14,25 +18,25 @@ from metaracah import (
 )
 from metaracah.cli import SUITES, run_suites
 from metaracah.diffmodel import model_basis
-from metaracah.eigenbases import closed_form_basis, eigenvalue, z_action_on_d
+from metaracah.eigenbases import FAMILIES, eigenvalue, z_action_on_d
 
 
 @pytest.mark.parametrize("label", LABELS)
-def test_closed_form_matches_kernel_oracle(label, p3, fp):
-    closed = build_basis(p3, fp, label)
-    oracle = oracle_basis(p3, fp, label)
+def test_closed_form_matches_kernel_oracle(label, ctx3):
+    closed = build_basis(ctx3.p, ctx3.fp, label)
+    oracle = oracle_basis(ctx3, label)
     assert closed.vectors == oracle.vectors
     assert closed.eigenvalues == oracle.eigenvalues
 
 
 @pytest.mark.parametrize("label", LABELS)
-def test_closed_form_matches_oracle_negative_params(label, p_other, fp_other):
-    assert build_basis(p_other, fp_other, label).vectors == \
-        oracle_basis(p_other, fp_other, label).vectors
+def test_closed_form_matches_oracle_negative_params(label, ctx_other):
+    assert build_basis(ctx_other.p, ctx_other.fp, label).vectors == \
+        oracle_basis(ctx_other, label).vectors
 
 
-def test_orthogonality_and_completeness(p5, fp):
-    rep = check_orthogonality(p5, fp)
+def test_orthogonality_and_completeness(ctx5):
+    rep = check_orthogonality(ctx5)
     assert rep.passed, [c.id for c in rep.failures]
     ids = {c.id for c in rep.checks}
     assert {"gram-e", "gram-f", "gram-z", "gram-d"} <= ids
@@ -59,12 +63,11 @@ def test_z_action_on_d_closed_form(p3):
         assert Z.apply(d.column(n)) == z_action_on_d(p3, n)
 
 
-def test_eigenvalues_by_direct_action(p3, fp):
+def test_eigenvalues_by_direct_action(ctx3):
     # B-weighted eigen-equations, family by family
-    from metaracah.eigenbases import _pencil
-
+    p3, fp = ctx3.p, ctx3.fp
     for label in LABELS:
-        A, B = _pencil(label, p3, fp)
+        A, B = FAMILIES[label].pencil(ctx3)
         fam = build_basis(p3, fp, label)
         for n in range(p3.N + 1):
             v = fam.column(n)
@@ -72,28 +75,59 @@ def test_eigenvalues_by_direct_action(p3, fp):
             assert A.apply(v) == tuple(lam * x for x in B.apply(v)), (label, n)
 
 
-def test_oracle_guards_empty_kernel(p3, fp, monkeypatch):
+def test_oracle_guards_empty_kernel(ctx3, monkeypatch):
     # an off-spectrum value leaves nothing in the kernel
     monkeypatch.setattr(eb, "eigenvalue", lambda *args: Q(1, 2))
     with pytest.raises(NondegenerateSpectrumViolated):
-        eb.oracle_basis(p3, fp, "z")
+        eb.oracle_basis(ctx3, "z")
 
 
 @pytest.mark.parametrize("entry", [
-    pytest.param(lambda p, fp, label: eigenvalue(label, p, fp, 0), id="eigenvalue"),
-    pytest.param(lambda p, fp, label: closed_form_basis(p, fp, label),
-                 id="closed_form_basis"),
-    pytest.param(lambda p, fp, label: build_basis(p, fp, label), id="build_basis"),
-    pytest.param(lambda p, fp, label: oracle_basis(p, fp, label), id="oracle_basis"),
-    pytest.param(lambda p, fp, label: model_basis(label, p, fp), id="model_basis"),
+    pytest.param(lambda ctx, label: eigenvalue(label, ctx.p, ctx.fp, 0), id="eigenvalue"),
+    pytest.param(lambda ctx, label: ctx.basis(label), id="Context_basis"),
+    pytest.param(lambda ctx, label: build_basis(ctx.p, ctx.fp, label), id="build_basis"),
+    pytest.param(lambda ctx, label: oracle_basis(ctx, label), id="oracle_basis"),
+    pytest.param(lambda ctx, label: model_basis(ctx, label), id="model_basis"),
 ])
-def test_unknown_label_rejected(entry, p3, fp):
+def test_unknown_label_rejected(entry, ctx3):
     with pytest.raises(PreconditionViolated, match="unknown basis label 'q'"):
-        entry(p3, fp, "q")
+        entry(ctx3, "q")
 
 
-def test_each_family_is_built_once_per_set(p3, fp):
-    # every suite reads the families through one cache key per family
-    eb.cached_basis.cache_clear()
+def test_rho_families_need_fparams(p3):
+    ctx = Context(p3)
+    assert ctx.rho is None
+    for label in ("f", "fStar"):
+        with pytest.raises(PreconditionViolated, match=f"label '{label}' needs FParams"):
+            ctx.basis(label)
+        with pytest.raises(PreconditionViolated, match=f"label '{label}' needs FParams"):
+            model_basis(ctx, label)
+
+
+def test_context_validates_once_and_hashes_on_its_set(p3, fp):
+    with pytest.raises(DegenerateParameters) as exc:
+        Context(Params(N=3, alpha=Q(1), beta=Q(1, 5), zeta=Q(1, 7)))
+    assert "(1-alpha)" in exc.value.offenders
+    # rho enters only when FParams are given: 2alpha + rho = 0 here
+    assert Context(p3).rho is None
+    with pytest.raises(DegenerateParameters):
+        Context(p3, eb.FParams(rho=-2 * p3.alpha))
+    a, b = Context(p3, fp), Context(p3, fp)
+    assert a == b and hash(a) == hash(b) and a != Context(p3)
+    a.basis("e")
+    assert a == b and hash(a) == hash(b)
+    assert a.Z is a.Z and a.Zt is a.Zt and a.basis("e") is a.basis("e")
+
+
+def test_each_family_is_built_once_per_set(p3, fp, monkeypatch):
+    # every suite reads the families from the one Context of the set
+    calls = Counter()
+    build = eb.build_basis
+
+    def counted(p, fp, label):
+        calls[label] += 1
+        return build(p, fp, label)
+
+    monkeypatch.setattr(eb, "build_basis", counted)
     run_suites(p3, fp, SUITES)
-    assert eb.cached_basis.cache_info().misses == len(LABELS)
+    assert calls == Counter({label: 1 for label in LABELS})

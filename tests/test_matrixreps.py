@@ -1,6 +1,6 @@
 from fractions import Fraction as Q
 
-from metaracah import Params, build_V, build_X, build_Z, build_basis
+from metaracah import Context, Params, build_V, build_X, build_Z, build_basis
 from metaracah.matrices import inverse
 from metaracah.matrixreps import (
     coeffs_V_on_f,
@@ -15,13 +15,13 @@ from metaracah.matrixreps import (
 )
 
 
-def test_all_coefficient_families(p5, fp):
-    rep = verify_coefficients(p5, fp)
+def test_all_coefficient_families(ctx5):
+    rep = verify_coefficients(ctx5)
     assert rep.passed, [(c.id, c.detail) for c in rep.failures]
 
 
-def test_coefficient_families_negative_params(p_other, fp_other):
-    assert verify_coefficients(p_other, fp_other).passed
+def test_coefficient_families_negative_params(ctx_other):
+    assert verify_coefficients(ctx_other).passed
 
 
 def test_Z_on_e_matches_conjugation(p3):
@@ -85,15 +85,16 @@ def test_etilde_expansion_over_z(p3):
         assert list(Z.apply(d.column(n))) == recon
 
 
-def test_leonard_trio_passes(p5):
-    rep = verify_leonard_trio(p5)
+def test_leonard_trio_passes(ctx5):
+    rep = verify_leonard_trio(ctx5)
     assert rep.passed, [(c.id, c.detail) for c in rep.failures]
 
 
 def test_leonard_trio_degenerate_control():
-    # beta = -1/3 makes 2*alpha - beta - 1 = 0, killing band entries
+    # beta = -1/3 makes 2*alpha - beta - 1 = 0, killing band entries; the
+    # trio needs no rho, and with rho the set is refused: (beta-2alpha+1)_n
     p = Params(N=5, alpha=Q(1, 3), beta=Q(-1, 3), zeta=Q(1, 7))
-    rep = verify_leonard_trio(p)
+    rep = verify_leonard_trio(Context(p))
     failed = {c.id: c.detail for c in rep.failures}
     assert failed == {
         "trio-i-Z-irreducible": "zero at index 9",

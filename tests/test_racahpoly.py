@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 import metaracah.racahpoly as racahpoly
-from metaracah.eigenbases import closed_form_basis, eigenvalue
+from metaracah.eigenbases import eigenvalue
 from metaracah.errors import PreconditionViolated
 from metaracah.hyper import pochhammer
 from metaracah.matrices import dot
@@ -51,19 +51,19 @@ def test_racah_rejects_out_of_window(rp):
         racah(rp.N + 1, 0, rp)
 
 
-def test_overlaps_match_closed_forms(p5, fp, rp):
-    fstar, e = closed_form_basis(p5, fp, "fStar"), closed_form_basis(p5, fp, "e")
-    f, estar = closed_form_basis(p5, fp, "f"), closed_form_basis(p5, fp, "eStar")
+def test_overlaps_match_closed_forms(p5, ctx5, rp):
+    fstar, e = ctx5.basis("fStar"), ctx5.basis("e")
+    f, estar = ctx5.basis("f"), ctx5.basis("eStar")
     for m in range(p5.N + 1):
         for n in range(p5.N + 1):
             assert dot(fstar.column(n), e.column(m)) == closed_form_S(m, n, rp)
             assert dot(f.column(n), estar.column(m)) == closed_form_Stilde(m, n, rp)
 
 
-def test_S_row_zero_is_pure_prefactor(p5, fp, rp):
+def test_S_row_zero_is_pure_prefactor(p5, ctx5, rp):
     # R_0 = 1, so the m = 0 row exposes the prefactor alone
     a, g = rp.alpha_hat, rp.gamma_hat
-    fstar, e = closed_form_basis(p5, fp, "fStar"), closed_form_basis(p5, fp, "e")
+    fstar, e = ctx5.basis("fStar"), ctx5.basis("e")
     for n in range(p5.N + 1):
         pref = pochhammer(a + 1, n) / (
             pochhammer(1, n) * pochhammer(n - rp.N + g, n)
@@ -72,8 +72,8 @@ def test_S_row_zero_is_pure_prefactor(p5, fp, rp):
         assert dot(fstar.column(n), e.column(0)) == pref
 
 
-def test_gram_biorthogonality(p5, fp):
-    checks = {c.id: c for c in verify_racah(p5, fp).checks}
+def test_gram_biorthogonality(ctx5):
+    checks = {c.id: c for c in verify_racah(ctx5).checks}
     for check_id in ("gram-S", "weight-orthogonality", "weight-norm-consistency"):
         assert checks[check_id].status == "pass", checks[check_id]
     assert {"weight-signs", "norm-signs"} <= set(checks)
@@ -104,7 +104,7 @@ def test_recurrence_residuals_vanish(p5, fp):
             assert _recurrence_residual(m, n, p5.N, S, vf, mu) == 0
 
 
-def test_recurrence_detects_perturbed_band(p3, fp, monkeypatch):
+def test_recurrence_detects_perturbed_band(ctx3, monkeypatch):
     # V on f with diag[2] bumped breaks the recurrence in column n = 2 only
     def bumped(p, fp):
         vf = coeffs_V_on_f(p, fp)
@@ -115,7 +115,7 @@ def test_recurrence_detects_perturbed_band(p3, fp, monkeypatch):
         )
 
     monkeypatch.setattr(racahpoly, "coeffs_V_on_f", bumped)
-    rep = verify_racah(p3, fp)
+    rep = verify_racah(ctx3)
     assert [(c.id, c.detail) for c in rep.failures] == [
         ("recurrence", "failing (m, n): [(0, 2), (1, 2), (2, 2), (3, 2)]")
     ]
@@ -129,21 +129,23 @@ def test_difference_residuals_vanish(p5, fp):
             assert _difference_residual(m, n, p5.N, S, we, nu) == 0
 
 
-def test_full_suite(p5, fp):
-    rep = verify_racah(p5, fp)
+def test_full_suite(ctx5):
+    rep = verify_racah(ctx5)
     assert rep.passed, [(c.id, c.detail) for c in rep.failures]
 
 
-def test_full_suite_negative_params(p_other, fp_other):
-    assert verify_racah(p_other, fp_other).passed
+def test_full_suite_negative_params(ctx_other):
+    assert verify_racah(ctx_other).passed
 
 
-def test_suite_builds_each_table_once(p5, fp, monkeypatch):
-    # count calls at every binding of each builder in the package
+def test_suite_builds_each_table_once(ctx5, monkeypatch):
+    # count calls at every binding of each builder in the package: one R
+    # grid feeds S and Stilde, and closed_form_S is for single values only
     counts = Counter()
     modules = [m for name, m in sys.modules.items()
                if name == "metaracah" or name.startswith("metaracah.")]
-    for target in (coeffs_V_on_f, coeffs_X_on_e, coeffs_Z_on_e, closed_form_S):
+    for target in (coeffs_V_on_f, coeffs_X_on_e, coeffs_Z_on_e, racah, closed_form_S,
+                   closed_form_Stilde):
         def counted(*args, _target=target, **kwargs):
             counts[_target.__name__] += 1
             return _target(*args, **kwargs)
@@ -152,7 +154,8 @@ def test_suite_builds_each_table_once(p5, fp, monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is target:
                     monkeypatch.setattr(module, attr, counted)
-    assert verify_racah(p5, fp).passed
-    assert counts["closed_form_S"] == (p5.N + 1) ** 2
+    assert verify_racah(ctx5).passed
+    assert counts["racah"] == (ctx5.p.N + 1) ** 2
+    assert counts["closed_form_S"] == counts["closed_form_Stilde"] == 0
     for band in ("coeffs_V_on_f", "coeffs_X_on_e", "coeffs_Z_on_e"):
         assert counts[band] <= 1, (band, counts[band])

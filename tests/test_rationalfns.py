@@ -3,8 +3,6 @@ from fractions import Fraction as Q
 import pytest
 
 import metaracah.rationalfns as rf
-from metaracah.algebra import build_Z
-from metaracah.eigenbases import closed_form_basis
 from metaracah.errors import DegenerateParameters
 from metaracah.hyper import pochhammer
 from metaracah.matrices import dot
@@ -65,30 +63,30 @@ def test_U_row_zero_is_pure_prefactor(p5):
         assert closed_form_U(0, n, p5) == pref
 
 
-def test_overlaps_match_closed_forms(p5):
-    e, dstar = closed_form_basis(p5, None, "e"), closed_form_basis(p5, None, "dStar")
-    estar, d = closed_form_basis(p5, None, "eStar"), closed_form_basis(p5, None, "d")
-    Z = build_Z(p5)
+def test_overlaps_match_closed_forms(p5, ctx5):
+    e, dstar = ctx5.basis("e"), ctx5.basis("dStar")
+    estar, d = ctx5.basis("eStar"), ctx5.basis("d")
+    Z = ctx5.Z
     for m in range(p5.N + 1):
         for n in range(p5.N + 1):
             assert dot(e.column(m), dstar.column(n)) == closed_form_U(m, n, p5)
             assert dot(estar.column(m), Z.apply(d.column(n))) == closed_form_Utilde(m, n, p5)
 
 
-def test_biorthogonality_report(p5):
-    checks = {c.id: c for c in verify_rational(p5).checks}
+def test_biorthogonality_report(ctx5):
+    checks = {c.id: c for c in verify_rational(ctx5).checks}
     for check_id in ("h0-normalization", "biorth-point", "biorth-degree",
                      "gram-U", "gram-U-dual"):
         assert checks[check_id].status == "pass", checks[check_id]
 
 
-def test_gram_U_failures_name_their_points(p3, monkeypatch):
+def test_gram_U_failures_name_their_points(p3, ctx3, monkeypatch):
     # doubling Utilde_1(2) breaks row k = 1 of gram-U wherever U_m(2) != 0,
     # and row k = 2 of gram-U-dual wherever U_1(n) != 0
     pre = rf._prefactor_Utilde
     monkeypatch.setattr(rf, "_prefactor_Utilde",
                         lambda m, n, p: pre(m, n, p) * (2 if (m, n) == (1, 2) else 1))
-    checks = {c.id: c for c in verify_rational(p3).checks}
+    checks = {c.id: c for c in verify_rational(ctx3).checks}
     N = p3.N
     row = [(1, m) for m in range(N + 1) if closed_form_U(m, 2, p3) != 0]
     dual = [(2, n) for n in range(N + 1) if closed_form_U(1, n, p3) != 0]
@@ -179,8 +177,8 @@ def test_contiguity_rejects_degenerate_shift():
             _contiguity_residual(1, 1, p, cu(p))
 
 
-def test_contiguity_operator_identities(p5):
-    rep = contiguity_operator_check(p5)
+def test_contiguity_operator_identities(ctx5):
+    rep = contiguity_operator_check(ctx5)
     assert rep.passed, [(c.id, c.detail) for c in rep.failures]
 
 
@@ -192,10 +190,10 @@ def test_dual_hahn_rows(p5):
         assert dual_hahn(i, 0, rho) == 1
 
 
-def test_dual_hahn_expansion_grid(p3):
+def test_dual_hahn_expansion_grid(p3, ctx3):
     for m in range(p3.N + 1):
         for n in range(p3.N + 1):
-            rep = dual_hahn_expansion(m, n, p3)
+            rep = dual_hahn_expansion(ctx3, m, n)
             assert rep.passed, [(c.id, c.detail) for c in rep.failures]
 
 
@@ -228,17 +226,17 @@ def test_hahn_limit_decreasing_deviation(p5):
     assert rep.passed, [(c.id, c.detail) for c in rep.failures]
 
 
-def test_full_suite(p5):
-    rep = verify_rational(p5)
+def test_full_suite(ctx5):
+    rep = verify_rational(ctx5)
     assert rep.passed, [(c.id, c.detail) for c in rep.failures]
 
 
-def test_full_suite_negative_params(p_other):
-    assert verify_rational(p_other).passed
+def test_full_suite_negative_params(ctx_other):
+    assert verify_rational(ctx_other).passed
 
 
 @pytest.mark.parametrize("bad_m, bad_n", [(2, None), (None, 1), (1, 3)])
-def test_dual_hahn_detail_names_first_failing_point(p3, monkeypatch, bad_m, bad_n):
+def test_dual_hahn_detail_names_first_failing_point(p3, ctx3, monkeypatch, bad_m, bad_n):
     # break <e_m|z*_k> at one m and <z_k|d*_n> at one n; the suite must name
     # the first point, row by row, where dual_hahn_expansion fails
     em, zk = rf.em_zstar_closed, rf.zk_dstar_closed
@@ -247,7 +245,7 @@ def test_dual_hahn_detail_names_first_failing_point(p3, monkeypatch, bad_m, bad_
     monkeypatch.setattr(rf, "zk_dstar_closed",
                         lambda k, n, p: zk(k, n, p) + (n == bad_n))
     first = next((m, n) for m in range(p3.N + 1) for n in range(p3.N + 1)
-                 if not dual_hahn_expansion(m, n, p3).passed)
-    check = next(c for c in verify_rational(p3).checks if c.id == "dual-hahn")
+                 if not dual_hahn_expansion(ctx3, m, n).passed)
+    check = next(c for c in verify_rational(ctx3).checks if c.id == "dual-hahn")
     assert check.status == "fail"
     assert check.detail == f"first failure at (m, n) = ({first[0]}, {first[1]})"

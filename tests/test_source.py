@@ -91,3 +91,21 @@ def test_every_library_function_has_a_caller():
                 orphans.append(f"{module}:{node.name}")
     assert not orphans, orphans
     assert set(TEST_REFERENCES) <= defined, set(TEST_REFERENCES) - defined
+
+
+def test_parameters_are_validated_only_by_a_context():
+    # one genericity check per parameter set: require_generic is defined in
+    # algebra.py and called only by eigenbases.Context, so every suite
+    # trusts the Context it is given instead of checking again
+    found = []
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                named = (isinstance(node, ast.Name) and node.id == "require_generic"
+                         or isinstance(node, ast.alias) and node.name == "require_generic"
+                         or isinstance(node, ast.Attribute) and node.attr == "require_generic")
+                if named:
+                    found.append((path.name, owner if not isinstance(top, ast.ImportFrom)
+                                  else "import"))
+    assert sorted(found) == [("eigenbases.py", "Context"), ("eigenbases.py", "import")], found
