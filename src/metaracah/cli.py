@@ -34,6 +34,7 @@ from .algebra import (
 )
 from .eigenbases import (
     FAMILIES,
+    GRIDS,
     LABELS,
     Context,
     FParams,
@@ -52,22 +53,8 @@ from .matrixreps import (
     verify_coefficients,
     verify_leonard_trio,
 )
-from .racahpoly import (
-    RacahParams,
-    closed_form_S,
-    closed_form_Stilde,
-    racah,
-    verify_racah,
-)
-from .rationalfns import (
-    calU,
-    calU_tilde,
-    closed_form_U,
-    closed_form_Utilde,
-    dual_hahn,
-    dual_hahn_params,
-    verify_rational,
-)
+from .racahpoly import verify_racah
+from .rationalfns import verify_rational
 from .diffmodel import verify_model
 from .report import VerificationReport
 
@@ -165,7 +152,7 @@ def build_parser() -> Parser:
 
     sp = sub.add_parser("table", help="emit an overlap value grid")
     add_common(sp)
-    sp.add_argument("--which", required=True, choices=tuple(TABLES))
+    sp.add_argument("--which", required=True, choices=tuple(GRIDS))
     sp.add_argument("--exact", action="store_true",
                     help="csv only: append an exact p/q column")
 
@@ -284,34 +271,10 @@ def _decimal_str(v: Fraction, precision: int) -> str:
     return str(d)
 
 
-def _on_racah_params(value):
-    """A table whose value(m, n, rp) reads the RacahParams built once per table."""
-    def cells(ctx):
-        rp = RacahParams.from_params(ctx.p, ctx.fp)
-        return lambda m, n: value(m, n, rp)
-    return cells
-
-
-# --which -> (needs rho, ctx -> value at (m, n)); lambdas as in
-# SUITE_RUNNERS, so each table still looks its callee up at every point.
-TABLES = {
-    "racah": (True, _on_racah_params(lambda m, n, rp: racah(m, n, rp))),
-    "S": (True, _on_racah_params(lambda m, n, rp: closed_form_S(m, n, rp))),
-    "Stilde": (True, _on_racah_params(lambda m, n, rp: closed_form_Stilde(m, n, rp))),
-    "calU": (False, lambda ctx: lambda m, n: calU(m, n, ctx.p)),
-    "calUtilde": (False, lambda ctx: lambda m, n: calU_tilde(m, n, ctx.p)),
-    "U": (False, lambda ctx: lambda m, n: closed_form_U(m, n, ctx.p)),
-    "Utilde": (False, lambda ctx: lambda m, n: closed_form_Utilde(m, n, ctx.p)),
-    "dualHahn": (False, lambda ctx: lambda m, n: dual_hahn(m, n, dual_hahn_params(ctx.p))),
-}
-
-
 def cmd_table(cfg: RunConfig) -> tuple:
     which = cfg.extra["which"]
-    needs_rho, cells = TABLES[which]
-    ctx = _context(cfg, needs_rho)
-    p, value = ctx.p, cells(ctx)
-    grid = [[value(m, n) for n in range(p.N + 1)] for m in range(p.N + 1)]
+    ctx = _context(cfg, GRIDS[which].needs_rho)
+    p, grid = ctx.p, ctx.grid(which)
 
     if cfg.output_format == "csv":
         header = "m,n,value" + (",exact" if cfg.extra.get("exact") else "")

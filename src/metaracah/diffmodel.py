@@ -35,8 +35,6 @@ from .eigenbases import LABELS, Context, family
 from .errors import PreconditionViolated
 from .hyper import multi_pochhammer, pochhammer, series_terms
 from .matrices import RationalMatrix
-from .racahpoly import RacahParams, closed_form_S
-from .rationalfns import closed_form_U, dual_hahn, dual_hahn_params
 from .report import VerificationReport
 
 Q = Fraction
@@ -410,27 +408,14 @@ def _model_bases_report(ctx: Context) -> tuple:
         fam = families[label] = model_basis(ctx, label)
         abstract = ctx.basis(label)
         expand = _in_gstar_basis if label.endswith("Star") else _in_g_basis
-        bad = [
-            n
-            for n in range(p.N + 1)
-            if expand(fam[n], norms) != list(abstract.column(n))
-        ]
-        rep.add(
-            f"model-{label}",
-            f"model family {label} matches the abstract expansion columnwise",
-            not bad,
-            detail="" if not bad else f"failing n: {bad}",
-        )
+        rep.add_line(f"model-{label}",
+                     f"model family {label} matches the abstract expansion columnwise", p.N,
+                     lambda n: expand(fam[n], norms) == list(abstract.column(n)))
 
     e_fam = families["e"]
     jac, scales = _e_as_jacobi(p)
-    bad = [n for n in range(p.N + 1) if e_fam[n] != scales[n] * jac[n]]
-    rep.add(
-        "model-e-jacobi",
-        "e_n(x) is a Jacobi polynomial up to the stated prefactor",
-        not bad,
-        detail="" if not bad else f"failing n: {bad}",
-    )
+    rep.add_line("model-e-jacobi", "e_n(x) is a Jacobi polynomial up to the stated prefactor",
+                 p.N, lambda n: e_fam[n] == scales[n] * jac[n])
     return rep, families
 
 
@@ -484,13 +469,13 @@ def model_orthogonality(ctx: Context, families: dict) -> VerificationReport:
 
 
 def integral_representations(ctx: Context) -> VerificationReport:
-    """Residue formulas for S, U and the dual Hahn values, full grid."""
+    """Residue formulas for S, U and the dual Hahn values, full grid; each
+    residue is compared with the closed-form grid of the Context."""
     p, rho = ctx.p, ctx.rho
     rep = VerificationReport(suite="model-integrals",
                              params={**p.as_dict(), "rho": str(rho)})
     a, b, z, N = p.alpha, p.beta, p.zeta, p.N
     jac, jac_scale = _e_as_jacobi(p)
-    rp = RacahParams.from_params(p, ctx.fp)
     # each formula is a factor in m times a factor in n times the pairing
     # of jac[m] with a window in n: x^(-n-1) times a terminating series
     norms = _g_norms(N)
@@ -500,20 +485,21 @@ def integral_representations(ctx: Context) -> VerificationReport:
                                          (1 + 2 * a + rho - 2 * n,), n + 1))
         for n in range(N + 1)
     ]
+    S = ctx.grid("S")
     rep.add_grid("integral-S", "residue formula reproduces S_m(n) on the full grid", N,
                  lambda m, n: jac_scale[m] / norms[n] * residue_pair(jac[m], s_windows[n])
-                 == closed_form_S(m, n, rp))
+                 == S[m][n])
 
     u_windows = [
         LaurentPoly(-n - 1, series_terms((N + 1 - n, b - a + 1), (a - n + 1,), n + 1))
         for n in range(N + 1)
     ]
+    U = ctx.grid("U")
     rep.add_grid("integral-U", "residue formula reproduces U_m(n) on the full grid", N,
                  lambda m, n: jac_scale[m] / (norms[n] * (n - a))
                  * residue_pair(jac[m], u_windows[n])
-                 == closed_form_U(m, n, p))
+                 == U[m][n])
 
-    rho_dh = dual_hahn_params(p)
     dh_scale = [pochhammer(Q(1), m) / pochhammer(N - 2 * a - b - 2 * z, m)
                 for m in range(N + 1)]
     dh_col = [pochhammer(Q(1), k) / norms[k] for k in range(N + 1)]
@@ -521,10 +507,11 @@ def integral_representations(ctx: Context) -> VerificationReport:
     dh_windows = [
         LaurentPoly(-k - 1, series_terms((N + 1 - k,), (), k + 1)) for k in range(N + 1)
     ]
+    R = ctx.grid("dualHahn")
     rep.add_grid("integral-dual-hahn",
                  "residue formula reproduces R^(dH)_k(m) on the full grid", N,
                  lambda m, k: dh_scale[m] * dh_col[k] * residue_pair(jac[m], dh_windows[k])
-                 == dual_hahn(k, m, rho_dh),
+                 == R[k][m],
                  axes="(m, k)")
     return rep
 

@@ -13,8 +13,10 @@ Pochhammer-ratio coefficients; build_basis evaluates those closed forms,
 while oracle_basis recomputes each vector from scratch as a kernel of the
 relevant matrix pencil and only borrows the closed form's normalization.
 FAMILIES maps each label to its eigenvalue, column and pencil; every
-entry point looks its label up there.  A Context is one validated
-parameter set; every suite reads the generators and families from it.
+entry point looks its label up there.  GRIDS maps the name of each
+closed-form overlap table to its cells.  A Context is one validated
+parameter set; every suite reads the generators, families and overlap
+grids from it.
 
 Pairings are bilinear (no conjugation).  The families pair up as
 
@@ -30,10 +32,11 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable
 
+from . import racahpoly, rationalfns, report
 from .algebra import Params, build_Z, build_V, build_X, build_transposes, require_generic
 from .errors import NondegenerateSpectrumViolated, PreconditionViolated
 from .hyper import pochhammer, series_terms
-from .matrices import RationalMatrix, nullspace
+from .matrices import RationalMatrix, inverse, nullspace
 from .report import VerificationReport
 
 Q = Fraction
@@ -203,6 +206,43 @@ def build_basis(p: Params, fp: FParams | None, label: str) -> BasisFamily:
     return BasisFamily(label=label, vectors=RationalMatrix.from_columns(cols), eigenvalues=eigs)
 
 
+@dataclass(frozen=True)
+class Grid:
+    """One row of the grid table: cells(ctx) is the value at (m, n) of the
+    closed-form overlap table of a Context."""
+
+    cells: Callable  # (ctx) -> ((m, n) -> Fraction)
+    needs_rho: bool = False
+
+
+def _racah_cells(value):
+    """cells for value(ctx, rp, m, n), with the RacahParams rp built once per grid."""
+    def cells(ctx):
+        rp = racahpoly.RacahParams.from_params(ctx.p, ctx.fp)
+        return lambda m, n: value(ctx, rp, m, n)
+    return cells
+
+
+# The eight overlap tables, keyed by `table --which` name.  Every cell is a
+# closed form: S and Stilde are prefactors times the R grid, U and Utilde
+# prefactors times the calU and calU-tilde grids.  Callees are looked up as
+# module attributes at call time, so wrappers installed there see every call.
+GRIDS = {
+    "racah": Grid(_racah_cells(lambda c, rp, m, n: racahpoly.racah(m, n, rp)), needs_rho=True),
+    "S": Grid(_racah_cells(lambda c, rp, m, n: racahpoly._prefactor_S(m, n, rp)
+                           * c.grid("racah")[m][n]), needs_rho=True),
+    "Stilde": Grid(_racah_cells(lambda c, rp, m, n: racahpoly._prefactor_Stilde(m, n, rp)
+                                * c.grid("racah")[m][n]), needs_rho=True),
+    "calU": Grid(lambda c: lambda m, n: rationalfns.calU(m, n, c.p)),
+    "calUtilde": Grid(lambda c: lambda m, n: rationalfns.calU_tilde(m, n, c.p)),
+    "U": Grid(lambda c: lambda m, n: rationalfns._prefactor_U(m, n, c.p) * c.grid("calU")[m][n]),
+    "Utilde": Grid(lambda c: lambda m, n: rationalfns._prefactor_Utilde(m, n, c.p)
+                   * c.grid("calUtilde")[m][n]),
+    "dualHahn": Grid(lambda c: lambda m, n: rationalfns.dual_hahn(
+        m, n, rationalfns.dual_hahn_params(c.p))),
+}
+
+
 # Nothing in the library calls cached_basis: the families live in a Context.
 # perfbench/tracer.py still wraps it and reads its cache_info(), so the name
 # stays until the benchmark stops reading it.
@@ -216,14 +256,15 @@ class Context:
     Making a Context is the one genericity check: it raises
     DegenerateParameters unless (p, rho) is generic, and nothing that
     takes a Context checks again.  The generators Z, V, X, their
-    transposes Zt, Vt, Xt, the identity I and each closed-form family are
-    built on first use and kept for the Context's lifetime.  Equality and
-    hashing follow (p, fp).
+    transposes Zt, Vt, Xt, the identity I, Vtilde = X Z^{-1}, each
+    closed-form family and each overlap grid are built on first use and
+    kept for the Context's lifetime.  Equality and hashing follow (p, fp).
     """
 
     p: Params
     fp: FParams | None = None
     _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_generic(self.p, self.rho)
@@ -241,6 +282,7 @@ class Context:
     Vt = property(lambda self: self._transposes[1])
     Xt = property(lambda self: self._transposes[2])
     I = cached_property(lambda self: RationalMatrix.identity(self.p.N + 1))
+    Vtilde = cached_property(lambda self: self.X * inverse(self.Z))
 
     def basis(self, label: str) -> BasisFamily:
         """The closed-form family, built on first use."""
@@ -248,6 +290,16 @@ class Context:
         if fam is None:
             fam = self._bases[label] = build_basis(self.p, self.fp, label)
         return fam
+
+    def grid(self, name: str) -> list:
+        """The overlap table GRIDS[name], row m holding the values at n = 0..N,
+        evaluated row by row on first use."""
+        rows = self._grids.get(name)
+        if rows is None:
+            if GRIDS[name].needs_rho and self.fp is None:
+                raise PreconditionViolated(f"grid {name!r} needs FParams")
+            rows = self._grids[name] = report.grid(self.p.N, GRIDS[name].cells(self))
+        return rows
 
 
 def oracle_basis(ctx: Context, label: str) -> BasisFamily:

@@ -13,12 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .algebra import Params
-from .eigenbases import Context, FParams
 from .hyper import series_terms
-from .matrices import RationalMatrix, inverse
+from .matrices import RationalMatrix
 from .report import VerificationReport
+
+if TYPE_CHECKING:
+    from .eigenbases import Context, FParams
 
 Q = Fraction
 
@@ -340,7 +343,6 @@ def verify_coefficients(ctx: Context) -> VerificationReport:
     zb = ctx.basis("z")
     zstar = ctx.basis("zStar")
     zz = coeffs_on_z(p)
-    Vtilde = X * inverse(Z)
     rep.add_matrix_zero(
         "V-on-z", "closed-form V coefficients on z match (z*)^T V z",
         zz["V"].assemble() - conjugate_plain(V, zb, zstar),
@@ -351,7 +353,7 @@ def verify_coefficients(ctx: Context) -> VerificationReport:
     )
     rep.add_matrix_zero(
         "Vtilde-on-z", "closed-form X Z^{-1} coefficients on z match (z*)^T X Z^{-1} z",
-        zz["Vtilde"].assemble() - conjugate_plain(Vtilde, zb, zstar),
+        zz["Vtilde"].assemble() - conjugate_plain(ctx.Vtilde, zb, zstar),
     )
     return rep
 
@@ -375,8 +377,7 @@ def verify_leonard_trio(ctx: Context) -> VerificationReport:
     """
     p = ctx.p
     N = p.N
-    Z, V, X = ctx.Z, ctx.V, ctx.X
-    Vtilde = X * inverse(Z)
+    Z, V, Vtilde = ctx.Z, ctx.V, ctx.Vtilde
     rep = VerificationReport(suite="matrixreps:leonard-trio", params=p.as_dict())
 
     e = ctx.basis("e")

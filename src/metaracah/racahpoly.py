@@ -24,14 +24,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .algebra import Params
-from .eigenbases import Context, FParams
 from .errors import PreconditionViolated
 from .hyper import multi_pochhammer, pochhammer, terminating_hyp
 from .matrices import dot
 from .matrixreps import TridiagonalCoeffs, coeffs_V_on_f, coeffs_X_on_e, coeffs_Z_on_e
-from .report import VerificationReport, grid
+from .report import VerificationReport
+
+if TYPE_CHECKING:
+    from .eigenbases import Context, FParams
 
 Q = Fraction
 
@@ -187,10 +190,10 @@ def verify_racah(ctx: Context) -> VerificationReport:
     """Full identification + bispectrality suite on the (m, n) grid.
 
     Each table that depends only on (p, rho) is built once and read by
-    every check: the R grid, the closed-form S and Stilde grids built on
-    it, the bands of V on f and of X + rho Z on e, and the eigenvalue
-    rows of the bases.  The dot-product sides come from the bases, never
-    from these tables.
+    every check: the R grid and the closed-form S and Stilde grids built
+    on it (all three kept on the Context), the bands of V on f and of
+    X + rho Z on e, and the eigenvalue rows of the bases.  The dot-product
+    sides come from the bases, never from these tables.
 
     The orthogonality checks, all exact:
       * sum_n Stilde_k(n) S_m(n) = delta_km  (closed forms on both slots);
@@ -207,9 +210,7 @@ def verify_racah(ctx: Context) -> VerificationReport:
     N = p.N
     rep = VerificationReport(suite="racah", params={**p.as_dict(), "rho": str(fp.rho)})
 
-    R = grid(N, lambda m, n: racah(m, n, rp))
-    S = grid(N, lambda m, n: _prefactor_S(m, n, rp) * R[m][n])
-    St = grid(N, lambda m, n: _prefactor_Stilde(m, n, rp) * R[m][n])
+    R, S, St = ctx.grid("racah"), ctx.grid("S"), ctx.grid("Stilde")
     fstar, e = ctx.basis("fStar"), ctx.basis("e")
     rep.add_grid(
         "identify-S",

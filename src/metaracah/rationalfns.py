@@ -27,13 +27,16 @@ limit at large finite parameter values.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .algebra import Params, build_X, build_Z
-from .eigenbases import Context
 from .errors import DegenerateParameters
 from .hyper import multi_pochhammer, pochhammer, terminating_hyp
 from .matrices import dot
-from .report import VerificationReport, grid
+from .report import VerificationReport
+
+if TYPE_CHECKING:
+    from .eigenbases import Context
 
 Q = Fraction
 
@@ -329,16 +332,14 @@ def _dual_hahn_sum(m: int, n: int, p: Params, R) -> Fraction:
     return pochhammer(Q(1), n) / pochhammer(a - b - n, n) * total
 
 
-def _em_zstar_failures(m: int, p: Params, e, zstar) -> list:
-    """The k at which <e_m|z*_k> differs from em_zstar_closed."""
-    return [k for k in range(p.N + 1)
-            if dot(e.column(m), zstar.column(k)) != em_zstar_closed(m, k, p)]
+def _em_zstar_holds(m: int, k: int, p: Params, e, zstar) -> bool:
+    """<e_m|z*_k> equals em_zstar_closed."""
+    return dot(e.column(m), zstar.column(k)) == em_zstar_closed(m, k, p)
 
 
-def _zk_dstar_failures(n: int, p: Params, zfam, dstar) -> list:
-    """The k at which <z_k|d*_n> differs from zk_dstar_closed."""
-    return [k for k in range(p.N + 1)
-            if dot(zfam.column(k), dstar.column(n)) != zk_dstar_closed(k, n, p)]
+def _zk_dstar_holds(k: int, n: int, p: Params, zfam, dstar) -> bool:
+    """<z_k|d*_n> equals zk_dstar_closed."""
+    return dot(zfam.column(k), dstar.column(n)) == zk_dstar_closed(k, n, p)
 
 
 def dual_hahn_expansion(ctx: Context, m: int, n: int) -> VerificationReport:
@@ -359,42 +360,11 @@ def dual_hahn_expansion(ctx: Context, m: int, n: int) -> VerificationReport:
     )
 
     e, zstar, zfam, dstar = (ctx.basis(label) for label in ("e", "zStar", "z", "dStar"))
-    bad = _em_zstar_failures(m, p, e, zstar)
-    rep.add(
-        "em-zstar",
-        "<e_m|z*_k> matches the dual Hahn closed form for all k",
-        not bad,
-        detail="" if not bad else f"failing k: {bad}",
-    )
-    bad = _zk_dstar_failures(n, p, zfam, dstar)
-    rep.add(
-        "zk-dstar",
-        "<z_k|d*_n> is triangular with Pochhammer-ratio entries",
-        not bad,
-        detail="" if not bad else f"failing k: {bad}",
-    )
+    rep.add_line("em-zstar", "<e_m|z*_k> matches the dual Hahn closed form for all k",
+                 p.N, lambda k: _em_zstar_holds(m, k, p, e, zstar), axis="k")
+    rep.add_line("zk-dstar", "<z_k|d*_n> is triangular with Pochhammer-ratio entries",
+                 p.N, lambda k: _zk_dstar_holds(k, n, p, zfam, dstar), axis="k")
     return rep
-
-
-def _dual_hahn_first_failure(ctx: Context, cU):
-    """The first (m, n), row by row, where dual_hahn_expansion would fail, or None.
-
-    The dual Hahn table is built once, the em-zstar check runs once per m
-    and the zk-dstar check once per n.
-    """
-    p = ctx.p
-    N = p.N
-    rho = dual_hahn_params(p)
-    R = grid(N, lambda k, x: dual_hahn(k, x, rho))
-    e, zstar, zfam, dstar = (ctx.basis(label) for label in ("e", "zStar", "z", "dStar"))
-    em_ok = [not _em_zstar_failures(m, p, e, zstar) for m in range(N + 1)]
-    zk_ok = [not _zk_dstar_failures(n, p, zfam, dstar) for n in range(N + 1)]
-    return next(
-        ((m, n) for m in range(N + 1) for n in range(N + 1)
-         if not (em_ok[m] and zk_ok[n]
-                 and _dual_hahn_sum(m, n, p, lambda k, x: R[k][x]) == cU[m][n])),
-        None,
-    )
 
 
 # -- Hahn-type limit -----------------------------------------------------------
@@ -440,10 +410,12 @@ def hahn_limit_check(m: int, n: int, aH, bH, p0: Params, tValues) -> Verificatio
 def verify_rational(ctx: Context) -> VerificationReport:
     """Full identification / biorthogonality / bispectrality suite.
 
-    The calU and calU_tilde grids, and the U and Utilde grids built on
-    them, are evaluated once and shared by every check; the dot-product
-    sides come from the bases.  Both biorthogonality relations are
-    checked exactly, with the explicit weights.
+    The calU and calU_tilde grids, the U and Utilde grids built on them
+    and the dual Hahn grid are read from the Context and shared by every
+    check; the dot-product sides come from the bases.  Both
+    biorthogonality relations are checked exactly, with the explicit
+    weights.  The dual Hahn check fails at (m, n) exactly where
+    dual_hahn_expansion(ctx, m, n) does.
     """
     p = ctx.p
     N = p.N
@@ -452,10 +424,8 @@ def verify_rational(ctx: Context) -> VerificationReport:
     e, estar, d, dstar = (ctx.basis(label) for label in ("e", "eStar", "d", "dStar"))
     ZD = ctx.Z * d.vectors
 
-    cU = grid(N, lambda m, n: calU(m, n, p))
-    cUt = grid(N, lambda m, n: calU_tilde(m, n, p))
-    U = grid(N, lambda m, n: _prefactor_U(m, n, p) * cU[m][n])
-    Ut = grid(N, lambda m, n: _prefactor_Utilde(m, n, p) * cUt[m][n])
+    cU, cUt = ctx.grid("calU"), ctx.grid("calUtilde")
+    U, Ut = ctx.grid("U"), ctx.grid("Utilde")
     rep.add_grid(
         "identify-U",
         "<e_m|d*_n> = prefactor * calU_m(n) on the full grid",
@@ -518,10 +488,14 @@ def verify_rational(ctx: Context) -> VerificationReport:
 
     rep.checks.extend(contiguity_operator_check(ctx).checks)
 
-    first_bad = _dual_hahn_first_failure(ctx, cU)
-    rep.add("dual-hahn", "dual Hahn expansion and overlap closed forms on the full grid",
-            first_bad is None,
-            detail="" if first_bad is None else f"first failure at (m, n) = {first_bad}")
+    R = ctx.grid("dualHahn")
+    zstar, zfam = ctx.basis("zStar"), ctx.basis("z")
+    em_ok = [all(_em_zstar_holds(m, k, p, e, zstar) for k in range(N + 1)) for m in range(N + 1)]
+    zk_ok = [all(_zk_dstar_holds(k, n, p, zfam, dstar) for k in range(N + 1))
+             for n in range(N + 1)]
+    rep.add_grid("dual-hahn", "dual Hahn expansion and overlap closed forms on the full grid", N,
+                 lambda m, n: em_ok[m] and zk_ok[n]
+                 and _dual_hahn_sum(m, n, p, lambda k, x: R[k][x]) == cU[m][n])
 
     rep.checks.extend(
         hahn_limit_check(1, 1, Q(1, 3), Q(1, 5), p, (1000, 10000, 100000)).checks)

@@ -20,7 +20,7 @@ def describe_matrix_mismatch(m) -> str:
 
 def grid(N: int, value) -> list:
     """The table [[value(i, j) for j in 0..N] for i in 0..N], evaluated row by
-    row in the order add_grid visits its points."""
+    row in the order add_grid visits its points; Context.grid is its one caller."""
     return [[value(i, j) for j in range(N + 1)] for i in range(N + 1)]
 
 
@@ -64,6 +64,12 @@ class VerificationReport:
         bad = [(i, j) for i in range(N + 1) for j in range(N + 1) if not predicate(i, j)]
         return self.add(check_id, statement, not bad,
                         "" if not bad else f"failing {axes}: {bad[:4]}")
+
+    def add_line(self, check_id: str, statement: str, N: int, predicate, axis: str = "n"):
+        """Pass iff predicate(i) holds for every i in 0..N; a failure lists
+        every failing index under the axis name, as in "failing k: [0, 3]"."""
+        bad = [i for i in range(N + 1) if not predicate(i)]
+        return self.add(check_id, statement, not bad, "" if not bad else f"failing {axis}: {bad}")
 
     def add_info(self, check_id: str, statement: str, detail: str = ""):
         """Informational entry that never fails."""

@@ -9,8 +9,12 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import metaracah
 import metaracah.algebra as algebra
 import metaracah.eigenbases as eb
+import metaracah.matrices as matrices
+import metaracah.racahpoly as racahpoly
+import metaracah.rationalfns as rationalfns
 from metaracah.cli import main
 from metaracah.racahpoly import RacahParams, closed_form_S
 from metaracah import FParams, Params, validate_params
@@ -230,6 +234,14 @@ PINNED_STDOUT = [
      "76e97f2714feee63dbbb88a006358b2f8d0744093f122c466500ad8377805d99"),
     ("verify --suite all --N 4 --sweeps 2 --seed 7", 0,
      "3a1c10bb0f9fea44a9b6644ef9a612f27812b2286fd2cc5310acb9b63356325c"),
+    # grids every suite shares: dual Hahn and U tables, and the model suite
+    # alone, which then builds the S, U and dual Hahn grids itself
+    ("table --which dualHahn --N 8", 0,
+     "3e521284641c5e2978ef9abd409d33b41c9711eb603508059d64b9823d49fc02"),
+    ("table --which U --N 8", 0,
+     "907a67e5f67ea75412da72fd749090fdc22b0ce83da53daada4723747407495a"),
+    ("verify --suite model --N 8 --alpha=-28/3 --beta=22/17 --zeta=3/19 --rho=10/11", 0,
+     "1bb7f18ae76b130e6c743e0364a8e61ad9664d200fc4bf5f07ce8a82bd2447f8"),
 ]
 
 
@@ -351,3 +363,33 @@ def test_one_validation_and_one_build_per_set(capsys, monkeypatch, argv):
     assert code == 0
     assert calls.pop("registry") == 1
     assert set(calls.values()) <= {1}
+
+
+def test_each_overlap_grid_is_built_once_per_set(capsys, monkeypatch):
+    # every suite reads the overlap grids of its one Context: each R, calU,
+    # calU-tilde and dual Hahn cell is evaluated once (dual_hahn also once
+    # per <e_m|z*_k> closed form, calU_general also at the contiguity shift
+    # and in the Hahn limit), the model suite's residues read the S and U
+    # grids, and Vtilde = X Z^{-1} takes one inverse
+    callees = [(racahpoly, "racah"), (racahpoly, "closed_form_S"),
+               (rationalfns, "dual_hahn"), (rationalfns, "calU_general"),
+               (rationalfns, "closed_form_U"), (matrices, "inverse")]
+    modules = [metaracah] + [getattr(metaracah, name) for name in dir(metaracah)
+                             if type(getattr(metaracah, name)) is type(metaracah)]
+    calls = Counter()
+    for owner, name in callees:
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    code, _ = run(capsys, "verify", "--suite", "all", "--N", "3")
+    assert code == 0
+    assert {name: calls[name] for _, name in callees} == {
+        "racah": 16, "closed_form_S": 0, "dual_hahn": 32, "calU_general": 51,
+        "closed_form_U": 0, "inverse": 1}

@@ -11,9 +11,14 @@ from metaracah import (
     NondegenerateSpectrumViolated,
     Params,
     PreconditionViolated,
+    RacahParams,
     build_Z,
     build_basis,
     check_orthogonality,
+    closed_form_S,
+    closed_form_Stilde,
+    closed_form_U,
+    closed_form_Utilde,
     oracle_basis,
 )
 from metaracah.cli import SUITES, run_suites
@@ -131,3 +136,26 @@ def test_each_family_is_built_once_per_set(p3, fp, monkeypatch):
     monkeypatch.setattr(eb, "build_basis", counted)
     run_suites(p3, fp, SUITES)
     assert calls == Counter({label: 1 for label in LABELS})
+
+
+def test_rho_grids_need_fparams_and_each_grid_is_kept(p3, fp):
+    ctx = Context(p3)
+    for name, row in eb.GRIDS.items():
+        if row.needs_rho:
+            with pytest.raises(PreconditionViolated, match=f"grid '{name}' needs FParams"):
+                ctx.grid(name)
+        else:
+            assert ctx.grid(name) is ctx.grid(name)
+    assert {name for name, row in eb.GRIDS.items() if row.needs_rho} == {"racah", "S", "Stilde"}
+    # the grids built on the R, calU and calU-tilde grids equal the
+    # per-point closed forms
+    ctx = Context(p3, fp)
+    rp = RacahParams.from_params(p3, fp)
+    per_point = {"S": lambda m, n: closed_form_S(m, n, rp),
+                 "Stilde": lambda m, n: closed_form_Stilde(m, n, rp),
+                 "U": lambda m, n: closed_form_U(m, n, p3),
+                 "Utilde": lambda m, n: closed_form_Utilde(m, n, p3)}
+    for name, value in per_point.items():
+        assert ctx.grid(name) == [[value(m, n) for n in range(p3.N + 1)]
+                                  for m in range(p3.N + 1)], name
+    assert ctx.Vtilde is ctx.Vtilde and ctx.Vtilde * ctx.Z == ctx.X

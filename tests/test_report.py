@@ -24,3 +24,21 @@ def test_add_grid_default_axes_and_pass():
     assert rep.add_grid("all", "always holds", 2, lambda m, n: True)
     assert rep.checks[1].status == PASS
     assert rep.checks[1].detail == ""
+
+
+def test_add_line_lists_every_failing_index():
+    rep = VerificationReport(suite="line")
+    seen = []
+
+    def predicate(k):
+        seen.append(k)
+        return k % 2 == 1
+
+    assert rep.add_line("odd", "odd indices only", 5, predicate, axis="k") is False
+    assert seen == list(range(6))
+    assert rep.checks[0].status == FAIL
+    assert rep.checks[0].detail == "failing k: [0, 2, 4]"
+    assert rep.add_line("all", "always holds", 3, lambda n: True)
+    assert (rep.checks[1].status, rep.checks[1].detail) == (PASS, "")
+    rep.add_line("last", "fails at 3 only", 3, lambda n: n != 3)
+    assert rep.checks[2].detail == "failing n: [3]"

@@ -109,3 +109,23 @@ def test_parameters_are_validated_only_by_a_context():
                     found.append((path.name, owner if not isinstance(top, ast.ImportFrom)
                                   else "import"))
     assert sorted(found) == [("eigenbases.py", "Context"), ("eigenbases.py", "import")], found
+
+
+def test_overlap_grids_are_built_only_by_a_context():
+    # every (N+1) x (N+1) overlap table is an entry of Context.grid, built
+    # once per set with report.grid; a suite or command that called
+    # report.grid itself would hold a private copy of a grid the Context
+    # already shares, so the name appears only at its definition and there
+    found = []
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                named = (node is top and isinstance(node, ast.FunctionDef) and node.name == "grid"
+                         or isinstance(node, ast.alias) and node.name == "grid"
+                         or isinstance(node, ast.Attribute) and node.attr == "grid"
+                         and isinstance(node.value, ast.Name) and node.value.id == "report")
+                if named:
+                    found.append((path.name, owner if not isinstance(top, ast.ImportFrom)
+                                  else "import"))
+    assert sorted(found) == [("eigenbases.py", "Context"), ("report.py", "grid")], found
