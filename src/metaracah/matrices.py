@@ -11,6 +11,7 @@ from fractions import Fraction
 from math import lcm
 
 Q = Fraction
+_ZERO = Q(0)
 
 
 class RationalMatrix:
@@ -130,21 +131,26 @@ class RationalMatrix:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
     def __mul__(self, other):
+        """Matrix product, or entrywise product with a scalar.
+
+        Left rows and right columns are scaled to integers over the lcm of
+        their denominators; entry (i, j) is an integer sum over the nonzeros
+        of both factors over the two scales, one Fraction per nonzero entry.
+        """
         if isinstance(other, RationalMatrix):
             if self.cols != other.rows:
                 raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-            out = [[Q(0)] * other.cols for _ in range(self.rows)]
-            for i in range(self.rows):
-                row = self._e[i]
-                acc = out[i]
-                for k in range(self.cols):
-                    x = row[k]
-                    if x == 0:
-                        continue
-                    brow = other._e[k]
-                    for j in range(other.cols):
-                        if brow[j] != 0:
-                            acc[j] += x * brow[j]
+            cols = _scaled(zip(*other._e))
+            # row k of the column-scaled right factor, as its (j, integer) nonzeros
+            right = [[(j, x) for j, x in enumerate(r) if x] for r in zip(*(c for _, c in cols))]
+            out = []
+            for d, row in _scaled(self._e):
+                acc = [0] * other.cols
+                for a, nonzeros in zip(row, right):
+                    if a:
+                        for j, x in nonzeros:
+                            acc[j] += a * x
+                out.append([Q(s, d * e) if s else _ZERO for s, (e, _) in zip(acc, cols)])
             return RationalMatrix(out)
         return RationalMatrix([[x * other for x in row] for row in self._e])
 
@@ -152,18 +158,14 @@ class RationalMatrix:
         return RationalMatrix([[scalar * x if x else x for x in row] for row in self._e])
 
     def transpose(self):
-        return RationalMatrix(
-            [[self._e[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        return RationalMatrix(list(zip(*self._e)))
 
     def apply(self, vector):
         """Matrix-vector product, vector given as a sequence."""
         vector = list(vector)
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(
-            sum((row[k] * vector[k] for k in range(self.cols)), Q(0)) for row in self._e
-        )
+        return tuple(dot(row, vector) for row in self._e)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self._e)
@@ -179,23 +181,26 @@ def anticommutator(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 
 
 def dot(u, v) -> Fraction:
-    """Plain bilinear pairing sum_i u_i v_i (no conjugation)."""
-    u, v = list(u), list(v)
-    if len(u) != len(v):
+    """Plain bilinear pairing sum_i u_i v_i (no conjugation), as one integer
+    inner product over the lcm scales of u and v."""
+    (d, a), (e, b) = _scaled((u, v))
+    if len(a) != len(b):
         raise ValueError("length mismatch")
-    return sum((a * b for a, b in zip(u, v)), Q(0))
+    return Q(sum(x * y for x, y in zip(a, b) if y), d * e)
+
+
+def _scaled(vectors):
+    """Each vector v as (d, [d * x for x in v]) with d the lcm of its denominators,
+    so the list holds integers: what products, pairings and Bareiss work on."""
+    out = []
+    for v in vectors:
+        ratios = [x.as_integer_ratio() for x in v]
+        d = lcm(*(q for _, q in ratios))
+        out.append((d, [p * (d // q) for p, q in ratios]))
+    return out
 
 
 # -- elimination kernels -----------------------------------------------------
-
-
-def _integer_rows(m: RationalMatrix):
-    """Scale each row by the lcm of its denominators; kernel is unchanged."""
-    out = []
-    for row in m._e:
-        scale = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (scale // x.denominator) for x in row])
-    return out
 
 
 def nullspace(m: RationalMatrix):
@@ -208,7 +213,7 @@ def nullspace(m: RationalMatrix):
     banded matrix are nearly all of them.  Returns a list of tuples, one
     per free column.
     """
-    a = _integer_rows(m)
+    a = [row for _, row in _scaled(m._e)]
     rows, cols = len(a), len(a[0])
     pivots = []  # (row, col) in echelon order
     prev = 1

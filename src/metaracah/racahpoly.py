@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 from .algebra import Params
 from .errors import PreconditionViolated
 from .hyper import multi_pochhammer, pochhammer, terminating_hyp
-from .matrices import dot
+from .matrices import RationalMatrix
 from .matrixreps import TridiagonalCoeffs, coeffs_V_on_f, coeffs_X_on_e, coeffs_Z_on_e
 from .report import VerificationReport
 
@@ -193,7 +193,9 @@ def verify_racah(ctx: Context) -> VerificationReport:
     every check: the R grid and the closed-form S and Stilde grids built
     on it (all three kept on the Context), the bands of V on f and of
     X + rho Z on e, and the eigenvalue rows of the bases.  The dot-product
-    sides come from the bases, never from these tables.
+    sides are the products e^T f* and e*^T f of the bases, never these
+    tables.  Every sum over n is an entry of one matrix product, built
+    once before its check.
 
     The orthogonality checks, all exact:
       * sum_n Stilde_k(n) S_m(n) = delta_km  (closed forms on both slots);
@@ -212,18 +214,20 @@ def verify_racah(ctx: Context) -> VerificationReport:
 
     R, S, St = ctx.grid("racah"), ctx.grid("S"), ctx.grid("Stilde")
     fstar, e = ctx.basis("fStar"), ctx.basis("e")
+    e_fstar = e.vectors.transpose() * fstar.vectors
     rep.add_grid(
         "identify-S",
         "<f*_n|e_m> = prefactor * R_m(n) on the full grid",
         N,
-        lambda m, n: dot(fstar.column(n), e.column(m)) == S[m][n],
+        lambda m, n: e_fstar[m, n] == S[m][n],
     )
     f, estar = ctx.basis("f"), ctx.basis("eStar")
+    estar_f = estar.vectors.transpose() * f.vectors
     rep.add_grid(
         "identify-Stilde",
         "<f_n|e*_m> = prefactor * R_m(n) on the full grid",
         N,
-        lambda m, n: dot(f.column(n), estar.column(m)) == St[m][n],
+        lambda m, n: estar_f[m, n] == St[m][n],
     )
 
     def s_at(i, j):
@@ -239,19 +243,21 @@ def verify_racah(ctx: Context) -> VerificationReport:
     W = [weight(n, rp) for n in range(N + 1)]
     Nm = [norm(m, rp) for m in range(N + 1)]
 
+    gram_S = RationalMatrix(St) * RationalMatrix(S).transpose()
     rep.add_grid(
         "gram-S",
         "sum_n Stilde_k(n) S_m(n) = delta_km",
         N,
-        lambda k, m: sum(St[k][n] * S[m][n] for n in range(N + 1)) == (1 if k == m else 0),
+        lambda k, m: gram_S[k, m] == (1 if k == m else 0),
         axes="(k, m)",
     )
+    Rm = RationalMatrix(R)
+    gram_R = Rm * RationalMatrix.diagonal(W) * Rm.transpose()
     rep.add_grid(
         "weight-orthogonality",
         "sum_n W_n R_k(n) R_m(n) = N_m delta_km",
         N,
-        lambda k, m: sum(W[n] * R[k][n] * R[m][n] for n in range(N + 1))
-        == (Nm[m] if k == m else 0),
+        lambda k, m: gram_R[k, m] == (Nm[m] if k == m else 0),
         axes="(k, m)",
     )
     rep.add_grid(

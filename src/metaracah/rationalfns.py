@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 from .algebra import Params, build_X, build_Z
 from .errors import DegenerateParameters
 from .hyper import multi_pochhammer, pochhammer, terminating_hyp
-from .matrices import dot
+from .matrices import RationalMatrix, dot
 from .report import VerificationReport
 
 if TYPE_CHECKING:
@@ -297,13 +297,16 @@ def dual_hahn_params(p: Params) -> tuple:
     return (N - 2 * a - b - 2 * z - 1, 2 * a - b - N - 1, N)
 
 
-def em_zstar_closed(m: int, k: int, p: Params) -> Fraction:
-    """Closed form for <e_m|z*_k>: a dual Hahn value times a prefactor."""
+def _prefactor_em_zstar(m: int, k: int, p: Params) -> Fraction:
     a, b, z, N = p.alpha, p.beta, p.zeta, p.N
-    pre = multi_pochhammer((Q(-N), N - 2 * a - b - 2 * z), m) / (
+    return multi_pochhammer((Q(-N), N - 2 * a - b - 2 * z), m) / (
         pochhammer(Q(1), k) * pochhammer(m - 2 * b - 2 * z - 1, m)
     )
-    return pre * dual_hahn(k, m, dual_hahn_params(p))
+
+
+def em_zstar_closed(m: int, k: int, p: Params) -> Fraction:
+    """Closed form for <e_m|z*_k>: a prefactor times the dual Hahn value R^(dH)_k(m)."""
+    return _prefactor_em_zstar(m, k, p) * dual_hahn(k, m, dual_hahn_params(p))
 
 
 def zk_dstar_closed(k: int, n: int, p: Params) -> Fraction:
@@ -318,28 +321,14 @@ def zk_dstar_closed(k: int, n: int, p: Params) -> Fraction:
     )
 
 
-def _dual_hahn_sum(m: int, n: int, p: Params, R) -> Fraction:
-    """n!/(alpha-beta-n)_n sum_k (-alpha)_k (2alpha-beta-n)_{n-k} / ((n-k)! k!) R(k, m),
-    with R(k, x) the dual Hahn value R^(dH)_k(x)."""
+def _dual_hahn_row(n: int, p: Params) -> list:
+    """Row n of the expansion table, calU_m(n) = sum_k C_nk R^(dH)_k(m):
+    C_nk = n!/(alpha-beta-n)_n (-alpha)_k (2alpha-beta-n)_{n-k} / ((n-k)! k!)
+    for k = 0..n; the table is lower triangular."""
     a, b = p.alpha, p.beta
-    total = sum(
-        pochhammer(-a, k)
-        * pochhammer(2 * a - b - n, n - k)
-        / (pochhammer(Q(1), n - k) * pochhammer(Q(1), k))
-        * R(k, m)
-        for k in range(n + 1)
-    )
-    return pochhammer(Q(1), n) / pochhammer(a - b - n, n) * total
-
-
-def _em_zstar_holds(m: int, k: int, p: Params, e, zstar) -> bool:
-    """<e_m|z*_k> equals em_zstar_closed."""
-    return dot(e.column(m), zstar.column(k)) == em_zstar_closed(m, k, p)
-
-
-def _zk_dstar_holds(k: int, n: int, p: Params, zfam, dstar) -> bool:
-    """<z_k|d*_n> equals zk_dstar_closed."""
-    return dot(zfam.column(k), dstar.column(n)) == zk_dstar_closed(k, n, p)
+    head = pochhammer(Q(1), n) / pochhammer(a - b - n, n)
+    return [head * pochhammer(-a, k) * pochhammer(2 * a - b - n, n - k)
+            / (pochhammer(Q(1), n - k) * pochhammer(Q(1), k)) for k in range(n + 1)]
 
 
 def dual_hahn_expansion(ctx: Context, m: int, n: int) -> VerificationReport:
@@ -349,7 +338,7 @@ def dual_hahn_expansion(ctx: Context, m: int, n: int) -> VerificationReport:
     rep = VerificationReport(suite="dual-hahn-expansion",
                              params={**p.as_dict(), "m": str(m), "n": str(n)})
 
-    expansion = _dual_hahn_sum(m, n, p, lambda k, x: dual_hahn(k, x, rho))
+    expansion = dot(_dual_hahn_row(n, p), [dual_hahn(k, m, rho) for k in range(n + 1)])
     value = calU(m, n, p)
     rep.add(
         "expansion",
@@ -361,9 +350,11 @@ def dual_hahn_expansion(ctx: Context, m: int, n: int) -> VerificationReport:
 
     e, zstar, zfam, dstar = (ctx.basis(label) for label in ("e", "zStar", "z", "dStar"))
     rep.add_line("em-zstar", "<e_m|z*_k> matches the dual Hahn closed form for all k",
-                 p.N, lambda k: _em_zstar_holds(m, k, p, e, zstar), axis="k")
+                 p.N, lambda k: dot(e.column(m), zstar.column(k)) == em_zstar_closed(m, k, p),
+                 axis="k")
     rep.add_line("zk-dstar", "<z_k|d*_n> is triangular with Pochhammer-ratio entries",
-                 p.N, lambda k: _zk_dstar_holds(k, n, p, zfam, dstar), axis="k")
+                 p.N, lambda k: dot(zfam.column(k), dstar.column(n)) == zk_dstar_closed(k, n, p),
+                 axis="k")
     return rep
 
 
@@ -412,31 +403,33 @@ def verify_rational(ctx: Context) -> VerificationReport:
 
     The calU and calU_tilde grids, the U and Utilde grids built on them
     and the dual Hahn grid are read from the Context and shared by every
-    check; the dot-product sides come from the bases.  Both
-    biorthogonality relations are checked exactly, with the explicit
-    weights.  The dual Hahn check fails at (m, n) exactly where
-    dual_hahn_expansion(ctx, m, n) does.
+    check; the dot-product sides are products of the bases (e^T d*,
+    e*^T Z d, e^T z*, z^T d*).  Every sum over an index is an entry of one
+    matrix product built before its check.  Both biorthogonality relations
+    are checked exactly, with the explicit weights.  The dual Hahn check
+    fails at (m, n) exactly where dual_hahn_expansion(ctx, m, n) does.
     """
     p = ctx.p
     N = p.N
     rep = VerificationReport(suite="rational", params=p.as_dict())
 
     e, estar, d, dstar = (ctx.basis(label) for label in ("e", "eStar", "d", "dStar"))
-    ZD = ctx.Z * d.vectors
 
     cU, cUt = ctx.grid("calU"), ctx.grid("calUtilde")
     U, Ut = ctx.grid("U"), ctx.grid("Utilde")
+    e_dstar = e.vectors.transpose() * dstar.vectors
     rep.add_grid(
         "identify-U",
         "<e_m|d*_n> = prefactor * calU_m(n) on the full grid",
         N,
-        lambda m, n: dot(e.column(m), dstar.column(n)) == U[m][n],
+        lambda m, n: e_dstar[m, n] == U[m][n],
     )
+    estar_zd = estar.vectors.transpose() * (ctx.Z * d.vectors)
     rep.add_grid(
         "identify-Utilde",
         "<e*_m|Z|d_n> = prefactor * calU_tilde_m(n) on the full grid",
         N,
-        lambda m, n: dot(estar.column(m), ZD.column(n)) == Ut[m][n],
+        lambda m, n: estar_zd[m, n] == Ut[m][n],
     )
 
     W = [weight_W(j, p) for j in range(N + 1)]
@@ -446,32 +439,36 @@ def verify_rational(ctx: Context) -> VerificationReport:
 
     rep.add("h0-normalization", "h_0 = h*_0 = 1", h[0] == 1 and hs[0] == 1,
             detail=f"h_0 = {h[0]}, h*_0 = {hs[0]}")
+    cUm, cUtm = RationalMatrix(cU), RationalMatrix(cUt)
+    point = cUtm * RationalMatrix.diagonal(W) * cUm.transpose()
     rep.add_grid(
         "biorth-point",
         "sum_j W(j) calUt_m(j) calU_n(j) = h_n delta_nm",
         N,
-        lambda m, n: sum(W[j] * cUt[m][j] * cU[n][j] for j in range(N + 1))
-        == (h[n] if n == m else 0),
+        lambda m, n: point[m, n] == (h[n] if n == m else 0),
     )
+    degree = cUtm.transpose() * RationalMatrix.diagonal(Ws) * cUm
     rep.add_grid(
         "biorth-degree",
         "sum_j W*(j) calUt_j(m) calU_j(n) = h*_n delta_nm",
         N,
-        lambda m, n: sum(Ws[j] * cUt[j][m] * cU[j][n] for j in range(N + 1))
-        == (hs[n] if n == m else 0),
+        lambda m, n: degree[m, n] == (hs[n] if n == m else 0),
     )
+    Um, Utm = RationalMatrix(U), RationalMatrix(Ut)
+    gram = Utm * Um.transpose()
     rep.add_grid(
         "gram-U",
         "sum_n Ut_k(n) U_m(n) = delta_km",
         N,
-        lambda k, m: sum(Ut[k][n] * U[m][n] for n in range(N + 1)) == (1 if k == m else 0),
+        lambda k, m: gram[k, m] == (1 if k == m else 0),
         axes="(k, m)",
     )
+    gram_dual = Utm.transpose() * Um
     rep.add_grid(
         "gram-U-dual",
         "sum_m Ut_m(k) U_m(n) = delta_kn",
         N,
-        lambda k, n: sum(Ut[m][k] * U[m][n] for m in range(N + 1)) == (1 if k == n else 0),
+        lambda k, n: gram_dual[k, n] == (1 if k == n else 0),
         axes="(k, n)",
     )
 
@@ -490,12 +487,16 @@ def verify_rational(ctx: Context) -> VerificationReport:
 
     R = ctx.grid("dualHahn")
     zstar, zfam = ctx.basis("zStar"), ctx.basis("z")
-    em_ok = [all(_em_zstar_holds(m, k, p, e, zstar) for k in range(N + 1)) for m in range(N + 1)]
-    zk_ok = [all(_zk_dstar_holds(k, n, p, zfam, dstar) for k in range(N + 1))
+    e_zstar = e.vectors.transpose() * zstar.vectors
+    em_ok = [all(e_zstar[m, k] == _prefactor_em_zstar(m, k, p) * R[k][m] for k in range(N + 1))
+             for m in range(N + 1)]
+    z_dstar = zfam.vectors.transpose() * dstar.vectors
+    zk_ok = [all(z_dstar[k, n] == zk_dstar_closed(k, n, p) for k in range(N + 1))
              for n in range(N + 1)]
+    expansion = RationalMatrix(
+        [_dual_hahn_row(n, p) + [0] * (N - n) for n in range(N + 1)]) * RationalMatrix(R)
     rep.add_grid("dual-hahn", "dual Hahn expansion and overlap closed forms on the full grid", N,
-                 lambda m, n: em_ok[m] and zk_ok[n]
-                 and _dual_hahn_sum(m, n, p, lambda k, x: R[k][x]) == cU[m][n])
+                 lambda m, n: em_ok[m] and zk_ok[n] and expansion[n, m] == cU[m][n])
 
     rep.checks.extend(
         hahn_limit_check(1, 1, Q(1, 3), Q(1, 5), p, (1000, 10000, 100000)).checks)

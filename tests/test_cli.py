@@ -242,6 +242,13 @@ PINNED_STDOUT = [
      "907a67e5f67ea75412da72fd749090fdc22b0ce83da53daada4723747407495a"),
     ("verify --suite model --N 8 --alpha=-28/3 --beta=22/17 --zeta=3/19 --rho=10/11", 0,
      "1bb7f18ae76b130e6c743e0364a8e61ad9664d200fc4bf5f07ce8a82bd2447f8"),
+    # the product-backed overlap checks at a larger N, and the suites whose
+    # conjugations and commutators multiply matrices at a negative set
+    ("verify --suite racah,rational --N 16", 0,
+     "25e7a6bde85cd7a8b0c775e9a4c6329921514105cc6be225675c0de3e9e1453f"),
+    ("verify --suite bases,matrixreps,algebra --N 10 --alpha=-5/7 --beta=-7/5 --zeta=-21/3"
+     " --rho=-3/23", 0,
+     "0d81f721952a8b41fa0594fee5201a8482b95987fc8131bf272d2f317a25b97c"),
 ]
 
 
@@ -367,10 +374,10 @@ def test_one_validation_and_one_build_per_set(capsys, monkeypatch, argv):
 
 def test_each_overlap_grid_is_built_once_per_set(capsys, monkeypatch):
     # every suite reads the overlap grids of its one Context: each R, calU,
-    # calU-tilde and dual Hahn cell is evaluated once (dual_hahn also once
-    # per <e_m|z*_k> closed form, calU_general also at the contiguity shift
-    # and in the Hahn limit), the model suite's residues read the S and U
-    # grids, and Vtilde = X Z^{-1} takes one inverse
+    # calU-tilde and dual Hahn cell is evaluated once (the <e_m|z*_k> closed
+    # forms read the dual Hahn grid; calU_general is also evaluated at the
+    # contiguity shift and in the Hahn limit), the model suite's residues
+    # read the S and U grids, and Vtilde = X Z^{-1} takes one inverse
     callees = [(racahpoly, "racah"), (racahpoly, "closed_form_S"),
                (rationalfns, "dual_hahn"), (rationalfns, "calU_general"),
                (rationalfns, "closed_form_U"), (matrices, "inverse")]
@@ -391,5 +398,5 @@ def test_each_overlap_grid_is_built_once_per_set(capsys, monkeypatch):
     code, _ = run(capsys, "verify", "--suite", "all", "--N", "3")
     assert code == 0
     assert {name: calls[name] for _, name in callees} == {
-        "racah": 16, "closed_form_S": 0, "dual_hahn": 32, "calU_general": 51,
+        "racah": 16, "closed_form_S": 0, "dual_hahn": 16, "calU_general": 51,
         "closed_form_U": 0, "inverse": 1}

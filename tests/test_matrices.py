@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from metaracah.matrices import RationalMatrix, inverse, nullspace
+from metaracah.matrices import RationalMatrix, dot, inverse, nullspace
 
 # entries with mixed denominators, zero about half the time
 entries = st.one_of(
@@ -100,6 +100,48 @@ def test_pencil_arithmetic_matches_entrywise_reference(data, n, lam):
     )
     for mat in (A - lam * B, lam * A, A + B):
         assert all(type(mat[i, j]) is Q for i in range(n) for j in range(n))
+
+
+@st.composite
+def product_case(draw):
+    """A (rows x inner) and an (inner x cols) table with mixed denominators,
+    plain ints, zero rows and zero columns."""
+    mixed = st.one_of(entries, st.integers(-9, 9))
+    rows = draw(st.integers(min_value=1, max_value=6))
+    inner = draw(st.integers(min_value=1, max_value=7))
+    cols = draw(st.integers(min_value=1, max_value=7))
+    a = [[draw(mixed) for _ in range(inner)] for _ in range(rows)]
+    b = [[draw(mixed) for _ in range(cols)] for _ in range(inner)]
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+        a[i] = [0] * inner
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+        for row in b:
+            row[j] = 0
+    return a, b
+
+
+@given(product_case())
+@example(([[Q(1, 6), Q(1, 10)]], [[Q(1, 4)], [Q(1, 9)]]))
+@example(([[0, 0], [Q(-3, 7), 2]], [[0, Q(5, 3)], [0, Q(1, 2)]]))
+@settings(max_examples=200, deadline=None)
+def test_products_match_entrywise_reference(case):
+    a, b = case
+    rows, inner, cols = len(a), len(b), len(b[0])
+
+    def ref(u, v):
+        return sum((Q(x) * Q(y) for x, y in zip(u, v)), Q(0))
+
+    bcols = [[b[k][j] for k in range(inner)] for j in range(cols)]
+    expected = [[ref(a[i], bcols[j]) for j in range(cols)] for i in range(rows)]
+    product = RationalMatrix(a) * RationalMatrix(b)
+    assert product.shape == (rows, cols)
+    assert [list(product.row(i)) for i in range(rows)] == expected
+    pairings = [[dot(a[i], bcols[j]) for j in range(cols)] for i in range(rows)]
+    assert pairings == expected
+    applied = [RationalMatrix(a).apply(bcols[j]) for j in range(cols)]
+    assert applied == [tuple(expected[i][j] for i in range(rows)) for j in range(cols)]
+    for table in ([product.row(i) for i in range(rows)], pairings, applied):
+        assert all(type(x) is Q for line in table for x in line)
 
 
 def test_int_entries_become_fractions():

@@ -3,9 +3,11 @@ from fractions import Fraction as Q
 import pytest
 
 import metaracah.rationalfns as rf
+from metaracah.eigenbases import GRIDS, Context
 from metaracah.errors import DegenerateParameters
 from metaracah.hyper import pochhammer
 from metaracah.matrices import dot
+from metaracah.racahpoly import RacahParams, norm, verify_racah, weight
 from metaracah.rationalfns import (
     _contiguity_residual,
     _difference_residual,
@@ -238,10 +240,12 @@ def test_full_suite_negative_params(ctx_other):
 @pytest.mark.parametrize("bad_m, bad_n", [(2, None), (None, 1), (1, 3)])
 def test_dual_hahn_detail_names_first_failing_point(p3, ctx3, monkeypatch, bad_m, bad_n):
     # break <e_m|z*_k> at one m and <z_k|d*_n> at one n; the suite must name
-    # the first four points, row by row, where dual_hahn_expansion fails
-    em, zk = rf.em_zstar_closed, rf.zk_dstar_closed
-    monkeypatch.setattr(rf, "em_zstar_closed",
-                        lambda m, k, p: em(m, k, p) + (m == bad_m))
+    # the first four points, row by row, where dual_hahn_expansion fails.
+    # The suite reads the prefactor times the dual Hahn grid, the reference
+    # em_zstar_closed, so the fault goes into the prefactor both share
+    pre, zk = rf._prefactor_em_zstar, rf.zk_dstar_closed
+    monkeypatch.setattr(rf, "_prefactor_em_zstar",
+                        lambda m, k, p: pre(m, k, p) + (m == bad_m))
     monkeypatch.setattr(rf, "zk_dstar_closed",
                         lambda k, n, p: zk(k, n, p) + (n == bad_n))
     bad = [(m, n) for m in range(p3.N + 1) for n in range(p3.N + 1)
@@ -249,3 +253,84 @@ def test_dual_hahn_detail_names_first_failing_point(p3, ctx3, monkeypatch, bad_m
     check = next(c for c in verify_rational(ctx3).checks if c.id == "dual-hahn")
     assert check.status == "fail" and len(bad) >= 4
     assert check.detail == f"failing (m, n): {bad[:4]}"
+
+
+def _per_point_references(ctx):
+    """check id -> (axes, holds(i, j)) for every product-backed check of the
+    racah and rational suites, each sum taken one Fraction term at a time
+    from the Context's bases and grids."""
+    p, N = ctx.p, ctx.p.N
+    rng = range(N + 1)
+    vec = {label: ctx.basis(label).vectors
+           for label in ("e", "eStar", "f", "fStar", "d", "dStar", "z", "zStar")}
+    R, S, St, cU, cUt, U, Ut, dH = (ctx.grid(name) for name in (
+        "racah", "S", "Stilde", "calU", "calUtilde", "U", "Utilde", "dualHahn"))
+
+    def total(terms):
+        out = Q(0)
+        for t in terms:
+            out += t
+        return out
+
+    def pair(a, b, m, n):
+        return total(vec[a][l, m] * vec[b][l, n] for l in rng)
+
+    def delta(i, j, value=1):
+        return value if i == j else 0
+
+    rp = RacahParams.from_params(p, ctx.fp)
+    W, Nm = [weight(n, rp) for n in rng], [norm(m, rp) for m in rng]
+    Wr, Ws = [weight_W(j, p) for j in rng], [weight_Wstar(j, p) for j in rng]
+    h, hs = [norm_h(n, p) for n in rng], [norm_hstar(n, p) for n in rng]
+    zd = [[total(ctx.Z[l, j] * vec["d"][j, n] for j in rng) for n in rng] for l in rng]
+    a, b = p.alpha, p.beta
+    em_ok = [all(pair("e", "zStar", m, k) == em_zstar_closed(m, k, p) for k in rng) for m in rng]
+    zk_ok = [all(pair("z", "dStar", k, n) == zk_dstar_closed(k, n, p) for k in rng) for n in rng]
+
+    def expansion(m, n):
+        return pochhammer(1, n) / pochhammer(a - b - n, n) * total(
+            pochhammer(-a, k) * pochhammer(2 * a - b - n, n - k)
+            / (pochhammer(1, n - k) * pochhammer(1, k)) * dH[k][m] for k in range(n + 1))
+
+    return {
+        "identify-S": ("(m, n)", lambda m, n: pair("e", "fStar", m, n) == S[m][n]),
+        "identify-Stilde": ("(m, n)", lambda m, n: pair("eStar", "f", m, n) == St[m][n]),
+        "gram-S": ("(k, m)", lambda k, m: total(St[k][n] * S[m][n] for n in rng) == delta(k, m)),
+        "weight-orthogonality": ("(k, m)", lambda k, m: total(
+            W[n] * R[k][n] * R[m][n] for n in rng) == delta(k, m, Nm[m])),
+        "identify-U": ("(m, n)", lambda m, n: pair("e", "dStar", m, n) == U[m][n]),
+        "identify-Utilde": ("(m, n)", lambda m, n: total(
+            vec["eStar"][l, m] * zd[l][n] for l in rng) == Ut[m][n]),
+        "biorth-point": ("(m, n)", lambda m, n: total(
+            Wr[j] * cUt[m][j] * cU[n][j] for j in rng) == delta(m, n, h[n])),
+        "biorth-degree": ("(m, n)", lambda m, n: total(
+            Ws[j] * cUt[j][m] * cU[j][n] for j in rng) == delta(m, n, hs[n])),
+        "gram-U": ("(k, m)", lambda k, m: total(Ut[k][n] * U[m][n] for n in rng) == delta(k, m)),
+        "gram-U-dual": ("(k, n)", lambda k, n: total(
+            Ut[m][k] * U[m][n] for m in rng) == delta(k, n)),
+        "dual-hahn": ("(m, n)", lambda m, n: em_ok[m] and zk_ok[n]
+                      and expansion(m, n) == cU[m][n]),
+    }
+
+
+# the product-backed checks that read each grid
+READERS = {"racah": {"weight-orthogonality"}, "S": {"identify-S", "gram-S"},
+           "U": {"identify-U", "gram-U", "gram-U-dual"},
+           "calU": {"biorth-point", "biorth-degree", "dual-hahn"}}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_product_checks_name_the_points_a_perturbed_grid_breaks(p3, fp, name):
+    # one grid cell off by one: each check that reads the grid through a
+    # matrix product fails at exactly the points where the per-point sums
+    # fail, listed row by row; every other product-backed check passes
+    ctx = Context(p3, fp)
+    for grid_name in GRIDS:
+        ctx.grid(grid_name)
+    ctx._grids[name][1][2] += 1
+    checks = {c.id: c for rep in (verify_racah(ctx), verify_rational(ctx)) for c in rep.checks}
+    for check_id, (axes, holds) in _per_point_references(ctx).items():
+        bad = [(i, j) for i in range(p3.N + 1) for j in range(p3.N + 1) if not holds(i, j)]
+        assert bool(bad) == (check_id in READERS[name]), check_id
+        got = (checks[check_id].status, checks[check_id].detail)
+        assert got == (("fail", f"failing {axes}: {bad[:4]}") if bad else ("pass", "")), check_id
