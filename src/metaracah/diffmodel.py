@@ -140,19 +140,24 @@ class DiffOp:
         return self.a2 * df.derivative() + self.a1 * df + self.a0 * f
 
 
-def residue_pair(f: LaurentPoly, g: LaurentPoly) -> Fraction:
-    """<f, g>: the coefficient of 1/x in the product f*g.
-
-    Only that one coefficient is read, as the sum of f_e g_(-1-e) over the
-    exponents e where both factors have a term; f*g is never formed.
+def residue_grid(fs: list, gs: list) -> RationalMatrix:
+    """The pairings <f_i, g_j>, each the coefficient of 1/x in f_i*g_j, as
+    one product F G over the exponent window e of fs: F[i][e] is the
+    coefficient of x^e in f_i and G[e][j] that of x^(-1-e) in g_j.  No
+    product f_i*g_j is formed.
     """
-    lo = max(f.min_exp, -1 - g.max_exp)
-    hi = min(f.max_exp, -1 - g.min_exp)
-    fc, gc = f.coeffs, g.coeffs
-    total = Q(0)
-    for e in range(lo, hi + 1):
-        total += fc[e - f.min_exp] * gc[-1 - e - g.min_exp]
-    return total
+    lo = min(f.min_exp for f in fs)
+    # a zero polynomial has an empty window, and a matrix needs one column
+    window = range(lo, max(lo, max(f.max_exp for f in fs)) + 1)
+    F = RationalMatrix([[f.coefficient(e) for e in window] for f in fs])
+    G = RationalMatrix([[g.coefficient(-1 - e) for g in gs] for e in window])
+    return F * G
+
+
+def residue_pair(f: LaurentPoly, g: LaurentPoly) -> Fraction:
+    """<f, g>: the coefficient of 1/x in the product f*g, the one entry of
+    residue_grid([f], [g])."""
+    return residue_grid([f], [g])[0, 0]
 
 
 _X = LaurentPoly.monomial(1)
@@ -434,29 +439,26 @@ def model_orthogonality(ctx: Context, families: dict) -> VerificationReport:
         ("z", "zStar"),
     ]
     for label, dual in pairs:
-        fam = families[label]
-        dual_fam = families[dual]
+        gram = residue_grid(families[dual], families[label])
         rep.add_grid(
             f"gram-{label}",
             f"<{dual}_m, {label}_n> = delta_mn under the residue pairing",
             N,
-            lambda m, n: residue_pair(dual_fam[m], fam[n]) == (1 if m == n else 0),
+            lambda m, n: gram[m, n] == (1 if m == n else 0),
         )
 
     d_fam = families["d"]
     dstar_fam = families["dStar"]
     Zop = diff_Z(p)
-    z_d_fam = [Zop.apply(d) for d in d_fam]
+    gram = residue_grid(dstar_fam, [Zop.apply(d) for d in d_fam])
     rep.add_grid(
         "gram-d",
         "<d*_m, Z d_n> = delta_mn under the residue pairing",
         N,
-        lambda m, n: residue_pair(dstar_fam[m], z_d_fam[n]) == (1 if m == n else 0),
+        lambda m, n: gram[m, n] == (1 if m == n else 0),
     )
 
-    plain = RationalMatrix.from_columns(
-        [[residue_pair(dstar_fam[m], d_fam[n]) for m in range(N + 1)] for n in range(N + 1)]
-    )
+    plain = residue_grid(dstar_fam, d_fam)
     rep.add_info(
         "gram-d-no-Z",
         "<d*_m, d_n> without the Z insertion is not the identity",
@@ -485,20 +487,17 @@ def integral_representations(ctx: Context) -> VerificationReport:
                                          (1 + 2 * a + rho - 2 * n,), n + 1))
         for n in range(N + 1)
     ]
-    S = ctx.grid("S")
+    S, res = ctx.grid("S"), residue_grid(jac, s_windows)
     rep.add_grid("integral-S", "residue formula reproduces S_m(n) on the full grid", N,
-                 lambda m, n: jac_scale[m] / norms[n] * residue_pair(jac[m], s_windows[n])
-                 == S[m][n])
+                 lambda m, n: jac_scale[m] / norms[n] * res[m, n] == S[m][n])
 
     u_windows = [
         LaurentPoly(-n - 1, series_terms((N + 1 - n, b - a + 1), (a - n + 1,), n + 1))
         for n in range(N + 1)
     ]
-    U = ctx.grid("U")
+    U, res = ctx.grid("U"), residue_grid(jac, u_windows)
     rep.add_grid("integral-U", "residue formula reproduces U_m(n) on the full grid", N,
-                 lambda m, n: jac_scale[m] / (norms[n] * (n - a))
-                 * residue_pair(jac[m], u_windows[n])
-                 == U[m][n])
+                 lambda m, n: jac_scale[m] / (norms[n] * (n - a)) * res[m, n] == U[m][n])
 
     dh_scale = [pochhammer(Q(1), m) / pochhammer(N - 2 * a - b - 2 * z, m)
                 for m in range(N + 1)]
@@ -507,11 +506,10 @@ def integral_representations(ctx: Context) -> VerificationReport:
     dh_windows = [
         LaurentPoly(-k - 1, series_terms((N + 1 - k,), (), k + 1)) for k in range(N + 1)
     ]
-    R = ctx.grid("dualHahn")
+    R, res = ctx.grid("dualHahn"), residue_grid(jac, dh_windows)
     rep.add_grid("integral-dual-hahn",
                  "residue formula reproduces R^(dH)_k(m) on the full grid", N,
-                 lambda m, k: dh_scale[m] * dh_col[k] * residue_pair(jac[m], dh_windows[k])
-                 == R[k][m],
+                 lambda m, k: dh_scale[m] * dh_col[k] * res[m, k] == R[k][m],
                  axes="(m, k)")
     return rep
 
@@ -529,14 +527,13 @@ def model_transposes(ctx: Context) -> VerificationReport:
     g = [g_poly(p, n) for n in range(N + 1)]
     g_dual = [g_dual_poly(p, m) for m in range(N + 1)]
     for name, op, op_t, abstract_t in table:
-        op_g = [op.apply(x) for x in g]
-        op_t_g_dual = [op_t.apply(x) for x in g_dual]
+        left = residue_grid([op_t.apply(x) for x in g_dual], g)
+        right = residue_grid(g_dual, [op.apply(x) for x in g])
         rep.add_grid(
             f"adjoint-{name}",
             f"<{name}t g*_m, g_n> = <g*_m, {name} g_n> for all m, n",
             N,
-            lambda m, n: residue_pair(op_t_g_dual[m], g[n])
-            == residue_pair(g_dual[m], op_g[n]),
+            lambda m, n: left[m, n] == right[m, n],
         )
 
         quotient, ghosts = dual_matrix_in_monomial_basis(op_t, p)

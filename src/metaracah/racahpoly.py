@@ -30,7 +30,7 @@ from .algebra import Params
 from .errors import PreconditionViolated
 from .hyper import multi_pochhammer, pochhammer, terminating_hyp
 from .matrices import RationalMatrix
-from .matrixreps import TridiagonalCoeffs, coeffs_V_on_f, coeffs_X_on_e, coeffs_Z_on_e
+from .matrixreps import coeffs_V_on_f, coeffs_X_on_e, coeffs_Z_on_e
 from .report import VerificationReport
 
 if TYPE_CHECKING:
@@ -139,53 +139,6 @@ def norm(m: int, rp: RacahParams) -> Fraction:
     return sign * num / den
 
 
-def _recurrence_residual(m: int, n: int, N: int, S, vf: TridiagonalCoeffs, mu_m) -> Fraction:
-    """Residual of the three-term recurrence in n; S(i, j) is S_i(j).
-
-    mu_m S_m(n) = VF_{n,n-1} S_m(n-1) + VF_{n,n} S_m(n) + VF_{n,n+1} S_m(n+1)
-
-    where VF is the tridiagonal action of V on the f family and
-    mu_m the V eigenvalue.  Out-of-range neighbours never contribute:
-    VF_{0,-1} and VF_{N,N+1} do not exist because the band vectors
-    stop at the edge.  Returns LHS - RHS, exactly zero when the
-    identity holds.
-    """
-    rhs = vf.diag[n] * S(m, n)
-    if n >= 1:
-        rhs += vf.sup[n - 1] * S(m, n - 1)
-    if n <= N - 1:
-        rhs += vf.sub[n] * S(m, n + 1)
-    return mu_m * S(m, n) - rhs
-
-
-def _pencil_on_e(p: Params, rho: Fraction) -> TridiagonalCoeffs:
-    """The band coefficients of X + rho Z on the e family."""
-    xe, ze = coeffs_X_on_e(p), coeffs_Z_on_e(p)
-
-    def combine(x, z):
-        return tuple(xi + rho * zi for xi, zi in zip(x, z))
-
-    return TridiagonalCoeffs(sup=combine(xe.sup, ze.sup), diag=combine(xe.diag, ze.diag),
-                             sub=combine(xe.sub, ze.sub))
-
-
-def _difference_residual(m: int, n: int, N: int, S, we: TridiagonalCoeffs, nu_n) -> Fraction:
-    """Residual of the difference equation in m; S(i, j) is S_i(j).
-
-    <f*_n|(X + rho Z)|e_m> evaluated two ways: through the f* eigenvalue
-    nu_n on the left, and through the band we of X + rho Z on the e
-    family, applied along m, on the right.  Returns the difference,
-    exactly zero when the identity holds.
-    """
-    rhs = we.diag[m] * S(m, n)
-    if m >= 1:
-        # (X + rho Z)^{(e)}_{m-1,m} is the sub coefficient at index m-1.
-        rhs += we.sub[m - 1] * S(m - 1, n)
-    if m <= N - 1:
-        rhs += we.sup[m] * S(m + 1, n)
-    return nu_n * S(m, n) - rhs
-
-
 def verify_racah(ctx: Context) -> VerificationReport:
     """Full identification + bispectrality suite on the (m, n) grid.
 
@@ -194,8 +147,14 @@ def verify_racah(ctx: Context) -> VerificationReport:
     on it (all three kept on the Context), the bands of V on f and of
     X + rho Z on e, and the eigenvalue rows of the bases.  The dot-product
     sides are the products e^T f* and e*^T f of the bases, never these
-    tables.  Every sum over n is an entry of one matrix product, built
-    once before its check.
+    tables.  Every sum over an index, and every band residual, is an entry
+    of one matrix product, built once before its check:
+
+      * recurrence in n:  diag(mu) S - S VF^T;
+      * difference in m:  S diag(nu) - WE^T S;
+
+    with mu and nu the eigenvalues of e and f, VF the band of V on f and
+    WE that of X + rho Z on e.
 
     The orthogonality checks, all exact:
       * sum_n Stilde_k(n) S_m(n) = delta_km  (closed forms on both slots);
@@ -230,20 +189,21 @@ def verify_racah(ctx: Context) -> VerificationReport:
         lambda m, n: estar_f[m, n] == St[m][n],
     )
 
-    def s_at(i, j):
-        return S[i][j]
-
-    vf = coeffs_V_on_f(p, fp)
+    # the bands stop at the edges, so no neighbour outside 0..N enters
+    Sm = RationalMatrix(S)
+    vf = coeffs_V_on_f(p, fp).assemble()
+    recurrence = RationalMatrix.diagonal(e.eigenvalues) * Sm - Sm * vf.transpose()
     rep.add_grid("recurrence", "recurrence residual vanishes on the full grid", N,
-                 lambda m, n: _recurrence_residual(m, n, N, s_at, vf, e.eigenvalues[m]) == 0)
-    we = _pencil_on_e(p, fp.rho)
+                 lambda m, n: recurrence[m, n] == 0)
+    we = coeffs_X_on_e(p).assemble() + fp.rho * coeffs_Z_on_e(p).assemble()
+    difference = Sm * RationalMatrix.diagonal(f.eigenvalues) - we.transpose() * Sm
     rep.add_grid("difference", "difference residual vanishes on the full grid", N,
-                 lambda m, n: _difference_residual(m, n, N, s_at, we, f.eigenvalues[n]) == 0)
+                 lambda m, n: difference[m, n] == 0)
 
     W = [weight(n, rp) for n in range(N + 1)]
     Nm = [norm(m, rp) for m in range(N + 1)]
 
-    gram_S = RationalMatrix(St) * RationalMatrix(S).transpose()
+    gram_S = RationalMatrix(St) * Sm.transpose()
     rep.add_grid(
         "gram-S",
         "sum_n Stilde_k(n) S_m(n) = delta_km",

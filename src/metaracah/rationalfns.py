@@ -33,6 +33,7 @@ from .algebra import Params, build_X, build_Z
 from .errors import DegenerateParameters
 from .hyper import multi_pochhammer, pochhammer, terminating_hyp
 from .matrices import RationalMatrix, dot
+from .matrixreps import TridiagonalCoeffs
 from .report import VerificationReport
 
 if TYPE_CHECKING:
@@ -144,6 +145,15 @@ def _boundary_vanishes(coeff: Fraction, edge: str) -> None:
         raise ArithmeticError(f"boundary coefficient at {edge} must vanish")
 
 
+def _band(dn: list, mid: list, up: list, index: str) -> RationalMatrix:
+    """The tridiagonal T with (T v)_i = dn_i v_(i-1) + mid_i v_i + up_i v_(i+1),
+    i = 0..N.  dn_0 and up_N would reach a value outside 0..N; each is
+    dropped only after _boundary_vanishes has checked it."""
+    _boundary_vanishes(dn[0], f"{index} = 0")
+    _boundary_vanishes(up[-1], f"{index} = N")
+    return TridiagonalCoeffs(sup=tuple(dn[1:]), diag=tuple(mid), sub=tuple(up[:-1])).assemble()
+
+
 def recurrence_A(m: int, p: Params) -> Fraction:
     a, b, z, N = p.alpha, p.beta, p.zeta, p.N
     num = (m - N) * (m + N - 2 * a - b - 2 * z) * (m - 2 * b - 2 * z - 1)
@@ -158,35 +168,27 @@ def recurrence_C(m: int, p: Params) -> Fraction:
     return -(num / den)
 
 
-def _gevp_residual(m: int, n: int, p: Params, cU) -> Fraction:
-    """Residual of the generalized-eigenvalue recurrence in m; calU_i(j) is cU(i, j).
+def _gevp_residual(p: Params, cU: RationalMatrix) -> RationalMatrix:
+    """Residual T0 cU + T1 cU diag(n) of the generalized-eigenvalue
+    recurrence in m, cU the calU grid:
 
     n (A_m calU_{m+1} - (A_m + C_m + alpha) calU_m + C_m calU_{m-1})
       = (m+alpha-beta) A_m calU_{m+1}
         - ((m+alpha-beta) A_m - (m-alpha-beta-2zeta-1) C_m) calU_m
         - (m-alpha-beta-2zeta-1) C_m calU_{m-1}
 
-    Out-of-range neighbours carry a vanishing coefficient (A_N and C_0
-    both contain an explicit zero factor); this is checked instead of
-    evaluating calU outside 0..N.
+    T1 holds the coefficients of n and T0 the rest, both tridiagonal in m.
+    A_N and C_0 carry an explicit zero factor, so the neighbours outside
+    0..N drop out; _band checks this instead of evaluating calU there.
     """
     a, b, z, N = p.alpha, p.beta, p.zeta, p.N
-    A = recurrence_A(m, p)
-    C = recurrence_C(m, p)
-    c_up = (n - (m + a - b)) * A
-    c_mid = -n * (A + C + a) + (m + a - b) * A - (m - a - b - 2 * z - 1) * C
-    c_dn = (n + m - a - b - 2 * z - 1) * C
-
-    res = c_mid * cU(m, n)
-    if m + 1 <= N:
-        res += c_up * cU(m + 1, n)
-    else:
-        _boundary_vanishes(c_up, "m = N")
-    if m - 1 >= 0:
-        res += c_dn * cU(m - 1, n)
-    else:
-        _boundary_vanishes(c_dn, "m = 0")
-    return res
+    A = [recurrence_A(m, p) for m in range(N + 1)]
+    C = [recurrence_C(m, p) for m in range(N + 1)]
+    up = [(m + a - b) * A[m] for m in range(N + 1)]
+    dn = [(m - a - b - 2 * z - 1) * C[m] for m in range(N + 1)]
+    T0 = _band(dn, [u - d for u, d in zip(up, dn)], [-u for u in up], "m")
+    T1 = _band(C, [-(x + y + a) for x, y in zip(A, C)], A, "m")
+    return T0 * cU + T1 * cU * RationalMatrix.diagonal(range(N + 1))
 
 
 def difference_B(n: int, p: Params) -> Fraction:
@@ -199,33 +201,28 @@ def difference_D(n: int, p: Params) -> Fraction:
     return n * (n - 2 * a + b) * (n - a - b - 2 * z - 1)
 
 
-def _difference_residual(m: int, n: int, p: Params, cU) -> Fraction:
-    """Residual of the difference equation in n; calU_i(j) is cU(i, j).
+def _difference_residual(p: Params, cU: RationalMatrix) -> RationalMatrix:
+    """Residual cU T0^T + diag(m(2beta+2zeta+1-m)) cU T1^T of the difference
+    equation in n, cU the calU grid:
 
     B_n calU_m(n+1) - (B_n + D_n) calU_m(n) + D_n calU_m(n-1)
       = m (2beta+2zeta+1-m) ((n-alpha) calU_m(n)
           - n (n-2alpha+beta)/(n-alpha+beta) calU_m(n-1))
+
+    T0 holds the m-free coefficients and T1 those of the m factor, both
+    tridiagonal in n; D_0 and B_N vanish.
     """
     a, b, z, N = p.alpha, p.beta, p.zeta, p.N
-    B = difference_B(n, p)
-    D = difference_D(n, p)
-    if n - a + b == 0:
-        raise DegenerateParameters([f"(n - alpha + beta) = 0 at n = {n}"])
-    fac = m * (2 * b + 2 * z + 1 - m)
-    c_up = B
-    c_mid = -(B + D) - fac * (n - a)
-    c_dn = D + fac * n * (n - 2 * a + b) / (n - a + b)
-
-    res = c_mid * cU(m, n)
-    if n + 1 <= N:
-        res += c_up * cU(m, n + 1)
-    else:
-        _boundary_vanishes(c_up, "n = N")
-    if n - 1 >= 0:
-        res += c_dn * cU(m, n - 1)
-    else:
-        _boundary_vanishes(c_dn, "n = 0")
-    return res
+    B = [difference_B(n, p) for n in range(N + 1)]
+    D = [difference_D(n, p) for n in range(N + 1)]
+    offenders = [f"(n - alpha + beta) = 0 at n = {n}" for n in range(N + 1) if n - a + b == 0]
+    if offenders:
+        raise DegenerateParameters(offenders)
+    T0 = _band(D, [-(x + y) for x, y in zip(B, D)], B, "n")
+    T1 = _band([n * (n - 2 * a + b) / (n - a + b) for n in range(N + 1)],
+               [a - n for n in range(N + 1)], [Q(0)] * (N + 1), "n")
+    fac = [m * (2 * b + 2 * z + 1 - m) for m in range(N + 1)]
+    return cU * T0.transpose() + RationalMatrix.diagonal(fac) * cU * T1.transpose()
 
 
 # -- contiguity --------------------------------------------------------------
@@ -236,15 +233,16 @@ def shifted_params(p: Params) -> Params:
     return Params(N=p.N, alpha=p.alpha - 1, beta=p.beta - 2, zeta=p.zeta + 2)
 
 
-def _contiguity_residual(m: int, n: int, p: Params, cU) -> Fraction:
-    """Residual of the contiguity relation under the parameter shift; the
-    unshifted calU_i(j) is cU(i, j).
+def _contiguity_residual(p: Params, cU: RationalMatrix) -> RationalMatrix:
+    """Residual of the contiguity relation under the parameter shift, cU the
+    unshifted calU grid: the shifted calU table minus cU T^T, T lower
+    bidiagonal in n.
 
     calU_m(n; alpha-1, beta-2, zeta+2)
       = (n-alpha)(n-alpha+beta)/(alpha(alpha-beta)) calU_m(n)
         + n(n-2alpha+beta)/(alpha(beta-alpha)) calU_m(n-1)
     """
-    a, b, z, N = p.alpha, p.beta, p.zeta, p.N
+    a, b, N = p.alpha, p.beta, p.N
     offenders = []
     if a == 0:
         offenders.append("alpha = 0")
@@ -253,15 +251,12 @@ def _contiguity_residual(m: int, n: int, p: Params, cU) -> Fraction:
     if offenders:
         raise DegenerateParameters(offenders)
     sp = shifted_params(p)
-    lhs = calU_general(m, n, sp.alpha, sp.beta, sp.zeta, N)
-    c0 = (n - a) * (n - a + b) / (a * (a - b))
-    c1 = n * (n - 2 * a + b) / (a * (b - a))
-    res = lhs - c0 * cU(m, n)
-    if n - 1 >= 0:
-        res -= c1 * cU(m, n - 1)
-    else:
-        _boundary_vanishes(c1, "n = 0")
-    return res
+    shifted = RationalMatrix([[calU_general(m, n, sp.alpha, sp.beta, sp.zeta, N)
+                               for n in range(N + 1)] for m in range(N + 1)])
+    T = _band([n * (n - 2 * a + b) / (a * (b - a)) for n in range(N + 1)],
+              [(n - a) * (n - a + b) / (a * (a - b)) for n in range(N + 1)],
+              [Q(0)] * (N + 1), "n")
+    return shifted - cU * T.transpose()
 
 
 def contiguity_operator_check(ctx: Context) -> VerificationReport:
@@ -404,10 +399,11 @@ def verify_rational(ctx: Context) -> VerificationReport:
     The calU and calU_tilde grids, the U and Utilde grids built on them
     and the dual Hahn grid are read from the Context and shared by every
     check; the dot-product sides are products of the bases (e^T d*,
-    e*^T Z d, e^T z*, z^T d*).  Every sum over an index is an entry of one
-    matrix product built before its check.  Both biorthogonality relations
-    are checked exactly, with the explicit weights.  The dual Hahn check
-    fails at (m, n) exactly where dual_hahn_expansion(ctx, m, n) does.
+    e*^T Z d, e^T z*, z^T d*).  Every sum over an index, and every band
+    residual, is an entry of one matrix product built before its check.
+    Both biorthogonality relations are checked exactly, with the explicit
+    weights.  The dual Hahn check fails at (m, n) exactly where
+    dual_hahn_expansion(ctx, m, n) does.
     """
     p = ctx.p
     N = p.N
@@ -472,16 +468,14 @@ def verify_rational(ctx: Context) -> VerificationReport:
         axes="(k, n)",
     )
 
-    def cu_at(i, j):
-        return cU[i][j]
-
     for check_id, statement, residual in (
         ("gevp-recurrence", "GEVP recurrence", _gevp_residual),
         ("difference", "difference-equation", _difference_residual),
         ("contiguity", "contiguity", _contiguity_residual),
     ):
+        res = residual(p, cUm)
         rep.add_grid(check_id, f"{statement} residual vanishes on the full grid", N,
-                     lambda m, n: residual(m, n, p, cu_at) == 0)
+                     lambda m, n: res[m, n] == 0)
 
     rep.checks.extend(contiguity_operator_check(ctx).checks)
 

@@ -249,6 +249,12 @@ PINNED_STDOUT = [
     ("verify --suite bases,matrixreps,algebra --N 10 --alpha=-5/7 --beta=-7/5 --zeta=-21/3"
      " --rho=-3/23", 0,
      "0d81f721952a8b41fa0594fee5201a8482b95987fc8131bf272d2f317a25b97c"),
+    # the band residuals and residue grids at a negative set and in a sweep
+    ("verify --suite racah,rational,model --N 12 --alpha=-5/7 --beta=-7/5 --zeta=-21/3"
+     " --rho=-3/23", 0,
+     "8400c5e622dba86cad469bdc92848134457857ebd980ed82db11cc10d6206450"),
+    ("verify --suite rational,model --N 9 --sweeps 2 --seed 7", 0,
+     "3bf037c5076ef2809f942d7f1eb92d0aef9025f0527a5a9395b8f51b173010ad"),
 ]
 
 

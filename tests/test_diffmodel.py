@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import metaracah.diffmodel as diffmodel
 from metaracah import LABELS, Context, build_basis
 from metaracah.diffmodel import (
     DiffOp,
@@ -20,6 +21,7 @@ from metaracah.diffmodel import (
     model_basis,
     model_orthogonality,
     model_transposes,
+    residue_grid,
     residue_pair,
     verify_model,
 )
@@ -63,20 +65,32 @@ laurent_polys = st.builds(
 
 
 # x^-3/2 - 2x^-1/3 against: the zero polynomial on either side, a
-# monomial no exponent of f meets, a constant, and overlapping supports
+# monomial no exponent of f meets, a constant, and overlapping supports;
+# then lists of one to four on each side, all-zero lists among them
 _F = LaurentPoly(-3, (Q(1, 2), 0, Q(-2, 3)))
+_ZERO = LaurentPoly.zero()
 
 
-@given(f=laurent_polys, g=laurent_polys)
-@example(f=_F, g=LaurentPoly.zero())
-@example(f=LaurentPoly.zero(), g=_F)
-@example(f=_F, g=LaurentPoly.monomial(5))
-@example(f=_F, g=LaurentPoly.monomial(0, Q(7)))
-@example(f=_F, g=LaurentPoly(0, (5, 11, 13)))
+@given(fs=st.lists(laurent_polys, min_size=1, max_size=4),
+       gs=st.lists(laurent_polys, min_size=1, max_size=4))
+@example(fs=[_F], gs=[_ZERO])
+@example(fs=[_ZERO], gs=[_F])
+@example(fs=[_F], gs=[LaurentPoly.monomial(5)])
+@example(fs=[_F], gs=[LaurentPoly.monomial(0, Q(7))])
+@example(fs=[_F], gs=[LaurentPoly(0, (5, 11, 13))])
+@example(fs=[_ZERO, _ZERO], gs=[_F, _ZERO, mono(2)])
+@example(fs=[_F, mono(4)], gs=[_ZERO] * 4)
+@example(fs=[_ZERO] * 3, gs=[_ZERO])
+@example(fs=[mono(-1), _ZERO, _F, LaurentPoly(2, (1, 2))], gs=[mono(0), _F, mono(-3, 5)])
 @settings(max_examples=300, deadline=None)
-def test_residue_pair_reads_the_product_coefficient(f, g):
-    assert residue_pair(f, g) == (f * g).coefficient(-1)
-    assert type(residue_pair(f, g)) is Q
+def test_residue_pair_reads_the_product_coefficient(fs, gs):
+    grid = residue_grid(fs, gs)
+    assert grid.shape == (len(fs), len(gs))
+    for i, f in enumerate(fs):
+        for j, g in enumerate(gs):
+            want = (f * g).coefficient(-1)
+            assert grid[i, j] == want and type(grid[i, j]) is Q
+            assert residue_pair(f, g) == want and type(residue_pair(f, g)) is Q
 
 
 def test_laurent_poly_normalizes_its_coefficients():
@@ -190,6 +204,51 @@ def test_transposed_operators(ctx3):
     assert rep.passed, [(c.id, c.detail) for c in rep.failures]
     ghost_checks = [c for c in rep.checks if c.id.startswith("ghosts-")]
     assert len(ghost_checks) == 3
+
+
+def _f2_plus_one(model):
+    return lambda p, rho, n: model(p, rho, n) + (mono(0) if n == 2 else LaurentPoly.zero())
+
+
+def _xt_plus_x(diff):
+    def op(p):
+        xt = diff(p)
+        return DiffOp(xt.a2, xt.a1, xt.a0 + mono(1))
+    return op
+
+
+def _jacobi_2_plus_x2(e_as_jacobi):
+    def split(p):
+        jac, scales = e_as_jacobi(p)
+        return [j + mono(2) if n == 2 else j for n, j in enumerate(jac)], scales
+    return split
+
+
+# one model function off, and the first four points of each residue grid
+# that reads it, row by row: f_2 + 1 adds the x^(-1) term of every f*_m to
+# column n = 2; Xt + x pairs x g*_m ~ x^(-m) with g_(m-1); jac_2 + x^2 meets
+# only the windows n >= 2, which reach down to x^(-3)
+MODEL_FAULTS = [
+    (diffmodel._MODELS, "f", _f2_plus_one,
+     {"gram-f": "failing (m, n): [(0, 2), (1, 2), (2, 2), (3, 2)]"}),
+    (vars(diffmodel), "diff_Xt", _xt_plus_x,
+     {"adjoint-X": "failing (m, n): [(1, 0), (2, 1), (3, 2)]"}),
+    (vars(diffmodel), "_e_as_jacobi", _jacobi_2_plus_x2, {
+        "integral-S": "failing (m, n): [(2, 2), (2, 3)]",
+        "integral-U": "failing (m, n): [(2, 2), (2, 3)]",
+        "integral-dual-hahn": "failing (m, k): [(2, 2), (2, 3)]",
+    }),
+]
+
+
+@pytest.mark.parametrize("table, key, fault, details", MODEL_FAULTS,
+                         ids=[key for _, key, _, _ in MODEL_FAULTS])
+def test_residue_checks_name_the_points_a_fault_breaks(ctx3, monkeypatch, table, key, fault,
+                                                       details):
+    monkeypatch.setitem(table, key, fault(table[key]))
+    checks = {c.id: c for c in verify_model(ctx3).checks}
+    assert {i: (checks[i].status, checks[i].detail) for i in details} == {
+        i: ("fail", detail) for i, detail in details.items()}
 
 
 def test_adjoint_identity_single_pair(p3):

@@ -11,9 +11,6 @@ from metaracah.hyper import pochhammer
 from metaracah.matrices import dot
 from metaracah.racahpoly import (
     RacahParams,
-    _difference_residual,
-    _pencil_on_e,
-    _recurrence_residual,
     closed_form_S,
     closed_form_Stilde,
     norm,
@@ -90,18 +87,31 @@ def test_weight_orthogonality_row_sums(p5, fp, rp):
     assert mixed == 0
 
 
+def _band_sum(band, i, value):
+    """sum_j O_ij value(j) for the band of O, read entry by entry: the
+    per-point reference for the suite's band products."""
+    total = band.diag[i] * value(i)
+    if i >= 1:
+        total += band.sup[i - 1] * value(i - 1)
+    if i < len(band.sup):
+        total += band.sub[i] * value(i + 1)
+    return total
+
+
 def _s_table(p, fp):
     rp = RacahParams.from_params(p, fp)
-    S = grid(p.N, lambda m, n: closed_form_S(m, n, rp))
-    return lambda i, j: S[i][j]
+    return grid(p.N, lambda m, n: closed_form_S(m, n, rp))
 
 
-def test_recurrence_residuals_vanish(p5, fp):
+def test_recurrence_residuals_vanish(p5, fp, ctx5):
+    # mu_m S_m(n) = sum_j VF_nj S_m(j), VF the band of V on f
     S, vf = _s_table(p5, fp), coeffs_V_on_f(p5, fp)
     for m in range(p5.N + 1):
         mu = eigenvalue("e", p5, fp, m)
         for n in range(p5.N + 1):
-            assert _recurrence_residual(m, n, p5.N, S, vf, mu) == 0
+            assert mu * S[m][n] == _band_sum(vf, n, lambda j: S[m][j])
+    check = next(c for c in verify_racah(ctx5).checks if c.id == "recurrence")
+    assert (check.status, check.detail) == ("pass", "")
 
 
 def test_recurrence_detects_perturbed_band(ctx3, monkeypatch):
@@ -121,12 +131,40 @@ def test_recurrence_detects_perturbed_band(ctx3, monkeypatch):
     ]
 
 
-def test_difference_residuals_vanish(p5, fp):
-    S, we = _s_table(p5, fp), _pencil_on_e(p5, fp.rho)
+def test_difference_detects_perturbed_band(ctx3, monkeypatch):
+    # X on e with sup[1] bumped puts a stray S_2(n) into row m = 1 only
+    xe = coeffs_X_on_e
+
+    def bumped(p):
+        band = xe(p)
+        return TridiagonalCoeffs(
+            sup=tuple(x + (1 if i == 1 else 0) for i, x in enumerate(band.sup)),
+            diag=band.diag,
+            sub=band.sub,
+        )
+
+    monkeypatch.setattr(racahpoly, "coeffs_X_on_e", bumped)
+    rep = verify_racah(ctx3)
+    assert [(c.id, c.detail) for c in rep.failures] == [
+        ("difference", "failing (m, n): [(1, 0), (1, 1), (1, 2), (1, 3)]")
+    ]
+
+
+def test_difference_residuals_vanish(p5, fp, ctx5):
+    # nu_n S_m(n) = sum_i WE_im S_i(n), WE the band of X + rho Z on e,
+    # read down column m of WE: the transposed band
+    S, xe, ze = _s_table(p5, fp), coeffs_X_on_e(p5), coeffs_Z_on_e(p5)
+    we_t = TridiagonalCoeffs(
+        sup=tuple(x + fp.rho * z for x, z in zip(xe.sub, ze.sub)),
+        diag=tuple(x + fp.rho * z for x, z in zip(xe.diag, ze.diag)),
+        sub=tuple(x + fp.rho * z for x, z in zip(xe.sup, ze.sup)),
+    )
     for n in range(p5.N + 1):
         nu = eigenvalue("f", p5, fp, n)
         for m in range(p5.N + 1):
-            assert _difference_residual(m, n, p5.N, S, we, nu) == 0
+            assert nu * S[m][n] == _band_sum(we_t, m, lambda i: S[i][n])
+    check = next(c for c in verify_racah(ctx5).checks if c.id == "difference")
+    assert (check.status, check.detail) == ("pass", "")
 
 
 def test_full_suite(ctx5):

@@ -6,7 +6,7 @@ import metaracah.rationalfns as rf
 from metaracah.eigenbases import GRIDS, Context
 from metaracah.errors import DegenerateParameters
 from metaracah.hyper import pochhammer
-from metaracah.matrices import dot
+from metaracah.matrices import RationalMatrix, dot
 from metaracah.racahpoly import RacahParams, norm, verify_racah, weight
 from metaracah.rationalfns import (
     _contiguity_residual,
@@ -25,6 +25,7 @@ from metaracah.rationalfns import (
     hahn_limit_check,
     norm_h,
     norm_hstar,
+    recurrence_A,
     recurrence_C,
     shifted_params,
     verify_rational,
@@ -36,8 +37,8 @@ from metaracah import Params
 
 
 def cu(p):
-    """calU_i(j) as the residual kernels read it."""
-    return lambda i, j: calU(i, j, p)
+    """The calU grid as the residual builders read it."""
+    return RationalMatrix([[calU(i, j, p) for j in range(p.N + 1)] for i in range(p.N + 1)])
 
 
 def test_calU_trivial_rows(p5):
@@ -131,29 +132,27 @@ def test_degree_sums_by_hand(p5):
 
 
 def test_gevp_recurrence_grid(p5):
-    for m in range(p5.N + 1):
-        for n in range(p5.N + 1):
-            assert _gevp_residual(m, n, p5, cu(p5)) == 0
+    assert _gevp_residual(p5, cu(p5)).is_zero()
 
 
 def test_gevp_boundary_structure(p5):
-    # m = 0 leans on C_0 = 0, n = 0 on both sides evaluating to constants
-    assert recurrence_C(0, p5) == 0
-    assert _gevp_residual(0, 3, p5, cu(p5)) == 0
-    assert _gevp_residual(4, 0, p5, cu(p5)) == 0
+    # m = 0 leans on C_0 = 0 and m = N on A_N = 0, n = 0 on both sides
+    # evaluating to constants
+    assert recurrence_C(0, p5) == 0 and recurrence_A(p5.N, p5) == 0
+    res = _gevp_residual(p5, cu(p5))
+    assert res[0, 3] == 0 and res[4, 0] == 0
 
 
 def test_difference_grid(p5):
-    for m in range(p5.N + 1):
-        for n in range(p5.N + 1):
-            assert _difference_residual(m, n, p5, cu(p5)) == 0
+    assert _difference_residual(p5, cu(p5)).is_zero()
 
 
 def test_difference_degenerate_point():
-    # n - alpha + beta = 0 hits the divided coefficient
+    # n - alpha + beta = 0 at n = 2 hits the divided coefficient before the
+    # grid is read, and calU itself has the lower parameter alpha-beta-n = 0
     p = Params(N=4, alpha=Q(7, 3), beta=Q(1, 3), zeta=Q(1, 7))
-    with pytest.raises(DegenerateParameters):
-        _difference_residual(1, 2, p, cu(p))
+    with pytest.raises(DegenerateParameters, match="at n = 2"):
+        _difference_residual(p, RationalMatrix.zeros(p.N + 1))
 
 
 def test_contiguity_grid_and_shift(p5):
@@ -161,9 +160,43 @@ def test_contiguity_grid_and_shift(p5):
     assert (sp.alpha, sp.beta, sp.zeta) == (
         p5.alpha - 1, p5.beta - 2, p5.zeta + 2,
     )
-    for m in range(p5.N + 1):
-        for n in range(p5.N + 1):
-            assert _contiguity_residual(m, n, p5, cu(p5)) == 0
+    assert _contiguity_residual(p5, cu(p5)).is_zero()
+
+
+# one band coefficient or the shifted set off, and the first four points of
+# the one check that reads it, row by row: the columns n = 0 of gevp and
+# m = 0 of difference hold, because calU_m(0) = calU_0(n) = 1 cancels the
+# bump there, and contiguity holds wherever m = 0 or n = 0
+BAND_FAULTS = [
+    ("recurrence_C", lambda C: lambda m, p: C(m, p) + (m == 2), "gevp-recurrence",
+     "failing (m, n): [(2, 1), (2, 2), (2, 3)]"),
+    ("difference_D", lambda D: lambda n, p: D(n, p) + (n == 2), "difference",
+     "failing (m, n): [(1, 2), (2, 2), (3, 2)]"),
+    ("shifted_params",
+     lambda _: lambda p: Params(N=p.N, alpha=p.alpha - 1, beta=p.beta - 2, zeta=p.zeta + 3),
+     "contiguity", "failing (m, n): [(1, 1), (1, 2), (1, 3), (2, 1)]"),
+]
+
+
+@pytest.mark.parametrize("target, fault, check_id, detail", BAND_FAULTS,
+                         ids=[check_id for _, _, check_id, _ in BAND_FAULTS])
+def test_band_checks_name_the_points_a_fault_breaks(ctx3, monkeypatch, target, fault,
+                                                    check_id, detail):
+    monkeypatch.setattr(rf, target, fault(getattr(rf, target)))
+    assert [(c.id, c.detail) for c in verify_rational(ctx3).failures] == [(check_id, detail)]
+
+
+@pytest.mark.parametrize("target, edge", [("recurrence_C", "m = 0"), ("recurrence_A", "m = N"),
+                                          ("difference_D", "n = 0"), ("difference_B", "n = N")])
+def test_a_neighbour_outside_the_grid_needs_a_vanishing_coefficient(ctx3, monkeypatch, target,
+                                                                    edge):
+    # C_0, A_N, D_0 and B_N vanish by a zero factor; a nonzero one would
+    # couple a value outside 0..N, which the residual must refuse to drop
+    coeff = getattr(rf, target)
+    at = 0 if edge.endswith("0") else ctx3.p.N
+    monkeypatch.setattr(rf, target, lambda i, p: coeff(i, p) + (i == at))
+    with pytest.raises(ArithmeticError, match=f"^boundary coefficient at {edge} must vanish$"):
+        verify_rational(ctx3)
 
 
 def test_contiguity_head_coefficient_is_one(p5):
@@ -176,7 +209,7 @@ def test_contiguity_rejects_degenerate_shift():
     for p in (Params(N=3, alpha=Q(0), beta=Q(1, 5), zeta=Q(1, 7)),
               Params(N=3, alpha=Q(1, 5), beta=Q(1, 5), zeta=Q(1, 7))):
         with pytest.raises(DegenerateParameters):
-            _contiguity_residual(1, 1, p, cu(p))
+            _contiguity_residual(p, RationalMatrix.zeros(p.N + 1))
 
 
 def test_contiguity_operator_identities(ctx5):
