@@ -1,8 +1,9 @@
-"""Wall time of `metaracah verify --suite all` at N = 8, 16 and 32, in process.
+"""Wall time of `metaracah verify --suite all` at N = 8, 16, 32 and 48, and
+of the sixteen emit commands at N = 24 and 48, in process.
 
 Usage, from the repository root:
 
-    python3 bench/scale.py --parent PARENT_CHECKOUT --out BENCH_10.json
+    python3 bench/scale.py --parent PARENT_CHECKOUT --out BENCH_12.json
 
 Each source tree (this checkout, and the parent checkout when --parent is
 given) is measured in a fresh interpreter per N, the trees taking turns.
@@ -17,6 +18,12 @@ trees when a change keeps the output), and the largest numerator and
 denominator bit lengths of the rationals in the verify output and in the
 eight overlap tables at that N (`table --which <name>`), which set the
 size of the integers every product and pairing multiplies.
+
+The emit commands are the `emit` workload of perfbench at the default
+parameters: ``table --which <name>`` for the eight overlap tables and
+``matrix --which basis:<label>`` for the eight families.  Per N, three
+passes over the sixteen; the record keeps, per command, the minimum time,
+exit code and stdout sha256, and the minimum pass total.
 
 Standard library only; it imports nothing from perfbench.
 """
@@ -38,9 +45,13 @@ from fractions import Fraction
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-SIZES = (8, 16, 32)
+SIZES = (8, 16, 32, 48)
+EMIT_SIZES = (24, 48)
 REPEATS = 3
 TABLES = ("racah", "S", "Stilde", "calU", "calUtilde", "U", "Utilde", "dualHahn")
+LABELS = ("d", "dStar", "e", "eStar", "f", "fStar", "z", "zStar")
+EMIT = ([["table", "--which", name] for name in TABLES]
+        + [["matrix", "--which", f"basis:{label}"] for label in LABELS])
 RATIONAL = re.compile(r"(\d+)(?:/(\d+))?")
 
 
@@ -103,6 +114,33 @@ def measure(src: str, N: int) -> dict:
     }
 
 
+def measure_emit(src: str, N: int) -> dict:
+    """Time the sixteen emit commands of the tree under src at one N; runs
+    in a child process."""
+    sys.path.insert(0, src)
+    from metaracah import cli
+
+    times = {" ".join(argv): [] for argv in EMIT}
+    totals, outcomes = [], {}
+    for _ in range(REPEATS):
+        total = 0.0
+        for argv in EMIT:
+            start = time.perf_counter()
+            code, text = _run(cli, argv + ["--N", str(N)])
+            spent = time.perf_counter() - start
+            total += spent
+            key = " ".join(argv)
+            times[key].append(spent)
+            outcomes.setdefault(key, set()).add(
+                (code, hashlib.sha256(text.encode()).hexdigest()))
+        totals.append(total)
+    ops = {}
+    for key, seconds in times.items():
+        (code, digest), = outcomes[key]
+        ops[key] = {"s": round(min(seconds), 4), "exit_code": code, "stdout_sha256": digest}
+    return {"total_s": round(min(totals), 4), "ops": ops}
+
+
 def _commit(tree: str) -> str:
     try:
         return subprocess.run(["git", "-C", tree, "describe", "--always", "--dirty"],
@@ -114,30 +152,36 @@ def _commit(tree: str) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", help="checkout of the parent commit to measure as well")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_10.json"))
-    parser.add_argument("--measure", nargs=2, metavar=("SRC", "N"), help=argparse.SUPPRESS)
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_12.json"))
+    parser.add_argument("--measure", nargs=3, metavar=("KIND", "SRC", "N"),
+                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.measure:
-        print(json.dumps(measure(args.measure[0], int(args.measure[1]))))
+        kind, src, N = args.measure
+        print(json.dumps((measure if kind == "verify" else measure_emit)(src, int(N))))
         return 0
 
     trees = {"change": ROOT} if not args.parent else {"parent": args.parent, "change": ROOT}
     result = {
-        "command": "verify --suite all --N <N>, default parameters, in process",
+        "command": "verify --suite all --N <N> (by_N) and the sixteen emit commands"
+                   " table --which <name> / matrix --which basis:<label> --N <N> (emit_by_N),"
+                   " default parameters, in process",
         "statistic": f"min of {REPEATS} runs",
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),
-        "trees": {label: {"commit": _commit(tree), "by_N": {}} for label, tree in trees.items()},
+        "trees": {label: {"commit": _commit(tree), "by_N": {}, "emit_by_N": {}}
+                  for label, tree in trees.items()},
     }
     # the trees alternate at each N, so a drift in machine speed hits both
-    for N in SIZES:
-        for label, tree in trees.items():
-            child = subprocess.run(
-                [sys.executable, os.path.abspath(__file__), "--measure",
-                 os.path.join(tree, "src"), str(N)],
-                capture_output=True, text=True, check=True)
-            result["trees"][label]["by_N"][str(N)] = json.loads(child.stdout)
+    for kind, key, sizes in (("verify", "by_N", SIZES), ("emit", "emit_by_N", EMIT_SIZES)):
+        for N in sizes:
+            for label, tree in trees.items():
+                child = subprocess.run(
+                    [sys.executable, os.path.abspath(__file__), "--measure", kind,
+                     os.path.join(tree, "src"), str(N)],
+                    capture_output=True, text=True, check=True)
+                result["trees"][label][key][str(N)] = json.loads(child.stdout)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
         fh.write("\n")

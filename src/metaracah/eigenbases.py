@@ -12,9 +12,15 @@ Every basis vector has an explicit expansion over the standard basis with
 Pochhammer-ratio coefficients; build_basis evaluates those closed forms,
 while oracle_basis recomputes each vector from scratch as a kernel of the
 relevant matrix pencil and only borrows the closed form's normalization.
+Every pencil is bidiagonal (d, e*, f and z lower, the adjoint families
+upper), so each kernel is a two-term recurrence along the band; a dense
+elimination is the fallback for any other shape.
 FAMILIES maps each label to its eigenvalue, column and pencil; every
 entry point looks its label up there.  GRIDS maps the name of each
-closed-form overlap table to its cells.  A Context is one validated
+closed-form overlap table to its builder: the R, calU, calU-tilde and
+dual Hahn tables are each one product of term tables, and S, Stilde, U
+and Utilde are diag(f) G diag(g) on them, with the prefactor's factors
+f in m and g in n evaluated once per index.  A Context is one validated
 parameter set; every suite reads the generators, families and overlap
 grids from it.
 
@@ -32,11 +38,17 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable
 
-from . import racahpoly, rationalfns, report
+from . import racahpoly, rationalfns
 from .algebra import Params, build_Z, build_V, build_X, build_transposes, require_generic
 from .errors import NondegenerateSpectrumViolated, PreconditionViolated
 from .hyper import pochhammer, series_terms
-from .matrices import RationalMatrix, inverse, nullspace
+from .matrices import (
+    RationalMatrix,
+    bidiagonal_bands,
+    bidiagonal_kernel,
+    nullspace,
+    right_divide_lower_bidiagonal,
+)
 from .report import VerificationReport
 
 Q = Fraction
@@ -208,38 +220,61 @@ def build_basis(p: Params, fp: FParams | None, label: str) -> BasisFamily:
 
 @dataclass(frozen=True)
 class Grid:
-    """One row of the grid table: cells(ctx) is the value at (m, n) of the
-    closed-form overlap table of a Context."""
+    """One row of the grid table: build(ctx) is the closed-form overlap
+    table of a Context, row m holding the values at n = 0..N."""
 
-    cells: Callable  # (ctx) -> ((m, n) -> Fraction)
+    build: Callable  # (ctx) -> rows
     needs_rho: bool = False
 
 
-def _racah_cells(value):
-    """cells for value(ctx, rp, m, n), with the RacahParams rp built once per grid."""
-    def cells(ctx):
-        rp = racahpoly.RacahParams.from_params(ctx.p, ctx.fp)
-        return lambda m, n: value(ctx, rp, m, n)
-    return cells
+def _racah_params(ctx):
+    return racahpoly.RacahParams.from_params(ctx.p, ctx.fp)
 
 
-# The eight overlap tables, keyed by `table --which` name.  Every cell is a
-# closed form: S and Stilde are prefactors times the R grid, U and Utilde
-# prefactors times the calU and calU-tilde grids.  Callees are looked up as
-# module attributes at call time, so wrappers installed there see every call.
+def _prefactored(table: str, factor_m: Callable, factor_n: Callable, args: Callable):
+    """The builder of diag(f) G diag(g), G = ctx.grid(table): f(m) =
+    factor_m(m, args(ctx)) and g(n) = factor_n(n, args(ctx)), each
+    evaluated once per index.  G comes first, so a lower parameter that
+    vanishes in its series raises DegenerateParameters even where a
+    prefactor also has a pole."""
+    def build(ctx):
+        G, a, indices = ctx.grid(table), args(ctx), range(ctx.p.N + 1)
+        f = [factor_m(m, a) for m in indices]
+        g = [factor_n(n, a) for n in indices]
+        return [[fm * x * gn for x, gn in zip(row, g)] for fm, row in zip(f, G)]
+    return build
+
+
+def _calU_grid(ctx):
+    p = ctx.p
+    return rationalfns.calU_table(p.alpha, p.beta, p.zeta, p.N, range(p.N + 1))
+
+
+def _calU_tilde_grid(ctx):
+    # calU_tilde_m(n) is calU_m(N - n) at the substituted parameters
+    N = ctx.p.N
+    return rationalfns.calU_table(*rationalfns.tilde_params(ctx.p), N, range(N, -1, -1))
+
+
+def _params(ctx):
+    return ctx.p
+
+
+# The eight overlap tables, keyed by `table --which` name.  Every table is a
+# closed form, and none is evaluated point by point.
 GRIDS = {
-    "racah": Grid(_racah_cells(lambda c, rp, m, n: racahpoly.racah(m, n, rp)), needs_rho=True),
-    "S": Grid(_racah_cells(lambda c, rp, m, n: racahpoly._prefactor_S(m, n, rp)
-                           * c.grid("racah")[m][n]), needs_rho=True),
-    "Stilde": Grid(_racah_cells(lambda c, rp, m, n: racahpoly._prefactor_Stilde(m, n, rp)
-                                * c.grid("racah")[m][n]), needs_rho=True),
-    "calU": Grid(lambda c: lambda m, n: rationalfns.calU(m, n, c.p)),
-    "calUtilde": Grid(lambda c: lambda m, n: rationalfns.calU_tilde(m, n, c.p)),
-    "U": Grid(lambda c: lambda m, n: rationalfns._prefactor_U(m, n, c.p) * c.grid("calU")[m][n]),
-    "Utilde": Grid(lambda c: lambda m, n: rationalfns._prefactor_Utilde(m, n, c.p)
-                   * c.grid("calUtilde")[m][n]),
-    "dualHahn": Grid(lambda c: lambda m, n: rationalfns.dual_hahn(
-        m, n, rationalfns.dual_hahn_params(c.p))),
+    "racah": Grid(lambda c: racahpoly.racah_table(_racah_params(c)), needs_rho=True),
+    "S": Grid(_prefactored("racah", racahpoly._prefactor_S_m, racahpoly._prefactor_S_n,
+                           _racah_params), needs_rho=True),
+    "Stilde": Grid(_prefactored("racah", racahpoly._prefactor_Stilde_m,
+                                racahpoly._prefactor_Stilde_n, _racah_params), needs_rho=True),
+    "calU": Grid(_calU_grid),
+    "calUtilde": Grid(_calU_tilde_grid),
+    "U": Grid(_prefactored("calU", rationalfns._prefactor_U_m, rationalfns._prefactor_U_n,
+                           _params)),
+    "Utilde": Grid(_prefactored("calUtilde", rationalfns._prefactor_Utilde_m,
+                                rationalfns._prefactor_Utilde_n, _params)),
+    "dualHahn": Grid(lambda c: rationalfns.dual_hahn_table(rationalfns.dual_hahn_params(c.p))),
 }
 
 
@@ -282,7 +317,7 @@ class Context:
     Vt = property(lambda self: self._transposes[1])
     Xt = property(lambda self: self._transposes[2])
     I = cached_property(lambda self: RationalMatrix.identity(self.p.N + 1))
-    Vtilde = cached_property(lambda self: self.X * inverse(self.Z))
+    Vtilde = cached_property(lambda self: right_divide_lower_bidiagonal(self.X, self.Z))
 
     def basis(self, label: str) -> BasisFamily:
         """The closed-form family, built on first use."""
@@ -293,32 +328,51 @@ class Context:
 
     def grid(self, name: str) -> list:
         """The overlap table GRIDS[name], row m holding the values at n = 0..N,
-        evaluated row by row on first use."""
+        built on first use."""
         rows = self._grids.get(name)
         if rows is None:
             if GRIDS[name].needs_rho and self.fp is None:
                 raise PreconditionViolated(f"grid {name!r} needs FParams")
-            rows = self._grids[name] = report.grid(self.p.N, GRIDS[name].cells(self))
+            rows = self._grids[name] = GRIDS[name].build(self)
         return rows
+
+
+def _band_kernel(A: RationalMatrix, B: RationalMatrix):
+    """When A and B are bidiagonal on one side, the map from lam to
+    bidiagonal_kernel of A - lam B, read from their bands; else None."""
+    for lower in (True, False):
+        a, b = bidiagonal_bands(A, lower), bidiagonal_bands(B, lower)
+        if a and b:
+            (a_diag, a_off), (b_diag, b_off) = a, b
+            return lambda lam: bidiagonal_kernel(
+                [x - lam * y for x, y in zip(a_diag, b_diag)],
+                [x - lam * y if y else x for x, y in zip(a_off, b_off)], lower)
+    return None
 
 
 def oracle_basis(ctx: Context, label: str) -> BasisFamily:
     """Recompute each basis vector as a kernel of (A - eigenvalue B).
 
-    Fraction-free elimination must return a one-dimensional kernel for every
+    The pencil's two bands are read once.  When exactly one diagonal entry
+    of A - eigenvalue B vanishes, bidiagonal_kernel gives the kernel by a
+    two-term recurrence along the band, O(N) per index; a pencil of another
+    shape, or a diagonal with no or several zeros, goes to fraction-free
+    elimination (nullspace).  Either way the kernel must be one-dimensional for every
     index (NondegenerateSpectrumViolated otherwise); the solution is scaled
-    so its component on |n> matches the closed form's, which is the only use
-    made of the closed-form data: the anchors are the diagonal of the
+    so its component on |n> matches the closed form's, which is the only
+    use made of the closed-form data: the anchors are the diagonal of the
     closed-form family.
     """
     p, fp = ctx.p, ctx.fp
     A, B = family(label, fp).pencil(ctx)
+    band_kernel = _band_kernel(A, B)
     N = p.N
     eigs = tuple(eigenvalue(label, p, fp, n) for n in range(N + 1))
     closed = ctx.basis(label).vectors
     cols = []
     for n in range(N + 1):
-        kernel = nullspace(A - eigs[n] * B)
+        v = band_kernel(eigs[n]) if band_kernel else None
+        kernel = [v] if v is not None else nullspace(A - eigs[n] * B)
         if len(kernel) != 1:
             raise NondegenerateSpectrumViolated(
                 f"family {label}, index {n}: kernel dimension {len(kernel)}, expected 1"

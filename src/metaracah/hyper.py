@@ -20,16 +20,21 @@ independent oracle for ``hyp_sum``.
 ``series_terms`` returns the terms of such a series instead of their sum.
 It is the one way the closed-form basis columns, the Laurent model
 families and their residue windows build a coefficient list.
+``series_table`` sums a whole two-index family of series at once: when
+each parameter belongs to the row index or to the column index, every
+term is a row factor times a column factor, and the table of sums is one
+product of two term tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
+from math import inf, prod
 from typing import Iterable, Sequence
 
 from .errors import DegenerateParameters, PreconditionViolated
+from .matrices import RationalMatrix
 
 Q = Fraction
 
@@ -80,6 +85,61 @@ def series_terms(upper: Sequence, lower: Sequence, count: int, head=1, argument=
         den = (k + 1) * den_const * prod(l.numerator + k * l.denominator for l in lower)
         terms.append(terms[-1] * Q(num, den))
     return terms
+
+
+def _cap(upper) -> int | float:
+    """The smallest |u| over the nonpositive-integer u in upper, inf if none."""
+    return min((-int(u) for u in upper if is_nonpositive_int(u)), default=inf)
+
+
+def series_table(rows: Sequence, cols: Sequence) -> list:
+    """The table of terminating sums, one per (row, column) pair:
+
+        entry (i, j) = pFq(u_i + v_j; l_i + w_j; 1)
+                     = sum_k [prod(u_i)_k / (prod(l_i)_k k!)] * [prod(v_j)_k / prod(w_j)_k]
+
+    for rows[i] = (u_i, l_i) and cols[j] = (v_j, w_j), the upper and lower
+    parameters that depend on the row index and on the column index alone.
+    Entry (i, j) terminates at min(c_i, c_j), as HypSeries computes it,
+    with c_i the smallest |u| over the nonpositive-integer uppers of row i
+    (constant caps included) and c_j that of column j.  Row i is the
+    series_terms of (u_i; l_i) up to the largest index any of its entries
+    reaches, column j that of (v_j, 1; w_j), the upper 1 cancelling the k!
+    the row carries; both are padded with zeros, and the table is the one
+    product A B^T.  No term past a row's or a column's own reach is formed.
+
+    Raises DegenerateParameters where HypSeries would: at the first entry,
+    row by row, with a lower parameter that vanishes within its summation
+    range, naming the column's lower parameters before the row's.
+    """
+    rows = [([Q(u) for u in up], [Q(l) for l in lo]) for up, lo in rows]
+    cols = [([Q(v) for v in up], [Q(w) for w in lo]) for up, lo in cols]
+    row_caps = [_cap(up) for up, _ in rows]
+    col_caps = [_cap(up) for up, _ in cols]
+    top_row, top_col = max(row_caps), max(col_caps)
+    if top_row == inf and top_col == inf:
+        raise PreconditionViolated(
+            "series does not terminate: no nonpositive-integer upper parameter"
+        )
+    # lower parameters that vanish somewhere, as (l, k) with l + k = 0
+    row_zeros = [[(l, -int(l)) for l in lo if is_nonpositive_int(l)] for _, lo in rows]
+    col_zeros = [[(w, -int(w)) for w in lo if is_nonpositive_int(w)] for _, lo in cols]
+    for i, rz in enumerate(row_zeros):
+        for j, cz in enumerate(col_zeros):
+            k = min(row_caps[i], col_caps[j])
+            bad = [l for l, at in cz + rz if at < k]
+            if bad:
+                raise DegenerateParameters(
+                    [f"lower parameter {l} vanishes within summation range 0..{k}" for l in bad])
+    row_counts = [min(c, top_col) + 1 for c in row_caps]
+    col_counts = [min(c, top_row) + 1 for c in col_caps]
+    width = max(row_counts)
+    A = RationalMatrix([series_terms(up, lo, n) + [0] * (width - n)
+                        for (up, lo), n in zip(rows, row_counts)])
+    Bt = RationalMatrix(list(zip(*(series_terms(up + [1], lo, n) + [0] * (width - n)
+                                   for (up, lo), n in zip(cols, col_counts)))))
+    product = A * Bt
+    return [list(product.row(i)) for i in range(product.rows)]
 
 
 @dataclass(frozen=True)

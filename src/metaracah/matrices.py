@@ -254,6 +254,64 @@ def nullspace(m: RationalMatrix):
     return basis
 
 
+def bidiagonal_bands(m: RationalMatrix, lower: bool):
+    """(diag, off) of a square m whose nonzero entries lie on the diagonal
+    and the subdiagonal (lower) or the superdiagonal, else None.  off[j] is
+    entry (j+1, j) when lower and entry (j, j+1) otherwise."""
+    side = 1 if lower else -1
+    if m.rows != m.cols or any(x != 0 for i, row in enumerate(m._e)
+                               for j, x in enumerate(row) if i - j not in (0, side)):
+        return None
+    e = m._e
+    return ([e[j][j] for j in range(m.rows)],
+            [e[j + 1][j] if lower else e[j][j + 1] for j in range(m.rows - 1)])
+
+
+def bidiagonal_kernel(diag, off, lower: bool):
+    """The kernel vector of the bidiagonal matrix with bands (diag, off), as
+    bidiagonal_bands reads them, when exactly one diagonal entry vanishes;
+    None when none or several do.
+
+    With diag[n] = 0 alone, deleting row n and column n leaves a triangular
+    matrix with nonzero diagonal, so the kernel is one-dimensional: v_n = 1,
+    zero on the side of n that the recurrence leaves behind, and away from
+    n along the band, v_j = -off v_(j-1) / diag[j] (lower) or
+    v_j = -off v_(j+1) / diag[j] (upper).  O(N) operations, where an
+    elimination takes O(N^3).
+    """
+    zeros = [j for j, x in enumerate(diag) if x == 0]
+    if len(zeros) != 1:
+        return None
+    n = zeros[0]
+    v = [_ZERO] * len(diag)
+    v[n] = Q(1)
+    for j in (range(n + 1, len(diag)) if lower else range(n - 1, -1, -1)):
+        prev = j - 1 if lower else j + 1
+        v[j] = -off[min(j, prev)] * v[prev] / diag[j]
+    return tuple(v)
+
+
+def right_divide_lower_bidiagonal(x: RationalMatrix, z: RationalMatrix) -> RationalMatrix:
+    """x z^-1 for a lower-bidiagonal z, by back substitution along each row:
+    the row y of the result solves y z = row of x, so
+    y_j = (x_j - y_(j+1) z_(j+1, j)) / z_jj from j = N down.  ValueError
+    when z is not lower bidiagonal or is singular."""
+    bands = bidiagonal_bands(z, lower=True)
+    if bands is None or x.cols != z.rows:
+        raise ValueError("right division needs a lower-bidiagonal divisor of matching size")
+    diag, off = bands
+    if any(d == 0 for d in diag):
+        raise ValueError("matrix is singular")
+    out = []
+    for row in x._e:
+        y = [_ZERO] * len(row)
+        y[-1] = row[-1] / diag[-1]
+        for j in range(len(row) - 2, -1, -1):
+            y[j] = (row[j] - y[j + 1] * off[j]) / diag[j]
+        out.append(y)
+    return RationalMatrix(out)
+
+
 def inverse(m: RationalMatrix) -> RationalMatrix:
     """Exact inverse, read from the right kernel of [m | -I].
 

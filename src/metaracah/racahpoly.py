@@ -13,6 +13,14 @@ hatted parameters feeding the 4F3 are
     beta_hat  = -beta + rho - 2 zeta - 1
     gamma_hat = N - 2 alpha - rho
 
+Both the series and the prefactors separate.  At summation index k the
+4F3 term is a factor in the degree times a factor in the variable, so
+``racah_table`` builds the whole R grid as one product of two term tables
+(``hyper.series_table``); each prefactor is a factor in m times a factor
+in n, evaluated once per index by the grids and once per point by the
+single-value references ``racah``, ``closed_form_S`` and
+``closed_form_Stilde``.
+
 Every function below works over Fraction and every identity is an exact
 equality: the dot-product and closed-form routes for S and Stilde are
 compared entry by entry, the weights/norms reproduce the Gram relation,
@@ -28,7 +36,7 @@ from typing import TYPE_CHECKING
 
 from .algebra import Params
 from .errors import PreconditionViolated
-from .hyper import multi_pochhammer, pochhammer, terminating_hyp
+from .hyper import multi_pochhammer, pochhammer, series_table, terminating_hyp
 from .matrices import RationalMatrix
 from .matrixreps import coeffs_V_on_f, coeffs_X_on_e, coeffs_Z_on_e
 from .report import VerificationReport
@@ -77,43 +85,49 @@ def racah(i: int, x: int, rp: RacahParams) -> Fraction:
     )
 
 
-def _prefactor_S(m: int, n: int, rp: RacahParams) -> Fraction:
+def racah_table(rp: RacahParams) -> list:
+    """R_i(x) at every i, x in 0..N as one series_table: the term at k is
+    (-i)_k (i+a+b+1)_k / ((a+1)_k (b+g+1)_k (-N)_k k!) times (-x)_k (x+g-N)_k."""
     a, b, g, N = rp.alpha_hat, rp.beta_hat, rp.gamma_hat, rp.N
-    return (
-        pochhammer(a + 1, n)
-        * multi_pochhammer((Q(-N), b + g + 1), m)
-        / (
-            pochhammer(Q(1), n)
-            * pochhammer(n - N + g, n)
-            * pochhammer(m + a + b + 1, m)
-        )
+    return series_table(
+        [((-i, i + a + b + 1), (a + 1, b + g + 1, -N)) for i in range(N + 1)],
+        [((-x, x + g - N), ()) for x in range(N + 1)],
     )
 
 
-def _prefactor_Stilde(m: int, n: int, rp: RacahParams) -> Fraction:
+# Each prefactor is the product of its factor in m and its factor in n.
+
+
+def _prefactor_S_m(m: int, rp: RacahParams) -> Fraction:
     a, b, g, N = rp.alpha_hat, rp.beta_hat, rp.gamma_hat, rp.N
-    sign = Q(-1) ** N
-    num = (
-        multi_pochhammer((Q(-N), g - a - N, -b - N), N - m)
-        * pochhammer(a + 1, m)
-        * pochhammer(-g - b - n, n)
-    )
-    den = (
-        pochhammer(-N - m - a - b - 1, N - m)
-        * multi_pochhammer((Q(n - N), -g - n), N - n)
-        * multi_pochhammer((g - a - N, -N - b), n)
-    )
-    return sign * num / den
+    return multi_pochhammer((Q(-N), b + g + 1), m) / pochhammer(m + a + b + 1, m)
+
+
+def _prefactor_S_n(n: int, rp: RacahParams) -> Fraction:
+    a, g, N = rp.alpha_hat, rp.gamma_hat, rp.N
+    return pochhammer(a + 1, n) / (pochhammer(Q(1), n) * pochhammer(n - N + g, n))
+
+
+def _prefactor_Stilde_m(m: int, rp: RacahParams) -> Fraction:
+    a, b, g, N = rp.alpha_hat, rp.beta_hat, rp.gamma_hat, rp.N
+    num = multi_pochhammer((Q(-N), g - a - N, -b - N), N - m) * pochhammer(a + 1, m)
+    return Q(-1) ** N * num / pochhammer(-N - m - a - b - 1, N - m)
+
+
+def _prefactor_Stilde_n(n: int, rp: RacahParams) -> Fraction:
+    a, b, g, N = rp.alpha_hat, rp.beta_hat, rp.gamma_hat, rp.N
+    den = multi_pochhammer((Q(n - N), -g - n), N - n) * multi_pochhammer((g - a - N, -N - b), n)
+    return pochhammer(-g - b - n, n) / den
 
 
 def closed_form_S(m: int, n: int, rp: RacahParams) -> Fraction:
     """Prefactor times R_m(n) for S_m(n) = <f*_n|e_m>."""
-    return _prefactor_S(m, n, rp) * racah(m, n, rp)
+    return _prefactor_S_m(m, rp) * _prefactor_S_n(n, rp) * racah(m, n, rp)
 
 
 def closed_form_Stilde(m: int, n: int, rp: RacahParams) -> Fraction:
     """Prefactor times R_m(n) for Stilde_m(n) = <f_n|e*_m>."""
-    return _prefactor_Stilde(m, n, rp) * racah(m, n, rp)
+    return _prefactor_Stilde_m(m, rp) * _prefactor_Stilde_n(n, rp) * racah(m, n, rp)
 
 
 def weight(n: int, rp: RacahParams) -> Fraction:
@@ -144,8 +158,9 @@ def verify_racah(ctx: Context) -> VerificationReport:
 
     Each table that depends only on (p, rho) is built once and read by
     every check: the R grid and the closed-form S and Stilde grids built
-    on it (all three kept on the Context), the bands of V on f and of
-    X + rho Z on e, and the eigenvalue rows of the bases.  The dot-product
+    on it (all three kept on the Context, none evaluated point by point),
+    the bands of V on f and of X + rho Z on e, and the eigenvalue rows of
+    the bases.  The dot-product
     sides are the products e^T f* and e*^T f of the bases, never these
     tables.  Every sum over an index, and every band residual, is an entry
     of one matrix product, built once before its check:

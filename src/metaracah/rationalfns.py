@@ -15,6 +15,14 @@ the same function under (n, a, b, c) -> (N-n, N-a-1, b+2c-2, 2-c).
 The m- and n-dependence of the lower parameter a-b-n is what makes the
 family rational rather than polynomial.
 
+The series and the prefactors separate as in racahpoly: ``calU_table``
+builds every calU_m(n) at one parameter set as a product of a term table
+in m and one in n (``hyper.series_table``), and serves the calU grid, the
+calU-tilde grid (its columns reversed) and the contiguity-shifted table
+alike; ``dual_hahn_table`` does the same for the dual Hahn grid.  The
+per-point ``calU_general``, ``calU``, ``calU_tilde``, ``dual_hahn`` and
+``closed_form_*`` stay as independent single-value references.
+
 Verified here, all in exact arithmetic: the dot-product/closed-form
 identification, two biorthogonality relations with explicit weights
 normalized so h_0 = h*_0 = 1, a generalized-eigenvalue three-term
@@ -31,7 +39,7 @@ from typing import TYPE_CHECKING
 
 from .algebra import Params, build_X, build_Z
 from .errors import DegenerateParameters
-from .hyper import multi_pochhammer, pochhammer, terminating_hyp
+from .hyper import multi_pochhammer, pochhammer, series_table, terminating_hyp
 from .matrices import RationalMatrix, dot
 from .matrixreps import TridiagonalCoeffs
 from .report import VerificationReport
@@ -55,45 +63,61 @@ def calU(m: int, n: int, p: Params) -> Fraction:
     return calU_general(m, n, p.alpha, p.beta, p.zeta, p.N)
 
 
+def tilde_params(p: Params) -> tuple:
+    """The (a, b, c) at which calU_tilde_m(n) is calU_m(N - n)."""
+    return p.N - p.alpha - 1, p.beta + 2 * p.zeta - 2, 2 - p.zeta
+
+
 def calU_tilde(m: int, n: int, p: Params) -> Fraction:
-    N = p.N
-    return calU_general(m, N - n, N - p.alpha - 1, p.beta + 2 * p.zeta - 2, 2 - p.zeta, N)
+    return calU_general(m, p.N - n, *tilde_params(p), p.N)
 
 
-def _prefactor_U(m: int, n: int, p: Params) -> Fraction:
-    a, b, z, N = p.alpha, p.beta, p.zeta, p.N
-    return (
-        pochhammer(a - b - n, n)
-        * multi_pochhammer((Q(-N), N - 2 * a - b - 2 * z), m)
-        / (
-            pochhammer(Q(1), n)
-            * pochhammer(-a, n + 1)
-            * pochhammer(m - 2 * b - 2 * z - 1, m)
-        )
+def calU_table(a, b, c, N: int, ns) -> list:
+    """calU_general(m, n, a, b, c, N) at every m in 0..N (rows) and n in ns
+    (columns) as one series_table: the term at k is
+    (-m)_k (m-2b-2c-1)_k (-a)_k / ((-N)_k (N-2a-b-2c)_k k!) times
+    (-n)_k / (a-b-n)_k."""
+    a, b, c = Q(a), Q(b), Q(c)
+    return series_table(
+        [((-m, m - 2 * b - 2 * c - 1, -a), (-N, N - 2 * a - b - 2 * c)) for m in range(N + 1)],
+        [((-n,), (a - b - n,)) for n in ns],
     )
 
 
-def _prefactor_Utilde(m: int, n: int, p: Params) -> Fraction:
+# Each prefactor is the product of its factor in m and its factor in n.
+
+
+def _prefactor_U_m(m: int, p: Params) -> Fraction:
     a, b, z, N = p.alpha, p.beta, p.zeta, p.N
-    num = (
-        (n - a)
-        * multi_pochhammer((-N + a + b + 2 * z, -N + 2 * a - b), N - n)
-        * multi_pochhammer((Q(m + 1), -2 * N + 2 * a + b + 2 * z + 1), N - m)
-    )
-    den = multi_pochhammer(
-        (Q(n - N), n - a, -2 * N + 2 * a + b + 2 * z + 1), N - n
-    ) * pochhammer(-N - m + 2 * b + 2 * z + 1, N - m)
-    return num / den
+    return multi_pochhammer((Q(-N), N - 2 * a - b - 2 * z), m) / pochhammer(
+        m - 2 * b - 2 * z - 1, m)
+
+
+def _prefactor_U_n(n: int, p: Params) -> Fraction:
+    a, b = p.alpha, p.beta
+    return pochhammer(a - b - n, n) / (pochhammer(Q(1), n) * pochhammer(-a, n + 1))
+
+
+def _prefactor_Utilde_m(m: int, p: Params) -> Fraction:
+    a, b, z, N = p.alpha, p.beta, p.zeta, p.N
+    return multi_pochhammer((Q(m + 1), -2 * N + 2 * a + b + 2 * z + 1), N - m) / pochhammer(
+        -N - m + 2 * b + 2 * z + 1, N - m)
+
+
+def _prefactor_Utilde_n(n: int, p: Params) -> Fraction:
+    a, b, z, N = p.alpha, p.beta, p.zeta, p.N
+    num = (n - a) * multi_pochhammer((-N + a + b + 2 * z, -N + 2 * a - b), N - n)
+    return num / multi_pochhammer((Q(n - N), n - a, -2 * N + 2 * a + b + 2 * z + 1), N - n)
 
 
 def closed_form_U(m: int, n: int, p: Params) -> Fraction:
     """Prefactor times calU_m(n) for U_m(n) = <e_m|d*_n>."""
-    return _prefactor_U(m, n, p) * calU(m, n, p)
+    return _prefactor_U_m(m, p) * _prefactor_U_n(n, p) * calU(m, n, p)
 
 
 def closed_form_Utilde(m: int, n: int, p: Params) -> Fraction:
     """Prefactor times calU_tilde_m(n) for Utilde_m(n) = <e*_m|Z|d_n>."""
-    return _prefactor_Utilde(m, n, p) * calU_tilde(m, n, p)
+    return _prefactor_Utilde_m(m, p) * _prefactor_Utilde_n(n, p) * calU_tilde(m, n, p)
 
 
 # -- biorthogonality ---------------------------------------------------------
@@ -251,8 +275,7 @@ def _contiguity_residual(p: Params, cU: RationalMatrix) -> RationalMatrix:
     if offenders:
         raise DegenerateParameters(offenders)
     sp = shifted_params(p)
-    shifted = RationalMatrix([[calU_general(m, n, sp.alpha, sp.beta, sp.zeta, N)
-                               for n in range(N + 1)] for m in range(N + 1)])
+    shifted = RationalMatrix(calU_table(sp.alpha, sp.beta, sp.zeta, N, range(N + 1)))
     T = _band([n * (n - 2 * a + b) / (a * (b - a)) for n in range(N + 1)],
               [(n - a) * (n - a + b) / (a * (a - b)) for n in range(N + 1)],
               [Q(0)] * (N + 1), "n")
@@ -292,11 +315,17 @@ def dual_hahn_params(p: Params) -> tuple:
     return (N - 2 * a - b - 2 * z - 1, 2 * a - b - N - 1, N)
 
 
+def dual_hahn_table(rho) -> list:
+    """dual_hahn(i, x, rho) at every i, x in 0..N as one series_table: the
+    term at k is (-i)_k / ((r1+1)_k (-N)_k k!) times (-x)_k (x+r1+r2+1)_k."""
+    r1, r2, N = Q(rho[0]), Q(rho[1]), rho[2]
+    return series_table([((-i,), (r1 + 1, -N)) for i in range(N + 1)],
+                        [((-x, x + r1 + r2 + 1), ()) for x in range(N + 1)])
+
+
 def _prefactor_em_zstar(m: int, k: int, p: Params) -> Fraction:
-    a, b, z, N = p.alpha, p.beta, p.zeta, p.N
-    return multi_pochhammer((Q(-N), N - 2 * a - b - 2 * z), m) / (
-        pochhammer(Q(1), k) * pochhammer(m - 2 * b - 2 * z - 1, m)
-    )
+    """The factor in m of the U prefactor over k!."""
+    return _prefactor_U_m(m, p) / pochhammer(Q(1), k)
 
 
 def em_zstar_closed(m: int, k: int, p: Params) -> Fraction:

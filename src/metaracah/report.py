@@ -18,12 +18,6 @@ def describe_matrix_mismatch(m) -> str:
     return f"first nonzero residual at ({i},{j}): {value}"
 
 
-def grid(N: int, value) -> list:
-    """The table [[value(i, j) for j in 0..N] for i in 0..N], evaluated row by
-    row in the order add_grid visits its points; Context.grid is its one caller."""
-    return [[value(i, j) for j in range(N + 1)] for i in range(N + 1)]
-
-
 @dataclass
 class Check:
     id: str

@@ -255,6 +255,12 @@ PINNED_STDOUT = [
      "8400c5e622dba86cad469bdc92848134457857ebd980ed82db11cc10d6206450"),
     ("verify --suite rational,model --N 9 --sweeps 2 --seed 7", 0,
      "3bf037c5076ef2809f942d7f1eb92d0aef9025f0527a5a9395b8f51b173010ad"),
+    # the emit workload's size on a benchmark-drawn set: a term-table
+    # overlap grid and a bidiagonal-kernel oracle at N = 24
+    ("table --which Utilde --N 24 --alpha=-3/5 --beta=-38/13 --zeta=15/19 --rho=28/17", 0,
+     "a4ac6325d10d5316513d2b3685c503b0ce5c90de7b17beca7903a445fe83a571"),
+    ("matrix --which basis:dStar --N 24 --alpha=-3/5 --beta=-38/13 --zeta=15/19 --rho=28/17", 0,
+     "827ba37b5c37db544bb2723ebc19f7dfa045534b5fd44f2e9e01e89879d21743"),
 ]
 
 
@@ -379,30 +385,52 @@ def test_one_validation_and_one_build_per_set(capsys, monkeypatch, argv):
 
 
 def test_each_overlap_grid_is_built_once_per_set(capsys, monkeypatch):
-    # every suite reads the overlap grids of its one Context: each R, calU,
-    # calU-tilde and dual Hahn cell is evaluated once (the <e_m|z*_k> closed
-    # forms read the dual Hahn grid; calU_general is also evaluated at the
-    # contiguity shift and in the Hahn limit), the model suite's residues
-    # read the S and U grids, and Vtilde = X Z^{-1} takes one inverse
+    # every suite reads the overlap grids of its one Context: each GRIDS
+    # table is built once per Context, as products of term tables, and no
+    # suite evaluates a per-point 4F3, 3F2 or closed form (calU_general
+    # serves only the Hahn limit, which runs it at three values of t);
+    # Vtilde = X Z^{-1} is a substitution, not an inverse
     callees = [(racahpoly, "racah"), (racahpoly, "closed_form_S"),
-               (rationalfns, "dual_hahn"), (rationalfns, "calU_general"),
-               (rationalfns, "closed_form_U"), (matrices, "inverse")]
+               (racahpoly, "closed_form_Stilde"), (rationalfns, "dual_hahn"),
+               (rationalfns, "calU_general"), (rationalfns, "closed_form_U"),
+               (rationalfns, "closed_form_Utilde"), (matrices, "inverse")]
     modules = [metaracah] + [getattr(metaracah, name) for name in dir(metaracah)
                              if type(getattr(metaracah, name)) is type(metaracah)]
-    calls = Counter()
+    calls, builds, hahn_limit = Counter(), Counter(), []
+
+    def rebind(original, replacement):
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
     for owner, name in callees:
         original = getattr(owner, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
+            calls[_name, "hahn_limit_check" if hahn_limit else "elsewhere"] += 1
             return _original(*args, **kwargs)
 
-        for module in modules:
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
-    code, _ = run(capsys, "verify", "--suite", "all", "--N", "3")
+        rebind(original, counted)
+    limit = rationalfns.hahn_limit_check
+
+    def inside_limit(*args, **kwargs):
+        hahn_limit.append(1)
+        try:
+            return limit(*args, **kwargs)
+        finally:
+            hahn_limit.pop()
+
+    rebind(limit, inside_limit)
+    for name, row in eb.GRIDS.items():
+        def build(ctx, _name=name, _build=row.build):
+            builds[_name, ctx] += 1
+            return _build(ctx)
+
+        monkeypatch.setitem(eb.GRIDS, name, replace(row, build=build))
+    code, _ = run(capsys, "verify", "--suite", "all", "--N", "3", "--sweeps", "1", "--seed", "5")
     assert code == 0
-    assert {name: calls[name] for _, name in callees} == {
-        "racah": 16, "closed_form_S": 0, "dual_hahn": 16, "calU_general": 51,
-        "closed_form_U": 0, "inverse": 1}
+    contexts = {ctx for _, ctx in builds}
+    assert len(contexts) == 2
+    assert builds == Counter({(name, ctx): 1 for name in eb.GRIDS for ctx in contexts})
+    assert dict(calls) == {("calU_general", "hahn_limit_check"): 6}

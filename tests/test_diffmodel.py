@@ -125,9 +125,10 @@ def test_Z_on_the_first_ray(p3):
 def test_operator_matrices_match_abstract(p3):
     from metaracah import build_V, build_X, build_Z
 
-    assert matrix_in_monomial_basis(diff_Z(p3), p3) == build_Z(p3)
-    assert matrix_in_monomial_basis(diff_V(p3), p3) == build_V(p3)
-    assert matrix_in_monomial_basis(diff_X(p3), p3) == build_X(p3)
+    g = [g_poly(p3, n) for n in range(p3.N + 1)]
+    assert matrix_in_monomial_basis([diff_Z(p3).apply(x) for x in g], p3) == build_Z(p3)
+    assert matrix_in_monomial_basis([diff_V(p3).apply(x) for x in g], p3) == build_V(p3)
+    assert matrix_in_monomial_basis([diff_X(p3).apply(x) for x in g], p3) == build_X(p3)
 
 
 def test_model_polynomials_carry_the_abstract_columns(p3, fp, ctx3):
@@ -268,8 +269,9 @@ def test_full_model_suite(ctx5):
 
 
 def test_model_suite_applies_each_operator_once(p5, ctx5, monkeypatch):
-    # g-basis matrices (3 ops), adjoint images of g_n and g*_m (3 + 3),
-    # dual quotient matrices (3) and Z on d_n: 13 applications per index
+    # Z, V and X on g_n (g-basis matrices and adjoint right sides), Zt, Vt
+    # and Xt on g*_m (adjoint left sides and quotient matrices), and Z on
+    # d_n: 7 applications per index
     calls = []
     apply = DiffOp.apply
 
@@ -279,4 +281,4 @@ def test_model_suite_applies_each_operator_once(p5, ctx5, monkeypatch):
 
     monkeypatch.setattr(DiffOp, "apply", counted)
     assert verify_model(ctx5).passed
-    assert len(calls) <= 13 * (p5.N + 1)
+    assert len(calls) <= 7 * (p5.N + 1)

@@ -19,7 +19,6 @@ from metaracah.racahpoly import (
     weight,
 )
 from metaracah.matrixreps import TridiagonalCoeffs, coeffs_V_on_f, coeffs_X_on_e, coeffs_Z_on_e
-from metaracah.report import grid
 
 
 @pytest.fixture
@@ -100,7 +99,7 @@ def _band_sum(band, i, value):
 
 def _s_table(p, fp):
     rp = RacahParams.from_params(p, fp)
-    return grid(p.N, lambda m, n: closed_form_S(m, n, rp))
+    return [[closed_form_S(m, n, rp) for n in range(p.N + 1)] for m in range(p.N + 1)]
 
 
 def test_recurrence_residuals_vanish(p5, fp, ctx5):
@@ -178,12 +177,13 @@ def test_full_suite_negative_params(ctx_other):
 
 def test_suite_builds_each_table_once(ctx5, monkeypatch):
     # count calls at every binding of each builder in the package: one R
-    # grid feeds S and Stilde, and closed_form_S is for single values only
+    # table, a product of term tables, feeds S and Stilde; racah and
+    # closed_form_S are for single values only
     counts = Counter()
     modules = [m for name, m in sys.modules.items()
                if name == "metaracah" or name.startswith("metaracah.")]
-    for target in (coeffs_V_on_f, coeffs_X_on_e, coeffs_Z_on_e, racah, closed_form_S,
-                   closed_form_Stilde):
+    for target in (coeffs_V_on_f, coeffs_X_on_e, coeffs_Z_on_e, racah, racahpoly.racah_table,
+                   closed_form_S, closed_form_Stilde):
         def counted(*args, _target=target, **kwargs):
             counts[_target.__name__] += 1
             return _target(*args, **kwargs)
@@ -193,7 +193,7 @@ def test_suite_builds_each_table_once(ctx5, monkeypatch):
                 if value is target:
                     monkeypatch.setattr(module, attr, counted)
     assert verify_racah(ctx5).passed
-    assert counts["racah"] == (ctx5.p.N + 1) ** 2
+    assert counts["racah_table"] == 1 and counts["racah"] == 0
     assert counts["closed_form_S"] == counts["closed_form_Stilde"] == 0
     for band in ("coeffs_V_on_f", "coeffs_X_on_e", "coeffs_Z_on_e"):
         assert counts[band] <= 1, (band, counts[band])

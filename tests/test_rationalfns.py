@@ -83,12 +83,10 @@ def test_biorthogonality_report(ctx5):
         assert checks[check_id].status == "pass", checks[check_id]
 
 
-def test_gram_U_failures_name_their_points(p3, ctx3, monkeypatch):
+def test_gram_U_failures_name_their_points(p3, ctx3):
     # doubling Utilde_1(2) breaks row k = 1 of gram-U wherever U_m(2) != 0,
     # and row k = 2 of gram-U-dual wherever U_1(n) != 0
-    pre = rf._prefactor_Utilde
-    monkeypatch.setattr(rf, "_prefactor_Utilde",
-                        lambda m, n, p: pre(m, n, p) * (2 if (m, n) == (1, 2) else 1))
+    ctx3.grid("Utilde")[1][2] *= 2
     checks = {c.id: c for c in verify_rational(ctx3).checks}
     N = p3.N
     row = [(1, m) for m in range(N + 1) if closed_form_U(m, 2, p3) != 0]

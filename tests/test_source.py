@@ -113,19 +113,16 @@ def test_parameters_are_validated_only_by_a_context():
 
 def test_overlap_grids_are_built_only_by_a_context():
     # every (N+1) x (N+1) overlap table is an entry of Context.grid, built
-    # once per set with report.grid; a suite or command that called
-    # report.grid itself would hold a private copy of a grid the Context
-    # already shares, so the name appears only at its definition and there
+    # once per set by its GRIDS row; a suite or command that called a
+    # row's builder itself would hold a private copy of a grid the Context
+    # already shares, so GRIDS[...].build is read there and nowhere else
     found = []
     for path in SOURCES:
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            owner = getattr(top, "name", None)
             for node in ast.walk(top):
-                named = (node is top and isinstance(node, ast.FunctionDef) and node.name == "grid"
-                         or isinstance(node, ast.alias) and node.name == "grid"
-                         or isinstance(node, ast.Attribute) and node.attr == "grid"
-                         and isinstance(node.value, ast.Name) and node.value.id == "report")
-                if named:
-                    found.append((path.name, owner if not isinstance(top, ast.ImportFrom)
-                                  else "import"))
-    assert sorted(found) == [("eigenbases.py", "Context"), ("report.py", "grid")], found
+                if (isinstance(node, ast.Attribute) and node.attr == "build"
+                        and isinstance(node.value, ast.Subscript)
+                        and isinstance(node.value.value, ast.Name)
+                        and node.value.value.id == "GRIDS"):
+                    found.append((path.name, getattr(top, "name", None)))
+    assert found == [("eigenbases.py", "Context")], found
