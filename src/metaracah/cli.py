@@ -43,16 +43,7 @@ from .eigenbases import (
 )
 from .errors import DegenerateParameters
 from .matrices import RationalMatrix
-from .matrixreps import (
-    coeffs_V_on_f,
-    coeffs_X_on_e,
-    coeffs_Z_on_e,
-    coeffs_on_d,
-    coeffs_on_dstar,
-    coeffs_on_z,
-    verify_coefficients,
-    verify_leonard_trio,
-)
+from .matrixreps import COEFFS, verify_coefficients, verify_leonard_trio
 from .racahpoly import verify_racah
 from .rationalfns import verify_rational
 from .diffmodel import verify_model
@@ -317,15 +308,6 @@ def _casimir_checked(ctx: Context) -> RationalMatrix:
 # selector -> the matrix of a Context
 MATRICES = {**{name: attrgetter(name) for name in ("X", "V", "Z", "Xt", "Vt", "Zt")},
             "C": _casimir_checked}
-
-# coeffs:<basis> -> (needs rho, named band coefficients of a Context)
-COEFFS = {
-    "e": (False, lambda ctx: {"Z": coeffs_Z_on_e(ctx.p), "X": coeffs_X_on_e(ctx.p)}),
-    "f": (True, lambda ctx: {"V": coeffs_V_on_f(ctx.p, ctx.fp)}),
-    "d": (False, lambda ctx: coeffs_on_d(ctx.p)),
-    "dStar": (False, lambda ctx: coeffs_on_dstar(ctx.p)),
-    "z": (False, lambda ctx: coeffs_on_z(ctx.p)),
-}
 
 
 def _basis_payload(label: str, ctx: Context) -> dict:

@@ -292,14 +292,16 @@ class Context:
     DegenerateParameters unless (p, rho) is generic, and nothing that
     takes a Context checks again.  The generators Z, V, X, their
     transposes Zt, Vt, Xt, the identity I, Vtilde = X Z^{-1}, each
-    closed-form family and each overlap grid are built on first use and
-    kept for the Context's lifetime.  Equality and hashing follow (p, fp).
+    closed-form family, each overlap grid and each operator matrix in an
+    eigenbasis (``matrixreps.matrix_on``) are built on first use and kept
+    for the Context's lifetime.  Equality and hashing follow (p, fp).
     """
 
     p: Params
     fp: FParams | None = None
     _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_generic(self.p, self.rho)

@@ -12,14 +12,15 @@ parameters must not kill a denominator inside the summation range.
 
 The kernels are fraction-free: writing each rational parameter as p/q,
 every factor a + k becomes the integer p + k q over q, so ``pochhammer``
-and ``hyp_sum`` multiply plain integer numerators and denominators and
-reduce once, building a single ``Fraction`` from them at the end.
-``hyp_sum_reference`` evaluates Fraction by Fraction and stays the
-independent oracle for ``hyp_sum``.
+multiplies plain integer numerators and denominators and reduces once,
+and ``series_terms`` forms each term ratio as one integer numerator over
+one integer denominator.
 
-``series_terms`` returns the terms of such a series instead of their sum.
-It is the one way the closed-form basis columns, the Laurent model
-families and their residue windows build a coefficient list.
+``series_terms`` returns the terms of such a series.  It is the one
+term-ratio loop: ``hyp_sum`` is the sum of its terms, and the closed-form
+basis columns, the Laurent model families and their residue windows build
+their coefficient lists with it.  ``hyp_sum_reference`` evaluates Fraction
+by Fraction and stays the independent oracle for ``hyp_sum``.
 ``series_table`` sums a whole two-index family of series at once: when
 each parameter belongs to the row index or to the column index, every
 term is a row factor times a column factor, and the table of sums is one
@@ -70,9 +71,9 @@ def series_terms(upper: Sequence, lower: Sequence, count: int, head=1, argument=
         [head * prod(u)_k / (prod(l)_k k!) * argument^k for k = 0..count-1]
 
     built by term ratios, t_(k+1) = t_k * prod(u + k) z / (prod(l + k) (k + 1)),
-    with each ratio kept as an integer numerator and denominator as in
-    hyp_sum.  The ratio after the last term is never formed, so a lower
-    parameter may vanish at l + count - 1.
+    with each ratio kept as an integer numerator and denominator.  The
+    ratio after the last term is never formed, so a lower parameter may
+    vanish at l + count - 1.
     """
     upper = [Q(u) for u in upper]
     lower = [Q(l) for l in lower]
@@ -179,34 +180,9 @@ class HypSeries:
 
 
 def hyp_sum(series: HypSeries) -> Fraction:
-    """Evaluate a terminating sum by running-ratio updates.
-
-    term_{k+1} = term_k * prod(u_i + k) / prod(l_j + k) * z / (k + 1).
-
-    The ratio is kept as an integer numerator and denominator (u = p/q
-    gives u + k = (p + k q)/q), and the partial sums share one unreduced
-    denominator, so the only reduction is the final Fraction.
-    """
-    upper = [(u.numerator, u.denominator) for u in series.upper]
-    lower = [(l.numerator, l.denominator) for l in series.lower]
-    z = series.argument
-    # the parameter denominators enter every ratio alike
-    num_const = z.numerator * prod(d for _, d in lower)
-    den_const = z.denominator * prod(q for _, q in upper)
-    total = term = den = 1  # the sum is total / den, the last term term / den
-    for k in range(series.termination_index):
-        ratio_den = (k + 1) * den_const
-        for c, d in lower:
-            ratio_den *= c + k * d
-        if ratio_den == 0:
-            raise DegenerateParameters([f"lower Pochhammer vanishes at k={k + 1}"])
-        ratio_num = num_const
-        for p, q in upper:
-            ratio_num *= p + k * q
-        term *= ratio_num
-        total = total * ratio_den + term
-        den *= ratio_den
-    return Q(total, den)
+    """Evaluate a terminating sum as the sum of its series_terms."""
+    return sum(series_terms(series.upper, series.lower, series.termination_index + 1,
+                            argument=series.argument))
 
 
 def hyp_sum_reference(series: HypSeries) -> Fraction:

@@ -2,17 +2,22 @@
 
 For a basis family b with dual b*, coefficients of an operator O are defined
 by O|b_n> = sum_m O^(b)_{m,n} |b_m> and are recovered from matrices by the
-conjugation (Bstar)^T O B, using the extra Z weight for the pencil pair:
-coefficients on d come from (Dstar)^T Z O D and coefficients on d* from
-D^T Z^T O^T Dstar.  Index conventions for the coefficient containers: sup[n]
-feeds |b_{n+1}> (matrix entry (n+1, n)), sub[n] feeds |b_n> from |b_{n+1}>
-(matrix entry (n, n+1)).
+conjugation (Bstar)^T W O B, W the weight of the pairing in PAIRINGS: Z for
+the pencil family d, Z^T for its adjoint d*, none for the others.
+``matrix_on`` builds each such matrix once per Context.  COEFFS maps each
+basis to its named closed-form bands, which ``matrix --which coeffs:`` emits
+and ``verify_coefficients`` checks against ``matrix_on``, one row of
+COEFFICIENT_CHECKS per band.  Index conventions for the coefficient
+containers: sup[n] feeds |b_{n+1}> (matrix entry (n+1, n)), sub[n] feeds
+|b_n> from |b_{n+1}> (matrix entry (n, n+1)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .algebra import Params
@@ -45,20 +50,28 @@ class TridiagonalCoeffs:
         return RationalMatrix(m)
 
 
-def conjugate_plain(op: RationalMatrix, basis, dual) -> RationalMatrix:
-    """Coefficients of op in a self-dually-paired basis: (dual)^T op basis."""
-    return dual.vectors.transpose() * op * basis.vectors
+# family -> its dual and the weight W of the pairing (dual)^T W family = I
+PAIRINGS = {
+    "e": ("eStar", None), "eStar": ("e", None),
+    "f": ("fStar", None), "fStar": ("f", None),
+    "d": ("dStar", "Z"), "dStar": ("d", "Zt"),
+    "z": ("zStar", None), "zStar": ("z", None),
+}
 
 
-def conjugate_d(op: RationalMatrix, Z: RationalMatrix, d_basis, dstar_basis) -> RationalMatrix:
-    """Coefficients of op on the d family, extracted through the Z pairing."""
-    return dstar_basis.vectors.transpose() * Z * op * d_basis.vectors
-
-
-def conjugate_dstar(op_t: RationalMatrix, Zt: RationalMatrix, d_basis,
-                    dstar_basis) -> RationalMatrix:
-    """Coefficients of a transposed operator on the d* family."""
-    return d_basis.vectors.transpose() * Zt * op_t * dstar_basis.vectors
+def matrix_on(ctx: Context, label: str, op: str) -> RationalMatrix:
+    """The matrix (b*)^T W op b of op on the family b = label, built on first
+    use and kept in the Context; op names a product of the Context's
+    operators, such as "V*Z"."""
+    key = (label, op)
+    if key not in ctx._matrices:
+        dual, weight = PAIRINGS[label]
+        left = ctx.basis(dual).vectors.transpose()
+        if weight:
+            left = left * getattr(ctx, weight)
+        factors = [getattr(ctx, name) for name in op.split("*")]
+        ctx._matrices[key] = left * reduce(mul, factors) * ctx.basis(label).vectors
+    return ctx._matrices[key]
 
 
 # -- closed forms --------------------------------------------------------------
@@ -266,95 +279,67 @@ def etilde_in_z(p: Params, n: int):
     return (Q(0),) * n + tuple(series_terms((n - 2 * a + b + 1,), (n - a,), N - n + 1))
 
 
+# coeffs:<basis> -> (needs rho, the named closed-form bands of a Context).
+# The lambdas look their callees up at call time, so wrappers installed on
+# the module names see every call.
+COEFFS = {
+    "e": (False, lambda ctx: {"Z": coeffs_Z_on_e(ctx.p), "X": coeffs_X_on_e(ctx.p)}),
+    "f": (True, lambda ctx: {"V": coeffs_V_on_f(ctx.p, ctx.fp)}),
+    "d": (False, lambda ctx: coeffs_on_d(ctx.p)),
+    "dStar": (False, lambda ctx: coeffs_on_dstar(ctx.p)),
+    "z": (False, lambda ctx: coeffs_on_z(ctx.p)),
+}
+
+# check id, statement, the closed form as (basis, band, transposed?) and its
+# oracle as (family, operator) for matrix_on
+COEFFICIENT_CHECKS = (
+    ("Z-on-e", "closed-form Z coefficients on e match (e*)^T Z e",
+     ("e", "Z", False), ("e", "Z")),
+    ("X-on-e", "closed-form X coefficients on e match (e*)^T X e",
+     ("e", "X", False), ("e", "X")),
+    ("Zt-on-estar", "transposed-operator coefficients on e* are the transpose of Z on e",
+     ("e", "Z", True), ("eStar", "Zt")),
+    ("Xt-on-estar", "transposed-operator coefficients on e* are the transpose of X on e",
+     ("e", "X", True), ("eStar", "Xt")),
+    ("V-on-f", "closed-form V coefficients on f match (f*)^T V f",
+     ("f", "V", False), ("f", "V")),
+    ("Vt-on-fstar", "transposed-operator coefficients on f* are the transpose of V on f",
+     ("f", "V", True), ("fStar", "Vt")),
+    ("Z-on-d", "closed-form Z coefficients on d match (d*)^T Z Z d",
+     ("d", "Z", False), ("d", "Z")),
+    ("X-on-d", "closed-form X coefficients on d match (d*)^T Z X d",
+     ("d", "X", False), ("d", "X")),
+    ("VZ-on-d", "closed-form VZ coefficients on d match (d*)^T Z (VZ) d",
+     ("d", "VZ", False), ("d", "V*Z")),
+    ("Zt-on-dstar", "closed-form Zt coefficients on d* match d^T Zt Zt d*",
+     ("dStar", "Zt", False), ("dStar", "Zt")),
+    ("Xt-on-dstar", "closed-form Xt coefficients on d* match d^T Zt Xt d*",
+     ("dStar", "Xt", False), ("dStar", "Xt")),
+    ("VtZt-on-dstar", "closed-form VtZt coefficients on d* match d^T Zt (VtZt) d*",
+     ("dStar", "VtZt", False), ("dStar", "Vt*Zt")),
+    ("V-on-z", "closed-form V coefficients on z match (z*)^T V z",
+     ("z", "V", False), ("z", "V")),
+    ("X-on-z", "closed-form X coefficients on z match (z*)^T X z",
+     ("z", "X", False), ("z", "X")),
+    ("Vtilde-on-z", "closed-form X Z^{-1} coefficients on z match (z*)^T X Z^{-1} z",
+     ("z", "Vtilde", False), ("z", "Vtilde")),
+)
+
+
 # -- verification ---------------------------------------------------------------
 
 
 def verify_coefficients(ctx: Context) -> VerificationReport:
     """Every closed-form coefficient family against its conjugation oracle."""
-    p, fp = ctx.p, ctx.fp
-    Z, V, X = ctx.Z, ctx.V, ctx.X
-    Zt, Vt, Xt = ctx.Zt, ctx.Vt, ctx.Xt
     rep = VerificationReport(
-        suite="matrixreps:coefficients", params={**p.as_dict(), "rho": str(fp.rho)}
+        suite="matrixreps:coefficients", params={**ctx.p.as_dict(), "rho": str(ctx.fp.rho)}
     )
-
-    e = ctx.basis("e")
-    estar = ctx.basis("eStar")
-    z_on_e = coeffs_Z_on_e(p).assemble()
-    x_on_e = coeffs_X_on_e(p).assemble()
-    rep.add_matrix_zero(
-        "Z-on-e", "closed-form Z coefficients on e match (e*)^T Z e",
-        z_on_e - conjugate_plain(Z, e, estar),
-    )
-    rep.add_matrix_zero(
-        "X-on-e", "closed-form X coefficients on e match (e*)^T X e",
-        x_on_e - conjugate_plain(X, e, estar),
-    )
-    rep.add_matrix_zero(
-        "Zt-on-estar", "transposed-operator coefficients on e* are the transpose of Z on e",
-        z_on_e.transpose() - conjugate_plain(Zt, estar, e),
-    )
-    rep.add_matrix_zero(
-        "Xt-on-estar", "transposed-operator coefficients on e* are the transpose of X on e",
-        x_on_e.transpose() - conjugate_plain(Xt, estar, e),
-    )
-
-    f = ctx.basis("f")
-    fstar = ctx.basis("fStar")
-    v_on_f = coeffs_V_on_f(p, fp).assemble()
-    rep.add_matrix_zero(
-        "V-on-f", "closed-form V coefficients on f match (f*)^T V f",
-        v_on_f - conjugate_plain(V, f, fstar),
-    )
-    rep.add_matrix_zero(
-        "Vt-on-fstar", "transposed-operator coefficients on f* are the transpose of V on f",
-        v_on_f.transpose() - conjugate_plain(Vt, fstar, f),
-    )
-
-    d = ctx.basis("d")
-    dstar = ctx.basis("dStar")
-    dd = coeffs_on_d(p)
-    rep.add_matrix_zero(
-        "Z-on-d", "closed-form Z coefficients on d match (d*)^T Z Z d",
-        dd["Z"].assemble() - conjugate_d(Z, Z, d, dstar),
-    )
-    rep.add_matrix_zero(
-        "X-on-d", "closed-form X coefficients on d match (d*)^T Z X d",
-        dd["X"].assemble() - conjugate_d(X, Z, d, dstar),
-    )
-    rep.add_matrix_zero(
-        "VZ-on-d", "closed-form VZ coefficients on d match (d*)^T Z (VZ) d",
-        dd["VZ"].assemble() - conjugate_d(V * Z, Z, d, dstar),
-    )
-    ds = coeffs_on_dstar(p)
-    rep.add_matrix_zero(
-        "Zt-on-dstar", "closed-form Zt coefficients on d* match d^T Zt Zt d*",
-        ds["Zt"].assemble() - conjugate_dstar(Zt, Zt, d, dstar),
-    )
-    rep.add_matrix_zero(
-        "Xt-on-dstar", "closed-form Xt coefficients on d* match d^T Zt Xt d*",
-        ds["Xt"].assemble() - conjugate_dstar(Xt, Zt, d, dstar),
-    )
-    rep.add_matrix_zero(
-        "VtZt-on-dstar", "closed-form VtZt coefficients on d* match d^T Zt (VtZt) d*",
-        ds["VtZt"].assemble() - conjugate_dstar(Vt * Zt, Zt, d, dstar),
-    )
-
-    zb = ctx.basis("z")
-    zstar = ctx.basis("zStar")
-    zz = coeffs_on_z(p)
-    rep.add_matrix_zero(
-        "V-on-z", "closed-form V coefficients on z match (z*)^T V z",
-        zz["V"].assemble() - conjugate_plain(V, zb, zstar),
-    )
-    rep.add_matrix_zero(
-        "X-on-z", "closed-form X coefficients on z match (z*)^T X z",
-        zz["X"].assemble() - conjugate_plain(X, zb, zstar),
-    )
-    rep.add_matrix_zero(
-        "Vtilde-on-z", "closed-form X Z^{-1} coefficients on z match (z*)^T X Z^{-1} z",
-        zz["Vtilde"].assemble() - conjugate_plain(ctx.Vtilde, zb, zstar),
-    )
+    bands = {basis: build(ctx) for basis, (_, build) in COEFFS.items()}
+    for check_id, statement, (basis, band, transposed), (label, op) in COEFFICIENT_CHECKS:
+        closed = bands[basis][band].assemble()
+        rep.add_matrix_zero(check_id, statement,
+                            (closed.transpose() if transposed else closed)
+                            - matrix_on(ctx, label, op))
     return rep
 
 
@@ -377,18 +362,15 @@ def verify_leonard_trio(ctx: Context) -> VerificationReport:
     """
     p = ctx.p
     N = p.N
-    Z, V, Vtilde = ctx.Z, ctx.V, ctx.Vtilde
     rep = VerificationReport(suite="matrixreps:leonard-trio", params=p.as_dict())
 
-    e = ctx.basis("e")
-    estar = ctx.basis("eStar")
-    v_e = conjugate_plain(V, e, estar)
-    z_e = conjugate_plain(Z, e, estar)
+    v_e = matrix_on(ctx, "e", "V")
+    z_e = matrix_on(ctx, "e", "Z")
     rep.add("trio-i-V-diagonal", "clause (i): V diagonal on e", v_e.is_diagonal())
     rep.add(
         "trio-i-VtildeZ-tridiagonal",
         "clause (i): Vtilde Z tridiagonal on e",
-        conjugate_plain(Vtilde * Z, e, estar).is_tridiagonal(),
+        matrix_on(ctx, "e", "Vtilde*Z").is_tridiagonal(),
     )
     rep.add("trio-i-Z-tridiagonal", "clause (i): Z tridiagonal on e", z_e.is_tridiagonal())
     _band_nonzero(
@@ -396,22 +378,18 @@ def verify_leonard_trio(ctx: Context) -> VerificationReport:
         [z_e[n + 1, n] for n in range(N)] + [z_e[n, n + 1] for n in range(N)],
     )
 
-    d = ctx.basis("d")
-    dstar = ctx.basis("dStar")
     # the coefficient extraction for vectors Z d_n reuses the d pairing:
-    # <d*_m | O Z d_n> gives O's matrix on the Z d family.
-    etilde = Z * d.vectors
-    def on_etilde(op):
-        return dstar.vectors.transpose() * op * etilde
-    vt_et = on_etilde(Vtilde)
-    z_et = on_etilde(Z)
+    # <d*_m | O Z d_n> gives O's matrix on the Z d family, which for O = Z
+    # and O = Z V is the matrix of Z and of V Z on d
+    vt_et = ctx.basis("dStar").vectors.transpose() * ctx.Vtilde * ctx.Z * ctx.basis("d").vectors
+    z_et = matrix_on(ctx, "d", "Z")
     rep.add("trio-ii-Vtilde-diagonal", "clause (ii): Vtilde diagonal on Z d_n", vt_et.is_diagonal())
     rep.add(
         "trio-ii-Vtilde-eigenvalues",
         "clause (ii): Vtilde eigenvalue on Z d_n is alpha - n",
         all(vt_et[n, n] == p.alpha - n for n in range(N + 1)),
     )
-    zv_et = on_etilde(Z * V)
+    zv_et = matrix_on(ctx, "d", "V*Z")
     rep.add(
         "trio-ii-ZV-tridiagonal",
         "clause (ii): Z V tridiagonal on Z d_n",
@@ -442,11 +420,9 @@ def verify_leonard_trio(ctx: Context) -> VerificationReport:
         [z_et[n + 1, n] for n in range(N)],
     )
 
-    zb = ctx.basis("z")
-    zstar = ctx.basis("zStar")
-    z_z = conjugate_plain(Z, zb, zstar)
-    vt_z = conjugate_plain(Vtilde, zb, zstar)
-    v_z = conjugate_plain(V, zb, zstar)
+    z_z = matrix_on(ctx, "z", "Z")
+    vt_z = matrix_on(ctx, "z", "Vtilde")
+    v_z = matrix_on(ctx, "z", "V")
     rep.add("trio-iii-Z-diagonal", "clause (iii): Z diagonal on z", z_z.is_diagonal())
     rep.add(
         "trio-iii-Vtilde-lower-bidiagonal",

@@ -323,14 +323,10 @@ def dual_hahn_table(rho) -> list:
                         [((-x, x + r1 + r2 + 1), ()) for x in range(N + 1)])
 
 
-def _prefactor_em_zstar(m: int, k: int, p: Params) -> Fraction:
-    """The factor in m of the U prefactor over k!."""
-    return _prefactor_U_m(m, p) / pochhammer(Q(1), k)
-
-
 def em_zstar_closed(m: int, k: int, p: Params) -> Fraction:
-    """Closed form for <e_m|z*_k>: a prefactor times the dual Hahn value R^(dH)_k(m)."""
-    return _prefactor_em_zstar(m, k, p) * dual_hahn(k, m, dual_hahn_params(p))
+    """Closed form for <e_m|z*_k>: the factor in m of the U prefactor over k!,
+    times the dual Hahn value R^(dH)_k(m)."""
+    return _prefactor_U_m(m, p) / pochhammer(Q(1), k) * dual_hahn(k, m, dual_hahn_params(p))
 
 
 def zk_dstar_closed(k: int, n: int, p: Params) -> Fraction:
@@ -511,7 +507,9 @@ def verify_rational(ctx: Context) -> VerificationReport:
     R = ctx.grid("dualHahn")
     zstar, zfam = ctx.basis("zStar"), ctx.basis("z")
     e_zstar = e.vectors.transpose() * zstar.vectors
-    em_ok = [all(e_zstar[m, k] == _prefactor_em_zstar(m, k, p) * R[k][m] for k in range(N + 1))
+    pre = [_prefactor_U_m(m, p) for m in range(N + 1)]
+    facts = [pochhammer(Q(1), k) for k in range(N + 1)]
+    em_ok = [all(e_zstar[m, k] == pre[m] / facts[k] * R[k][m] for k in range(N + 1))
              for m in range(N + 1)]
     z_dstar = zfam.vectors.transpose() * dstar.vectors
     zk_ok = [all(z_dstar[k, n] == zk_dstar_closed(k, n, p) for k in range(N + 1))

@@ -261,6 +261,16 @@ PINNED_STDOUT = [
      "a4ac6325d10d5316513d2b3685c503b0ce5c90de7b17beca7903a445fe83a571"),
     ("matrix --which basis:dStar --N 24 --alpha=-3/5 --beta=-38/13 --zeta=15/19 --rho=28/17", 0,
      "827ba37b5c37db544bb2723ebc19f7dfa045534b5fd44f2e9e01e89879d21743"),
+    # the coefficient tables of the pencil, adjoint and Z families, and every
+    # conjugation of the matrixreps suite on a benchmark-drawn set
+    ("matrix --which coeffs:d --N 8", 0,
+     "4da805961f02f9074f97f3e540c8b381fd3e7627bf91142a88e7d89bc7231dde"),
+    ("matrix --which coeffs:dStar --N 8", 0,
+     "ff3a0e91ca09bb94a33cadd45bb1e78ec9bcd45ed8b3d2c2ea392958cd20c0ac"),
+    ("matrix --which coeffs:z --N 8", 0,
+     "e86eb20540e6d539965532152c77c8bb87c87971d1095180f6f12ac037fb798b"),
+    ("verify --suite matrixreps --N 16 --alpha=-28/3 --beta=22/17 --zeta=3/19 --rho=10/11", 0,
+     "89bce034ff46e84275dccc95729a9a10e098c7a7ffb4d09f7a70bd7e6be9c944"),
 ]
 
 

@@ -1,7 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction as Q
 
+import metaracah.matrixreps as mr
 from metaracah import Context, Params, build_V, build_X, build_Z, build_basis
-from metaracah.matrices import inverse
+from metaracah.cli import main
+from metaracah.matrices import RationalMatrix, inverse
 from metaracah.matrixreps import (
     coeffs_V_on_f,
     coeffs_X_on_e,
@@ -102,3 +105,41 @@ def test_leonard_trio_degenerate_control():
         "trio-iii-Vtilde-irreducible": "zero at index 0",
         "trio-iii-V-irreducible": "zero at index 0",
     }
+
+
+def test_vz_fault_details_keep_their_signs(ctx3, monkeypatch):
+    # one wrong VZ diagonal entry on d: the two coefficient checks read
+    # closed form minus oracle, the trio reads its matrix minus the closed form
+    on_d = mr.coeffs_on_d
+
+    def bumped(p):
+        bands = on_d(p)
+        diag = list(bands["VZ"].diag)
+        diag[1] += 1
+        return {**bands, "VZ": replace(bands["VZ"], diag=tuple(diag))}
+
+    monkeypatch.setattr(mr, "coeffs_on_d", bumped)
+    failed = {c.id: c.detail for rep in (verify_coefficients(ctx3), verify_leonard_trio(ctx3))
+              for c in rep.failures}
+    assert failed == {
+        "VZ-on-d": "first nonzero residual at (1,1): 1",
+        "VtZt-on-dstar": "first nonzero residual at (1,1): 1",
+        "trio-ii-ZV-coefficients": "first nonzero residual at (1,1): -1",
+    }
+
+
+def test_matrixreps_suite_builds_each_conjugation_once(capsys, monkeypatch):
+    # the trio reads the operator matrices verify_coefficients has built;
+    # only Vtilde on Z d_n, V and Vtilde Z on e and Z on z are its own
+    products = []
+    mul = RationalMatrix.__mul__
+
+    def counted(self, other):
+        if isinstance(other, RationalMatrix):
+            products.append(other.shape)
+        return mul(self, other)
+
+    monkeypatch.setattr(RationalMatrix, "__mul__", counted)
+    assert main(["verify", "--suite", "matrixreps", "--N", "8"]) == 0
+    capsys.readouterr()
+    assert len(products) == 48

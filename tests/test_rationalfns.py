@@ -272,11 +272,11 @@ def test_full_suite_negative_params(ctx_other):
 def test_dual_hahn_detail_names_first_failing_point(p3, ctx3, monkeypatch, bad_m, bad_n):
     # break <e_m|z*_k> at one m and <z_k|d*_n> at one n; the suite must name
     # the first four points, row by row, where dual_hahn_expansion fails.
-    # The suite reads the prefactor times the dual Hahn grid, the reference
-    # em_zstar_closed, so the fault goes into the prefactor both share
-    pre, zk = rf._prefactor_em_zstar, rf.zk_dstar_closed
-    monkeypatch.setattr(rf, "_prefactor_em_zstar",
-                        lambda m, k, p: pre(m, k, p) + (m == bad_m))
+    # The suite reads the U prefactor's factor in m times the dual Hahn grid,
+    # the reference em_zstar_closed, so the fault goes into the factor both
+    # share; GRIDS bound the original at import, so the U grid stays sound
+    pre, zk = rf._prefactor_U_m, rf.zk_dstar_closed
+    monkeypatch.setattr(rf, "_prefactor_U_m", lambda m, p: pre(m, p) + (m == bad_m))
     monkeypatch.setattr(rf, "zk_dstar_closed",
                         lambda k, n, p: zk(k, n, p) + (n == bad_n))
     bad = [(m, n) for m in range(p3.N + 1) for n in range(p3.N + 1)
