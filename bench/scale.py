@@ -1,9 +1,10 @@
 """Wall time of `metaracah verify --suite all` at N = 8, 16, 32 and 48, and
-of the sixteen emit commands at N = 24 and 48, in process.
+of the sixteen emit commands at N = 24 and 48, in process; and the start-up
+cost of a fresh interpreter.
 
 Usage, from the repository root:
 
-    python3 bench/scale.py --parent PARENT_CHECKOUT --out BENCH_12.json
+    python3 bench/scale.py --parent PARENT_CHECKOUT --out BENCH_14.json
 
 Each source tree (this checkout, and the parent checkout when --parent is
 given) is measured in a fresh interpreter per N, the trees taking turns.
@@ -24,6 +25,15 @@ parameters: ``table --which <name>`` for the eight overlap tables and
 ``matrix --which basis:<label>`` for the eight families.  Per N, three
 passes over the sixteen; the record keeps, per command, the minimum time,
 exit code and stdout sha256, and the minimum pass total.
+
+Start-up is measured in fresh interpreters, because every CLI run pays
+it: ``python -c "import metaracah.cli"`` and ``python -m metaracah.cli
+table --which racah --N 24``, each run with PYTHONPATH set to the tree's
+``src`` only, five times per tree with the trees taking turns; the record
+keeps, per command, the minimum wall time, exit code and stdout sha256.
+Whether an interpreter compiles the package first depends on the
+environment, so the record holds PYTHONDONTWRITEBYTECODE and, per tree,
+whether its ``src/metaracah/__pycache__`` existed when the run began.
 
 Standard library only; it imports nothing from perfbench.
 """
@@ -52,6 +62,9 @@ TABLES = ("racah", "S", "Stilde", "calU", "calUtilde", "U", "Utilde", "dualHahn"
 LABELS = ("d", "dStar", "e", "eStar", "f", "fStar", "z", "zStar")
 EMIT = ([["table", "--which", name] for name in TABLES]
         + [["matrix", "--which", f"basis:{label}"] for label in LABELS])
+STARTUP = (["-c", "import metaracah.cli"],
+           ["-m", "metaracah.cli", "table", "--which", "racah", "--N", "24"])
+STARTUP_REPEATS = 5
 RATIONAL = re.compile(r"(\d+)(?:/(\d+))?")
 
 
@@ -141,6 +154,29 @@ def measure_emit(src: str, N: int) -> dict:
     return {"total_s": round(min(totals), 4), "ops": ops}
 
 
+def measure_startup(trees: dict) -> dict:
+    """Time fresh interpreters running the STARTUP commands on each tree,
+    the trees taking turns within each round."""
+    samples = {label: {" ".join(cmd): [] for cmd in STARTUP} for label in trees}
+    for _ in range(STARTUP_REPEATS):
+        for cmd in STARTUP:
+            for label, tree in trees.items():
+                env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
+                start = time.perf_counter()
+                child = subprocess.run([sys.executable, *cmd], cwd=tree, env=env,
+                                       capture_output=True)
+                samples[label][" ".join(cmd)].append(
+                    (time.perf_counter() - start, child.returncode,
+                     hashlib.sha256(child.stdout).hexdigest()))
+    result = {label: {} for label in trees}
+    for label, by_command in samples.items():
+        for key, runs in by_command.items():
+            (code, digest), = {run[1:] for run in runs}
+            result[label][key] = {"s": round(min(run[0] for run in runs), 4),
+                                  "exit_code": code, "stdout_sha256": digest}
+    return result
+
+
 def _commit(tree: str) -> str:
     try:
         return subprocess.run(["git", "-C", tree, "describe", "--always", "--dirty"],
@@ -152,7 +188,7 @@ def _commit(tree: str) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", help="checkout of the parent commit to measure as well")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_12.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_14.json"))
     parser.add_argument("--measure", nargs=3, metavar=("KIND", "SRC", "N"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -165,14 +201,21 @@ def main(argv=None) -> int:
     result = {
         "command": "verify --suite all --N <N> (by_N) and the sixteen emit commands"
                    " table --which <name> / matrix --which basis:<label> --N <N> (emit_by_N),"
-                   " default parameters, in process",
-        "statistic": f"min of {REPEATS} runs",
+                   " default parameters, in process; start-up commands in fresh"
+                   " interpreters (startup)",
+        "statistic": f"min of {REPEATS} runs (startup: min of {STARTUP_REPEATS})",
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),
-        "trees": {label: {"commit": _commit(tree), "by_N": {}, "emit_by_N": {}}
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "trees": {label: {"commit": _commit(tree),
+                          "bytecode_cached": os.path.isdir(
+                              os.path.join(tree, "src", "metaracah", "__pycache__")),
+                          "by_N": {}, "emit_by_N": {}}
                   for label, tree in trees.items()},
     }
+    for label, startup in measure_startup(trees).items():
+        result["trees"][label]["startup"] = startup
     # the trees alternate at each N, so a drift in machine speed hits both
     for kind, key, sizes in (("verify", "by_N", SIZES), ("emit", "emit_by_N", EMIT_SIZES)):
         for N in sizes:

@@ -28,11 +28,10 @@ The builders check nothing; the checks read the generators of a Context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import DegenerateParameters
+from .errors import DegenerateParameters, Frozen
 from .matrices import RationalMatrix, anticommutator, commutator
 from .report import VerificationReport
 
@@ -42,21 +41,18 @@ if TYPE_CHECKING:
 Q = Fraction
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(Frozen):
     """Representation parameters: truncation order N plus alpha, beta, zeta."""
 
-    N: int
-    alpha: Fraction
-    beta: Fraction
-    zeta: Fraction
+    __slots__ = _fields = ("N", "alpha", "beta", "zeta")
 
-    def __post_init__(self):
-        if not isinstance(self.N, int) or self.N < 1:
-            raise ValueError(f"N must be an integer >= 1, got {self.N!r}")
-        object.__setattr__(self, "alpha", Q(self.alpha))
-        object.__setattr__(self, "beta", Q(self.beta))
-        object.__setattr__(self, "zeta", Q(self.zeta))
+    def __init__(self, N: int, alpha: Fraction, beta: Fraction, zeta: Fraction):
+        if not isinstance(N, int) or N < 1:
+            raise ValueError(f"N must be an integer >= 1, got {N!r}")
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "alpha", Q(alpha))
+        object.__setattr__(self, "beta", Q(beta))
+        object.__setattr__(self, "zeta", Q(zeta))
 
     def as_dict(self):
         out = {"N": str(self.N), "alpha": str(self.alpha), "beta": str(self.beta),
@@ -64,10 +60,12 @@ class Params:
         return out
 
 
-@dataclass(frozen=True)
-class CentralParams:
-    xi: Fraction
-    eta: Fraction
+class CentralParams(Frozen):
+    __slots__ = _fields = ("xi", "eta")
+
+    def __init__(self, xi: Fraction, eta: Fraction):
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "eta", eta)
 
 
 def central_params(p: Params) -> CentralParams:

@@ -20,7 +20,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from operator import attrgetter
@@ -73,28 +72,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_DEGENERATE = 2
 EXIT_USAGE = 3
-
-
-@dataclass
-class RunConfig:
-    N: int
-    alpha: Fraction
-    beta: Fraction
-    zeta: Fraction
-    rho: Fraction
-    suites: tuple = SUITES
-    seed: int = 0
-    sweeps: int = 0
-    output_format: str = "json"
-    precision: int = 12
-    inject_fault: bool = False
-    extra: dict = field(default_factory=dict)
-
-    def params(self) -> Params:
-        return Params(N=self.N, alpha=self.alpha, beta=self.beta, zeta=self.zeta)
-
-    def fparams(self) -> FParams:
-        return FParams(rho=self.rho)
 
 
 class Parser(argparse.ArgumentParser):
@@ -201,27 +178,31 @@ def sweep_parameters(rng: random.Random, N: int):
     return Params(N=N, alpha=draw(), beta=draw(), zeta=draw()), FParams(rho=draw())
 
 
-def _context(cfg: RunConfig, needs_rho: bool) -> Context:
-    """The config's Context; its validation includes rho only when needs_rho."""
-    return Context(cfg.params(), cfg.fparams() if needs_rho else None)
+def _params(args: argparse.Namespace) -> Params:
+    return Params(N=args.N, alpha=args.alpha, beta=args.beta, zeta=args.zeta)
+
+
+def _context(args: argparse.Namespace, needs_rho: bool) -> Context:
+    """The arguments' Context; its validation includes rho only when needs_rho."""
+    return Context(_params(args), FParams(rho=args.rho) if needs_rho else None)
 
 
 def _json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def cmd_verify(cfg: RunConfig) -> tuple:
-    reports = run_suites(cfg.params(), cfg.fparams(), cfg.suites)
-    if cfg.inject_fault:
-        reports.append(_fault_report(_context(cfg, needs_rho=True)))
+def cmd_verify(args: argparse.Namespace) -> tuple:
+    reports = run_suites(_params(args), FParams(rho=args.rho), args.suites)
+    if args.inject_fault:
+        reports.append(_fault_report(_context(args, needs_rho=True)))
 
     skipped = 0
-    rng = random.Random(cfg.seed)
-    for i in range(cfg.sweeps):
+    rng = random.Random(args.seed)
+    for i in range(args.sweeps):
         for _ in range(MAX_RESAMPLES):
-            sp, sfp = sweep_parameters(rng, cfg.N)
+            sp, sfp = sweep_parameters(rng, args.N)
             try:
-                sweep_reports = run_suites(sp, sfp, cfg.suites)
+                sweep_reports = run_suites(sp, sfp, args.suites)
             except DegenerateParameters:
                 continue
             for r in sweep_reports:
@@ -230,7 +211,7 @@ def cmd_verify(cfg: RunConfig) -> tuple:
             break
         else:
             skipped += 1
-            rep = VerificationReport(suite=f"sweep-{i}", params={"N": str(cfg.N)})
+            rep = VerificationReport(suite=f"sweep-{i}", params={"N": str(args.N)})
             rep.add_skipped("sweep", "no nondegenerate parameters found within budget")
             reports.append(rep)
 
@@ -240,7 +221,7 @@ def cmd_verify(cfg: RunConfig) -> tuple:
         "skipped_sweeps": skipped,
         "status": "pass" if ok else "fail",
     }
-    if cfg.output_format == "csv":
+    if args.format == "csv":
         lines = ["suite,id,status,detail"]
         for r in reports:
             for c in sorted(r.checks, key=lambda c: c.id):
@@ -262,26 +243,26 @@ def _decimal_str(v: Fraction, precision: int) -> str:
     return str(d)
 
 
-def cmd_table(cfg: RunConfig) -> tuple:
-    which = cfg.extra["which"]
-    ctx = _context(cfg, GRIDS[which].needs_rho)
+def cmd_table(args: argparse.Namespace) -> tuple:
+    which = args.which
+    ctx = _context(args, GRIDS[which].needs_rho)
     p, grid = ctx.p, ctx.grid(which)
 
-    if cfg.output_format == "csv":
-        header = "m,n,value" + (",exact" if cfg.extra.get("exact") else "")
+    if args.format == "csv":
+        header = "m,n,value" + (",exact" if args.exact else "")
         lines = [header]
         for m in range(p.N + 1):
             for n in range(p.N + 1):
                 v = grid[m][n]
-                row = f"{m},{n},{_decimal_str(v, cfg.precision)}"
-                if cfg.extra.get("exact"):
+                row = f"{m},{n},{_decimal_str(v, args.precision)}"
+                if args.exact:
                     row += f",{v}"
                 lines.append(row)
         text = "\n".join(lines) + "\n"
     else:
         payload = {
             "which": which,
-            "params": {**p.as_dict(), "rho": str(cfg.rho)},
+            "params": {**p.as_dict(), "rho": str(args.rho)},
             "grid": [[str(v) for v in row] for row in grid],
         }
         text = _json(payload)
@@ -333,8 +314,8 @@ def _coeffs_payload(bands, ctx: Context) -> dict:
     }}
 
 
-def cmd_matrix(cfg: RunConfig) -> tuple:
-    which = cfg.extra["which"]
+def cmd_matrix(args: argparse.Namespace) -> tuple:
+    which = args.which
     kind, sep, name = which.partition(":")
     if sep and kind == "basis":
         if name not in FAMILIES:
@@ -351,12 +332,12 @@ def cmd_matrix(cfg: RunConfig) -> tuple:
         build = partial(_rows_payload, MATRICES[which])
     else:
         return EXIT_USAGE, f"metaracah: unknown matrix selector {which!r}\n"
-    ctx = _context(cfg, needs_rho)
+    ctx = _context(args, needs_rho)
     try:
         payload = build(ctx)
     except _EmitFailed as exc:
         return EXIT_FAIL, str(exc)
-    return EXIT_OK, _json({"which": which, "params": {**ctx.p.as_dict(), "rho": str(cfg.rho)},
+    return EXIT_OK, _json({"which": which, "params": {**ctx.p.as_dict(), "rho": str(args.rho)},
                            **payload})
 
 
@@ -376,42 +357,25 @@ def _emit(text: str, out: str | None) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
-    suites = SUITES
+    args.suites = SUITES
     if getattr(args, "suite", None) and args.suite != "all":
         wanted = tuple(s.strip() for s in args.suite.split(","))
         unknown = [s for s in wanted if s not in SUITES]
         if unknown:
             print(f"metaracah: unknown suite(s): {', '.join(unknown)}", file=sys.stderr)
             return EXIT_USAGE
-        suites = tuple(s for s in SUITES if s in wanted)
+        args.suites = tuple(s for s in SUITES if s in wanted)
 
-    cfg = RunConfig(
-        N=args.N,
-        alpha=args.alpha,
-        beta=args.beta,
-        zeta=args.zeta,
-        rho=args.rho,
-        suites=suites,
-        seed=getattr(args, "seed", 0),
-        sweeps=getattr(args, "sweeps", 0),
-        output_format=args.format,
-        precision=args.precision,
-        inject_fault=getattr(args, "inject_fault", False),
-        extra={
-            "which": getattr(args, "which", None),
-            "exact": getattr(args, "exact", False),
-        },
-    )
-    if cfg.N < 1:
+    if args.N < 1:
         print("metaracah: --N must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    if cfg.sweeps < 0 or cfg.precision < 1:
+    if getattr(args, "sweeps", 0) < 0 or args.precision < 1:
         print("metaracah: --sweeps must be >= 0 and --precision >= 1", file=sys.stderr)
         return EXIT_USAGE
 
     handler = {"verify": cmd_verify, "table": cmd_table, "matrix": cmd_matrix}[args.command]
     try:
-        code, text = handler(cfg)
+        code, text = handler(args)
     except DegenerateParameters as exc:
         code = EXIT_DEGENERATE
         text = _json({"error": "degenerate-parameters", "offenders": exc.offenders})

@@ -27,12 +27,11 @@ Everything is exact: no quadrature, no floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Params
 from .eigenbases import LABELS, Context, family
-from .errors import PreconditionViolated
+from .errors import Frozen, PreconditionViolated
 from .hyper import multi_pochhammer, pochhammer, series_terms
 from .matrices import RationalMatrix
 from .report import VerificationReport
@@ -40,16 +39,14 @@ from .report import VerificationReport
 Q = Fraction
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
+class LaurentPoly(Frozen):
     """coeffs[i] is the coefficient of x**(min_exp + i); trimmed on both ends."""
 
-    min_exp: int
-    coeffs: tuple
+    __slots__ = _fields = ("min_exp", "coeffs")
 
-    def __post_init__(self):
-        cs = [c if type(c) is Q else Q(c) for c in self.coeffs]
-        lo = self.min_exp
+    def __init__(self, min_exp: int, coeffs: tuple):
+        cs = [c if type(c) is Q else Q(c) for c in coeffs]
+        lo = min_exp
         while cs and cs[-1] == 0:
             cs.pop()
         while cs and cs[0] == 0:
@@ -127,13 +124,15 @@ class LaurentPoly:
         return LaurentPoly.from_dict({e - 1: e * c for e, c in self.items() if e != 0})
 
 
-@dataclass(frozen=True)
-class DiffOp:
+class DiffOp(Frozen):
     """a2 d^2/dx^2 + a1 d/dx + a0, all coefficients Laurent polynomials."""
 
-    a2: LaurentPoly
-    a1: LaurentPoly
-    a0: LaurentPoly
+    __slots__ = _fields = ("a2", "a1", "a0")
+
+    def __init__(self, a2: LaurentPoly, a1: LaurentPoly, a0: LaurentPoly):
+        object.__setattr__(self, "a2", a2)
+        object.__setattr__(self, "a1", a1)
+        object.__setattr__(self, "a0", a0)
 
     def apply(self, f: LaurentPoly) -> LaurentPoly:
         df = f.derivative()

@@ -33,14 +33,13 @@ with matching resolutions of identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import racahpoly, rationalfns
 from .algebra import Params, build_Z, build_V, build_X, build_transposes, require_generic
-from .errors import NondegenerateSpectrumViolated, PreconditionViolated
+from .errors import Frozen, NondegenerateSpectrumViolated, PreconditionViolated
 from .hyper import pochhammer, series_terms
 from .matrices import (
     RationalMatrix,
@@ -54,23 +53,24 @@ from .report import VerificationReport
 Q = Fraction
 
 
-@dataclass(frozen=True)
-class FParams:
+class FParams(Frozen):
     """The extra parameter rho entering the pencil W = X + rho Z."""
 
-    rho: Fraction
+    __slots__ = _fields = ("rho",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "rho", Q(self.rho))
+    def __init__(self, rho: Fraction):
+        object.__setattr__(self, "rho", Q(rho))
 
 
-@dataclass(frozen=True)
-class BasisFamily:
+class BasisFamily(Frozen):
     """A full eigenbasis: column n of ``vectors`` is the n-th basis vector."""
 
-    label: str
-    vectors: RationalMatrix
-    eigenvalues: tuple
+    __slots__ = _fields = ("label", "vectors", "eigenvalues")
+
+    def __init__(self, label: str, vectors: RationalMatrix, eigenvalues: tuple):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
 
     def column(self, n: int):
         return self.vectors.column(n)
@@ -166,8 +166,7 @@ def _col_zstar(p, rho, n):
     return series_terms((-n, 1), (), p.N + 1, head=(-1) ** n / pochhammer(-n, n), argument=-1)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One row of the family table.
 
     The family solves A v = eigenvalue * B v with (A, B) = pencil(ctx),
@@ -218,8 +217,7 @@ def build_basis(p: Params, fp: FParams | None, label: str) -> BasisFamily:
     return BasisFamily(label=label, vectors=RationalMatrix.from_columns(cols), eigenvalues=eigs)
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(NamedTuple):
     """One row of the grid table: build(ctx) is the closed-form overlap
     table of a Context, row m holding the values at n = 0..N."""
 
@@ -284,8 +282,7 @@ GRIDS = {
 cached_basis = lru_cache(maxsize=256)(build_basis)
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(Frozen):
     """One parameter set: p, and FParams where rho is given.
 
     Making a Context is the one genericity check: it raises
@@ -297,13 +294,11 @@ class Context:
     for the Context's lifetime.  Equality and hashing follow (p, fp).
     """
 
-    p: Params
-    fp: FParams | None = None
-    _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("p", "fp")
 
-    def __post_init__(self):
+    def __init__(self, p: Params, fp: FParams | None = None):
+        # no __slots__: cached_property keeps its values in the __dict__ too
+        self.__dict__.update(p=p, fp=fp, _bases={}, _grids={}, _matrices={})
         require_generic(self.p, self.rho)
 
     @property

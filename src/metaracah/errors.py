@@ -1,4 +1,4 @@
-"""Exceptions shared across the package."""
+"""Exceptions, and the base of the immutable values, shared across the package."""
 
 from __future__ import annotations
 
@@ -23,3 +23,37 @@ class PreconditionViolated(Exception):
 
 class NondegenerateSpectrumViolated(Exception):
     """An eigenspace solve did not produce the expected one-dimensional space."""
+
+
+class Frozen:
+    """An immutable value, in the idiom of RationalMatrix.
+
+    A subclass names its fields in ``_fields`` (and in ``__slots__``,
+    unless it needs a ``__dict__``), and its constructor sets them past
+    its own __setattr__, with object.__setattr__.  Equality and hash go by
+    type and fields, the repr lists the fields, and assigning or deleting
+    an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -29,12 +29,11 @@ product of two term tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf, prod
 from typing import Iterable, Sequence
 
-from .errors import DegenerateParameters, PreconditionViolated
+from .errors import DegenerateParameters, Frozen, PreconditionViolated
 from .matrices import RationalMatrix
 
 Q = Fraction
@@ -143,8 +142,7 @@ def series_table(rows: Sequence, cols: Sequence) -> list:
     return [list(product.row(i)) for i in range(product.rows)]
 
 
-@dataclass(frozen=True)
-class HypSeries:
+class HypSeries(Frozen):
     """A terminating hypergeometric sum with unit-normalized data.
 
     ``termination_index`` is derived on construction: the smallest |u| over
@@ -154,17 +152,14 @@ class HypSeries:
     vanishes inside the summation range.
     """
 
-    upper: tuple
-    lower: tuple
-    argument: Fraction = Q(1)
-    termination_index: int = field(init=False)
+    __slots__ = _fields = ("upper", "lower", "argument", "termination_index")
 
-    def __post_init__(self):
-        upper = tuple(Q(u) for u in self.upper)
-        lower = tuple(Q(l) for l in self.lower)
+    def __init__(self, upper: tuple, lower: tuple, argument: Fraction = Q(1)):
+        upper = tuple(Q(u) for u in upper)
+        lower = tuple(Q(l) for l in lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "argument", Q(self.argument))
+        object.__setattr__(self, "argument", Q(argument))
         caps = [-int(u) for u in upper if is_nonpositive_int(u)]
         if not caps:
             raise PreconditionViolated(

@@ -14,11 +14,10 @@ containers: sup[n] feeds |b_{n+1}> (matrix entry (n+1, n)), sub[n] feeds
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import mul
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .algebra import Params
 from .hyper import series_terms
@@ -31,8 +30,7 @@ if TYPE_CHECKING:
 Q = Fraction
 
 
-@dataclass(frozen=True)
-class TridiagonalCoeffs:
+class TridiagonalCoeffs(NamedTuple):
     """Banded coefficients; bidiagonal actions leave one band at zeros."""
 
     sup: tuple  # length N, entry n multiplies |b_{n+1}> in O|b_n>

@@ -30,12 +30,11 @@ exactly zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .algebra import Params
-from .errors import PreconditionViolated
+from .errors import Frozen, PreconditionViolated
 from .hyper import multi_pochhammer, pochhammer, series_table, terminating_hyp
 from .matrices import RationalMatrix
 from .matrixreps import coeffs_V_on_f, coeffs_X_on_e, coeffs_Z_on_e
@@ -47,21 +46,18 @@ if TYPE_CHECKING:
 Q = Fraction
 
 
-@dataclass(frozen=True)
-class RacahParams:
+class RacahParams(Frozen):
     """The four parameters of the Racah polynomial family."""
 
-    alpha_hat: Fraction
-    beta_hat: Fraction
-    gamma_hat: Fraction
-    N: int
+    __slots__ = _fields = ("alpha_hat", "beta_hat", "gamma_hat", "N")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha_hat", Q(self.alpha_hat))
-        object.__setattr__(self, "beta_hat", Q(self.beta_hat))
-        object.__setattr__(self, "gamma_hat", Q(self.gamma_hat))
-        if not (isinstance(self.N, int) and self.N >= 1):
+    def __init__(self, alpha_hat: Fraction, beta_hat: Fraction, gamma_hat: Fraction, N: int):
+        object.__setattr__(self, "alpha_hat", Q(alpha_hat))
+        object.__setattr__(self, "beta_hat", Q(beta_hat))
+        object.__setattr__(self, "gamma_hat", Q(gamma_hat))
+        if not (isinstance(N, int) and N >= 1):
             raise PreconditionViolated("N must be a positive integer")
+        object.__setattr__(self, "N", N)
 
     @classmethod
     def from_params(cls, p: Params, fp: FParams) -> "RacahParams":

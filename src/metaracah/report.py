@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped-degenerate"
@@ -18,25 +16,22 @@ def describe_matrix_mismatch(m) -> str:
     return f"first nonzero residual at ({i},{j}): {value}"
 
 
-@dataclass
 class Check:
-    id: str
-    statement: str
-    status: str
-    detail: str = ""
+    def __init__(self, id: str, statement: str, status: str, detail: str = ""):
+        self.id, self.statement, self.status, self.detail = id, statement, status, detail
 
     def as_dict(self):
         return {"id": self.id, "statement": self.statement,
                 "status": self.status, "detail": self.detail}
 
 
-@dataclass
 class VerificationReport:
     """One suite's worth of named checks at fixed parameters."""
 
-    suite: str
-    params: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
+    def __init__(self, suite: str, params: dict | None = None, checks: list | None = None):
+        self.suite = suite
+        self.params = {} if params is None else params
+        self.checks = [] if checks is None else checks
 
     def add(self, check_id: str, statement: str, ok: bool, detail: str = ""):
         self.checks.append(Check(check_id, statement, PASS if ok else FAIL, detail))

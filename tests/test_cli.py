@@ -3,7 +3,6 @@ import hashlib
 import io
 import json
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -291,7 +290,7 @@ def test_matrix_basis_builds_the_family_once(capsys, monkeypatch):
         calls.append(n)
         return fam.column(p, rho, n)
 
-    monkeypatch.setitem(eb.FAMILIES, "e", replace(fam, column=column))
+    monkeypatch.setitem(eb.FAMILIES, "e", fam._replace(column=column))
     code, _ = run(capsys, "matrix", "--which", "basis:e", "--N", "4", "--alpha", "2/9")
     assert code == 0
     assert sorted(calls) == list(range(5))
@@ -437,7 +436,7 @@ def test_each_overlap_grid_is_built_once_per_set(capsys, monkeypatch):
             builds[_name, ctx] += 1
             return _build(ctx)
 
-        monkeypatch.setitem(eb.GRIDS, name, replace(row, build=build))
+        monkeypatch.setitem(eb.GRIDS, name, row._replace(build=build))
     code, _ = run(capsys, "verify", "--suite", "all", "--N", "3", "--sweeps", "1", "--seed", "5")
     assert code == 0
     contexts = {ctx for _, ctx in builds}

@@ -3,7 +3,6 @@ dense-elimination references."""
 
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -146,7 +145,7 @@ def test_two_vanishing_diagonal_entries_reach_the_elimination(ctx3, monkeypatch)
     # diag(0, 0, 2, 3) at eigenvalue 0 vanishes twice: a two-dimensional kernel
     calls = _count_nullspace(monkeypatch)
     pencil = lambda c: (RationalMatrix.diagonal([0, 0, 2, 3]), c.I)
-    monkeypatch.setitem(FAMILIES, "z", replace(FAMILIES["z"], pencil=pencil))
+    monkeypatch.setitem(FAMILIES, "z", FAMILIES["z"]._replace(pencil=pencil))
     monkeypatch.setattr(eb, "eigenvalue", lambda *args: Q(0))
     with pytest.raises(NondegenerateSpectrumViolated) as exc:
         oracle_basis(ctx3, "z")
@@ -159,7 +158,7 @@ def test_a_pencil_off_the_band_reaches_the_elimination(ctx3, monkeypatch):
     # Z^2 has a second subdiagonal
     calls = _count_nullspace(monkeypatch)
     pencil = lambda c: (c.Z * c.Z, c.Z)
-    monkeypatch.setitem(FAMILIES, "z", replace(FAMILIES["z"], pencil=pencil))
+    monkeypatch.setitem(FAMILIES, "z", FAMILIES["z"]._replace(pencil=pencil))
     assert oracle_basis(ctx3, "z").vectors == ctx3.basis("z").vectors
     assert len(calls) == ctx3.p.N + 1
 

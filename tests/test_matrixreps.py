@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction as Q
 
 import metaracah.matrixreps as mr
@@ -116,7 +115,7 @@ def test_vz_fault_details_keep_their_signs(ctx3, monkeypatch):
         bands = on_d(p)
         diag = list(bands["VZ"].diag)
         diag[1] += 1
-        return {**bands, "VZ": replace(bands["VZ"], diag=tuple(diag))}
+        return {**bands, "VZ": bands["VZ"]._replace(diag=tuple(diag))}
 
     monkeypatch.setattr(mr, "coeffs_on_d", bumped)
     failed = {c.id: c.detail for rep in (verify_coefficients(ctx3), verify_leonard_trio(ctx3))

@@ -1,6 +1,9 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import metaracah
@@ -126,3 +129,29 @@ def test_overlap_grids_are_built_only_by_a_context():
                         and node.value.value.id == "GRIDS"):
                     found.append((path.name, getattr(top, "name", None)))
     assert found == [("eigenbases.py", "Context")], found
+
+
+def test_no_module_imports_dataclasses():
+    # every CLI op is a fresh interpreter; the records are plain classes,
+    # so no import pays for dataclasses (and the inspect it pulls in) or
+    # for generating methods at class creation
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses"
+                                                for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
+    ]
+    assert SOURCES and not found, found
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    src = str(Path(metaracah.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    code = ("import metaracah.cli, sys; "
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]", out
