@@ -57,3 +57,10 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # copy and pickle restore the fields here, past __setattr__; the
+        # state of a __slots__ class is a (None, slots) pair
+        for part in state if isinstance(state, tuple) else (state,):
+            for name, value in (part or {}).items():
+                object.__setattr__(self, name, value)

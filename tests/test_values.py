@@ -1,6 +1,8 @@
 """Value semantics of the parameter, series, polynomial and basis records:
 equality and hashing by fields, immutability, constructor checks and repr."""
 
+import copy
+import pickle
 from fractions import Fraction as Q
 
 import pytest
@@ -64,6 +66,13 @@ def test_values_are_immutable(name):
     with pytest.raises(AttributeError):
         value.unlisted = 1
     assert value == make(0)
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_values_survive_copy_and_pickle(name):
+    value = VALUES[name][0](0)
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
 
 
 def test_reprs_list_the_fields():
