@@ -1,10 +1,10 @@
-"""Wall time of `metaracah verify --suite all` at N = 8, 16, 32 and 48, and
+"""Wall time of `metaracah verify --suite all` at N = 8, 16, 32, 48 and 64, and
 of the sixteen emit commands at N = 24 and 48, in process; and the start-up
 cost of a fresh interpreter.
 
 Usage, from the repository root:
 
-    python3 bench/scale.py --parent PARENT_CHECKOUT --out BENCH_14.json
+    python3 bench/scale.py --parent PARENT_CHECKOUT --out BENCH_15.json
 
 Each source tree (this checkout, and the parent checkout when --parent is
 given) is measured in a fresh interpreter per N, the trees taking turns.
@@ -55,7 +55,7 @@ from fractions import Fraction
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-SIZES = (8, 16, 32, 48)
+SIZES = (8, 16, 32, 48, 64)
 EMIT_SIZES = (24, 48)
 REPEATS = 3
 TABLES = ("racah", "S", "Stilde", "calU", "calUtilde", "U", "Utilde", "dualHahn")
@@ -188,7 +188,7 @@ def _commit(tree: str) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", help="checkout of the parent commit to measure as well")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_14.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_15.json"))
     parser.add_argument("--measure", nargs=3, metavar=("KIND", "SRC", "N"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)

@@ -218,6 +218,12 @@ def build_transposes(p: Params):
 
 
 def casimir(ctx: Context) -> RationalMatrix:
+    """The Casimir matrix of the Context: built once, by build_casimir, and
+    kept as ctx.C, so every call returns the same object."""
+    return ctx.C
+
+
+def build_casimir(ctx: Context) -> RationalMatrix:
     """The central element 2ZVZ + {X,V} + 2 zeta {X,Z} + 2X^2 + 2 zeta^2 Z^2
     + 2 eta X + V + 2 xi Z as a matrix."""
     Z, V, X = ctx.Z, ctx.V, ctx.X

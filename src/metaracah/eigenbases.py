@@ -38,7 +38,8 @@ from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 from . import racahpoly, rationalfns
-from .algebra import Params, build_Z, build_V, build_X, build_transposes, require_generic
+from .algebra import (Params, build_Z, build_V, build_X, build_transposes, build_casimir,
+                      require_generic)
 from .errors import Frozen, NondegenerateSpectrumViolated, PreconditionViolated
 from .hyper import pochhammer, series_terms
 from .matrices import (
@@ -287,18 +288,23 @@ class Context(Frozen):
 
     Making a Context is the one genericity check: it raises
     DegenerateParameters unless (p, rho) is generic, and nothing that
-    takes a Context checks again.  The generators Z, V, X, their
-    transposes Zt, Vt, Xt, the identity I, Vtilde = X Z^{-1}, each
-    closed-form family, each overlap grid and each operator matrix in an
-    eigenbasis (``matrixreps.matrix_on``) are built on first use and kept
-    for the Context's lifetime.  Equality and hashing follow (p, fp).
+    takes a Context checks again.  Everything a suite reads more than once
+    is built on first use and kept for the Context's lifetime: the
+    generators Z, V, X, their transposes Zt, Vt, Xt, the identity I,
+    Vtilde = X Z^{-1} and the Casimir C (as attributes); each closed-form
+    family (``_bases``), each overlap grid (``_grids``), each operator
+    matrix in an eigenbasis and each dual side (b*)^T W of one
+    (``_matrices``, by ``matrixreps.matrix_on``), and each closed-form band
+    table (``_bands``, by ``matrixreps.bands``).  Each matrix keeps its own
+    transpose and integer-scaled forms.  Equality and hashing follow
+    (p, fp).
     """
 
     _fields = ("p", "fp")
 
     def __init__(self, p: Params, fp: FParams | None = None):
         # no __slots__: cached_property keeps its values in the __dict__ too
-        self.__dict__.update(p=p, fp=fp, _bases={}, _grids={}, _matrices={})
+        self.__dict__.update(p=p, fp=fp, _bases={}, _grids={}, _matrices={}, _bands={})
         require_generic(self.p, self.rho)
 
     @property
@@ -315,6 +321,7 @@ class Context(Frozen):
     Xt = property(lambda self: self._transposes[2])
     I = cached_property(lambda self: RationalMatrix.identity(self.p.N + 1))
     Vtilde = cached_property(lambda self: right_divide_lower_bidiagonal(self.X, self.Z))
+    C = cached_property(build_casimir)
 
     def basis(self, label: str) -> BasisFamily:
         """The closed-form family, built on first use."""
@@ -336,14 +343,36 @@ class Context(Frozen):
 
 def _band_kernel(A: RationalMatrix, B: RationalMatrix):
     """When A and B are bidiagonal on one side, the map from lam to
-    bidiagonal_kernel of A - lam B, read from their bands; else None."""
+    bidiagonal_kernel of A - lam B, read from their bands, or to None where
+    no or several diagonal entries of A - lam B vanish; else None.
+
+    Diagonal entry j vanishes at lam = a_j / b_j, or at every lam when
+    a_j = b_j = 0, so the roots are found once and each lam looks its zeros
+    up; only the entries on the side that the recurrence reads are formed.
+    """
     for lower in (True, False):
         a, b = bidiagonal_bands(A, lower), bidiagonal_bands(B, lower)
         if a and b:
             (a_diag, a_off), (b_diag, b_off) = a, b
-            return lambda lam: bidiagonal_kernel(
-                [x - lam * y for x, y in zip(a_diag, b_diag)],
-                [x - lam * y if y else x for x, y in zip(a_off, b_off)], lower)
+            always, roots = [], {}
+            for j, (x, y) in enumerate(zip(a_diag, b_diag)):
+                if y:
+                    roots.setdefault(x / y, []).append(j)
+                elif not x:
+                    always.append(j)
+
+            def kernel(lam):
+                zeros = always + roots.get(lam, [])
+                if len(zeros) != 1:
+                    return None
+                n = zeros[0]
+                diag, off = [None] * len(a_diag), [None] * len(a_off)
+                for j in range(n + 1, len(a_diag)) if lower else range(n):
+                    diag[j] = a_diag[j] - lam * b_diag[j]
+                    k = j - 1 if lower else j
+                    off[k] = a_off[k] - lam * b_off[k] if b_off[k] else a_off[k]
+                return bidiagonal_kernel(diag, off, n, lower)
+            return kernel
     return None
 
 

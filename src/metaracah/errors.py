@@ -26,7 +26,7 @@ class NondegenerateSpectrumViolated(Exception):
 
 
 class Frozen:
-    """An immutable value, in the idiom of RationalMatrix.
+    """An immutable value: the records of every module, and RationalMatrix.
 
     A subclass names its fields in ``_fields`` (and in ``__slots__``,
     unless it needs a ``__dict__``), and its constructor sets them past

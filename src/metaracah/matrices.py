@@ -10,14 +10,25 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from .errors import Frozen
+
 Q = Fraction
 _ZERO = Q(0)
 
 
-class RationalMatrix:
-    """Immutable dense matrix over Fraction."""
+class RationalMatrix(Frozen):
+    """Immutable dense matrix over Fraction.
 
-    __slots__ = ("rows", "cols", "_e")
+    It keeps, from first use, its transpose and the integer-scaled forms a
+    product reads of its factors; as no attribute can be assigned, none
+    goes stale.  A product keeps its integer sums and forms its Fraction
+    entries only when they are first read, so a product that only enters
+    further products is never written over Fractions.  Copies and pickles
+    carry the entries only.
+    """
+
+    __slots__ = ("rows", "cols", "_e", "_sums", "_t", "_row_scaled", "_col_scaled")
+    _fields = ("rows", "cols", "_e")
 
     def __init__(self, entries):
         rows = tuple(tuple(x if type(x) is Q else Q(x) for x in row) for row in entries)
@@ -26,9 +37,44 @@ class RationalMatrix:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "_e", rows)
+        self._set(len(rows), width, rows, None)
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, entries=None, sums=None):
+        """The rows x cols result of an operation, unchecked: its entries, a
+        tuple of rows as tuples of Fractions, or for a product its sums
+        (integer rows, row scales, column scales)."""
+        m = object.__new__(cls)
+        m._set(rows, cols, entries, sums)
+        return m
+
+    def _set(self, rows, cols, entries, sums):
+        # past __setattr__; a product leaves _e unset until it is read
+        fill = object.__setattr__
+        fill(self, "rows", rows)
+        fill(self, "cols", cols)
+        if entries is not None:
+            fill(self, "_e", entries)
+        fill(self, "_sums", sums)
+        for name in ("_t", "_row_scaled", "_col_scaled"):
+            fill(self, name, None)
+
+    def __getattr__(self, name):
+        # only a product lacks _e: entry (i, j) is sums[i][j] / (d_i e_j)
+        if name != "_e":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        sums, ds, es = self._sums
+        e = tuple(tuple(Q(s, d * f) if s else _ZERO for s, f in zip(row, es))
+                  for d, row in zip(ds, sums))
+        object.__setattr__(self, "_e", e)
+        return e
+
+    def __getstate__(self):
+        return (None, {name: getattr(self, name) for name in self._fields})
+
+    def __setstate__(self, state):
+        super().__setstate__(state)
+        self._set(self.rows, self.cols, self._e, None)
 
     # -- constructors ------------------------------------------------------
 
@@ -112,19 +158,22 @@ class RationalMatrix:
         return hash(self._e)
 
     def __neg__(self):
-        return RationalMatrix([[-x for x in row] for row in self._e])
+        return self._like(tuple(tuple(-x for x in row) for row in self._e))
 
     def __add__(self, other):
         self._check_shape(other)
-        return RationalMatrix(
-            [[a + b if b else a for a, b in zip(ra, rb)] for ra, rb in zip(self._e, other._e)]
-        )
+        return self._like(tuple(
+            tuple(a + b if b else a for a, b in zip(ra, rb)) for ra, rb in zip(self._e, other._e)
+        ))
 
     def __sub__(self, other):
         self._check_shape(other)
-        return RationalMatrix(
-            [[a - b if b else a for a, b in zip(ra, rb)] for ra, rb in zip(self._e, other._e)]
-        )
+        return self._like(tuple(
+            tuple(a - b if b else a for a, b in zip(ra, rb)) for ra, rb in zip(self._e, other._e)
+        ))
+
+    def _like(self, entries):
+        return RationalMatrix._of(self.rows, self.cols, entries)
 
     def _check_shape(self, other):
         if self.shape != other.shape:
@@ -135,30 +184,74 @@ class RationalMatrix:
 
         Left rows and right columns are scaled to integers over the lcm of
         their denominators; entry (i, j) is an integer sum over the nonzeros
-        of both factors over the two scales, one Fraction per nonzero entry.
+        of both factors over the two scales, kept as such until an entry is
+        read.  Each factor keeps its scaled form, so a matrix is scaled once
+        per side, and a product's scaled forms are read off its sums.
         """
         if isinstance(other, RationalMatrix):
             if self.cols != other.rows:
                 raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-            cols = _scaled(zip(*other._e))
-            # row k of the column-scaled right factor, as its (j, integer) nonzeros
-            right = [[(j, x) for j, x in enumerate(r) if x] for r in zip(*(c for _, c in cols))]
-            out = []
-            for d, row in _scaled(self._e):
+            scales, right = other._right()
+            left = self._left()
+            sums = []
+            for _, row in left:
                 acc = [0] * other.cols
                 for a, nonzeros in zip(row, right):
                     if a:
                         for j, x in nonzeros:
                             acc[j] += a * x
-                out.append([Q(s, d * e) if s else _ZERO for s, (e, _) in zip(acc, cols)])
-            return RationalMatrix(out)
-        return RationalMatrix([[x * other for x in row] for row in self._e])
+                sums.append(acc)
+            return RationalMatrix._of(self.rows, other.cols,
+                                      sums=(sums, [d for d, _ in left], scales))
+        return self._scaled_by(other)
 
     def __rmul__(self, scalar):
-        return RationalMatrix([[scalar * x if x else x for x in row] for row in self._e])
+        return self._scaled_by(scalar)
+
+    def _scaled_by(self, scalar):
+        c = scalar if type(scalar) is Q else Q(scalar)
+        return self._like(tuple(tuple(c * x if x else x for x in row) for row in self._e))
+
+    def _left(self):
+        """Each row as (d, integers) over a common denominator d, for
+        products with self on the left: the rows as _scaled gives them, or
+        for a product, its sums over the lcm E of its column scales."""
+        if self._row_scaled is None:
+            if self._sums is None:
+                left = _scaled(self._e)
+            else:
+                sums, ds, es = self._sums
+                E = lcm(*es)
+                fs = [E // e for e in es]
+                left = [(d * E, [s * f for s, f in zip(row, fs)]) for d, row in zip(ds, sums)]
+            object.__setattr__(self, "_row_scaled", left)
+        return self._row_scaled
+
+    def _right(self):
+        """(column scales, row k as its (j, integer) nonzeros) of the
+        column-scaled matrix, for products with self on the right: the
+        scaled rows of the transpose, or for a product, its sums over the
+        lcm of its row scales."""
+        if self._col_scaled is None:
+            if self._sums is None:
+                cols = self.transpose()._left()
+                right = ([e for e, _ in cols], [[(j, x) for j, x in enumerate(r) if x]
+                                                for r in zip(*(c for _, c in cols))])
+            else:
+                sums, ds, es = self._sums
+                D = lcm(*ds)
+                right = ([e * D for e in es], [[(j, s * (D // d)) for j, s in enumerate(row) if s]
+                                               for d, row in zip(ds, sums)])
+            object.__setattr__(self, "_col_scaled", right)
+        return self._col_scaled
 
     def transpose(self):
-        return RationalMatrix(list(zip(*self._e)))
+        """The transpose, built once; its transpose is this matrix."""
+        if self._t is None:
+            t = RationalMatrix._of(self.cols, self.rows, tuple(zip(*self._e)))
+            object.__setattr__(self, "_t", t)
+            object.__setattr__(t, "_t", self)
+        return self._t
 
     def apply(self, vector):
         """Matrix-vector product, vector given as a sequence."""
@@ -267,22 +360,18 @@ def bidiagonal_bands(m: RationalMatrix, lower: bool):
             [e[j + 1][j] if lower else e[j][j + 1] for j in range(m.rows - 1)])
 
 
-def bidiagonal_kernel(diag, off, lower: bool):
+def bidiagonal_kernel(diag, off, n: int, lower: bool):
     """The kernel vector of the bidiagonal matrix with bands (diag, off), as
-    bidiagonal_bands reads them, when exactly one diagonal entry vanishes;
-    None when none or several do.
+    bidiagonal_bands reads them, whose one vanishing diagonal entry is
+    diag[n].
 
-    With diag[n] = 0 alone, deleting row n and column n leaves a triangular
-    matrix with nonzero diagonal, so the kernel is one-dimensional: v_n = 1,
-    zero on the side of n that the recurrence leaves behind, and away from
-    n along the band, v_j = -off v_(j-1) / diag[j] (lower) or
-    v_j = -off v_(j+1) / diag[j] (upper).  O(N) operations, where an
-    elimination takes O(N^3).
+    Deleting row n and column n leaves a triangular matrix with nonzero
+    diagonal, so the kernel is one-dimensional: v_n = 1, zero on the side
+    of n that the recurrence leaves behind, and away from n along the band,
+    v_j = -off v_(j-1) / diag[j] (lower) or v_j = -off v_(j+1) / diag[j]
+    (upper).  Only the entries on that side of n are read.  O(N)
+    operations, where an elimination takes O(N^3).
     """
-    zeros = [j for j, x in enumerate(diag) if x == 0]
-    if len(zeros) != 1:
-        return None
-    n = zeros[0]
     v = [_ZERO] * len(diag)
     v[n] = Q(1)
     for j in (range(n + 1, len(diag)) if lower else range(n - 1, -1, -1)):
@@ -308,8 +397,8 @@ def right_divide_lower_bidiagonal(x: RationalMatrix, z: RationalMatrix) -> Ratio
         y[-1] = row[-1] / diag[-1]
         for j in range(len(row) - 2, -1, -1):
             y[j] = (row[j] - y[j + 1] * off[j]) / diag[j]
-        out.append(y)
-    return RationalMatrix(out)
+        out.append(tuple(y))
+    return x._like(tuple(out))
 
 
 def inverse(m: RationalMatrix) -> RationalMatrix:

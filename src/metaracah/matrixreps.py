@@ -4,12 +4,13 @@ For a basis family b with dual b*, coefficients of an operator O are defined
 by O|b_n> = sum_m O^(b)_{m,n} |b_m> and are recovered from matrices by the
 conjugation (Bstar)^T W O B, W the weight of the pairing in PAIRINGS: Z for
 the pencil family d, Z^T for its adjoint d*, none for the others.
-``matrix_on`` builds each such matrix once per Context.  COEFFS maps each
-basis to its named closed-form bands, which ``matrix --which coeffs:`` emits
-and ``verify_coefficients`` checks against ``matrix_on``, one row of
-COEFFICIENT_CHECKS per band.  Index conventions for the coefficient
-containers: sup[n] feeds |b_{n+1}> (matrix entry (n+1, n)), sub[n] feeds
-|b_n> from |b_{n+1}> (matrix entry (n, n+1)).
+``matrix_on`` builds each such matrix, and each dual side (Bstar)^T W, once
+per Context.  COEFFS maps each basis to its named closed-form bands, which
+``matrix --which coeffs:`` emits and ``verify_coefficients`` checks against
+``matrix_on``, one row of COEFFICIENT_CHECKS per band; ``bands`` builds each
+band table once per Context, for them and for the racah suite.  Index
+conventions for the coefficient containers: sup[n] feeds |b_{n+1}> (matrix
+entry (n+1, n)), sub[n] feeds |b_n> from |b_{n+1}> (matrix entry (n, n+1)).
 """
 
 from __future__ import annotations
@@ -63,13 +64,34 @@ def matrix_on(ctx: Context, label: str, op: str) -> RationalMatrix:
     operators, such as "V*Z"."""
     key = (label, op)
     if key not in ctx._matrices:
+        factors = [getattr(ctx, name) for name in op.split("*")]
+        op_matrix = reduce(mul, factors)
+        ctx._matrices[key] = _dual_side(ctx, label) * op_matrix * ctx.basis(label).vectors
+    return ctx._matrices[key]
+
+
+def _dual_side(ctx: Context, label: str) -> RationalMatrix:
+    """(b*)^T W for the family b = label, kept in the Context under the label."""
+    left = ctx._matrices.get(label)
+    if left is None:
         dual, weight = PAIRINGS[label]
         left = ctx.basis(dual).vectors.transpose()
         if weight:
             left = left * getattr(ctx, weight)
-        factors = [getattr(ctx, name) for name in op.split("*")]
-        ctx._matrices[key] = left * reduce(mul, factors) * ctx.basis(label).vectors
-    return ctx._matrices[key]
+        ctx._matrices[label] = left
+    return left
+
+
+def bands(ctx: Context, build, *args):
+    """build(*args), a closed-form band table of the Context's parameters,
+    built on first use and kept in the Context under the builder and its
+    arguments.  Each caller passes the builder it has bound, so a wrapper or
+    a patch on that name sees the one build."""
+    key = (build, args)
+    table = ctx._bands.get(key)
+    if table is None:
+        table = ctx._bands[key] = build(*args)
+    return table
 
 
 # -- closed forms --------------------------------------------------------------
@@ -204,8 +226,11 @@ def coeffs_on_d(p: Params) -> dict:
     return {"Z": Zc, "X": Xc, "VZ": VZc}
 
 
-def coeffs_on_dstar(p: Params) -> dict:
-    """Transposed actions on the adjoint pencil family (upper-bidiagonal)."""
+def coeffs_on_dstar(p: Params, vz_diag: tuple | None = None) -> dict:
+    """Transposed actions on the adjoint pencil family (upper-bidiagonal).
+
+    VtZt shares its diagonal with VZ on d: vz_diag, read from coeffs_on_d
+    when not given."""
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
     zero = tuple(Q(0) for _ in range(N))
     Ztc = TridiagonalCoeffs(
@@ -218,7 +243,8 @@ def coeffs_on_dstar(p: Params) -> dict:
         diag=tuple(-((n - a) ** 2) for n in range(N + 1)),
         sub=tuple(-(n + 1) + 2 * a - b for n in range(N)),
     )
-    vz_diag = coeffs_on_d(p)["VZ"].diag
+    if vz_diag is None:
+        vz_diag = coeffs_on_d(p)["VZ"].diag
     VtZtc = TridiagonalCoeffs(
         sup=tuple(
             -(n - a + 1) * (n - N) * (n + 1) * (n + N - 2 * a - b - 2 * z)
@@ -277,15 +303,17 @@ def etilde_in_z(p: Params, n: int):
     return (Q(0),) * n + tuple(series_terms((n - 2 * a + b + 1,), (n - a,), N - n + 1))
 
 
-# coeffs:<basis> -> (needs rho, the named closed-form bands of a Context).
-# The lambdas look their callees up at call time, so wrappers installed on
-# the module names see every call.
+# coeffs:<basis> -> (needs rho, the named closed-form bands of a Context),
+# each table built once per Context.  The lambdas look their callees up at
+# call time, so wrappers installed on the module names see every call.
 COEFFS = {
-    "e": (False, lambda ctx: {"Z": coeffs_Z_on_e(ctx.p), "X": coeffs_X_on_e(ctx.p)}),
-    "f": (True, lambda ctx: {"V": coeffs_V_on_f(ctx.p, ctx.fp)}),
-    "d": (False, lambda ctx: coeffs_on_d(ctx.p)),
-    "dStar": (False, lambda ctx: coeffs_on_dstar(ctx.p)),
-    "z": (False, lambda ctx: coeffs_on_z(ctx.p)),
+    "e": (False, lambda ctx: {"Z": bands(ctx, coeffs_Z_on_e, ctx.p),
+                              "X": bands(ctx, coeffs_X_on_e, ctx.p)}),
+    "f": (True, lambda ctx: {"V": bands(ctx, coeffs_V_on_f, ctx.p, ctx.fp)}),
+    "d": (False, lambda ctx: bands(ctx, coeffs_on_d, ctx.p)),
+    "dStar": (False, lambda ctx: bands(ctx, coeffs_on_dstar, ctx.p,
+                                       bands(ctx, coeffs_on_d, ctx.p)["VZ"].diag)),
+    "z": (False, lambda ctx: bands(ctx, coeffs_on_z, ctx.p)),
 }
 
 # check id, statement, the closed form as (basis, band, transposed?) and its
@@ -332,9 +360,9 @@ def verify_coefficients(ctx: Context) -> VerificationReport:
     rep = VerificationReport(
         suite="matrixreps:coefficients", params={**ctx.p.as_dict(), "rho": str(ctx.fp.rho)}
     )
-    bands = {basis: build(ctx) for basis, (_, build) in COEFFS.items()}
+    tables = {basis: build(ctx) for basis, (_, build) in COEFFS.items()}
     for check_id, statement, (basis, band, transposed), (label, op) in COEFFICIENT_CHECKS:
-        closed = bands[basis][band].assemble()
+        closed = tables[basis][band].assemble()
         rep.add_matrix_zero(check_id, statement,
                             (closed.transpose() if transposed else closed)
                             - matrix_on(ctx, label, op))
@@ -396,7 +424,7 @@ def verify_leonard_trio(ctx: Context) -> VerificationReport:
     rep.add_matrix_zero(
         "trio-ii-ZV-coefficients",
         "clause (ii): Z V on Z d_n carries the VZ coefficients of the d family",
-        zv_et - coeffs_on_d(p)["VZ"].assemble(),
+        zv_et - bands(ctx, coeffs_on_d, p)["VZ"].assemble(),
     )
     rep.add(
         "trio-ii-Z-lower-bidiagonal",

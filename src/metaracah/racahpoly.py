@@ -37,7 +37,7 @@ from .algebra import Params
 from .errors import Frozen, PreconditionViolated
 from .hyper import multi_pochhammer, pochhammer, series_table, terminating_hyp
 from .matrices import RationalMatrix
-from .matrixreps import coeffs_V_on_f, coeffs_X_on_e, coeffs_Z_on_e
+from .matrixreps import bands, coeffs_V_on_f, coeffs_X_on_e, coeffs_Z_on_e
 from .report import VerificationReport
 
 if TYPE_CHECKING:
@@ -202,11 +202,12 @@ def verify_racah(ctx: Context) -> VerificationReport:
 
     # the bands stop at the edges, so no neighbour outside 0..N enters
     Sm = RationalMatrix(S)
-    vf = coeffs_V_on_f(p, fp).assemble()
+    vf = bands(ctx, coeffs_V_on_f, p, fp).assemble()
     recurrence = RationalMatrix.diagonal(e.eigenvalues) * Sm - Sm * vf.transpose()
     rep.add_grid("recurrence", "recurrence residual vanishes on the full grid", N,
                  lambda m, n: recurrence[m, n] == 0)
-    we = coeffs_X_on_e(p).assemble() + fp.rho * coeffs_Z_on_e(p).assemble()
+    we = (bands(ctx, coeffs_X_on_e, p).assemble()
+          + fp.rho * bands(ctx, coeffs_Z_on_e, p).assemble())
     difference = Sm * RationalMatrix.diagonal(f.eigenvalues) - we.transpose() * Sm
     rep.add_grid("difference", "difference residual vanishes on the full grid", N,
                  lambda m, n: difference[m, n] == 0)

@@ -393,6 +393,31 @@ def test_one_validation_and_one_build_per_set(capsys, monkeypatch, argv):
     assert set(calls.values()) <= {1}
 
 
+def test_verify_all_product_count(capsys, monkeypatch):
+    # the algebra checks share the Context's one Casimir (8 products) and the
+    # conjugations on d and d* share their dual sides (b*)^T W (2 each)
+    products = []
+    mul = matrices.RationalMatrix.__mul__
+
+    def counted(self, other):
+        if isinstance(other, matrices.RationalMatrix):
+            products.append(other.shape)
+        return mul(self, other)
+
+    monkeypatch.setattr(matrices.RationalMatrix, "__mul__", counted)
+    code, _ = run(capsys, "verify", "--suite", "all", "--N", "8")
+    assert code == 0
+    assert len(products) == 159
+
+
+def test_casimir_is_built_once_per_context():
+    ctx = eb.Context(Params(N=3, alpha=Q(1, 3), beta=Q(1, 5), zeta=Q(1, 7)))
+    C = algebra.casimir(ctx)
+    assert algebra.casimir(ctx) is C and algebra.check_casimir_central(ctx).passed
+    assert algebra.casimir(ctx) is C and ctx.C is C
+    assert algebra.casimir(eb.Context(ctx.p)) is not C
+
+
 def test_each_overlap_grid_is_built_once_per_set(capsys, monkeypatch):
     # every suite reads the overlap grids of its one Context: each GRIDS
     # table is built once per Context, as products of term tables, and no

@@ -144,6 +144,69 @@ def test_products_match_entrywise_reference(case):
         assert all(type(x) is Q for line in table for x in line)
 
 
+def _reference_product(a, b):
+    """Fraction-by-Fraction product of two row lists."""
+    return [[sum((Q(a[i][k]) * Q(b[k][j]) for k in range(len(b))), Q(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+@st.composite
+def reuse_case(draw):
+    """An (r x k) table A and a (k x r) table B, with zero rows and columns."""
+    r, k = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    a = [[draw(entries) for _ in range(k)] for _ in range(r)]
+    b = [[draw(entries) for _ in range(r)] for _ in range(k)]
+    for i in draw(st.sets(st.integers(0, r - 1), max_size=2)):
+        a[i] = [Q(0)] * k
+    for j in draw(st.sets(st.integers(0, k - 1), max_size=2)):
+        for row in a:
+            row[j] = Q(0)
+    return a, b
+
+
+@given(reuse_case(), st.permutations(range(6)))
+@example(([[Q(2, 3)]], [[Q(-5, 7)]]), [0, 1, 2, 3, 4, 5])
+@example(([[Q(0)]], [[Q(1, 2)]]), [5, 4, 3, 2, 1, 0])
+@example(([[Q(0), Q(0)], [Q(1, 6), Q(0)]], [[Q(1, 4), Q(3)], [Q(0), Q(-1, 9)]]), [1, 3, 0, 5, 2, 4])
+@settings(max_examples=150, deadline=None)
+def test_reused_factors_match_entrywise_reference(case, order):
+    # one matrix as left factor, right factor and transposed, and one
+    # product P = A B as a factor before or after its entries are read, in
+    # any order, so each product meets the scaled forms the others left
+    a, b = case
+    A, B = RationalMatrix(a), RationalMatrix(b)
+    P = A * B
+    at = [list(col) for col in zip(*a)]
+    ab = _reference_product(a, b)
+    expected = {
+        0: (lambda: A.transpose() * A, lambda: _reference_product(at, a)),
+        1: (lambda: P * A, lambda: _reference_product(ab, a)),
+        2: (lambda: A * (B * A), lambda: _reference_product(a, _reference_product(b, a))),
+        3: (lambda: A * A.transpose(), lambda: _reference_product(a, at)),
+        4: (lambda: B * P, lambda: _reference_product(b, ab)),
+        5: (lambda: P, lambda: ab),
+    }
+    if len(a) == len(a[0]):
+        assert A * A == RationalMatrix(_reference_product(a, a))
+    for i in order:
+        got, ref = expected[i]
+        product = got()
+        assert [list(product.row(r)) for r in range(product.rows)] == ref()
+        assert all(type(x) is Q for r in range(product.rows) for x in product.row(r))
+    assert A == RationalMatrix(a) and A.transpose() == RationalMatrix(at)
+    assert A.transpose().transpose() is A and P.transpose().transpose() is P
+
+
+def test_transpose_is_built_once():
+    m = RationalMatrix([[1, Q(1, 2), 0], [0, 3, Q(-2, 5)]])
+    t = m.transpose()
+    assert t.transpose() is m and m.transpose() is t
+    assert t.shape == (3, 2) and [list(t.row(i)) for i in range(3)] == [
+        [1, 0], [Q(1, 2), 3], [0, Q(-2, 5)]]
+    one = RationalMatrix([[Q(7, 3)]])
+    assert one.transpose().transpose() is one and one.transpose() == one
+
+
 def test_int_entries_become_fractions():
     m = RationalMatrix([[1, 0], [-3, True]])
     assert m.to_strings() == [["1", "0"], ["-3", "1"]]

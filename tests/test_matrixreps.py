@@ -1,9 +1,12 @@
+import sys
+from collections import Counter
 from fractions import Fraction as Q
 
 import metaracah.matrixreps as mr
 from metaracah import Context, Params, build_V, build_X, build_Z, build_basis
 from metaracah.cli import main
 from metaracah.matrices import RationalMatrix, inverse
+from metaracah.racahpoly import verify_racah
 from metaracah.matrixreps import (
     coeffs_V_on_f,
     coeffs_X_on_e,
@@ -129,7 +132,8 @@ def test_vz_fault_details_keep_their_signs(ctx3, monkeypatch):
 
 def test_matrixreps_suite_builds_each_conjugation_once(capsys, monkeypatch):
     # the trio reads the operator matrices verify_coefficients has built;
-    # only Vtilde on Z d_n, V and Vtilde Z on e and Z on z are its own
+    # only Vtilde on Z d_n, V and Vtilde Z on e and Z on z are its own, and
+    # each dual side (b*)^T W is formed once per family
     products = []
     mul = RationalMatrix.__mul__
 
@@ -141,4 +145,32 @@ def test_matrixreps_suite_builds_each_conjugation_once(capsys, monkeypatch):
     monkeypatch.setattr(RationalMatrix, "__mul__", counted)
     assert main(["verify", "--suite", "matrixreps", "--N", "8"]) == 0
     capsys.readouterr()
-    assert len(products) == 48
+    assert len(products) == 44
+
+
+def test_each_band_table_is_built_once_per_context(ctx5, monkeypatch):
+    # every suite reads the COEFFS bands of its one Context: the coefficient
+    # checks, the racah recurrence and difference residuals and the trio
+    # each call a builder at most once between them, through any binding
+    counts = Counter()
+    modules = [m for name, m in sys.modules.items()
+               if name == "metaracah" or name.startswith("metaracah.")]
+    builders = (coeffs_Z_on_e, coeffs_X_on_e, coeffs_V_on_f, coeffs_on_d, coeffs_on_dstar,
+                coeffs_on_z)
+    for target in builders:
+        def counted(*args, _target=target):
+            counts[_target.__name__] += 1
+            return _target(*args)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is target:
+                    monkeypatch.setattr(module, attr, counted)
+    reports = [verify_coefficients(ctx5), verify_leonard_trio(ctx5), verify_racah(ctx5)]
+    for basis, (_, build) in mr.COEFFS.items():
+        assert build(ctx5) == build(ctx5)
+    assert all(rep.passed for rep in reports)
+    assert counts == Counter({target.__name__: 1 for target in builders})
+    other = Context(ctx5.p, ctx5.fp)
+    verify_coefficients(other)
+    assert set(counts.values()) == {2}

@@ -75,6 +75,31 @@ def test_values_survive_copy_and_pickle(name):
         assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
 
 
+def test_matrix_forms_can_be_neither_assigned_nor_copied():
+    # a matrix keeps its transpose and scaled forms; none can be replaced,
+    # and copies and pickles carry the entries only, building their own
+    m = RationalMatrix([[Q(1, 2), 0], [3, Q(-1, 3)]])
+    fresh = RationalMatrix([[Q(1, 2), 0], [3, Q(-1, 3)]])
+    t, square = m.transpose(), m * m
+    for name in ("rows", "cols", "_e", "_t", "_row_scaled", "_col_scaled", "_sums", "unlisted"):
+        for value in (m, square):
+            with pytest.raises(AttributeError):
+                setattr(value, name, t)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+    assert m.transpose() is t and m * m == square == fresh * fresh
+    assert pickle.dumps(m) == pickle.dumps(fresh)
+    assert pickle.dumps(square * m) == pickle.dumps(RationalMatrix(square.to_strings()) * fresh)
+    for value in (m, square, square * m):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+            assert twin.transpose() is not value.transpose()
+            assert twin.transpose().transpose() is twin
+            assert twin * twin == value * value and twin.transpose() == value.transpose()
+    with pytest.raises(AttributeError, match="'RationalMatrix' object has no attribute 'x'"):
+        m.x
+
+
 def test_reprs_list_the_fields():
     p = _params(0)
     assert repr(p) == ("Params(N=3, alpha=Fraction(1, 3), beta=Fraction(1, 5), "
