@@ -19,12 +19,14 @@ _ZERO = Q(0)
 class RationalMatrix(Frozen):
     """Immutable dense matrix over Fraction.
 
-    It keeps, from first use, its transpose and the integer-scaled forms a
-    product reads of its factors; as no attribute can be assigned, none
-    goes stale.  A product keeps its integer sums and forms its Fraction
-    entries only when they are first read, so a product that only enters
-    further products is never written over Fractions.  Copies and pickles
-    carry the entries only.
+    The result of a product, sum, difference or scalar multiple keeps its
+    integer form: integer rows with a scale d_i per row and e_j per column,
+    entry (i, j) being rows[i][j] / (d_i e_j).  It writes its Fraction
+    entries only when one is first read, so a chain of products, or a
+    residual that is only checked for zero, stays on integers.  Every
+    matrix keeps, from first use, its transpose and the integer-scaled
+    forms a product reads of its factors; as no attribute can be assigned,
+    none goes stale.  Copies and pickles carry the entries only.
     """
 
     __slots__ = ("rows", "cols", "_e", "_sums", "_t", "_row_scaled", "_col_scaled")
@@ -42,14 +44,14 @@ class RationalMatrix(Frozen):
     @classmethod
     def _of(cls, rows: int, cols: int, entries=None, sums=None):
         """The rows x cols result of an operation, unchecked: its entries, a
-        tuple of rows as tuples of Fractions, or for a product its sums
+        tuple of rows as tuples of Fractions, or its integer form
         (integer rows, row scales, column scales)."""
         m = object.__new__(cls)
         m._set(rows, cols, entries, sums)
         return m
 
     def _set(self, rows, cols, entries, sums):
-        # past __setattr__; a product leaves _e unset until it is read
+        # past __setattr__; an integer form leaves _e unset until it is read
         fill = object.__setattr__
         fill(self, "rows", rows)
         fill(self, "cols", cols)
@@ -60,7 +62,7 @@ class RationalMatrix(Frozen):
             fill(self, name, None)
 
     def __getattr__(self, name):
-        # only a product lacks _e: entry (i, j) is sums[i][j] / (d_i e_j)
+        # only an integer form lacks _e: entry (i, j) is sums[i][j] / (d_i e_j)
         if name != "_e":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         sums, ds, es = self._sums
@@ -121,6 +123,8 @@ class RationalMatrix(Frozen):
     # -- structure tests ----------------------------------------------------
 
     def is_zero(self) -> bool:
+        if self._sums is not None:
+            return not any(any(row) for row in self._sums[0])
         return all(x == 0 for row in self._e for x in row)
 
     def first_nonzero(self):
@@ -158,22 +162,37 @@ class RationalMatrix(Frozen):
         return hash(self._e)
 
     def __neg__(self):
-        return self._like(tuple(tuple(-x for x in row) for row in self._e))
+        return self._scaled_by(-1)
 
     def __add__(self, other):
-        self._check_shape(other)
-        return self._like(tuple(
-            tuple(a + b if b else a for a, b in zip(ra, rb)) for ra, rb in zip(self._e, other._e)
-        ))
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        self._check_shape(other)
-        return self._like(tuple(
-            tuple(a - b if b else a for a, b in zip(ra, rb)) for ra, rb in zip(self._e, other._e)
-        ))
+        return self._combine(other, -1)
 
-    def _like(self, entries):
-        return RationalMatrix._of(self.rows, self.cols, entries)
+    def _combine(self, other, sign):
+        """self + sign * other over the lcm of the two scales of each row
+        and of each column."""
+        self._check_shape(other)
+        (s, d1, e1), (t, d2, e2) = self._form(), other._form()
+        ds = [a if a == b else lcm(a, b) for a, b in zip(d1, d2)]
+        es = [a if a == b else lcm(a, b) for a, b in zip(e1, e2)]
+        g1 = [e // a for e, a in zip(es, e1)]
+        g2 = [sign * (e // b) for e, b in zip(es, e2)]
+        rows = []
+        for d, a, b, ra, rb in zip(ds, d1, d2, s, t):
+            f1, f2 = d // a, d // b
+            rows.append([x * f1 * p + y * f2 * q if y else x * f1 * p
+                         for x, y, p, q in zip(ra, rb, g1, g2)])
+        return RationalMatrix._of(self.rows, self.cols, sums=(rows, ds, es))
+
+    def _form(self):
+        """The integer form (rows, row scales, column scales): that of a
+        result, or else the rows as _scaled gives them, with unit columns."""
+        if self._sums is not None:
+            return self._sums
+        left = self._left()
+        return [r for _, r in left], [d for d, _ in left], [1] * self.cols
 
     def _check_shape(self, other):
         if self.shape != other.shape:
@@ -186,7 +205,7 @@ class RationalMatrix(Frozen):
         their denominators; entry (i, j) is an integer sum over the nonzeros
         of both factors over the two scales, kept as such until an entry is
         read.  Each factor keeps its scaled form, so a matrix is scaled once
-        per side, and a product's scaled forms are read off its sums.
+        per side, and a result's scaled forms are read off its integer form.
         """
         if isinstance(other, RationalMatrix):
             if self.cols != other.rows:
@@ -209,13 +228,15 @@ class RationalMatrix(Frozen):
         return self._scaled_by(scalar)
 
     def _scaled_by(self, scalar):
-        c = scalar if type(scalar) is Q else Q(scalar)
-        return self._like(tuple(tuple(c * x if x else x for x in row) for row in self._e))
+        num, den = (scalar if type(scalar) is Q else Q(scalar)).as_integer_ratio()
+        s, ds, es = self._form()
+        rows = [[num * x for x in r] for r in s]
+        return RationalMatrix._of(self.rows, self.cols, sums=(rows, [d * den for d in ds], es))
 
     def _left(self):
         """Each row as (d, integers) over a common denominator d, for
         products with self on the left: the rows as _scaled gives them, or
-        for a product, its sums over the lcm E of its column scales."""
+        the integer form's rows over the lcm E of its column scales."""
         if self._row_scaled is None:
             if self._sums is None:
                 left = _scaled(self._e)
@@ -230,8 +251,8 @@ class RationalMatrix(Frozen):
     def _right(self):
         """(column scales, row k as its (j, integer) nonzeros) of the
         column-scaled matrix, for products with self on the right: the
-        scaled rows of the transpose, or for a product, its sums over the
-        lcm of its row scales."""
+        scaled rows of the transpose, or the integer form's rows over the
+        lcm D of its row scales."""
         if self._col_scaled is None:
             if self._sums is None:
                 cols = self.transpose()._left()
@@ -398,7 +419,7 @@ def right_divide_lower_bidiagonal(x: RationalMatrix, z: RationalMatrix) -> Ratio
         for j in range(len(row) - 2, -1, -1):
             y[j] = (row[j] - y[j + 1] * off[j]) / diag[j]
         out.append(tuple(y))
-    return x._like(tuple(out))
+    return RationalMatrix._of(x.rows, x.cols, tuple(out))
 
 
 def inverse(m: RationalMatrix) -> RationalMatrix:

@@ -164,20 +164,23 @@ def reuse_case(draw):
     return a, b
 
 
-@given(reuse_case(), st.permutations(range(6)))
-@example(([[Q(2, 3)]], [[Q(-5, 7)]]), [0, 1, 2, 3, 4, 5])
-@example(([[Q(0)]], [[Q(1, 2)]]), [5, 4, 3, 2, 1, 0])
-@example(([[Q(0), Q(0)], [Q(1, 6), Q(0)]], [[Q(1, 4), Q(3)], [Q(0), Q(-1, 9)]]), [1, 3, 0, 5, 2, 4])
+@given(reuse_case(), st.permutations(range(8)))
+@example(([[Q(2, 3)]], [[Q(-5, 7)]]), list(range(8)))
+@example(([[Q(0)]], [[Q(1, 2)]]), list(range(8))[::-1])
+@example(([[Q(0), Q(0)], [Q(1, 6), Q(0)]], [[Q(1, 4), Q(3)], [Q(0), Q(-1, 9)]]),
+         [1, 3, 0, 5, 7, 2, 6, 4])
 @settings(max_examples=150, deadline=None)
 def test_reused_factors_match_entrywise_reference(case, order):
     # one matrix as left factor, right factor and transposed, and one
-    # product P = A B as a factor before or after its entries are read, in
-    # any order, so each product meets the scaled forms the others left
+    # product P = A B in further products, sums and scalar multiples, before
+    # or after its entries are read, in any order, so each operation meets
+    # the scaled and integer forms the others left behind
     a, b = case
     A, B = RationalMatrix(a), RationalMatrix(b)
     P = A * B
     at = [list(col) for col in zip(*a)]
     ab = _reference_product(a, b)
+    zero = [[Q(0)] * len(ab) for _ in ab]
     expected = {
         0: (lambda: A.transpose() * A, lambda: _reference_product(at, a)),
         1: (lambda: P * A, lambda: _reference_product(ab, a)),
@@ -185,14 +188,18 @@ def test_reused_factors_match_entrywise_reference(case, order):
         3: (lambda: A * A.transpose(), lambda: _reference_product(a, at)),
         4: (lambda: B * P, lambda: _reference_product(b, ab)),
         5: (lambda: P, lambda: ab),
+        6: (lambda: P - A * B, lambda: zero),
+        7: (lambda: 2 * P - P * Q(1, 3) + (-RationalMatrix(ab)) - P.transpose().transpose(),
+            lambda: [[x * Q(-1, 3) for x in row] for row in ab]),
     }
     if len(a) == len(a[0]):
         assert A * A == RationalMatrix(_reference_product(a, a))
     for i in order:
         got, ref = expected[i]
-        product = got()
-        assert [list(product.row(r)) for r in range(product.rows)] == ref()
-        assert all(type(x) is Q for r in range(product.rows) for x in product.row(r))
+        result, rows = got(), ref()
+        assert result.is_zero() == all(x == 0 for row in rows for x in row)
+        assert [list(result.row(r)) for r in range(result.rows)] == rows
+        assert all(type(x) is Q for r in range(result.rows) for x in result.row(r))
     assert A == RationalMatrix(a) and A.transpose() == RationalMatrix(at)
     assert A.transpose().transpose() is A and P.transpose().transpose() is P
 
