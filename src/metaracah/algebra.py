@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import DegenerateParameters, Frozen
-from .matrices import RationalMatrix, anticommutator, commutator
+from .matrices import RationalMatrix, anticommutator, brackets, commutator
 from .report import VerificationReport
 
 if TYPE_CHECKING:
@@ -255,19 +255,19 @@ def check_defining_relations(ctx: Context, Z=None) -> VerificationReport:
     z = p.zeta
     ident = ctx.I
     rep = VerificationReport(suite="algebra:relations", params=p.as_dict())
+    vz_c, vz_a = brackets(V, Z)
     rep.add_matrix_zero(
         "relation-ZX", "[Z,X] - (Z^2 + X) = 0", commutator(Z, X) - (Z * Z + X)
     )
     rep.add_matrix_zero(
         "relation-XV",
         "[X,V] - ({V,Z} + 2 zeta X + 2 zeta^2 Z + xi I) = 0",
-        commutator(X, V)
-        - (anticommutator(V, Z) + 2 * z * X + 2 * z * z * Z + cp.xi * ident),
+        commutator(X, V) - (vz_a + 2 * z * X + 2 * z * z * Z + cp.xi * ident),
     )
     rep.add_matrix_zero(
         "relation-VZ",
         "[V,Z] - (V + 2 X + 2 zeta Z + eta I) = 0",
-        commutator(V, Z) - (V + 2 * X + 2 * z * Z + cp.eta * ident),
+        vz_c - (V + 2 * X + 2 * z * Z + cp.eta * ident),
     )
     return rep
 
@@ -311,25 +311,24 @@ def check_subalgebras(ctx: Context) -> VerificationReport:
     Vb = V
     xib = cp.xi - cp.eta * z
     etab = cp.eta + z * z / 2
+    K, vz_a = brackets(Vb, Zb)
     rep.add_matrix_zero(
         "shifted-ZX", "[Zb,Xb] = Zb^2 + Xb", commutator(Zb, Xb) - (Zb * Zb + Xb)
     )
     rep.add_matrix_zero(
         "shifted-XV",
         "[Xb,Vb] = {Vb,Zb} + xib I",
-        commutator(Xb, Vb) - (anticommutator(Vb, Zb) + xib * ident),
+        commutator(Xb, Vb) - (vz_a + xib * ident),
     )
     rep.add_matrix_zero(
         "shifted-VZ",
         "[Vb,Zb] = Vb + 2 Xb + etab I",
-        commutator(Vb, Zb) - (Vb + 2 * Xb + etab * ident),
+        K - (Vb + 2 * Xb + etab * ident),
     )
-
-    K = commutator(Vb, Zb)
     rep.add_matrix_zero(
         "hahn-1",
         "[[Vb,Zb],Vb] = 2{Vb,Zb} + 2 xib I",
-        commutator(K, Vb) - (2 * anticommutator(Vb, Zb) + 2 * xib * ident),
+        commutator(K, Vb) - (2 * vz_a + 2 * xib * ident),
     )
     rep.add_matrix_zero(
         "hahn-2",
@@ -340,12 +339,13 @@ def check_subalgebras(ctx: Context) -> VerificationReport:
     W = X + rho * Z
     C = casimir(ctx)
     e1 = cp.eta + z * (z - rho)
+    wv_c, wv_a = brackets(W, V)
     rep.add_matrix_zero(
         "racah-1",
         "[V,[W,V]] = 2{W,V} + 2V^2 + 2(eta+zeta(zeta-rho))V + 2(rho xi + zeta(zeta eta - xi - eta rho))I",
-        commutator(V, commutator(W, V))
+        commutator(V, wv_c)
         - (
-            2 * anticommutator(W, V)
+            2 * wv_a
             + 2 * (V * V)
             + 2 * e1 * V
             + 2 * (rho * cp.xi + z * (z * cp.eta - cp.xi - cp.eta * rho)) * ident
@@ -354,9 +354,9 @@ def check_subalgebras(ctx: Context) -> VerificationReport:
     rep.add_matrix_zero(
         "racah-2",
         "[[W,V],W] = 2{W,V} + 2W^2 + 2(eta+zeta(zeta-rho))W + (1-rho^2)V - C + rho(xi - rho eta)I",
-        commutator(commutator(W, V), W)
+        commutator(wv_c, W)
         - (
-            2 * anticommutator(W, V)
+            2 * wv_a
             + 2 * (W * W)
             + 2 * e1 * W
             + (1 - rho * rho) * V

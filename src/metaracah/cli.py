@@ -167,7 +167,10 @@ def run_suites(p: Params, fp: FParams, suites) -> list:
     Raises DegenerateParameters, before any suite runs, when the set is
     not generic.
     """
-    ctx = Context(p, fp)
+    return _reports(Context(p, fp), suites)
+
+
+def _reports(ctx: Context, suites) -> list:
     return [rep for suite in suites for rep in SUITE_RUNNERS[suite](ctx)]
 
 
@@ -200,11 +203,13 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
     rng = random.Random(args.seed)
     for i in range(args.sweeps):
         for _ in range(MAX_RESAMPLES):
-            sp, sfp = sweep_parameters(rng, args.N)
+            # only a set the Context refuses is drawn again; a suite that
+            # raises after validation ends the run with its offenders
             try:
-                sweep_reports = run_suites(sp, sfp, args.suites)
+                ctx = Context(*sweep_parameters(rng, args.N))
             except DegenerateParameters:
                 continue
+            sweep_reports = _reports(ctx, args.suites)
             for r in sweep_reports:
                 r.suite = f"sweep-{i}/{r.suite}"
             reports.extend(sweep_reports)
@@ -253,7 +258,7 @@ def cmd_table(args: argparse.Namespace) -> tuple:
         lines = [header]
         for m in range(p.N + 1):
             for n in range(p.N + 1):
-                v = grid[m][n]
+                v = grid[m, n]
                 row = f"{m},{n},{_decimal_str(v, args.precision)}"
                 if args.exact:
                     row += f",{v}"
@@ -263,7 +268,7 @@ def cmd_table(args: argparse.Namespace) -> tuple:
         payload = {
             "which": which,
             "params": {**p.as_dict(), "rho": str(args.rho)},
-            "grid": [[str(v) for v in row] for row in grid],
+            "grid": grid.to_strings(),
         }
         text = _json(payload)
     return EXIT_OK, text
@@ -274,10 +279,6 @@ def cmd_table(args: argparse.Namespace) -> tuple:
 
 class _EmitFailed(Exception):
     """An emitted object failed its re-validation; the message is the output."""
-
-
-def _matrix_rows(mat: RationalMatrix) -> list:
-    return [[str(mat[(i, j)]) for j in range(mat.cols)] for i in range(mat.rows)]
 
 
 def _casimir_checked(ctx: Context) -> RationalMatrix:
@@ -295,12 +296,12 @@ def _basis_payload(label: str, ctx: Context) -> dict:
     fam = ctx.basis(label)
     if fam.vectors != oracle_basis(ctx, label).vectors:
         raise _EmitFailed(f"basis {label} failed revalidation on emit\n")
-    return {"rows": _matrix_rows(fam.vectors),
+    return {"rows": fam.vectors.to_strings(),
             "eigenvalues": [str(v) for v in fam.eigenvalues]}
 
 
 def _rows_payload(matrix, ctx: Context) -> dict:
-    return {"rows": _matrix_rows(matrix(ctx))}
+    return {"rows": matrix(ctx).to_strings()}
 
 
 def _coeffs_payload(bands, ctx: Context) -> dict:

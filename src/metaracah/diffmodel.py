@@ -431,38 +431,28 @@ def model_orthogonality(ctx: Context, families: dict) -> VerificationReport:
     p = ctx.p
     rep = VerificationReport(suite="model-orthogonality",
                              params={**p.as_dict(), "rho": str(ctx.rho)})
-    N = p.N
     pairs = [
         ("f", "fStar"),
         ("e", "eStar"),
         ("z", "zStar"),
     ]
     for label, dual in pairs:
-        gram = residue_grid(families[dual], families[label])
-        rep.add_grid(
-            f"gram-{label}",
-            f"<{dual}_m, {label}_n> = delta_mn under the residue pairing",
-            N,
-            lambda m, n: gram[m, n] == (1 if m == n else 0),
-        )
+        rep.add_grid(f"gram-{label}",
+                     f"<{dual}_m, {label}_n> = delta_mn under the residue pairing",
+                     residue_grid(families[dual], families[label]) - ctx.I)
 
     d_fam = families["d"]
     dstar_fam = families["dStar"]
     Zop = diff_Z(p)
-    gram = residue_grid(dstar_fam, [Zop.apply(d) for d in d_fam])
-    rep.add_grid(
-        "gram-d",
-        "<d*_m, Z d_n> = delta_mn under the residue pairing",
-        N,
-        lambda m, n: gram[m, n] == (1 if m == n else 0),
-    )
+    rep.add_grid("gram-d", "<d*_m, Z d_n> = delta_mn under the residue pairing",
+                 residue_grid(dstar_fam, [Zop.apply(d) for d in d_fam]) - ctx.I)
 
     plain = residue_grid(dstar_fam, d_fam)
     rep.add_info(
         "gram-d-no-Z",
         "<d*_m, d_n> without the Z insertion is not the identity",
         detail=(
-            "identity" if plain == RationalMatrix.identity(N + 1)
+            "identity" if plain == ctx.I
             else f"differs from identity, e.g. entry (0, 0) = {plain[0, 0]}"
         ),
     )
@@ -486,17 +476,18 @@ def integral_representations(ctx: Context) -> VerificationReport:
                                          (1 + 2 * a + rho - 2 * n,), n + 1))
         for n in range(N + 1)
     ]
-    S, res = ctx.grid("S"), residue_grid(jac, s_windows)
-    rep.add_grid("integral-S", "residue formula reproduces S_m(n) on the full grid", N,
-                 lambda m, n: jac_scale[m] / norms[n] * res[m, n] == S[m][n])
+    rep.add_grid("integral-S", "residue formula reproduces S_m(n) on the full grid",
+                 residue_grid(jac, s_windows).scaled(jac_scale, [1 / c for c in norms])
+                 - ctx.grid("S"))
 
     u_windows = [
         LaurentPoly(-n - 1, series_terms((N + 1 - n, b - a + 1), (a - n + 1,), n + 1))
         for n in range(N + 1)
     ]
-    U, res = ctx.grid("U"), residue_grid(jac, u_windows)
-    rep.add_grid("integral-U", "residue formula reproduces U_m(n) on the full grid", N,
-                 lambda m, n: jac_scale[m] / (norms[n] * (n - a)) * res[m, n] == U[m][n])
+    rep.add_grid("integral-U", "residue formula reproduces U_m(n) on the full grid",
+                 residue_grid(jac, u_windows).scaled(
+                     jac_scale, [1 / (c * (n - a)) for n, c in enumerate(norms)])
+                 - ctx.grid("U"))
 
     dh_scale = [pochhammer(Q(1), m) / pochhammer(N - 2 * a - b - 2 * z, m)
                 for m in range(N + 1)]
@@ -505,11 +496,10 @@ def integral_representations(ctx: Context) -> VerificationReport:
     dh_windows = [
         LaurentPoly(-k - 1, series_terms((N + 1 - k,), (), k + 1)) for k in range(N + 1)
     ]
-    R, res = ctx.grid("dualHahn"), residue_grid(jac, dh_windows)
     rep.add_grid("integral-dual-hahn",
-                 "residue formula reproduces R^(dH)_k(m) on the full grid", N,
-                 lambda m, k: dh_scale[m] * dh_col[k] * res[m, k] == R[k][m],
-                 axes="(m, k)")
+                 "residue formula reproduces R^(dH)_k(m) on the full grid",
+                 residue_grid(jac, dh_windows).scaled(dh_scale, dh_col)
+                 - ctx.grid("dualHahn").transpose(), axes="(m, k)")
     return rep
 
 
@@ -539,14 +529,9 @@ def model_transposes(ctx: Context) -> VerificationReport:
             got == abstract,
             detail="" if got == abstract else "matrix mismatch",
         )
-        left = residue_grid(dual_images, g)
-        right = residue_grid(g_dual, images)
-        rep.add_grid(
-            f"adjoint-{name}",
-            f"<{name}t g*_m, g_n> = <g*_m, {name} g_n> for all m, n",
-            N,
-            lambda m, n: left[m, n] == right[m, n],
-        )
+        rep.add_grid(f"adjoint-{name}",
+                     f"<{name}t g*_m, g_n> = <g*_m, {name} g_n> for all m, n",
+                     residue_grid(dual_images, g) - residue_grid(g_dual, images))
 
         quotient, ghosts = dual_matrix_in_monomial_basis(dual_images, p)
         rep.add(

@@ -17,12 +17,13 @@ upper), so each kernel is a two-term recurrence along the band; a dense
 elimination is the fallback for any other shape.
 FAMILIES maps each label to its eigenvalue, column and pencil; every
 entry point looks its label up there.  GRIDS maps the name of each
-closed-form overlap table to its builder: the R, calU, calU-tilde and
-dual Hahn tables are each one product of term tables, and S, Stilde, U
-and Utilde are diag(f) G diag(g) on them, with the prefactor's factors
-f in m and g in n evaluated once per index.  A Context is one validated
-parameter set; every suite reads the generators, families and overlap
-grids from it.
+closed-form overlap table to its builder, and each table is one
+immutable RationalMatrix: the R, calU, calU-tilde and dual Hahn tables
+are each one product of term tables, and S, Stilde, U and Utilde are
+diag(f) G diag(g) on them, scaled without a product, with the
+prefactor's factors f in m and g in n evaluated once per index.  A
+Context is one validated parameter set; every suite reads the
+generators, families and overlap grids from it.
 
 Pairings are bilinear (no conjugation).  The families pair up as
 
@@ -220,9 +221,10 @@ def build_basis(p: Params, fp: FParams | None, label: str) -> BasisFamily:
 
 class Grid(NamedTuple):
     """One row of the grid table: build(ctx) is the closed-form overlap
-    table of a Context, row m holding the values at n = 0..N."""
+    table of a Context as a RationalMatrix, entry (m, n) its value at
+    (m, n)."""
 
-    build: Callable  # (ctx) -> rows
+    build: Callable  # (ctx) -> RationalMatrix
     needs_rho: bool = False
 
 
@@ -233,14 +235,12 @@ def _racah_params(ctx):
 def _prefactored(table: str, factor_m: Callable, factor_n: Callable, args: Callable):
     """The builder of diag(f) G diag(g), G = ctx.grid(table): f(m) =
     factor_m(m, args(ctx)) and g(n) = factor_n(n, args(ctx)), each
-    evaluated once per index.  G comes first, so a lower parameter that
-    vanishes in its series raises DegenerateParameters even where a
-    prefactor also has a pole."""
+    evaluated once per index and applied by G.scaled, not by a product.
+    G comes first, so a lower parameter that vanishes in its series raises
+    DegenerateParameters even where a prefactor also has a pole."""
     def build(ctx):
         G, a, indices = ctx.grid(table), args(ctx), range(ctx.p.N + 1)
-        f = [factor_m(m, a) for m in indices]
-        g = [factor_n(n, a) for n in indices]
-        return [[fm * x * gn for x, gn in zip(row, g)] for fm, row in zip(f, G)]
+        return G.scaled([factor_m(m, a) for m in indices], [factor_n(n, a) for n in indices])
     return build
 
 
@@ -259,8 +259,9 @@ def _params(ctx):
     return ctx.p
 
 
-# The eight overlap tables, keyed by `table --which` name.  Every table is a
-# closed form, and none is evaluated point by point.
+# The eight overlap tables, keyed by `table --which` name, each built as one
+# RationalMatrix.  Every table is a closed form, and none is evaluated point
+# by point.
 GRIDS = {
     "racah": Grid(lambda c: racahpoly.racah_table(_racah_params(c)), needs_rho=True),
     "S": Grid(_prefactored("racah", racahpoly._prefactor_S_m, racahpoly._prefactor_S_n,
@@ -330,15 +331,16 @@ class Context(Frozen):
             fam = self._bases[label] = build_basis(self.p, self.fp, label)
         return fam
 
-    def grid(self, name: str) -> list:
-        """The overlap table GRIDS[name], row m holding the values at n = 0..N,
-        built on first use."""
-        rows = self._grids.get(name)
-        if rows is None:
+    def grid(self, name: str) -> RationalMatrix:
+        """The overlap table GRIDS[name], entry (m, n) its value at (m, n),
+        built on first use and kept as its reduced entries (each written
+        once); like every RationalMatrix it cannot be changed in place."""
+        grid = self._grids.get(name)
+        if grid is None:
             if GRIDS[name].needs_rho and self.fp is None:
                 raise PreconditionViolated(f"grid {name!r} needs FParams")
-            rows = self._grids[name] = GRIDS[name].build(self)
-        return rows
+            grid = self._grids[name] = GRIDS[name].build(self).reduced()
+        return grid
 
 
 def _band_kernel(A: RationalMatrix, B: RationalMatrix):

@@ -23,7 +23,7 @@ their coefficient lists with it.  ``hyp_sum_reference`` evaluates Fraction
 by Fraction and stays the independent oracle for ``hyp_sum``.
 ``series_table`` sums a whole two-index family of series at once: when
 each parameter belongs to the row index or to the column index, every
-term is a row factor times a column factor, and the table of sums is one
+term is a row factor times a column factor, and the matrix of sums is one
 product of two term tables.
 """
 
@@ -92,8 +92,8 @@ def _cap(upper) -> int | float:
     return min((-int(u) for u in upper if is_nonpositive_int(u)), default=inf)
 
 
-def series_table(rows: Sequence, cols: Sequence) -> list:
-    """The table of terminating sums, one per (row, column) pair:
+def series_table(rows: Sequence, cols: Sequence) -> RationalMatrix:
+    """The matrix of terminating sums, one per (row, column) pair:
 
         entry (i, j) = pFq(u_i + v_j; l_i + w_j; 1)
                      = sum_k [prod(u_i)_k / (prod(l_i)_k k!)] * [prod(v_j)_k / prod(w_j)_k]
@@ -106,7 +106,8 @@ def series_table(rows: Sequence, cols: Sequence) -> list:
     series_terms of (u_i; l_i) up to the largest index any of its entries
     reaches, column j that of (v_j, 1; w_j), the upper 1 cancelling the k!
     the row carries; both are padded with zeros, and the table is the one
-    product A B^T.  No term past a row's or a column's own reach is formed.
+    product A B^T, in its integer form.  No term past a row's or a
+    column's own reach is formed.
 
     Raises DegenerateParameters where HypSeries would: at the first entry,
     row by row, with a lower parameter that vanishes within its summation
@@ -138,8 +139,7 @@ def series_table(rows: Sequence, cols: Sequence) -> list:
                         for (up, lo), n in zip(rows, row_counts)])
     Bt = RationalMatrix(list(zip(*(series_terms(up + [1], lo, n) + [0] * (width - n)
                                    for (up, lo), n in zip(cols, col_counts)))))
-    product = A * Bt
-    return [list(product.row(i)) for i in range(product.rows)]
+    return A * Bt
 
 
 class HypSeries(Frozen):

@@ -19,14 +19,16 @@ _ZERO = Q(0)
 class RationalMatrix(Frozen):
     """Immutable dense matrix over Fraction.
 
-    The result of a product, sum, difference or scalar multiple keeps its
-    integer form: integer rows with a scale d_i per row and e_j per column,
-    entry (i, j) being rows[i][j] / (d_i e_j).  It writes its Fraction
-    entries only when one is first read, so a chain of products, or a
-    residual that is only checked for zero, stays on integers.  Every
-    matrix keeps, from first use, its transpose and the integer-scaled
-    forms a product reads of its factors; as no attribute can be assigned,
-    none goes stale.  Copies and pickles carry the entries only.
+    The result of a product, sum, difference, scaling (``scaled``, which
+    scalar multiples use), entrywise product or transpose keeps its integer
+    form: integer rows with a scale d_i per row and e_j per column, entry
+    (i, j) being rows[i][j] / (d_i e_j).  It writes its Fraction entries
+    only when one is first read, so a chain of products, or a residual
+    that is only checked for zero or for its nonzero points, stays on
+    integers.  Every matrix keeps, from first use, its transpose and the
+    integer-scaled forms a product reads of its factors; as no attribute
+    can be assigned, none goes stale.  Copies and pickles carry the
+    entries only.
     """
 
     __slots__ = ("rows", "cols", "_e", "_sums", "_t", "_row_scaled", "_col_scaled")
@@ -120,19 +122,27 @@ class RationalMatrix(Frozen):
         """Row-major entries as canonical 'p/q' strings."""
         return [[str(x) for x in row] for row in self._e]
 
+    def reduced(self):
+        """This matrix held as its reduced entries alone: a product then
+        scales those, not the integer form, whose integers carry the lcm
+        of its scales."""
+        return self if self._sums is None else RationalMatrix._of(self.rows, self.cols, self._e)
+
     # -- structure tests ----------------------------------------------------
 
+    def nonzeros(self):
+        """(i, j) of each nonzero entry in row-major order, read off the
+        integer form where there is one, so no entry is written out."""
+        rows = self._e if self._sums is None else self._sums[0]
+        return ((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x)
+
     def is_zero(self) -> bool:
-        if self._sums is not None:
-            return not any(any(row) for row in self._sums[0])
-        return all(x == 0 for row in self._e for x in row)
+        return next(self.nonzeros(), None) is None
 
     def first_nonzero(self):
         """(i, j, value) of the first nonzero entry in row-major order, or None."""
-        for i, row in enumerate(self._e):
-            for j, x in enumerate(row):
-                if x != 0:
-                    return (i, j, x)
+        for i, j in self.nonzeros():
+            return (i, j, self[i, j])
         return None
 
     def is_diagonal(self) -> bool:
@@ -162,7 +172,7 @@ class RationalMatrix(Frozen):
         return hash(self._e)
 
     def __neg__(self):
-        return self._scaled_by(-1)
+        return self.scaled([-1] * self.rows)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -222,16 +232,34 @@ class RationalMatrix(Frozen):
                 sums.append(acc)
             return RationalMatrix._of(self.rows, other.cols,
                                       sums=(sums, [d for d, _ in left], scales))
-        return self._scaled_by(other)
+        return self.scaled([other] * self.rows)
 
     def __rmul__(self, scalar):
-        return self._scaled_by(scalar)
+        return self.scaled([scalar] * self.rows)
 
-    def _scaled_by(self, scalar):
-        num, den = (scalar if type(scalar) is Q else Q(scalar)).as_integer_ratio()
+    def scaled(self, r=None, c=None):
+        """diag(r) self diag(c), for row factors r and column factors c (None
+        for ones), without a product: each factor's numerator multiplies
+        the integers of the integer form and its denominator the scale of
+        its row or column."""
         s, ds, es = self._form()
-        rows = [[num * x for x in r] for r in s]
-        return RationalMatrix._of(self.rows, self.cols, sums=(rows, [d * den for d in ds], es))
+        if r is not None:
+            r = [x.as_integer_ratio() for x in r]
+            s = [[num * x for x in row] for (num, _), row in zip(r, s)]
+            ds = [d * den for (_, den), d in zip(r, ds)]
+        if c is not None:
+            c = [x.as_integer_ratio() for x in c]
+            s = [[x * num for x, (num, _) in zip(row, c)] for row in s]
+            es = [e * den for (_, den), e in zip(c, es)]
+        return RationalMatrix._of(self.rows, self.cols, sums=(s, ds, es))
+
+    def hadamard(self, other):
+        """The entrywise product, on the integer forms."""
+        self._check_shape(other)
+        (s, d1, e1), (t, d2, e2) = self._form(), other._form()
+        return RationalMatrix._of(self.rows, self.cols, sums=(
+            [[x * y for x, y in zip(a, b)] for a, b in zip(s, t)],
+            [a * b for a, b in zip(d1, d2)], [a * b for a, b in zip(e1, e2)]))
 
     def _left(self):
         """Each row as (d, integers) over a common denominator d, for
@@ -267,9 +295,14 @@ class RationalMatrix(Frozen):
         return self._col_scaled
 
     def transpose(self):
-        """The transpose, built once; its transpose is this matrix."""
+        """The transpose, built once and in the form this matrix has; its
+        transpose is this matrix."""
         if self._t is None:
-            t = RationalMatrix._of(self.cols, self.rows, tuple(zip(*self._e)))
+            if self._sums is None:
+                t = RationalMatrix._of(self.cols, self.rows, tuple(zip(*self._e)))
+            else:
+                sums, ds, es = self._sums
+                t = RationalMatrix._of(self.cols, self.rows, sums=(list(zip(*sums)), es, ds))
             object.__setattr__(self, "_t", t)
             object.__setattr__(t, "_t", self)
         return self._t
@@ -292,6 +325,12 @@ def commutator(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 
 def anticommutator(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     return a * b + b * a
+
+
+def brackets(a: RationalMatrix, b: RationalMatrix) -> tuple:
+    """([a, b], {a, b}) from one product a b and one b a."""
+    ab, ba = a * b, b * a
+    return ab - ba, ab + ba
 
 
 def dot(u, v) -> Fraction:

@@ -22,10 +22,10 @@ single-value references ``racah``, ``closed_form_S`` and
 ``closed_form_Stilde``.
 
 Every function below works over Fraction and every identity is an exact
-equality: the dot-product and closed-form routes for S and Stilde are
-compared entry by entry, the weights/norms reproduce the Gram relation,
-and the three-term recurrence and difference equations have residual
-exactly zero.
+equality, checked as one residual matrix that must be zero: the
+dot-product and closed-form routes for S and Stilde agree on the whole
+grid, the weights/norms reproduce the Gram relation, and the three-term
+recurrence and difference equations have residual exactly zero.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def racah(i: int, x: int, rp: RacahParams) -> Fraction:
     )
 
 
-def racah_table(rp: RacahParams) -> list:
+def racah_table(rp: RacahParams) -> RationalMatrix:
     """R_i(x) at every i, x in 0..N as one series_table: the term at k is
     (-i)_k (i+a+b+1)_k / ((a+1)_k (b+g+1)_k (-N)_k k!) times (-x)_k (x+g-N)_k."""
     a, b, g, N = rp.alpha_hat, rp.beta_hat, rp.gamma_hat, rp.N
@@ -156,11 +156,13 @@ def verify_racah(ctx: Context) -> VerificationReport:
     every check: the R grid and the closed-form S and Stilde grids built
     on it (all three kept on the Context, none evaluated point by point),
     the bands of V on f and of X + rho Z on e, and the eigenvalue rows of
-    the bases.  The dot-product
-    sides are the products e^T f* and e*^T f of the bases, never these
-    tables.  Every sum over an index, and every band residual, is an entry
-    of one matrix product, built once before its check:
+    the bases.  The dot-product sides are the products e^T f* and e*^T f
+    of the bases, never these tables.  Every check is one residual
+    matrix, zero where the identity holds; every sum over an index, and
+    every band residual, is an entry of one matrix product, and each
+    diagonal factor is a scaling, not a product:
 
+      * identification:   e^T f* - S  and  e*^T f - Stilde;
       * recurrence in n:  diag(mu) S - S VF^T;
       * difference in m:  S diag(nu) - WE^T S;
 
@@ -168,11 +170,12 @@ def verify_racah(ctx: Context) -> VerificationReport:
     WE that of X + rho Z on e.
 
     The orthogonality checks, all exact:
-      * sum_n Stilde_k(n) S_m(n) = delta_km  (closed forms on both slots);
-      * sum_n W_n R_k(n) R_m(n) = N_m delta_km with the explicit weight
-        and norm;
-      * the weight/norm pair is consistent with the overlap Gram:
-        N_m * Stilde_m(n) * S_m(n) = W_n * R_m(n)^2.
+      * Stilde S^T - I, i.e. sum_n Stilde_k(n) S_m(n) = delta_km (closed
+        forms on both slots);
+      * R diag(W) R^T - diag(N_m), i.e. sum_n W_n R_k(n) R_m(n) =
+        N_m delta_km with the explicit weight and norm;
+      * the weight/norm pair is consistent with the overlap Gram,
+        N_m * Stilde_m(n) * S_m(n) = W_n * R_m(n)^2, entrywise.
 
     Signs of W_n and N_m are recorded for information only; positivity
     needs parameter restrictions this library does not impose.
@@ -183,61 +186,29 @@ def verify_racah(ctx: Context) -> VerificationReport:
     rep = VerificationReport(suite="racah", params={**p.as_dict(), "rho": str(fp.rho)})
 
     R, S, St = ctx.grid("racah"), ctx.grid("S"), ctx.grid("Stilde")
-    fstar, e = ctx.basis("fStar"), ctx.basis("e")
-    e_fstar = e.vectors.transpose() * fstar.vectors
-    rep.add_grid(
-        "identify-S",
-        "<f*_n|e_m> = prefactor * R_m(n) on the full grid",
-        N,
-        lambda m, n: e_fstar[m, n] == S[m][n],
-    )
-    f, estar = ctx.basis("f"), ctx.basis("eStar")
-    estar_f = estar.vectors.transpose() * f.vectors
-    rep.add_grid(
-        "identify-Stilde",
-        "<f_n|e*_m> = prefactor * R_m(n) on the full grid",
-        N,
-        lambda m, n: estar_f[m, n] == St[m][n],
-    )
+    fstar, e, f, estar = (ctx.basis(label) for label in ("fStar", "e", "f", "eStar"))
+    rep.add_grid("identify-S", "<f*_n|e_m> = prefactor * R_m(n) on the full grid",
+                 e.vectors.transpose() * fstar.vectors - S)
+    rep.add_grid("identify-Stilde", "<f_n|e*_m> = prefactor * R_m(n) on the full grid",
+                 estar.vectors.transpose() * f.vectors - St)
 
     # the bands stop at the edges, so no neighbour outside 0..N enters
-    Sm = RationalMatrix(S)
     vf = bands(ctx, coeffs_V_on_f, p, fp).assemble()
-    recurrence = RationalMatrix.diagonal(e.eigenvalues) * Sm - Sm * vf.transpose()
-    rep.add_grid("recurrence", "recurrence residual vanishes on the full grid", N,
-                 lambda m, n: recurrence[m, n] == 0)
+    rep.add_grid("recurrence", "recurrence residual vanishes on the full grid",
+                 S.scaled(e.eigenvalues) - S * vf.transpose())
     we = (bands(ctx, coeffs_X_on_e, p).assemble()
           + fp.rho * bands(ctx, coeffs_Z_on_e, p).assemble())
-    difference = Sm * RationalMatrix.diagonal(f.eigenvalues) - we.transpose() * Sm
-    rep.add_grid("difference", "difference residual vanishes on the full grid", N,
-                 lambda m, n: difference[m, n] == 0)
+    rep.add_grid("difference", "difference residual vanishes on the full grid",
+                 S.scaled(None, f.eigenvalues) - we.transpose() * S)
 
     W = [weight(n, rp) for n in range(N + 1)]
     Nm = [norm(m, rp) for m in range(N + 1)]
-
-    gram_S = RationalMatrix(St) * Sm.transpose()
-    rep.add_grid(
-        "gram-S",
-        "sum_n Stilde_k(n) S_m(n) = delta_km",
-        N,
-        lambda k, m: gram_S[k, m] == (1 if k == m else 0),
-        axes="(k, m)",
-    )
-    Rm = RationalMatrix(R)
-    gram_R = Rm * RationalMatrix.diagonal(W) * Rm.transpose()
-    rep.add_grid(
-        "weight-orthogonality",
-        "sum_n W_n R_k(n) R_m(n) = N_m delta_km",
-        N,
-        lambda k, m: gram_R[k, m] == (Nm[m] if k == m else 0),
-        axes="(k, m)",
-    )
-    rep.add_grid(
-        "weight-norm-consistency",
-        "N_m Stilde_m(n) S_m(n) = W_n R_m(n)^2",
-        N,
-        lambda m, n: Nm[m] * St[m][n] * S[m][n] == W[n] * R[m][n] ** 2,
-    )
+    rep.add_grid("gram-S", "sum_n Stilde_k(n) S_m(n) = delta_km",
+                 St * S.transpose() - ctx.I, axes="(k, m)")
+    rep.add_grid("weight-orthogonality", "sum_n W_n R_k(n) R_m(n) = N_m delta_km",
+                 R.scaled(None, W) * R.transpose() - RationalMatrix.diagonal(Nm), axes="(k, m)")
+    rep.add_grid("weight-norm-consistency", "N_m Stilde_m(n) S_m(n) = W_n R_m(n)^2",
+                 St.hadamard(S).scaled(Nm) - R.hadamard(R).scaled(None, W))
 
     signs = "".join("+" if w > 0 else ("-" if w < 0 else "0") for w in W)
     rep.add_info("weight-signs", f"signs of W_0..W_{N}: {signs} (positivity not asserted)")

@@ -72,7 +72,7 @@ def calU_tilde(m: int, n: int, p: Params) -> Fraction:
     return calU_general(m, p.N - n, *tilde_params(p), p.N)
 
 
-def calU_table(a, b, c, N: int, ns) -> list:
+def calU_table(a, b, c, N: int, ns) -> RationalMatrix:
     """calU_general(m, n, a, b, c, N) at every m in 0..N (rows) and n in ns
     (columns) as one series_table: the term at k is
     (-m)_k (m-2b-2c-1)_k (-a)_k / ((-N)_k (N-2a-b-2c)_k k!) times
@@ -212,7 +212,7 @@ def _gevp_residual(p: Params, cU: RationalMatrix) -> RationalMatrix:
     dn = [(m - a - b - 2 * z - 1) * C[m] for m in range(N + 1)]
     T0 = _band(dn, [u - d for u, d in zip(up, dn)], [-u for u in up], "m")
     T1 = _band(C, [-(x + y + a) for x, y in zip(A, C)], A, "m")
-    return T0 * cU + T1 * cU * RationalMatrix.diagonal(range(N + 1))
+    return T0 * cU + (T1 * cU).scaled(None, range(N + 1))
 
 
 def difference_B(n: int, p: Params) -> Fraction:
@@ -246,7 +246,7 @@ def _difference_residual(p: Params, cU: RationalMatrix) -> RationalMatrix:
     T1 = _band([n * (n - 2 * a + b) / (n - a + b) for n in range(N + 1)],
                [a - n for n in range(N + 1)], [Q(0)] * (N + 1), "n")
     fac = [m * (2 * b + 2 * z + 1 - m) for m in range(N + 1)]
-    return cU * T0.transpose() + RationalMatrix.diagonal(fac) * cU * T1.transpose()
+    return cU * T0.transpose() + cU.scaled(fac) * T1.transpose()
 
 
 # -- contiguity --------------------------------------------------------------
@@ -275,7 +275,7 @@ def _contiguity_residual(p: Params, cU: RationalMatrix) -> RationalMatrix:
     if offenders:
         raise DegenerateParameters(offenders)
     sp = shifted_params(p)
-    shifted = RationalMatrix(calU_table(sp.alpha, sp.beta, sp.zeta, N, range(N + 1)))
+    shifted = calU_table(sp.alpha, sp.beta, sp.zeta, N, range(N + 1))
     T = _band([n * (n - 2 * a + b) / (a * (b - a)) for n in range(N + 1)],
               [(n - a) * (n - a + b) / (a * (a - b)) for n in range(N + 1)],
               [Q(0)] * (N + 1), "n")
@@ -315,7 +315,7 @@ def dual_hahn_params(p: Params) -> tuple:
     return (N - 2 * a - b - 2 * z - 1, 2 * a - b - N - 1, N)
 
 
-def dual_hahn_table(rho) -> list:
+def dual_hahn_table(rho) -> RationalMatrix:
     """dual_hahn(i, x, rho) at every i, x in 0..N as one series_table: the
     term at k is (-i)_k / ((r1+1)_k (-N)_k k!) times (-x)_k (x+r1+r2+1)_k."""
     r1, r2, N = Q(rho[0]), Q(rho[1]), rho[2]
@@ -424,11 +424,12 @@ def verify_rational(ctx: Context) -> VerificationReport:
     The calU and calU_tilde grids, the U and Utilde grids built on them
     and the dual Hahn grid are read from the Context and shared by every
     check; the dot-product sides are products of the bases (e^T d*,
-    e*^T Z d, e^T z*, z^T d*).  Every sum over an index, and every band
-    residual, is an entry of one matrix product built before its check.
-    Both biorthogonality relations are checked exactly, with the explicit
-    weights.  The dual Hahn check fails at (m, n) exactly where
-    dual_hahn_expansion(ctx, m, n) does.
+    e*^T Z d, e^T z*, z^T d*).  Every check is one residual matrix, zero
+    where the identity holds: every sum over an index, and every band
+    residual, is an entry of one matrix product, and each diagonal factor
+    is a scaling, not a product.  Both biorthogonality relations are
+    checked exactly, with the explicit weights.  The dual Hahn check
+    fails at (m, n) exactly where dual_hahn_expansion(ctx, m, n) does.
     """
     p = ctx.p
     N = p.N
@@ -438,20 +439,10 @@ def verify_rational(ctx: Context) -> VerificationReport:
 
     cU, cUt = ctx.grid("calU"), ctx.grid("calUtilde")
     U, Ut = ctx.grid("U"), ctx.grid("Utilde")
-    e_dstar = e.vectors.transpose() * dstar.vectors
-    rep.add_grid(
-        "identify-U",
-        "<e_m|d*_n> = prefactor * calU_m(n) on the full grid",
-        N,
-        lambda m, n: e_dstar[m, n] == U[m][n],
-    )
-    estar_zd = estar.vectors.transpose() * (ctx.Z * d.vectors)
-    rep.add_grid(
-        "identify-Utilde",
-        "<e*_m|Z|d_n> = prefactor * calU_tilde_m(n) on the full grid",
-        N,
-        lambda m, n: estar_zd[m, n] == Ut[m][n],
-    )
+    rep.add_grid("identify-U", "<e_m|d*_n> = prefactor * calU_m(n) on the full grid",
+                 e.vectors.transpose() * dstar.vectors - U)
+    rep.add_grid("identify-Utilde", "<e*_m|Z|d_n> = prefactor * calU_tilde_m(n) on the full grid",
+                 estar.vectors.transpose() * (ctx.Z * d.vectors) - Ut)
 
     W = [weight_W(j, p) for j in range(N + 1)]
     Ws = [weight_Wstar(j, p) for j in range(N + 1)]
@@ -460,64 +451,46 @@ def verify_rational(ctx: Context) -> VerificationReport:
 
     rep.add("h0-normalization", "h_0 = h*_0 = 1", h[0] == 1 and hs[0] == 1,
             detail=f"h_0 = {h[0]}, h*_0 = {hs[0]}")
-    cUm, cUtm = RationalMatrix(cU), RationalMatrix(cUt)
-    point = cUtm * RationalMatrix.diagonal(W) * cUm.transpose()
-    rep.add_grid(
-        "biorth-point",
-        "sum_j W(j) calUt_m(j) calU_n(j) = h_n delta_nm",
-        N,
-        lambda m, n: point[m, n] == (h[n] if n == m else 0),
-    )
-    degree = cUtm.transpose() * RationalMatrix.diagonal(Ws) * cUm
-    rep.add_grid(
-        "biorth-degree",
-        "sum_j W*(j) calUt_j(m) calU_j(n) = h*_n delta_nm",
-        N,
-        lambda m, n: degree[m, n] == (hs[n] if n == m else 0),
-    )
-    Um, Utm = RationalMatrix(U), RationalMatrix(Ut)
-    gram = Utm * Um.transpose()
-    rep.add_grid(
-        "gram-U",
-        "sum_n Ut_k(n) U_m(n) = delta_km",
-        N,
-        lambda k, m: gram[k, m] == (1 if k == m else 0),
-        axes="(k, m)",
-    )
-    gram_dual = Utm.transpose() * Um
-    rep.add_grid(
-        "gram-U-dual",
-        "sum_m Ut_m(k) U_m(n) = delta_kn",
-        N,
-        lambda k, n: gram_dual[k, n] == (1 if k == n else 0),
-        axes="(k, n)",
-    )
+    rep.add_grid("biorth-point", "sum_j W(j) calUt_m(j) calU_n(j) = h_n delta_nm",
+                 cUt.scaled(None, W) * cU.transpose() - RationalMatrix.diagonal(h))
+    rep.add_grid("biorth-degree", "sum_j W*(j) calUt_j(m) calU_j(n) = h*_n delta_nm",
+                 cUt.transpose().scaled(None, Ws) * cU - RationalMatrix.diagonal(hs))
+    rep.add_grid("gram-U", "sum_n Ut_k(n) U_m(n) = delta_km",
+                 Ut * U.transpose() - ctx.I, axes="(k, m)")
+    rep.add_grid("gram-U-dual", "sum_m Ut_m(k) U_m(n) = delta_kn",
+                 Ut.transpose() * U - ctx.I, axes="(k, n)")
 
     for check_id, statement, residual in (
         ("gevp-recurrence", "GEVP recurrence", _gevp_residual),
         ("difference", "difference-equation", _difference_residual),
         ("contiguity", "contiguity", _contiguity_residual),
     ):
-        res = residual(p, cUm)
-        rep.add_grid(check_id, f"{statement} residual vanishes on the full grid", N,
-                     lambda m, n: res[m, n] == 0)
+        rep.add_grid(check_id, f"{statement} residual vanishes on the full grid",
+                     residual(p, cU))
 
     rep.checks.extend(contiguity_operator_check(ctx).checks)
 
+    # the dual Hahn check fails at (m, n) where row m of em-zstar, column n
+    # of zk-dstar or entry (m, n) of the expansion residual is nonzero: its
+    # residual is the expansion residual on the rows and columns whose
+    # overlaps hold, and 1 elsewhere
     R = ctx.grid("dualHahn")
     zstar, zfam = ctx.basis("zStar"), ctx.basis("z")
-    e_zstar = e.vectors.transpose() * zstar.vectors
-    pre = [_prefactor_U_m(m, p) for m in range(N + 1)]
-    facts = [pochhammer(Q(1), k) for k in range(N + 1)]
-    em_ok = [all(e_zstar[m, k] == pre[m] / facts[k] * R[k][m] for k in range(N + 1))
-             for m in range(N + 1)]
-    z_dstar = zfam.vectors.transpose() * dstar.vectors
-    zk_ok = [all(z_dstar[k, n] == zk_dstar_closed(k, n, p) for k in range(N + 1))
-             for n in range(N + 1)]
+    em = e.vectors.transpose() * zstar.vectors - R.transpose().scaled(
+        [_prefactor_U_m(m, p) for m in range(N + 1)],
+        [1 / pochhammer(Q(1), k) for k in range(N + 1)])
+    zk = zfam.vectors.transpose() * dstar.vectors - RationalMatrix(
+        [[zk_dstar_closed(k, n, p) for n in range(N + 1)] for k in range(N + 1)])
     expansion = RationalMatrix(
-        [_dual_hahn_row(n, p) + [0] * (N - n) for n in range(N + 1)]) * RationalMatrix(R)
-    rep.add_grid("dual-hahn", "dual Hahn expansion and overlap closed forms on the full grid", N,
-                 lambda m, n: em_ok[m] and zk_ok[n] and expansion[n, m] == cU[m][n])
+        [_dual_hahn_row(n, p) + [0] * (N - n) for n in range(N + 1)]) * R
+    row_ok, col_ok = [1] * (N + 1), [1] * (N + 1)
+    for m, _ in em.nonzeros():
+        row_ok[m] = 0
+    for _, n in zk.nonzeros():
+        col_ok[n] = 0
+    rep.add_grid("dual-hahn", "dual Hahn expansion and overlap closed forms on the full grid",
+                 (expansion.transpose() - cU).scaled(row_ok, col_ok)
+                 + RationalMatrix([[1 - r * c for c in col_ok] for r in row_ok]))
 
     rep.checks.extend(
         hahn_limit_check(1, 1, Q(1, 3), Q(1, 5), p, (1000, 10000, 100000)).checks)

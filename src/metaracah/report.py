@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
 PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped-degenerate"
@@ -43,16 +45,15 @@ class VerificationReport:
         return self.add(check_id, statement, ok,
                         "" if ok else describe_matrix_mismatch(residual))
 
-    def add_grid(self, check_id: str, statement: str, N: int, predicate, axes: str = "(m, n)"):
-        """Pass iff predicate(i, j) holds on the whole (N+1) x (N+1) grid.
+    def add_grid(self, check_id: str, statement: str, residual, axes: str = "(m, n)"):
+        """Pass iff the residual matrix is zero.
 
-        Every point is evaluated, row by row; a failure lists the first four
-        failing points under the axis names ``axes``, as in
-        "failing (m, n): [(0, 1), (2, 2)]".
+        A failure lists its first four nonzero points, row by row, under
+        the axis names ``axes``, as in "failing (m, n): [(0, 1), (2, 2)]";
+        they are read off the integer form, so no entry is written out.
         """
-        bad = [(i, j) for i in range(N + 1) for j in range(N + 1) if not predicate(i, j)]
-        return self.add(check_id, statement, not bad,
-                        "" if not bad else f"failing {axes}: {bad[:4]}")
+        bad = list(islice(residual.nonzeros(), 4))
+        return self.add(check_id, statement, not bad, "" if not bad else f"failing {axes}: {bad}")
 
     def add_line(self, check_id: str, statement: str, N: int, predicate, axis: str = "n"):
         """Pass iff predicate(i) holds for every i in 0..N; a failure lists

@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 import metaracah
 import metaracah.algebra as algebra
+import metaracah.cli as cli
 import metaracah.eigenbases as eb
 import metaracah.matrices as matrices
 import metaracah.racahpoly as racahpoly
 import metaracah.rationalfns as rationalfns
+import metaracah.report as report
 from metaracah.cli import main
 from metaracah.racahpoly import RacahParams, closed_form_S
 from metaracah import FParams, Params, validate_params
@@ -152,6 +154,24 @@ def test_sweeps_are_reported(capsys):
     sweep_suites = [r["suite"] for r in payload["reports"]
                     if r["suite"].startswith("sweep-")]
     assert len(sweep_suites) >= 2
+
+
+def test_a_sweep_set_that_fails_after_validation_exits_2(capsys, monkeypatch):
+    # only a set its Context refuses is drawn again: a suite that raises
+    # DegenerateParameters on a validated sweep set ends the run with exit 2
+    # and its offenders, as it does on the explicit set
+    explicit = Params(N=3, alpha=Q(1, 3), beta=Q(1, 5), zeta=Q(1, 7))
+
+    def racah_suite(ctx):
+        if ctx.p != explicit:
+            raise metaracah.DegenerateParameters(["planted offender"])
+        return []
+
+    monkeypatch.setitem(cli.SUITE_RUNNERS, "racah", racah_suite)
+    code, out = run(capsys, "verify", "--N", "3", "--suite", "racah", "--sweeps", "1")
+    assert code == 2
+    assert json.loads(out) == {"error": "degenerate-parameters",
+                               "offenders": ["planted offender"]}
 
 
 # sets that validate_params accepts and whose model once divided by the
@@ -395,7 +415,9 @@ def test_one_validation_and_one_build_per_set(capsys, monkeypatch, argv):
 
 def test_verify_all_product_count(capsys, monkeypatch):
     # the algebra checks share the Context's one Casimir (8 products) and the
-    # conjugations on d and d* share their dual sides (b*)^T W (2 each)
+    # conjugations on d and d* share their dual sides (b*)^T W (2 each); each
+    # commutator/anticommutator pair of the relations reads one a*b and one
+    # b*a, and a diagonal factor is a scaling, never a product
     products = []
     mul = matrices.RationalMatrix.__mul__
 
@@ -407,7 +429,33 @@ def test_verify_all_product_count(capsys, monkeypatch):
     monkeypatch.setattr(matrices.RationalMatrix, "__mul__", counted)
     code, _ = run(capsys, "verify", "--suite", "all", "--N", "8")
     assert code == 0
-    assert len(products) == 159
+    assert len(products) == 138
+
+
+def test_verify_all_writes_out_few_results(capsys, monkeypatch):
+    # a residual checked by add_grid is read off its integer form, so none
+    # writes its Fraction entries; what is written out is the eight grids
+    # (each once) and matrices whose entries a check or the output reads
+    written, residuals = [], []
+    read = matrices.RationalMatrix.__getattr__
+    add_grid = report.VerificationReport.add_grid
+
+    def counted(self, name):
+        if name == "_e":
+            written.append(self)
+        return read(self, name)
+
+    def collected(self, *args, **kwargs):
+        residuals.append(args[2])
+        return add_grid(self, *args, **kwargs)
+
+    monkeypatch.setattr(matrices.RationalMatrix, "__getattr__", counted)
+    monkeypatch.setattr(report.VerificationReport, "add_grid", collected)
+    code, _ = run(capsys, "verify", "--suite", "all", "--N", "8")
+    assert code == 0
+    assert len(residuals) == 27
+    assert not any(r is w for r in residuals for w in written)
+    assert len(written) == 20
 
 
 def test_casimir_is_built_once_per_context():

@@ -24,6 +24,7 @@ from metaracah import (
 from metaracah.cli import SUITES, run_suites
 from metaracah.diffmodel import model_basis
 from metaracah.eigenbases import FAMILIES, eigenvalue, z_action_on_d
+from metaracah.matrices import RationalMatrix
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -156,6 +157,22 @@ def test_rho_grids_need_fparams_and_each_grid_is_kept(p3, fp):
                  "U": lambda m, n: closed_form_U(m, n, p3),
                  "Utilde": lambda m, n: closed_form_Utilde(m, n, p3)}
     for name, value in per_point.items():
-        assert ctx.grid(name) == [[value(m, n) for n in range(p3.N + 1)]
-                                  for m in range(p3.N + 1)], name
+        assert ctx.grid(name) == RationalMatrix([[value(m, n) for n in range(p3.N + 1)]
+                                                 for m in range(p3.N + 1)]), name
     assert ctx.Vtilde is ctx.Vtilde and ctx.Vtilde * ctx.Z == ctx.X
+
+
+def test_grids_cannot_be_changed_in_place(ctx3):
+    # every suite on a Context reads the one kept grid, so no caller may
+    # change it: a grid is an immutable matrix with tuple rows
+    grid = ctx3.grid("Utilde")
+    with pytest.raises(TypeError):
+        ctx3.grid("Utilde")[1][2] *= 2
+    with pytest.raises(TypeError):
+        grid[1, 2] *= 2
+    with pytest.raises(TypeError):
+        grid.row(1)[2] *= 2
+    with pytest.raises(AttributeError):
+        grid.rows = 2
+    assert ctx3.grid("Utilde") is grid
+    assert grid == eb.Context(ctx3.p, ctx3.fp).grid("Utilde")

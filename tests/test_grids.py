@@ -77,7 +77,8 @@ def test_every_table_equals_its_per_point_closed_form(monkeypatch):
         ctx, rp = Context(p, FParams(rho=rho)), RacahParams.from_params(p, FParams(rho=rho))
         for name, per_point in PER_POINT.items():
             value = per_point(p, rp)
-            want = _outcome(lambda: [[value(m, n) for n in range(N + 1)] for m in range(N + 1)])
+            want = _outcome(lambda: RationalMatrix([[value(m, n) for n in range(N + 1)]
+                                                    for m in range(N + 1)]))
             got = _outcome(lambda: ctx.grid(name))
             if want[0] == "zero-division":
                 assert got[0] in ("zero-division", "degenerate"), (name, p, rho)
@@ -93,8 +94,8 @@ def test_series_table_stops_each_factor_at_its_own_reach():
     # so no factor of a 3 x 3 table forms that term
     rows = [((-i,), (-2,)) for i in range(3)]
     cols = [((-x,), ()) for x in range(3)]
-    assert series_table(rows, cols) == [[terminating_hyp((-i, -x), (-2,)) for x in range(3)]
-                                        for i in range(3)]
+    assert series_table(rows, cols) == RationalMatrix(
+        [[terminating_hyp((-i, -x), (-2,)) for x in range(3)] for i in range(3)])
     with pytest.raises(DegenerateParameters, match="lower parameter -2 vanishes within "
                                                    r"summation range 0\.\.3"):
         series_table([((-i,), (-2,)) for i in range(4)], [((-x,), ()) for x in range(4)])

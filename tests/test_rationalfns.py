@@ -83,10 +83,18 @@ def test_biorthogonality_report(ctx5):
         assert checks[check_id].status == "pass", checks[check_id]
 
 
+def _with_entry(grid, i, j, change):
+    """A copy of the grid matrix with entry (i, j) replaced by change(entry):
+    what a fault test puts in a Context's grid table."""
+    rows = [list(grid.row(r)) for r in range(grid.rows)]
+    rows[i][j] = change(rows[i][j])
+    return RationalMatrix(rows)
+
+
 def test_gram_U_failures_name_their_points(p3, ctx3):
     # doubling Utilde_1(2) breaks row k = 1 of gram-U wherever U_m(2) != 0,
     # and row k = 2 of gram-U-dual wherever U_1(n) != 0
-    ctx3.grid("Utilde")[1][2] *= 2
+    ctx3._grids["Utilde"] = _with_entry(ctx3.grid("Utilde"), 1, 2, lambda x: 2 * x)
     checks = {c.id: c for c in verify_rational(ctx3).checks}
     N = p3.N
     row = [(1, m) for m in range(N + 1) if closed_form_U(m, 2, p3) != 0]
@@ -321,26 +329,26 @@ def _per_point_references(ctx):
     def expansion(m, n):
         return pochhammer(1, n) / pochhammer(a - b - n, n) * total(
             pochhammer(-a, k) * pochhammer(2 * a - b - n, n - k)
-            / (pochhammer(1, n - k) * pochhammer(1, k)) * dH[k][m] for k in range(n + 1))
+            / (pochhammer(1, n - k) * pochhammer(1, k)) * dH[k, m] for k in range(n + 1))
 
     return {
-        "identify-S": ("(m, n)", lambda m, n: pair("e", "fStar", m, n) == S[m][n]),
-        "identify-Stilde": ("(m, n)", lambda m, n: pair("eStar", "f", m, n) == St[m][n]),
-        "gram-S": ("(k, m)", lambda k, m: total(St[k][n] * S[m][n] for n in rng) == delta(k, m)),
+        "identify-S": ("(m, n)", lambda m, n: pair("e", "fStar", m, n) == S[m, n]),
+        "identify-Stilde": ("(m, n)", lambda m, n: pair("eStar", "f", m, n) == St[m, n]),
+        "gram-S": ("(k, m)", lambda k, m: total(St[k, n] * S[m, n] for n in rng) == delta(k, m)),
         "weight-orthogonality": ("(k, m)", lambda k, m: total(
-            W[n] * R[k][n] * R[m][n] for n in rng) == delta(k, m, Nm[m])),
-        "identify-U": ("(m, n)", lambda m, n: pair("e", "dStar", m, n) == U[m][n]),
+            W[n] * R[k, n] * R[m, n] for n in rng) == delta(k, m, Nm[m])),
+        "identify-U": ("(m, n)", lambda m, n: pair("e", "dStar", m, n) == U[m, n]),
         "identify-Utilde": ("(m, n)", lambda m, n: total(
-            vec["eStar"][l, m] * zd[l][n] for l in rng) == Ut[m][n]),
+            vec["eStar"][l, m] * zd[l][n] for l in rng) == Ut[m, n]),
         "biorth-point": ("(m, n)", lambda m, n: total(
-            Wr[j] * cUt[m][j] * cU[n][j] for j in rng) == delta(m, n, h[n])),
+            Wr[j] * cUt[m, j] * cU[n, j] for j in rng) == delta(m, n, h[n])),
         "biorth-degree": ("(m, n)", lambda m, n: total(
-            Ws[j] * cUt[j][m] * cU[j][n] for j in rng) == delta(m, n, hs[n])),
-        "gram-U": ("(k, m)", lambda k, m: total(Ut[k][n] * U[m][n] for n in rng) == delta(k, m)),
+            Ws[j] * cUt[j, m] * cU[j, n] for j in rng) == delta(m, n, hs[n])),
+        "gram-U": ("(k, m)", lambda k, m: total(Ut[k, n] * U[m, n] for n in rng) == delta(k, m)),
         "gram-U-dual": ("(k, n)", lambda k, n: total(
-            Ut[m][k] * U[m][n] for m in rng) == delta(k, n)),
+            Ut[m, k] * U[m, n] for m in rng) == delta(k, n)),
         "dual-hahn": ("(m, n)", lambda m, n: em_ok[m] and zk_ok[n]
-                      and expansion(m, n) == cU[m][n]),
+                      and expansion(m, n) == cU[m, n]),
     }
 
 
@@ -358,7 +366,7 @@ def test_product_checks_name_the_points_a_perturbed_grid_breaks(p3, fp, name):
     ctx = Context(p3, fp)
     for grid_name in GRIDS:
         ctx.grid(grid_name)
-    ctx._grids[name][1][2] += 1
+    ctx._grids[name] = _with_entry(ctx.grid(name), 1, 2, lambda x: x + 1)
     checks = {c.id: c for rep in (verify_racah(ctx), verify_rational(ctx)) for c in rep.checks}
     for check_id, (axes, holds) in _per_point_references(ctx).items():
         bad = [(i, j) for i in range(p3.N + 1) for j in range(p3.N + 1) if not holds(i, j)]
