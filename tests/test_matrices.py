@@ -164,23 +164,28 @@ def reuse_case(draw):
     return a, b
 
 
-@given(reuse_case(), st.permutations(range(8)))
-@example(([[Q(2, 3)]], [[Q(-5, 7)]]), list(range(8)))
-@example(([[Q(0)]], [[Q(1, 2)]]), list(range(8))[::-1])
+@given(reuse_case(), st.permutations(range(12)))
+@example(([[Q(2, 3)]], [[Q(-5, 7)]]), list(range(12)))
+@example(([[Q(0)]], [[Q(1, 2)]]), list(range(12))[::-1])
 @example(([[Q(0), Q(0)], [Q(1, 6), Q(0)]], [[Q(1, 4), Q(3)], [Q(0), Q(-1, 9)]]),
-         [1, 3, 0, 5, 7, 2, 6, 4])
+         [1, 3, 0, 5, 7, 2, 6, 4, 11, 9, 8, 10])
 @settings(max_examples=150, deadline=None)
 def test_reused_factors_match_entrywise_reference(case, order):
     # one matrix as left factor, right factor and transposed, and one
     # product P = A B in further products, sums and scalar multiples, before
     # or after its entries are read, in any order, so each operation meets
-    # the scaled and integer forms the others left behind
+    # the scaled and integer forms the others left behind; diagonal scalings
+    # (a zero factor included), entrywise products and transposes of a
+    # result keep the integer form too
     a, b = case
     A, B = RationalMatrix(a), RationalMatrix(b)
     P = A * B
     at = [list(col) for col in zip(*a)]
     ab = _reference_product(a, b)
     zero = [[Q(0)] * len(ab) for _ in ab]
+    r = [Q(i - 1, i + 2) for i in range(len(ab))]
+    c = [Q(2 * j + 1, j + 3) for j in range(len(ab))]
+    rab_c = [[r[i] * x * c[j] for j, x in enumerate(row)] for i, row in enumerate(ab)]
     expected = {
         0: (lambda: A.transpose() * A, lambda: _reference_product(at, a)),
         1: (lambda: P * A, lambda: _reference_product(ab, a)),
@@ -191,12 +196,18 @@ def test_reused_factors_match_entrywise_reference(case, order):
         6: (lambda: P - A * B, lambda: zero),
         7: (lambda: 2 * P - P * Q(1, 3) + (-RationalMatrix(ab)) - P.transpose().transpose(),
             lambda: [[x * Q(-1, 3) for x in row] for row in ab]),
+        8: (lambda: P.scaled(r, c), lambda: rab_c),
+        9: (lambda: A.scaled(r) * B.scaled(None, c), lambda: rab_c),
+        10: (lambda: P.hadamard(P), lambda: [[x * x for x in row] for row in ab]),
+        11: (lambda: (-P).transpose(), lambda: [[-x for x in col] for col in zip(*ab)]),
     }
     if len(a) == len(a[0]):
         assert A * A == RationalMatrix(_reference_product(a, a))
     for i in order:
         got, ref = expected[i]
         result, rows = got(), ref()
+        assert list(result.nonzeros()) == [(i, j) for i, row in enumerate(rows)
+                                           for j, x in enumerate(row) if x != 0]
         assert result.is_zero() == all(x == 0 for row in rows for x in row)
         assert [list(result.row(r)) for r in range(result.rows)] == rows
         assert all(type(x) is Q for r in range(result.rows) for x in result.row(r))
