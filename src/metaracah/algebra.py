@@ -163,32 +163,21 @@ def require_generic(p: Params, rho=None) -> None:
 
 def build_Z(p: Params) -> RationalMatrix:
     N, a = p.N, p.alpha
-    m = [[Q(0)] * (N + 1) for _ in range(N + 1)]
-    for n in range(N + 1):
-        m[n][n] = n - a
-        if n < N:
-            m[n + 1][n] = Q(1)
-    return RationalMatrix(m)
+    return RationalMatrix.banded(N + 1, {0: [n - a for n in range(N + 1)], -1: [1] * N})
 
 
 def build_V(p: Params) -> RationalMatrix:
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
-    m = [[Q(0)] * (N + 1) for _ in range(N + 1)]
-    for n in range(N + 1):
-        m[n][n] = (n - b - z - 1) * (b + z - n)
-        if n >= 1:
-            m[n - 1][n] = n * (N + 1 - n) * (n - 1 - 2 * a - b - 2 * z + N)
-    return RationalMatrix(m)
+    return RationalMatrix.banded(N + 1, {
+        0: [(n - b - z - 1) * (b + z - n) for n in range(N + 1)],
+        1: [n * (N + 1 - n) * (n - 1 - 2 * a - b - 2 * z + N) for n in range(1, N + 1)],
+    })
 
 
 def build_X(p: Params) -> RationalMatrix:
     N, a, b = p.N, p.alpha, p.beta
-    m = [[Q(0)] * (N + 1) for _ in range(N + 1)]
-    for n in range(N + 1):
-        m[n][n] = -((n - a) ** 2)
-        if n < N:
-            m[n + 1][n] = -(n - b)
-    return RationalMatrix(m)
+    return RationalMatrix.banded(N + 1, {0: [-((n - a) ** 2) for n in range(N + 1)],
+                                         -1: [-(n - b) for n in range(N)]})
 
 
 def build_transposes(p: Params):
@@ -202,19 +191,15 @@ def build_transposes(p: Params):
     Each equals the matrix transpose of the corresponding builder output.
     """
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
-    zt = [[Q(0)] * (N + 1) for _ in range(N + 1)]
-    vt = [[Q(0)] * (N + 1) for _ in range(N + 1)]
-    xt = [[Q(0)] * (N + 1) for _ in range(N + 1)]
-    for n in range(N + 1):
-        zt[n][n] = n - a
-        vt[n][n] = (n - b - z - 1) * (b + z - n)
-        xt[n][n] = -((n - a) ** 2)
-        if n >= 1:
-            zt[n - 1][n] = Q(1)
-            xt[n - 1][n] = -(n - 1 - b)
-        if n < N:
-            vt[n + 1][n] = (n + 1) * (N - n) * (n - 2 * a - b - 2 * z + N)
-    return RationalMatrix(zt), RationalMatrix(vt), RationalMatrix(xt)
+    return (
+        RationalMatrix.banded(N + 1, {0: [n - a for n in range(N + 1)], 1: [1] * N}),
+        RationalMatrix.banded(N + 1, {
+            0: [(n - b - z - 1) * (b + z - n) for n in range(N + 1)],
+            -1: [(n + 1) * (N - n) * (n - 2 * a - b - 2 * z + N) for n in range(N)],
+        }),
+        RationalMatrix.banded(N + 1, {0: [-((n - a) ** 2) for n in range(N + 1)],
+                                      1: [-(n - 1 - b) for n in range(1, N + 1)]}),
+    )
 
 
 def casimir(ctx: Context) -> RationalMatrix:
@@ -390,4 +375,4 @@ def heun_bidiagonal(p: Params, h0, h1, h4):
     """
     h0, h1, h4 = Q(h0), Q(h1), Q(h4)
     m = algebraic_heun(p, h0, h1, -h4, -h4, h4)
-    return m, m.is_lower_bidiagonal()
+    return m, m.in_band(1, 0)

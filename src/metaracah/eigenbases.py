@@ -381,11 +381,12 @@ def _band_kernel(A: RationalMatrix, B: RationalMatrix):
 def oracle_basis(ctx: Context, label: str) -> BasisFamily:
     """Recompute each basis vector as a kernel of (A - eigenvalue B).
 
-    The pencil's two bands are read once.  When exactly one diagonal entry
-    of A - eigenvalue B vanishes, bidiagonal_kernel gives the kernel by a
-    two-term recurrence along the band, O(N) per index; a pencil of another
-    shape, or a diagonal with no or several zeros, goes to fraction-free
-    elimination (nullspace).  Either way the kernel must be one-dimensional for every
+    The pencil's two bands are read once, off the integer form of a sum
+    such as X + rho Z, so the pencil is not written out.  When exactly one
+    diagonal entry of A - eigenvalue B vanishes, bidiagonal_kernel gives
+    the kernel by a two-term recurrence along the band, O(N) per index; a
+    pencil of another shape, or a diagonal with no or several zeros, goes
+    to fraction-free elimination (nullspace).  Either way the kernel must be one-dimensional for every
     index (NondegenerateSpectrumViolated otherwise); the solution is scaled
     so its component on |n> matches the closed form's, which is the only
     use made of the closed-form data: the anchors are the diagonal of the

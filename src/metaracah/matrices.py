@@ -3,6 +3,8 @@
 Operator matrices follow the column-action convention: column n holds the
 expansion coefficients of (operator applied to basis vector n) over the
 standard basis, so composition reads left to right as matrix product.
+Band k of a matrix is its entries (i, i + k): RationalMatrix.banded builds
+a matrix from its bands, in_band tests its shape and band reads one band.
 """
 
 from __future__ import annotations
@@ -88,14 +90,28 @@ class RationalMatrix(Frozen):
         return cls([[0] * cols for _ in range(rows)])
 
     @classmethod
+    def banded(cls, n: int, bands: dict):
+        """The n x n matrix whose band k, the entries (i, i + k), holds the
+        values bands[k] in order of i, and which is zero off those bands.
+        ValueError unless each band has its n - |k| values."""
+        rows = [[_ZERO] * n for _ in range(n)]
+        for k, values in bands.items():
+            values, size = list(values), max(n - abs(k), 0)
+            if len(values) != size:
+                raise ValueError(f"band {k} of a {n} x {n} matrix needs {size} values,"
+                                 f" not {len(values)}")
+            for i, x in enumerate(values, max(0, -k)):
+                rows[i][i + k] = x
+        return cls(rows)
+
+    @classmethod
     def identity(cls, n: int):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.banded(n, {0: [1] * n})
 
     @classmethod
     def diagonal(cls, values):
         values = list(values)
-        n = len(values)
-        return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.banded(len(values), {0: values})
 
     @classmethod
     def from_columns(cls, columns):
@@ -145,19 +161,20 @@ class RationalMatrix(Frozen):
             return (i, j, self[i, j])
         return None
 
-    def is_diagonal(self) -> bool:
-        return all(x == 0 for i, row in enumerate(self._e) for j, x in enumerate(row) if i != j)
+    def in_band(self, lower: int, upper: int) -> bool:
+        """Whether every nonzero entry (i, j) lies on a band k = j - i with
+        -lower <= k <= upper: in_band(0, 0) is diagonal, in_band(1, 0) lower
+        bidiagonal, in_band(1, 1) tridiagonal.  Read off nonzeros()."""
+        return all(-lower <= j - i <= upper for i, j in self.nonzeros())
 
-    def is_tridiagonal(self) -> bool:
-        return all(
-            x == 0 for i, row in enumerate(self._e) for j, x in enumerate(row) if abs(i - j) > 1
-        )
-
-    def is_lower_bidiagonal(self) -> bool:
-        """Nonzero entries confined to the diagonal and the first subdiagonal."""
-        return all(
-            x == 0 for i, row in enumerate(self._e) for j, x in enumerate(row) if i - j not in (0, 1)
-        )
+    def band(self, k: int) -> tuple:
+        """Band k, the entries (i, i + k) in order of i; an integer form
+        writes out only these entries."""
+        span = range(max(0, -k), min(self.rows, self.cols - k))
+        if self._sums is None:
+            return tuple(self._e[i][i + k] for i in span)
+        sums, ds, es = self._sums
+        return tuple(Q(s, ds[i] * es[i + k]) if (s := sums[i][i + k]) else _ZERO for i in span)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -411,13 +428,10 @@ def bidiagonal_bands(m: RationalMatrix, lower: bool):
     """(diag, off) of a square m whose nonzero entries lie on the diagonal
     and the subdiagonal (lower) or the superdiagonal, else None.  off[j] is
     entry (j+1, j) when lower and entry (j, j+1) otherwise."""
-    side = 1 if lower else -1
-    if m.rows != m.cols or any(x != 0 for i, row in enumerate(m._e)
-                               for j, x in enumerate(row) if i - j not in (0, side)):
+    below, above = (1, 0) if lower else (0, 1)
+    if m.rows != m.cols or not m.in_band(below, above):
         return None
-    e = m._e
-    return ([e[j][j] for j in range(m.rows)],
-            [e[j + 1][j] if lower else e[j][j + 1] for j in range(m.rows - 1)])
+    return m.band(0), m.band(above - below)
 
 
 def bidiagonal_kernel(diag, off, n: int, lower: bool):

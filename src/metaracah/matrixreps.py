@@ -32,21 +32,15 @@ Q = Fraction
 
 
 class TridiagonalCoeffs(NamedTuple):
-    """Banded coefficients; bidiagonal actions leave one band at zeros."""
+    """Banded coefficients; bidiagonal actions leave one band at zeros.
+    sup is band -1 of the matrix, diag band 0 and sub band 1."""
 
     sup: tuple  # length N, entry n multiplies |b_{n+1}> in O|b_n>
     diag: tuple  # length N+1
     sub: tuple  # length N, entry n multiplies |b_n> in O|b_{n+1}>
 
     def assemble(self) -> RationalMatrix:
-        n1 = len(self.diag)
-        m = [[Q(0)] * n1 for _ in range(n1)]
-        for n in range(n1):
-            m[n][n] = self.diag[n]
-            if n < n1 - 1:
-                m[n + 1][n] = self.sup[n]
-                m[n][n + 1] = self.sub[n]
-        return RationalMatrix(m)
+        return RationalMatrix.banded(len(self.diag), {-1: self.sup, 0: self.diag, 1: self.sub})
 
 
 # family -> its dual and the weight W of the pairing (dual)^T W family = I
@@ -387,40 +381,33 @@ def verify_leonard_trio(ctx: Context) -> VerificationReport:
     Irreducibility failures are reported with the offending band index.
     """
     p = ctx.p
-    N = p.N
     rep = VerificationReport(suite="matrixreps:leonard-trio", params=p.as_dict())
 
     v_e = matrix_on(ctx, "e", "V")
     z_e = matrix_on(ctx, "e", "Z")
-    rep.add("trio-i-V-diagonal", "clause (i): V diagonal on e", v_e.is_diagonal())
+    rep.add("trio-i-V-diagonal", "clause (i): V diagonal on e", v_e.in_band(0, 0))
     rep.add(
         "trio-i-VtildeZ-tridiagonal",
         "clause (i): Vtilde Z tridiagonal on e",
-        matrix_on(ctx, "e", "Vtilde*Z").is_tridiagonal(),
+        matrix_on(ctx, "e", "Vtilde*Z").in_band(1, 1),
     )
-    rep.add("trio-i-Z-tridiagonal", "clause (i): Z tridiagonal on e", z_e.is_tridiagonal())
-    _band_nonzero(
-        rep, "trio-i-Z-irreducible", "clause (i): Z bands on e nonzero",
-        [z_e[n + 1, n] for n in range(N)] + [z_e[n, n + 1] for n in range(N)],
-    )
+    rep.add("trio-i-Z-tridiagonal", "clause (i): Z tridiagonal on e", z_e.in_band(1, 1))
+    _band_nonzero(rep, "trio-i-Z-irreducible", "clause (i): Z bands on e nonzero",
+                  z_e.band(-1) + z_e.band(1))
 
     # the coefficient extraction for vectors Z d_n reuses the d pairing:
     # <d*_m | O Z d_n> gives O's matrix on the Z d family, which for O = Z
     # and O = Z V is the matrix of Z and of V Z on d
     vt_et = ctx.basis("dStar").vectors.transpose() * ctx.Vtilde * ctx.Z * ctx.basis("d").vectors
     z_et = matrix_on(ctx, "d", "Z")
-    rep.add("trio-ii-Vtilde-diagonal", "clause (ii): Vtilde diagonal on Z d_n", vt_et.is_diagonal())
+    rep.add("trio-ii-Vtilde-diagonal", "clause (ii): Vtilde diagonal on Z d_n", vt_et.in_band(0, 0))
     rep.add(
         "trio-ii-Vtilde-eigenvalues",
         "clause (ii): Vtilde eigenvalue on Z d_n is alpha - n",
-        all(vt_et[n, n] == p.alpha - n for n in range(N + 1)),
+        all(x == p.alpha - n for n, x in enumerate(vt_et.band(0))),
     )
     zv_et = matrix_on(ctx, "d", "V*Z")
-    rep.add(
-        "trio-ii-ZV-tridiagonal",
-        "clause (ii): Z V tridiagonal on Z d_n",
-        zv_et.is_tridiagonal(),
-    )
+    rep.add("trio-ii-ZV-tridiagonal", "clause (ii): Z V tridiagonal on Z d_n", zv_et.in_band(1, 1))
     rep.add_matrix_zero(
         "trio-ii-ZV-coefficients",
         "clause (ii): Z V on Z d_n carries the VZ coefficients of the d family",
@@ -429,39 +416,27 @@ def verify_leonard_trio(ctx: Context) -> VerificationReport:
     rep.add(
         "trio-ii-Z-lower-bidiagonal",
         "clause (ii): Z lower bidiagonal on Z d_n with diagonal n - alpha",
-        z_et.is_lower_bidiagonal()
-        and all(z_et[n, n] == n - p.alpha for n in range(N + 1)),
+        z_et.in_band(1, 0) and all(x == n - p.alpha for n, x in enumerate(z_et.band(0))),
     )
     rep.add(
         "trio-ii-Z-subdiagonal",
         "clause (ii): Z subdiagonal on Z d_n is (n-2a+b+1)/(n-a+1); the numerator"
         " alone appears for the head-rescaled family",
-        all(
-            z_et[n + 1, n] * (n - p.alpha + 1) == n - 2 * p.alpha + p.beta + 1
-            for n in range(N)
-        ),
+        all(x * (n - p.alpha + 1) == n - 2 * p.alpha + p.beta + 1
+            for n, x in enumerate(z_et.band(-1))),
     )
-    _band_nonzero(
-        rep, "trio-ii-Z-irreducible", "clause (ii): Z subdiagonal on Z d_n nonzero",
-        [z_et[n + 1, n] for n in range(N)],
-    )
+    _band_nonzero(rep, "trio-ii-Z-irreducible", "clause (ii): Z subdiagonal on Z d_n nonzero",
+                  z_et.band(-1))
 
     z_z = matrix_on(ctx, "z", "Z")
     vt_z = matrix_on(ctx, "z", "Vtilde")
     v_z = matrix_on(ctx, "z", "V")
-    rep.add("trio-iii-Z-diagonal", "clause (iii): Z diagonal on z", z_z.is_diagonal())
-    rep.add(
-        "trio-iii-Vtilde-lower-bidiagonal",
-        "clause (iii): Vtilde lower bidiagonal on z",
-        vt_z.is_lower_bidiagonal(),
-    )
-    _band_nonzero(
-        rep, "trio-iii-Vtilde-irreducible", "clause (iii): Vtilde subdiagonal on z nonzero",
-        [vt_z[n + 1, n] for n in range(N)],
-    )
-    rep.add("trio-iii-V-tridiagonal", "clause (iii): V tridiagonal on z", v_z.is_tridiagonal())
-    _band_nonzero(
-        rep, "trio-iii-V-irreducible", "clause (iii): V bands on z nonzero",
-        [v_z[n + 1, n] for n in range(N)] + [v_z[n, n + 1] for n in range(N)],
-    )
+    rep.add("trio-iii-Z-diagonal", "clause (iii): Z diagonal on z", z_z.in_band(0, 0))
+    rep.add("trio-iii-Vtilde-lower-bidiagonal", "clause (iii): Vtilde lower bidiagonal on z",
+            vt_z.in_band(1, 0))
+    _band_nonzero(rep, "trio-iii-Vtilde-irreducible",
+                  "clause (iii): Vtilde subdiagonal on z nonzero", vt_z.band(-1))
+    rep.add("trio-iii-V-tridiagonal", "clause (iii): V tridiagonal on z", v_z.in_band(1, 1))
+    _band_nonzero(rep, "trio-iii-V-irreducible", "clause (iii): V bands on z nonzero",
+                  v_z.band(-1) + v_z.band(1))
     return rep

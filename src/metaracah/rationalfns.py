@@ -41,7 +41,6 @@ from .algebra import Params, build_X, build_Z
 from .errors import DegenerateParameters
 from .hyper import multi_pochhammer, pochhammer, series_table, terminating_hyp
 from .matrices import RationalMatrix, dot
-from .matrixreps import TridiagonalCoeffs
 from .report import VerificationReport
 
 if TYPE_CHECKING:
@@ -175,7 +174,7 @@ def _band(dn: list, mid: list, up: list, index: str) -> RationalMatrix:
     dropped only after _boundary_vanishes has checked it."""
     _boundary_vanishes(dn[0], f"{index} = 0")
     _boundary_vanishes(up[-1], f"{index} = N")
-    return TridiagonalCoeffs(sup=tuple(dn[1:]), diag=tuple(mid), sub=tuple(up[:-1])).assemble()
+    return RationalMatrix.banded(len(mid), {-1: dn[1:], 0: mid, 1: up[:-1]})
 
 
 def recurrence_A(m: int, p: Params) -> Fraction:

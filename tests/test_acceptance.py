@@ -113,7 +113,7 @@ def test_criterion_04_heun_bidiagonality():
     # negative control: off the bidiagonal slice the combination is only
     # tridiagonal, never lower bidiagonal
     control = algebraic_heun(p, 1, 1, 1, 0, 1)
-    ok = ok and control.is_tridiagonal() and not control.is_lower_bidiagonal()
+    ok = ok and control.in_band(1, 1) and not control.in_band(1, 0)
     _line(4, ok, "Heun combination bidiagonal on the slice, tridiagonal off it",
           "20 triples + control")
 

@@ -97,13 +97,13 @@ def test_heun_bidiagonal_slice(p5):
     for h0, h1, h4 in [(1, 2, 3), (0, 1, 1), (Q(1, 2), Q(-2, 3), Q(5, 7))]:
         m, ok = heun_bidiagonal(p5, h0, h1, h4)
         assert ok
-        assert m.is_lower_bidiagonal()
+        assert m.in_band(1, 0)
 
 
 def test_heun_generic_combination_is_not_bidiagonal(p5):
     # leaving the h2 = h3 = -h4 slice reintroduces the upper fill
     m = algebraic_heun(p5, 1, 1, 1, 0, 1)
-    assert not m.is_lower_bidiagonal()
+    assert not m.in_band(1, 0)
 
 
 def test_validate_params_flags_integer_alpha():

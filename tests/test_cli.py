@@ -17,6 +17,7 @@ import metaracah.racahpoly as racahpoly
 import metaracah.rationalfns as rationalfns
 import metaracah.report as report
 from metaracah.cli import main
+from metaracah.errors import NondegenerateSpectrumViolated
 from metaracah.racahpoly import RacahParams, closed_form_S
 from metaracah import FParams, Params, validate_params
 
@@ -316,6 +317,26 @@ def test_matrix_basis_builds_the_family_once(capsys, monkeypatch):
     assert sorted(calls) == list(range(5))
 
 
+def test_an_oracle_without_a_kernel_fails_closed_vs_oracle(capsys, monkeypatch):
+    # bumping Z's diagonal entry 1 moves a root of the pencils (X, Z),
+    # (X + rho Z, I) and (Z, I), so each oracle finds no kernel at index 1
+    # and raises; the bases suite reports a failing check that names each
+    # family and its message, and the emit exits 1
+    ctx = eb.Context(Params(N=3, alpha=Q(1, 3), beta=Q(1, 5), zeta=Q(1, 7)), FParams(rho=Q(1, 13)))
+    ctx.__dict__["Z"] = ctx.Z + matrices.RationalMatrix.banded(4, {0: [0, 1, 0, 0]})
+    message = "family {}, index 1: kernel dimension 0, expected 1".format
+    with pytest.raises(NondegenerateSpectrumViolated, match=message("d")):
+        eb.oracle_basis(ctx, "d")
+    check, = [c for c in cli._bases_report(ctx).checks if c.id == "closed-vs-oracle"]
+    assert check.status == "fail"
+    assert check.detail == "failing families: ['d', 'f', 'z']" + "".join(
+        f"; oracle: {message(label)}" for label in "dfz")
+
+    monkeypatch.setattr(cli, "_context", lambda args, needs_rho: ctx)
+    code, out = run(capsys, "matrix", "--which", "basis:d", "--N", "3")
+    assert (code, out) == (1, f"basis d failed revalidation on emit: {message('d')}\n")
+
+
 # sets that validate_params accepted while the registry lacked the Racah-hat
 # (g-a-N)_n = (beta-2alpha+1)_n and (-N-b)_n = (beta-rho+2zeta-N+1)_n, on
 # which closed_form_Stilde divided by zero: the ZeroDivisionErrors of the
@@ -455,7 +476,7 @@ def test_verify_all_writes_out_few_results(capsys, monkeypatch):
     assert code == 0
     assert len(residuals) == 27
     assert not any(r is w for r in residuals for w in written)
-    assert len(written) == 20
+    assert len(written) == 8
 
 
 def test_casimir_is_built_once_per_context():

@@ -215,6 +215,75 @@ def test_reused_factors_match_entrywise_reference(case, order):
     assert A.transpose().transpose() is A and P.transpose().transpose() is P
 
 
+def _written(m):
+    """Whether m holds its Fraction entries, read past __getattr__, which
+    would write them."""
+    try:
+        RationalMatrix.__dict__["_e"].__get__(m)
+    except AttributeError:
+        return False
+    return True
+
+
+@st.composite
+def band_case(draw):
+    """A size n and some of its bands, each with its n - |k| entries."""
+    n = draw(st.integers(1, 5))
+    ks = draw(st.sets(st.integers(-(n - 1), n - 1), max_size=n))
+    return n, {k: [draw(entries) for _ in range(n - abs(k))] for k in ks}
+
+
+@given(band_case())
+@example((1, {}))
+@example((1, {0: [Q(-3, 4)]}))
+@example((3, {-2: [Q(5)], 1: [Q(0), Q(1, 6)]}))
+@settings(max_examples=100, deadline=None)
+def test_banded_matches_entrywise_reference(case):
+    # entry (i, j) lies on band k = j - i, at place min(i, j) of that band
+    n, bands = case
+    m = RationalMatrix.banded(n, bands)
+    assert [list(m.row(i)) for i in range(n)] == [
+        [bands[j - i][min(i, j)] if j - i in bands else 0 for j in range(n)] for i in range(n)]
+    assert all(list(m.band(k)) == bands[k] for k in bands)
+
+
+def test_banded_refuses_a_band_of_the_wrong_length():
+    for n, bands in ((3, {0: [1, 2]}), (3, {1: [1, 2, 3]}), (2, {-1: []}), (1, {1: [1]})):
+        with pytest.raises(ValueError):
+            RationalMatrix.banded(n, bands)
+    assert RationalMatrix.banded(1, {1: [], -3: []}) == RationalMatrix([[0]])
+
+
+@given(reuse_case())
+@example(([[Q(0)]], [[Q(0)]]))
+@example(([[Q(2, 3)]], [[Q(-5, 7)]]))
+@example(([[Q(1, 2), Q(0), Q(0)]], [[Q(0)], [Q(3)], [Q(0)]]))
+@settings(max_examples=100, deadline=None)
+def test_bands_match_entrywise_reference(case):
+    # in_band and every band(k), on matrices in entry form and on results in
+    # integer form (product, sum, scaling, transpose), zero and non-square
+    # ones included; a result's bands and shape are read without writing
+    # out its entries
+    a, b = case
+    A, B = RationalMatrix(a), RationalMatrix(b)
+    r = [Q(i + 1, i + 3) for i in range(len(a))]
+    entry_form = [(m, False) for m in (A, B, RationalMatrix.zeros(len(a), len(b)))]
+    integer_form = [(m, True) for m in (A * B, A + A.scaled(r), A - A,
+                                        B.scaled(None, r).transpose(), (B * A).transpose())]
+    for m, integer in entry_form + integer_form:
+        bands = {k: m.band(k) for k in range(-m.rows - 1, m.cols + 2)}
+        shapes = {(lo, up): m.in_band(lo, up)
+                  for lo in range(-1, m.rows + 1) for up in range(-1, m.cols + 1)}
+        assert _written(m) is not integer
+        rows = [list(m.row(i)) for i in range(m.rows)]
+        assert all(type(x) is Q for band in bands.values() for x in band)
+        assert bands == {k: tuple(rows[i][i + k] for i in range(m.rows) if 0 <= i + k < m.cols)
+                         for k in bands}
+        assert shapes == {(lo, up): all(-lo <= j - i <= up for i, row in enumerate(rows)
+                                        for j, x in enumerate(row) if x)
+                          for lo, up in shapes}
+
+
 def test_transpose_is_built_once():
     m = RationalMatrix([[1, Q(1, 2), 0], [0, 3, Q(-2, 5)]])
     t = m.transpose()
