@@ -36,11 +36,7 @@ from .errors import (
 )
 from .hyper import pochhammer, terminating_hyp, whipple_check
 from .matrices import RationalMatrix, anticommutator, commutator, dot
-from .matrixreps import (
-    TridiagonalCoeffs,
-    verify_coefficients,
-    verify_leonard_trio,
-)
+from .matrixreps import verify_coefficients, verify_leonard_trio
 from .racahpoly import (
     RacahParams,
     closed_form_S,
@@ -80,7 +76,6 @@ __all__ = [
     "PreconditionViolated",
     "RacahParams",
     "RationalMatrix",
-    "TridiagonalCoeffs",
     "VerificationReport",
     "anticommutator",
     "build_V",

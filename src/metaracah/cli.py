@@ -50,6 +50,8 @@ from .report import VerificationReport
 
 Q = Fraction
 
+FAULT_SUITE = "algebra-fault-injection"
+
 # Suite name -> its reports on one Context.  The lambdas look their callees
 # up at call time, so wrappers installed on the module names see every call.
 SUITE_RUNNERS = {
@@ -60,8 +62,10 @@ SUITE_RUNNERS = {
     "racah": lambda ctx: [verify_racah(ctx)],
     "rational": lambda ctx: [verify_rational(ctx)],
     "model": lambda ctx: [verify_model(ctx)],
+    # not selectable by --suite: --inject-fault adds it for the explicit set
+    FAULT_SUITE: lambda ctx: [_fault_report(ctx)],
 }
-SUITES = tuple(SUITE_RUNNERS)
+SUITES = tuple(name for name in SUITE_RUNNERS if name != FAULT_SUITE)
 
 
 SWEEP_DENOMINATORS = (3, 5, 7, 11, 13, 17, 19, 23)
@@ -138,7 +142,7 @@ def _fault_report(ctx: Context) -> VerificationReport:
     # bidiagonal Z with the corner entry bumped: relations must break
     N = ctx.p.N
     rep = check_defining_relations(ctx, Z=ctx.Z + RationalMatrix.banded(N + 1, {0: [1] + [0] * N}))
-    rep.suite = "algebra-fault-injection"
+    rep.suite = FAULT_SUITE
     return rep
 
 
@@ -196,9 +200,8 @@ def _json(payload) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple:
-    reports = run_suites(_params(args), FParams(rho=args.rho), args.suites)
-    if args.inject_fault:
-        reports.append(_fault_report(_context(args, needs_rho=True)))
+    suites = args.suites + ((FAULT_SUITE,) if args.inject_fault else ())
+    reports = run_suites(_params(args), FParams(rho=args.rho), suites)
 
     skipped = 0
     rng = random.Random(args.seed)
@@ -310,13 +313,11 @@ def _rows_payload(matrix, ctx: Context) -> dict:
 
 
 def _coeffs_payload(bands, ctx: Context) -> dict:
+    # sup, diag and sub are bands -1, 0 and 1 of each table
     return {"bands": {
-        name: {
-            "sup": [str(v) for v in tc.sup],
-            "diag": [str(v) for v in tc.diag],
-            "sub": [str(v) for v in tc.sub],
-        }
-        for name, tc in bands(ctx).items()
+        name: {key: [str(v) for v in table.band(k)]
+               for key, k in (("sup", -1), ("diag", 0), ("sub", 1))}
+        for name, table in bands(ctx).items()
     }}
 
 

@@ -23,7 +23,8 @@ are each one product of term tables, and S, Stilde, U and Utilde are
 diag(f) G diag(g) on them, scaled without a product, with the
 prefactor's factors f in m and g in n evaluated once per index.  A
 Context is one validated parameter set; every suite reads the
-generators, families and overlap grids from it.
+generators, families and overlap grids from it, and it keeps every
+derived table in one store.
 
 Pairings are bilinear (no conjugation).  The families pair up as
 
@@ -290,22 +291,22 @@ class Context(Frozen):
     Making a Context is the one genericity check: it raises
     DegenerateParameters unless (p, rho) is generic, and nothing that
     takes a Context checks again.  Everything a suite reads more than once
-    is built on first use and kept for the Context's lifetime: the
+    is built on first use and kept for the Context's lifetime.  The
     generators Z, V, X, their transposes Zt, Vt, Xt, the identity I,
-    Vtilde = X Z^{-1} and the Casimir C (as attributes); each closed-form
-    family (``_bases``), each overlap grid (``_grids``), each operator
-    matrix in an eigenbasis and each dual side (b*)^T W of one
-    (``_matrices``, by ``matrixreps.matrix_on``), and each closed-form band
-    table (``_bands``, by ``matrixreps.bands``).  Each matrix keeps its own
-    transpose and integer-scaled forms.  Equality and hashing follow
-    (p, fp).
+    Vtilde = X Z^{-1} and the Casimir C are attributes; every other table
+    goes through ``keep``, one store under keys that name their kind: each
+    closed-form family (``basis``), each overlap grid (``grid``), each
+    operator matrix in an eigenbasis and each dual side (b*)^T W of one
+    (``matrixreps.matrix_on``), and each closed-form band table
+    (``matrixreps.bands``).  Each matrix keeps its own transpose and
+    integer-scaled forms.  Equality and hashing follow (p, fp).
     """
 
     _fields = ("p", "fp")
 
     def __init__(self, p: Params, fp: FParams | None = None):
         # no __slots__: cached_property keeps its values in the __dict__ too
-        self.__dict__.update(p=p, fp=fp, _bases={}, _grids={}, _matrices={}, _bands={})
+        self.__dict__.update(p=p, fp=fp, _kept={})
         require_generic(self.p, self.rho)
 
     @property
@@ -324,23 +325,25 @@ class Context(Frozen):
     Vtilde = cached_property(lambda self: right_divide_lower_bidiagonal(self.X, self.Z))
     C = cached_property(build_casimir)
 
+    def keep(self, key, build: Callable, *args):
+        """The table kept under key, a tuple that names its kind first:
+        build(*args), called on the key's first use only."""
+        kept = self._kept
+        if key not in kept:
+            kept[key] = build(*args)
+        return kept[key]
+
     def basis(self, label: str) -> BasisFamily:
         """The closed-form family, built on first use."""
-        fam = self._bases.get(label)
-        if fam is None:
-            fam = self._bases[label] = build_basis(self.p, self.fp, label)
-        return fam
+        return self.keep(("basis", label), build_basis, self.p, self.fp, label)
 
     def grid(self, name: str) -> RationalMatrix:
         """The overlap table GRIDS[name], entry (m, n) its value at (m, n),
         built on first use and kept as its reduced entries (each written
         once); like every RationalMatrix it cannot be changed in place."""
-        grid = self._grids.get(name)
-        if grid is None:
-            if GRIDS[name].needs_rho and self.fp is None:
-                raise PreconditionViolated(f"grid {name!r} needs FParams")
-            grid = self._grids[name] = GRIDS[name].build(self).reduced()
-        return grid
+        if GRIDS[name].needs_rho and self.fp is None:
+            raise PreconditionViolated(f"grid {name!r} needs FParams")
+        return self.keep(("grid", name), lambda: GRIDS[name].build(self).reduced())
 
 
 def _band_kernel(A: RationalMatrix, B: RationalMatrix):

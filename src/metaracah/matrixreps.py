@@ -5,12 +5,14 @@ by O|b_n> = sum_m O^(b)_{m,n} |b_m> and are recovered from matrices by the
 conjugation (Bstar)^T W O B, W the weight of the pairing in PAIRINGS: Z for
 the pencil family d, Z^T for its adjoint d*, none for the others.
 ``matrix_on`` builds each such matrix, and each dual side (Bstar)^T W, once
-per Context.  COEFFS maps each basis to its named closed-form bands, which
-``matrix --which coeffs:`` emits and ``verify_coefficients`` checks against
-``matrix_on``, one row of COEFFICIENT_CHECKS per band; ``bands`` builds each
-band table once per Context, for them and for the racah suite.  Index
-conventions for the coefficient containers: sup[n] feeds |b_{n+1}> (matrix
-entry (n+1, n)), sub[n] feeds |b_n> from |b_{n+1}> (matrix entry (n, n+1)).
+per Context.  COEFFS maps each basis to its named closed-form band tables,
+which ``matrix --which coeffs:`` emits and ``verify_coefficients`` checks
+against ``matrix_on``, one row of COEFFICIENT_CHECKS per table; ``bands``
+keeps each table in the Context, for them and for the racah suite.  Each
+table is a RationalMatrix built by RationalMatrix.banded from its nonzero
+bands: band -1 (entry (n+1, n)) feeds |b_{n+1}> in O|b_n>, band 1 (entry
+(n, n+1)) feeds |b_n> in O|b_{n+1}>; the JSON keys sup, diag and sub of
+``matrix --which coeffs:`` are bands -1, 0 and 1.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from operator import mul
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .algebra import Params
 from .hyper import series_terms
@@ -31,18 +33,6 @@ if TYPE_CHECKING:
 Q = Fraction
 
 
-class TridiagonalCoeffs(NamedTuple):
-    """Banded coefficients; bidiagonal actions leave one band at zeros.
-    sup is band -1 of the matrix, diag band 0 and sub band 1."""
-
-    sup: tuple  # length N, entry n multiplies |b_{n+1}> in O|b_n>
-    diag: tuple  # length N+1
-    sub: tuple  # length N, entry n multiplies |b_n> in O|b_{n+1}>
-
-    def assemble(self) -> RationalMatrix:
-        return RationalMatrix.banded(len(self.diag), {-1: self.sup, 0: self.diag, 1: self.sub})
-
-
 # family -> its dual and the weight W of the pairing (dual)^T W family = I
 PAIRINGS = {
     "e": ("eStar", None), "eStar": ("e", None),
@@ -53,46 +43,36 @@ PAIRINGS = {
 
 
 def matrix_on(ctx: Context, label: str, op: str) -> RationalMatrix:
-    """The matrix (b*)^T W op b of op on the family b = label, built on first
-    use and kept in the Context; op names a product of the Context's
-    operators, such as "V*Z"."""
-    key = (label, op)
-    if key not in ctx._matrices:
-        factors = [getattr(ctx, name) for name in op.split("*")]
-        op_matrix = reduce(mul, factors)
-        ctx._matrices[key] = _dual_side(ctx, label) * op_matrix * ctx.basis(label).vectors
-    return ctx._matrices[key]
+    """The matrix (b*)^T W op b of op on the family b = label, kept in the
+    Context; op names a product of the Context's operators, such as "V*Z"."""
+    def build():
+        op_matrix = reduce(mul, [getattr(ctx, name) for name in op.split("*")])
+        return _dual_side(ctx, label) * op_matrix * ctx.basis(label).vectors
+    return ctx.keep(("matrix on", label, op), build)
 
 
 def _dual_side(ctx: Context, label: str) -> RationalMatrix:
-    """(b*)^T W for the family b = label, kept in the Context under the label."""
-    left = ctx._matrices.get(label)
-    if left is None:
+    """(b*)^T W for the family b = label, kept in the Context."""
+    def build():
         dual, weight = PAIRINGS[label]
         left = ctx.basis(dual).vectors.transpose()
-        if weight:
-            left = left * getattr(ctx, weight)
-        ctx._matrices[label] = left
-    return left
+        return left * getattr(ctx, weight) if weight else left
+    return ctx.keep(("dual side", label), build)
 
 
 def bands(ctx: Context, build, *args):
     """build(*args), a closed-form band table of the Context's parameters,
-    built on first use and kept in the Context under the builder and its
-    arguments.  Each caller passes the builder it has bound, so a wrapper or
-    a patch on that name sees the one build."""
-    key = (build, args)
-    table = ctx._bands.get(key)
-    if table is None:
-        table = ctx._bands[key] = build(*args)
-    return table
+    kept in the Context under the builder and its arguments.  Each caller
+    passes the builder it has bound, so a wrapper or a patch on that name
+    sees the one build."""
+    return ctx.keep((build, args), build, *args)
 
 
 # -- closed forms --------------------------------------------------------------
 
 
 def _z_on_e_sub(p: Params, n: int) -> Fraction:
-    """Entry (n-1, n) of Z on e, stored at index n-1; X on e shares it."""
+    """Entry (n-1, n) of Z on e, at index n-1 of band 1; X on e shares it."""
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
     return (
         n * (N + 1 - n)
@@ -108,7 +88,7 @@ def _z_on_e_sub(p: Params, n: int) -> Fraction:
     )
 
 
-def coeffs_Z_on_e(p: Params) -> TridiagonalCoeffs:
+def coeffs_Z_on_e(p: Params) -> RationalMatrix:
     """Z is irreducible tridiagonal on the V eigenbasis, with unit lower band."""
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
 
@@ -121,14 +101,14 @@ def coeffs_Z_on_e(p: Params) -> TridiagonalCoeffs:
             - a
         )
 
-    return TridiagonalCoeffs(
-        sup=tuple(Q(1) for _ in range(N)),
-        diag=tuple(diag(n) for n in range(N + 1)),
-        sub=tuple(_z_on_e_sub(p, n + 1) for n in range(N)),
-    )
+    return RationalMatrix.banded(N + 1, {
+        -1: [1] * N,
+        0: [diag(n) for n in range(N + 1)],
+        1: [_z_on_e_sub(p, n + 1) for n in range(N)],
+    })
 
 
-def coeffs_X_on_e(p: Params) -> TridiagonalCoeffs:
+def coeffs_X_on_e(p: Params) -> RationalMatrix:
     """X, a Heun-type combination for the pair (V, Z), is tridiagonal on e."""
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
 
@@ -141,18 +121,18 @@ def coeffs_X_on_e(p: Params) -> TridiagonalCoeffs:
             - a * a
         )
 
-    return TridiagonalCoeffs(
-        sup=tuple(b - n for n in range(N)),
-        diag=tuple(diag(n) for n in range(N + 1)),
-        sub=tuple((n - b - 2 * z) * _z_on_e_sub(p, n + 1) for n in range(N)),
-    )
+    return RationalMatrix.banded(N + 1, {
+        -1: [b - n for n in range(N)],
+        0: [diag(n) for n in range(N + 1)],
+        1: [(n - b - 2 * z) * _z_on_e_sub(p, n + 1) for n in range(N)],
+    })
 
 
-def coeffs_V_on_f(p: Params, fp: FParams) -> TridiagonalCoeffs:
+def coeffs_V_on_f(p: Params, fp: FParams) -> RationalMatrix:
     """V is irreducible tridiagonal on the eigenbasis of X + rho Z."""
     N, a, b, z, r = p.N, p.alpha, p.beta, p.zeta, fp.rho
 
-    def sup(n):
+    def lower(n):
         return -(
             (n - 2 * a + b + 1)
             * (n - 2 * a - r)
@@ -174,82 +154,61 @@ def coeffs_V_on_f(p: Params, fp: FParams) -> TridiagonalCoeffs:
             - (b + z + 1) * (b + z)
         )
 
-    def sub(n):
-        return -n * (n - N - 1) * (n + N - 2 * a - b - 2 * z - 1)
+    return RationalMatrix.banded(N + 1, {
+        -1: [lower(n) for n in range(N)],
+        0: [diag(n) for n in range(N + 1)],
+        1: [-(n + 1) * (n - N) * (n + N - 2 * a - b - 2 * z) for n in range(N)],
+    })
 
-    return TridiagonalCoeffs(
-        sup=tuple(sup(n) for n in range(N)),
-        diag=tuple(diag(n) for n in range(N + 1)),
-        sub=tuple(sub(n + 1) for n in range(N)),
+
+def _vz_on_d_diag(p: Params, n: int) -> Fraction:
+    """Entry (n, n) of VZ on d; VtZt on d* shares it."""
+    N, a, b, z = p.N, p.alpha, p.beta, p.zeta
+    return (
+        N * (N - b - 2 * a - 2 * z) * (n - a + b + 1)
+        + (b + z) * (b + z + 1) * (n + a)
+        - 2 * n * (n - 2 * a - z) * (n - a - z)
     )
 
 
 def coeffs_on_d(p: Params) -> dict:
     """Z and X act lower-bidiagonally on the pencil family; VZ is tridiagonal."""
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
-    zero = tuple(Q(0) for _ in range(N))
-    Zc = TridiagonalCoeffs(
-        sup=tuple((n - 2 * a + b + 1) / (n - a + 1) for n in range(N)),
-        diag=tuple(Q(n) - a for n in range(N + 1)),
-        sub=zero,
-    )
-    Xc = TridiagonalCoeffs(
-        sup=tuple(-(n - a) * (n - 2 * a + b + 1) / (n - a + 1) for n in range(N)),
-        diag=tuple(-((n - a) ** 2) for n in range(N + 1)),
-        sub=zero,
-    )
-
-    def vz_diag(n):
-        return (
-            N * (N - b - 2 * a - 2 * z) * (n - a + b + 1)
-            + (b + z) * (b + z + 1) * (n + a)
-            - 2 * n * (n - 2 * a - z) * (n - a - z)
-        )
-
-    VZc = TridiagonalCoeffs(
-        sup=tuple(
-            -((n - 2 * a + b + 1) * (n - a - z) * (n - a - z + 1)) / (n - a + 1)
-            for n in range(N)
-        ),
-        diag=tuple(vz_diag(n) for n in range(N + 1)),
-        sub=tuple(
-            -(n + 1) * (n + 1 - N - 1) * (n + 1 - a) * (n + 1 + N - 2 * a - b - 2 * z - 1)
-            for n in range(N)
-        ),
-    )
+    Zc = RationalMatrix.banded(N + 1, {
+        -1: [(n - 2 * a + b + 1) / (n - a + 1) for n in range(N)],
+        0: [n - a for n in range(N + 1)],
+    })
+    Xc = RationalMatrix.banded(N + 1, {
+        -1: [-(n - a) * (n - 2 * a + b + 1) / (n - a + 1) for n in range(N)],
+        0: [-((n - a) ** 2) for n in range(N + 1)],
+    })
+    VZc = RationalMatrix.banded(N + 1, {
+        -1: [-((n - 2 * a + b + 1) * (n - a - z) * (n - a - z + 1)) / (n - a + 1)
+             for n in range(N)],
+        0: [_vz_on_d_diag(p, n) for n in range(N + 1)],
+        1: [-(n + 1) * (n - N) * (n + 1 - a) * (n + N - 2 * a - b - 2 * z) for n in range(N)],
+    })
     return {"Z": Zc, "X": Xc, "VZ": VZc}
 
 
-def coeffs_on_dstar(p: Params, vz_diag: tuple | None = None) -> dict:
-    """Transposed actions on the adjoint pencil family (upper-bidiagonal).
-
-    VtZt shares its diagonal with VZ on d: vz_diag, read from coeffs_on_d
-    when not given."""
+def coeffs_on_dstar(p: Params) -> dict:
+    """Transposed actions on the adjoint pencil family (upper-bidiagonal);
+    VtZt shares its diagonal with VZ on d."""
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
-    zero = tuple(Q(0) for _ in range(N))
-    Ztc = TridiagonalCoeffs(
-        sup=zero,
-        diag=tuple(Q(n) - a for n in range(N + 1)),
-        sub=tuple((n + 1 - 2 * a + b) / (n + 1 - a) for n in range(N)),
-    )
-    Xtc = TridiagonalCoeffs(
-        sup=zero,
-        diag=tuple(-((n - a) ** 2) for n in range(N + 1)),
-        sub=tuple(-(n + 1) + 2 * a - b for n in range(N)),
-    )
-    if vz_diag is None:
-        vz_diag = coeffs_on_d(p)["VZ"].diag
-    VtZtc = TridiagonalCoeffs(
-        sup=tuple(
-            -(n - a + 1) * (n - N) * (n + 1) * (n + N - 2 * a - b - 2 * z)
-            for n in range(N)
-        ),
-        diag=vz_diag,
-        sub=tuple(
-            -((n + 1 - a - z - 1) * (n + 1 - a - z) * (n + 1 - 2 * a + b)) / (n + 1 - a)
-            for n in range(N)
-        ),
-    )
+    Ztc = RationalMatrix.banded(N + 1, {
+        0: [n - a for n in range(N + 1)],
+        1: [(n + 1 - 2 * a + b) / (n + 1 - a) for n in range(N)],
+    })
+    Xtc = RationalMatrix.banded(N + 1, {
+        0: [-((n - a) ** 2) for n in range(N + 1)],
+        1: [-(n + 1) + 2 * a - b for n in range(N)],
+    })
+    VtZtc = RationalMatrix.banded(N + 1, {
+        -1: [-(n - a + 1) * (n - N) * (n + 1) * (n + N - 2 * a - b - 2 * z) for n in range(N)],
+        0: [_vz_on_d_diag(p, n) for n in range(N + 1)],
+        1: [-((n - a - z) * (n + 1 - a - z) * (n + 1 - 2 * a + b)) / (n + 1 - a)
+            for n in range(N)],
+    })
     return {"Zt": Ztc, "Xt": Xtc, "VtZt": VtZtc}
 
 
@@ -260,31 +219,21 @@ def coeffs_on_z(p: Params) -> dict:
     bidiagonal with diagonal -(n - alpha).
     """
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
-    zero = tuple(Q(0) for _ in range(N))
-    v_sup = tuple(-(n - 2 * a + b + 1) for n in range(N))
-    Vc = TridiagonalCoeffs(
-        sup=v_sup,
-        diag=tuple(
-            (n - 2 * a + b + 1) * (n - N)
-            + n * (n + N - 2 * a - b - 2 * z - 1)
-            - (N - b - z) * (N - b - z - 1)
-            for n in range(N + 1)
-        ),
-        sub=tuple(
-            -(n + 1) * (n + 1 - N - 1) * (n + 1 + N - 2 * a - b - 2 * z - 1)
-            for n in range(N)
-        ),
-    )
-    Xc = TridiagonalCoeffs(
-        sup=tuple(-s for s in v_sup),
-        diag=tuple(-((n - a) ** 2) for n in range(N + 1)),
-        sub=zero,
-    )
-    Vtc = TridiagonalCoeffs(
-        sup=tuple((n - 2 * a + b + 1) / (n - a) for n in range(N)),
-        diag=tuple(-(Q(n) - a) for n in range(N + 1)),
-        sub=zero,
-    )
+    v_lower = [-(n - 2 * a + b + 1) for n in range(N)]
+    Vc = RationalMatrix.banded(N + 1, {
+        -1: v_lower,
+        0: [(n - 2 * a + b + 1) * (n - N) + n * (n + N - 2 * a - b - 2 * z - 1)
+            - (N - b - z) * (N - b - z - 1) for n in range(N + 1)],
+        1: [-(n + 1) * (n - N) * (n + N - 2 * a - b - 2 * z) for n in range(N)],
+    })
+    Xc = RationalMatrix.banded(N + 1, {
+        -1: [-s for s in v_lower],
+        0: [-((n - a) ** 2) for n in range(N + 1)],
+    })
+    Vtc = RationalMatrix.banded(N + 1, {
+        -1: [(n - 2 * a + b + 1) / (n - a) for n in range(N)],
+        0: [a - n for n in range(N + 1)],
+    })
     return {"V": Vc, "X": Xc, "Vtilde": Vtc}
 
 
@@ -297,7 +246,7 @@ def etilde_in_z(p: Params, n: int):
     return (Q(0),) * n + tuple(series_terms((n - 2 * a + b + 1,), (n - a,), N - n + 1))
 
 
-# coeffs:<basis> -> (needs rho, the named closed-form bands of a Context),
+# coeffs:<basis> -> (needs rho, the named closed-form band tables of a Context),
 # each table built once per Context.  The lambdas look their callees up at
 # call time, so wrappers installed on the module names see every call.
 COEFFS = {
@@ -305,12 +254,11 @@ COEFFS = {
                               "X": bands(ctx, coeffs_X_on_e, ctx.p)}),
     "f": (True, lambda ctx: {"V": bands(ctx, coeffs_V_on_f, ctx.p, ctx.fp)}),
     "d": (False, lambda ctx: bands(ctx, coeffs_on_d, ctx.p)),
-    "dStar": (False, lambda ctx: bands(ctx, coeffs_on_dstar, ctx.p,
-                                       bands(ctx, coeffs_on_d, ctx.p)["VZ"].diag)),
+    "dStar": (False, lambda ctx: bands(ctx, coeffs_on_dstar, ctx.p)),
     "z": (False, lambda ctx: bands(ctx, coeffs_on_z, ctx.p)),
 }
 
-# check id, statement, the closed form as (basis, band, transposed?) and its
+# check id, statement, the closed form as (basis, table, transposed?) and its
 # oracle as (family, operator) for matrix_on
 COEFFICIENT_CHECKS = (
     ("Z-on-e", "closed-form Z coefficients on e match (e*)^T Z e",
@@ -355,8 +303,8 @@ def verify_coefficients(ctx: Context) -> VerificationReport:
         suite="matrixreps:coefficients", params={**ctx.p.as_dict(), "rho": str(ctx.fp.rho)}
     )
     tables = {basis: build(ctx) for basis, (_, build) in COEFFS.items()}
-    for check_id, statement, (basis, band, transposed), (label, op) in COEFFICIENT_CHECKS:
-        closed = tables[basis][band].assemble()
+    for check_id, statement, (basis, name, transposed), (label, op) in COEFFICIENT_CHECKS:
+        closed = tables[basis][name]
         rep.add_matrix_zero(check_id, statement,
                             (closed.transpose() if transposed else closed)
                             - matrix_on(ctx, label, op))
@@ -411,7 +359,7 @@ def verify_leonard_trio(ctx: Context) -> VerificationReport:
     rep.add_matrix_zero(
         "trio-ii-ZV-coefficients",
         "clause (ii): Z V on Z d_n carries the VZ coefficients of the d family",
-        zv_et - bands(ctx, coeffs_on_d, p)["VZ"].assemble(),
+        zv_et - bands(ctx, coeffs_on_d, p)["VZ"],
     )
     rep.add(
         "trio-ii-Z-lower-bidiagonal",

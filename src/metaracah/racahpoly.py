@@ -193,11 +193,10 @@ def verify_racah(ctx: Context) -> VerificationReport:
                  estar.vectors.transpose() * f.vectors - St)
 
     # the bands stop at the edges, so no neighbour outside 0..N enters
-    vf = bands(ctx, coeffs_V_on_f, p, fp).assemble()
+    vf = bands(ctx, coeffs_V_on_f, p, fp)
     rep.add_grid("recurrence", "recurrence residual vanishes on the full grid",
                  S.scaled(e.eigenvalues) - S * vf.transpose())
-    we = (bands(ctx, coeffs_X_on_e, p).assemble()
-          + fp.rho * bands(ctx, coeffs_Z_on_e, p).assemble())
+    we = bands(ctx, coeffs_X_on_e, p) + fp.rho * bands(ctx, coeffs_Z_on_e, p)
     rep.add_grid("difference", "difference residual vanishes on the full grid",
                  S.scaled(None, f.eigenvalues) - we.transpose() * S)
 

@@ -38,7 +38,6 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .algebra import Params, build_X, build_Z
-from .errors import DegenerateParameters
 from .hyper import multi_pochhammer, pochhammer, series_table, terminating_hyp
 from .matrices import RationalMatrix, dot
 from .report import VerificationReport
@@ -233,14 +232,12 @@ def _difference_residual(p: Params, cU: RationalMatrix) -> RationalMatrix:
           - n (n-2alpha+beta)/(n-alpha+beta) calU_m(n-1))
 
     T0 holds the m-free coefficients and T1 those of the m factor, both
-    tridiagonal in n; D_0 and B_N vanish.
+    tridiagonal in n; D_0 and B_N vanish.  A Context's set has no zero
+    n - alpha + beta (registry entry (n-alpha+beta)).
     """
     a, b, z, N = p.alpha, p.beta, p.zeta, p.N
     B = [difference_B(n, p) for n in range(N + 1)]
     D = [difference_D(n, p) for n in range(N + 1)]
-    offenders = [f"(n - alpha + beta) = 0 at n = {n}" for n in range(N + 1) if n - a + b == 0]
-    if offenders:
-        raise DegenerateParameters(offenders)
     T0 = _band(D, [-(x + y) for x, y in zip(B, D)], B, "n")
     T1 = _band([n * (n - 2 * a + b) / (n - a + b) for n in range(N + 1)],
                [a - n for n in range(N + 1)], [Q(0)] * (N + 1), "n")
@@ -264,15 +261,11 @@ def _contiguity_residual(p: Params, cU: RationalMatrix) -> RationalMatrix:
     calU_m(n; alpha-1, beta-2, zeta+2)
       = (n-alpha)(n-alpha+beta)/(alpha(alpha-beta)) calU_m(n)
         + n(n-2alpha+beta)/(alpha(beta-alpha)) calU_m(n-1)
+
+    A Context's set has alpha != 0 and alpha != beta (registry entries
+    (0-alpha) and (0-alpha+beta)).
     """
     a, b, N = p.alpha, p.beta, p.N
-    offenders = []
-    if a == 0:
-        offenders.append("alpha = 0")
-    if a == b:
-        offenders.append("alpha = beta")
-    if offenders:
-        raise DegenerateParameters(offenders)
     sp = shifted_params(p)
     shifted = calU_table(sp.alpha, sp.beta, sp.zeta, N, range(N + 1))
     T = _band([n * (n - 2 * a + b) / (a * (b - a)) for n in range(N + 1)],

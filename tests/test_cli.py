@@ -411,10 +411,11 @@ def test_contiguity_shift_need_not_be_generic(capsys):
     "table --which Stilde --N 3",
     "matrix --which basis:f --N 3",
     "matrix --which C --N 3",
+    "verify --suite algebra --N 3 --inject-fault",
 ])
 def test_one_validation_and_one_build_per_set(capsys, monkeypatch, argv):
     # the one Context of a command validates its set once and builds each
-    # family at most once
+    # family at most once; the fault report reads the suites' Context
     calls = Counter()
     registry, build = algebra.genericity_registry, eb.build_basis
 
@@ -429,7 +430,7 @@ def test_one_validation_and_one_build_per_set(capsys, monkeypatch, argv):
     monkeypatch.setattr(algebra, "genericity_registry", counted_registry)
     monkeypatch.setattr(eb, "build_basis", counted_build)
     code, _ = run(capsys, *argv.split())
-    assert code == 0
+    assert code == (1 if "--inject-fault" in argv else 0)
     assert calls.pop("registry") == 1
     assert set(calls.values()) <= {1}
 

@@ -30,25 +30,25 @@ def test_coefficient_families_negative_params(ctx_other):
 
 
 def test_Z_on_e_matches_conjugation(p3):
-    # assembled band matrix reproduces Z in the e pairing
+    # the band matrix reproduces Z in the e pairing
     e = build_basis(p3, None, "e")
     estar = build_basis(p3, None, "eStar")
     Z = build_Z(p3)
-    assert coeffs_Z_on_e(p3).assemble() == estar.vectors.transpose() * Z * e.vectors
+    assert coeffs_Z_on_e(p3) == estar.vectors.transpose() * Z * e.vectors
 
 
 def test_X_on_e_is_V_conjugation_consistent(p3):
     e = build_basis(p3, None, "e")
     estar = build_basis(p3, None, "eStar")
     X = build_X(p3)
-    assert coeffs_X_on_e(p3).assemble() == estar.vectors.transpose() * X * e.vectors
+    assert coeffs_X_on_e(p3) == estar.vectors.transpose() * X * e.vectors
 
 
 def test_V_on_f_bands(p3, fp):
     f = build_basis(p3, fp, "f")
     fstar = build_basis(p3, fp, "fStar")
     V = build_V(p3)
-    assert coeffs_V_on_f(p3, fp).assemble() == fstar.vectors.transpose() * V * f.vectors
+    assert coeffs_V_on_f(p3, fp) == fstar.vectors.transpose() * V * f.vectors
 
 
 def test_VZ_on_d_by_triangular_solve(p3):
@@ -56,7 +56,7 @@ def test_VZ_on_d_by_triangular_solve(p3):
     # the linear system, without touching the adjoint pairing
     d = build_basis(p3, None, "d")
     VZ = build_V(p3) * build_Z(p3)
-    got = coeffs_on_d(p3)["VZ"].assemble()
+    got = coeffs_on_d(p3)["VZ"]
     d_inv = inverse(d.vectors)
     for n in range(p3.N + 1):
         coeffs = d_inv.apply(VZ.apply(d.column(n)))
@@ -65,14 +65,14 @@ def test_VZ_on_d_by_triangular_solve(p3):
 
 def test_dual_families_share_the_tridiagonal_core(p5):
     # VtZt on the adjoint family carries the same diagonal as VZ on d
-    assert coeffs_on_dstar(p5)["VtZt"].diag == coeffs_on_d(p5)["VZ"].diag
+    assert coeffs_on_dstar(p5)["VtZt"].band(0) == coeffs_on_d(p5)["VZ"].band(0)
 
 
 def test_z_family_bidiagonal_split(p3):
-    # X and -V share their upper band on the z family
+    # X and -V share their band -1 on the z family
     zz = coeffs_on_z(p3)
-    assert zz["X"].sup == tuple(-s for s in zz["V"].sup)
-    assert all(s == 0 for s in zz["X"].sub)
+    assert zz["X"].band(-1) == tuple(-s for s in zz["V"].band(-1))
+    assert all(s == 0 for s in zz["X"].band(1))
 
 
 def test_etilde_expansion_over_z(p3):
@@ -110,17 +110,11 @@ def test_leonard_trio_degenerate_control():
 
 
 def test_vz_fault_details_keep_their_signs(ctx3, monkeypatch):
-    # one wrong VZ diagonal entry on d: the two coefficient checks read
-    # closed form minus oracle, the trio reads its matrix minus the closed form
-    on_d = mr.coeffs_on_d
-
-    def bumped(p):
-        bands = on_d(p)
-        diag = list(bands["VZ"].diag)
-        diag[1] += 1
-        return {**bands, "VZ": bands["VZ"]._replace(diag=tuple(diag))}
-
-    monkeypatch.setattr(mr, "coeffs_on_d", bumped)
+    # one wrong entry of the VZ diagonal, which VZ on d and VtZt on d*
+    # share: the two coefficient checks read closed form minus oracle, the
+    # trio reads its matrix minus the closed form
+    diag = mr._vz_on_d_diag
+    monkeypatch.setattr(mr, "_vz_on_d_diag", lambda p, n: diag(p, n) + (n == 1))
     failed = {c.id: c.detail for rep in (verify_coefficients(ctx3), verify_leonard_trio(ctx3))
               for c in rep.failures}
     assert failed == {

@@ -8,7 +8,7 @@ import metaracah.racahpoly as racahpoly
 from metaracah.eigenbases import eigenvalue
 from metaracah.errors import PreconditionViolated
 from metaracah.hyper import pochhammer
-from metaracah.matrices import dot
+from metaracah.matrices import RationalMatrix, dot
 from metaracah.racahpoly import (
     RacahParams,
     closed_form_S,
@@ -18,7 +18,7 @@ from metaracah.racahpoly import (
     verify_racah,
     weight,
 )
-from metaracah.matrixreps import TridiagonalCoeffs, coeffs_V_on_f, coeffs_X_on_e, coeffs_Z_on_e
+from metaracah.matrixreps import coeffs_V_on_f, coeffs_X_on_e, coeffs_Z_on_e
 
 
 @pytest.fixture
@@ -87,14 +87,9 @@ def test_weight_orthogonality_row_sums(p5, fp, rp):
 
 
 def _band_sum(band, i, value):
-    """sum_j O_ij value(j) for the band of O, read entry by entry: the
+    """sum_j O_ij value(j) for the tridiagonal O, read entry by entry: the
     per-point reference for the suite's band products."""
-    total = band.diag[i] * value(i)
-    if i >= 1:
-        total += band.sup[i - 1] * value(i - 1)
-    if i < len(band.sup):
-        total += band.sub[i] * value(i + 1)
-    return total
+    return sum(band[i, j] * value(j) for j in range(max(i - 1, 0), min(i + 2, band.rows)))
 
 
 def _s_table(p, fp):
@@ -114,14 +109,15 @@ def test_recurrence_residuals_vanish(p5, fp, ctx5):
 
 
 def test_recurrence_detects_perturbed_band(ctx3, monkeypatch):
-    # V on f with diag[2] bumped breaks the recurrence in column n = 2 only
+    # V on f with entry 2 of band 0 bumped breaks the recurrence in column
+    # n = 2 only
     def bumped(p, fp):
         vf = coeffs_V_on_f(p, fp)
-        return TridiagonalCoeffs(
-            sup=vf.sup,
-            diag=tuple(x + (1 if i == 2 else 0) for i, x in enumerate(vf.diag)),
-            sub=vf.sub,
-        )
+        return RationalMatrix.banded(p.N + 1, {
+            -1: vf.band(-1),
+            0: [x + (1 if i == 2 else 0) for i, x in enumerate(vf.band(0))],
+            1: vf.band(1),
+        })
 
     monkeypatch.setattr(racahpoly, "coeffs_V_on_f", bumped)
     rep = verify_racah(ctx3)
@@ -131,16 +127,17 @@ def test_recurrence_detects_perturbed_band(ctx3, monkeypatch):
 
 
 def test_difference_detects_perturbed_band(ctx3, monkeypatch):
-    # X on e with sup[1] bumped puts a stray S_2(n) into row m = 1 only
+    # X on e with entry 1 of band -1 bumped puts a stray S_2(n) into row
+    # m = 1 only
     xe = coeffs_X_on_e
 
     def bumped(p):
         band = xe(p)
-        return TridiagonalCoeffs(
-            sup=tuple(x + (1 if i == 1 else 0) for i, x in enumerate(band.sup)),
-            diag=band.diag,
-            sub=band.sub,
-        )
+        return RationalMatrix.banded(p.N + 1, {
+            -1: [x + (1 if i == 1 else 0) for i, x in enumerate(band.band(-1))],
+            0: band.band(0),
+            1: band.band(1),
+        })
 
     monkeypatch.setattr(racahpoly, "coeffs_X_on_e", bumped)
     rep = verify_racah(ctx3)
@@ -153,11 +150,9 @@ def test_difference_residuals_vanish(p5, fp, ctx5):
     # nu_n S_m(n) = sum_i WE_im S_i(n), WE the band of X + rho Z on e,
     # read down column m of WE: the transposed band
     S, xe, ze = _s_table(p5, fp), coeffs_X_on_e(p5), coeffs_Z_on_e(p5)
-    we_t = TridiagonalCoeffs(
-        sup=tuple(x + fp.rho * z for x, z in zip(xe.sub, ze.sub)),
-        diag=tuple(x + fp.rho * z for x, z in zip(xe.diag, ze.diag)),
-        sub=tuple(x + fp.rho * z for x, z in zip(xe.sup, ze.sup)),
-    )
+    we_t = RationalMatrix.banded(p5.N + 1, {
+        -k: [x + fp.rho * z for x, z in zip(xe.band(k), ze.band(k))] for k in (-1, 0, 1)
+    })
     for n in range(p5.N + 1):
         nu = eigenvalue("f", p5, fp, n)
         for m in range(p5.N + 1):

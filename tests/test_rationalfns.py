@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -33,7 +34,7 @@ from metaracah.rationalfns import (
     weight_Wstar,
     zk_dstar_closed,
 )
-from metaracah import Params
+from metaracah import Params, validate_params
 
 
 def cu(p):
@@ -94,7 +95,7 @@ def _with_entry(grid, i, j, change):
 def test_gram_U_failures_name_their_points(p3, ctx3):
     # doubling Utilde_1(2) breaks row k = 1 of gram-U wherever U_m(2) != 0,
     # and row k = 2 of gram-U-dual wherever U_1(n) != 0
-    ctx3._grids["Utilde"] = _with_entry(ctx3.grid("Utilde"), 1, 2, lambda x: 2 * x)
+    ctx3._kept[("grid", "Utilde")] = _with_entry(ctx3.grid("Utilde"), 1, 2, lambda x: 2 * x)
     checks = {c.id: c for c in verify_rational(ctx3).checks}
     N = p3.N
     row = [(1, m) for m in range(N + 1) if closed_form_U(m, 2, p3) != 0]
@@ -154,11 +155,13 @@ def test_difference_grid(p5):
 
 
 def test_difference_degenerate_point():
-    # n - alpha + beta = 0 at n = 2 hits the divided coefficient before the
-    # grid is read, and calU itself has the lower parameter alpha-beta-n = 0
+    # n - alpha + beta = 0 at n = 2 would divide the difference equation's
+    # coefficient, and calU itself has the lower parameter alpha-beta-n = 0:
+    # the registry names it, so no Context of the set reaches the suite
     p = Params(N=4, alpha=Q(7, 3), beta=Q(1, 3), zeta=Q(1, 7))
-    with pytest.raises(DegenerateParameters, match="at n = 2"):
-        _difference_residual(p, RationalMatrix.zeros(p.N + 1))
+    assert "(2-alpha+beta)" in validate_params(p)
+    with pytest.raises(DegenerateParameters, match=re.escape("(2-alpha+beta)")):
+        Context(p)
 
 
 def test_contiguity_grid_and_shift(p5):
@@ -212,10 +215,13 @@ def test_contiguity_head_coefficient_is_one(p5):
 
 
 def test_contiguity_rejects_degenerate_shift():
-    for p in (Params(N=3, alpha=Q(0), beta=Q(1, 5), zeta=Q(1, 7)),
-              Params(N=3, alpha=Q(1, 5), beta=Q(1, 5), zeta=Q(1, 7))):
-        with pytest.raises(DegenerateParameters):
-            _contiguity_residual(p, RationalMatrix.zeros(p.N + 1))
+    # the contiguity coefficients divide by alpha and alpha - beta: the
+    # registry names both, so no Context of either set reaches the suite
+    for p, label in ((Params(N=3, alpha=Q(0), beta=Q(1, 5), zeta=Q(1, 7)), "(0-alpha)"),
+                     (Params(N=3, alpha=Q(1, 5), beta=Q(1, 5), zeta=Q(1, 7)), "(0-alpha+beta)")):
+        assert label in validate_params(p)
+        with pytest.raises(DegenerateParameters, match=re.escape(label)):
+            Context(p)
 
 
 def test_contiguity_operator_identities(ctx5):
@@ -366,7 +372,7 @@ def test_product_checks_name_the_points_a_perturbed_grid_breaks(p3, fp, name):
     ctx = Context(p3, fp)
     for grid_name in GRIDS:
         ctx.grid(grid_name)
-    ctx._grids[name] = _with_entry(ctx.grid(name), 1, 2, lambda x: x + 1)
+    ctx._kept[("grid", name)] = _with_entry(ctx.grid(name), 1, 2, lambda x: x + 1)
     checks = {c.id: c for rep in (verify_racah(ctx), verify_rational(ctx)) for c in rep.checks}
     for check_id, (axes, holds) in _per_point_references(ctx).items():
         bad = [(i, j) for i in range(p3.N + 1) for j in range(p3.N + 1) if not holds(i, j)]

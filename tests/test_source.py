@@ -131,6 +131,22 @@ def test_overlap_grids_are_built_only_by_a_context():
     assert found == [("eigenbases.py", "Context")], found
 
 
+CONTEXT_STORES = {"_kept", "_bases", "_grids", "_matrices", "_bands"}
+
+
+def test_only_the_context_reads_its_store():
+    # a Context keeps every derived table through Context.keep, so what is
+    # kept, and for how long, is decided in eigenbases.py alone; a module
+    # that reached into the store would hold a second get-or-build
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES if path.name != "eigenbases.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in CONTEXT_STORES
+    ]
+    assert SOURCES and not found, found
+
+
 def test_no_module_imports_dataclasses():
     # every CLI op is a fresh interpreter; the records are plain classes,
     # so no import pays for dataclasses (and the inspect it pulls in) or
