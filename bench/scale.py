@@ -4,7 +4,7 @@ cost of a fresh interpreter.
 
 Usage, from the repository root:
 
-    python3 bench/scale.py --parent PARENT_CHECKOUT --out BENCH_18.json
+    python3 bench/scale.py --parent PARENT_CHECKOUT --out BENCH_19.json
 
 Each source tree (this checkout, and the parent checkout when --parent is
 given) is measured in a fresh interpreter per N, the trees taking turns.
@@ -19,6 +19,14 @@ trees when a change keeps the output), and the largest numerator and
 denominator bit lengths of the rationals in the verify output and in the
 eight overlap tables at that N (`table --which <name>`), which set the
 size of the integers every product and pairing multiplies.
+
+Wall times of one tree read apart by up to 1.6x between children on a
+2-core VM whose CPUs switch speeds, so each child also runs its workload
+(one verify run, or one pass over the emit commands) once more, untimed,
+under cProfile, and records the Python call count of that run
+(``pstats.Stats.total_calls``).  The count does not depend on machine
+speed: equal code gives an equal count, so it tells two trees apart where
+their times cannot.
 
 The emit commands are the `emit` workload of perfbench at the default
 parameters: ``table --which <name>`` for the eight overlap tables and
@@ -42,11 +50,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import cProfile
 import hashlib
 import io
 import json
 import os
 import platform
+import pstats
 import re
 import subprocess
 import sys
@@ -79,6 +89,13 @@ def _run(cli, argv) -> tuple:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     return code, out.getvalue()
+
+
+def _call_count(run) -> int:
+    """The Python calls of one untimed run() under cProfile."""
+    profiler = cProfile.Profile()
+    profiler.runcall(run)
+    return pstats.Stats(profiler).total_calls
 
 
 def measure(src: str, N: int) -> dict:
@@ -118,6 +135,7 @@ def measure(src: str, N: int) -> dict:
     (code, digest), = outcomes
     return {
         "total_s": round(min(totals), 4),
+        "calls": _call_count(lambda: _run(cli, argv)),
         "suite_s": {name: round(min(times), 4) for name, times in suites.items()},
         "exit_code": code,
         "stdout_sha256": digest,
@@ -151,7 +169,8 @@ def measure_emit(src: str, N: int) -> dict:
     for key, seconds in times.items():
         (code, digest), = outcomes[key]
         ops[key] = {"s": round(min(seconds), 4), "exit_code": code, "stdout_sha256": digest}
-    return {"total_s": round(min(totals), 4), "ops": ops}
+    calls = _call_count(lambda: [_run(cli, argv + ["--N", str(N)]) for argv in EMIT])
+    return {"total_s": round(min(totals), 4), "calls": calls, "ops": ops}
 
 
 def measure_startup(trees: dict) -> dict:
@@ -188,7 +207,7 @@ def _commit(tree: str) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", help="checkout of the parent commit to measure as well")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_18.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_19.json"))
     parser.add_argument("--measure", nargs=3, metavar=("KIND", "SRC", "N"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -203,7 +222,8 @@ def main(argv=None) -> int:
                    " table --which <name> / matrix --which basis:<label> --N <N> (emit_by_N),"
                    " default parameters, in process; start-up commands in fresh"
                    " interpreters (startup)",
-        "statistic": f"min of {REPEATS} runs (startup: min of {STARTUP_REPEATS})",
+        "statistic": f"min of {REPEATS} runs (startup: min of {STARTUP_REPEATS}); calls:"
+                     " Python calls of one more, untimed run under cProfile",
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),

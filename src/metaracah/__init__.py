@@ -6,13 +6,11 @@ the nose or reports the exact offending entry.
 """
 
 from .algebra import (
-    CentralParams,
     Params,
     build_V,
     build_X,
     build_Z,
     build_transposes,
-    casimir,
     central_params,
     check_casimir_central,
     check_defining_relations,
@@ -22,7 +20,6 @@ from .algebra import (
 from .eigenbases import (
     BasisFamily,
     Context,
-    FParams,
     LABELS,
     build_basis,
     check_orthogonality,
@@ -63,12 +60,10 @@ from .report import Check, VerificationReport
 
 __all__ = [
     "BasisFamily",
-    "CentralParams",
     "Check",
     "Context",
     "DegenerateParameters",
     "DiffOp",
-    "FParams",
     "LABELS",
     "LaurentPoly",
     "NondegenerateSpectrumViolated",
@@ -85,7 +80,6 @@ __all__ = [
     "build_transposes",
     "calU",
     "calU_tilde",
-    "casimir",
     "central_params",
     "check_casimir_central",
     "check_defining_relations",

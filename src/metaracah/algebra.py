@@ -55,25 +55,16 @@ class Params(Frozen):
         object.__setattr__(self, "zeta", Q(zeta))
 
     def as_dict(self):
-        out = {"N": str(self.N), "alpha": str(self.alpha), "beta": str(self.beta),
-               "zeta": str(self.zeta)}
-        return out
+        return {"N": str(self.N), "alpha": str(self.alpha), "beta": str(self.beta),
+                "zeta": str(self.zeta)}
 
 
-class CentralParams(Frozen):
-    __slots__ = _fields = ("xi", "eta")
-
-    def __init__(self, xi: Fraction, eta: Fraction):
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "eta", eta)
-
-
-def central_params(p: Params) -> CentralParams:
-    """The xi and eta attached to the bidiagonal realization."""
+def central_params(p: Params) -> tuple:
+    """The pair (xi, eta) attached to the bidiagonal realization."""
     a, b, z, N = p.alpha, p.beta, p.zeta, p.N
     xi = (b + 1) * (b + 2 * z - N) * (N - 2 * a) + 2 * a * z * (a + 1)
     eta = (N - z) * (N - 2 * a - b - z) + (b + z) * (b + 1) + 2 * a * a
-    return CentralParams(xi=xi, eta=eta)
+    return xi, eta
 
 
 def _as_int(x: Fraction):
@@ -202,27 +193,21 @@ def build_transposes(p: Params):
     )
 
 
-def casimir(ctx: Context) -> RationalMatrix:
-    """The Casimir matrix of the Context: built once, by build_casimir, and
-    kept as ctx.C, so every call returns the same object."""
-    return ctx.C
-
-
 def build_casimir(ctx: Context) -> RationalMatrix:
     """The central element 2ZVZ + {X,V} + 2 zeta {X,Z} + 2X^2 + 2 zeta^2 Z^2
-    + 2 eta X + V + 2 xi Z as a matrix."""
+    + 2 eta X + V + 2 xi Z as a matrix; a Context builds it once, as ctx.C."""
     Z, V, X = ctx.Z, ctx.V, ctx.X
     z = ctx.p.zeta
-    cp = central_params(ctx.p)
+    xi, eta = central_params(ctx.p)
     return (
         2 * (Z * V * Z)
         + anticommutator(X, V)
         + 2 * z * anticommutator(X, Z)
         + 2 * (X * X)
         + 2 * z * z * (Z * Z)
-        + 2 * cp.eta * X
+        + 2 * eta * X
         + V
-        + 2 * cp.xi * Z
+        + 2 * xi * Z
     )
 
 
@@ -236,7 +221,7 @@ def check_defining_relations(ctx: Context, Z=None) -> VerificationReport:
     """
     p, V, X = ctx.p, ctx.V, ctx.X
     Z = ctx.Z if Z is None else Z
-    cp = central_params(p)
+    xi, eta = central_params(p)
     z = p.zeta
     ident = ctx.I
     rep = VerificationReport(suite="algebra:relations", params=p.as_dict())
@@ -247,19 +232,19 @@ def check_defining_relations(ctx: Context, Z=None) -> VerificationReport:
     rep.add_matrix_zero(
         "relation-XV",
         "[X,V] - ({V,Z} + 2 zeta X + 2 zeta^2 Z + xi I) = 0",
-        commutator(X, V) - (vz_a + 2 * z * X + 2 * z * z * Z + cp.xi * ident),
+        commutator(X, V) - (vz_a + 2 * z * X + 2 * z * z * Z + xi * ident),
     )
     rep.add_matrix_zero(
         "relation-VZ",
         "[V,Z] - (V + 2 X + 2 zeta Z + eta I) = 0",
-        vz_c - (V + 2 * X + 2 * z * Z + cp.eta * ident),
+        vz_c - (V + 2 * X + 2 * z * Z + eta * ident),
     )
     return rep
 
 
 def check_casimir_central(ctx: Context) -> VerificationReport:
-    """Verify that the Casimir matrix commutes with all three generators."""
-    C = casimir(ctx)
+    """Verify that the Casimir matrix ctx.C commutes with all three generators."""
+    C = ctx.C
     rep = VerificationReport(suite="algebra:casimir", params=ctx.p.as_dict())
     for name, g in (("Z", ctx.Z), ("V", ctx.V), ("X", ctx.X)):
         rep.add_matrix_zero(f"casimir-{name}", f"[C,{name}] = 0", commutator(C, g))
@@ -282,11 +267,11 @@ def check_subalgebras(ctx: Context) -> VerificationReport:
                         + (1 - rho^2)V - C + rho(xi - rho eta)I;
     (d) the solvable pair E = X + Z^2, H = Z with [H,E] = E.
 
-    rho is the Context's, so the Context needs FParams.
+    rho and the Casimir C are the Context's, so the Context needs rho.
     """
     p, rho = ctx.p, ctx.rho
     Z, V, X = ctx.Z, ctx.V, ctx.X
-    cp = central_params(p)
+    xi, eta = central_params(p)
     z = p.zeta
     ident = ctx.I
     rep = VerificationReport(suite="algebra:subalgebras", params={**p.as_dict(), "rho": str(rho)})
@@ -294,8 +279,8 @@ def check_subalgebras(ctx: Context) -> VerificationReport:
     Zb = Z - (z / 2) * ident
     Xb = X + z * Z - (z * z / 4) * ident
     Vb = V
-    xib = cp.xi - cp.eta * z
-    etab = cp.eta + z * z / 2
+    xib = xi - eta * z
+    etab = eta + z * z / 2
     K, vz_a = brackets(Vb, Zb)
     rep.add_matrix_zero(
         "shifted-ZX", "[Zb,Xb] = Zb^2 + Xb", commutator(Zb, Xb) - (Zb * Zb + Xb)
@@ -322,8 +307,8 @@ def check_subalgebras(ctx: Context) -> VerificationReport:
     )
 
     W = X + rho * Z
-    C = casimir(ctx)
-    e1 = cp.eta + z * (z - rho)
+    C = ctx.C
+    e1 = eta + z * (z - rho)
     wv_c, wv_a = brackets(W, V)
     rep.add_matrix_zero(
         "racah-1",
@@ -333,7 +318,7 @@ def check_subalgebras(ctx: Context) -> VerificationReport:
             2 * wv_a
             + 2 * (V * V)
             + 2 * e1 * V
-            + 2 * (rho * cp.xi + z * (z * cp.eta - cp.xi - cp.eta * rho)) * ident
+            + 2 * (rho * xi + z * (z * eta - xi - eta * rho)) * ident
         ),
     )
     rep.add_matrix_zero(
@@ -346,7 +331,7 @@ def check_subalgebras(ctx: Context) -> VerificationReport:
             + 2 * e1 * W
             + (1 - rho * rho) * V
             - C
-            + rho * (cp.xi - rho * cp.eta) * ident
+            + rho * (xi - rho * eta) * ident
         ),
     )
 

@@ -26,7 +26,6 @@ from operator import attrgetter
 
 from .algebra import (
     Params,
-    casimir,
     check_casimir_central,
     check_defining_relations,
     check_subalgebras,
@@ -36,7 +35,6 @@ from .eigenbases import (
     GRIDS,
     LABELS,
     Context,
-    FParams,
     check_orthogonality,
     oracle_basis,
 )
@@ -166,13 +164,13 @@ def _bases_report(ctx: Context) -> VerificationReport:
     return rep
 
 
-def run_suites(p: Params, fp: FParams, suites) -> list:
-    """The reports of the named suites, all read from one Context of (p, fp).
+def run_suites(p: Params, rho: Fraction, suites) -> list:
+    """The reports of the named suites, all read from one Context of (p, rho).
 
     Raises DegenerateParameters, before any suite runs, when the set is
-    not generic.
+    not generic.  perfbench/tracer.py calls it as run_suites(p, rho, (suite,)).
     """
-    return _reports(Context(p, fp), suites)
+    return _reports(Context(p, rho), suites)
 
 
 def _reports(ctx: Context, suites) -> list:
@@ -183,7 +181,7 @@ def sweep_parameters(rng: random.Random, N: int):
     def draw():
         return Q(rng.choice(SWEEP_NUMERATORS), rng.choice(SWEEP_DENOMINATORS))
 
-    return Params(N=N, alpha=draw(), beta=draw(), zeta=draw()), FParams(rho=draw())
+    return Params(N=N, alpha=draw(), beta=draw(), zeta=draw()), draw()
 
 
 def _params(args: argparse.Namespace) -> Params:
@@ -192,7 +190,7 @@ def _params(args: argparse.Namespace) -> Params:
 
 def _context(args: argparse.Namespace, needs_rho: bool) -> Context:
     """The arguments' Context; its validation includes rho only when needs_rho."""
-    return Context(_params(args), FParams(rho=args.rho) if needs_rho else None)
+    return Context(_params(args), args.rho if needs_rho else None)
 
 
 def _json(payload) -> str:
@@ -201,7 +199,7 @@ def _json(payload) -> str:
 
 def cmd_verify(args: argparse.Namespace) -> tuple:
     suites = args.suites + ((FAULT_SUITE,) if args.inject_fault else ())
-    reports = run_suites(_params(args), FParams(rho=args.rho), suites)
+    reports = run_suites(_params(args), args.rho, suites)
 
     skipped = 0
     rng = random.Random(args.seed)
@@ -288,7 +286,7 @@ class _EmitFailed(Exception):
 def _casimir_checked(ctx: Context) -> RationalMatrix:
     if not check_casimir_central(ctx).passed:
         raise _EmitFailed("casimir centrality failed on emit\n")
-    return casimir(ctx)
+    return ctx.C
 
 
 # selector -> the matrix of a Context
@@ -388,8 +386,12 @@ def main(argv=None) -> int:
         text = _json({"error": "degenerate-parameters", "offenders": exc.offenders})
     if code == EXIT_USAGE:
         sys.stderr.write(text)
-    else:
+        return code
+    try:
         _emit(text, args.out)
+    except OSError as exc:  # an unwritable --out is a usage error, not a failed identity
+        print(f"metaracah: cannot write {exc.filename or args.out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

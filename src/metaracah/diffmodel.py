@@ -394,7 +394,7 @@ _MODELS = {
 
 def model_basis(ctx: Context, label: str) -> list:
     """The printed Laurent-polynomial model of one eigenbasis family."""
-    family(label, ctx.fp)  # refuses unknown labels, and f / f* without FParams
+    family(label, ctx.rho)  # refuses unknown labels, and f / f* without rho
     model = _MODELS[label]
     return [model(ctx.p, ctx.rho, n) for n in range(ctx.p.N + 1)]
 

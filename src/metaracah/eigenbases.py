@@ -56,15 +56,6 @@ from .report import VerificationReport
 Q = Fraction
 
 
-class FParams(Frozen):
-    """The extra parameter rho entering the pencil W = X + rho Z."""
-
-    __slots__ = _fields = ("rho",)
-
-    def __init__(self, rho: Fraction):
-        object.__setattr__(self, "rho", Q(rho))
-
-
 class BasisFamily(Frozen):
     """A full eigenbasis: column n of ``vectors`` is the n-th basis vector."""
 
@@ -196,24 +187,23 @@ FAMILIES = {
 LABELS = tuple(FAMILIES)
 
 
-def family(label: str, fp: FParams | None) -> Family:
+def family(label: str, rho: Fraction | None) -> Family:
     """The table row for label; every entry point validates its label here."""
     fam = FAMILIES.get(label)
     if fam is None:
         raise PreconditionViolated(f"unknown basis label {label!r}")
-    if fam.needs_rho and fp is None:
-        raise PreconditionViolated(f"label {label!r} needs FParams")
+    if fam.needs_rho and rho is None:
+        raise PreconditionViolated(f"label {label!r} needs rho")
     return fam
 
 
-def eigenvalue(label: str, p: Params, fp: FParams | None, n: int) -> Fraction:
-    return family(label, fp).eigenvalue(p, fp.rho if fp else None, n)
+def eigenvalue(label: str, p: Params, rho: Fraction | None, n: int) -> Fraction:
+    return family(label, rho).eigenvalue(p, rho, n)
 
 
-def build_basis(p: Params, fp: FParams | None, label: str) -> BasisFamily:
+def build_basis(p: Params, rho: Fraction | None, label: str) -> BasisFamily:
     """Evaluate the closed-form expansion of every vector in the family."""
-    fam = family(label, fp)
-    rho = fp.rho if fp else None
+    fam = family(label, rho)
     N = p.N
     cols = [fam.column(p, rho, n) for n in range(N + 1)]
     eigs = tuple(fam.eigenvalue(p, rho, n) for n in range(N + 1))
@@ -230,7 +220,7 @@ class Grid(NamedTuple):
 
 
 def _racah_params(ctx):
-    return racahpoly.RacahParams.from_params(ctx.p, ctx.fp)
+    return racahpoly.RacahParams.from_params(ctx.p, ctx.rho)
 
 
 def _prefactored(table: str, factor_m: Callable, factor_n: Callable, args: Callable):
@@ -286,7 +276,7 @@ cached_basis = lru_cache(maxsize=256)(build_basis)
 
 
 class Context(Frozen):
-    """One parameter set: p, and FParams where rho is given.
+    """One parameter set: p, and rho of X + rho Z as a Fraction, or None if not given.
 
     Making a Context is the one genericity check: it raises
     DegenerateParameters unless (p, rho) is generic, and nothing that
@@ -299,20 +289,15 @@ class Context(Frozen):
     operator matrix in an eigenbasis and each dual side (b*)^T W of one
     (``matrixreps.matrix_on``), and each closed-form band table
     (``matrixreps.bands``).  Each matrix keeps its own transpose and
-    integer-scaled forms.  Equality and hashing follow (p, fp).
+    integer-scaled forms.  Equality and hashing follow (p, rho); rho = 0 is given.
     """
 
-    _fields = ("p", "fp")
+    _fields = ("p", "rho")
 
-    def __init__(self, p: Params, fp: FParams | None = None):
+    def __init__(self, p: Params, rho: Fraction | None = None):
         # no __slots__: cached_property keeps its values in the __dict__ too
-        self.__dict__.update(p=p, fp=fp, _kept={})
+        self.__dict__.update(p=p, rho=None if rho is None else Q(rho), _kept={})
         require_generic(self.p, self.rho)
-
-    @property
-    def rho(self):
-        """rho, or None when no FParams are given."""
-        return self.fp.rho if self.fp else None
 
     Z = cached_property(lambda self: build_Z(self.p))
     V = cached_property(lambda self: build_V(self.p))
@@ -335,14 +320,14 @@ class Context(Frozen):
 
     def basis(self, label: str) -> BasisFamily:
         """The closed-form family, built on first use."""
-        return self.keep(("basis", label), build_basis, self.p, self.fp, label)
+        return self.keep(("basis", label), build_basis, self.p, self.rho, label)
 
     def grid(self, name: str) -> RationalMatrix:
         """The overlap table GRIDS[name], entry (m, n) its value at (m, n),
         built on first use and kept as its reduced entries (each written
         once); like every RationalMatrix it cannot be changed in place."""
-        if GRIDS[name].needs_rho and self.fp is None:
-            raise PreconditionViolated(f"grid {name!r} needs FParams")
+        if GRIDS[name].needs_rho and self.rho is None:
+            raise PreconditionViolated(f"grid {name!r} needs rho")
         return self.keep(("grid", name), lambda: GRIDS[name].build(self).reduced())
 
 
@@ -395,11 +380,11 @@ def oracle_basis(ctx: Context, label: str) -> BasisFamily:
     use made of the closed-form data: the anchors are the diagonal of the
     closed-form family.
     """
-    p, fp = ctx.p, ctx.fp
-    A, B = family(label, fp).pencil(ctx)
+    p, rho = ctx.p, ctx.rho
+    A, B = family(label, rho).pencil(ctx)
     band_kernel = _band_kernel(A, B)
     N = p.N
-    eigs = tuple(eigenvalue(label, p, fp, n) for n in range(N + 1))
+    eigs = tuple(eigenvalue(label, p, rho, n) for n in range(N + 1))
     closed = ctx.basis(label).vectors
     cols = []
     for n in range(N + 1):
@@ -445,10 +430,10 @@ def check_orthogonality(ctx: Context) -> VerificationReport:
     through Z.  Completeness bundles the three plain resolutions of identity
     and the Z-weighted one for the pencil family.
     """
-    p, fp = ctx.p, ctx.fp
+    p, rho = ctx.p, ctx.rho
     ident, Z = ctx.I, ctx.Z
     rep = VerificationReport(
-        suite="eigenbases:orthogonality", params={**p.as_dict(), "rho": str(fp.rho)}
+        suite="eigenbases:orthogonality", params={**p.as_dict(), "rho": str(rho)}
     )
     fams = {label: ctx.basis(label).vectors for label in LABELS}
     for label in ("e", "f", "z"):
@@ -470,7 +455,7 @@ def check_orthogonality(ctx: Context) -> VerificationReport:
         "completeness-d", "sum_n Z|d_n><d*_n| = I", Z * fams["d"] * fams["dStar"].transpose() - ident
     )
     for label in ("d", "e", "f", "z"):
-        eigs = [eigenvalue(label, p, fp, n) for n in range(p.N + 1)]
+        eigs = [eigenvalue(label, p, rho, n) for n in range(p.N + 1)]
         distinct = len(set(eigs)) == p.N + 1
         rep.add(
             f"distinct-eigenvalues-{label}",

@@ -28,7 +28,7 @@ from .matrices import RationalMatrix
 from .report import VerificationReport
 
 if TYPE_CHECKING:
-    from .eigenbases import Context, FParams
+    from .eigenbases import Context
 
 Q = Fraction
 
@@ -128,9 +128,9 @@ def coeffs_X_on_e(p: Params) -> RationalMatrix:
     })
 
 
-def coeffs_V_on_f(p: Params, fp: FParams) -> RationalMatrix:
+def coeffs_V_on_f(p: Params, rho: Fraction) -> RationalMatrix:
     """V is irreducible tridiagonal on the eigenbasis of X + rho Z."""
-    N, a, b, z, r = p.N, p.alpha, p.beta, p.zeta, fp.rho
+    N, a, b, z, r = p.N, p.alpha, p.beta, p.zeta, rho
 
     def lower(n):
         return -(
@@ -252,7 +252,7 @@ def etilde_in_z(p: Params, n: int):
 COEFFS = {
     "e": (False, lambda ctx: {"Z": bands(ctx, coeffs_Z_on_e, ctx.p),
                               "X": bands(ctx, coeffs_X_on_e, ctx.p)}),
-    "f": (True, lambda ctx: {"V": bands(ctx, coeffs_V_on_f, ctx.p, ctx.fp)}),
+    "f": (True, lambda ctx: {"V": bands(ctx, coeffs_V_on_f, ctx.p, ctx.rho)}),
     "d": (False, lambda ctx: bands(ctx, coeffs_on_d, ctx.p)),
     "dStar": (False, lambda ctx: bands(ctx, coeffs_on_dstar, ctx.p)),
     "z": (False, lambda ctx: bands(ctx, coeffs_on_z, ctx.p)),
@@ -300,7 +300,7 @@ COEFFICIENT_CHECKS = (
 def verify_coefficients(ctx: Context) -> VerificationReport:
     """Every closed-form coefficient family against its conjugation oracle."""
     rep = VerificationReport(
-        suite="matrixreps:coefficients", params={**ctx.p.as_dict(), "rho": str(ctx.fp.rho)}
+        suite="matrixreps:coefficients", params={**ctx.p.as_dict(), "rho": str(ctx.rho)}
     )
     tables = {basis: build(ctx) for basis, (_, build) in COEFFS.items()}
     for check_id, statement, (basis, name, transposed), (label, op) in COEFFICIENT_CHECKS:

@@ -41,7 +41,7 @@ from .matrixreps import bands, coeffs_V_on_f, coeffs_X_on_e, coeffs_Z_on_e
 from .report import VerificationReport
 
 if TYPE_CHECKING:
-    from .eigenbases import Context, FParams
+    from .eigenbases import Context
 
 Q = Fraction
 
@@ -60,8 +60,7 @@ class RacahParams(Frozen):
         object.__setattr__(self, "N", N)
 
     @classmethod
-    def from_params(cls, p: Params, fp: FParams) -> "RacahParams":
-        rho = fp.rho
+    def from_params(cls, p: Params, rho: Fraction) -> "RacahParams":
         return cls(
             alpha_hat=-p.beta - rho - 1,
             beta_hat=-p.beta + rho - 2 * p.zeta - 1,
@@ -180,10 +179,10 @@ def verify_racah(ctx: Context) -> VerificationReport:
     Signs of W_n and N_m are recorded for information only; positivity
     needs parameter restrictions this library does not impose.
     """
-    p, fp = ctx.p, ctx.fp
-    rp = RacahParams.from_params(p, fp)
+    p, rho = ctx.p, ctx.rho
+    rp = RacahParams.from_params(p, rho)
     N = p.N
-    rep = VerificationReport(suite="racah", params={**p.as_dict(), "rho": str(fp.rho)})
+    rep = VerificationReport(suite="racah", params={**p.as_dict(), "rho": str(rho)})
 
     R, S, St = ctx.grid("racah"), ctx.grid("S"), ctx.grid("Stilde")
     fstar, e, f, estar = (ctx.basis(label) for label in ("fStar", "e", "f", "eStar"))
@@ -193,10 +192,10 @@ def verify_racah(ctx: Context) -> VerificationReport:
                  estar.vectors.transpose() * f.vectors - St)
 
     # the bands stop at the edges, so no neighbour outside 0..N enters
-    vf = bands(ctx, coeffs_V_on_f, p, fp)
+    vf = bands(ctx, coeffs_V_on_f, p, rho)
     rep.add_grid("recurrence", "recurrence residual vanishes on the full grid",
                  S.scaled(e.eigenvalues) - S * vf.transpose())
-    we = bands(ctx, coeffs_X_on_e, p) + fp.rho * bands(ctx, coeffs_Z_on_e, p)
+    we = bands(ctx, coeffs_X_on_e, p) + rho * bands(ctx, coeffs_Z_on_e, p)
     rep.add_grid("difference", "difference residual vanishes on the full grid",
                  S.scaled(None, f.eigenvalues) - we.transpose() * S)
 

@@ -2,7 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from metaracah import Context, FParams, Params
+from metaracah import Context, Params
 
 
 @pytest.fixture
@@ -16,8 +16,8 @@ def p3():
 
 
 @pytest.fixture
-def fp():
-    return FParams(rho=Q(1, 13))
+def rho():
+    return Q(1, 13)
 
 
 @pytest.fixture
@@ -27,20 +27,20 @@ def p_other():
 
 
 @pytest.fixture
-def fp_other():
-    return FParams(rho=Q(4, 9))
+def rho_other():
+    return Q(4, 9)
 
 
 @pytest.fixture
-def ctx3(p3, fp):
-    return Context(p3, fp)
+def ctx3(p3, rho):
+    return Context(p3, rho)
 
 
 @pytest.fixture
-def ctx5(p5, fp):
-    return Context(p5, fp)
+def ctx5(p5, rho):
+    return Context(p5, rho)
 
 
 @pytest.fixture
-def ctx_other(p_other, fp_other):
-    return Context(p_other, fp_other)
+def ctx_other(p_other, rho_other):
+    return Context(p_other, rho_other)

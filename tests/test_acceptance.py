@@ -14,14 +14,12 @@ from fractions import Fraction as Q
 
 from metaracah import (
     Context,
-    FParams,
     LABELS,
     Params,
     build_basis,
     build_V,
     build_X,
     build_Z,
-    casimir,
     check_casimir_central,
     check_defining_relations,
     check_orthogonality,
@@ -64,7 +62,7 @@ def random_set(rng, N):
         p = Params(N=N, alpha=draw(), beta=draw(), zeta=draw())
         rho = draw()
         if not validate_params(p, rho):
-            return p, FParams(rho=rho)
+            return p, rho
 
 
 def sweep(seed, per_n, n_values):
@@ -75,7 +73,7 @@ def sweep(seed, per_n, n_values):
 def test_criterion_01_defining_relations():
     start = time.perf_counter()
     sets = sweep(SEED, 5, range(1, 13))  # 60 sets >= 50, every N in 1..12
-    ok = all(check_defining_relations(Context(p, fp)).passed for p, fp in sets)
+    ok = all(check_defining_relations(Context(p, rho)).passed for p, rho in sets)
     elapsed = time.perf_counter() - start
     _line(1, ok and elapsed < 5.0, "defining relations exact on random sweep",
           f"{len(sets)} sets, {elapsed:.2f}s < 5s")
@@ -85,8 +83,8 @@ def test_criterion_02_casimir_centrality():
     # same sweep as criterion 1 by construction (same seed and schedule)
     sets = sweep(SEED, 5, range(1, 13))
     ok = True
-    for p, fp in sets:
-        C = casimir(Context(p, fp))
+    for p, rho in sets:
+        C = Context(p, rho).C
         for G in (build_X(p), build_V(p), build_Z(p)):
             ok = ok and commutator(C, G).is_zero()
     _line(2, ok, "Casimir commutes with X, V, Z on the same sweep",
@@ -97,7 +95,7 @@ def test_criterion_03_subalgebra_embeddings():
     ok = True
     for N in range(1, 9):
         p = Params(N=N, **DEFAULTS)
-        rep = check_subalgebras(Context(p, FParams(rho=RHO)))
+        rep = check_subalgebras(Context(p, RHO))
         ok = ok and rep.passed
     _line(3, ok, "shifted, Hahn-type, Racah-type and Borel relations", "N = 1..8")
 
@@ -122,10 +120,10 @@ def test_criterion_05_eigenbases_vs_oracle():
     start = time.perf_counter()
     sets = sweep(SEED + 5, 2, range(1, 11))  # 20 sets, N = 1..10
     ok = True
-    for p, fp in sets:
-        ctx = Context(p, fp)
+    for p, rho in sets:
+        ctx = Context(p, rho)
         for label in LABELS:
-            closed = build_basis(p, fp, label)
+            closed = build_basis(p, rho, label)
             oracle = oracle_basis(ctx, label)
             ok = ok and closed.vectors == oracle.vectors
     elapsed = time.perf_counter() - start
@@ -137,7 +135,7 @@ def test_criterion_06_orthogonality_completeness():
     ok = True
     for N in (4, 8):
         p = Params(N=N, **DEFAULTS)
-        rep = check_orthogonality(Context(p, FParams(rho=RHO)))
+        rep = check_orthogonality(Context(p, RHO))
         ok = ok and rep.passed
     _line(6, ok, "four Grams and both resolutions of identity", "N = 4, 8")
 
@@ -146,7 +144,7 @@ def test_criterion_07_coefficient_formulas():
     ok = True
     for N in (2, 5, 8):
         p = Params(N=N, **DEFAULTS)
-        rep = verify_coefficients(Context(p, FParams(rho=RHO)))
+        rep = verify_coefficients(Context(p, RHO))
         ok = ok and rep.passed
     _line(7, ok, "printed action coefficients equal conjugation oracles",
           "N = 2, 5, 8")
@@ -168,7 +166,7 @@ def test_criterion_09_racah_identification():
     ok = True
     for N in (2, 5, 8):
         p = Params(N=N, **DEFAULTS)
-        rep = verify_racah(Context(p, FParams(rho=RHO)))
+        rep = verify_racah(Context(p, RHO))
         ok = ok and rep.passed
     _line(9, ok, "overlaps are Racah polynomials; weights, norms, "
           "recurrence, difference exact", "full grids, N = 2, 5, 8")
@@ -210,7 +208,7 @@ def test_criterion_12_differential_model():
     ok = True
     for N in (4, 6):
         p = Params(N=N, **DEFAULTS)
-        rep = verify_model(Context(p, FParams(rho=RHO)))
+        rep = verify_model(Context(p, RHO))
         ok = ok and rep.passed
     _line(12, ok, "differential realization: matrices, orthogonality, "
           "integral representations", "N = 4, 6")

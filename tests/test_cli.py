@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 from collections import Counter
 from fractions import Fraction as Q
 
@@ -19,7 +20,7 @@ import metaracah.report as report
 from metaracah.cli import main
 from metaracah.errors import NondegenerateSpectrumViolated
 from metaracah.racahpoly import RacahParams, closed_form_S
-from metaracah import FParams, Params, validate_params
+from metaracah import Params, validate_params
 
 
 def run(capsys, *argv):
@@ -109,7 +110,7 @@ def test_table_json_matches_closed_form(capsys):
     assert code == 0
     payload = json.loads(out)
     p = Params(N=3, alpha=Q(1, 3), beta=Q(1, 5), zeta=Q(1, 7))
-    rp = RacahParams.from_params(p, FParams(rho=Q(1, 13)))
+    rp = RacahParams.from_params(p, Q(1, 13))
     for m in range(4):
         for n in range(4):
             assert Q(payload["grid"][m][n]) == closed_form_S(m, n, rp)
@@ -145,6 +146,21 @@ def test_output_file_honors_env_dir(capsys, tmp_path, monkeypatch):
     assert capsys.readouterr().out == ""
     data = json.loads((tmp_path / "grid.json").read_text())
     assert data["which"] == "S"
+
+
+@pytest.mark.parametrize("env, out", [(None, "{tmp}/missing/x.json"), (None, "{tmp}"),
+                                      ("{tmp}/missing", "x.json"), ("{tmp}", ".")])
+def test_an_unwritable_out_is_a_usage_error(capsys, tmp_path, monkeypatch, env, out):
+    # a crash writing the report is not an identity failure: exit 3, not 1
+    if env is not None:
+        monkeypatch.setenv("METARACAH_OUT", env.format(tmp=tmp_path))
+    out = out.format(tmp=tmp_path)
+    code = main(["verify", "--suite", "algebra", "--N", "2", "--out", out])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    path = os.path.join(env.format(tmp=tmp_path), out) if env else out
+    assert captured.err == f"metaracah: cannot write {path}: " + (
+        "No such file or directory\n" if "missing" in path else "Is a directory\n")
 
 
 def test_sweeps_are_reported(capsys):
@@ -291,6 +307,9 @@ PINNED_STDOUT = [
      "e86eb20540e6d539965532152c77c8bb87c87971d1095180f6f12ac037fb798b"),
     ("verify --suite matrixreps --N 16 --alpha=-28/3 --beta=22/17 --zeta=3/19 --rho=10/11", 0,
      "89bce034ff46e84275dccc95729a9a10e098c7a7ffb4d09f7a70bd7e6be9c944"),
+    # rho = 0 is a given rho: the f families, S grids and V-on-f bands are built
+    ("verify --suite all --N 3 --rho 0", 0,
+     "03ba88947c1e7fbac5a92d357d4cbefd5a98e8d89a70b4165e62345625c63858"),
 ]
 
 
@@ -322,7 +341,7 @@ def test_an_oracle_without_a_kernel_fails_closed_vs_oracle(capsys, monkeypatch):
     # (X + rho Z, I) and (Z, I), so each oracle finds no kernel at index 1
     # and raises; the bases suite reports a failing check that names each
     # family and its message, and the emit exits 1
-    ctx = eb.Context(Params(N=3, alpha=Q(1, 3), beta=Q(1, 5), zeta=Q(1, 7)), FParams(rho=Q(1, 13)))
+    ctx = eb.Context(Params(N=3, alpha=Q(1, 3), beta=Q(1, 5), zeta=Q(1, 7)), Q(1, 13))
     ctx.__dict__["Z"] = ctx.Z + matrices.RationalMatrix.banded(4, {0: [0, 1, 0, 0]})
     message = "family {}, index 1: kernel dimension 0, expected 1".format
     with pytest.raises(NondegenerateSpectrumViolated, match=message("d")):
@@ -423,9 +442,9 @@ def test_one_validation_and_one_build_per_set(capsys, monkeypatch, argv):
         calls["registry"] += 1
         return registry(*args)
 
-    def counted_build(p, fp, label):
+    def counted_build(p, rho, label):
         calls[label] += 1
-        return build(p, fp, label)
+        return build(p, rho, label)
 
     monkeypatch.setattr(algebra, "genericity_registry", counted_registry)
     monkeypatch.setattr(eb, "build_basis", counted_build)
@@ -482,10 +501,9 @@ def test_verify_all_writes_out_few_results(capsys, monkeypatch):
 
 def test_casimir_is_built_once_per_context():
     ctx = eb.Context(Params(N=3, alpha=Q(1, 3), beta=Q(1, 5), zeta=Q(1, 7)))
-    C = algebra.casimir(ctx)
-    assert algebra.casimir(ctx) is C and algebra.check_casimir_central(ctx).passed
-    assert algebra.casimir(ctx) is C and ctx.C is C
-    assert algebra.casimir(eb.Context(ctx.p)) is not C
+    C = ctx.C
+    assert algebra.check_casimir_central(ctx).passed and ctx.C is C
+    assert eb.Context(ctx.p).C is not C
 
 
 def test_each_overlap_grid_is_built_once_per_set(capsys, monkeypatch):

@@ -131,11 +131,11 @@ def test_operator_matrices_match_abstract(p3):
     assert matrix_in_monomial_basis([diff_X(p3).apply(x) for x in g], p3) == build_X(p3)
 
 
-def test_model_polynomials_carry_the_abstract_columns(p3, fp, ctx3):
+def test_model_polynomials_carry_the_abstract_columns(p3, rho, ctx3):
     # residue pairing against the dual rays reads off g-expansion
     # coefficients, which must match the abstract basis columns
     for label in ("d", "e", "z", "f"):
-        fam = build_basis(p3, fp, label)
+        fam = build_basis(p3, rho, label)
         polys = model_basis(ctx3, label)
         for n in range(p3.N + 1):
             coeffs = tuple(
@@ -144,10 +144,10 @@ def test_model_polynomials_carry_the_abstract_columns(p3, fp, ctx3):
             assert coeffs == fam.column(n), (label, n)
 
 
-def test_dual_model_polynomials(p3, fp, ctx3):
+def test_dual_model_polynomials(p3, rho, ctx3):
     # dual families expand over the dual rays; pair against the plain rays
     for label in ("dStar", "eStar", "zStar", "fStar"):
-        fam = build_basis(p3, fp, label)
+        fam = build_basis(p3, rho, label)
         polys = model_basis(ctx3, label)
         for n in range(p3.N + 1):
             coeffs = tuple(

@@ -29,7 +29,7 @@ from metaracah.matrices import RationalMatrix
 
 @pytest.mark.parametrize("label", LABELS)
 def test_closed_form_matches_kernel_oracle(label, ctx3):
-    closed = build_basis(ctx3.p, ctx3.fp, label)
+    closed = build_basis(ctx3.p, ctx3.rho, label)
     oracle = oracle_basis(ctx3, label)
     assert closed.vectors == oracle.vectors
     assert closed.eigenvalues == oracle.eigenvalues
@@ -37,7 +37,7 @@ def test_closed_form_matches_kernel_oracle(label, ctx3):
 
 @pytest.mark.parametrize("label", LABELS)
 def test_closed_form_matches_oracle_negative_params(label, ctx_other):
-    assert build_basis(ctx_other.p, ctx_other.fp, label).vectors == \
+    assert build_basis(ctx_other.p, ctx_other.rho, label).vectors == \
         oracle_basis(ctx_other, label).vectors
 
 
@@ -49,16 +49,16 @@ def test_orthogonality_and_completeness(ctx5):
     assert {"completeness-e", "completeness-d"} <= ids
 
 
-def test_normalization_anchors(p3, fp):
+def test_normalization_anchors(p3, rho):
     # head of the adjoint pencil family is a pure multiple of |0>
-    dstar0 = build_basis(p3, fp, "dStar").column(0)
+    dstar0 = build_basis(p3, rho, "dStar").column(0)
     assert dstar0[0] == -1 / p3.alpha
     assert all(x == 0 for x in dstar0[1:])
     # top of the z family is exactly |N>
-    ztop = build_basis(p3, fp, "z").column(p3.N)
+    ztop = build_basis(p3, rho, "z").column(p3.N)
     assert ztop == tuple(Q(int(l == p3.N)) for l in range(p3.N + 1))
     # unit component on the anchor slot for the e family
-    evecs = build_basis(p3, fp, "e").vectors
+    evecs = build_basis(p3, rho, "e").vectors
     assert all(evecs[n, n] == 1 for n in range(p3.N + 1))
 
 
@@ -71,13 +71,13 @@ def test_z_action_on_d_closed_form(p3):
 
 def test_eigenvalues_by_direct_action(ctx3):
     # B-weighted eigen-equations, family by family
-    p3, fp = ctx3.p, ctx3.fp
+    p3, rho = ctx3.p, ctx3.rho
     for label in LABELS:
         A, B = FAMILIES[label].pencil(ctx3)
-        fam = build_basis(p3, fp, label)
+        fam = build_basis(p3, rho, label)
         for n in range(p3.N + 1):
             v = fam.column(n)
-            lam = eigenvalue(label, p3, fp, n)
+            lam = eigenvalue(label, p3, rho, n)
             assert A.apply(v) == tuple(lam * x for x in B.apply(v)), (label, n)
 
 
@@ -89,9 +89,9 @@ def test_oracle_guards_empty_kernel(ctx3, monkeypatch):
 
 
 @pytest.mark.parametrize("entry", [
-    pytest.param(lambda ctx, label: eigenvalue(label, ctx.p, ctx.fp, 0), id="eigenvalue"),
+    pytest.param(lambda ctx, label: eigenvalue(label, ctx.p, ctx.rho, 0), id="eigenvalue"),
     pytest.param(lambda ctx, label: ctx.basis(label), id="Context_basis"),
-    pytest.param(lambda ctx, label: build_basis(ctx.p, ctx.fp, label), id="build_basis"),
+    pytest.param(lambda ctx, label: build_basis(ctx.p, ctx.rho, label), id="build_basis"),
     pytest.param(lambda ctx, label: oracle_basis(ctx, label), id="oracle_basis"),
     pytest.param(lambda ctx, label: model_basis(ctx, label), id="model_basis"),
 ])
@@ -104,54 +104,63 @@ def test_rho_families_need_fparams(p3):
     ctx = Context(p3)
     assert ctx.rho is None
     for label in ("f", "fStar"):
-        with pytest.raises(PreconditionViolated, match=f"label '{label}' needs FParams"):
+        with pytest.raises(PreconditionViolated, match=f"label '{label}' needs rho"):
             ctx.basis(label)
-        with pytest.raises(PreconditionViolated, match=f"label '{label}' needs FParams"):
+        with pytest.raises(PreconditionViolated, match=f"label '{label}' needs rho"):
             model_basis(ctx, label)
 
 
-def test_context_validates_once_and_hashes_on_its_set(p3, fp):
+def test_context_validates_once_and_hashes_on_its_set(p3, rho):
     with pytest.raises(DegenerateParameters) as exc:
         Context(Params(N=3, alpha=Q(1), beta=Q(1, 5), zeta=Q(1, 7)))
     assert "(1-alpha)" in exc.value.offenders
-    # rho enters only when FParams are given: 2alpha + rho = 0 here
+    # rho enters only when it is given: 2alpha + rho = 0 here
     assert Context(p3).rho is None
     with pytest.raises(DegenerateParameters):
-        Context(p3, eb.FParams(rho=-2 * p3.alpha))
-    a, b = Context(p3, fp), Context(p3, fp)
+        Context(p3, -2 * p3.alpha)
+    a, b = Context(p3, rho), Context(p3, rho)
     assert a == b and hash(a) == hash(b) and a != Context(p3)
     a.basis("e")
     assert a == b and hash(a) == hash(b)
     assert a.Z is a.Z and a.Zt is a.Zt and a.basis("e") is a.basis("e")
 
 
-def test_each_family_is_built_once_per_set(p3, fp, monkeypatch):
+def test_each_family_is_built_once_per_set(p3, rho, monkeypatch):
     # every suite reads the families from the one Context of the set
     calls = Counter()
     build = eb.build_basis
 
-    def counted(p, fp, label):
+    def counted(p, rho, label):
         calls[label] += 1
-        return build(p, fp, label)
+        return build(p, rho, label)
 
     monkeypatch.setattr(eb, "build_basis", counted)
-    run_suites(p3, fp, SUITES)
+    run_suites(p3, rho, SUITES)
     assert calls == Counter({label: 1 for label in LABELS})
 
 
-def test_rho_grids_need_fparams_and_each_grid_is_kept(p3, fp):
+def test_rho_zero_is_a_given_rho(p3):
+    given, missing = Context(p3, 0), Context(p3)
+    assert given.rho == 0 and given.basis("f").eigenvalues[0] == -p3.alpha ** 2
+    assert given.grid("S") == given.basis("e").vectors.transpose() * given.basis("fStar").vectors
+    for build in (lambda ctx: ctx.basis("f"), lambda ctx: ctx.grid("S")):
+        with pytest.raises(PreconditionViolated, match="needs rho"):
+            build(missing)
+
+
+def test_rho_grids_need_fparams_and_each_grid_is_kept(p3, rho):
     ctx = Context(p3)
     for name, row in eb.GRIDS.items():
         if row.needs_rho:
-            with pytest.raises(PreconditionViolated, match=f"grid '{name}' needs FParams"):
+            with pytest.raises(PreconditionViolated, match=f"grid '{name}' needs rho"):
                 ctx.grid(name)
         else:
             assert ctx.grid(name) is ctx.grid(name)
     assert {name for name, row in eb.GRIDS.items() if row.needs_rho} == {"racah", "S", "Stilde"}
     # the grids built on the R, calU and calU-tilde grids equal the
     # per-point closed forms
-    ctx = Context(p3, fp)
-    rp = RacahParams.from_params(p3, fp)
+    ctx = Context(p3, rho)
+    rp = RacahParams.from_params(p3, rho)
     per_point = {"S": lambda m, n: closed_form_S(m, n, rp),
                  "Stilde": lambda m, n: closed_form_Stilde(m, n, rp),
                  "U": lambda m, n: closed_form_U(m, n, p3),
@@ -175,4 +184,4 @@ def test_grids_cannot_be_changed_in_place(ctx3):
     with pytest.raises(AttributeError):
         grid.rows = 2
     assert ctx3.grid("Utilde") is grid
-    assert grid == eb.Context(ctx3.p, ctx3.fp).grid("Utilde")
+    assert grid == eb.Context(ctx3.p, ctx3.rho).grid("Utilde")

@@ -10,7 +10,7 @@ import pytest
 import metaracah.eigenbases as eb
 from metaracah import Context, DegenerateParameters, NondegenerateSpectrumViolated, Params
 from metaracah.cli import SWEEP_DENOMINATORS, SWEEP_NUMERATORS
-from metaracah.eigenbases import FAMILIES, GRIDS, LABELS, FParams, eigenvalue, oracle_basis
+from metaracah.eigenbases import FAMILIES, GRIDS, LABELS, eigenvalue, oracle_basis
 from metaracah.hyper import series_table, terminating_hyp
 from metaracah.matrices import RationalMatrix, nullspace, right_divide_lower_bidiagonal
 from metaracah.racahpoly import RacahParams, closed_form_S, closed_form_Stilde, racah
@@ -74,7 +74,7 @@ def test_every_table_equals_its_per_point_closed_form(monkeypatch):
     outcomes = Counter()
     for N, (alpha, beta, zeta, rho) in _draws(seed=12, count=12):
         p = Params(N=N, alpha=alpha, beta=beta, zeta=zeta)
-        ctx, rp = Context(p, FParams(rho=rho)), RacahParams.from_params(p, FParams(rho=rho))
+        ctx, rp = Context(p, rho), RacahParams.from_params(p, rho)
         for name, per_point in PER_POINT.items():
             value = per_point(p, rp)
             want = _outcome(lambda: RationalMatrix([[value(m, n) for n in range(N + 1)]
@@ -115,7 +115,7 @@ def test_bidiagonal_kernel_equals_nullspace(request, ctx_name, label):
     band_kernel = eb._band_kernel(A, B)
     assert band_kernel is not None
     for n in range(ctx.p.N + 1):
-        lam = eigenvalue(label, ctx.p, ctx.fp, n)
+        lam = eigenvalue(label, ctx.p, ctx.rho, n)
         v, kernel = band_kernel(lam), nullspace(A - lam * B)
         assert len(kernel) == 1 and _projective(v) == _projective(kernel[0]), (label, n)
 

@@ -44,11 +44,11 @@ def test_X_on_e_is_V_conjugation_consistent(p3):
     assert coeffs_X_on_e(p3) == estar.vectors.transpose() * X * e.vectors
 
 
-def test_V_on_f_bands(p3, fp):
-    f = build_basis(p3, fp, "f")
-    fstar = build_basis(p3, fp, "fStar")
+def test_V_on_f_bands(p3, rho):
+    f = build_basis(p3, rho, "f")
+    fstar = build_basis(p3, rho, "fStar")
     V = build_V(p3)
-    assert coeffs_V_on_f(p3, fp) == fstar.vectors.transpose() * V * f.vectors
+    assert coeffs_V_on_f(p3, rho) == fstar.vectors.transpose() * V * f.vectors
 
 
 def test_VZ_on_d_by_triangular_solve(p3):
@@ -165,6 +165,6 @@ def test_each_band_table_is_built_once_per_context(ctx5, monkeypatch):
         assert build(ctx5) == build(ctx5)
     assert all(rep.passed for rep in reports)
     assert counts == Counter({target.__name__: 1 for target in builders})
-    other = Context(ctx5.p, ctx5.fp)
+    other = Context(ctx5.p, ctx5.rho)
     verify_coefficients(other)
     assert set(counts.values()) == {2}

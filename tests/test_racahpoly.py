@@ -22,15 +22,15 @@ from metaracah.matrixreps import coeffs_V_on_f, coeffs_X_on_e, coeffs_Z_on_e
 
 
 @pytest.fixture
-def rp(p5, fp):
-    return RacahParams.from_params(p5, fp)
+def rp(p5, rho):
+    return RacahParams.from_params(p5, rho)
 
 
-def test_parameter_dictionary(p5, fp):
-    rp = RacahParams.from_params(p5, fp)
-    assert rp.alpha_hat == -p5.beta - fp.rho - 1
-    assert rp.beta_hat == -p5.beta + fp.rho - 2 * p5.zeta - 1
-    assert rp.gamma_hat == p5.N - 2 * p5.alpha - fp.rho
+def test_parameter_dictionary(p5, rho):
+    rp = RacahParams.from_params(p5, rho)
+    assert rp.alpha_hat == -p5.beta - rho - 1
+    assert rp.beta_hat == -p5.beta + rho - 2 * p5.zeta - 1
+    assert rp.gamma_hat == p5.N - 2 * p5.alpha - rho
     assert rp.N == p5.N
 
 
@@ -75,7 +75,7 @@ def test_gram_biorthogonality(ctx5):
     assert {"weight-signs", "norm-signs"} <= set(checks)
 
 
-def test_weight_orthogonality_row_sums(p5, fp, rp):
+def test_weight_orthogonality_row_sums(p5, rho, rp):
     # k = m = 0 collapses to sum_n W_n = N_0
     total = sum(weight(n, rp) for n in range(rp.N + 1))
     assert total == norm(0, rp)
@@ -92,16 +92,16 @@ def _band_sum(band, i, value):
     return sum(band[i, j] * value(j) for j in range(max(i - 1, 0), min(i + 2, band.rows)))
 
 
-def _s_table(p, fp):
-    rp = RacahParams.from_params(p, fp)
+def _s_table(p, rho):
+    rp = RacahParams.from_params(p, rho)
     return [[closed_form_S(m, n, rp) for n in range(p.N + 1)] for m in range(p.N + 1)]
 
 
-def test_recurrence_residuals_vanish(p5, fp, ctx5):
+def test_recurrence_residuals_vanish(p5, rho, ctx5):
     # mu_m S_m(n) = sum_j VF_nj S_m(j), VF the band of V on f
-    S, vf = _s_table(p5, fp), coeffs_V_on_f(p5, fp)
+    S, vf = _s_table(p5, rho), coeffs_V_on_f(p5, rho)
     for m in range(p5.N + 1):
-        mu = eigenvalue("e", p5, fp, m)
+        mu = eigenvalue("e", p5, rho, m)
         for n in range(p5.N + 1):
             assert mu * S[m][n] == _band_sum(vf, n, lambda j: S[m][j])
     check = next(c for c in verify_racah(ctx5).checks if c.id == "recurrence")
@@ -111,8 +111,8 @@ def test_recurrence_residuals_vanish(p5, fp, ctx5):
 def test_recurrence_detects_perturbed_band(ctx3, monkeypatch):
     # V on f with entry 2 of band 0 bumped breaks the recurrence in column
     # n = 2 only
-    def bumped(p, fp):
-        vf = coeffs_V_on_f(p, fp)
+    def bumped(p, rho):
+        vf = coeffs_V_on_f(p, rho)
         return RationalMatrix.banded(p.N + 1, {
             -1: vf.band(-1),
             0: [x + (1 if i == 2 else 0) for i, x in enumerate(vf.band(0))],
@@ -146,15 +146,15 @@ def test_difference_detects_perturbed_band(ctx3, monkeypatch):
     ]
 
 
-def test_difference_residuals_vanish(p5, fp, ctx5):
+def test_difference_residuals_vanish(p5, rho, ctx5):
     # nu_n S_m(n) = sum_i WE_im S_i(n), WE the band of X + rho Z on e,
     # read down column m of WE: the transposed band
-    S, xe, ze = _s_table(p5, fp), coeffs_X_on_e(p5), coeffs_Z_on_e(p5)
+    S, xe, ze = _s_table(p5, rho), coeffs_X_on_e(p5), coeffs_Z_on_e(p5)
     we_t = RationalMatrix.banded(p5.N + 1, {
-        -k: [x + fp.rho * z for x, z in zip(xe.band(k), ze.band(k))] for k in (-1, 0, 1)
+        -k: [x + rho * z for x, z in zip(xe.band(k), ze.band(k))] for k in (-1, 0, 1)
     })
     for n in range(p5.N + 1):
-        nu = eigenvalue("f", p5, fp, n)
+        nu = eigenvalue("f", p5, rho, n)
         for m in range(p5.N + 1):
             assert nu * S[m][n] == _band_sum(we_t, m, lambda i: S[i][n])
     check = next(c for c in verify_racah(ctx5).checks if c.id == "difference")

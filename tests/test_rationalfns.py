@@ -323,7 +323,7 @@ def _per_point_references(ctx):
     def delta(i, j, value=1):
         return value if i == j else 0
 
-    rp = RacahParams.from_params(p, ctx.fp)
+    rp = RacahParams.from_params(p, ctx.rho)
     W, Nm = [weight(n, rp) for n in rng], [norm(m, rp) for m in rng]
     Wr, Ws = [weight_W(j, p) for j in rng], [weight_Wstar(j, p) for j in rng]
     h, hs = [norm_h(n, p) for n in rng], [norm_hstar(n, p) for n in rng]
@@ -365,11 +365,11 @@ READERS = {"racah": {"weight-orthogonality"}, "S": {"identify-S", "gram-S"},
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
-def test_product_checks_name_the_points_a_perturbed_grid_breaks(p3, fp, name):
+def test_product_checks_name_the_points_a_perturbed_grid_breaks(p3, rho, name):
     # one grid cell off by one: each check that reads the grid through a
     # matrix product fails at exactly the points where the per-point sums
     # fail, listed row by row; every other product-backed check passes
-    ctx = Context(p3, fp)
+    ctx = Context(p3, rho)
     for grid_name in GRIDS:
         ctx.grid(grid_name)
     ctx._kept[("grid", name)] = _with_entry(ctx.grid(name), 1, 2, lambda x: x + 1)

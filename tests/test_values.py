@@ -9,10 +9,8 @@ import pytest
 
 from metaracah import (
     BasisFamily,
-    CentralParams,
     Context,
     DegenerateParameters,
-    FParams,
     Params,
     PreconditionViolated,
     RacahParams,
@@ -34,15 +32,13 @@ def _poly(k):
 # name -> (value whose field `field` grows by k, field)
 VALUES = {
     "Params": (_params, "beta"),
-    "CentralParams": (lambda k: CentralParams(xi=Q(2, 3), eta=Q(5) + k), "eta"),
-    "FParams": (lambda k: FParams(rho=Q(1, 13) + k), "rho"),
     "RacahParams": (lambda k: RacahParams(Q(1, 2), Q(1, 3) + k, Q(1, 5), 4), "beta_hat"),
     "HypSeries": (lambda k: HypSeries((-3, Q(1, 2)), (Q(1, 3),), Q(1) + k), "argument"),
     "LaurentPoly": (_poly, "coeffs"),
     "DiffOp": (lambda k: DiffOp(a2=_poly(0), a1=_poly(k), a0=_poly(1)), "a1"),
     "BasisFamily": (lambda k: BasisFamily(label="z", vectors=RationalMatrix.identity(2),
                                           eigenvalues=(Q(0), Q(1) + k)), "eigenvalues"),
-    "Context": (lambda k: Context(_params(k), FParams(rho=Q(1, 13))), "p"),
+    "Context": (lambda k: Context(_params(k), Q(1, 13)), "p"),
 }
 
 
@@ -104,8 +100,8 @@ def test_reprs_list_the_fields():
     p = _params(0)
     assert repr(p) == ("Params(N=3, alpha=Fraction(1, 3), beta=Fraction(1, 5), "
                        "zeta=Fraction(1, 7))")
-    ctx = Context(p, FParams(rho=Q(1, 13)))
-    assert repr(ctx) == f"Context(p={p!r}, fp=FParams(rho=Fraction(1, 13)))"
+    ctx = Context(p, Q(1, 13))
+    assert repr(ctx) == f"Context(p={p!r}, rho=Fraction(1, 13))"
     assert repr(LaurentPoly(2, (1,))) == "LaurentPoly(min_exp=2, coeffs=(Fraction(1, 1),))"
     assert repr(HypSeries((-2,), ())) == ("HypSeries(upper=(Fraction(-2, 1),), lower=(), "
                                           "argument=Fraction(1, 1), termination_index=2)")
@@ -114,7 +110,7 @@ def test_reprs_list_the_fields():
 def test_constructors_coerce_to_fractions():
     p = Params(N=2, alpha=1, beta=0, zeta=-2)
     assert (p.alpha, p.beta, p.zeta) == (1, 0, -2)
-    assert all(type(x) is Q for x in (p.alpha, p.beta, p.zeta, FParams(rho=3).rho))
+    assert all(type(x) is Q for x in (p.alpha, p.beta, p.zeta, Context(_params(0), 3).rho))
     rp = RacahParams(alpha_hat=1, beta_hat=2, gamma_hat=3, N=2)
     assert all(type(x) is Q for x in (rp.alpha_hat, rp.beta_hat, rp.gamma_hat))
     series = HypSeries(upper=[-2, 1], lower=[3])
