@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -159,8 +160,8 @@ def test_an_unwritable_out_is_a_usage_error(capsys, tmp_path, monkeypatch, env, 
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     path = os.path.join(env.format(tmp=tmp_path), out) if env else out
-    assert captured.err == f"metaracah: cannot write {path}: " + (
-        "No such file or directory\n" if "missing" in path else "Is a directory\n")
+    reason = os.strerror(errno.ENOENT if "missing" in path else errno.EISDIR)
+    assert captured.err == f"metaracah: cannot write {path}: {reason}\n"
 
 
 def test_sweeps_are_reported(capsys):
