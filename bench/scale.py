@@ -4,7 +4,7 @@ cost of a fresh interpreter.
 
 Usage, from the repository root:
 
-    python3 bench/scale.py --parent PARENT_CHECKOUT --out BENCH_19.json
+    python3 bench/scale.py --parent PARENT_CHECKOUT --out BENCH_21.json
 
 Each source tree (this checkout, and the parent checkout when --parent is
 given) is measured in a fresh interpreter per N, the trees taking turns.
@@ -207,7 +207,7 @@ def _commit(tree: str) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", help="checkout of the parent commit to measure as well")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_19.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_21.json"))
     parser.add_argument("--measure", nargs=3, metavar=("KIND", "SRC", "N"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)

@@ -363,11 +363,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     args.suites = SUITES
-    if getattr(args, "suite", None) and args.suite != "all":
+    if getattr(args, "suite", "all") != "all":
         wanted = tuple(s.strip() for s in args.suite.split(","))
         unknown = [s for s in wanted if s not in SUITES]
         if unknown:
-            print(f"metaracah: unknown suite(s): {', '.join(unknown)}", file=sys.stderr)
+            print(f"metaracah: unknown suite(s): {', '.join(map(repr, unknown))}",
+                  file=sys.stderr)
             return EXIT_USAGE
         args.suites = tuple(s for s in SUITES if s in wanted)
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .algebra import Params
 from .eigenbases import LABELS, Context, family
-from .errors import Frozen, PreconditionViolated
+from .errors import Frozen
 from .hyper import multi_pochhammer, pochhammer, series_terms
 from .matrices import RationalMatrix
 from .report import VerificationReport
@@ -238,54 +238,6 @@ def _in_g_basis(f: LaurentPoly, norms: list) -> list:
 def _in_gstar_basis(f: LaurentPoly, norms: list) -> list:
     """Coefficients of f over g*_0..g*_N."""
     return [f.coefficient(-k - 1) * c for k, c in enumerate(norms)]
-
-
-def _outside(h: LaurentPoly, lo: int, hi: int) -> LaurentPoly:
-    """The terms of h whose exponents lie outside [lo, hi]."""
-    return LaurentPoly.from_dict({e: c for e, c in h.items() if not lo <= e <= hi})
-
-
-def matrix_in_monomial_basis(images: list, p: Params) -> RationalMatrix:
-    """Matrix of an operator on g_0..g_N from images[n], its image of g_n;
-    raises if an image leaves the span."""
-    N = p.N
-    norms = _g_norms(N)
-    cols = []
-    for n, h in enumerate(images):
-        leftover = _outside(h, 0, N)
-        if not leftover.is_zero:
-            raise PreconditionViolated(
-                f"image of g_{n} leaves span(g_0..g_N): exponents "
-                f"{[e for e, _ in leftover.items()]}"
-            )
-        cols.append(_in_g_basis(h, norms))
-    return RationalMatrix.from_columns(cols)
-
-
-def dual_matrix_in_monomial_basis(images: list, p: Params):
-    """Matrix of an operator op_t on g*_0..g*_N in the quotient by the
-    ghosts, from images[n], its image of g*_n.
-
-    Returns (matrix, ghosts) where ghosts maps n to the leftover Laurent
-    polynomial supported outside span(g*_0..g*_N).  The quotient
-    convention g*_(-1) = g*_(N+1) = 0 means the leftovers may only live
-    at exponents 0 and -N-2.
-    """
-    N = p.N
-    norms = _g_norms(N)
-    cols = []
-    ghosts = {}
-    for n, h in enumerate(images):
-        leftover = _outside(h, -N - 1, -1)
-        if not leftover.is_zero:
-            bad = [e for e, _ in leftover.items() if e not in (0, -N - 2)]
-            if bad:
-                raise PreconditionViolated(
-                    f"dual image of g*_{n} has non-ghost leftover exponents {bad}"
-                )
-            ghosts[n] = leftover
-        cols.append(_in_gstar_basis(h, norms))
-    return RationalMatrix.from_columns(cols), ghosts
 
 
 # -- model bases ---------------------------------------------------------------
@@ -505,10 +457,15 @@ def integral_representations(ctx: Context) -> VerificationReport:
 
 def model_transposes(ctx: Context) -> VerificationReport:
     """The differential operators and their transposes against the abstract
-    matrices, each operator applied once per index: the images of g_n under
-    Z, V and X give their matrices on g (g-basis-*) and the right sides of
-    the adjoint pairings; the images of g*_m under Zt, Vt and Xt give the
-    left sides and the quotient matrices modulo the ghosts."""
+    matrices, each operator applied once per index.
+
+    The model matrices are the two residue grids of the adjoint check:
+    <g*_m, op g_n> is entry (m, n) of op on g, and <op_t g*_m, g_n> is
+    entry (n, m) of op_t on g*, modulo the ghosts x^0 and x^(-N-2), which
+    pair with no g_n.  An image of g_n with an exponent outside 0..N, or a
+    dual image with one outside -N-1..-1 other than the ghosts, fails its
+    check; the grids alone cannot see it.
+    """
     p = ctx.p
     rep = VerificationReport(suite="model-transposes", params=p.as_dict())
     N = p.N
@@ -522,25 +479,30 @@ def model_transposes(ctx: Context) -> VerificationReport:
     for name, op, op_t, abstract, abstract_t in table:
         images = [op.apply(x) for x in g]
         dual_images = [op_t.apply(x) for x in g_dual]
-        got = matrix_in_monomial_basis(images, p)
+        on_g = residue_grid(g_dual, images)
+        on_g_dual = residue_grid(dual_images, g)
+        outside = sorted({e for h in images for e, _ in h.items() if not 0 <= e <= N})
+        ok = not outside and (on_g - abstract).is_zero()
+        mismatch = f"image exponents outside 0..N: {outside}" if outside else "matrix mismatch"
         rep.add(
             f"g-basis-{name}",
             f"differential {name} on g_n equals the abstract matrix",
-            got == abstract,
-            detail="" if got == abstract else "matrix mismatch",
+            ok,
+            detail="" if ok else mismatch,
         )
         rep.add_grid(f"adjoint-{name}",
                      f"<{name}t g*_m, g_n> = <g*_m, {name} g_n> for all m, n",
-                     residue_grid(dual_images, g) - residue_grid(g_dual, images))
+                     on_g_dual - on_g)
 
-        quotient, ghosts = dual_matrix_in_monomial_basis(dual_images, p)
+        ok = (on_g_dual.transpose() - abstract_t).is_zero()
         rep.add(
             f"quotient-{name}",
             f"matrix of {name}t on g*_n modulo ghosts equals the abstract transpose",
-            quotient == abstract_t,
-            detail="" if quotient == abstract_t else "matrix mismatch",
+            ok,
+            detail="" if ok else "matrix mismatch",
         )
-        ghost_exps = sorted({e for g in ghosts.values() for e, _ in g.items()})
+        ghost_exps = sorted({e for h in dual_images for e, _ in h.items()
+                             if not -N - 1 <= e <= -1})
         rep.add(
             f"ghosts-{name}",
             f"boundary leftovers of {name}t lie on the ghost exponents only",

@@ -15,9 +15,9 @@ relevant matrix pencil and only borrows the closed form's normalization.
 Every pencil is bidiagonal (d, e*, f and z lower, the adjoint families
 upper), so each kernel is a two-term recurrence along the band; a dense
 elimination is the fallback for any other shape.
-FAMILIES maps each label to its eigenvalue, column and pencil; every
-entry point looks its label up there.  GRIDS maps the name of each
-closed-form overlap table to its builder, and each table is one
+FAMILIES maps each label to its eigenvalue, column, pencil, dual and
+weight; every entry point looks its label up there.  GRIDS maps the name
+of each closed-form overlap table to its builder, and each table is one
 immutable RationalMatrix: the R, calU, calU-tilde and dual Hahn tables
 are each one product of term tables, and S, Stilde, U and Utilde are
 diag(f) G diag(g) on them, scaled without a product, with the
@@ -26,7 +26,8 @@ Context is one validated parameter set; every suite reads the
 generators, families and overlap grids from it, and it keeps every
 derived table in one store.
 
-Pairings are bilinear (no conjugation).  The families pair up as
+Pairings are bilinear (no conjugation).  Each family pairs with its dual
+through the weight B of its pencil, as FAMILIES states once:
 
     <e*_m|e_n> = <f*_m|f_n> = <z*_m|z_n> = delta_mn,   <d*_m|Z|d_n> = delta_mn
 
@@ -163,26 +164,31 @@ def _col_zstar(p, rho, n):
 class Family(NamedTuple):
     """One row of the family table.
 
-    The family solves A v = eigenvalue * B v with (A, B) = pencil(ctx),
+    The family b solves A v = eigenvalue * B v with (A, B) = pencil(ctx),
     read from the generators Z, V, X, their transposes Zt, Vt, Xt, the
-    identity I and rho of a Context.
+    identity I and rho of a Context.  Its dual b* = FAMILIES[dual] pairs
+    with it through the weight W = B, the Context matrix named weight
+    (None for the identity): (b*)^T W b = I.
     """
 
     eigenvalue: Callable  # (p, rho, n) -> Fraction
     column: Callable  # (p, rho, n) -> [coefficient of |l> for l = 0..N]
     pencil: Callable  # (ctx) -> (A, B)
+    dual: str
+    weight: str | None = None
     needs_rho: bool = False
 
 
 FAMILIES = {
-    "d": Family(_eig_d, _col_d, lambda c: (c.X, c.Z)),
-    "dStar": Family(_eig_d, _col_dstar, lambda c: (c.Xt, c.Zt)),
-    "e": Family(_eig_e, _col_e, lambda c: (c.V, c.I)),
-    "eStar": Family(_eig_e, _col_estar, lambda c: (c.Vt, c.I)),
-    "f": Family(_eig_f, _col_f, lambda c: (c.X + c.rho * c.Z, c.I), needs_rho=True),
-    "fStar": Family(_eig_f, _col_fstar, lambda c: (c.Xt + c.rho * c.Zt, c.I), needs_rho=True),
-    "z": Family(_eig_z, _col_z, lambda c: (c.Z, c.I)),
-    "zStar": Family(_eig_z, _col_zstar, lambda c: (c.Zt, c.I)),
+    "d": Family(_eig_d, _col_d, lambda c: (c.X, c.Z), "dStar", "Z"),
+    "dStar": Family(_eig_d, _col_dstar, lambda c: (c.Xt, c.Zt), "d", "Zt"),
+    "e": Family(_eig_e, _col_e, lambda c: (c.V, c.I), "eStar"),
+    "eStar": Family(_eig_e, _col_estar, lambda c: (c.Vt, c.I), "e"),
+    "f": Family(_eig_f, _col_f, lambda c: (c.X + c.rho * c.Z, c.I), "fStar", needs_rho=True),
+    "fStar": Family(_eig_f, _col_fstar, lambda c: (c.Xt + c.rho * c.Zt, c.I), "f",
+                    needs_rho=True),
+    "z": Family(_eig_z, _col_z, lambda c: (c.Z, c.I), "zStar"),
+    "zStar": Family(_eig_z, _col_zstar, lambda c: (c.Zt, c.I), "z"),
 }
 LABELS = tuple(FAMILIES)
 
@@ -286,10 +292,11 @@ class Context(Frozen):
     Vtilde = X Z^{-1} and the Casimir C are attributes; every other table
     goes through ``keep``, one store under keys that name their kind: each
     closed-form family (``basis``), each overlap grid (``grid``), each
-    operator matrix in an eigenbasis and each dual side (b*)^T W of one
-    (``matrixreps.matrix_on``), and each closed-form band table
-    (``matrixreps.bands``).  Each matrix keeps its own transpose and
-    integer-scaled forms.  Equality and hashing follow (p, rho); rho = 0 is given.
+    dual side (b*)^T W (``dual_side``), which the Gram checks and every
+    operator matrix in an eigenbasis (``matrixreps.matrix_on``) share, and
+    each closed-form band table (``matrixreps.bands``).  Each matrix keeps
+    its own transpose and integer-scaled forms.  Equality and hashing
+    follow (p, rho); rho = 0 is given.
     """
 
     _fields = ("p", "rho")
@@ -322,10 +329,21 @@ class Context(Frozen):
         """The closed-form family, built on first use."""
         return self.keep(("basis", label), build_basis, self.p, self.rho, label)
 
+    def dual_side(self, label: str) -> RationalMatrix:
+        """(b*)^T W for the family b = label, its dual b* and weight W read
+        from FAMILIES, built on first use."""
+        def build():
+            fam = family(label, self.rho)
+            left = self.basis(fam.dual).vectors.transpose()
+            return left * getattr(self, fam.weight) if fam.weight else left
+        return self.keep(("dual side", label), build)
+
     def grid(self, name: str) -> RationalMatrix:
         """The overlap table GRIDS[name], entry (m, n) its value at (m, n),
         built on first use and kept as its reduced entries (each written
         once); like every RationalMatrix it cannot be changed in place."""
+        if name not in GRIDS:
+            raise PreconditionViolated(f"unknown grid {name!r}")
         if GRIDS[name].needs_rho and self.rho is None:
             raise PreconditionViolated(f"grid {name!r} needs rho")
         return self.keep(("grid", name), lambda: GRIDS[name].build(self).reduced())
@@ -424,43 +442,25 @@ def z_action_on_d(p: Params, n: int):
 
 
 def check_orthogonality(ctx: Context) -> VerificationReport:
-    """Gram and completeness relations for all four basis pairs.
-
-    Self-dual pairs use the plain bilinear Gram; the pencil pair is paired
-    through Z.  Completeness bundles the three plain resolutions of identity
-    and the Z-weighted one for the pencil family.
+    """Gram, completeness and distinct-eigenvalue checks for the four basis
+    pairs b, b* of d, e, f and z, each paired through its weight W in
+    FAMILIES (Z for the pencil family d, the identity otherwise): the Gram
+    (b*)^T W b and the resolution of identity W b (b*)^T are both I, and
+    the family's own eigenvalues are pairwise distinct.
     """
-    p, rho = ctx.p, ctx.rho
-    ident, Z = ctx.I, ctx.Z
     rep = VerificationReport(
-        suite="eigenbases:orthogonality", params={**p.as_dict(), "rho": str(rho)}
-    )
-    fams = {label: ctx.basis(label).vectors for label in LABELS}
-    for label in ("e", "f", "z"):
-        dual = fams[label + "Star"]
-        rep.add_matrix_zero(
-            f"gram-{label}",
-            f"<{label}*_m|{label}_n> = delta_mn",
-            dual.transpose() * fams[label] - ident,
-        )
-        rep.add_matrix_zero(
-            f"completeness-{label}",
-            f"sum_n |{label}_n><{label}*_n| = I",
-            fams[label] * dual.transpose() - ident,
-        )
-    rep.add_matrix_zero(
-        "gram-d", "<d*_m|Z|d_n> = delta_mn", fams["dStar"].transpose() * Z * fams["d"] - ident
-    )
-    rep.add_matrix_zero(
-        "completeness-d", "sum_n Z|d_n><d*_n| = I", Z * fams["d"] * fams["dStar"].transpose() - ident
+        suite="eigenbases:orthogonality", params={**ctx.p.as_dict(), "rho": str(ctx.rho)}
     )
     for label in ("d", "e", "f", "z"):
-        eigs = [eigenvalue(label, p, rho, n) for n in range(p.N + 1)]
-        distinct = len(set(eigs)) == p.N + 1
-        rep.add(
-            f"distinct-eigenvalues-{label}",
-            f"family {label}: eigenvalues pairwise distinct",
-            distinct,
-            "" if distinct else "repeated eigenvalue",
-        )
+        fam, b = FAMILIES[label], ctx.basis(label)
+        w = fam.weight or ""
+        weighted = getattr(ctx, w) * b.vectors if w else b.vectors
+        bar = f"|{w}|" if w else "|"
+        rep.add_matrix_zero(f"gram-{label}", f"<{label}*_m{bar}{label}_n> = delta_mn",
+                            ctx.dual_side(label) * b.vectors - ctx.I)
+        rep.add_matrix_zero(f"completeness-{label}", f"sum_n {w}|{label}_n><{label}*_n| = I",
+                            weighted * ctx.basis(fam.dual).vectors.transpose() - ctx.I)
+        distinct = len(set(b.eigenvalues)) == len(b.eigenvalues)
+        rep.add(f"distinct-eigenvalues-{label}", f"family {label}: eigenvalues pairwise distinct",
+                distinct, "" if distinct else "repeated eigenvalue")
     return rep

@@ -2,13 +2,14 @@
 
 For a basis family b with dual b*, coefficients of an operator O are defined
 by O|b_n> = sum_m O^(b)_{m,n} |b_m> and are recovered from matrices by the
-conjugation (Bstar)^T W O B, W the weight of the pairing in PAIRINGS: Z for
-the pencil family d, Z^T for its adjoint d*, none for the others.
-``matrix_on`` builds each such matrix, and each dual side (Bstar)^T W, once
-per Context.  COEFFS maps each basis to its named closed-form band tables,
-which ``matrix --which coeffs:`` emits and ``verify_coefficients`` checks
-against ``matrix_on``, one row of COEFFICIENT_CHECKS per table; ``bands``
-keeps each table in the Context, for them and for the racah suite.  Each
+conjugation (Bstar)^T W O B, with the dual and the weight W of the pairing
+that ``eigenbases.FAMILIES`` names: Z for the pencil family d, Z^T for its
+adjoint d*, none for the others.  ``matrix_on`` builds each such matrix
+once per Context, on the Context's one dual side (Bstar)^T W.  COEFFS maps
+each basis to its named closed-form band tables, which ``matrix --which
+coeffs:`` emits and ``verify_coefficients`` checks against ``matrix_on``,
+one row of COEFFICIENT_CHECKS per table; ``bands`` keeps each table in the
+Context, for them and for the racah suite.  Each
 table is a RationalMatrix built by RationalMatrix.banded from its nonzero
 bands: band -1 (entry (n+1, n)) feeds |b_{n+1}> in O|b_n>, band 1 (entry
 (n, n+1)) feeds |b_n> in O|b_{n+1}>; the JSON keys sup, diag and sub of
@@ -33,31 +34,13 @@ if TYPE_CHECKING:
 Q = Fraction
 
 
-# family -> its dual and the weight W of the pairing (dual)^T W family = I
-PAIRINGS = {
-    "e": ("eStar", None), "eStar": ("e", None),
-    "f": ("fStar", None), "fStar": ("f", None),
-    "d": ("dStar", "Z"), "dStar": ("d", "Zt"),
-    "z": ("zStar", None), "zStar": ("z", None),
-}
-
-
 def matrix_on(ctx: Context, label: str, op: str) -> RationalMatrix:
     """The matrix (b*)^T W op b of op on the family b = label, kept in the
     Context; op names a product of the Context's operators, such as "V*Z"."""
     def build():
         op_matrix = reduce(mul, [getattr(ctx, name) for name in op.split("*")])
-        return _dual_side(ctx, label) * op_matrix * ctx.basis(label).vectors
+        return ctx.dual_side(label) * op_matrix * ctx.basis(label).vectors
     return ctx.keep(("matrix on", label, op), build)
-
-
-def _dual_side(ctx: Context, label: str) -> RationalMatrix:
-    """(b*)^T W for the family b = label, kept in the Context."""
-    def build():
-        dual, weight = PAIRINGS[label]
-        left = ctx.basis(dual).vectors.transpose()
-        return left * getattr(ctx, weight) if weight else left
-    return ctx.keep(("dual side", label), build)
 
 
 def bands(ctx: Context, build, *args):

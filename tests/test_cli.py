@@ -65,6 +65,15 @@ def test_verify_exit_codes(capsys):
     assert failing and all("(" in c["detail"] for c in failing)
 
 
+@pytest.mark.parametrize("suite", ["", "algebra,"])
+def test_an_empty_suite_name_is_a_usage_error(capsys, suite):
+    # only the literal "all" selects every suite; an empty entry is unknown
+    assert main(["verify", "--suite", suite, "--N", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "metaracah: unknown suite(s): ''\n"
+
+
 def test_usage_errors_exit_three(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--no-such-flag"])
@@ -456,8 +465,9 @@ def test_one_validation_and_one_build_per_set(capsys, monkeypatch, argv):
 
 
 def test_verify_all_product_count(capsys, monkeypatch):
-    # the algebra checks share the Context's one Casimir (8 products) and the
-    # conjugations on d and d* share their dual sides (b*)^T W (2 each); each
+    # the algebra checks share the Context's one Casimir (8 products), and the
+    # Gram check of d and the conjugations on d and d* share the Context's
+    # dual sides (b*)^T W (one product each for d and d*); each
     # commutator/anticommutator pair of the relations reads one a*b and one
     # b*a, and a diagonal factor is a scaling, never a product
     products = []
@@ -471,7 +481,7 @@ def test_verify_all_product_count(capsys, monkeypatch):
     monkeypatch.setattr(matrices.RationalMatrix, "__mul__", counted)
     code, _ = run(capsys, "verify", "--suite", "all", "--N", "8")
     assert code == 0
-    assert len(products) == 138
+    assert len(products) == 137
 
 
 def test_verify_all_writes_out_few_results(capsys, monkeypatch):

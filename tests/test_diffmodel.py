@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as Q
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import metaracah.diffmodel as diffmodel
 from metaracah import LABELS, Context, build_basis
+from metaracah.cli import main
 from metaracah.diffmodel import (
     DiffOp,
     LaurentPoly,
@@ -17,7 +19,6 @@ from metaracah.diffmodel import (
     g_poly,
     integral_representations,
     jacobi_poly,
-    matrix_in_monomial_basis,
     model_basis,
     model_orthogonality,
     model_transposes,
@@ -126,9 +127,10 @@ def test_operator_matrices_match_abstract(p3):
     from metaracah import build_V, build_X, build_Z
 
     g = [g_poly(p3, n) for n in range(p3.N + 1)]
-    assert matrix_in_monomial_basis([diff_Z(p3).apply(x) for x in g], p3) == build_Z(p3)
-    assert matrix_in_monomial_basis([diff_V(p3).apply(x) for x in g], p3) == build_V(p3)
-    assert matrix_in_monomial_basis([diff_X(p3).apply(x) for x in g], p3) == build_X(p3)
+    g_dual = [g_dual_poly(p3, m) for m in range(p3.N + 1)]
+    assert residue_grid(g_dual, [diff_Z(p3).apply(x) for x in g]) == build_Z(p3)
+    assert residue_grid(g_dual, [diff_V(p3).apply(x) for x in g]) == build_V(p3)
+    assert residue_grid(g_dual, [diff_X(p3).apply(x) for x in g]) == build_X(p3)
 
 
 def test_model_polynomials_carry_the_abstract_columns(p3, rho, ctx3):
@@ -250,6 +252,54 @@ def test_residue_checks_name_the_points_a_fault_breaks(ctx3, monkeypatch, table,
     checks = {c.id: c for c in verify_model(ctx3).checks}
     assert {i: (checks[i].status, checks[i].detail) for i in details} == {
         i: ("fail", detail) for i, detail in details.items()}
+
+
+def _a0_plus(diff, exp):
+    def op(p):
+        d = diff(p)
+        return DiffOp(d.a2, d.a1, d.a0 + mono(exp))
+    return op
+
+
+# one monomial added to a0 of one differential operator, and every check of
+# model_transposes it fails: x^2 pushes X g_2 and X g_3 past x^N, x^(-1)
+# takes V g_0 below x^0, x^(-2) takes Xt g*_3 below the ghost x^(-N-2), and
+# a constant stays in the span, so only the matrices see it
+TRANSPOSE_FAULTS = [
+    ("diff_X", 2, {
+        "g-basis-X": "image exponents outside 0..N: [4, 5]",
+        "adjoint-X": "failing (m, n): [(2, 0), (3, 1)]",
+    }),
+    ("diff_V", -1, {
+        "g-basis-V": "image exponents outside 0..N: [-1]",
+        "adjoint-V": "failing (m, n): [(0, 1), (1, 2), (2, 3)]",
+    }),
+    ("diff_Xt", -2, {
+        "adjoint-X": "failing (m, n): [(0, 2), (1, 3)]",
+        "quotient-X": "matrix mismatch",
+        "ghosts-X": "ghost exponents: [-6, -5, 0]",
+    }),
+    ("diff_Z", 0, {
+        "g-basis-Z": "matrix mismatch",
+        "adjoint-Z": "failing (m, n): [(0, 0), (1, 1), (2, 2), (3, 3)]",
+    }),
+]
+
+
+@pytest.mark.parametrize("name, exp, details", TRANSPOSE_FAULTS,
+                         ids=[name for name, _, _ in TRANSPOSE_FAULTS])
+def test_every_transpose_check_can_fail_and_none_raises(ctx3, monkeypatch, name, exp, details):
+    monkeypatch.setattr(diffmodel, name, _a0_plus(getattr(diffmodel, name), exp))
+    assert {c.id: c.detail for c in model_transposes(ctx3).failures} == details
+
+
+def test_a_faulty_operator_is_an_identity_failure_in_the_cli(capsys, monkeypatch):
+    monkeypatch.setattr(diffmodel, "diff_X", _a0_plus(diffmodel.diff_X, 2))
+    assert main(["verify", "--suite", "model", "--N", "3"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "fail"
+    failed = {c["id"] for r in payload["reports"] for c in r["checks"] if c["status"] == "fail"}
+    assert failed == {"g-basis-X", "adjoint-X"}
 
 
 def test_adjoint_identity_single_pair(p3):

@@ -49,6 +49,19 @@ def test_orthogonality_and_completeness(ctx5):
     assert {"completeness-e", "completeness-d"} <= ids
 
 
+def test_families_name_each_dual_pair(ctx3):
+    # the dual of a dual is the family, the weight is the pencil's B, and the
+    # dual side (b*)^T W is kept in the Context
+    for label, fam in FAMILIES.items():
+        assert FAMILIES[fam.dual].dual == label
+        B = fam.pencil(ctx3)[1]
+        assert B is (getattr(ctx3, fam.weight) if fam.weight else ctx3.I)
+        assert ctx3.dual_side(label) is ctx3.dual_side(label)
+        assert ctx3.dual_side(label) * ctx3.basis(label).vectors == ctx3.I
+    assert {label: fam.weight for label, fam in FAMILIES.items() if fam.weight} == {
+        "d": "Z", "dStar": "Zt"}
+
+
 def test_normalization_anchors(p3, rho):
     # head of the adjoint pencil family is a pure multiple of |0>
     dstar0 = build_basis(p3, rho, "dStar").column(0)
@@ -98,6 +111,13 @@ def test_oracle_guards_empty_kernel(ctx3, monkeypatch):
 def test_unknown_label_rejected(entry, ctx3):
     with pytest.raises(PreconditionViolated, match="unknown basis label 'q'"):
         entry(ctx3, "q")
+
+
+def test_unknown_grid_rejected(p3, rho):
+    # the name is checked before the rho a grid may need
+    for ctx in (Context(p3, rho), Context(p3)):
+        with pytest.raises(PreconditionViolated, match="unknown grid 'nope'"):
+            ctx.grid("nope")
 
 
 def test_rho_families_need_fparams(p3):
