@@ -207,7 +207,7 @@ def _commit(tree: str) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", help="checkout of the parent commit to measure as well")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_21.json"))
+    parser.add_argument("--out", help="file to write the record to (required)")
     parser.add_argument("--measure", nargs=3, metavar=("KIND", "SRC", "N"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -215,6 +215,8 @@ def main(argv=None) -> int:
         kind, src, N = args.measure
         print(json.dumps((measure if kind == "verify" else measure_emit)(src, int(N))))
         return 0
+    if not args.out:
+        parser.error("the following arguments are required: --out")
 
     trees = {"change": ROOT} if not args.parent else {"parent": args.parent, "change": ROOT}
     result = {

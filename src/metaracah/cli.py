@@ -97,15 +97,18 @@ def build_parser() -> Parser:
     parser = Parser(prog="metaracah", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=Parser)
 
-    def add_common(sp):
+    def add_common(sp, formats=True, precision=False):
+        # each subcommand registers only the options it reads
         sp.add_argument("--N", type=int, default=5, help="representation size minus one")
         sp.add_argument("--alpha", type=rational, default=Q(1, 3))
         sp.add_argument("--beta", type=rational, default=Q(1, 5))
         sp.add_argument("--zeta", type=rational, default=Q(1, 7))
         sp.add_argument("--rho", type=rational, default=Q(1, 13))
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--precision", type=int, default=12,
-                        help="decimal digits for csv value column")
+        if formats:
+            sp.add_argument("--format", choices=("json", "csv"), default="json")
+        if precision:
+            sp.add_argument("--precision", type=int, default=12,
+                            help="decimal digits for csv value column")
         sp.add_argument("--out", default=None,
                         help="output file (default stdout; relative paths resolve "
                              "against $METARACAH_OUT when set)")
@@ -121,13 +124,13 @@ def build_parser() -> Parser:
     sp.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
     sp = sub.add_parser("table", help="emit an overlap value grid")
-    add_common(sp)
+    add_common(sp, precision=True)
     sp.add_argument("--which", required=True, choices=tuple(GRIDS))
     sp.add_argument("--exact", action="store_true",
                     help="csv only: append an exact p/q column")
 
     sp = sub.add_parser("matrix", help="emit a matrix or coefficient table")
-    add_common(sp)
+    add_common(sp, formats=False)
     sp.add_argument("--which", required=True,
                     help="one of X, V, Z, Xt, Vt, Zt, C, basis:<label>, coeffs:<basis>")
     return parser
@@ -362,21 +365,21 @@ def _emit(text: str, out: str | None) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
-    args.suites = SUITES
-    if getattr(args, "suite", "all") != "all":
-        wanted = tuple(s.strip() for s in args.suite.split(","))
-        unknown = [s for s in wanted if s not in SUITES]
-        if unknown:
-            print(f"metaracah: unknown suite(s): {', '.join(map(repr, unknown))}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        args.suites = tuple(s for s in SUITES if s in wanted)
+    wanted = tuple(s.strip() for s in getattr(args, "suite", "all").split(","))
+    unknown = [s for s in wanted if s not in SUITES and s != "all"]
+    if unknown:
+        print(f"metaracah: unknown suite(s): {', '.join(map(repr, unknown))}", file=sys.stderr)
+        return EXIT_USAGE
+    args.suites = SUITES if "all" in wanted else tuple(s for s in SUITES if s in wanted)
 
     if args.N < 1:
         print("metaracah: --N must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    if getattr(args, "sweeps", 0) < 0 or args.precision < 1:
-        print("metaracah: --sweeps must be >= 0 and --precision >= 1", file=sys.stderr)
+    if getattr(args, "sweeps", 0) < 0:
+        print("metaracah: --sweeps must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
+    if getattr(args, "precision", 1) < 1:
+        print("metaracah: --precision must be >= 1", file=sys.stderr)
         return EXIT_USAGE
 
     handler = {"verify": cmd_verify, "table": cmd_table, "matrix": cmd_matrix}[args.command]

@@ -13,8 +13,7 @@ Pochhammer-ratio coefficients; build_basis evaluates those closed forms,
 while oracle_basis recomputes each vector from scratch as a kernel of the
 relevant matrix pencil and only borrows the closed form's normalization.
 Every pencil is bidiagonal (d, e*, f and z lower, the adjoint families
-upper), so each kernel is a two-term recurrence along the band; a dense
-elimination is the fallback for any other shape.
+upper), so each kernel is a two-term recurrence along the band.
 FAMILIES maps each label to its eigenvalue, column, pencil, dual and
 weight; every entry point looks its label up there.  GRIDS maps the name
 of each closed-form overlap table to its builder, and each table is one
@@ -45,13 +44,7 @@ from .algebra import (Params, build_Z, build_V, build_X, build_transposes, build
                       require_generic)
 from .errors import Frozen, NondegenerateSpectrumViolated, PreconditionViolated
 from .hyper import pochhammer, series_terms
-from .matrices import (
-    RationalMatrix,
-    bidiagonal_bands,
-    bidiagonal_kernel,
-    nullspace,
-    right_divide_lower_bidiagonal,
-)
+from .matrices import RationalMatrix, right_divide_lower_bidiagonal
 from .report import VerificationReport
 
 Q = Fraction
@@ -349,70 +342,57 @@ class Context(Frozen):
         return self.keep(("grid", name), lambda: GRIDS[name].build(self).reduced())
 
 
-def _band_kernel(A: RationalMatrix, B: RationalMatrix):
-    """When A and B are bidiagonal on one side, the map from lam to
-    bidiagonal_kernel of A - lam B, read from their bands, or to None where
-    no or several diagonal entries of A - lam B vanish; else None.
-
-    Diagonal entry j vanishes at lam = a_j / b_j, or at every lam when
-    a_j = b_j = 0, so the roots are found once and each lam looks its zeros
-    up; only the entries on the side that the recurrence reads are formed.
-    """
-    for lower in (True, False):
-        a, b = bidiagonal_bands(A, lower), bidiagonal_bands(B, lower)
-        if a and b:
-            (a_diag, a_off), (b_diag, b_off) = a, b
-            always, roots = [], {}
-            for j, (x, y) in enumerate(zip(a_diag, b_diag)):
-                if y:
-                    roots.setdefault(x / y, []).append(j)
-                elif not x:
-                    always.append(j)
-
-            def kernel(lam):
-                zeros = always + roots.get(lam, [])
-                if len(zeros) != 1:
-                    return None
-                n = zeros[0]
-                diag, off = [None] * len(a_diag), [None] * len(a_off)
-                for j in range(n + 1, len(a_diag)) if lower else range(n):
-                    diag[j] = a_diag[j] - lam * b_diag[j]
-                    k = j - 1 if lower else j
-                    off[k] = a_off[k] - lam * b_off[k] if b_off[k] else a_off[k]
-                return bidiagonal_kernel(diag, off, n, lower)
-            return kernel
-    return None
-
-
 def oracle_basis(ctx: Context, label: str) -> BasisFamily:
-    """Recompute each basis vector as a kernel of (A - eigenvalue B).
+    """Recompute each basis vector as the kernel of A - eigenvalue B.
 
-    The pencil's two bands are read once, off the integer form of a sum
-    such as X + rho Z, so the pencil is not written out.  When exactly one
-    diagonal entry of A - eigenvalue B vanishes, bidiagonal_kernel gives
-    the kernel by a two-term recurrence along the band, O(N) per index; a
-    pencil of another shape, or a diagonal with no or several zeros, goes
-    to fraction-free elimination (nullspace).  Either way the kernel must be one-dimensional for every
-    index (NondegenerateSpectrumViolated otherwise); the solution is scaled
-    so its component on |n> matches the closed form's, which is the only
-    use made of the closed-form data: the anchors are the diagonal of the
-    closed-form family.
+    Every pencil (A, B) is bidiagonal, lower when A and B both are, else
+    upper; its diagonal and off bands are read once, off the integer form
+    of a sum such as X + rho Z, so the pencil is not written out.  Diagonal
+    entry j of A - lam B vanishes at lam = a_j / b_j, or at every lam when
+    a_j = b_j = 0: the roots are found once, and each eigenvalue looks its
+    vanishing entries up.  From the one vanishing entry k, v_k = 1 and
+    v_j = -off v_(j-1) / diag_j for j > k (lower) or -off v_(j+1) / diag_j
+    for j < k (upper), zero on the other side: O(N) per index, forming
+    only the entries the recurrence reads.  The vector is scaled so its
+    component on |n> matches the closed form's, the only use made of the
+    closed-form data.
+
+    NondegenerateSpectrumViolated for a pencil off the band, an eigenvalue
+    at which no diagonal entry vanishes (a nonsingular band matrix: kernel
+    dimension 0) or several do (a multiple root of det(A - lam B) =
+    prod_j (a_j - lam b_j)), or a vanishing component on |n>; no set that
+    a Context accepts reaches any of them.
     """
     p, rho = ctx.p, ctx.rho
     A, B = family(label, rho).pencil(ctx)
-    band_kernel = _band_kernel(A, B)
+    lower = A.in_band(1, 0) and B.in_band(1, 0)
+    if not (lower or A.in_band(0, 1) and B.in_band(0, 1)):
+        raise NondegenerateSpectrumViolated(f"family {label}: pencil is not bidiagonal")
+    off_band = -1 if lower else 1
+    a_diag, a_off, b_diag, b_off = A.band(0), A.band(off_band), B.band(0), B.band(off_band)
+    always, roots = [], {}
+    for j, (x, y) in enumerate(zip(a_diag, b_diag)):
+        if y:
+            roots.setdefault(x / y, []).append(j)
+        elif not x:
+            always.append(j)
     N = p.N
     eigs = tuple(eigenvalue(label, p, rho, n) for n in range(N + 1))
     closed = ctx.basis(label).vectors
     cols = []
-    for n in range(N + 1):
-        v = band_kernel(eigs[n]) if band_kernel else None
-        kernel = [v] if v is not None else nullspace(A - eigs[n] * B)
-        if len(kernel) != 1:
-            raise NondegenerateSpectrumViolated(
-                f"family {label}, index {n}: kernel dimension {len(kernel)}, expected 1"
-            )
-        v = list(kernel[0])
+    for n, lam in enumerate(eigs):
+        zeros = always + roots.get(lam, [])
+        if len(zeros) != 1:
+            what = f"{len(zeros)} diagonal entries vanish" if zeros else "kernel dimension 0"
+            raise NondegenerateSpectrumViolated(f"family {label}, index {n}: {what}, expected 1")
+        k = zeros[0]
+        v = [Q(0)] * (N + 1)
+        v[k] = Q(1)
+        for j in range(k + 1, N + 1) if lower else range(k - 1, -1, -1):
+            prev = j - 1 if lower else j + 1
+            i = min(j, prev)  # off-band entry (j, prev) is at index i of its band
+            off = a_off[i] - lam * b_off[i] if b_off[i] else a_off[i]
+            v[j] = -off * v[prev] / (a_diag[j] - lam * b_diag[j])
         anchor = closed[n, n]
         if v[n] == 0 or anchor == 0:
             raise NondegenerateSpectrumViolated(

@@ -22,7 +22,9 @@ class PreconditionViolated(Exception):
 
 
 class NondegenerateSpectrumViolated(Exception):
-    """An eigenspace solve did not produce the expected one-dimensional space."""
+    """The eigenbasis oracle found no one-dimensional kernel to compare: its
+    pencil is not bidiagonal, no diagonal entry or several vanish at an
+    eigenvalue, or the kernel vector has no component on its anchor |n>."""
 
 
 class Frozen:

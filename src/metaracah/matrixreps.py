@@ -320,7 +320,7 @@ def verify_leonard_trio(ctx: Context) -> VerificationReport:
     rep.add(
         "trio-i-VtildeZ-tridiagonal",
         "clause (i): Vtilde Z tridiagonal on e",
-        matrix_on(ctx, "e", "Vtilde*Z").in_band(1, 1),
+        matrix_on(ctx, "e", "X").in_band(1, 1),  # Vtilde Z = X
     )
     rep.add("trio-i-Z-tridiagonal", "clause (i): Z tridiagonal on e", z_e.in_band(1, 1))
     _band_nonzero(rep, "trio-i-Z-irreducible", "clause (i): Z bands on e nonzero",
@@ -328,8 +328,9 @@ def verify_leonard_trio(ctx: Context) -> VerificationReport:
 
     # the coefficient extraction for vectors Z d_n reuses the d pairing:
     # <d*_m | O Z d_n> gives O's matrix on the Z d family, which for O = Z
-    # and O = Z V is the matrix of Z and of V Z on d
-    vt_et = ctx.basis("dStar").vectors.transpose() * ctx.Vtilde * ctx.Z * ctx.basis("d").vectors
+    # and O = Z V is the matrix of Z and of V Z on d, and for O = Vtilde
+    # is d*^T X d, as Vtilde Z = X
+    vt_et = ctx.basis("dStar").vectors.transpose() * ctx.X * ctx.basis("d").vectors
     z_et = matrix_on(ctx, "d", "Z")
     rep.add("trio-ii-Vtilde-diagonal", "clause (ii): Vtilde diagonal on Z d_n", vt_et.in_band(0, 0))
     rep.add(

@@ -67,11 +67,45 @@ def test_verify_exit_codes(capsys):
 
 @pytest.mark.parametrize("suite", ["", "algebra,"])
 def test_an_empty_suite_name_is_a_usage_error(capsys, suite):
-    # only the literal "all" selects every suite; an empty entry is unknown
+    # an empty entry names no suite, so it is unknown
     assert main(["verify", "--suite", suite, "--N", "2"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "metaracah: unknown suite(s): ''\n"
+
+
+@pytest.mark.parametrize("suite", ["all,algebra", " all", "model, all "])
+def test_an_all_entry_selects_every_suite(capsys, suite):
+    # each entry is stripped, and an "all" entry selects every suite
+    assert main(["verify", "--suite", suite, "--N", "2"]) == 0
+    out = capsys.readouterr().out
+    assert main(["verify", "--N", "2"]) == 0
+    assert out == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    "matrix --which X --N 2 --format csv",
+    "matrix --which X --N 2 --format json",
+    "matrix --which X --N 2 --precision 6",
+    "verify --N 2 --precision 6",
+])
+def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, argv):
+    # --format is registered on verify and table, --precision on table only
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: unrecognized arguments: {' '.join(argv.split()[-2:])}\n" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("verify --N 2 --sweeps -1", "--sweeps must be >= 0"),
+    ("table --which S --N 2 --precision 0", "--precision must be >= 1"),
+])
+def test_an_out_of_range_count_names_only_its_own_option(capsys, argv, message):
+    assert main(argv.split()) == 3
+    assert capsys.readouterr().err == f"metaracah: {message}\n"
 
 
 def test_usage_errors_exit_three(capsys):
@@ -469,7 +503,8 @@ def test_verify_all_product_count(capsys, monkeypatch):
     # Gram check of d and the conjugations on d and d* share the Context's
     # dual sides (b*)^T W (one product each for d and d*); each
     # commutator/anticommutator pair of the relations reads one a*b and one
-    # b*a, and a diagonal factor is a scaling, never a product
+    # b*a, a diagonal factor is a scaling, never a product, and the trio
+    # reads X where it would form Vtilde Z
     products = []
     mul = matrices.RationalMatrix.__mul__
 
@@ -481,7 +516,7 @@ def test_verify_all_product_count(capsys, monkeypatch):
     monkeypatch.setattr(matrices.RationalMatrix, "__mul__", counted)
     code, _ = run(capsys, "verify", "--suite", "all", "--N", "8")
     assert code == 0
-    assert len(products) == 137
+    assert len(products) == 133
 
 
 def test_verify_all_writes_out_few_results(capsys, monkeypatch):

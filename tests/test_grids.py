@@ -1,14 +1,17 @@
 """The overlap tables and the oracle kernels against their per-point and
 dense-elimination references."""
 
+import json
 import random
+import sys
 from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
 
 import metaracah.eigenbases as eb
-from metaracah import Context, DegenerateParameters, NondegenerateSpectrumViolated, Params
+from metaracah import (Context, DegenerateParameters, NondegenerateSpectrumViolated, Params, cli,
+                       matrices)
 from metaracah.cli import SWEEP_DENOMINATORS, SWEEP_NUMERATORS
 from metaracah.eigenbases import FAMILIES, GRIDS, LABELS, eigenvalue, oracle_basis
 from metaracah.hyper import series_table, terminating_hyp
@@ -110,65 +113,76 @@ def _projective(v):
 @pytest.mark.parametrize("ctx_name", ["ctx3", "ctx_other"])
 @pytest.mark.parametrize("label", LABELS)
 def test_bidiagonal_kernel_equals_nullspace(request, ctx_name, label):
+    # each column of the band recurrence spans the kernel that the dense
+    # Bareiss elimination finds
     ctx = request.getfixturevalue(ctx_name)
     A, B = FAMILIES[label].pencil(ctx)
-    band_kernel = eb._band_kernel(A, B)
-    assert band_kernel is not None
+    oracle = oracle_basis(ctx, label)
     for n in range(ctx.p.N + 1):
         lam = eigenvalue(label, ctx.p, ctx.rho, n)
-        v, kernel = band_kernel(lam), nullspace(A - lam * B)
-        assert len(kernel) == 1 and _projective(v) == _projective(kernel[0]), (label, n)
+        kernel = nullspace(A - lam * B)
+        assert len(kernel) == 1, (label, n)
+        assert _projective(oracle.column(n)) == _projective(kernel[0]), (label, n)
 
 
-def _count_nullspace(monkeypatch):
-    calls = []
-    original = eb.nullspace
+def _refuse_nullspace(monkeypatch):
+    """Make matrices.nullspace raise, after checking that no other module
+    of the package holds the name."""
+    holders = [name for name, module in sys.modules.items()
+               if name.startswith("metaracah") and "nullspace" in vars(module)]
+    assert holders == ["metaracah.matrices"], holders
 
-    def counted(m):
-        calls.append(m)
-        return original(m)
+    def refused(m):
+        raise AssertionError("nullspace called")
 
-    monkeypatch.setattr(eb, "nullspace", counted)
-    return calls
+    monkeypatch.setattr(matrices, "nullspace", refused)
 
 
 def test_off_spectrum_value_reaches_the_elimination(ctx3, monkeypatch):
-    # no diagonal entry of Z - I/2 vanishes: the elimination finds no kernel
-    calls = _count_nullspace(monkeypatch)
+    # no diagonal entry of Z - I/2 vanishes, so the band matrix is
+    # nonsingular and its kernel is empty
+    _refuse_nullspace(monkeypatch)
     monkeypatch.setattr(eb, "eigenvalue", lambda *args: Q(1, 2))
     with pytest.raises(NondegenerateSpectrumViolated) as exc:
         oracle_basis(ctx3, "z")
     assert str(exc.value) == "family z, index 0: kernel dimension 0, expected 1"
-    assert len(calls) == 1
 
 
 def test_two_vanishing_diagonal_entries_reach_the_elimination(ctx3, monkeypatch):
-    # diag(0, 0, 2, 3) at eigenvalue 0 vanishes twice: a two-dimensional kernel
-    calls = _count_nullspace(monkeypatch)
+    # diag(0, 0, 2, 3) at eigenvalue 0 vanishes twice: 0 is a double root of
+    # det(A - lam B), so the spectrum is degenerate there
+    _refuse_nullspace(monkeypatch)
     pencil = lambda c: (RationalMatrix.diagonal([0, 0, 2, 3]), c.I)
     monkeypatch.setitem(FAMILIES, "z", FAMILIES["z"]._replace(pencil=pencil))
     monkeypatch.setattr(eb, "eigenvalue", lambda *args: Q(0))
     with pytest.raises(NondegenerateSpectrumViolated) as exc:
         oracle_basis(ctx3, "z")
-    assert str(exc.value) == "family z, index 0: kernel dimension 2, expected 1"
-    assert len(calls) == 1
+    assert str(exc.value) == "family z, index 0: 2 diagonal entries vanish, expected 1"
 
 
-def test_a_pencil_off_the_band_reaches_the_elimination(ctx3, monkeypatch):
-    # Z^2 - lambda Z = Z (Z - lambda I) has the kernels of the z family, and
-    # Z^2 has a second subdiagonal
-    calls = _count_nullspace(monkeypatch)
+def test_a_pencil_off_the_band_reaches_the_elimination(ctx3, capsys, monkeypatch):
+    # Z^2 - lambda Z = Z (Z - lambda I) has the kernels of the z family, but
+    # Z^2 has a second subdiagonal: the oracle refuses the pencil, the bases
+    # suite reports a failing check and the emit exits 1
+    _refuse_nullspace(monkeypatch)
     pencil = lambda c: (c.Z * c.Z, c.Z)
     monkeypatch.setitem(FAMILIES, "z", FAMILIES["z"]._replace(pencil=pencil))
-    assert oracle_basis(ctx3, "z").vectors == ctx3.basis("z").vectors
-    assert len(calls) == ctx3.p.N + 1
+    message = "family z: pencil is not bidiagonal"
+    with pytest.raises(NondegenerateSpectrumViolated) as exc:
+        oracle_basis(ctx3, "z")
+    assert str(exc.value) == message
+    check, = [c for c in cli._bases_report(ctx3).checks if c.id == "closed-vs-oracle"]
+    assert (check.status, check.detail) == ("fail", f"failing families: ['z']; oracle: {message}")
+    assert cli.main(["matrix", "--which", "basis:z", "--N", "3"]) == 1
+    assert capsys.readouterr().out == f"basis z failed revalidation on emit: {message}\n"
 
 
-def test_oracle_takes_no_elimination_on_the_eight_pencils(ctx3, monkeypatch):
-    calls = _count_nullspace(monkeypatch)
+def test_oracle_takes_no_elimination_on_the_eight_pencils(ctx3, capsys, monkeypatch):
+    _refuse_nullspace(monkeypatch)
     for label in LABELS:
         assert oracle_basis(ctx3, label).vectors == ctx3.basis(label).vectors
-    assert calls == []
+    assert cli.main(["verify", "--suite", "all", "--N", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
 
 
 def test_vtilde_is_the_right_quotient(ctx_other):

@@ -125,9 +125,10 @@ def test_vz_fault_details_keep_their_signs(ctx3, monkeypatch):
 
 
 def test_matrixreps_suite_builds_each_conjugation_once(capsys, monkeypatch):
-    # the trio reads the operator matrices verify_coefficients has built;
-    # only Vtilde on Z d_n, V and Vtilde Z on e and Z on z are its own, and
-    # each dual side (b*)^T W is formed once per family
+    # the trio reads the operator matrices verify_coefficients has built,
+    # X on e among them, as Vtilde Z = X; only Vtilde on Z d_n (d*^T X d),
+    # V on e and Z on z are its own, and each dual side (b*)^T W is formed
+    # once per family
     products = []
     mul = RationalMatrix.__mul__
 
@@ -139,7 +140,7 @@ def test_matrixreps_suite_builds_each_conjugation_once(capsys, monkeypatch):
     monkeypatch.setattr(RationalMatrix, "__mul__", counted)
     assert main(["verify", "--suite", "matrixreps", "--N", "8"]) == 0
     capsys.readouterr()
-    assert len(products) == 44
+    assert len(products) == 40
 
 
 def test_each_band_table_is_built_once_per_context(ctx5, monkeypatch):
