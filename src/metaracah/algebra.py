@@ -226,15 +226,13 @@ def check_defining_relations(ctx: Context, Z=None) -> VerificationReport:
     ident = ctx.I
     rep = VerificationReport(suite="algebra:relations", params=p.as_dict())
     vz_c, vz_a = brackets(V, Z)
-    rep.add_matrix_zero(
-        "relation-ZX", "[Z,X] - (Z^2 + X) = 0", commutator(Z, X) - (Z * Z + X)
-    )
-    rep.add_matrix_zero(
+    rep.add_grid("relation-ZX", "[Z,X] - (Z^2 + X) = 0", commutator(Z, X) - (Z * Z + X))
+    rep.add_grid(
         "relation-XV",
         "[X,V] - ({V,Z} + 2 zeta X + 2 zeta^2 Z + xi I) = 0",
         commutator(X, V) - (vz_a + 2 * z * X + 2 * z * z * Z + xi * ident),
     )
-    rep.add_matrix_zero(
+    rep.add_grid(
         "relation-VZ",
         "[V,Z] - (V + 2 X + 2 zeta Z + eta I) = 0",
         vz_c - (V + 2 * X + 2 * z * Z + eta * ident),
@@ -247,7 +245,7 @@ def check_casimir_central(ctx: Context) -> VerificationReport:
     C = ctx.C
     rep = VerificationReport(suite="algebra:casimir", params=ctx.p.as_dict())
     for name, g in (("Z", ctx.Z), ("V", ctx.V), ("X", ctx.X)):
-        rep.add_matrix_zero(f"casimir-{name}", f"[C,{name}] = 0", commutator(C, g))
+        rep.add_grid(f"casimir-{name}", f"[C,{name}] = 0", commutator(C, g))
     return rep
 
 
@@ -282,25 +280,23 @@ def check_subalgebras(ctx: Context) -> VerificationReport:
     xib = xi - eta * z
     etab = eta + z * z / 2
     K, vz_a = brackets(Vb, Zb)
-    rep.add_matrix_zero(
-        "shifted-ZX", "[Zb,Xb] = Zb^2 + Xb", commutator(Zb, Xb) - (Zb * Zb + Xb)
-    )
-    rep.add_matrix_zero(
+    rep.add_grid("shifted-ZX", "[Zb,Xb] = Zb^2 + Xb", commutator(Zb, Xb) - (Zb * Zb + Xb))
+    rep.add_grid(
         "shifted-XV",
         "[Xb,Vb] = {Vb,Zb} + xib I",
         commutator(Xb, Vb) - (vz_a + xib * ident),
     )
-    rep.add_matrix_zero(
+    rep.add_grid(
         "shifted-VZ",
         "[Vb,Zb] = Vb + 2 Xb + etab I",
         K - (Vb + 2 * Xb + etab * ident),
     )
-    rep.add_matrix_zero(
+    rep.add_grid(
         "hahn-1",
         "[[Vb,Zb],Vb] = 2{Vb,Zb} + 2 xib I",
         commutator(K, Vb) - (2 * vz_a + 2 * xib * ident),
     )
-    rep.add_matrix_zero(
+    rep.add_grid(
         "hahn-2",
         "[Zb,[Vb,Zb]] = 2 Zb^2 - Vb - etab I",
         commutator(Zb, K) - (2 * (Zb * Zb) - Vb - etab * ident),
@@ -310,7 +306,7 @@ def check_subalgebras(ctx: Context) -> VerificationReport:
     C = ctx.C
     e1 = eta + z * (z - rho)
     wv_c, wv_a = brackets(W, V)
-    rep.add_matrix_zero(
+    rep.add_grid(
         "racah-1",
         "[V,[W,V]] = 2{W,V} + 2V^2 + 2(eta+zeta(zeta-rho))V + 2(rho xi + zeta(zeta eta - xi - eta rho))I",
         commutator(V, wv_c)
@@ -321,7 +317,7 @@ def check_subalgebras(ctx: Context) -> VerificationReport:
             + 2 * (rho * xi + z * (z * eta - xi - eta * rho)) * ident
         ),
     )
-    rep.add_matrix_zero(
+    rep.add_grid(
         "racah-2",
         "[[W,V],W] = 2{W,V} + 2W^2 + 2(eta+zeta(zeta-rho))W + (1-rho^2)V - C + rho(xi - rho eta)I",
         commutator(wv_c, W)
@@ -336,7 +332,7 @@ def check_subalgebras(ctx: Context) -> VerificationReport:
     )
 
     E = X + Z * Z
-    rep.add_matrix_zero("borel", "[Z, X + Z^2] = X + Z^2", commutator(Z, E) - E)
+    rep.add_grid("borel", "[Z, X + Z^2] = X + Z^2", commutator(Z, E) - E)
     return rep
 
 

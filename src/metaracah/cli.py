@@ -97,7 +97,7 @@ def build_parser() -> Parser:
     parser = Parser(prog="metaracah", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=Parser)
 
-    def add_common(sp, formats=True, precision=False):
+    def add_common(sp, formats=True):
         # each subcommand registers only the options it reads
         sp.add_argument("--N", type=int, default=5, help="representation size minus one")
         sp.add_argument("--alpha", type=rational, default=Q(1, 3))
@@ -106,9 +106,6 @@ def build_parser() -> Parser:
         sp.add_argument("--rho", type=rational, default=Q(1, 13))
         if formats:
             sp.add_argument("--format", choices=("json", "csv"), default="json")
-        if precision:
-            sp.add_argument("--precision", type=int, default=12,
-                            help="decimal digits for csv value column")
         sp.add_argument("--out", default=None,
                         help="output file (default stdout; relative paths resolve "
                              "against $METARACAH_OUT when set)")
@@ -124,8 +121,10 @@ def build_parser() -> Parser:
     sp.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
     sp = sub.add_parser("table", help="emit an overlap value grid")
-    add_common(sp, precision=True)
+    add_common(sp)
     sp.add_argument("--which", required=True, choices=tuple(GRIDS))
+    sp.add_argument("--precision", type=int, default=None,
+                    help="csv only: decimal digits for the value column (default 12)")
     sp.add_argument("--exact", action="store_true",
                     help="csv only: append an exact p/q column")
 
@@ -255,6 +254,12 @@ def _decimal_str(v: Fraction, precision: int) -> str:
 
 def cmd_table(args: argparse.Namespace) -> tuple:
     which = args.which
+    precision = 12 if args.precision is None else args.precision
+    if precision < 1:
+        return EXIT_USAGE, "metaracah: --precision must be >= 1\n"
+    for flag, given in (("--precision", args.precision is not None), ("--exact", args.exact)):
+        if given and args.format != "csv":
+            return EXIT_USAGE, f"metaracah: {flag} applies only to --format csv\n"
     ctx = _context(args, GRIDS[which].needs_rho)
     p, grid = ctx.p, ctx.grid(which)
 
@@ -264,7 +269,7 @@ def cmd_table(args: argparse.Namespace) -> tuple:
         for m in range(p.N + 1):
             for n in range(p.N + 1):
                 v = grid[m, n]
-                row = f"{m},{n},{_decimal_str(v, args.precision)}"
+                row = f"{m},{n},{_decimal_str(v, precision)}"
                 if args.exact:
                     row += f",{v}"
                 lines.append(row)
@@ -377,9 +382,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     if getattr(args, "sweeps", 0) < 0:
         print("metaracah: --sweeps must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
-    if getattr(args, "precision", 1) < 1:
-        print("metaracah: --precision must be >= 1", file=sys.stderr)
         return EXIT_USAGE
 
     handler = {"verify": cmd_verify, "table": cmd_table, "matrix": cmd_matrix}[args.command]

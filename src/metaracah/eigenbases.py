@@ -436,10 +436,10 @@ def check_orthogonality(ctx: Context) -> VerificationReport:
         w = fam.weight or ""
         weighted = getattr(ctx, w) * b.vectors if w else b.vectors
         bar = f"|{w}|" if w else "|"
-        rep.add_matrix_zero(f"gram-{label}", f"<{label}*_m{bar}{label}_n> = delta_mn",
-                            ctx.dual_side(label) * b.vectors - ctx.I)
-        rep.add_matrix_zero(f"completeness-{label}", f"sum_n {w}|{label}_n><{label}*_n| = I",
-                            weighted * ctx.basis(fam.dual).vectors.transpose() - ctx.I)
+        rep.add_grid(f"gram-{label}", f"<{label}*_m{bar}{label}_n> = delta_mn",
+                     ctx.dual_side(label) * b.vectors - ctx.I)
+        rep.add_grid(f"completeness-{label}", f"sum_n {w}|{label}_n><{label}*_n| = I",
+                     weighted * ctx.basis(fam.dual).vectors.transpose() - ctx.I)
         distinct = len(set(b.eigenvalues)) == len(b.eigenvalues)
         rep.add(f"distinct-eigenvalues-{label}", f"family {label}: eigenvalues pairwise distinct",
                 distinct, "" if distinct else "repeated eigenvalue")

@@ -155,12 +155,6 @@ class RationalMatrix(Frozen):
     def is_zero(self) -> bool:
         return next(self.nonzeros(), None) is None
 
-    def first_nonzero(self):
-        """(i, j, value) of the first nonzero entry in row-major order, or None."""
-        for i, j in self.nonzeros():
-            return (i, j, self[i, j])
-        return None
-
     def in_band(self, lower: int, upper: int) -> bool:
         """Whether every nonzero entry (i, j) lies on a band k = j - i with
         -lower <= k <= upper: in_band(0, 0) is diagonal, in_band(1, 0) lower

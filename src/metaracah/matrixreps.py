@@ -288,9 +288,8 @@ def verify_coefficients(ctx: Context) -> VerificationReport:
     tables = {basis: build(ctx) for basis, (_, build) in COEFFS.items()}
     for check_id, statement, (basis, name, transposed), (label, op) in COEFFICIENT_CHECKS:
         closed = tables[basis][name]
-        rep.add_matrix_zero(check_id, statement,
-                            (closed.transpose() if transposed else closed)
-                            - matrix_on(ctx, label, op))
+        rep.add_grid(check_id, statement,
+                     (closed.transpose() if transposed else closed) - matrix_on(ctx, label, op))
     return rep
 
 
@@ -340,7 +339,7 @@ def verify_leonard_trio(ctx: Context) -> VerificationReport:
     )
     zv_et = matrix_on(ctx, "d", "V*Z")
     rep.add("trio-ii-ZV-tridiagonal", "clause (ii): Z V tridiagonal on Z d_n", zv_et.in_band(1, 1))
-    rep.add_matrix_zero(
+    rep.add_grid(
         "trio-ii-ZV-coefficients",
         "clause (ii): Z V on Z d_n carries the VZ coefficients of the d family",
         zv_et - bands(ctx, coeffs_on_d, p)["VZ"],

@@ -280,16 +280,9 @@ def contiguity_operator_check(ctx: Context) -> VerificationReport:
     rep = VerificationReport(suite="rational-contiguity-operators", params=ctx.p.as_dict())
     sp = shifted_params(ctx.p)
     X, Z, I = ctx.X, ctx.Z, ctx.I
-    rep.add_matrix_zero(
-        "shift-X",
-        "X - 2Z - I equals X at (alpha-1, beta-2, zeta+2)",
-        X - 2 * Z - I - build_X(sp),
-    )
-    rep.add_matrix_zero(
-        "shift-Z",
-        "Z + I equals Z at (alpha-1, beta-2, zeta+2)",
-        Z + I - build_Z(sp),
-    )
+    rep.add_grid("shift-X", "X - 2Z - I equals X at (alpha-1, beta-2, zeta+2)",
+                 X - 2 * Z - I - build_X(sp))
+    rep.add_grid("shift-Z", "Z + I equals Z at (alpha-1, beta-2, zeta+2)", Z + I - build_Z(sp))
     return rep
 
 

@@ -9,15 +9,6 @@ FAIL = "fail"
 SKIPPED = "skipped-degenerate"
 
 
-def describe_matrix_mismatch(m) -> str:
-    """Locate the first nonzero entry of a residual matrix."""
-    hit = m.first_nonzero()
-    if hit is None:
-        return ""
-    i, j, value = hit
-    return f"first nonzero residual at ({i},{j}): {value}"
-
-
 class Check:
     def __init__(self, id: str, statement: str, status: str, detail: str = ""):
         self.id, self.statement, self.status, self.detail = id, statement, status, detail
@@ -39,14 +30,9 @@ class VerificationReport:
         self.checks.append(Check(check_id, statement, PASS if ok else FAIL, detail))
         return ok
 
-    def add_matrix_zero(self, check_id: str, statement: str, residual):
-        """Pass iff the residual matrix is exactly zero."""
-        ok = residual.is_zero()
-        return self.add(check_id, statement, ok,
-                        "" if ok else describe_matrix_mismatch(residual))
-
     def add_grid(self, check_id: str, statement: str, residual, axes: str = "(m, n)"):
-        """Pass iff the residual matrix is zero.
+        """Pass iff the residual matrix is zero: every identity stated as a
+        residual matrix is decided here.
 
         A failure lists its first four nonzero points, row by row, under
         the axis names ``axes``, as in "failing (m, n): [(0, 1), (2, 2)]";

@@ -54,8 +54,22 @@ def test_relations_fail_under_matrix_override(p3, ctx3):
     )
     rep = check_defining_relations(ctx3, Z=bumped)
     assert not rep.passed
-    # the detail carries the location of the first bad entry
+    # the detail carries the failing points
     assert any("(" in c.detail for c in rep.failures)
+
+
+def test_a_relation_fault_lists_its_exact_failing_points(ctx3):
+    # Z + E_00, the corner bump of --inject-fault: each residual changes by
+    # products of E_00 with Z, X (lower bidiagonal) or V (upper
+    # bidiagonal), which reach only (1, 0) or (0, 1) besides the corner
+    N = ctx3.p.N
+    Z = ctx3.Z + RationalMatrix.banded(N + 1, {0: [1] + [0] * N})
+    rep = check_defining_relations(ctx3, Z=Z)
+    assert {c.id: (c.status, c.detail) for c in rep.checks} == {
+        "relation-ZX": ("fail", "failing (m, n): [(0, 0), (1, 0)]"),
+        "relation-XV": ("fail", "failing (m, n): [(0, 0), (0, 1)]"),
+        "relation-VZ": ("fail", "failing (m, n): [(0, 0), (0, 1)]"),
+    }
 
 
 def test_casimir_is_scalar_at_p2():

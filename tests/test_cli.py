@@ -99,6 +99,30 @@ def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, argv):
     assert f"error: unrecognized arguments: {' '.join(argv.split()[-2:])}\n" in captured.err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    ("table --which S --N 2 --precision 3", "--precision"),
+    ("table --which racah --N 2 --exact", "--exact"),
+    ("table --which U --N 2 --format json --precision 12", "--precision"),
+    ("table --which S --N 2 --exact --precision 3", "--precision"),
+])
+def test_a_csv_option_without_csv_is_a_usage_error(capsys, argv, flag):
+    # json carries exact rationals, so --precision and --exact would be
+    # read by nothing
+    assert main(argv.split()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"metaracah: {flag} applies only to --format csv\n"
+
+
+def test_csv_precision_defaults_to_twelve_digits(capsys):
+    code, out = run(capsys, "table", "--which", "S", "--N", "2", "--format", "csv")
+    assert code == 0
+    assert out == run(capsys, "table", "--which", "S", "--N", "2", "--format", "csv",
+                      "--precision", "12")[1]
+    assert out != run(capsys, "table", "--which", "S", "--N", "2", "--format", "csv",
+                      "--precision", "11")[1]
+
+
 @pytest.mark.parametrize("argv, message", [
     ("verify --N 2 --sweeps -1", "--sweeps must be >= 0"),
     ("table --which S --N 2 --precision 0", "--precision must be >= 1"),
@@ -311,7 +335,7 @@ PINNED_STDOUT = [
     ("matrix --which C --N 5", 0,
      "2bd4cb90799c3066001119b3c7892b8e20f7f281b6e8884e274fd5c2d3158dc0"),
     ("verify --suite algebra --N 4 --inject-fault", 1,
-     "76e97f2714feee63dbbb88a006358b2f8d0744093f122c466500ad8377805d99"),
+     "4afeeb02479a6d254e20fa608e7de95503ff18a733e24b7d0f1501928097dbbf"),
     ("verify --suite all --N 4 --sweeps 2 --seed 7", 0,
      "3a1c10bb0f9fea44a9b6644ef9a612f27812b2286fd2cc5310acb9b63356325c"),
     # grids every suite shares: dual Hahn and U tables, and the model suite
@@ -520,9 +544,10 @@ def test_verify_all_product_count(capsys, monkeypatch):
 
 
 def test_verify_all_writes_out_few_results(capsys, monkeypatch):
-    # a residual checked by add_grid is read off its integer form, so none
-    # writes its Fraction entries; what is written out is the eight grids
-    # (each once) and matrices whose entries a check or the output reads
+    # every residual matrix is checked by add_grid, which reads it off its
+    # integer form, so none writes its Fraction entries; what is written out
+    # is the eight grids (each once) and matrices whose entries a check or
+    # the output reads
     written, residuals = [], []
     read = matrices.RationalMatrix.__getattr__
     add_grid = report.VerificationReport.add_grid
@@ -540,7 +565,7 @@ def test_verify_all_writes_out_few_results(capsys, monkeypatch):
     monkeypatch.setattr(report.VerificationReport, "add_grid", collected)
     code, _ = run(capsys, "verify", "--suite", "all", "--N", "8")
     assert code == 0
-    assert len(residuals) == 27
+    assert len(residuals) == 73
     assert not any(r is w for r in residuals for w in written)
     assert len(written) == 8
 

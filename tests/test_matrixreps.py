@@ -109,18 +109,18 @@ def test_leonard_trio_degenerate_control():
     }
 
 
-def test_vz_fault_details_keep_their_signs(ctx3, monkeypatch):
+def test_vz_fault_details_name_the_one_bumped_point(ctx3, monkeypatch):
     # one wrong entry of the VZ diagonal, which VZ on d and VtZt on d*
-    # share: the two coefficient checks read closed form minus oracle, the
-    # trio reads its matrix minus the closed form
+    # share: the two coefficient checks and the trio each fail at that
+    # entry alone
     diag = mr._vz_on_d_diag
     monkeypatch.setattr(mr, "_vz_on_d_diag", lambda p, n: diag(p, n) + (n == 1))
     failed = {c.id: c.detail for rep in (verify_coefficients(ctx3), verify_leonard_trio(ctx3))
               for c in rep.failures}
     assert failed == {
-        "VZ-on-d": "first nonzero residual at (1,1): 1",
-        "VtZt-on-dstar": "first nonzero residual at (1,1): 1",
-        "trio-ii-ZV-coefficients": "first nonzero residual at (1,1): -1",
+        "VZ-on-d": "failing (m, n): [(1, 1)]",
+        "VtZt-on-dstar": "failing (m, n): [(1, 1)]",
+        "trio-ii-ZV-coefficients": "failing (m, n): [(1, 1)]",
     }
 
 
