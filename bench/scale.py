@@ -1,6 +1,6 @@
-"""Wall time of `metaracah verify --suite all` at N = 8, 16, 32, 48 and 64, and
-of the sixteen emit commands at N = 24 and 48, in process; and the start-up
-cost of a fresh interpreter.
+"""Wall time of `metaracah verify --suite all` at N = 8, 16, 32, 48, 64 and 96,
+and of the sixteen emit commands at N = 24 and 48, in process; and the
+start-up cost of a fresh interpreter.
 
 Usage, from the repository root:
 
@@ -68,7 +68,7 @@ from fractions import Fraction
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-SIZES = (8, 16, 32, 48, 64)
+SIZES = (8, 16, 32, 48, 64, 96)
 EMIT_SIZES = (24, 48)
 REPEATS = 3
 TABLES = ("racah", "S", "Stilde", "calU", "calUtilde", "U", "Utilde", "dualHahn")

@@ -280,7 +280,8 @@ def check_subalgebras(ctx: Context) -> VerificationReport:
     xib = xi - eta * z
     etab = eta + z * z / 2
     K, vz_a = brackets(Vb, Zb)
-    rep.add_grid("shifted-ZX", "[Zb,Xb] = Zb^2 + Xb", commutator(Zb, Xb) - (Zb * Zb + Xb))
+    Zb2 = Zb * Zb
+    rep.add_grid("shifted-ZX", "[Zb,Xb] = Zb^2 + Xb", commutator(Zb, Xb) - (Zb2 + Xb))
     rep.add_grid(
         "shifted-XV",
         "[Xb,Vb] = {Vb,Zb} + xib I",
@@ -299,7 +300,7 @@ def check_subalgebras(ctx: Context) -> VerificationReport:
     rep.add_grid(
         "hahn-2",
         "[Zb,[Vb,Zb]] = 2 Zb^2 - Vb - etab I",
-        commutator(Zb, K) - (2 * (Zb * Zb) - Vb - etab * ident),
+        commutator(Zb, K) - (2 * Zb2 - Vb - etab * ident),
     )
 
     W = X + rho * Z

@@ -30,13 +30,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import Params
-from .eigenbases import LABELS, Context, family
+from .eigenbases import FAMILIES, LABELS, Context, family
 from .errors import Frozen
 from .hyper import multi_pochhammer, pochhammer, series_terms
 from .matrices import RationalMatrix
 from .report import VerificationReport
 
 Q = Fraction
+_ZERO = Q(0)
 
 
 class LaurentPoly(Frozen):
@@ -71,7 +72,7 @@ class LaurentPoly(Frozen):
             return cls.zero()
         lo = min(terms)
         hi = max(terms)
-        return cls(lo, tuple(terms.get(e, Q(0)) for e in range(lo, hi + 1)))
+        return cls(lo, tuple(terms.get(e, _ZERO) for e in range(lo, hi + 1)))
 
     @property
     def is_zero(self) -> bool:
@@ -90,12 +91,12 @@ class LaurentPoly(Frozen):
         i = exp - self.min_exp
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return Q(0)
+        return _ZERO
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         terms = dict(self.items())
         for e, c in other.items():
-            terms[e] = terms.get(e, Q(0)) + c
+            terms[e] = terms.get(e, _ZERO) + c
         return LaurentPoly.from_dict(terms)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -139,18 +140,26 @@ class DiffOp(Frozen):
         return self.a2 * df.derivative() + self.a1 * df + self.a0 * f
 
 
+def coefficients(polys: list, exps) -> RationalMatrix:
+    """Entry (k, j) is the coefficient of x^exps[k] in polys[j]: column j
+    reads polys[j] over the exponents exps."""
+    return RationalMatrix([[f.coefficient(e) for f in polys] for e in exps])
+
+
+def _window(polys: list) -> range:
+    """The exponents of polys, lowest to highest, never empty: a matrix needs a row."""
+    lo = min(f.min_exp for f in polys)
+    return range(lo, max(lo, max(f.max_exp for f in polys)) + 1)
+
+
 def residue_grid(fs: list, gs: list) -> RationalMatrix:
     """The pairings <f_i, g_j>, each the coefficient of 1/x in f_i*g_j, as
     one product F G over the exponent window e of fs: F[i][e] is the
     coefficient of x^e in f_i and G[e][j] that of x^(-1-e) in g_j.  No
     product f_i*g_j is formed.
     """
-    lo = min(f.min_exp for f in fs)
-    # a zero polynomial has an empty window, and a matrix needs one column
-    window = range(lo, max(lo, max(f.max_exp for f in fs)) + 1)
-    F = RationalMatrix([[f.coefficient(e) for e in window] for f in fs])
-    G = RationalMatrix([[g.coefficient(-1 - e) for g in gs] for e in window])
-    return F * G
+    window = _window(fs)
+    return coefficients(fs, window).transpose() * coefficients(gs, [-1 - e for e in window])
 
 
 def residue_pair(f: LaurentPoly, g: LaurentPoly) -> Fraction:
@@ -214,30 +223,25 @@ def diff_Xt(p: Params) -> DiffOp:
     )
 
 
+def _diff(name: str, p: Params) -> DiffOp:
+    """The model operator of the generator name, Z, V or X, or of its
+    transpose Zt, Vt or Xt, at p; the names are looked up when called."""
+    return {"Z": diff_Z, "V": diff_V, "X": diff_X,
+            "Zt": diff_Zt, "Vt": diff_Vt, "Xt": diff_Xt}[name](p)
+
+
 def _g_norms(N: int) -> list:
     """(-1)^k (-N)_k = N (N-1) ... (N-k+1) for k = 0..N: the coefficient of
     x^k in g_k, and the reciprocal of the coefficient of x^(-k-1) in g*_k."""
     return series_terms((-N, 1), (), N + 1, argument=-1)
 
 
-def g_poly(p: Params, n: int) -> LaurentPoly:
-    """g_n(x) = (-1)^n (-N)_n x^n, the model of |n>."""
-    return LaurentPoly.monomial(n, _g_norms(p.N)[n])
-
-
-def g_dual_poly(p: Params, n: int) -> LaurentPoly:
-    """g*_n(x) = (-1)^n x^(-n-1) / (-N)_n, the model of <n|."""
-    return LaurentPoly.monomial(-n - 1, Q(1, _g_norms(p.N)[n]))
-
-
-def _in_g_basis(f: LaurentPoly, norms: list) -> list:
-    """Coefficients of f over g_0..g_N."""
-    return [f.coefficient(k) / c for k, c in enumerate(norms)]
-
-
-def _in_gstar_basis(f: LaurentPoly, norms: list) -> list:
-    """Coefficients of f over g*_0..g*_N."""
-    return [f.coefficient(-k - 1) * c for k, c in enumerate(norms)]
+def g_bases(norms: list) -> tuple:
+    """The monomial bases at norms = _g_norms(N): g_n(x) = (-1)^n (-N)_n x^n,
+    the model of |n>, and g*_n(x) = (-1)^n x^(-n-1) / (-N)_n, the model of
+    <n|, each for n = 0..N."""
+    return ([LaurentPoly.monomial(n, c) for n, c in enumerate(norms)],
+            [LaurentPoly.monomial(-n - 1, 1 / c) for n, c in enumerate(norms)])
 
 
 # -- model bases ---------------------------------------------------------------
@@ -351,77 +355,74 @@ def model_basis(ctx: Context, label: str) -> list:
     return [model(ctx.p, ctx.rho, n) for n in range(ctx.p.N + 1)]
 
 
-def _model_bases_report(ctx: Context) -> tuple:
-    """Model families expand to exactly the abstract closed-form columns.
+def _model_bases_report(ctx: Context, norms: list, jacobi: tuple) -> tuple:
+    """Model families expand to exactly the abstract closed-form columns:
+    entry (l, n) of each residual reads model polynomial n over g_l, or over
+    g*_l for a dual family.  e is the Jacobi family of jacobi = _e_as_jacobi(p)
+    up to its scales; norms = _g_norms(N).
 
     Returns the report and the model families it built, by label.
     """
     p = ctx.p
     rep = VerificationReport(suite="model-bases", params={**p.as_dict(), "rho": str(ctx.rho)})
     families = {}
-    norms = _g_norms(p.N)
+    over_g = (range(p.N + 1), [1 / c for c in norms])
+    over_gstar = ([-k - 1 for k in range(p.N + 1)], norms)
     for label in LABELS:
         fam = families[label] = model_basis(ctx, label)
-        abstract = ctx.basis(label)
-        expand = _in_gstar_basis if label.endswith("Star") else _in_g_basis
-        rep.add_line(f"model-{label}",
-                     f"model family {label} matches the abstract expansion columnwise", p.N,
-                     lambda n: expand(fam[n], norms) == list(abstract.column(n)))
+        exps, scale = over_gstar if label.endswith("Star") else over_g
+        rep.add_grid(f"model-{label}",
+                     f"model family {label} matches the abstract expansion columnwise",
+                     coefficients(fam, exps).scaled(scale) - ctx.basis(label).vectors,
+                     axes="(l, n)")
 
-    e_fam = families["e"]
-    jac, scales = _e_as_jacobi(p)
-    rep.add_line("model-e-jacobi", "e_n(x) is a Jacobi polynomial up to the stated prefactor",
-                 p.N, lambda n: e_fam[n] == scales[n] * jac[n])
+    # row l of the residual is the l-th exponent of the window both span
+    e_fam, (jac, scales) = families["e"], jacobi
+    window = _window(e_fam + jac)
+    rep.add_grid("model-e-jacobi", "e_n(x) is a Jacobi polynomial up to the stated prefactor",
+                 coefficients(e_fam, window) - coefficients(jac, window).scaled(None, scales),
+                 axes="(l, n)")
     return rep, families
 
 
 def model_orthogonality(ctx: Context, families: dict) -> VerificationReport:
-    """The four residue-pairing Grams are exactly the identity.
+    """The four residue-pairing Grams are exactly the identity: each family
+    b of d, e, f and z pairs with its dual b* through the model operator of
+    its weight W, both read from FAMILIES, as <b*_m, W b_n> = delta_mn; a
+    weighted pair also records its Gram without W.
 
     families maps each label to its model family.
     """
     p = ctx.p
     rep = VerificationReport(suite="model-orthogonality",
                              params={**p.as_dict(), "rho": str(ctx.rho)})
-    pairs = [
-        ("f", "fStar"),
-        ("e", "eStar"),
-        ("z", "zStar"),
-    ]
-    for label, dual in pairs:
-        rep.add_grid(f"gram-{label}",
-                     f"<{dual}_m, {label}_n> = delta_mn under the residue pairing",
-                     residue_grid(families[dual], families[label]) - ctx.I)
-
-    d_fam = families["d"]
-    dstar_fam = families["dStar"]
-    Zop = diff_Z(p)
-    rep.add_grid("gram-d", "<d*_m, Z d_n> = delta_mn under the residue pairing",
-                 residue_grid(dstar_fam, [Zop.apply(d) for d in d_fam]) - ctx.I)
-
-    plain = residue_grid(dstar_fam, d_fam)
-    rep.add_info(
-        "gram-d-no-Z",
-        "<d*_m, d_n> without the Z insertion is not the identity",
-        detail=(
-            "identity" if (plain - ctx.I).is_zero()
-            else f"differs from identity, e.g. entry (0, 0) = {plain.band(0)[0]}"
-        ),
-    )
+    for label in ("d", "e", "f", "z"):
+        fam = FAMILIES[label]
+        b, b_dual, w = families[label], families[fam.dual], fam.weight
+        plain = residue_grid(b_dual, b)
+        gram = residue_grid(b_dual, list(map(_diff(w, p).apply, b))) if w else plain
+        pair = f"<{label}*_m, {w} {label}_n>" if w else f"<{fam.dual}_m, {label}_n>"
+        rep.add_grid(f"gram-{label}", f"{pair} = delta_mn under the residue pairing",
+                     gram - ctx.I)
+        if w:
+            rep.add_info(
+                f"gram-{label}-no-{w}",
+                f"<{label}*_m, {label}_n> without the {w} insertion is not the identity",
+                detail="identity" if (plain - ctx.I).is_zero()
+                else f"differs from identity, e.g. entry (0, 0) = {plain.band(0)[0]}")
     return rep
 
 
-def integral_representations(ctx: Context) -> VerificationReport:
-    """Residue formulas for S, U and the dual Hahn values, full grid; each
-    residue is compared with the closed-form grid of the Context."""
+def integral_representations(ctx: Context, norms: list, jacobi: tuple) -> VerificationReport:
+    """Residue formulas for S, U and the dual Hahn values from norms and
+    jacobi, full grid; each is compared with the closed-form grid of the Context."""
     p, rho = ctx.p, ctx.rho
     rep = VerificationReport(suite="model-integrals",
                              params={**p.as_dict(), "rho": str(rho)})
     a, b, z, N = p.alpha, p.beta, p.zeta, p.N
-    jac, jac_scale = _e_as_jacobi(p)
+    jac, jac_scale = jacobi
     # each formula is a factor in m times a factor in n times the pairing
     # of jac[m] with a window in n: x^(-n-1) times a terminating series
-    norms = _g_norms(N)
 
     s_windows = [
         LaurentPoly(-n - 1, series_terms((1 + b + rho - n, 1 + N - n),
@@ -455,9 +456,9 @@ def integral_representations(ctx: Context) -> VerificationReport:
     return rep
 
 
-def model_transposes(ctx: Context) -> VerificationReport:
+def model_transposes(ctx: Context, g: list, g_dual: list) -> VerificationReport:
     """The differential operators and their transposes against the abstract
-    matrices, each operator applied once per index.
+    matrices on g, g_dual = g_bases(norms), each operator applied once per index.
 
     The model matrices are the two residue grids of the adjoint check:
     <g*_m, op g_n> is entry (m, n) of op on g, and <op_t g*_m, g_n> is
@@ -469,14 +470,8 @@ def model_transposes(ctx: Context) -> VerificationReport:
     p = ctx.p
     rep = VerificationReport(suite="model-transposes", params=p.as_dict())
     N = p.N
-    table = [
-        ("Z", diff_Z(p), diff_Zt(p), ctx.Z, ctx.Zt),
-        ("V", diff_V(p), diff_Vt(p), ctx.V, ctx.Vt),
-        ("X", diff_X(p), diff_Xt(p), ctx.X, ctx.Xt),
-    ]
-    g = [g_poly(p, n) for n in range(N + 1)]
-    g_dual = [g_dual_poly(p, m) for m in range(N + 1)]
-    for name, op, op_t, abstract, abstract_t in table:
+    for name in ("Z", "V", "X"):
+        op, op_t = _diff(name, p), _diff(name + "t", p)
         images = [op.apply(x) for x in g]
         dual_images = [op_t.apply(x) for x in g_dual]
         on_g = residue_grid(g_dual, images)
@@ -487,13 +482,13 @@ def model_transposes(ctx: Context) -> VerificationReport:
             rep.add(f"g-basis-{name}", statement, False,
                     f"image exponents outside 0..N: {outside}")
         else:
-            rep.add_grid(f"g-basis-{name}", statement, on_g - abstract)
+            rep.add_grid(f"g-basis-{name}", statement, on_g - getattr(ctx, name))
         rep.add_grid(f"adjoint-{name}",
                      f"<{name}t g*_m, g_n> = <g*_m, {name} g_n> for all m, n",
                      on_g_dual - on_g)
         rep.add_grid(f"quotient-{name}",
                      f"matrix of {name}t on g*_n modulo ghosts equals the abstract transpose",
-                     on_g_dual.transpose() - abstract_t)
+                     on_g_dual.transpose() - getattr(ctx, name + "t"))
         ghost_exps = sorted({e for h in dual_images for e, _ in h.items()
                              if not -N - 1 <= e <= -1})
         rep.add(
@@ -507,15 +502,17 @@ def model_transposes(ctx: Context) -> VerificationReport:
 
 def verify_model(ctx: Context) -> VerificationReport:
     """Aggregate suite for the differential model; the report lists its
-    checks by id, so the order the parts run in does not show."""
+    checks by id, so the order the parts run in does not show.  The g-norms,
+    the monomial bases and the Jacobi family are built once, here."""
     p = ctx.p
     rep = VerificationReport(suite="model", params={**p.as_dict(), "rho": str(ctx.rho)})
-    bases, families = _model_bases_report(ctx)
+    norms, jacobi = _g_norms(p.N), _e_as_jacobi(p)
+    bases, families = _model_bases_report(ctx, norms, jacobi)
     for sub in (
         bases,
         model_orthogonality(ctx, families),
-        integral_representations(ctx),
-        model_transposes(ctx),
+        integral_representations(ctx, norms, jacobi),
+        model_transposes(ctx, *g_bases(norms)),
     ):
         rep.checks.extend(sub.checks)
     return rep

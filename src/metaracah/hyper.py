@@ -92,6 +92,21 @@ def _cap(upper) -> int | float:
     return min((-int(u) for u in upper if is_nonpositive_int(u)), default=inf)
 
 
+def _require_terminating(k, lower) -> None:
+    """The termination rule of a series summed over 0..k, k = _cap of its
+    upper parameters: PreconditionViolated if k is inf, and
+    DegenerateParameters naming each lower parameter l that vanishes at an
+    index below k (l + i = 0 at i = -l < k)."""
+    if k == inf:
+        raise PreconditionViolated(
+            "series does not terminate: no nonpositive-integer upper parameter"
+        )
+    bad = [l for l in lower if is_nonpositive_int(l) and -l < k]
+    if bad:
+        raise DegenerateParameters(
+            [f"lower parameter {l} vanishes within summation range 0..{k}" for l in bad])
+
+
 def series_table(rows: Sequence, cols: Sequence) -> RationalMatrix:
     """The matrix of terminating sums, one per (row, column) pair:
 
@@ -118,20 +133,14 @@ def series_table(rows: Sequence, cols: Sequence) -> RationalMatrix:
     row_caps = [_cap(up) for up, _ in rows]
     col_caps = [_cap(up) for up, _ in cols]
     top_row, top_col = max(row_caps), max(col_caps)
-    if top_row == inf and top_col == inf:
-        raise PreconditionViolated(
-            "series does not terminate: no nonpositive-integer upper parameter"
-        )
-    # lower parameters that vanish somewhere, as (l, k) with l + k = 0
-    row_zeros = [[(l, -int(l)) for l in lo if is_nonpositive_int(l)] for _, lo in rows]
-    col_zeros = [[(w, -int(w)) for w in lo if is_nonpositive_int(w)] for _, lo in cols]
+    # an entry without a cap stops the table before any lower parameter is read
+    _require_terminating(min(top_row, top_col), ())
+    # the lower parameters that vanish somewhere
+    row_zeros = [[l for l in lo if is_nonpositive_int(l)] for _, lo in rows]
+    col_zeros = [[w for w in lo if is_nonpositive_int(w)] for _, lo in cols]
     for i, rz in enumerate(row_zeros):
         for j, cz in enumerate(col_zeros):
-            k = min(row_caps[i], col_caps[j])
-            bad = [l for l, at in cz + rz if at < k]
-            if bad:
-                raise DegenerateParameters(
-                    [f"lower parameter {l} vanishes within summation range 0..{k}" for l in bad])
+            _require_terminating(min(row_caps[i], col_caps[j]), cz + rz)
     row_counts = [min(c, top_col) + 1 for c in row_caps]
     col_counts = [min(c, top_row) + 1 for c in col_caps]
     width = max(row_counts)
@@ -160,18 +169,9 @@ class HypSeries(Frozen):
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "argument", Q(argument))
-        caps = [-int(u) for u in upper if is_nonpositive_int(u)]
-        if not caps:
-            raise PreconditionViolated(
-                "series does not terminate: no nonpositive-integer upper parameter"
-            )
-        k = min(caps)
+        k = _cap(upper)
+        _require_terminating(k, lower)
         object.__setattr__(self, "termination_index", k)
-        bad = [l for l in lower if is_nonpositive_int(l) and l >= -k + 1]
-        if bad:
-            raise DegenerateParameters(
-                [f"lower parameter {l} vanishes within summation range 0..{k}" for l in bad]
-            )
 
 
 def hyp_sum(series: HypSeries) -> Fraction:

@@ -540,7 +540,7 @@ def test_verify_all_product_count(capsys, monkeypatch):
     monkeypatch.setattr(matrices.RationalMatrix, "__mul__", counted)
     code, _ = run(capsys, "verify", "--suite", "all", "--N", "8")
     assert code == 0
-    assert len(products) == 133
+    assert len(products) == 132
 
 
 def test_verify_all_writes_out_few_results(capsys, monkeypatch):
@@ -565,7 +565,7 @@ def test_verify_all_writes_out_few_results(capsys, monkeypatch):
     monkeypatch.setattr(report.VerificationReport, "add_grid", collected)
     code, _ = run(capsys, "verify", "--suite", "all", "--N", "8")
     assert code == 0
-    assert len(residuals) == 73
+    assert len(residuals) == 82
     assert not any(r is w for r in residuals for w in written)
     assert len(written) == 8
 

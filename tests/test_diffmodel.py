@@ -10,13 +10,14 @@ from metaracah.cli import main
 from metaracah.diffmodel import (
     DiffOp,
     LaurentPoly,
+    _e_as_jacobi,
+    _g_norms,
     _model_bases_report,
     diff_V,
     diff_X,
     diff_Z,
     diff_Zt,
-    g_dual_poly,
-    g_poly,
+    g_bases,
     integral_representations,
     jacobi_poly,
     model_basis,
@@ -31,6 +32,10 @@ from metaracah.hyper import pochhammer
 
 def mono(exp, coeff=1):
     return LaurentPoly.monomial(exp, Q(coeff))
+
+
+def monomial_bases(p):
+    return g_bases(_g_norms(p.N))
 
 
 def test_residue_pairing_basics():
@@ -111,23 +116,24 @@ def test_laurent_arithmetic():
 
 
 def test_monomial_rays_are_dual(p3):
+    g, g_dual = monomial_bases(p3)
     for m in range(p3.N + 1):
         for n in range(p3.N + 1):
-            got = residue_pair(g_dual_poly(p3, m), g_poly(p3, n))
+            got = residue_pair(g_dual[m], g[n])
             assert got == (1 if m == n else 0)
 
 
 def test_Z_on_the_first_ray(p3):
-    got = diff_Z(p3).apply(g_poly(p3, 0))
-    expected = -p3.alpha * g_poly(p3, 0) + g_poly(p3, 1)
+    g, _ = monomial_bases(p3)
+    got = diff_Z(p3).apply(g[0])
+    expected = -p3.alpha * g[0] + g[1]
     assert got == expected
 
 
 def test_operator_matrices_match_abstract(p3):
     from metaracah import build_V, build_X, build_Z
 
-    g = [g_poly(p3, n) for n in range(p3.N + 1)]
-    g_dual = [g_dual_poly(p3, m) for m in range(p3.N + 1)]
+    g, g_dual = monomial_bases(p3)
     assert residue_grid(g_dual, [diff_Z(p3).apply(x) for x in g]) == build_Z(p3)
     assert residue_grid(g_dual, [diff_V(p3).apply(x) for x in g]) == build_V(p3)
     assert residue_grid(g_dual, [diff_X(p3).apply(x) for x in g]) == build_X(p3)
@@ -136,24 +142,26 @@ def test_operator_matrices_match_abstract(p3):
 def test_model_polynomials_carry_the_abstract_columns(p3, rho, ctx3):
     # residue pairing against the dual rays reads off g-expansion
     # coefficients, which must match the abstract basis columns
+    _, g_dual = monomial_bases(p3)
     for label in ("d", "e", "z", "f"):
         fam = build_basis(p3, rho, label)
         polys = model_basis(ctx3, label)
         for n in range(p3.N + 1):
             coeffs = tuple(
-                residue_pair(g_dual_poly(p3, l), polys[n]) for l in range(p3.N + 1)
+                residue_pair(g_dual[l], polys[n]) for l in range(p3.N + 1)
             )
             assert coeffs == fam.column(n), (label, n)
 
 
 def test_dual_model_polynomials(p3, rho, ctx3):
     # dual families expand over the dual rays; pair against the plain rays
+    g, _ = monomial_bases(p3)
     for label in ("dStar", "eStar", "zStar", "fStar"):
         fam = build_basis(p3, rho, label)
         polys = model_basis(ctx3, label)
         for n in range(p3.N + 1):
             coeffs = tuple(
-                residue_pair(polys[n], g_poly(p3, l)) for l in range(p3.N + 1)
+                residue_pair(polys[n], g[l]) for l in range(p3.N + 1)
             )
             assert coeffs == fam.column(n), (label, n)
 
@@ -183,7 +191,7 @@ def test_jacobi_poly_where_a_plus_one_plus_n_vanishes(n, a, b):
 
 
 def test_model_bases_report(ctx5):
-    rep, families = _model_bases_report(ctx5)
+    rep, families = _model_bases_report(ctx5, _g_norms(ctx5.p.N), _e_as_jacobi(ctx5.p))
     assert rep.passed, [(c.id, c.detail) for c in rep.failures]
     assert tuple(families) == LABELS
 
@@ -198,19 +206,23 @@ def test_model_orthogonality(ctx3):
 
 
 def test_integral_representations(ctx_other):
-    rep = integral_representations(ctx_other)
+    p = ctx_other.p
+    rep = integral_representations(ctx_other, _g_norms(p.N), _e_as_jacobi(p))
     assert rep.passed, [(c.id, c.detail) for c in rep.failures]
 
 
 def test_transposed_operators(ctx3):
-    rep = model_transposes(ctx3)
+    rep = model_transposes(ctx3, *monomial_bases(ctx3.p))
     assert rep.passed, [(c.id, c.detail) for c in rep.failures]
     ghost_checks = [c for c in rep.checks if c.id.startswith("ghosts-")]
     assert len(ghost_checks) == 3
 
 
-def _f2_plus_one(model):
-    return lambda p, rho, n: model(p, rho, n) + (mono(0) if n == 2 else LaurentPoly.zero())
+def _n2_plus(exp):
+    """The fault that adds x^exp to model polynomial n = 2."""
+    def fault(model):
+        return lambda p, rho, n: model(p, rho, n) + (mono(exp) if n == 2 else LaurentPoly.zero())
+    return fault
 
 
 def _xt_plus_x(diff):
@@ -232,7 +244,7 @@ def _jacobi_2_plus_x2(e_as_jacobi):
 # column n = 2; Xt + x pairs x g*_m ~ x^(-m) with g_(m-1); jac_2 + x^2 meets
 # only the windows n >= 2, which reach down to x^(-3)
 MODEL_FAULTS = [
-    (diffmodel._MODELS, "f", _f2_plus_one,
+    (diffmodel._MODELS, "f", _n2_plus(0),
      {"gram-f": "failing (m, n): [(0, 2), (1, 2), (2, 2), (3, 2)]"}),
     (vars(diffmodel), "diff_Xt", _xt_plus_x,
      {"adjoint-X": "failing (m, n): [(1, 0), (2, 1), (3, 2)]"}),
@@ -252,6 +264,18 @@ def test_residue_checks_name_the_points_a_fault_breaks(ctx3, monkeypatch, table,
     checks = {c.id: c for c in verify_model(ctx3).checks}
     assert {i: (checks[i].status, checks[i].detail) for i in details} == {
         i: ("fail", detail) for i, detail in details.items()}
+
+
+# one coefficient of model polynomial n = 2 off by one: x^1 for a family
+# read over g_0..g_N, x^(-2) for a dual family read over g*_0..g*_N, both
+# basis vector l = 1; no other family's basis check reads it
+@pytest.mark.parametrize("label", LABELS)
+def test_a_model_fault_fails_its_own_basis_check_only(ctx3, monkeypatch, label):
+    fault = _n2_plus(-2 if label.endswith("Star") else 1)
+    monkeypatch.setitem(diffmodel._MODELS, label, fault(diffmodel._MODELS[label]))
+    basis_checks = {f"model-{other}" for other in LABELS}
+    failed = {c.id: c.detail for c in verify_model(ctx3).failures if c.id in basis_checks}
+    assert failed == {f"model-{label}": "failing (l, n): [(1, 2)]"}
 
 
 def _a0_plus(diff, exp):
@@ -290,7 +314,8 @@ TRANSPOSE_FAULTS = [
                          ids=[name for name, _, _ in TRANSPOSE_FAULTS])
 def test_every_transpose_check_can_fail_and_none_raises(ctx3, monkeypatch, name, exp, details):
     monkeypatch.setattr(diffmodel, name, _a0_plus(getattr(diffmodel, name), exp))
-    assert {c.id: c.detail for c in model_transposes(ctx3).failures} == details
+    assert {c.id: c.detail for c in model_transposes(ctx3, *monomial_bases(ctx3.p)).failures} \
+        == details
 
 
 def test_a_faulty_operator_is_an_identity_failure_in_the_cli(capsys, monkeypatch):
@@ -304,11 +329,12 @@ def test_a_faulty_operator_is_an_identity_failure_in_the_cli(capsys, monkeypatch
 
 def test_adjoint_identity_single_pair(p3):
     # <Zt g*_0, g_1> = <g*_0, Z g_1> spelled out by hand
+    g, g_dual = monomial_bases(p3)
     left = residue_pair(
-        diff_Zt(p3).apply(g_dual_poly(p3, 0)), g_poly(p3, 1)
+        diff_Zt(p3).apply(g_dual[0]), g[1]
     )
     right = residue_pair(
-        g_dual_poly(p3, 0), diff_Z(p3).apply(g_poly(p3, 1))
+        g_dual[0], diff_Z(p3).apply(g[1])
     )
     assert left == right
 
