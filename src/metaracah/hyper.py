@@ -93,10 +93,9 @@ def _cap(upper) -> int | float:
 
 
 def _require_terminating(k, lower) -> None:
-    """The termination rule of a series summed over 0..k, k = _cap of its
-    upper parameters: PreconditionViolated if k is inf, and
-    DegenerateParameters naming each lower parameter l that vanishes at an
-    index below k (l + i = 0 at i = -l < k)."""
+    """The termination rule of a series summed over 0..k, k = _cap(upper):
+    PreconditionViolated if k is inf, DegenerateParameters naming each lower
+    parameter l that vanishes within the range, l + i = 0 at i = -l < k."""
     if k == inf:
         raise PreconditionViolated(
             "series does not terminate: no nonpositive-integer upper parameter"
@@ -135,12 +134,14 @@ def series_table(rows: Sequence, cols: Sequence) -> RationalMatrix:
     top_row, top_col = max(row_caps), max(col_caps)
     # an entry without a cap stops the table before any lower parameter is read
     _require_terminating(min(top_row, top_col), ())
-    # the lower parameters that vanish somewhere
-    row_zeros = [[l for l in lo if is_nonpositive_int(l)] for _, lo in rows]
-    col_zeros = [[w for w in lo if is_nonpositive_int(w)] for _, lo in cols]
-    for i, rz in enumerate(row_zeros):
-        for j, cz in enumerate(col_zeros):
-            _require_terminating(min(row_caps[i], col_caps[j]), cz + rz)
+    # _cap of the lower parameters: the first index at which one vanishes
+    row_poles = [_cap(lo) for _, lo in rows]
+    col_poles = [_cap(lo) for _, lo in cols]
+    for (_, lo), row_cap, row_pole in zip(rows, row_caps, row_poles):
+        for (_, wo), col_cap, col_pole in zip(cols, col_caps, col_poles):
+            k = min(row_cap, col_cap)
+            if min(row_pole, col_pole) < k:
+                _require_terminating(k, wo + lo)
     row_counts = [min(c, top_col) + 1 for c in row_caps]
     col_counts = [min(c, top_row) + 1 for c in col_caps]
     width = max(row_counts)
