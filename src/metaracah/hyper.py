@@ -87,9 +87,9 @@ def series_terms(upper: Sequence, lower: Sequence, count: int, head=1, argument=
     return terms
 
 
-def _cap(upper) -> int | float:
-    """The smallest |u| over the nonpositive-integer u in upper, inf if none."""
-    return min((-int(u) for u in upper if is_nonpositive_int(u)), default=inf)
+def _cap(params) -> int | float:
+    """The smallest |u| over the nonpositive-integer u in params, inf if none."""
+    return min((-int(u) for u in params if is_nonpositive_int(u)), default=inf)
 
 
 def _require_terminating(k, lower) -> None:
