@@ -164,8 +164,9 @@ def residue_grid(fs: list, gs: list) -> RationalMatrix:
 
 def residue_pair(f: LaurentPoly, g: LaurentPoly) -> Fraction:
     """<f, g>: the coefficient of 1/x in the product f*g, the one entry of
-    residue_grid([f], [g])."""
-    return residue_grid([f], [g])[0, 0]
+    residue_grid([f], [g]), read off its band 0 so that the grid is not
+    written out."""
+    return residue_grid([f], [g]).band(0)[0]
 
 
 _X = LaurentPoly.monomial(1)
@@ -270,14 +271,18 @@ def _e_as_jacobi(p: Params) -> tuple:
 # One function per family: the n-th model polynomial at (p, rho).
 
 
-def _model_e(p, rho, n):
+def _e_head(p, n):
+    """(-N)_n (N-2alpha-beta-2zeta)_n / (n-2beta-2zeta-1)_n, the head of e_n."""
     a, b, z, N = p.alpha, p.beta, p.zeta, p.N
-    pre = multi_pochhammer((Q(-N), N - 2 * a - b - 2 * z), n) / pochhammer(
+    return multi_pochhammer((Q(-N), N - 2 * a - b - 2 * z), n) / pochhammer(
         n - 2 * b - 2 * z - 1, n
     )
-    return LaurentPoly(
-        0, series_terms((-n, n - 2 * b - 2 * z - 1), (N - 2 * a - b - 2 * z,), n + 1, head=pre)
-    )
+
+
+def _model_e(p, rho, n):
+    a, b, z, N = p.alpha, p.beta, p.zeta, p.N
+    return LaurentPoly(0, series_terms((-n, n - 2 * b - 2 * z - 1), (N - 2 * a - b - 2 * z,),
+                                       n + 1, head=_e_head(p, n)))
 
 
 def _model_d(p, rho, n):
@@ -355,16 +360,16 @@ def model_basis(ctx: Context, label: str) -> list:
     return [model(ctx.p, ctx.rho, n) for n in range(ctx.p.N + 1)]
 
 
-def _model_bases_report(ctx: Context, norms: list, jacobi: tuple) -> tuple:
-    """Model families expand to exactly the abstract closed-form columns:
-    entry (l, n) of each residual reads model polynomial n over g_l, or over
-    g*_l for a dual family.  e is the Jacobi family of jacobi = _e_as_jacobi(p)
-    up to its scales; norms = _g_norms(N).
+def model_bases(rep: VerificationReport, ctx: Context, norms: list) -> dict:
+    """Add to rep that the model families expand to exactly the abstract
+    closed-form columns: entry (l, n) of each residual reads model polynomial
+    n over g_l, or over g*_l for a dual family; norms = _g_norms(N).  Also
+    that e is the Jacobi family of _e_as_jacobi(p) up to its scales, the one
+    reader of that family.
 
-    Returns the report and the model families it built, by label.
+    Returns the model families it built, by label.
     """
     p = ctx.p
-    rep = VerificationReport(suite="model-bases", params={**p.as_dict(), "rho": str(ctx.rho)})
     families = {}
     over_g = (range(p.N + 1), [1 / c for c in norms])
     over_gstar = ([-k - 1 for k in range(p.N + 1)], norms)
@@ -377,88 +382,69 @@ def _model_bases_report(ctx: Context, norms: list, jacobi: tuple) -> tuple:
                      axes="(l, n)")
 
     # row l of the residual is the l-th exponent of the window both span
-    e_fam, (jac, scales) = families["e"], jacobi
+    e_fam, (jac, scales) = families["e"], _e_as_jacobi(p)
     window = _window(e_fam + jac)
     rep.add_grid("model-e-jacobi", "e_n(x) is a Jacobi polynomial up to the stated prefactor",
                  coefficients(e_fam, window) - coefficients(jac, window).scaled(None, scales),
                  axes="(l, n)")
-    return rep, families
+    return families
 
 
-def model_orthogonality(ctx: Context, families: dict) -> VerificationReport:
-    """The four residue-pairing Grams are exactly the identity: each family
-    b of d, e, f and z pairs with its dual b* through the model operator of
-    its weight W, both read from FAMILIES, as <b*_m, W b_n> = delta_mn; a
-    weighted pair also records its Gram without W.
+def model_orthogonality(rep: VerificationReport, ctx: Context, families: dict) -> None:
+    """Add to rep that the four residue-pairing Grams are exactly the
+    identity: each family b of d, e, f and z pairs with its dual b* through
+    the model operator of its weight W, both read from FAMILIES, as
+    <b*_m, W b_n> = delta_mn.  A weighted pair also records whether its Gram
+    without W is the identity; its corner <b*_0, b_0> is read first, and the
+    whole Gram is formed only when that corner is 1.
 
     families maps each label to its model family.
     """
     p = ctx.p
-    rep = VerificationReport(suite="model-orthogonality",
-                             params={**p.as_dict(), "rho": str(ctx.rho)})
     for label in ("d", "e", "f", "z"):
         fam = FAMILIES[label]
         b, b_dual, w = families[label], families[fam.dual], fam.weight
-        plain = residue_grid(b_dual, b)
-        gram = residue_grid(b_dual, list(map(_diff(w, p).apply, b))) if w else plain
+        gram = residue_grid(b_dual, list(map(_diff(w, p).apply, b)) if w else b)
         pair = f"<{label}*_m, {w} {label}_n>" if w else f"<{fam.dual}_m, {label}_n>"
         rep.add_grid(f"gram-{label}", f"{pair} = delta_mn under the residue pairing",
                      gram - ctx.I)
         if w:
+            corner = residue_pair(b_dual[0], b[0])
+            plain_is_I = corner == 1 and (residue_grid(b_dual, b) - ctx.I).is_zero()
             rep.add_info(
                 f"gram-{label}-no-{w}",
                 f"<{label}*_m, {label}_n> without the {w} insertion is not the identity",
-                detail="identity" if (plain - ctx.I).is_zero()
-                else f"differs from identity, e.g. entry (0, 0) = {plain.band(0)[0]}")
-    return rep
+                detail="identity" if plain_is_I
+                else f"differs from identity, e.g. entry (0, 0) = {corner}")
 
 
-def integral_representations(ctx: Context, norms: list, jacobi: tuple) -> VerificationReport:
-    """Residue formulas for S, U and the dual Hahn values from norms and
-    jacobi, full grid; each is compared with the closed-form grid of the Context."""
-    p, rho = ctx.p, ctx.rho
-    rep = VerificationReport(suite="model-integrals",
-                             params={**p.as_dict(), "rho": str(rho)})
-    a, b, z, N = p.alpha, p.beta, p.zeta, p.N
-    jac, jac_scale = jacobi
-    # each formula is a factor in m times a factor in n times the pairing
-    # of jac[m] with a window in n: x^(-n-1) times a terminating series
+def integral_representations(rep: VerificationReport, ctx: Context, families: dict) -> None:
+    """Add to rep the residue formulas for S, U and the dual Hahn values on
+    the full grid, each the pairing of model e with a dual model family and
+    compared with the closed-form grid of the Context: <e_m, f*_n> = S_m(n),
+    <e_m, d*_n> = U_m(n), and <e_m, z*_k> k! / head(e_m) = R^(dH)_k(m), with
+    head(e_m) = (-N)_m (N-2alpha-beta-2zeta)_m / (m-2beta-2zeta-1)_m.
 
-    s_windows = [
-        LaurentPoly(-n - 1, series_terms((1 + b + rho - n, 1 + N - n),
-                                         (1 + 2 * a + rho - 2 * n,), n + 1))
-        for n in range(N + 1)
-    ]
+    families maps each label to its model family.
+    """
+    N = ctx.p.N
+    e = families["e"]
     rep.add_grid("integral-S", "residue formula reproduces S_m(n) on the full grid",
-                 residue_grid(jac, s_windows).scaled(jac_scale, [1 / c for c in norms])
-                 - ctx.grid("S"))
-
-    u_windows = [
-        LaurentPoly(-n - 1, series_terms((N + 1 - n, b - a + 1), (a - n + 1,), n + 1))
-        for n in range(N + 1)
-    ]
+                 residue_grid(e, families["fStar"]) - ctx.grid("S"))
     rep.add_grid("integral-U", "residue formula reproduces U_m(n) on the full grid",
-                 residue_grid(jac, u_windows).scaled(
-                     jac_scale, [1 / (c * (n - a)) for n, c in enumerate(norms)])
-                 - ctx.grid("U"))
-
-    dh_scale = [pochhammer(Q(1), m) / pochhammer(N - 2 * a - b - 2 * z, m)
-                for m in range(N + 1)]
-    dh_col = [pochhammer(Q(1), k) / norms[k] for k in range(N + 1)]
-    # (1-x)^(k-1-N) expanded to the window that can reach x^(-1)
-    dh_windows = [
-        LaurentPoly(-k - 1, series_terms((N + 1 - k,), (), k + 1)) for k in range(N + 1)
-    ]
+                 residue_grid(e, families["dStar"]) - ctx.grid("U"))
     rep.add_grid("integral-dual-hahn",
                  "residue formula reproduces R^(dH)_k(m) on the full grid",
-                 residue_grid(jac, dh_windows).scaled(dh_scale, dh_col)
+                 residue_grid(e, families["zStar"]).scaled(
+                     [1 / _e_head(ctx.p, m) for m in range(N + 1)],
+                     [pochhammer(Q(1), k) for k in range(N + 1)])
                  - ctx.grid("dualHahn").transpose(), axes="(m, k)")
-    return rep
 
 
-def model_transposes(ctx: Context, g: list, g_dual: list) -> VerificationReport:
-    """The differential operators and their transposes against the abstract
-    matrices on g, g_dual = g_bases(norms), each operator applied once per index.
+def model_transposes(rep: VerificationReport, ctx: Context, g: list, g_dual: list) -> None:
+    """Add to rep the differential operators and their transposes against
+    the abstract matrices on g, g_dual = g_bases(norms), each operator
+    applied once per index.
 
     The model matrices are the two residue grids of the adjoint check:
     <g*_m, op g_n> is entry (m, n) of op on g, and <op_t g*_m, g_n> is
@@ -468,7 +454,6 @@ def model_transposes(ctx: Context, g: list, g_dual: list) -> VerificationReport:
     check; the grids alone cannot see it.
     """
     p = ctx.p
-    rep = VerificationReport(suite="model-transposes", params=p.as_dict())
     N = p.N
     for name in ("Z", "V", "X"):
         op, op_t = _diff(name, p), _diff(name + "t", p)
@@ -497,22 +482,19 @@ def model_transposes(ctx: Context, g: list, g_dual: list) -> VerificationReport:
             all(e in (0, -N - 2) for e in ghost_exps),
             detail=f"ghost exponents: {ghost_exps}" if ghost_exps else "no ghosts",
         )
-    return rep
 
 
 def verify_model(ctx: Context) -> VerificationReport:
-    """Aggregate suite for the differential model; the report lists its
-    checks by id, so the order the parts run in does not show.  The g-norms,
-    the monomial bases and the Jacobi family are built once, here."""
+    """Aggregate suite for the differential model, one report: each part
+    adds its checks to it, and the report lists them by id, so the order
+    the parts run in does not show.  The g-norms, the monomial bases and
+    the model families are built once, here or in model_bases, and every
+    pairing of the suite reads them."""
     p = ctx.p
     rep = VerificationReport(suite="model", params={**p.as_dict(), "rho": str(ctx.rho)})
-    norms, jacobi = _g_norms(p.N), _e_as_jacobi(p)
-    bases, families = _model_bases_report(ctx, norms, jacobi)
-    for sub in (
-        bases,
-        model_orthogonality(ctx, families),
-        integral_representations(ctx, norms, jacobi),
-        model_transposes(ctx, *g_bases(norms)),
-    ):
-        rep.checks.extend(sub.checks)
+    norms = _g_norms(p.N)
+    families = model_bases(rep, ctx, norms)
+    model_orthogonality(rep, ctx, families)
+    integral_representations(rep, ctx, families)
+    model_transposes(rep, ctx, *g_bases(norms))
     return rep

@@ -403,6 +403,17 @@ def oracle_basis(ctx: Context, label: str) -> BasisFamily:
     return BasisFamily(label=label, vectors=RationalMatrix.from_columns(cols), eigenvalues=eigs)
 
 
+def oracle_mismatch(ctx: Context, label: str) -> str | None:
+    """None when the closed-form family of label equals oracle_basis's;
+    otherwise the reason: the message of the NondegenerateSpectrumViolated
+    the oracle raised, or "" when it found other vectors."""
+    try:
+        same = ctx.basis(label).vectors == oracle_basis(ctx, label).vectors
+    except NondegenerateSpectrumViolated as exc:
+        return str(exc)
+    return None if same else ""
+
+
 def z_action_on_d(p: Params, n: int):
     """Closed-form expansion of Z applied to the n-th pencil vector:
 

@@ -18,8 +18,8 @@ one integer denominator.
 
 ``series_terms`` returns the terms of such a series.  It is the one
 term-ratio loop: ``hyp_sum`` is the sum of its terms, and the closed-form
-basis columns, the Laurent model families and their residue windows build
-their coefficient lists with it.  ``hyp_sum_reference`` evaluates Fraction
+basis columns and the Laurent model families build their coefficient
+lists with it.  ``hyp_sum_reference`` evaluates Fraction
 by Fraction and stays the independent oracle for ``hyp_sum``.
 ``series_table`` sums a whole two-index family of series at once: when
 each parameter belongs to the row index or to the column index, every

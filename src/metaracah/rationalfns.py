@@ -274,16 +274,15 @@ def _contiguity_residual(p: Params, cU: RationalMatrix) -> RationalMatrix:
     return shifted - cU * T.transpose()
 
 
-def contiguity_operator_check(ctx: Context) -> VerificationReport:
-    """The matrix identities behind the contiguity relation; the shifted
-    set need not be generic, as only generator formulas are read there."""
-    rep = VerificationReport(suite="rational-contiguity-operators", params=ctx.p.as_dict())
+def contiguity_operator_check(rep: VerificationReport, ctx: Context) -> None:
+    """Add to rep the matrix identities behind the contiguity relation; the
+    shifted set need not be generic, as only generator formulas are read
+    there."""
     sp = shifted_params(ctx.p)
     X, Z, I = ctx.X, ctx.Z, ctx.I
     rep.add_grid("shift-X", "X - 2Z - I equals X at (alpha-1, beta-2, zeta+2)",
                  X - 2 * Z - I - build_X(sp))
     rep.add_grid("shift-Z", "Z + I equals Z at (alpha-1, beta-2, zeta+2)", Z + I - build_Z(sp))
-    return rep
 
 
 # -- dual Hahn expansion ------------------------------------------------------
@@ -453,7 +452,7 @@ def verify_rational(ctx: Context) -> VerificationReport:
         rep.add_grid(check_id, f"{statement} residual vanishes on the full grid",
                      residual(p, cU))
 
-    rep.checks.extend(contiguity_operator_check(ctx).checks)
+    contiguity_operator_check(rep, ctx)
 
     # the dual Hahn check fails at (m, n) where row m of em-zstar, column n
     # of zk-dstar or entry (m, n) of the expansion residual is nonzero: its

@@ -21,10 +21,10 @@ class Check:
 class VerificationReport:
     """One suite's worth of named checks at fixed parameters."""
 
-    def __init__(self, suite: str, params: dict | None = None, checks: list | None = None):
+    def __init__(self, suite: str, params: dict | None = None):
         self.suite = suite
         self.params = {} if params is None else params
-        self.checks = [] if checks is None else checks
+        self.checks = []
 
     def add(self, check_id: str, statement: str, ok: bool, detail: str = ""):
         self.checks.append(Check(check_id, statement, PASS if ok else FAIL, detail))

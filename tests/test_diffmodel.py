@@ -5,14 +5,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import metaracah.diffmodel as diffmodel
-from metaracah import LABELS, Context, build_basis
+from metaracah import LABELS, Context, Params, build_basis
 from metaracah.cli import main
 from metaracah.diffmodel import (
     DiffOp,
     LaurentPoly,
     _e_as_jacobi,
     _g_norms,
-    _model_bases_report,
     diff_V,
     diff_X,
     diff_Z,
@@ -20,6 +19,7 @@ from metaracah.diffmodel import (
     g_bases,
     integral_representations,
     jacobi_poly,
+    model_bases,
     model_basis,
     model_orthogonality,
     model_transposes,
@@ -28,6 +28,7 @@ from metaracah.diffmodel import (
     verify_model,
 )
 from metaracah.hyper import pochhammer
+from metaracah.report import VerificationReport
 
 
 def mono(exp, coeff=1):
@@ -190,29 +191,75 @@ def test_jacobi_poly_where_a_plus_one_plus_n_vanishes(n, a, b):
     assert jacobi_poly(n, a, b) == LaurentPoly.from_dict(want)
 
 
+def families_of(ctx):
+    return {label: model_basis(ctx, label) for label in LABELS}
+
+
 def test_model_bases_report(ctx5):
-    rep, families = _model_bases_report(ctx5, _g_norms(ctx5.p.N), _e_as_jacobi(ctx5.p))
+    rep = VerificationReport("model")
+    families = model_bases(rep, ctx5, _g_norms(ctx5.p.N))
     assert rep.passed, [(c.id, c.detail) for c in rep.failures]
     assert tuple(families) == LABELS
+    assert len(rep.checks) == len(LABELS) + 1
 
 
-def test_model_orthogonality(ctx3):
-    families = {label: model_basis(ctx3, label) for label in LABELS}
-    rep = model_orthogonality(ctx3, families)
+def _count_dense_plain_grams(monkeypatch, families):
+    """Wrap residue_grid; the returned list gains an entry per <d*_m, d_n>
+    formed over the whole families."""
+    dense, grid = [], diffmodel.residue_grid
+
+    def counted(fs, gs):
+        if fs is families["dStar"] and gs is families["d"]:
+            dense.append(fs)
+        return grid(fs, gs)
+
+    monkeypatch.setattr(diffmodel, "residue_grid", counted)
+    return dense
+
+
+def test_model_orthogonality(ctx3, monkeypatch):
+    families = families_of(ctx3)
+    dense = _count_dense_plain_grams(monkeypatch, families)
+    rep = VerificationReport("model")
+    model_orthogonality(rep, ctx3, families)
     assert rep.passed, [(c.id, c.detail) for c in rep.failures]
-    # the pencil pair is recorded as non-orthogonal without the Z insertion
-    info = [c for c in rep.checks if c.id == "gram-d-no-Z"]
-    assert info and "(0, 0)" in info[0].detail
+    # the pencil pair is recorded as non-orthogonal without the Z insertion,
+    # read off its corner -1/alpha alone
+    info = {c.id: c.detail for c in rep.checks if c.id.endswith("-no-Z")}
+    assert info == {"gram-d-no-Z": "differs from identity, e.g. entry (0, 0) = -3"}
+    assert not dense
 
 
-def test_integral_representations(ctx_other):
-    p = ctx_other.p
-    rep = integral_representations(ctx_other, _g_norms(p.N), _e_as_jacobi(p))
+def test_plain_d_gram_is_formed_where_its_corner_is_one(monkeypatch):
+    # at alpha = -1 the corner <d*_0, d_0> = -1/alpha is 1, so the whole
+    # Gram decides the entry, and it is not the identity
+    ctx = Context(Params(N=3, alpha=Q(-1), beta=Q(18, 7), zeta=Q(-39, 11)), Q(-11, 3))
+    families = families_of(ctx)
+    dense = _count_dense_plain_grams(monkeypatch, families)
+    rep = VerificationReport("model")
+    model_orthogonality(rep, ctx, families)
     assert rep.passed, [(c.id, c.detail) for c in rep.failures]
+    info, = [c.detail for c in rep.checks if c.id == "gram-d-no-Z"]
+    assert info == "differs from identity, e.g. entry (0, 0) = 1"
+    assert len(dense) == 1
+
+
+def test_integral_representations(ctx_other, monkeypatch):
+    # the three residue formulas pair the model families they are given
+    # and build no Laurent polynomial of their own
+    families = families_of(ctx_other)
+    built = []
+    monkeypatch.setattr(LaurentPoly, "__init__", lambda self, *args: built.append(args))
+    rep = VerificationReport("model")
+    integral_representations(rep, ctx_other, families)
+    assert rep.passed, [(c.id, c.detail) for c in rep.failures]
+    assert [c.id for c in rep.checks] == ["integral-S", "integral-U", "integral-dual-hahn"]
+    assert not built
 
 
 def test_transposed_operators(ctx3):
-    rep = model_transposes(ctx3, *monomial_bases(ctx3.p))
+    rep = VerificationReport("model")
+    model_transposes(rep, ctx3, *monomial_bases(ctx3.p))
     assert rep.passed, [(c.id, c.detail) for c in rep.failures]
     ghost_checks = [c for c in rep.checks if c.id.startswith("ghosts-")]
     assert len(ghost_checks) == 3
@@ -241,14 +288,17 @@ def _jacobi_2_plus_x2(e_as_jacobi):
 
 # one model function off, and the first four points of each residue grid
 # that reads it, row by row: f_2 + 1 adds the x^(-1) term of every f*_m to
-# column n = 2; Xt + x pairs x g*_m ~ x^(-m) with g_(m-1); jac_2 + x^2 meets
-# only the windows n >= 2, which reach down to x^(-3)
+# column n = 2; Xt + x pairs x g*_m ~ x^(-m) with g_(m-1); jac_2 + x^2 is
+# read by model-e-jacobi alone, at its exponent l = 2; e_2 + x^2 meets only
+# the duals f*_n, d*_n and z*_n with n >= 2, which reach down to x^(-3)
 MODEL_FAULTS = [
     (diffmodel._MODELS, "f", _n2_plus(0),
      {"gram-f": "failing (m, n): [(0, 2), (1, 2), (2, 2), (3, 2)]"}),
     (vars(diffmodel), "diff_Xt", _xt_plus_x,
      {"adjoint-X": "failing (m, n): [(1, 0), (2, 1), (3, 2)]"}),
-    (vars(diffmodel), "_e_as_jacobi", _jacobi_2_plus_x2, {
+    (vars(diffmodel), "_e_as_jacobi", _jacobi_2_plus_x2,
+     {"model-e-jacobi": "failing (l, n): [(2, 2)]"}),
+    (diffmodel._MODELS, "e", _n2_plus(2), {
         "integral-S": "failing (m, n): [(2, 2), (2, 3)]",
         "integral-U": "failing (m, n): [(2, 2), (2, 3)]",
         "integral-dual-hahn": "failing (m, k): [(2, 2), (2, 3)]",
@@ -264,6 +314,19 @@ def test_residue_checks_name_the_points_a_fault_breaks(ctx3, monkeypatch, table,
     checks = {c.id: c for c in verify_model(ctx3).checks}
     assert {i: (checks[i].status, checks[i].detail) for i in details} == {
         i: ("fail", detail) for i, detail in details.items()}
+
+
+def test_the_jacobi_family_is_built_once_and_read_by_its_check_alone(ctx3, monkeypatch):
+    calls = []
+
+    def faulty(p):
+        calls.append(p)
+        return _jacobi_2_plus_x2(_e_as_jacobi)(p)
+
+    monkeypatch.setattr(diffmodel, "_e_as_jacobi", faulty)
+    failed = {c.id: c.detail for c in verify_model(ctx3).failures}
+    assert failed == {"model-e-jacobi": "failing (l, n): [(2, 2)]"}
+    assert calls == [ctx3.p]
 
 
 # one coefficient of model polynomial n = 2 off by one: x^1 for a family
@@ -314,8 +377,9 @@ TRANSPOSE_FAULTS = [
                          ids=[name for name, _, _ in TRANSPOSE_FAULTS])
 def test_every_transpose_check_can_fail_and_none_raises(ctx3, monkeypatch, name, exp, details):
     monkeypatch.setattr(diffmodel, name, _a0_plus(getattr(diffmodel, name), exp))
-    assert {c.id: c.detail for c in model_transposes(ctx3, *monomial_bases(ctx3.p)).failures} \
-        == details
+    rep = VerificationReport("model")
+    model_transposes(rep, ctx3, *monomial_bases(ctx3.p))
+    assert {c.id: c.detail for c in rep.failures} == details
 
 
 def test_a_faulty_operator_is_an_identity_failure_in_the_cli(capsys, monkeypatch):

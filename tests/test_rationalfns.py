@@ -34,6 +34,7 @@ from metaracah.rationalfns import (
     weight_Wstar,
     zk_dstar_closed,
 )
+from metaracah.report import VerificationReport
 from metaracah import Params, validate_params
 
 
@@ -225,7 +226,9 @@ def test_contiguity_rejects_degenerate_shift():
 
 
 def test_contiguity_operator_identities(ctx5):
-    rep = contiguity_operator_check(ctx5)
+    rep = VerificationReport("rational")
+    contiguity_operator_check(rep, ctx5)
+    assert [c.id for c in rep.checks] == ["shift-X", "shift-Z"]
     assert rep.passed, [(c.id, c.detail) for c in rep.failures]
 
 

@@ -131,6 +131,41 @@ def test_overlap_grids_are_built_only_by_a_context():
     assert found == [("eigenbases.py", "Context")], found
 
 
+# the functions that may construct a VerificationReport: each suite entry
+# point whose report reaches the output, the two public standalone checks
+# (acceptance criterion 11 reads hahn_limit_check, and the benchmark tracer
+# wraps dual_hahn_expansion), and the report of a skipped sweep in
+# cmd_verify; every other part of a suite adds its checks to the report it
+# is given, so no report is built only for its checks to be copied
+REPORT_BUILDERS = [
+    ("algebra.py", "check_casimir_central"),
+    ("algebra.py", "check_defining_relations"),
+    ("algebra.py", "check_subalgebras"),
+    ("cli.py", "cmd_verify"),
+    ("diffmodel.py", "verify_model"),
+    ("eigenbases.py", "check_orthogonality"),
+    ("matrixreps.py", "verify_coefficients"),
+    ("matrixreps.py", "verify_leonard_trio"),
+    ("racahpoly.py", "verify_racah"),
+    ("rationalfns.py", "dual_hahn_expansion"),
+    ("rationalfns.py", "hahn_limit_check"),
+    ("rationalfns.py", "verify_rational"),
+]
+
+
+def test_reports_are_built_only_where_they_reach_the_output():
+    found = sorted(
+        (path.name, getattr(top, "name", None))
+        for path in SOURCES
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == "VerificationReport"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "VerificationReport")
+    )
+    assert found == REPORT_BUILDERS, found
+
+
 CONTEXT_STORES = {"_kept", "_bases", "_grids", "_matrices", "_bands"}
 
 
