@@ -4,10 +4,14 @@ start-up cost of a fresh interpreter.
 
 Usage, from the repository root:
 
-    python3 bench/scale.py --parent PARENT_CHECKOUT --out BENCH_21.json
+    python3 bench/scale.py --parent REV|DIR --out BENCH_26.json
 
-Each source tree (this checkout, and the parent checkout when --parent is
-given) is measured in a fresh interpreter per N, the trees taking turns.
+--parent is a git revision of this repository, exported with ``git
+archive``, or a directory holding a source tree; the record names each
+tree's commit as ``bench/gittree.py`` finds it (the full hash of a
+revision, "-dirty" appended for a checkout with uncommitted changes).
+Each source tree (this checkout, and the parent when --parent is given)
+is measured in a fresh interpreter per N, the trees taking turns.
 Per N, three in-process runs of
 ``cli.main(["verify", "--suite", "all", "--N", N])`` at the default
 parameters; the record keeps the minimum of the total wall time and, per
@@ -46,7 +50,8 @@ Whether an interpreter compiles the package first depends on the
 environment, so the record holds PYTHONDONTWRITEBYTECODE and, per tree,
 whether its ``src/metaracah/__pycache__`` existed when the run began.
 
-Standard library only; it imports nothing from perfbench.
+Standard library and ``bench/gittree.py`` only; it imports nothing from
+perfbench.
 """
 
 from __future__ import annotations
@@ -66,8 +71,9 @@ import sys
 import time
 from fractions import Fraction
 
-HERE = os.path.dirname(os.path.abspath(__file__))
-ROOT = os.path.dirname(HERE)
+import gittree  # bench/gittree.py, on the path when this runs as a script
+
+ROOT = gittree.ROOT
 SIZES = (8, 16, 32, 48, 64, 96)
 EMIT_SIZES = (24, 48)
 REPEATS = 3
@@ -199,17 +205,10 @@ def measure_startup(trees: dict) -> dict:
     return result
 
 
-def _commit(tree: str) -> str:
-    try:
-        return subprocess.run(["git", "-C", tree, "describe", "--always", "--dirty"],
-                              capture_output=True, text=True, check=True).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--parent", help="checkout of the parent commit to measure as well")
+    parser.add_argument("--parent", help="git revision or directory of the parent tree to"
+                                         " measure as well")
     parser.add_argument("--out", help="file to write the record to (required)")
     parser.add_argument("--measure", nargs=3, metavar=("KIND", "SRC", "N"),
                         help=argparse.SUPPRESS)
@@ -220,8 +219,21 @@ def main(argv=None) -> int:
         return 0
     if not args.out:
         parser.error("the following arguments are required: --out")
+    with contextlib.ExitStack() as stack:
+        trees = {"parent": stack.enter_context(gittree.tree(args.parent))} if args.parent else {}
+        trees["change"] = (ROOT, gittree.commit(ROOT))
+        result = record(trees)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(result, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(json.dumps(result, indent=2, sort_keys=True))
+    return 0
 
-    trees = {"change": ROOT} if not args.parent else {"parent": args.parent, "change": ROOT}
+
+def record(trees: dict) -> dict:
+    """The record of the trees, label -> (path, commit), measured in turn."""
+    commits = {label: commit for label, (_, commit) in trees.items()}
+    trees = {label: path for label, (path, _) in trees.items()}
     result = {
         "command": "verify --suite all --N <N> (by_N) and the sixteen emit commands"
                    " table --which <name> / matrix --which basis:<label> --N <N> (emit_by_N),"
@@ -233,7 +245,7 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-        "trees": {label: {"commit": _commit(tree),
+        "trees": {label: {"commit": commits[label],
                           "bytecode_cached": os.path.isdir(
                               os.path.join(tree, "src", "metaracah", "__pycache__")),
                           "by_N": {}, "emit_by_N": {}}
@@ -250,11 +262,7 @@ def main(argv=None) -> int:
                      os.path.join(tree, "src"), str(N)],
                     capture_output=True, text=True, check=True)
                 result["trees"][label][key][str(N)] = json.loads(child.stdout)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(json.dumps(result, indent=2, sort_keys=True))
-    return 0
+    return result
 
 
 if __name__ == "__main__":

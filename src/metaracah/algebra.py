@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import DegenerateParameters, Frozen
+from .errors import DegenerateParameters, Frozen, PreconditionViolated
 from .matrices import RationalMatrix, anticommutator, brackets, commutator
 from .report import VerificationReport
 
@@ -268,6 +268,8 @@ def check_subalgebras(ctx: Context) -> VerificationReport:
     rho and the Casimir C are the Context's, so the Context needs rho.
     """
     p, rho = ctx.p, ctx.rho
+    if rho is None:
+        raise PreconditionViolated("the subalgebra checks need rho")
     Z, V, X = ctx.Z, ctx.V, ctx.X
     xi, eta = central_params(p)
     z = p.zeta

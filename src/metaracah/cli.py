@@ -310,12 +310,12 @@ def _rows_payload(matrix, ctx: Context) -> dict:
     return {"rows": matrix(ctx).to_strings()}
 
 
-def _coeffs_payload(bands, ctx: Context) -> dict:
+def _coeffs_payload(basis: str, ctx: Context) -> dict:
     # sup, diag and sub are bands -1, 0 and 1 of each table
     return {"bands": {
         name: {key: [str(v) for v in table.band(k)]
                for key, k in (("sup", -1), ("diag", 0), ("sub", 1))}
-        for name, table in bands(ctx).items()
+        for name, table in ctx.band_tables(basis).items()
     }}
 
 
@@ -330,8 +330,8 @@ def cmd_matrix(args: argparse.Namespace) -> tuple:
     elif sep and kind == "coeffs":
         if name not in COEFFS:
             return EXIT_USAGE, f"metaracah: no coefficient table for {which!r}\n"
-        needs_rho, bands = COEFFS[name]
-        build = partial(_coeffs_payload, bands)
+        needs_rho = FAMILIES[name].needs_rho
+        build = partial(_coeffs_payload, name)
     elif which in MATRICES:
         needs_rho = False
         build = partial(_rows_payload, MATRICES[which])

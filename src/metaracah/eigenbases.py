@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
-from . import racahpoly, rationalfns
+from . import matrixreps, racahpoly, rationalfns
 from .algebra import (Params, build_Z, build_V, build_X, build_transposes, build_casimir,
                       require_generic)
 from .errors import Frozen, NondegenerateSpectrumViolated, PreconditionViolated
@@ -287,7 +287,7 @@ class Context(Frozen):
     closed-form family (``basis``), each overlap grid (``grid``), each
     dual side (b*)^T W (``dual_side``), which the Gram checks and every
     operator matrix in an eigenbasis (``matrixreps.matrix_on``) share, and
-    each closed-form band table (``matrixreps.bands``).  Each matrix keeps
+    each family's closed-form band tables (``band_tables``).  Each matrix keeps
     its own transpose and integer-scaled forms.  Equality and hashing
     follow (p, rho); rho = 0 is given.
     """
@@ -330,6 +330,15 @@ class Context(Frozen):
             left = self.basis(fam.dual).vectors.transpose()
             return left * getattr(self, fam.weight) if fam.weight else left
         return self.keep(("dual side", label), build)
+
+    def band_tables(self, basis: str) -> dict:
+        """The closed-form band tables matrixreps.COEFFS[basis] builds, each
+        a RationalMatrix under the name of its operator, built on first use;
+        a family that needs rho is refused through FAMILIES."""
+        family(basis, self.rho)
+        if basis not in matrixreps.COEFFS:
+            raise PreconditionViolated(f"no band tables for {basis!r}")
+        return self.keep(("band tables", basis), matrixreps.COEFFS[basis], self)
 
     def grid(self, name: str) -> RationalMatrix:
         """The overlap table GRIDS[name], entry (m, n) its value at (m, n),

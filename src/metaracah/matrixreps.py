@@ -6,10 +6,11 @@ conjugation (Bstar)^T W O B, with the dual and the weight W of the pairing
 that ``eigenbases.FAMILIES`` names: Z for the pencil family d, Z^T for its
 adjoint d*, none for the others.  ``matrix_on`` builds each such matrix
 once per Context, on the Context's one dual side (Bstar)^T W.  COEFFS maps
-each basis to its named closed-form band tables, which ``matrix --which
-coeffs:`` emits and ``verify_coefficients`` checks against ``matrix_on``,
-one row of COEFFICIENT_CHECKS per table; ``bands`` keeps each table in the
-Context, for them and for the racah suite.  Each
+each basis to the builder of its named closed-form band tables, which
+``Context.band_tables`` keeps once per Context for every reader: ``matrix
+--which coeffs:`` emits them, ``verify_coefficients`` checks them against
+``matrix_on``, one row of COEFFICIENT_CHECKS per table, and the trio, the
+racah suite and the rational suite read them.  Each
 table is a RationalMatrix built by RationalMatrix.banded from its nonzero
 bands: band -1 (entry (n+1, n)) feeds |b_{n+1}> in O|b_n>, band 1 (entry
 (n, n+1)) feeds |b_n> in O|b_{n+1}>; the JSON keys sup, diag and sub of
@@ -41,14 +42,6 @@ def matrix_on(ctx: Context, label: str, op: str) -> RationalMatrix:
         op_matrix = reduce(mul, [getattr(ctx, name) for name in op.split("*")])
         return ctx.dual_side(label) * op_matrix * ctx.basis(label).vectors
     return ctx.keep(("matrix on", label, op), build)
-
-
-def bands(ctx: Context, build, *args):
-    """build(*args), a closed-form band table of the Context's parameters,
-    kept in the Context under the builder and its arguments.  Each caller
-    passes the builder it has bound, so a wrapper or a patch on that name
-    sees the one build."""
-    return ctx.keep((build, args), build, *args)
 
 
 # -- closed forms --------------------------------------------------------------
@@ -145,7 +138,7 @@ def coeffs_V_on_f(p: Params, rho: Fraction) -> RationalMatrix:
 
 
 def _vz_on_d_diag(p: Params, n: int) -> Fraction:
-    """Entry (n, n) of VZ on d; VtZt on d* shares it."""
+    """Entry (n, n) of VZ on d."""
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
     return (
         N * (N - b - 2 * a - 2 * z) * (n - a + b + 1)
@@ -175,24 +168,15 @@ def coeffs_on_d(p: Params) -> dict:
 
 
 def coeffs_on_dstar(p: Params) -> dict:
-    """Transposed actions on the adjoint pencil family (upper-bidiagonal);
-    VtZt shares its diagonal with VZ on d."""
-    N, a, b, z = p.N, p.alpha, p.beta, p.zeta
-    Ztc = RationalMatrix.banded(N + 1, {
-        0: [n - a for n in range(N + 1)],
-        1: [(n + 1 - 2 * a + b) / (n + 1 - a) for n in range(N)],
-    })
-    Xtc = RationalMatrix.banded(N + 1, {
+    """Xt acts upper-bidiagonally on the adjoint pencil family, d^T Zt Xt d*.
+    The transpose of X on d is d^T Xt Zt d*, the factors in the other
+    order, so Xt has a closed form of its own; Zt and VtZt on d* are
+    transposes, which COEFFS reads off the d tables."""
+    N, a, b = p.N, p.alpha, p.beta
+    return {"Xt": RationalMatrix.banded(N + 1, {
         0: [-((n - a) ** 2) for n in range(N + 1)],
         1: [-(n + 1) + 2 * a - b for n in range(N)],
-    })
-    VtZtc = RationalMatrix.banded(N + 1, {
-        -1: [-(n - a + 1) * (n - N) * (n + 1) * (n + N - 2 * a - b - 2 * z) for n in range(N)],
-        0: [_vz_on_d_diag(p, n) for n in range(N + 1)],
-        1: [-((n - a - z) * (n + 1 - a - z) * (n + 1 - 2 * a + b)) / (n + 1 - a)
-            for n in range(N)],
-    })
-    return {"Zt": Ztc, "Xt": Xtc, "VtZt": VtZtc}
+    })}
 
 
 def coeffs_on_z(p: Params) -> dict:
@@ -229,16 +213,20 @@ def etilde_in_z(p: Params, n: int):
     return (Q(0),) * n + tuple(series_terms((n - 2 * a + b + 1,), (n - a,), N - n + 1))
 
 
-# coeffs:<basis> -> (needs rho, the named closed-form band tables of a Context),
-# each table built once per Context.  The lambdas look their callees up at
-# call time, so wrappers installed on the module names see every call.
+# coeffs:<basis> -> the builder of the named closed-form band tables of a
+# Context, which Context.band_tables calls once per Context; whether a
+# family needs rho is read from eigenbases.FAMILIES.  The lambdas look their
+# callees up at call time, so wrappers installed on the module names see
+# every call.  Zt on d*, d^T Zt Zt d*, is the transpose of Z on d, d*^T Z Z d,
+# and VtZt on d* that of VZ on d in the same way.
 COEFFS = {
-    "e": (False, lambda ctx: {"Z": bands(ctx, coeffs_Z_on_e, ctx.p),
-                              "X": bands(ctx, coeffs_X_on_e, ctx.p)}),
-    "f": (True, lambda ctx: {"V": bands(ctx, coeffs_V_on_f, ctx.p, ctx.rho)}),
-    "d": (False, lambda ctx: bands(ctx, coeffs_on_d, ctx.p)),
-    "dStar": (False, lambda ctx: bands(ctx, coeffs_on_dstar, ctx.p)),
-    "z": (False, lambda ctx: bands(ctx, coeffs_on_z, ctx.p)),
+    "e": lambda ctx: {"Z": coeffs_Z_on_e(ctx.p), "X": coeffs_X_on_e(ctx.p)},
+    "f": lambda ctx: {"V": coeffs_V_on_f(ctx.p, ctx.rho)},
+    "d": lambda ctx: coeffs_on_d(ctx.p),
+    "dStar": lambda ctx: {**coeffs_on_dstar(ctx.p),
+                          "Zt": ctx.band_tables("d")["Z"].transpose(),
+                          "VtZt": ctx.band_tables("d")["VZ"].transpose()},
+    "z": lambda ctx: coeffs_on_z(ctx.p),
 }
 
 # check id, statement, the closed form as (basis, table, transposed?) and its
@@ -285,9 +273,8 @@ def verify_coefficients(ctx: Context) -> VerificationReport:
     rep = VerificationReport(
         suite="matrixreps:coefficients", params={**ctx.p.as_dict(), "rho": str(ctx.rho)}
     )
-    tables = {basis: build(ctx) for basis, (_, build) in COEFFS.items()}
     for check_id, statement, (basis, name, transposed), (label, op) in COEFFICIENT_CHECKS:
-        closed = tables[basis][name]
+        closed = ctx.band_tables(basis)[name]
         rep.add_grid(check_id, statement,
                      (closed.transpose() if transposed else closed) - matrix_on(ctx, label, op))
     return rep
@@ -329,32 +316,34 @@ def verify_leonard_trio(ctx: Context) -> VerificationReport:
     # <d*_m | O Z d_n> gives O's matrix on the Z d family, which for O = Z
     # and O = Z V is the matrix of Z and of V Z on d, and for O = Vtilde
     # is d*^T X d, as Vtilde Z = X
-    vt_et = ctx.basis("dStar").vectors.transpose() * ctx.X * ctx.basis("d").vectors
+    d, on_d = ctx.basis("d"), ctx.band_tables("d")
+    vt_et = ctx.basis("dStar").vectors.transpose() * ctx.X * d.vectors
     z_et = matrix_on(ctx, "d", "Z")
     rep.add("trio-ii-Vtilde-diagonal", "clause (ii): Vtilde diagonal on Z d_n", vt_et.in_band(0, 0))
     rep.add(
         "trio-ii-Vtilde-eigenvalues",
         "clause (ii): Vtilde eigenvalue on Z d_n is alpha - n",
-        all(x == p.alpha - n for n, x in enumerate(vt_et.band(0))),
+        vt_et.band(0) == d.eigenvalues,
     )
     zv_et = matrix_on(ctx, "d", "V*Z")
     rep.add("trio-ii-ZV-tridiagonal", "clause (ii): Z V tridiagonal on Z d_n", zv_et.in_band(1, 1))
     rep.add_grid(
         "trio-ii-ZV-coefficients",
         "clause (ii): Z V on Z d_n carries the VZ coefficients of the d family",
-        zv_et - bands(ctx, coeffs_on_d, p)["VZ"],
+        zv_et - on_d["VZ"],
     )
+    # the diagonal n - alpha and the subdiagonal (n-2a+b+1)/(n-a+1) are
+    # the bands of the Z-on-d table
     rep.add(
         "trio-ii-Z-lower-bidiagonal",
         "clause (ii): Z lower bidiagonal on Z d_n with diagonal n - alpha",
-        z_et.in_band(1, 0) and all(x == n - p.alpha for n, x in enumerate(z_et.band(0))),
+        z_et.in_band(1, 0) and z_et.band(0) == on_d["Z"].band(0),
     )
     rep.add(
         "trio-ii-Z-subdiagonal",
         "clause (ii): Z subdiagonal on Z d_n is (n-2a+b+1)/(n-a+1); the numerator"
         " alone appears for the head-rescaled family",
-        all(x * (n - p.alpha + 1) == n - 2 * p.alpha + p.beta + 1
-            for n, x in enumerate(z_et.band(-1))),
+        z_et.band(-1) == on_d["Z"].band(-1),
     )
     _band_nonzero(rep, "trio-ii-Z-irreducible", "clause (ii): Z subdiagonal on Z d_n nonzero",
                   z_et.band(-1))

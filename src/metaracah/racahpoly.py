@@ -37,7 +37,6 @@ from .algebra import Params
 from .errors import Frozen, PreconditionViolated
 from .hyper import multi_pochhammer, pochhammer, series_table, terminating_hyp
 from .matrices import RationalMatrix
-from .matrixreps import bands, coeffs_V_on_f, coeffs_X_on_e, coeffs_Z_on_e
 from .report import VerificationReport
 
 if TYPE_CHECKING:
@@ -180,11 +179,12 @@ def verify_racah(ctx: Context) -> VerificationReport:
     needs parameter restrictions this library does not impose.
     """
     p, rho = ctx.p, ctx.rho
-    rp = RacahParams.from_params(p, rho)
     N = p.N
     rep = VerificationReport(suite="racah", params={**p.as_dict(), "rho": str(rho)})
 
+    # the grids refuse a Context without rho before RacahParams reads it
     R, S, St = ctx.grid("racah"), ctx.grid("S"), ctx.grid("Stilde")
+    rp = RacahParams.from_params(p, rho)
     fstar, e, f, estar = (ctx.basis(label) for label in ("fStar", "e", "f", "eStar"))
     rep.add_grid("identify-S", "<f*_n|e_m> = prefactor * R_m(n) on the full grid",
                  e.vectors.transpose() * fstar.vectors - S)
@@ -192,10 +192,11 @@ def verify_racah(ctx: Context) -> VerificationReport:
                  estar.vectors.transpose() * f.vectors - St)
 
     # the bands stop at the edges, so no neighbour outside 0..N enters
-    vf = bands(ctx, coeffs_V_on_f, p, rho)
+    vf = ctx.band_tables("f")["V"]
     rep.add_grid("recurrence", "recurrence residual vanishes on the full grid",
                  S.scaled(e.eigenvalues) - S * vf.transpose())
-    we = bands(ctx, coeffs_X_on_e, p) + rho * bands(ctx, coeffs_Z_on_e, p)
+    on_e = ctx.band_tables("e")
+    we = on_e["X"] + rho * on_e["Z"]
     rep.add_grid("difference", "difference residual vanishes on the full grid",
                  S.scaled(None, f.eigenvalues) - we.transpose() * S)
 

@@ -25,11 +25,14 @@ per-point ``calU_general``, ``calU``, ``calU_tilde``, ``dual_hahn`` and
 
 Verified here, all in exact arithmetic: the dot-product/closed-form
 identification, two biorthogonality relations with explicit weights
-normalized so h_0 = h*_0 = 1, a generalized-eigenvalue three-term
-recurrence, a difference equation, a contiguity relation under the
-parameter shift (alpha-1, beta-2, zeta+2) together with its
+normalized so h_0 = h*_0 = 1, the bispectral pair, a contiguity relation
+under the parameter shift (alpha-1, beta-2, zeta+2) together with its
 operator-level counterpart, a dual Hahn expansion, and the Hahn-type
-limit at large finite parameter values.
+limit at large finite parameter values.  The bispectral pair is the
+algebra's tridiagonal actions on the two bases, read from the Context's
+band tables (matrixreps.COEFFS) as the racah suite reads its own: the
+generalized-eigenvalue recurrence in m is the pencil (X, Z) acting on e,
+and the difference equation in n is Vt Zt and Zt acting on d*.
 """
 
 from __future__ import annotations
@@ -158,93 +161,6 @@ def norm_hstar(n: int, p: Params) -> Fraction:
     return num / den
 
 
-# -- bispectrality -----------------------------------------------------------
-
-
-def _boundary_vanishes(coeff: Fraction, edge: str) -> None:
-    """An out-of-range neighbour is dropped only because its coefficient is zero."""
-    if coeff != 0:
-        raise ArithmeticError(f"boundary coefficient at {edge} must vanish")
-
-
-def _band(dn: list, mid: list, up: list, index: str) -> RationalMatrix:
-    """The tridiagonal T with (T v)_i = dn_i v_(i-1) + mid_i v_i + up_i v_(i+1),
-    i = 0..N.  dn_0 and up_N would reach a value outside 0..N; each is
-    dropped only after _boundary_vanishes has checked it."""
-    _boundary_vanishes(dn[0], f"{index} = 0")
-    _boundary_vanishes(up[-1], f"{index} = N")
-    return RationalMatrix.banded(len(mid), {-1: dn[1:], 0: mid, 1: up[:-1]})
-
-
-def recurrence_A(m: int, p: Params) -> Fraction:
-    a, b, z, N = p.alpha, p.beta, p.zeta, p.N
-    num = (m - N) * (m + N - 2 * a - b - 2 * z) * (m - 2 * b - 2 * z - 1)
-    den = (2 * m - 2 * b - 2 * z - 1) * (2 * m - 2 * b - 2 * z)
-    return num / den
-
-
-def recurrence_C(m: int, p: Params) -> Fraction:
-    a, b, z, N = p.alpha, p.beta, p.zeta, p.N
-    num = m * (m + 2 * a - b - N - 1) * (m - 2 * b - 2 * z + N - 1)
-    den = (2 * m - 2 * b - 2 * z - 2) * (2 * m - 2 * b - 2 * z - 1)
-    return -(num / den)
-
-
-def _gevp_residual(p: Params, cU: RationalMatrix) -> RationalMatrix:
-    """Residual T0 cU + T1 cU diag(n) of the generalized-eigenvalue
-    recurrence in m, cU the calU grid:
-
-    n (A_m calU_{m+1} - (A_m + C_m + alpha) calU_m + C_m calU_{m-1})
-      = (m+alpha-beta) A_m calU_{m+1}
-        - ((m+alpha-beta) A_m - (m-alpha-beta-2zeta-1) C_m) calU_m
-        - (m-alpha-beta-2zeta-1) C_m calU_{m-1}
-
-    T1 holds the coefficients of n and T0 the rest, both tridiagonal in m.
-    A_N and C_0 carry an explicit zero factor, so the neighbours outside
-    0..N drop out; _band checks this instead of evaluating calU there.
-    """
-    a, b, z, N = p.alpha, p.beta, p.zeta, p.N
-    A = [recurrence_A(m, p) for m in range(N + 1)]
-    C = [recurrence_C(m, p) for m in range(N + 1)]
-    up = [(m + a - b) * A[m] for m in range(N + 1)]
-    dn = [(m - a - b - 2 * z - 1) * C[m] for m in range(N + 1)]
-    T0 = _band(dn, [u - d for u, d in zip(up, dn)], [-u for u in up], "m")
-    T1 = _band(C, [-(x + y + a) for x, y in zip(A, C)], A, "m")
-    return T0 * cU + (T1 * cU).scaled(None, range(N + 1))
-
-
-def difference_B(n: int, p: Params) -> Fraction:
-    a, b, z, N = p.alpha, p.beta, p.zeta, p.N
-    return (n - N) * (n + N - 2 * a - b - 2 * z) * (n - a + b + 1)
-
-
-def difference_D(n: int, p: Params) -> Fraction:
-    a, b, z, N = p.alpha, p.beta, p.zeta, p.N
-    return n * (n - 2 * a + b) * (n - a - b - 2 * z - 1)
-
-
-def _difference_residual(p: Params, cU: RationalMatrix) -> RationalMatrix:
-    """Residual cU T0^T + diag(m(2beta+2zeta+1-m)) cU T1^T of the difference
-    equation in n, cU the calU grid:
-
-    B_n calU_m(n+1) - (B_n + D_n) calU_m(n) + D_n calU_m(n-1)
-      = m (2beta+2zeta+1-m) ((n-alpha) calU_m(n)
-          - n (n-2alpha+beta)/(n-alpha+beta) calU_m(n-1))
-
-    T0 holds the m-free coefficients and T1 those of the m factor, both
-    tridiagonal in n; D_0 and B_N vanish.  A Context's set has no zero
-    n - alpha + beta (registry entry (n-alpha+beta)).
-    """
-    a, b, z, N = p.alpha, p.beta, p.zeta, p.N
-    B = [difference_B(n, p) for n in range(N + 1)]
-    D = [difference_D(n, p) for n in range(N + 1)]
-    T0 = _band(D, [-(x + y) for x, y in zip(B, D)], B, "n")
-    T1 = _band([n * (n - 2 * a + b) / (n - a + b) for n in range(N + 1)],
-               [a - n for n in range(N + 1)], [Q(0)] * (N + 1), "n")
-    fac = [m * (2 * b + 2 * z + 1 - m) for m in range(N + 1)]
-    return cU * T0.transpose() + cU.scaled(fac) * T1.transpose()
-
-
 # -- contiguity --------------------------------------------------------------
 
 
@@ -268,9 +184,10 @@ def _contiguity_residual(p: Params, cU: RationalMatrix) -> RationalMatrix:
     a, b, N = p.alpha, p.beta, p.N
     sp = shifted_params(p)
     shifted = calU_table(sp.alpha, sp.beta, sp.zeta, N, range(N + 1))
-    T = _band([n * (n - 2 * a + b) / (a * (b - a)) for n in range(N + 1)],
-              [(n - a) * (n - a + b) / (a * (a - b)) for n in range(N + 1)],
-              [Q(0)] * (N + 1), "n")
+    T = RationalMatrix.banded(N + 1, {
+        -1: [n * (n - 2 * a + b) / (a * (b - a)) for n in range(1, N + 1)],
+        0: [(n - a) * (n - a + b) / (a * (a - b)) for n in range(N + 1)],
+    })
     return shifted - cU * T.transpose()
 
 
@@ -412,8 +329,16 @@ def verify_rational(ctx: Context) -> VerificationReport:
     where the identity holds: every sum over an index, and every band
     residual, is an entry of one matrix product, and each diagonal factor
     is a scaling, not a product.  Both biorthogonality relations are
-    checked exactly, with the explicit weights.  The dual Hahn check
-    fails at (m, n) exactly where dual_hahn_expansion(ctx, m, n) does.
+    checked exactly, with the explicit weights.  The bispectral checks
+    read the band tables X_e, Z_e of X and Z on e and (VtZt)_d*, (Zt)_d*
+    of Vt Zt and Zt on d*, with lambda_n = alpha - n the d* eigenvalues
+    and mu_m the e eigenvalues:
+
+      * gevp-recurrence:  X_e^T U - (Z_e^T U) diag(lambda);
+      * difference:       U (VtZt)_d* - diag(mu) U (Zt)_d*.
+
+    The dual Hahn check fails at (m, n) exactly where
+    dual_hahn_expansion(ctx, m, n) does.
     """
     p = ctx.p
     N = p.N
@@ -444,13 +369,17 @@ def verify_rational(ctx: Context) -> VerificationReport:
     rep.add_grid("gram-U-dual", "sum_m Ut_m(k) U_m(n) = delta_kn",
                  Ut.transpose() * U - ctx.I, axes="(k, n)")
 
+    # e^T X^T d* = X_e^T U, as X e = e X_e, and X^T d* = Z^T d* diag(lambda);
+    # e^T Vt Zt d* = U (VtZt)_d*, and V e = e diag(mu)
+    on_e, on_dstar = ctx.band_tables("e"), ctx.band_tables("dStar")
     for check_id, statement, residual in (
-        ("gevp-recurrence", "GEVP recurrence", _gevp_residual),
-        ("difference", "difference-equation", _difference_residual),
-        ("contiguity", "contiguity", _contiguity_residual),
+        ("gevp-recurrence", "GEVP recurrence", on_e["X"].transpose() * U
+         - (on_e["Z"].transpose() * U).scaled(None, dstar.eigenvalues)),
+        ("difference", "difference-equation", U * on_dstar["VtZt"]
+         - (U * on_dstar["Zt"]).scaled(e.eigenvalues)),
+        ("contiguity", "contiguity", _contiguity_residual(p, cU)),
     ):
-        rep.add_grid(check_id, f"{statement} residual vanishes on the full grid",
-                     residual(p, cU))
+        rep.add_grid(check_id, f"{statement} residual vanishes on the full grid", residual)
 
     contiguity_operator_check(rep, ctx)
 

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 import metaracah.eigenbases as eb
+import metaracah.matrixreps as mr
 from metaracah import (
     LABELS,
     Context,
@@ -21,10 +22,13 @@ from metaracah import (
     closed_form_Utilde,
     oracle_basis,
 )
-from metaracah.cli import SUITES, run_suites
-from metaracah.diffmodel import model_basis
+from metaracah.algebra import check_casimir_central, check_defining_relations, check_subalgebras
+from metaracah.cli import SUITES, _bases_report, run_suites
+from metaracah.diffmodel import model_basis, verify_model
 from metaracah.eigenbases import FAMILIES, eigenvalue, z_action_on_d
 from metaracah.matrices import RationalMatrix
+from metaracah.racahpoly import verify_racah
+from metaracah.rationalfns import verify_rational
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -128,6 +132,44 @@ def test_rho_families_need_fparams(p3):
             ctx.basis(label)
         with pytest.raises(PreconditionViolated, match=f"label '{label}' needs rho"):
             model_basis(ctx, label)
+
+
+# each suite entry point and the message it refuses a Context without rho
+# with, or None where it reads no rho
+RHOLESS = [
+    (check_defining_relations, None),
+    (check_casimir_central, None),
+    (check_subalgebras, "the subalgebra checks need rho"),
+    (check_orthogonality, "label 'f' needs rho"),
+    (_bases_report, "label 'f' needs rho"),
+    (mr.verify_coefficients, "label 'f' needs rho"),
+    (mr.verify_leonard_trio, None),
+    (verify_racah, "grid 'racah' needs rho"),
+    (verify_rational, None),
+    (verify_model, "label 'f' needs rho"),
+]
+
+
+@pytest.mark.parametrize("entry, refusal", RHOLESS, ids=[entry.__name__ for entry, _ in RHOLESS])
+def test_suites_pass_or_refuse_a_context_without_rho(p3, entry, refusal):
+    # a suite that reads rho refuses a Context without it, through the
+    # family, the grid or its own guard, and none crashes on rho = None
+    ctx = Context(p3)
+    if refusal is None:
+        assert entry(ctx).passed
+    else:
+        with pytest.raises(PreconditionViolated, match=f"^{refusal}$"):
+            entry(ctx)
+
+
+def test_band_tables_refuse_a_family_that_needs_rho(p3, rho):
+    with pytest.raises(PreconditionViolated, match="^label 'f' needs rho$"):
+        Context(p3).band_tables("f")
+    with pytest.raises(PreconditionViolated, match="^no band tables for 'eStar'$"):
+        Context(p3).band_tables("eStar")
+    ctx = Context(p3, rho)
+    assert set(ctx.band_tables("f")) == {"V"}
+    assert ctx.band_tables("e") is ctx.band_tables("e")
 
 
 def test_context_validates_once_and_hashes_on_its_set(p3, rho):

@@ -7,6 +7,7 @@ from metaracah import Context, Params, build_V, build_X, build_Z, build_basis
 from metaracah.cli import main
 from metaracah.matrices import RationalMatrix, inverse
 from metaracah.racahpoly import verify_racah
+from metaracah.rationalfns import verify_rational
 from metaracah.matrixreps import (
     coeffs_V_on_f,
     coeffs_X_on_e,
@@ -63,9 +64,16 @@ def test_VZ_on_d_by_triangular_solve(p3):
         assert list(coeffs) == [got[l, n] for l in range(p3.N + 1)]
 
 
-def test_dual_families_share_the_tridiagonal_core(p5):
-    # VtZt on the adjoint family carries the same diagonal as VZ on d
-    assert coeffs_on_dstar(p5)["VtZt"].band(0) == coeffs_on_d(p5)["VZ"].band(0)
+def test_dual_families_share_the_tridiagonal_core(ctx5):
+    # Zt and VtZt on the adjoint family are the transposes of Z and VZ on
+    # d, conjugation against conjugation, so COEFFS reads them off the d
+    # tables; Xt on d* is not the transpose of X on d
+    for op, op_t in (("Z", "Zt"), ("V*Z", "Vt*Zt")):
+        assert mr.matrix_on(ctx5, "dStar", op_t) == mr.matrix_on(ctx5, "d", op).transpose()
+    assert mr.matrix_on(ctx5, "dStar", "Xt") != mr.matrix_on(ctx5, "d", "X").transpose()
+    on_d, on_dstar = ctx5.band_tables("d"), ctx5.band_tables("dStar")
+    assert on_dstar["VtZt"].band(0) == on_d["VZ"].band(0)
+    assert on_dstar["Xt"] == coeffs_on_dstar(ctx5.p)["Xt"]
 
 
 def test_z_family_bidiagonal_split(p3):
@@ -144,9 +152,10 @@ def test_matrixreps_suite_builds_each_conjugation_once(capsys, monkeypatch):
 
 
 def test_each_band_table_is_built_once_per_context(ctx5, monkeypatch):
-    # every suite reads the COEFFS bands of its one Context: the coefficient
-    # checks, the racah recurrence and difference residuals and the trio
-    # each call a builder at most once between them, through any binding
+    # every suite reads the COEFFS bands of its one Context through
+    # Context.band_tables: the coefficient checks, the trio, the racah and
+    # the rational recurrence and difference residuals each call a builder
+    # at most once between them, through any binding
     counts = Counter()
     modules = [m for name, m in sys.modules.items()
                if name == "metaracah" or name.startswith("metaracah.")]
@@ -161,9 +170,10 @@ def test_each_band_table_is_built_once_per_context(ctx5, monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is target:
                     monkeypatch.setattr(module, attr, counted)
-    reports = [verify_coefficients(ctx5), verify_leonard_trio(ctx5), verify_racah(ctx5)]
-    for basis, (_, build) in mr.COEFFS.items():
-        assert build(ctx5) == build(ctx5)
+    reports = [verify_coefficients(ctx5), verify_leonard_trio(ctx5), verify_racah(ctx5),
+               verify_rational(ctx5)]
+    for basis in mr.COEFFS:
+        assert ctx5.band_tables(basis) is ctx5.band_tables(basis)
     assert all(rep.passed for rep in reports)
     assert counts == Counter({target.__name__: 1 for target in builders})
     other = Context(ctx5.p, ctx5.rho)

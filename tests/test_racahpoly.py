@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+import metaracah.matrixreps as mr
 import metaracah.racahpoly as racahpoly
 from metaracah.eigenbases import eigenvalue
 from metaracah.errors import PreconditionViolated
@@ -119,7 +120,7 @@ def test_recurrence_detects_perturbed_band(ctx3, monkeypatch):
             1: vf.band(1),
         })
 
-    monkeypatch.setattr(racahpoly, "coeffs_V_on_f", bumped)
+    monkeypatch.setattr(mr, "coeffs_V_on_f", bumped)
     rep = verify_racah(ctx3)
     assert [(c.id, c.detail) for c in rep.failures] == [
         ("recurrence", "failing (m, n): [(0, 2), (1, 2), (2, 2), (3, 2)]")
@@ -139,7 +140,7 @@ def test_difference_detects_perturbed_band(ctx3, monkeypatch):
             1: band.band(1),
         })
 
-    monkeypatch.setattr(racahpoly, "coeffs_X_on_e", bumped)
+    monkeypatch.setattr(mr, "coeffs_X_on_e", bumped)
     rep = verify_racah(ctx3)
     assert [(c.id, c.detail) for c in rep.failures] == [
         ("difference", "failing (m, n): [(1, 0), (1, 1), (1, 2), (1, 3)]")

@@ -3,16 +3,15 @@ from fractions import Fraction as Q
 
 import pytest
 
+import metaracah.matrixreps as mr
 import metaracah.rationalfns as rf
-from metaracah.eigenbases import GRIDS, Context
+from metaracah.eigenbases import GRIDS, Context, eigenvalue
 from metaracah.errors import DegenerateParameters
 from metaracah.hyper import pochhammer
 from metaracah.matrices import RationalMatrix, dot
 from metaracah.racahpoly import RacahParams, norm, verify_racah, weight
 from metaracah.rationalfns import (
     _contiguity_residual,
-    _difference_residual,
-    _gevp_residual,
     calU,
     calU_general,
     calU_tilde,
@@ -26,8 +25,6 @@ from metaracah.rationalfns import (
     hahn_limit_check,
     norm_h,
     norm_hstar,
-    recurrence_A,
-    recurrence_C,
     shifted_params,
     verify_rational,
     weight_W,
@@ -139,20 +136,49 @@ def test_degree_sums_by_hand(p5):
     assert diag == norm_hstar(1, p5)
 
 
-def test_gevp_recurrence_grid(p5):
-    assert _gevp_residual(p5, cu(p5)).is_zero()
+def _check(ctx, check_id):
+    return next(c for c in verify_rational(ctx).checks if c.id == check_id)
 
 
-def test_gevp_boundary_structure(p5):
-    # m = 0 leans on C_0 = 0 and m = N on A_N = 0, n = 0 on both sides
-    # evaluating to constants
-    assert recurrence_C(0, p5) == 0 and recurrence_A(p5.N, p5) == 0
-    res = _gevp_residual(p5, cu(p5))
-    assert res[0, 3] == 0 and res[4, 0] == 0
+def test_gevp_recurrence_grid(p5, ctx5):
+    # sum_j X_jm U_j(n) = lambda_n sum_j Z_jm U_j(n), X and Z the bands on
+    # e read down column m, lambda_n = alpha - n the d* eigenvalue, summed
+    # one Fraction term at a time
+    X, Z, rng = mr.coeffs_X_on_e(p5), mr.coeffs_Z_on_e(p5), range(p5.N + 1)
+    for m in rng:
+        for n in rng:
+            lam = eigenvalue("dStar", p5, None, n)
+            assert sum(X[j, m] * closed_form_U(j, n, p5) for j in rng) == lam * sum(
+                Z[j, m] * closed_form_U(j, n, p5) for j in rng)
+    assert (_check(ctx5, "gevp-recurrence").status, _check(ctx5, "gevp-recurrence").detail) == (
+        "pass", "")
 
 
-def test_difference_grid(p5):
-    assert _difference_residual(p5, cu(p5)).is_zero()
+def test_difference_grid(p5, ctx5):
+    # sum_j U_m(j) VZ_nj = mu_m sum_j U_m(j) Z_nj, VZ and Z the bands on d
+    # read along row n, as Vt Zt and Zt on d* are their transposes, and
+    # mu_m the e eigenvalue
+    d, rng = mr.coeffs_on_d(p5), range(p5.N + 1)
+    for m in rng:
+        mu = eigenvalue("e", p5, None, m)
+        for n in rng:
+            assert sum(closed_form_U(m, j, p5) * d["VZ"][n, j] for j in rng) == mu * sum(
+                closed_form_U(m, j, p5) * d["Z"][n, j] for j in rng)
+    assert (_check(ctx5, "difference").status, _check(ctx5, "difference").detail) == ("pass", "")
+
+
+@pytest.mark.parametrize("i, j, gevp, difference", [
+    (2, 2, [(1, 2), (2, 2), (3, 2)], [(2, 1), (2, 2), (2, 3)]),
+    (0, 3, [(0, 3), (1, 3)], [(0, 2), (0, 3)]),
+], ids=["2-2", "0-3"])
+def test_a_bumped_calU_point_breaks_its_band_neighbours(ctx3, i, j, gevp, difference):
+    # calU_i(j) off by one, before the U grid is built on it: the
+    # recurrence fails in column j at rows i-1..i+1 and the difference
+    # equation in row i at columns j-1..j+1, wherever the bands reach
+    ctx3._kept[("grid", "calU")] = _with_entry(ctx3.grid("calU"), i, j, lambda x: x + 1)
+    for check_id, points in (("gevp-recurrence", gevp), ("difference", difference)):
+        check = _check(ctx3, check_id)
+        assert (check.status, check.detail) == ("fail", f"failing (m, n): {points}")
 
 
 def test_difference_degenerate_point():
@@ -173,40 +199,29 @@ def test_contiguity_grid_and_shift(p5):
     assert _contiguity_residual(p5, cu(p5)).is_zero()
 
 
-# one band coefficient or the shifted set off, and the first four points of
-# the one check that reads it, row by row: the columns n = 0 of gevp and
-# m = 0 of difference hold, because calU_m(0) = calU_0(n) = 1 cancels the
-# bump there, and contiguity holds wherever m = 0 or n = 0
+# one band-table entry or the shifted set off, and the first four points of
+# the one check that reads it, row by row.  X on e with entry (2, 1) bumped
+# adds U_2(n) to row m = 1 of the recurrence, and Z on d with entry (2, 2)
+# bumped adds mu_m U_m(2) to column n = 2 of the difference equation (Zt
+# on d* is its transpose); contiguity holds wherever m = 0 or n = 0
 BAND_FAULTS = [
-    ("recurrence_C", lambda C: lambda m, p: C(m, p) + (m == 2), "gevp-recurrence",
-     "failing (m, n): [(2, 1), (2, 2), (2, 3)]"),
-    ("difference_D", lambda D: lambda n, p: D(n, p) + (n == 2), "difference",
-     "failing (m, n): [(1, 2), (2, 2), (3, 2)]"),
-    ("shifted_params",
+    (mr, "coeffs_X_on_e", lambda X: lambda p: _with_entry(X(p), 2, 1, lambda x: x + 1),
+     "gevp-recurrence", "failing (m, n): [(1, 0), (1, 1), (1, 2), (1, 3)]"),
+    (mr, "coeffs_on_d",
+     lambda d: lambda p: {**d(p), "Z": _with_entry(d(p)["Z"], 2, 2, lambda x: x + 1)},
+     "difference", "failing (m, n): [(0, 2), (1, 2), (2, 2), (3, 2)]"),
+    (rf, "shifted_params",
      lambda _: lambda p: Params(N=p.N, alpha=p.alpha - 1, beta=p.beta - 2, zeta=p.zeta + 3),
      "contiguity", "failing (m, n): [(1, 1), (1, 2), (1, 3), (2, 1)]"),
 ]
 
 
-@pytest.mark.parametrize("target, fault, check_id, detail", BAND_FAULTS,
-                         ids=[check_id for _, _, check_id, _ in BAND_FAULTS])
-def test_band_checks_name_the_points_a_fault_breaks(ctx3, monkeypatch, target, fault,
+@pytest.mark.parametrize("module, target, fault, check_id, detail", BAND_FAULTS,
+                         ids=[check_id for _, _, _, check_id, _ in BAND_FAULTS])
+def test_band_checks_name_the_points_a_fault_breaks(ctx3, monkeypatch, module, target, fault,
                                                     check_id, detail):
-    monkeypatch.setattr(rf, target, fault(getattr(rf, target)))
+    monkeypatch.setattr(module, target, fault(getattr(module, target)))
     assert [(c.id, c.detail) for c in verify_rational(ctx3).failures] == [(check_id, detail)]
-
-
-@pytest.mark.parametrize("target, edge", [("recurrence_C", "m = 0"), ("recurrence_A", "m = N"),
-                                          ("difference_D", "n = 0"), ("difference_B", "n = N")])
-def test_a_neighbour_outside_the_grid_needs_a_vanishing_coefficient(ctx3, monkeypatch, target,
-                                                                    edge):
-    # C_0, A_N, D_0 and B_N vanish by a zero factor; a nonzero one would
-    # couple a value outside 0..N, which the residual must refuse to drop
-    coeff = getattr(rf, target)
-    at = 0 if edge.endswith("0") else ctx3.p.N
-    monkeypatch.setattr(rf, target, lambda i, p: coeff(i, p) + (i == at))
-    with pytest.raises(ArithmeticError, match=f"^boundary coefficient at {edge} must vanish$"):
-        verify_rational(ctx3)
 
 
 def test_contiguity_head_coefficient_is_one(p5):
