@@ -33,6 +33,11 @@ The vector list is fixed:
     for the eight families, ``coeffs:<basis>`` for e, f, d, dStar and z,
     and the bad ``basis:nope``, ``coeffs:eStar`` and ``nope``, at N = 1
     and 4, 46 vectors;
+  * ``matrix --which coeffs:<basis>`` for the five bases at N = 2, 3, 5, 6,
+    7 and 8, 30 vectors, so that with N = 1 and 4 above the band tables
+    are compared at every N up to 8; and at N = 4 on five sets that their
+    own ``random.Random(2027)`` draws as above, without alpha = -1, given
+    in ``--name=value`` form, 25 vectors;
   * ``verify --suite all`` at N = 8, 10 and 12;
   * the usage and degenerate-parameter paths, 10 vectors: no subcommand,
     ``--N 0``, ``--suite nope``, ``--sweeps -1``, ``--alpha x``,
@@ -63,9 +68,10 @@ import gittree  # bench/gittree.py, on the path when this runs as a script
 SUITES = ("algebra", "bases", "matrixreps", "racah", "rational", "model")
 TABLES = ("racah", "S", "Stilde", "calU", "calUtilde", "U", "Utilde", "dualHahn")
 LABELS = ("d", "dStar", "e", "eStar", "f", "fStar", "z", "zStar")
+COEFF_BASES = ("e", "f", "d", "dStar", "z")
 MATRICES = (("X", "V", "Z", "Xt", "Vt", "Zt", "C")
             + tuple(f"basis:{label}" for label in LABELS)
-            + tuple(f"coeffs:{basis}" for basis in ("e", "f", "d", "dStar", "z"))
+            + tuple(f"coeffs:{basis}" for basis in COEFF_BASES)
             + ("basis:nope", "coeffs:eStar", "nope"))
 NUMERATORS = tuple(k for k in range(-40, 41) if k != 0)
 DENOMINATORS = (3, 5, 7, 11, 13, 17, 19, 23)
@@ -91,7 +97,8 @@ def _drawn_vectors() -> list:
                                       for _ in range(4))
             if i % 3 == 0:
                 alpha = "-1"
-            # --name=value, since argparse reads a separate "-40/7" as an option
+            # --name=value, as the CLI before negative p/q were read as values
+            # took a separate "-40/7" for an option
             out.append(["verify", "--suite", "model" if i % 2 else "all", "--N", str(N),
                         f"--alpha={alpha}", f"--beta={beta}", f"--zeta={zeta}", f"--rho={rho}"])
     return out
@@ -102,6 +109,16 @@ def _emit_vectors() -> list:
     return ([["table", "--which", which, "--N", str(N), *fmt]
              for which in TABLES + ("nope",) for N in (1, 4) for fmt in formats]
             + [["matrix", "--which", which, "--N", str(N)] for which in MATRICES for N in (1, 4)])
+
+
+def _coeffs_vectors() -> list:
+    rng = random.Random(2027)
+    sets = [[f"--{name}={rng.choice(NUMERATORS)}/{rng.choice(DENOMINATORS)}"
+             for name in ("alpha", "beta", "zeta", "rho")] for _ in range(5)]
+    return ([["matrix", "--which", f"coeffs:{basis}", "--N", str(N)]
+             for basis in COEFF_BASES for N in (2, 3, 5, 6, 7, 8)]
+            + [["matrix", "--which", f"coeffs:{basis}", "--N", "4", *drawn]
+               for drawn in sets for basis in COEFF_BASES])
 
 
 USAGE_VECTORS = [
@@ -117,7 +134,7 @@ USAGE_VECTORS = [
     ["verify", "--N", "3", "--alpha", "1/5", "--beta", "1/5"],
 ]
 
-VECTORS = (_subset_vectors() + _drawn_vectors() + _emit_vectors()
+VECTORS = (_subset_vectors() + _drawn_vectors() + _emit_vectors() + _coeffs_vectors()
            + [["verify", "--suite", "all", "--N", str(N)] for N in (8, 10, 12)]
            + USAGE_VECTORS)
 

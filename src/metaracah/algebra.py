@@ -172,25 +172,9 @@ def build_X(p: Params) -> RationalMatrix:
 
 
 def build_transposes(p: Params):
-    """Matrices of the transposed actions, built from their own closed forms:
-
-        Zt|n> = (n - alpha)|n> + |n-1>
-        Vt|n> = (n - beta - zeta - 1)(beta + zeta - n)|n>
-                + (n + 1)(N - n)(n - 2 alpha - beta - 2 zeta + N)|n+1>
-        Xt|n> = -(n - alpha)^2 |n> - (n - 1 - beta)|n-1>
-
-    Each equals the matrix transpose of the corresponding builder output.
-    """
-    N, a, b, z = p.N, p.alpha, p.beta, p.zeta
-    return (
-        RationalMatrix.banded(N + 1, {0: [n - a for n in range(N + 1)], 1: [1] * N}),
-        RationalMatrix.banded(N + 1, {
-            0: [(n - b - z - 1) * (b + z - n) for n in range(N + 1)],
-            -1: [(n + 1) * (N - n) * (n - 2 * a - b - 2 * z + N) for n in range(N)],
-        }),
-        RationalMatrix.banded(N + 1, {0: [-((n - a) ** 2) for n in range(N + 1)],
-                                      1: [-(n - 1 - b) for n in range(1, N + 1)]}),
-    )
+    """Zt, Vt and Xt, the transposes of the builders' Z, V and X: a Z planted
+    in a Context leaves them alone."""
+    return build_Z(p).transpose(), build_V(p).transpose(), build_X(p).transpose()
 
 
 def build_casimir(ctx: Context) -> RationalMatrix:

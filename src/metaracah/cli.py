@@ -19,6 +19,7 @@ import decimal
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 from functools import partial
@@ -79,6 +80,11 @@ EXIT_USAGE = 3
 class Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; the contract here reserves 2 for
     degenerate parameters, so usage errors exit 3 instead."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads -1 and -1.5 as values, -1/3 as an option
+        self._negative_number_matcher = re.compile(r"^-(\d+(/\d+)?|\d*\.\d+)$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

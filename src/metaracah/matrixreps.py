@@ -6,19 +6,21 @@ conjugation (Bstar)^T W O B, with the dual and the weight W of the pairing
 that ``eigenbases.FAMILIES`` names: Z for the pencil family d, Z^T for its
 adjoint d*, none for the others.  ``matrix_on`` builds each such matrix
 once per Context, on the Context's one dual side (Bstar)^T W.  COEFFS maps
-each basis to the builder of its named closed-form band tables, which
+each basis to the builder of its named band tables, which
 ``Context.band_tables`` keeps once per Context for every reader: ``matrix
---which coeffs:`` emits them, ``verify_coefficients`` checks them against
-``matrix_on``, one row of COEFFICIENT_CHECKS per table, and the trio, the
-racah suite and the rational suite read them.  Each
-table is a RationalMatrix built by RationalMatrix.banded from its nonzero
-bands: band -1 (entry (n+1, n)) feeds |b_{n+1}> in O|b_n>, band 1 (entry
-(n, n+1)) feeds |b_n> in O|b_{n+1}>; the JSON keys sup, diag and sub of
-``matrix --which coeffs:`` are bands -1, 0 and 1.
+--which coeffs:`` emits them, ``verify_coefficients`` checks each against
+``matrix_on`` under the statement COEFFICIENT_STATEMENTS gives its id, and
+the trio, the racah suite and the rational suite read them.  Seven tables
+are closed forms, each a RationalMatrix built by RationalMatrix.banded from
+its nonzero bands; the others are read off them by a transpose or an
+eigenvalue equation.  In a table, band -1 (entry (n+1, n)) feeds |b_{n+1}>
+in O|b_n>, band 1 (entry (n, n+1)) feeds |b_n> in O|b_{n+1}>; the JSON keys
+sup, diag and sub of ``matrix --which coeffs:`` are bands -1, 0 and 1.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import reduce
 from operator import mul
@@ -37,9 +39,11 @@ Q = Fraction
 
 def matrix_on(ctx: Context, label: str, op: str) -> RationalMatrix:
     """The matrix (b*)^T W op b of op on the family b = label, kept in the
-    Context; op names a product of the Context's operators, such as "V*Z"."""
+    Context; op names a product of the Context's operators as the band
+    tables name it, each factor starting at a capital: "VtZt" is Vt Zt."""
     def build():
-        op_matrix = reduce(mul, [getattr(ctx, name) for name in op.split("*")])
+        factors = re.findall("[A-Z][a-z]*", op)
+        op_matrix = reduce(mul, [getattr(ctx, name) for name in factors])
         return ctx.dual_side(label) * op_matrix * ctx.basis(label).vectors
     return ctx.keep(("matrix on", label, op), build)
 
@@ -148,15 +152,11 @@ def _vz_on_d_diag(p: Params, n: int) -> Fraction:
 
 
 def coeffs_on_d(p: Params) -> dict:
-    """Z and X act lower-bidiagonally on the pencil family; VZ is tridiagonal."""
+    """Z acts lower-bidiagonally on the pencil family; VZ is tridiagonal."""
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
     Zc = RationalMatrix.banded(N + 1, {
         -1: [(n - 2 * a + b + 1) / (n - a + 1) for n in range(N)],
         0: [n - a for n in range(N + 1)],
-    })
-    Xc = RationalMatrix.banded(N + 1, {
-        -1: [-(n - a) * (n - 2 * a + b + 1) / (n - a + 1) for n in range(N)],
-        0: [-((n - a) ** 2) for n in range(N + 1)],
     })
     VZc = RationalMatrix.banded(N + 1, {
         -1: [-((n - 2 * a + b + 1) * (n - a - z) * (n - a - z + 1)) / (n - a + 1)
@@ -164,27 +164,17 @@ def coeffs_on_d(p: Params) -> dict:
         0: [_vz_on_d_diag(p, n) for n in range(N + 1)],
         1: [-(n + 1) * (n - N) * (n + 1 - a) * (n + N - 2 * a - b - 2 * z) for n in range(N)],
     })
-    return {"Z": Zc, "X": Xc, "VZ": VZc}
+    return {"Z": Zc, "VZ": VZc}
 
 
-def coeffs_on_dstar(p: Params) -> dict:
-    """Xt acts upper-bidiagonally on the adjoint pencil family, d^T Zt Xt d*.
-    The transpose of X on d is d^T Xt Zt d*, the factors in the other
-    order, so Xt has a closed form of its own; Zt and VtZt on d* are
-    transposes, which COEFFS reads off the d tables."""
-    N, a, b = p.N, p.alpha, p.beta
-    return {"Xt": RationalMatrix.banded(N + 1, {
-        0: [-((n - a) ** 2) for n in range(N + 1)],
-        1: [-(n + 1) + 2 * a - b for n in range(N)],
-    })}
+def coeffs_on_dstar(p: Params, z_on_d: RationalMatrix) -> dict:
+    """Xt on the adjoint pencil family, d^T Zt Xt d*: as Xt d*_n = (alpha - n)
+    Zt d*_n, it is Zt on d*, the transpose of Z on d, times diag(alpha - n)."""
+    return {"Xt": z_on_d.transpose().scaled(None, [p.alpha - n for n in range(p.N + 1)])}
 
 
 def coeffs_on_z(p: Params) -> dict:
-    """V, X and Vtilde = X Z^{-1} on the eigenbasis of Z.
-
-    X shares its lower band with -V and is bidiagonal; Vtilde is lower
-    bidiagonal with diagonal -(n - alpha).
-    """
+    """V and X on the Z eigenbasis; X shares its lower band with -V and is bidiagonal."""
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
     v_lower = [-(n - 2 * a + b + 1) for n in range(N)]
     Vc = RationalMatrix.banded(N + 1, {
@@ -197,11 +187,7 @@ def coeffs_on_z(p: Params) -> dict:
         -1: [-s for s in v_lower],
         0: [-((n - a) ** 2) for n in range(N + 1)],
     })
-    Vtc = RationalMatrix.banded(N + 1, {
-        -1: [(n - 2 * a + b + 1) / (n - a) for n in range(N)],
-        0: [a - n for n in range(N + 1)],
-    })
-    return {"V": Vc, "X": Xc, "Vtilde": Vtc}
+    return {"V": Vc, "X": Xc}
 
 
 def etilde_in_z(p: Params, n: int):
@@ -213,70 +199,69 @@ def etilde_in_z(p: Params, n: int):
     return (Q(0),) * n + tuple(series_terms((n - 2 * a + b + 1,), (n - a,), N - n + 1))
 
 
-# coeffs:<basis> -> the builder of the named closed-form band tables of a
-# Context, which Context.band_tables calls once per Context; whether a
-# family needs rho is read from eigenbases.FAMILIES.  The lambdas look their
-# callees up at call time, so wrappers installed on the module names see
-# every call.  Zt on d*, d^T Zt Zt d*, is the transpose of Z on d, d*^T Z Z d,
-# and VtZt on d* that of VZ on d in the same way.
+def _derived(tables: dict, name: str, source: str, factors: list) -> dict:
+    """tables with the table name added, tables[source] diag(factors)."""
+    return {**tables, name: tables[source].scaled(None, factors)}
+
+
+# coeffs:<basis> -> the builder of the band tables of a Context, which
+# Context.band_tables calls once per Context.  Seven are closed forms: Z and
+# X on e, V on f, Z and VZ on d, V and X on z.  X on d is Z on d diag(alpha -
+# n), as X d_n = (alpha - n) Z d_n; Zt and VtZt on d* are the transposes of Z
+# and VZ on d, and coeffs_on_dstar reads Xt off Z on d; Vtilde = X Z^{-1} on
+# z is X on z diag(1/(n - alpha)), as Z z_n = (n - alpha) z_n.  The lambdas
+# look their callees up at call time, so wrappers installed on the module
+# names see every call, and a fault in a closed form reaches every table
+# read off it.
 COEFFS = {
     "e": lambda ctx: {"Z": coeffs_Z_on_e(ctx.p), "X": coeffs_X_on_e(ctx.p)},
     "f": lambda ctx: {"V": coeffs_V_on_f(ctx.p, ctx.rho)},
-    "d": lambda ctx: coeffs_on_d(ctx.p),
-    "dStar": lambda ctx: {**coeffs_on_dstar(ctx.p),
+    "d": lambda ctx: _derived(coeffs_on_d(ctx.p), "X", "Z",
+                              [ctx.p.alpha - n for n in range(ctx.p.N + 1)]),
+    "dStar": lambda ctx: {**coeffs_on_dstar(ctx.p, ctx.band_tables("d")["Z"]),
                           "Zt": ctx.band_tables("d")["Z"].transpose(),
                           "VtZt": ctx.band_tables("d")["VZ"].transpose()},
-    "z": lambda ctx: coeffs_on_z(ctx.p),
+    "z": lambda ctx: _derived(coeffs_on_z(ctx.p), "Vtilde", "X",
+                              [1 / (n - ctx.p.alpha) for n in range(ctx.p.N + 1)]),
 }
 
-# check id, statement, the closed form as (basis, table, transposed?) and its
-# oracle as (family, operator) for matrix_on
-COEFFICIENT_CHECKS = (
-    ("Z-on-e", "closed-form Z coefficients on e match (e*)^T Z e",
-     ("e", "Z", False), ("e", "Z")),
-    ("X-on-e", "closed-form X coefficients on e match (e*)^T X e",
-     ("e", "X", False), ("e", "X")),
-    ("Zt-on-estar", "transposed-operator coefficients on e* are the transpose of Z on e",
-     ("e", "Z", True), ("eStar", "Zt")),
-    ("Xt-on-estar", "transposed-operator coefficients on e* are the transpose of X on e",
-     ("e", "X", True), ("eStar", "Xt")),
-    ("V-on-f", "closed-form V coefficients on f match (f*)^T V f",
-     ("f", "V", False), ("f", "V")),
-    ("Vt-on-fstar", "transposed-operator coefficients on f* are the transpose of V on f",
-     ("f", "V", True), ("fStar", "Vt")),
-    ("Z-on-d", "closed-form Z coefficients on d match (d*)^T Z Z d",
-     ("d", "Z", False), ("d", "Z")),
-    ("X-on-d", "closed-form X coefficients on d match (d*)^T Z X d",
-     ("d", "X", False), ("d", "X")),
-    ("VZ-on-d", "closed-form VZ coefficients on d match (d*)^T Z (VZ) d",
-     ("d", "VZ", False), ("d", "V*Z")),
-    ("Zt-on-dstar", "closed-form Zt coefficients on d* match d^T Zt Zt d*",
-     ("dStar", "Zt", False), ("dStar", "Zt")),
-    ("Xt-on-dstar", "closed-form Xt coefficients on d* match d^T Zt Xt d*",
-     ("dStar", "Xt", False), ("dStar", "Xt")),
-    ("VtZt-on-dstar", "closed-form VtZt coefficients on d* match d^T Zt (VtZt) d*",
-     ("dStar", "VtZt", False), ("dStar", "Vt*Zt")),
-    ("V-on-z", "closed-form V coefficients on z match (z*)^T V z",
-     ("z", "V", False), ("z", "V")),
-    ("X-on-z", "closed-form X coefficients on z match (z*)^T X z",
-     ("z", "X", False), ("z", "X")),
-    ("Vtilde-on-z", "closed-form X Z^{-1} coefficients on z match (z*)^T X Z^{-1} z",
-     ("z", "Vtilde", False), ("z", "Vtilde")),
-)
+# the statement of each coefficient check, keyed by its id
+COEFFICIENT_STATEMENTS = {
+    "Z-on-e": "closed-form Z coefficients on e match (e*)^T Z e",
+    "X-on-e": "closed-form X coefficients on e match (e*)^T X e",
+    "Zt-on-estar": "transposed-operator coefficients on e* are the transpose of Z on e",
+    "Xt-on-estar": "transposed-operator coefficients on e* are the transpose of X on e",
+    "V-on-f": "closed-form V coefficients on f match (f*)^T V f",
+    "Vt-on-fstar": "transposed-operator coefficients on f* are the transpose of V on f",
+    "Z-on-d": "closed-form Z coefficients on d match (d*)^T Z Z d",
+    "X-on-d": "closed-form X coefficients on d match (d*)^T Z X d",
+    "VZ-on-d": "closed-form VZ coefficients on d match (d*)^T Z (VZ) d",
+    "Zt-on-dstar": "closed-form Zt coefficients on d* match d^T Zt Zt d*",
+    "Xt-on-dstar": "closed-form Xt coefficients on d* match d^T Zt Xt d*",
+    "VtZt-on-dstar": "closed-form VtZt coefficients on d* match d^T Zt (VtZt) d*",
+    "V-on-z": "closed-form V coefficients on z match (z*)^T V z",
+    "X-on-z": "closed-form X coefficients on z match (z*)^T X z",
+    "Vtilde-on-z": "closed-form X Z^{-1} coefficients on z match (z*)^T X Z^{-1} z",
+}
 
 
 # -- verification ---------------------------------------------------------------
 
 
 def verify_coefficients(ctx: Context) -> VerificationReport:
-    """Every closed-form coefficient family against its conjugation oracle."""
+    """Every band table of COEFFS, and the transpose of each on e and f,
+    against its conjugation oracle."""
     rep = VerificationReport(
         suite="matrixreps:coefficients", params={**ctx.p.as_dict(), "rho": str(ctx.rho)}
     )
-    for check_id, statement, (basis, name, transposed), (label, op) in COEFFICIENT_CHECKS:
-        closed = ctx.band_tables(basis)[name]
-        rep.add_grid(check_id, statement,
-                     (closed.transpose() if transposed else closed) - matrix_on(ctx, label, op))
+    # each table on b, and for e and f its transpose: ((b*)^T O b)^T = b^T Ot b*
+    tables = [(basis, name, table) for basis in COEFFS
+              for name, table in ctx.band_tables(basis).items()]
+    tables += [(b + "Star", name + "t", table.transpose()) for b, name, table in tables
+               if b in ("e", "f")]
+    for b, name, table in tables:
+        check_id = f"{name}-on-{b.lower()}"
+        rep.add_grid(check_id, COEFFICIENT_STATEMENTS[check_id], table - matrix_on(ctx, b, name))
     return rep
 
 
@@ -325,7 +310,7 @@ def verify_leonard_trio(ctx: Context) -> VerificationReport:
         "clause (ii): Vtilde eigenvalue on Z d_n is alpha - n",
         vt_et.band(0) == d.eigenvalues,
     )
-    zv_et = matrix_on(ctx, "d", "V*Z")
+    zv_et = matrix_on(ctx, "d", "VZ")
     rep.add("trio-ii-ZV-tridiagonal", "clause (ii): Z V tridiagonal on Z d_n", zv_et.in_band(1, 1))
     rep.add_grid(
         "trio-ii-ZV-coefficients",

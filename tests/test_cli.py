@@ -147,6 +147,22 @@ def test_usage_errors_exit_three(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("option", ["--alpha", "--beta", "--zeta", "--rho"])
+def test_a_negative_rational_may_follow_its_option_as_a_separate_argument(capsys, option):
+    # argparse itself reads only -1 and -1.5 as values; Parser widens its
+    # private negative-number pattern to -p/q, which this test guards on
+    # the installed Python
+    argv = ["verify", "--suite", "algebra,matrixreps", "--N", "3"]
+    assert run(capsys, *argv, option, "-2/7") == run(capsys, *argv, f"{option}=-2/7")
+    assert run(capsys, *argv, option, "-2/7")[0] == 0
+    assert run(capsys, "matrix", "--which", "Z", "--N", "2", "--alpha", "-1.5") == run(
+        capsys, "matrix", "--which", "Z", "--N", "2", "--alpha=-3/2")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, option, "-x"])
+    assert exc.value.code == 3
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_table_trivial_edges(capsys):
     code, out = run(capsys, "table", "--which", "calU", "--N", "4",
                     "--format", "csv")

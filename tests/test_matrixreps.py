@@ -68,12 +68,12 @@ def test_dual_families_share_the_tridiagonal_core(ctx5):
     # Zt and VtZt on the adjoint family are the transposes of Z and VZ on
     # d, conjugation against conjugation, so COEFFS reads them off the d
     # tables; Xt on d* is not the transpose of X on d
-    for op, op_t in (("Z", "Zt"), ("V*Z", "Vt*Zt")):
+    for op, op_t in (("Z", "Zt"), ("VZ", "VtZt")):
         assert mr.matrix_on(ctx5, "dStar", op_t) == mr.matrix_on(ctx5, "d", op).transpose()
     assert mr.matrix_on(ctx5, "dStar", "Xt") != mr.matrix_on(ctx5, "d", "X").transpose()
     on_d, on_dstar = ctx5.band_tables("d"), ctx5.band_tables("dStar")
     assert on_dstar["VtZt"].band(0) == on_d["VZ"].band(0)
-    assert on_dstar["Xt"] == coeffs_on_dstar(ctx5.p)["Xt"]
+    assert on_dstar["Xt"] == coeffs_on_dstar(ctx5.p, on_d["Z"])["Xt"]
 
 
 def test_z_family_bidiagonal_split(p3):
@@ -130,6 +130,56 @@ def test_vz_fault_details_name_the_one_bumped_point(ctx3, monkeypatch):
         "VtZt-on-dstar": "failing (m, n): [(1, 1)]",
         "trio-ii-ZV-coefficients": "failing (m, n): [(1, 1)]",
     }
+
+
+def _bumped_at_2_1(builder, name):
+    """builder with 1 added at entry (2, 1) of its table name."""
+    def bumped(p):
+        tables = builder(p)
+        bump = RationalMatrix([[int((i, j) == (2, 1)) for j in range(p.N + 1)]
+                               for i in range(p.N + 1)])
+        return {**tables, name: tables[name] + bump}
+    return bumped
+
+
+def _band_table_failures(ctx):
+    return {c.id: c.detail for rep in (verify_coefficients(ctx), verify_leonard_trio(ctx),
+                                       verify_racah(ctx), verify_rational(ctx))
+            for c in rep.failures}
+
+
+def test_a_fault_in_Z_on_d_reaches_every_table_read_off_it(ctx3, monkeypatch):
+    # X on d, Zt on d* and Xt on d* are read off Z on d, so each fails with
+    # it; the trio's subdiagonal and the rational difference equation read
+    # the tables too
+    monkeypatch.setattr(mr, "coeffs_on_d", _bumped_at_2_1(mr.coeffs_on_d, "Z"))
+    assert _band_table_failures(ctx3) == {
+        "Z-on-d": "failing (m, n): [(2, 1)]",
+        "X-on-d": "failing (m, n): [(2, 1)]",
+        "Zt-on-dstar": "failing (m, n): [(1, 2)]",
+        "Xt-on-dstar": "failing (m, n): [(1, 2)]",
+        "trio-ii-Z-subdiagonal": "",
+        "difference": "failing (m, n): [(0, 2), (1, 2), (2, 2), (3, 2)]",
+    }
+
+
+def test_a_fault_in_X_on_z_reaches_Vtilde_on_z(ctx3, monkeypatch):
+    monkeypatch.setattr(mr, "coeffs_on_z", _bumped_at_2_1(mr.coeffs_on_z, "X"))
+    assert _band_table_failures(ctx3) == {
+        "X-on-z": "failing (m, n): [(2, 1)]",
+        "Vtilde-on-z": "failing (m, n): [(2, 1)]",
+    }
+
+
+def test_every_band_table_has_exactly_one_check(ctx5):
+    # verify_coefficients names each check after a COEFFS table, or after
+    # the transpose of an e or f table, and reads its statement by that id
+    ids = [c.id for c in verify_coefficients(ctx5).checks]
+    assert len(ids) == len(set(ids)) == 15
+    assert set(ids) == set(mr.COEFFICIENT_STATEMENTS)
+    tables = {f"{name}-on-{basis.lower()}" for basis in mr.COEFFS
+              for name in ctx5.band_tables(basis)}
+    assert tables <= set(ids) and len(tables) == 12
 
 
 def test_matrixreps_suite_builds_each_conjugation_once(capsys, monkeypatch):
