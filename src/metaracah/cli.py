@@ -83,8 +83,10 @@ class Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse reads -1 and -1.5 as values, -1/3 as an option
-        self._negative_number_matcher = re.compile(r"^-(\d+(/\d+)?|\d*\.\d+)$")
+        # argparse reads -1 and -1.5 as values, -1/3 as an option: here a
+        # dash before a digit, or before a point and a digit, starts a value,
+        # which rational() then accepts or refuses
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)

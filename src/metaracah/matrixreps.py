@@ -10,12 +10,13 @@ each basis to the builder of its named band tables, which
 ``Context.band_tables`` keeps once per Context for every reader: ``matrix
 --which coeffs:`` emits them, ``verify_coefficients`` checks each against
 ``matrix_on`` under the statement COEFFICIENT_STATEMENTS gives its id, and
-the trio, the racah suite and the rational suite read them.  Seven tables
+the trio, the racah suite and the rational suite read them.  Six tables
 are closed forms, each a RationalMatrix built by RationalMatrix.banded from
-its nonzero bands; the others are read off them by a transpose or an
-eigenvalue equation.  In a table, band -1 (entry (n+1, n)) feeds |b_{n+1}>
-in O|b_n>, band 1 (entry (n, n+1)) feeds |b_n> in O|b_{n+1}>; the JSON keys
-sup, diag and sub of ``matrix --which coeffs:`` are bands -1, 0 and 1.
+its nonzero bands; the others are read off them by the [V, Z] relation, by
+an eigenvalue equation or by a transpose.  In a table, band -1 (entry
+(n+1, n)) feeds |b_{n+1}> in O|b_n>, band 1 (entry (n, n+1)) feeds |b_n> in
+O|b_{n+1}>; the JSON keys sup, diag and sub of ``matrix --which coeffs:``
+are bands -1, 0 and 1.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import reduce
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .algebra import Params
+from .algebra import Params, central_params
 from .hyper import series_terms
 from .matrices import RationalMatrix
 from .report import VerificationReport
@@ -51,23 +52,6 @@ def matrix_on(ctx: Context, label: str, op: str) -> RationalMatrix:
 # -- closed forms --------------------------------------------------------------
 
 
-def _z_on_e_sub(p: Params, n: int) -> Fraction:
-    """Entry (n-1, n) of Z on e, at index n-1 of band 1; X on e shares it."""
-    N, a, b, z = p.N, p.alpha, p.beta, p.zeta
-    return (
-        n * (N + 1 - n)
-        * (n + 2 * a - b - N - 1)
-        * (n - 2 * b - 2 * z - 2)
-        * (n - 2 * b - 2 * z + N - 1)
-        * (n - 2 * a - b - 2 * z + N - 1)
-        / (
-            (2 * n - 2 * b - 2 * z - 3)
-            * (2 * n - 2 * b - 2 * z - 2) ** 2
-            * (2 * n - 2 * b - 2 * z - 1)
-        )
-    )
-
-
 def coeffs_Z_on_e(p: Params) -> RationalMatrix:
     """Z is irreducible tridiagonal on the V eigenbasis, with unit lower band."""
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
@@ -81,31 +65,40 @@ def coeffs_Z_on_e(p: Params) -> RationalMatrix:
             - a
         )
 
-    return RationalMatrix.banded(N + 1, {
-        -1: [1] * N,
-        0: [diag(n) for n in range(N + 1)],
-        1: [_z_on_e_sub(p, n + 1) for n in range(N)],
-    })
-
-
-def coeffs_X_on_e(p: Params) -> RationalMatrix:
-    """X, a Heun-type combination for the pair (V, Z), is tridiagonal on e."""
-    N, a, b, z = p.N, p.alpha, p.beta, p.zeta
-
-    def diag(n):
+    def upper(n):
+        # entry (n - 1, n)
         return (
-            n * (n - 2 * b - 2 * z + N - 1) * (n + 2 * a - b - N - 1) * (n - b - 2 * z - 1)
-            / ((2 * n - 2 * b - 2 * z - 2) * (2 * n - 2 * b - 2 * z - 1))
-            + (n - N) * (n - 2 * b - 2 * z - 1) * (n - 2 * a - b - 2 * z + N) * (n - b)
-            / ((2 * n - 2 * b - 2 * z - 1) * (2 * n - 2 * b - 2 * z))
-            - a * a
+            n * (N + 1 - n)
+            * (n + 2 * a - b - N - 1)
+            * (n - 2 * b - 2 * z - 2)
+            * (n - 2 * b - 2 * z + N - 1)
+            * (n - 2 * a - b - 2 * z + N - 1)
+            / (
+                (2 * n - 2 * b - 2 * z - 3)
+                * (2 * n - 2 * b - 2 * z - 2) ** 2
+                * (2 * n - 2 * b - 2 * z - 1)
+            )
         )
 
     return RationalMatrix.banded(N + 1, {
-        -1: [b - n for n in range(N)],
+        -1: [1] * N,
         0: [diag(n) for n in range(N + 1)],
-        1: [(n - b - 2 * z) * _z_on_e_sub(p, n + 1) for n in range(N)],
+        1: [upper(n + 1) for n in range(N)],
     })
+
+
+def coeffs_X_on_e(p: Params, z_on_e: RationalMatrix, mu: tuple) -> RationalMatrix:
+    """X on e, the Heun operator of the pair (V, Z), read off Z on e by the
+    relation [V, Z] = V + 2X + 2 zeta Z + eta I with V = diag(mu) on e:
+    entry (m, n) is ((mu_m - mu_n - 2 zeta) Z_mn - (mu_n + eta) delta_mn) / 2,
+    on the three bands of Z."""
+    eta = central_params(p)[1]
+
+    def band(k):
+        return [((mu[i] - mu[i + k] - 2 * p.zeta) * x - (0 if k else mu[i] + eta)) / 2
+                for i, x in enumerate(z_on_e.band(k), max(0, -k))]
+
+    return RationalMatrix.banded(p.N + 1, {k: band(k) for k in (-1, 0, 1)})
 
 
 def coeffs_V_on_f(p: Params, rho: Fraction) -> RationalMatrix:
@@ -167,10 +160,10 @@ def coeffs_on_d(p: Params) -> dict:
     return {"Z": Zc, "VZ": VZc}
 
 
-def coeffs_on_dstar(p: Params, z_on_d: RationalMatrix) -> dict:
-    """Xt on the adjoint pencil family, d^T Zt Xt d*: as Xt d*_n = (alpha - n)
-    Zt d*_n, it is Zt on d*, the transpose of Z on d, times diag(alpha - n)."""
-    return {"Xt": z_on_d.transpose().scaled(None, [p.alpha - n for n in range(p.N + 1)])}
+def coeffs_on_dstar(z_on_d: RationalMatrix, lam: tuple) -> dict:
+    """Xt on the adjoint pencil family, d^T Zt Xt d*: as Xt d*_n = lam_n Zt
+    d*_n, it is Zt on d*, the transpose of Z on d, times diag(lam)."""
+    return {"Xt": z_on_d.transpose().scaled(None, lam)}
 
 
 def coeffs_on_z(p: Params) -> dict:
@@ -205,24 +198,26 @@ def _derived(tables: dict, name: str, source: str, factors: list) -> dict:
 
 
 # coeffs:<basis> -> the builder of the band tables of a Context, which
-# Context.band_tables calls once per Context.  Seven are closed forms: Z and
-# X on e, V on f, Z and VZ on d, V and X on z.  X on d is Z on d diag(alpha -
-# n), as X d_n = (alpha - n) Z d_n; Zt and VtZt on d* are the transposes of Z
-# and VZ on d, and coeffs_on_dstar reads Xt off Z on d; Vtilde = X Z^{-1} on
-# z is X on z diag(1/(n - alpha)), as Z z_n = (n - alpha) z_n.  The lambdas
-# look their callees up at call time, so wrappers installed on the module
-# names see every call, and a fault in a closed form reaches every table
-# read off it.
+# Context.band_tables calls once per Context.  Six are closed forms: Z on e,
+# V on f, Z and VZ on d, V and X on z.  X on e is read off Z on e and the e
+# eigenvalues by the [V, Z] relation; X on d is Z on d diag(lambda), as X d_n
+# = lambda_n Z d_n; Zt and VtZt on d* are the transposes of Z and VZ on d,
+# and coeffs_on_dstar reads Xt off Z on d; Vtilde = X Z^{-1} on z is X on z
+# diag(1/lambda), as Z z_n = lambda_n z_n; each lambda is the eigenvalue row
+# of its family in FAMILIES.  The lambdas look their callees up at call
+# time, so wrappers installed on the module names see every call, and a
+# fault in a closed form reaches every table read off it.
 COEFFS = {
-    "e": lambda ctx: {"Z": coeffs_Z_on_e(ctx.p), "X": coeffs_X_on_e(ctx.p)},
+    "e": lambda ctx: {"Z": (z := coeffs_Z_on_e(ctx.p)),
+                      "X": coeffs_X_on_e(ctx.p, z, ctx.basis("e").eigenvalues)},
     "f": lambda ctx: {"V": coeffs_V_on_f(ctx.p, ctx.rho)},
-    "d": lambda ctx: _derived(coeffs_on_d(ctx.p), "X", "Z",
-                              [ctx.p.alpha - n for n in range(ctx.p.N + 1)]),
-    "dStar": lambda ctx: {**coeffs_on_dstar(ctx.p, ctx.band_tables("d")["Z"]),
+    "d": lambda ctx: _derived(coeffs_on_d(ctx.p), "X", "Z", ctx.basis("d").eigenvalues),
+    "dStar": lambda ctx: {**coeffs_on_dstar(ctx.band_tables("d")["Z"],
+                                            ctx.basis("dStar").eigenvalues),
                           "Zt": ctx.band_tables("d")["Z"].transpose(),
                           "VtZt": ctx.band_tables("d")["VZ"].transpose()},
     "z": lambda ctx: _derived(coeffs_on_z(ctx.p), "Vtilde", "X",
-                              [1 / (n - ctx.p.alpha) for n in range(ctx.p.N + 1)]),
+                              [1 / x for x in ctx.basis("z").eigenvalues]),
 }
 
 # the statement of each coefficient check, keyed by its id
@@ -249,19 +244,19 @@ COEFFICIENT_STATEMENTS = {
 
 
 def verify_coefficients(ctx: Context) -> VerificationReport:
-    """Every band table of COEFFS, and the transpose of each on e and f,
-    against its conjugation oracle."""
+    """Every band table of COEFFS against its conjugation oracle, and each
+    transposed operator on e* and f* by the transpose of that residual."""
     rep = VerificationReport(
         suite="matrixreps:coefficients", params={**ctx.p.as_dict(), "rho": str(ctx.rho)}
     )
-    # each table on b, and for e and f its transpose: ((b*)^T O b)^T = b^T Ot b*
-    tables = [(basis, name, table) for basis in COEFFS
-              for name, table in ctx.band_tables(basis).items()]
-    tables += [(b + "Star", name + "t", table.transpose()) for b, name, table in tables
-               if b in ("e", "f")]
-    for b, name, table in tables:
-        check_id = f"{name}-on-{b.lower()}"
-        rep.add_grid(check_id, COEFFICIENT_STATEMENTS[check_id], table - matrix_on(ctx, b, name))
+    grids = {f"{name}-on-{basis.lower()}": table - matrix_on(ctx, basis, name)
+             for basis in COEFFS for name, table in ctx.band_tables(basis).items()}
+    # as Ot = O^T, b^T Ot b* = ((b*)^T O b)^T: on e* and f* each residual is
+    # the transpose of its residual on e and f
+    grids.update({f"{name}t-on-{basis}star": grids[f"{name}-on-{basis}"].transpose()
+                  for basis in ("e", "f") for name in ctx.band_tables(basis)})
+    for check_id, grid in grids.items():
+        rep.add_grid(check_id, COEFFICIENT_STATEMENTS[check_id], grid)
     return rep
 
 

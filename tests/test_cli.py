@@ -150,17 +150,24 @@ def test_usage_errors_exit_three(capsys):
 @pytest.mark.parametrize("option", ["--alpha", "--beta", "--zeta", "--rho"])
 def test_a_negative_rational_may_follow_its_option_as_a_separate_argument(capsys, option):
     # argparse itself reads only -1 and -1.5 as values; Parser widens its
-    # private negative-number pattern to -p/q, which this test guards on
-    # the installed Python
+    # private negative-number pattern to every dash before a digit or
+    # before a point and a digit, which this test guards on the installed
+    # Python: rational() then accepts the value or refuses it
     argv = ["verify", "--suite", "algebra,matrixreps", "--N", "3"]
     assert run(capsys, *argv, option, "-2/7") == run(capsys, *argv, f"{option}=-2/7")
     assert run(capsys, *argv, option, "-2/7")[0] == 0
     assert run(capsys, "matrix", "--which", "Z", "--N", "2", "--alpha", "-1.5") == run(
         capsys, "matrix", "--which", "Z", "--N", "2", "--alpha=-3/2")
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, option, "-x"])
-    assert exc.value.code == 3
-    assert "expected one argument" in capsys.readouterr().err
+    table = ["table", "--which", "calU", "--N", "2"]
+    for value in ("-1e-1", "-2.", "-1_0/3", "-.5", "-2/7", "-1.5"):
+        separate = run(capsys, *table, option, value)
+        assert separate == run(capsys, *table, f"{option}={value}") and separate[0] != 3
+    for value, message in (("-x", "expected one argument"), ("-5abc", "not a rational"),
+                           ("-1/0", "not a rational")):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, option, value])
+        assert exc.value.code == 3
+        assert message in capsys.readouterr().err
 
 
 def test_table_trivial_edges(capsys):
@@ -556,7 +563,7 @@ def test_verify_all_product_count(capsys, monkeypatch):
     monkeypatch.setattr(matrices.RationalMatrix, "__mul__", counted)
     code, _ = run(capsys, "verify", "--suite", "all", "--N", "8")
     assert code == 0
-    assert len(products) == 132
+    assert len(products) == 126
 
 
 def test_verify_all_writes_out_few_results(capsys, monkeypatch):

@@ -42,7 +42,8 @@ def test_X_on_e_is_V_conjugation_consistent(p3):
     e = build_basis(p3, None, "e")
     estar = build_basis(p3, None, "eStar")
     X = build_X(p3)
-    assert coeffs_X_on_e(p3) == estar.vectors.transpose() * X * e.vectors
+    x_on_e = coeffs_X_on_e(p3, coeffs_Z_on_e(p3), e.eigenvalues)
+    assert x_on_e == estar.vectors.transpose() * X * e.vectors
 
 
 def test_V_on_f_bands(p3, rho):
@@ -73,7 +74,7 @@ def test_dual_families_share_the_tridiagonal_core(ctx5):
     assert mr.matrix_on(ctx5, "dStar", "Xt") != mr.matrix_on(ctx5, "d", "X").transpose()
     on_d, on_dstar = ctx5.band_tables("d"), ctx5.band_tables("dStar")
     assert on_dstar["VtZt"].band(0) == on_d["VZ"].band(0)
-    assert on_dstar["Xt"] == coeffs_on_dstar(ctx5.p, on_d["Z"])["Xt"]
+    assert on_dstar["Xt"] == coeffs_on_dstar(on_d["Z"], ctx5.basis("dStar").eigenvalues)["Xt"]
 
 
 def test_z_family_bidiagonal_split(p3):
@@ -132,13 +133,17 @@ def test_vz_fault_details_name_the_one_bumped_point(ctx3, monkeypatch):
     }
 
 
+def _plus_1_at_2_1(table):
+    """table with 1 added at entry (2, 1)."""
+    return table + RationalMatrix([[int((i, j) == (2, 1)) for j in range(table.cols)]
+                                   for i in range(table.rows)])
+
+
 def _bumped_at_2_1(builder, name):
     """builder with 1 added at entry (2, 1) of its table name."""
     def bumped(p):
         tables = builder(p)
-        bump = RationalMatrix([[int((i, j) == (2, 1)) for j in range(p.N + 1)]
-                               for i in range(p.N + 1)])
-        return {**tables, name: tables[name] + bump}
+        return {**tables, name: _plus_1_at_2_1(tables[name])}
     return bumped
 
 
@@ -160,6 +165,22 @@ def test_a_fault_in_Z_on_d_reaches_every_table_read_off_it(ctx3, monkeypatch):
         "Xt-on-dstar": "failing (m, n): [(1, 2)]",
         "trio-ii-Z-subdiagonal": "",
         "difference": "failing (m, n): [(0, 2), (1, 2), (2, 2), (3, 2)]",
+    }
+
+
+def test_a_fault_in_Z_on_e_reaches_X_on_e(ctx3, monkeypatch):
+    # X on e is read off Z on e by the [V, Z] relation, the e* checks are
+    # the transposes of the e checks, and the racah difference equation
+    # and the rational recurrence read both tables on e
+    z_on_e = mr.coeffs_Z_on_e
+    monkeypatch.setattr(mr, "coeffs_Z_on_e", lambda p: _plus_1_at_2_1(z_on_e(p)))
+    assert _band_table_failures(ctx3) == {
+        "Z-on-e": "failing (m, n): [(2, 1)]",
+        "X-on-e": "failing (m, n): [(2, 1)]",
+        "Zt-on-estar": "failing (m, n): [(1, 2)]",
+        "Xt-on-estar": "failing (m, n): [(1, 2)]",
+        "difference": "failing (m, n): [(1, 0), (1, 1), (1, 2), (1, 3)]",
+        "gevp-recurrence": "failing (m, n): [(1, 0), (1, 1), (1, 2), (1, 3)]",
     }
 
 
@@ -198,7 +219,7 @@ def test_matrixreps_suite_builds_each_conjugation_once(capsys, monkeypatch):
     monkeypatch.setattr(RationalMatrix, "__mul__", counted)
     assert main(["verify", "--suite", "matrixreps", "--N", "8"]) == 0
     capsys.readouterr()
-    assert len(products) == 40
+    assert len(products) == 34
 
 
 def test_each_band_table_is_built_once_per_context(ctx5, monkeypatch):

@@ -132,9 +132,9 @@ def test_difference_detects_perturbed_band(ctx3, monkeypatch):
     # m = 1 only
     xe = coeffs_X_on_e
 
-    def bumped(p):
-        band = xe(p)
-        return RationalMatrix.banded(p.N + 1, {
+    def bumped(*a):
+        band = xe(*a)
+        return RationalMatrix.banded(band.rows, {
             -1: [x + (1 if i == 1 else 0) for i, x in enumerate(band.band(-1))],
             0: band.band(0),
             1: band.band(1),
@@ -150,7 +150,8 @@ def test_difference_detects_perturbed_band(ctx3, monkeypatch):
 def test_difference_residuals_vanish(p5, rho, ctx5):
     # nu_n S_m(n) = sum_i WE_im S_i(n), WE the band of X + rho Z on e,
     # read down column m of WE: the transposed band
-    S, xe, ze = _s_table(p5, rho), coeffs_X_on_e(p5), coeffs_Z_on_e(p5)
+    S, ze = _s_table(p5, rho), coeffs_Z_on_e(p5)
+    xe = coeffs_X_on_e(p5, ze, ctx5.basis("e").eigenvalues)
     we_t = RationalMatrix.banded(p5.N + 1, {
         -k: [x + rho * z for x, z in zip(xe.band(k), ze.band(k))] for k in (-1, 0, 1)
     })

@@ -144,7 +144,8 @@ def test_gevp_recurrence_grid(p5, ctx5):
     # sum_j X_jm U_j(n) = lambda_n sum_j Z_jm U_j(n), X and Z the bands on
     # e read down column m, lambda_n = alpha - n the d* eigenvalue, summed
     # one Fraction term at a time
-    X, Z, rng = mr.coeffs_X_on_e(p5), mr.coeffs_Z_on_e(p5), range(p5.N + 1)
+    Z, rng = mr.coeffs_Z_on_e(p5), range(p5.N + 1)
+    X = mr.coeffs_X_on_e(p5, Z, ctx5.basis("e").eigenvalues)
     for m in rng:
         for n in rng:
             lam = eigenvalue("dStar", p5, None, n)
@@ -205,7 +206,7 @@ def test_contiguity_grid_and_shift(p5):
 # bumped adds mu_m U_m(2) to column n = 2 of the difference equation (Zt
 # on d* is its transpose); contiguity holds wherever m = 0 or n = 0
 BAND_FAULTS = [
-    (mr, "coeffs_X_on_e", lambda X: lambda p: _with_entry(X(p), 2, 1, lambda x: x + 1),
+    (mr, "coeffs_X_on_e", lambda X: lambda *a: _with_entry(X(*a), 2, 1, lambda x: x + 1),
      "gevp-recurrence", "failing (m, n): [(1, 0), (1, 1), (1, 2), (1, 3)]"),
     (mr, "coeffs_on_d",
      lambda d: lambda p: {**d(p), "Z": _with_entry(d(p)["Z"], 2, 2, lambda x: x + 1)},
