@@ -11,12 +11,12 @@ each basis to the builder of its named band tables, which
 --which coeffs:`` emits them, ``verify_coefficients`` checks each against
 ``matrix_on`` under the statement COEFFICIENT_STATEMENTS gives its id, and
 the trio, the racah suite and the rational suite read them.  Six tables
-are closed forms, each a RationalMatrix built by RationalMatrix.banded from
-its nonzero bands; the others are read off them by the [V, Z] relation, by
-an eigenvalue equation or by a transpose.  In a table, band -1 (entry
-(n+1, n)) feeds |b_{n+1}> in O|b_n>, band 1 (entry (n, n+1)) feeds |b_n> in
-O|b_{n+1}>; the JSON keys sup, diag and sub of ``matrix --which coeffs:``
-are bands -1, 0 and 1.
+are built by RationalMatrix.banded from their bands, three diagonals read
+off the defining relations; the others are read off them by the [V, Z]
+relation, an eigenvalue equation or a transpose.  In a table, band -1
+(entry (n+1, n)) feeds |b_{n+1}> in O|b_n>, band 1 (entry (n, n+1)) feeds
+|b_n> in O|b_{n+1}>; the JSON keys sup, diag and sub of ``matrix --which
+coeffs:`` are bands -1, 0 and 1.
 """
 
 from __future__ import annotations
@@ -52,18 +52,13 @@ def matrix_on(ctx: Context, label: str, op: str) -> RationalMatrix:
 # -- closed forms --------------------------------------------------------------
 
 
-def coeffs_Z_on_e(p: Params) -> RationalMatrix:
-    """Z is irreducible tridiagonal on the V eigenbasis, with unit lower band."""
+def coeffs_Z_on_e(p: Params, mu: tuple) -> RationalMatrix:
+    """Z is irreducible tridiagonal on the V eigenbasis, with unit lower band.
+    With V = diag(mu), the diagonal of [X, V] = {V, Z} + 2 zeta X + 2 zeta^2 Z
+    + xi I is zero, and X_nn = -(2 zeta Z_nn + mu_n + eta) / 2 by the [V, Z]
+    relation, so Z_nn = (zeta (mu_n + eta) - xi) / (2 mu_n)."""
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
-
-    def diag(n):
-        return (
-            n * (n - 2 * b - 2 * z + N - 1) * (n + 2 * a - b - N - 1)
-            / ((2 * n - 2 * b - 2 * z - 2) * (2 * n - 2 * b - 2 * z - 1))
-            - (n - N) * (n - 2 * b - 2 * z - 1) * (n - 2 * a - b - 2 * z + N)
-            / ((2 * n - 2 * b - 2 * z - 1) * (2 * n - 2 * b - 2 * z))
-            - a
-        )
+    xi, eta = central_params(p)
 
     def upper(n):
         # entry (n - 1, n)
@@ -82,7 +77,7 @@ def coeffs_Z_on_e(p: Params) -> RationalMatrix:
 
     return RationalMatrix.banded(N + 1, {
         -1: [1] * N,
-        0: [diag(n) for n in range(N + 1)],
+        0: [(z * (m + eta) - xi) / (2 * m) for m in mu],
         1: [upper(n + 1) for n in range(N)],
     })
 
@@ -134,28 +129,27 @@ def coeffs_V_on_f(p: Params, rho: Fraction) -> RationalMatrix:
     })
 
 
-def _vz_on_d_diag(p: Params, n: int) -> Fraction:
-    """Entry (n, n) of VZ on d."""
+def coeffs_on_d(p: Params, lam: tuple) -> dict:
+    """Z acts lower-bidiagonally on the pencil family; VZ is tridiagonal.  On
+    Z d_n, Vtilde = diag(lam) and X = diag(lam) Z, so Z [V, Z] = Z (V + 2X +
+    2 zeta Z + eta I) reads T Z - (Z + I) T = 2 Z diag(lam) Z + 2 zeta Z^2 +
+    eta Z for T = VZ on d, whose diagonal is s_n u_n - s_(n-1) u_(n-1) - (2
+    lam_n + 2 zeta) d_n^2 - eta d_n: d, s bands 0, -1 of Z, u band 1 of T,
+    and zero terms off 0..N-1."""
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
-    return (
-        N * (N - b - 2 * a - 2 * z) * (n - a + b + 1)
-        + (b + z) * (b + z + 1) * (n + a)
-        - 2 * n * (n - 2 * a - z) * (n - a - z)
-    )
-
-
-def coeffs_on_d(p: Params) -> dict:
-    """Z acts lower-bidiagonally on the pencil family; VZ is tridiagonal."""
-    N, a, b, z = p.N, p.alpha, p.beta, p.zeta
+    eta = central_params(p)[1]
     Zc = RationalMatrix.banded(N + 1, {
         -1: [(n - 2 * a + b + 1) / (n - a + 1) for n in range(N)],
         0: [n - a for n in range(N + 1)],
     })
+    u = [-(n + 1) * (n - N) * (n + 1 - a) * (n + N - 2 * a - b - 2 * z) for n in range(N)]
+    su = [0, *map(mul, Zc.band(-1), u), 0]
     VZc = RationalMatrix.banded(N + 1, {
         -1: [-((n - 2 * a + b + 1) * (n - a - z) * (n - a - z + 1)) / (n - a + 1)
              for n in range(N)],
-        0: [_vz_on_d_diag(p, n) for n in range(N + 1)],
-        1: [-(n + 1) * (n - N) * (n + 1 - a) * (n + N - 2 * a - b - 2 * z) for n in range(N)],
+        0: [su[n + 1] - su[n] - (2 * lam[n] + 2 * z) * d * d - eta * d
+            for n, d in enumerate(Zc.band(0))],
+        1: u,
     })
     return {"Z": Zc, "VZ": VZc}
 
@@ -166,14 +160,16 @@ def coeffs_on_dstar(z_on_d: RationalMatrix, lam: tuple) -> dict:
     return {"Xt": z_on_d.transpose().scaled(None, lam)}
 
 
-def coeffs_on_z(p: Params) -> dict:
-    """V and X on the Z eigenbasis; X shares its lower band with -V and is bidiagonal."""
+def coeffs_on_z(p: Params, lam: tuple) -> dict:
+    """V and X on the Z eigenbasis; X shares its lower band with -V and is
+    bidiagonal.  With Z = diag(lam), the diagonals of [Z, X] = Z^2 + X and
+    [V, Z] = V + 2X + 2 zeta Z + eta I give X_nn = -lam_n^2 and V_nn."""
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
+    eta = central_params(p)[1]
     v_lower = [-(n - 2 * a + b + 1) for n in range(N)]
     Vc = RationalMatrix.banded(N + 1, {
         -1: v_lower,
-        0: [(n - 2 * a + b + 1) * (n - N) + n * (n + N - 2 * a - b - 2 * z - 1)
-            - (N - b - z) * (N - b - z - 1) for n in range(N + 1)],
+        0: [2 * x * x - 2 * z * x - eta for x in lam],
         1: [-(n + 1) * (n - N) * (n + N - 2 * a - b - 2 * z) for n in range(N)],
     })
     Xc = RationalMatrix.banded(N + 1, {
@@ -198,26 +194,29 @@ def _derived(tables: dict, name: str, source: str, factors: list) -> dict:
 
 
 # coeffs:<basis> -> the builder of the band tables of a Context, which
-# Context.band_tables calls once per Context.  Six are closed forms: Z on e,
-# V on f, Z and VZ on d, V and X on z.  X on e is read off Z on e and the e
-# eigenvalues by the [V, Z] relation; X on d is Z on d diag(lambda), as X d_n
-# = lambda_n Z d_n; Zt and VtZt on d* are the transposes of Z and VZ on d,
-# and coeffs_on_dstar reads Xt off Z on d; Vtilde = X Z^{-1} on z is X on z
-# diag(1/lambda), as Z z_n = lambda_n z_n; each lambda is the eigenvalue row
-# of its family in FAMILIES.  The lambdas look their callees up at call
-# time, so wrappers installed on the module names see every call, and a
-# fault in a closed form reaches every table read off it.
+# Context.band_tables calls once per Context.  The six tables the builders
+# state are ratios of products of linear factors entry by entry, but for three
+# diagonals read off the defining relations and the diagonal of V on f.  Only
+# [[W,V],W] (racah-2) fixes that one, with the Casimir's value, which no table
+# holds: reading ctx.C would add C's 8 products to every matrixreps and racah
+# run, and the rho degree bound of V on f is read off its closed form.  X on d
+# is Z on d diag(lambda), Vtilde = X Z^{-1} on z is X on z diag(1/lambda), and
+# Zt and VtZt on d* are the transposes of Z and VZ on d; each lambda or mu is
+# its family's eigenvalue row in FAMILIES.  The lambdas look their callees up
+# at call time, so wrappers installed on the module names see every call, and
+# a fault in a table reaches every table read off it.
 COEFFS = {
-    "e": lambda ctx: {"Z": (z := coeffs_Z_on_e(ctx.p)),
-                      "X": coeffs_X_on_e(ctx.p, z, ctx.basis("e").eigenvalues)},
+    "e": lambda ctx: {"Z": (z := coeffs_Z_on_e(ctx.p, (mu := ctx.basis("e").eigenvalues))),
+                      "X": coeffs_X_on_e(ctx.p, z, mu)},
     "f": lambda ctx: {"V": coeffs_V_on_f(ctx.p, ctx.rho)},
-    "d": lambda ctx: _derived(coeffs_on_d(ctx.p), "X", "Z", ctx.basis("d").eigenvalues),
+    "d": lambda ctx: _derived(coeffs_on_d(ctx.p, (lam := ctx.basis("d").eigenvalues)),
+                              "X", "Z", lam),
     "dStar": lambda ctx: {**coeffs_on_dstar(ctx.band_tables("d")["Z"],
                                             ctx.basis("dStar").eigenvalues),
                           "Zt": ctx.band_tables("d")["Z"].transpose(),
                           "VtZt": ctx.band_tables("d")["VZ"].transpose()},
-    "z": lambda ctx: _derived(coeffs_on_z(ctx.p), "Vtilde", "X",
-                              [1 / x for x in ctx.basis("z").eigenvalues]),
+    "z": lambda ctx: _derived(coeffs_on_z(ctx.p, (lam := ctx.basis("z").eigenvalues)),
+                              "Vtilde", "X", [1 / x for x in lam]),
 }
 
 # the statement of each coefficient check, keyed by its id

@@ -35,14 +35,14 @@ def test_Z_on_e_matches_conjugation(p3):
     e = build_basis(p3, None, "e")
     estar = build_basis(p3, None, "eStar")
     Z = build_Z(p3)
-    assert coeffs_Z_on_e(p3) == estar.vectors.transpose() * Z * e.vectors
+    assert coeffs_Z_on_e(p3, e.eigenvalues) == estar.vectors.transpose() * Z * e.vectors
 
 
 def test_X_on_e_is_V_conjugation_consistent(p3):
     e = build_basis(p3, None, "e")
     estar = build_basis(p3, None, "eStar")
     X = build_X(p3)
-    x_on_e = coeffs_X_on_e(p3, coeffs_Z_on_e(p3), e.eigenvalues)
+    x_on_e = coeffs_X_on_e(p3, coeffs_Z_on_e(p3, e.eigenvalues), e.eigenvalues)
     assert x_on_e == estar.vectors.transpose() * X * e.vectors
 
 
@@ -58,7 +58,7 @@ def test_VZ_on_d_by_triangular_solve(p3):
     # the linear system, without touching the adjoint pairing
     d = build_basis(p3, None, "d")
     VZ = build_V(p3) * build_Z(p3)
-    got = coeffs_on_d(p3)["VZ"]
+    got = coeffs_on_d(p3, d.eigenvalues)["VZ"]
     d_inv = inverse(d.vectors)
     for n in range(p3.N + 1):
         coeffs = d_inv.apply(VZ.apply(d.column(n)))
@@ -79,7 +79,7 @@ def test_dual_families_share_the_tridiagonal_core(ctx5):
 
 def test_z_family_bidiagonal_split(p3):
     # X and -V share their band -1 on the z family
-    zz = coeffs_on_z(p3)
+    zz = coeffs_on_z(p3, build_basis(p3, None, "z").eigenvalues)
     assert zz["X"].band(-1) == tuple(-s for s in zz["V"].band(-1))
     assert all(s == 0 for s in zz["X"].band(1))
 
@@ -122,8 +122,9 @@ def test_vz_fault_details_name_the_one_bumped_point(ctx3, monkeypatch):
     # one wrong entry of the VZ diagonal, which VZ on d and VtZt on d*
     # share: the two coefficient checks and the trio each fail at that
     # entry alone
-    diag = mr._vz_on_d_diag
-    monkeypatch.setattr(mr, "_vz_on_d_diag", lambda p, n: diag(p, n) + (n == 1))
+    on_d = mr.coeffs_on_d
+    monkeypatch.setattr(mr, "coeffs_on_d",
+                        lambda *a: {**(d := on_d(*a)), "VZ": _plus_1_at(d["VZ"], 1, 1)})
     failed = {c.id: c.detail for rep in (verify_coefficients(ctx3), verify_leonard_trio(ctx3))
               for c in rep.failures}
     assert failed == {
@@ -133,24 +134,30 @@ def test_vz_fault_details_name_the_one_bumped_point(ctx3, monkeypatch):
     }
 
 
-def _plus_1_at_2_1(table):
-    """table with 1 added at entry (2, 1)."""
-    return table + RationalMatrix([[int((i, j) == (2, 1)) for j in range(table.cols)]
+def _plus_1_at(table, m, n):
+    """table with 1 added at entry (m, n)."""
+    return table + RationalMatrix([[int((i, j) == (m, n)) for j in range(table.cols)]
                                    for i in range(table.rows)])
 
 
 def _bumped_at_2_1(builder, name):
     """builder with 1 added at entry (2, 1) of its table name."""
-    def bumped(p):
-        tables = builder(p)
-        return {**tables, name: _plus_1_at_2_1(tables[name])}
+    def bumped(*a):
+        tables = builder(*a)
+        return {**tables, name: _plus_1_at(tables[name], 2, 1)}
     return bumped
 
 
 def _band_table_failures(ctx):
-    return {c.id: c.detail for rep in (verify_coefficients(ctx), verify_leonard_trio(ctx),
-                                       verify_racah(ctx), verify_rational(ctx))
+    # keyed by suite and id: the racah and rational suites both have a
+    # check named difference
+    return {(rep.suite, c.id): c.detail
+            for rep in (verify_coefficients(ctx), verify_leonard_trio(ctx), verify_racah(ctx),
+                        verify_rational(ctx))
             for c in rep.failures}
+
+
+COEFFICIENTS, TRIO = "matrixreps:coefficients", "matrixreps:leonard-trio"
 
 
 def test_a_fault_in_Z_on_d_reaches_every_table_read_off_it(ctx3, monkeypatch):
@@ -159,12 +166,12 @@ def test_a_fault_in_Z_on_d_reaches_every_table_read_off_it(ctx3, monkeypatch):
     # the tables too
     monkeypatch.setattr(mr, "coeffs_on_d", _bumped_at_2_1(mr.coeffs_on_d, "Z"))
     assert _band_table_failures(ctx3) == {
-        "Z-on-d": "failing (m, n): [(2, 1)]",
-        "X-on-d": "failing (m, n): [(2, 1)]",
-        "Zt-on-dstar": "failing (m, n): [(1, 2)]",
-        "Xt-on-dstar": "failing (m, n): [(1, 2)]",
-        "trio-ii-Z-subdiagonal": "",
-        "difference": "failing (m, n): [(0, 2), (1, 2), (2, 2), (3, 2)]",
+        (COEFFICIENTS, "Z-on-d"): "failing (m, n): [(2, 1)]",
+        (COEFFICIENTS, "X-on-d"): "failing (m, n): [(2, 1)]",
+        (COEFFICIENTS, "Zt-on-dstar"): "failing (m, n): [(1, 2)]",
+        (COEFFICIENTS, "Xt-on-dstar"): "failing (m, n): [(1, 2)]",
+        (TRIO, "trio-ii-Z-subdiagonal"): "",
+        ("rational", "difference"): "failing (m, n): [(0, 2), (1, 2), (2, 2), (3, 2)]",
     }
 
 
@@ -173,22 +180,60 @@ def test_a_fault_in_Z_on_e_reaches_X_on_e(ctx3, monkeypatch):
     # the transposes of the e checks, and the racah difference equation
     # and the rational recurrence read both tables on e
     z_on_e = mr.coeffs_Z_on_e
-    monkeypatch.setattr(mr, "coeffs_Z_on_e", lambda p: _plus_1_at_2_1(z_on_e(p)))
+    monkeypatch.setattr(mr, "coeffs_Z_on_e", lambda *a: _plus_1_at(z_on_e(*a), 2, 1))
     assert _band_table_failures(ctx3) == {
-        "Z-on-e": "failing (m, n): [(2, 1)]",
-        "X-on-e": "failing (m, n): [(2, 1)]",
-        "Zt-on-estar": "failing (m, n): [(1, 2)]",
-        "Xt-on-estar": "failing (m, n): [(1, 2)]",
-        "difference": "failing (m, n): [(1, 0), (1, 1), (1, 2), (1, 3)]",
-        "gevp-recurrence": "failing (m, n): [(1, 0), (1, 1), (1, 2), (1, 3)]",
+        (COEFFICIENTS, "Z-on-e"): "failing (m, n): [(2, 1)]",
+        (COEFFICIENTS, "X-on-e"): "failing (m, n): [(2, 1)]",
+        (COEFFICIENTS, "Zt-on-estar"): "failing (m, n): [(1, 2)]",
+        (COEFFICIENTS, "Xt-on-estar"): "failing (m, n): [(1, 2)]",
+        ("racah", "difference"): "failing (m, n): [(1, 0), (1, 1), (1, 2), (1, 3)]",
+        ("rational", "gevp-recurrence"): "failing (m, n): [(1, 0), (1, 1), (1, 2), (1, 3)]",
     }
 
 
 def test_a_fault_in_X_on_z_reaches_Vtilde_on_z(ctx3, monkeypatch):
     monkeypatch.setattr(mr, "coeffs_on_z", _bumped_at_2_1(mr.coeffs_on_z, "X"))
     assert _band_table_failures(ctx3) == {
-        "X-on-z": "failing (m, n): [(2, 1)]",
-        "Vtilde-on-z": "failing (m, n): [(2, 1)]",
+        (COEFFICIENTS, "X-on-z"): "failing (m, n): [(2, 1)]",
+        (COEFFICIENTS, "Vtilde-on-z"): "failing (m, n): [(2, 1)]",
+    }
+
+
+ON_THE_DIAGONAL = "failing (m, n): [(0, 0), (1, 1), (2, 2), (3, 3)]"
+IN_ROW_0 = "failing (m, n): [(0, 0), (0, 1), (0, 2), (0, 3)]"
+# what xi + 1 breaks: the Z-on-e diagonal, read off the [X, V] relation,
+# and all that reads Z on e
+XI_FAILURES = {
+    (COEFFICIENTS, "Z-on-e"): ON_THE_DIAGONAL,
+    (COEFFICIENTS, "X-on-e"): ON_THE_DIAGONAL,
+    (COEFFICIENTS, "Zt-on-estar"): ON_THE_DIAGONAL,
+    (COEFFICIENTS, "Xt-on-estar"): ON_THE_DIAGONAL,
+    ("racah", "difference"): IN_ROW_0,
+    ("rational", "gevp-recurrence"): IN_ROW_0,
+}
+
+
+def _with_central_params(monkeypatch, shift):
+    central = mr.central_params
+    monkeypatch.setattr(mr, "central_params", lambda p: tuple(
+        x + dx for x, dx in zip(central(p), shift)))
+
+
+def test_the_Z_on_e_diagonal_is_read_off_xi(ctx3, monkeypatch):
+    _with_central_params(monkeypatch, (1, 0))
+    assert _band_table_failures(ctx3) == XI_FAILURES
+
+
+def test_the_diagonals_on_e_d_and_z_are_read_off_eta(ctx3, monkeypatch):
+    # eta enters the diagonals of Z and X on e, of VZ on d and of V on z
+    _with_central_params(monkeypatch, (0, 1))
+    assert _band_table_failures(ctx3) == {
+        **XI_FAILURES,
+        (COEFFICIENTS, "VZ-on-d"): ON_THE_DIAGONAL,
+        (COEFFICIENTS, "VtZt-on-dstar"): ON_THE_DIAGONAL,
+        (COEFFICIENTS, "V-on-z"): ON_THE_DIAGONAL,
+        (TRIO, "trio-ii-ZV-coefficients"): ON_THE_DIAGONAL,
+        ("rational", "difference"): IN_ROW_0,
     }
 
 

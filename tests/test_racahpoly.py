@@ -150,8 +150,9 @@ def test_difference_detects_perturbed_band(ctx3, monkeypatch):
 def test_difference_residuals_vanish(p5, rho, ctx5):
     # nu_n S_m(n) = sum_i WE_im S_i(n), WE the band of X + rho Z on e,
     # read down column m of WE: the transposed band
-    S, ze = _s_table(p5, rho), coeffs_Z_on_e(p5)
-    xe = coeffs_X_on_e(p5, ze, ctx5.basis("e").eigenvalues)
+    mu = ctx5.basis("e").eigenvalues
+    S, ze = _s_table(p5, rho), coeffs_Z_on_e(p5, mu)
+    xe = coeffs_X_on_e(p5, ze, mu)
     we_t = RationalMatrix.banded(p5.N + 1, {
         -k: [x + rho * z for x, z in zip(xe.band(k), ze.band(k))] for k in (-1, 0, 1)
     })

@@ -144,8 +144,9 @@ def test_gevp_recurrence_grid(p5, ctx5):
     # sum_j X_jm U_j(n) = lambda_n sum_j Z_jm U_j(n), X and Z the bands on
     # e read down column m, lambda_n = alpha - n the d* eigenvalue, summed
     # one Fraction term at a time
-    Z, rng = mr.coeffs_Z_on_e(p5), range(p5.N + 1)
-    X = mr.coeffs_X_on_e(p5, Z, ctx5.basis("e").eigenvalues)
+    mu, rng = ctx5.basis("e").eigenvalues, range(p5.N + 1)
+    Z = mr.coeffs_Z_on_e(p5, mu)
+    X = mr.coeffs_X_on_e(p5, Z, mu)
     for m in rng:
         for n in rng:
             lam = eigenvalue("dStar", p5, None, n)
@@ -159,7 +160,7 @@ def test_difference_grid(p5, ctx5):
     # sum_j U_m(j) VZ_nj = mu_m sum_j U_m(j) Z_nj, VZ and Z the bands on d
     # read along row n, as Vt Zt and Zt on d* are their transposes, and
     # mu_m the e eigenvalue
-    d, rng = mr.coeffs_on_d(p5), range(p5.N + 1)
+    d, rng = mr.coeffs_on_d(p5, ctx5.basis("d").eigenvalues), range(p5.N + 1)
     for m in rng:
         mu = eigenvalue("e", p5, None, m)
         for n in rng:
@@ -209,7 +210,7 @@ BAND_FAULTS = [
     (mr, "coeffs_X_on_e", lambda X: lambda *a: _with_entry(X(*a), 2, 1, lambda x: x + 1),
      "gevp-recurrence", "failing (m, n): [(1, 0), (1, 1), (1, 2), (1, 3)]"),
     (mr, "coeffs_on_d",
-     lambda d: lambda p: {**d(p), "Z": _with_entry(d(p)["Z"], 2, 2, lambda x: x + 1)},
+     lambda d: lambda *a: {**d(*a), "Z": _with_entry(d(*a)["Z"], 2, 2, lambda x: x + 1)},
      "difference", "failing (m, n): [(0, 2), (1, 2), (2, 2), (3, 2)]"),
     (rf, "shifted_params",
      lambda _: lambda p: Params(N=p.N, alpha=p.alpha - 1, beta=p.beta - 2, zeta=p.zeta + 3),
