@@ -47,7 +47,7 @@ class Params(Frozen):
     __slots__ = _fields = ("N", "alpha", "beta", "zeta")
 
     def __init__(self, N: int, alpha: Fraction, beta: Fraction, zeta: Fraction):
-        if not isinstance(N, int) or N < 1:
+        if not isinstance(N, int) or isinstance(N, bool) or N < 1:
             raise ValueError(f"N must be an integer >= 1, got {N!r}")
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "alpha", Q(alpha))
@@ -198,29 +198,31 @@ def build_casimir(ctx: Context) -> RationalMatrix:
 # -- relation checks ----------------------------------------------------------
 
 
+def _relations(Z, V, X, zeta, xi, eta, ident) -> tuple:
+    """The residuals of [Z,X] = Z^2 + X, [X,V] = {V,Z} + 2 zeta X
+    + 2 zeta^2 Z + xi I and [V,Z] = V + 2 X + 2 zeta Z + eta I, I = ident,
+    in that order, then the [V,Z], {V,Z} and Z^2 they form."""
+    vz_c, vz_a = brackets(V, Z)
+    Z2 = Z * Z
+    return ((commutator(Z, X) - (Z2 + X),
+             commutator(X, V) - (vz_a + 2 * zeta * X + 2 * zeta * zeta * Z + xi * ident),
+             vz_c - (V + 2 * X + 2 * zeta * Z + eta * ident)), vz_c, vz_a, Z2)
+
+
 def check_defining_relations(ctx: Context, Z=None) -> VerificationReport:
     """Verify the three defining relations on the generator matrices.
 
     Z may be overridden (fault injection in tests and the CLI).
     """
-    p, V, X = ctx.p, ctx.V, ctx.X
-    Z = ctx.Z if Z is None else Z
+    p = ctx.p
     xi, eta = central_params(p)
-    z = p.zeta
-    ident = ctx.I
+    residuals = _relations(ctx.Z if Z is None else Z, ctx.V, ctx.X, p.zeta, xi, eta, ctx.I)[0]
     rep = VerificationReport(suite="algebra:relations", params=p.as_dict())
-    vz_c, vz_a = brackets(V, Z)
-    rep.add_grid("relation-ZX", "[Z,X] - (Z^2 + X) = 0", commutator(Z, X) - (Z * Z + X))
-    rep.add_grid(
-        "relation-XV",
-        "[X,V] - ({V,Z} + 2 zeta X + 2 zeta^2 Z + xi I) = 0",
-        commutator(X, V) - (vz_a + 2 * z * X + 2 * z * z * Z + xi * ident),
-    )
-    rep.add_grid(
-        "relation-VZ",
-        "[V,Z] - (V + 2 X + 2 zeta Z + eta I) = 0",
-        vz_c - (V + 2 * X + 2 * z * Z + eta * ident),
-    )
+    for check_id, statement, residual in zip(("relation-ZX", "relation-XV", "relation-VZ"), (
+            "[Z,X] - (Z^2 + X) = 0",
+            "[X,V] - ({V,Z} + 2 zeta X + 2 zeta^2 Z + xi I) = 0",
+            "[V,Z] - (V + 2 X + 2 zeta Z + eta I) = 0"), residuals):
+        rep.add_grid(check_id, statement, residual)
     return rep
 
 
@@ -237,12 +239,12 @@ def check_subalgebras(ctx: Context) -> VerificationReport:
     """Verify the derived presentations living inside the algebra.
 
     (a) the shifted generators Zb = Z - zeta/2, Xb = X + zeta Z - zeta^2/4,
-        Vb = V satisfy the zeta-free relations with
+        Vb = V satisfy the defining relations at zeta = 0 with
         xib = xi - eta zeta and etab = eta + zeta^2/2;
     (b) the Hahn-type pair (Zb, Vb):
             [[Vb,Zb],Vb] = 2{Vb,Zb} + 2 xib I
             [Zb,[Vb,Zb]] = 2 Zb^2 - Vb - etab I;
-    (c) the Racah-type pair (W, V) with W = X + rho Z:
+    (c) the Racah-type pair (W, V) with W = X + rho Z, the Context's W:
             [V,[W,V]] = 2{W,V} + 2V^2 + 2(eta + zeta(zeta - rho))V
                         + 2(rho xi + zeta(zeta eta - xi - eta rho))I
             [[W,V],W] = 2{W,V} + 2W^2 + 2(eta + zeta(zeta - rho))W
@@ -265,19 +267,11 @@ def check_subalgebras(ctx: Context) -> VerificationReport:
     Vb = V
     xib = xi - eta * z
     etab = eta + z * z / 2
-    K, vz_a = brackets(Vb, Zb)
-    Zb2 = Zb * Zb
-    rep.add_grid("shifted-ZX", "[Zb,Xb] = Zb^2 + Xb", commutator(Zb, Xb) - (Zb2 + Xb))
-    rep.add_grid(
-        "shifted-XV",
-        "[Xb,Vb] = {Vb,Zb} + xib I",
-        commutator(Xb, Vb) - (vz_a + xib * ident),
-    )
-    rep.add_grid(
-        "shifted-VZ",
-        "[Vb,Zb] = Vb + 2 Xb + etab I",
-        K - (Vb + 2 * Xb + etab * ident),
-    )
+    residuals, K, vz_a, Zb2 = _relations(Zb, Vb, Xb, 0, xib, etab, ident)
+    for check_id, statement, residual in zip(("shifted-ZX", "shifted-XV", "shifted-VZ"), (
+            "[Zb,Xb] = Zb^2 + Xb", "[Xb,Vb] = {Vb,Zb} + xib I", "[Vb,Zb] = Vb + 2 Xb + etab I"),
+            residuals):
+        rep.add_grid(check_id, statement, residual)
     rep.add_grid(
         "hahn-1",
         "[[Vb,Zb],Vb] = 2{Vb,Zb} + 2 xib I",
@@ -289,7 +283,7 @@ def check_subalgebras(ctx: Context) -> VerificationReport:
         commutator(Zb, K) - (2 * Zb2 - Vb - etab * ident),
     )
 
-    W = X + rho * Z
+    W = ctx.W
     C = ctx.C
     e1 = eta + z * (z - rho)
     wv_c, wv_a = brackets(W, V)

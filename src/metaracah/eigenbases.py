@@ -12,9 +12,9 @@ Every basis vector has an explicit expansion over the standard basis with
 Pochhammer-ratio coefficients; build_basis evaluates those closed forms,
 while oracle_basis recomputes each vector from scratch as a kernel of the
 relevant matrix pencil and only borrows the closed form's normalization.
-Every pencil is bidiagonal (d, e*, f and z lower, the adjoint families
+Every pencil is bidiagonal (d, e*, f and z lower; d*, e, f* and z*
 upper), so each kernel is a two-term recurrence along the band.
-FAMILIES maps each label to its eigenvalue, column, pencil, dual and
+FAMILIES maps each label to its eigenvalue, column, operator, dual and
 weight; every entry point looks its label up there.  GRIDS maps the name
 of each closed-form overlap table to its builder, and each table is one
 immutable RationalMatrix: the R, calU, calU-tilde and dual Hahn tables
@@ -26,7 +26,7 @@ generators, families and overlap grids from it, and it keeps every
 derived table in one store.
 
 Pairings are bilinear (no conjugation).  Each family pairs with its dual
-through the weight B of its pencil, as FAMILIES states once:
+through its weight, the B of its pencil, as FAMILIES states once:
 
     <e*_m|e_n> = <f*_m|f_n> = <z*_m|z_n> = delta_mn,   <d*_m|Z|d_n> = delta_mn
 
@@ -157,31 +157,29 @@ def _col_zstar(p, rho, n):
 class Family(NamedTuple):
     """One row of the family table.
 
-    The family b solves A v = eigenvalue * B v with (A, B) = pencil(ctx),
-    read from the generators Z, V, X, their transposes Zt, Vt, Xt, the
-    identity I and rho of a Context.  Its dual b* = FAMILIES[dual] pairs
-    with it through the weight W = B, the Context matrix named weight
-    (None for the identity): (b*)^T W b = I.
+    The family b solves A v = eigenvalue * B v with A = operator(ctx), read
+    from the operators of a Context, and B its weight, the Context matrix
+    named weight (the identity I where weight is None).  Its dual
+    b* = FAMILIES[dual] pairs with it through the weight: (b*)^T B b = I.
     """
 
     eigenvalue: Callable  # (p, rho, n) -> Fraction
     column: Callable  # (p, rho, n) -> [coefficient of |l> for l = 0..N]
-    pencil: Callable  # (ctx) -> (A, B)
+    operator: Callable  # (ctx) -> A
     dual: str
     weight: str | None = None
     needs_rho: bool = False
 
 
 FAMILIES = {
-    "d": Family(_eig_d, _col_d, lambda c: (c.X, c.Z), "dStar", "Z"),
-    "dStar": Family(_eig_d, _col_dstar, lambda c: (c.Xt, c.Zt), "d", "Zt"),
-    "e": Family(_eig_e, _col_e, lambda c: (c.V, c.I), "eStar"),
-    "eStar": Family(_eig_e, _col_estar, lambda c: (c.Vt, c.I), "e"),
-    "f": Family(_eig_f, _col_f, lambda c: (c.X + c.rho * c.Z, c.I), "fStar", needs_rho=True),
-    "fStar": Family(_eig_f, _col_fstar, lambda c: (c.Xt + c.rho * c.Zt, c.I), "f",
-                    needs_rho=True),
-    "z": Family(_eig_z, _col_z, lambda c: (c.Z, c.I), "zStar"),
-    "zStar": Family(_eig_z, _col_zstar, lambda c: (c.Zt, c.I), "z"),
+    "d": Family(_eig_d, _col_d, lambda c: c.X, "dStar", "Z"),
+    "dStar": Family(_eig_d, _col_dstar, lambda c: c.Xt, "d", "Zt"),
+    "e": Family(_eig_e, _col_e, lambda c: c.V, "eStar"),
+    "eStar": Family(_eig_e, _col_estar, lambda c: c.Vt, "e"),
+    "f": Family(_eig_f, _col_f, lambda c: c.W, "fStar", needs_rho=True),
+    "fStar": Family(_eig_f, _col_fstar, lambda c: c.Xt + c.rho * c.Zt, "f", needs_rho=True),
+    "z": Family(_eig_z, _col_z, lambda c: c.Z, "zStar"),
+    "zStar": Family(_eig_z, _col_zstar, lambda c: c.Zt, "z"),
 }
 LABELS = tuple(FAMILIES)
 
@@ -282,10 +280,11 @@ class Context(Frozen):
     takes a Context checks again.  Everything a suite reads more than once
     is built on first use and kept for the Context's lifetime.  The
     generators Z, V, X, their transposes Zt, Vt, Xt, the identity I,
-    Vtilde = X Z^{-1} and the Casimir C are attributes; every other table
-    goes through ``keep``, one store under keys that name their kind: each
-    closed-form family (``basis``), each overlap grid (``grid``), each
-    dual side (b*)^T W (``dual_side``), which the Gram checks and every
+    Vtilde = X Z^{-1}, the Racah operator W = X + rho Z (given rho) and the
+    Casimir C are attributes; every other table goes through ``keep``, one
+    store under keys that name their kind: each closed-form family
+    (``basis``), each overlap grid (``grid``), each dual side, (b*)^T
+    times the weight (``dual_side``), which the Gram checks and every
     operator matrix in an eigenbasis (``matrixreps.matrix_on``) share, and
     each family's closed-form band tables (``band_tables``).  Each matrix keeps
     its own transpose and integer-scaled forms.  Equality and hashing
@@ -308,6 +307,7 @@ class Context(Frozen):
     Xt = property(lambda self: self._transposes[2])
     I = cached_property(lambda self: RationalMatrix.identity(self.p.N + 1))
     Vtilde = cached_property(lambda self: right_divide_lower_bidiagonal(self.X, self.Z))
+    W = cached_property(lambda self: self.X + self.rho * self.Z)
     C = cached_property(build_casimir)
 
     def keep(self, key, build: Callable, *args):
@@ -323,8 +323,8 @@ class Context(Frozen):
         return self.keep(("basis", label), build_basis, self.p, self.rho, label)
 
     def dual_side(self, label: str) -> RationalMatrix:
-        """(b*)^T W for the family b = label, its dual b* and weight W read
-        from FAMILIES, built on first use."""
+        """(b*)^T times the weight for the family b = label, its dual b* and
+        weight read from FAMILIES, built on first use."""
         def build():
             fam = family(label, self.rho)
             left = self.basis(fam.dual).vectors.transpose()
@@ -352,7 +352,8 @@ class Context(Frozen):
 
 
 def oracle_basis(ctx: Context, label: str) -> BasisFamily:
-    """Recompute each basis vector as the kernel of A - eigenvalue B.
+    """Recompute each basis vector as the kernel of A - eigenvalue B, A the
+    family's operator and B its weight.
 
     Every pencil (A, B) is bidiagonal, lower when A and B both are, else
     upper; its diagonal and off bands are read once, off the integer form
@@ -373,7 +374,8 @@ def oracle_basis(ctx: Context, label: str) -> BasisFamily:
     a Context accepts reaches any of them.
     """
     p, rho = ctx.p, ctx.rho
-    A, B = family(label, rho).pencil(ctx)
+    fam = family(label, rho)
+    A, B = fam.operator(ctx), getattr(ctx, fam.weight or "I")
     lower = A.in_band(1, 0) and B.in_band(1, 0)
     if not (lower or A.in_band(0, 1) and B.in_band(0, 1)):
         raise NondegenerateSpectrumViolated(f"family {label}: pencil is not bidiagonal")
@@ -443,9 +445,9 @@ def z_action_on_d(p: Params, n: int):
 
 def check_orthogonality(ctx: Context) -> VerificationReport:
     """Gram, completeness and distinct-eigenvalue checks for the four basis
-    pairs b, b* of d, e, f and z, each paired through its weight W in
+    pairs b, b* of d, e, f and z, each paired through its weight B in
     FAMILIES (Z for the pencil family d, the identity otherwise): the Gram
-    (b*)^T W b and the resolution of identity W b (b*)^T are both I, and
+    (b*)^T B b and the resolution of identity B b (b*)^T are both I, and
     the family's own eigenvalues are pairwise distinct.
     """
     rep = VerificationReport(

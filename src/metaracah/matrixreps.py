@@ -2,10 +2,11 @@
 
 For a basis family b with dual b*, coefficients of an operator O are defined
 by O|b_n> = sum_m O^(b)_{m,n} |b_m> and are recovered from matrices by the
-conjugation (Bstar)^T W O B, with the dual and the weight W of the pairing
-that ``eigenbases.FAMILIES`` names: Z for the pencil family d, Z^T for its
-adjoint d*, none for the others.  ``matrix_on`` builds each such matrix
-once per Context, on the Context's one dual side (Bstar)^T W.  COEFFS maps
+conjugation (Bstar)^T O B with the weight of the pairing between
+(Bstar)^T and O; ``eigenbases.FAMILIES`` names the dual and the weight: Z
+for the pencil family d, Z^T for its adjoint d*, none for the others.
+``matrix_on`` builds each such matrix once per Context, on the Context's
+one dual side, (Bstar)^T times the weight.  COEFFS maps
 each basis to the builder of its named band tables, which
 ``Context.band_tables`` keeps once per Context for every reader: ``matrix
 --which coeffs:`` emits them, ``verify_coefficients`` checks each against
@@ -39,9 +40,10 @@ Q = Fraction
 
 
 def matrix_on(ctx: Context, label: str, op: str) -> RationalMatrix:
-    """The matrix (b*)^T W op b of op on the family b = label, kept in the
-    Context; op names a product of the Context's operators as the band
-    tables name it, each factor starting at a capital: "VtZt" is Vt Zt."""
+    """The matrix (b*)^T op b, with the weight between (b*)^T and op, of op
+    on the family b = label, kept in the Context; op names a product of the
+    Context's operators as the band tables name it, each factor starting
+    at a capital: "VtZt" is Vt Zt."""
     def build():
         factors = re.findall("[A-Z][a-z]*", op)
         op_matrix = reduce(mul, [getattr(ctx, name) for name in factors])

@@ -54,7 +54,7 @@ class RacahParams(Frozen):
         object.__setattr__(self, "alpha_hat", Q(alpha_hat))
         object.__setattr__(self, "beta_hat", Q(beta_hat))
         object.__setattr__(self, "gamma_hat", Q(gamma_hat))
-        if not (isinstance(N, int) and N >= 1):
+        if not isinstance(N, int) or isinstance(N, bool) or N < 1:
             raise PreconditionViolated("N must be a positive integer")
         object.__setattr__(self, "N", N)
 

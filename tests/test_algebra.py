@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+import metaracah.algebra as algebra
 from metaracah.algebra import (
     Params,
     algebraic_heun,
@@ -71,6 +72,21 @@ def test_a_relation_fault_lists_its_exact_failing_points(ctx3):
         "relation-VZ": ("fail", "failing (m, n): [(0, 0), (0, 1)]"),
     }
 
+
+
+def test_one_relation_builder_states_both_presentations(ctx3, monkeypatch):
+    # the zeta-free presentation is the defining relations at zeta = 0, from
+    # the same builder: a fault in its [V,Z] residual fails relation-VZ and
+    # shifted-VZ together, and nothing else
+    relations = algebra._relations
+
+    def faulty(*args):
+        (zx, xv, vz), *formed = relations(*args)
+        return ((zx, xv, vz + ctx3.I), *formed)
+
+    monkeypatch.setattr(algebra, "_relations", faulty)
+    reports = check_defining_relations(ctx3), check_subalgebras(ctx3)
+    assert {c.id for rep in reports for c in rep.failures} == {"relation-VZ", "shifted-VZ"}
 
 def test_casimir_is_scalar_at_p2():
     C = Context(P2).C

@@ -54,12 +54,10 @@ def test_orthogonality_and_completeness(ctx5):
 
 
 def test_families_name_each_dual_pair(ctx3):
-    # the dual of a dual is the family, the weight is the pencil's B, and the
-    # dual side (b*)^T W is kept in the Context
+    # the dual of a dual is the family, and the dual side, (b*)^T times the
+    # weight, is kept in the Context
     for label, fam in FAMILIES.items():
         assert FAMILIES[fam.dual].dual == label
-        B = fam.pencil(ctx3)[1]
-        assert B is (getattr(ctx3, fam.weight) if fam.weight else ctx3.I)
         assert ctx3.dual_side(label) is ctx3.dual_side(label)
         assert ctx3.dual_side(label) * ctx3.basis(label).vectors == ctx3.I
     assert {label: fam.weight for label, fam in FAMILIES.items() if fam.weight} == {
@@ -87,13 +85,13 @@ def test_z_action_on_d_closed_form(p3):
 
 
 def test_eigenvalues_by_direct_action(ctx3):
-    # B-weighted eigen-equations, family by family
+    # B-weighted eigen-equations, family by family, B the family's weight
     p3, rho = ctx3.p, ctx3.rho
-    for label in LABELS:
-        A, B = FAMILIES[label].pencil(ctx3)
-        fam = build_basis(p3, rho, label)
+    for label, fam in FAMILIES.items():
+        A, B = fam.operator(ctx3), getattr(ctx3, fam.weight or "I")
+        basis = build_basis(p3, rho, label)
         for n in range(p3.N + 1):
-            v = fam.column(n)
+            v = basis.column(n)
             lam = eigenvalue(label, p3, rho, n)
             assert A.apply(v) == tuple(lam * x for x in B.apply(v)), (label, n)
 

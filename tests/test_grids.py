@@ -116,7 +116,8 @@ def test_bidiagonal_kernel_equals_nullspace(request, ctx_name, label):
     # each column of the band recurrence spans the kernel that the dense
     # Bareiss elimination finds
     ctx = request.getfixturevalue(ctx_name)
-    A, B = FAMILIES[label].pencil(ctx)
+    fam = FAMILIES[label]
+    A, B = fam.operator(ctx), getattr(ctx, fam.weight or "I")
     oracle = oracle_basis(ctx, label)
     for n in range(ctx.p.N + 1):
         lam = eigenvalue(label, ctx.p, ctx.rho, n)
@@ -152,8 +153,8 @@ def test_two_vanishing_diagonal_entries_reach_the_elimination(ctx3, monkeypatch)
     # diag(0, 0, 2, 3) at eigenvalue 0 vanishes twice: 0 is a double root of
     # det(A - lam B), so the spectrum is degenerate there
     _refuse_nullspace(monkeypatch)
-    pencil = lambda c: (RationalMatrix.diagonal([0, 0, 2, 3]), c.I)
-    monkeypatch.setitem(FAMILIES, "z", FAMILIES["z"]._replace(pencil=pencil))
+    operator = lambda c: RationalMatrix.diagonal([0, 0, 2, 3])
+    monkeypatch.setitem(FAMILIES, "z", FAMILIES["z"]._replace(operator=operator))
     monkeypatch.setattr(eb, "eigenvalue", lambda *args: Q(0))
     with pytest.raises(NondegenerateSpectrumViolated) as exc:
         oracle_basis(ctx3, "z")
@@ -165,8 +166,8 @@ def test_a_pencil_off_the_band_reaches_the_elimination(ctx3, capsys, monkeypatch
     # Z^2 has a second subdiagonal: the oracle refuses the pencil, the bases
     # suite reports a failing check and the emit exits 1
     _refuse_nullspace(monkeypatch)
-    pencil = lambda c: (c.Z * c.Z, c.Z)
-    monkeypatch.setitem(FAMILIES, "z", FAMILIES["z"]._replace(pencil=pencil))
+    operator = lambda c: c.Z * c.Z
+    monkeypatch.setitem(FAMILIES, "z", FAMILIES["z"]._replace(operator=operator, weight="Z"))
     message = "family z: pencil is not bidiagonal"
     with pytest.raises(NondegenerateSpectrumViolated) as exc:
         oracle_basis(ctx3, "z")

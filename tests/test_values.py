@@ -126,6 +126,12 @@ def test_constructor_errors_keep_type_and_message():
         Params(N=2.0, alpha=0, beta=0, zeta=0)
     with pytest.raises(PreconditionViolated, match=r"^N must be a positive integer$"):
         RacahParams(Q(1, 2), Q(1, 3), Q(1, 5), 0)
+    # True == 1 and hashes like 1, yet a report would print "N": "True", so
+    # two equal sets would serialize differently
+    with pytest.raises(ValueError, match=r"^N must be an integer >= 1, got True$"):
+        Params(N=True, alpha=Q(1, 3), beta=Q(1, 5), zeta=Q(1, 7))
+    with pytest.raises(PreconditionViolated, match=r"^N must be a positive integer$"):
+        RacahParams(Q(1, 2), Q(1, 3), Q(1, 5), True)
     with pytest.raises(PreconditionViolated, match="does not terminate"):
         HypSeries((Q(1, 2),), ())
     with pytest.raises(DegenerateParameters) as exc:
