@@ -73,7 +73,6 @@ def test_a_relation_fault_lists_its_exact_failing_points(ctx3):
     }
 
 
-
 def test_one_relation_builder_states_both_presentations(ctx3, monkeypatch):
     # the zeta-free presentation is the defining relations at zeta = 0, from
     # the same builder: a fault in its [V,Z] residual fails relation-VZ and
@@ -87,6 +86,7 @@ def test_one_relation_builder_states_both_presentations(ctx3, monkeypatch):
     monkeypatch.setattr(algebra, "_relations", faulty)
     reports = check_defining_relations(ctx3), check_subalgebras(ctx3)
     assert {c.id for rep in reports for c in rep.failures} == {"relation-VZ", "shifted-VZ"}
+
 
 def test_casimir_is_scalar_at_p2():
     C = Context(P2).C

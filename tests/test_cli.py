@@ -447,7 +447,6 @@ def test_an_oracle_without_a_kernel_fails_closed_vs_oracle(capsys, monkeypatch):
     assert (code, out) == (1, f"basis d failed revalidation on emit: {message('d')}\n")
 
 
-
 def test_a_planted_racah_operator_reaches_the_f_oracle_and_the_racah_pair():
     # the f pencil and the Racah pair (W, V) read one X + rho Z, the
     # Context's W: bumping its diagonal entry 1 leaves no kernel at index 1
@@ -459,6 +458,7 @@ def test_a_planted_racah_operator_reaches_the_f_oracle_and_the_racah_pair():
     assert (check.status, check.detail) == (
         "fail", "failing families: ['f']; oracle: family f, index 1: kernel dimension 0, expected 1")
     assert [c.id for c in algebra.check_subalgebras(ctx).failures] == ["racah-1", "racah-2"]
+
 
 # sets that validate_params accepted while the registry lacked the Racah-hat
 # (g-a-N)_n = (beta-2alpha+1)_n and (-N-b)_n = (beta-rho+2zeta-N+1)_n, on
