@@ -67,11 +67,6 @@ def central_params(p: Params) -> tuple:
     return xi, eta
 
 
-def _as_int(x: Fraction):
-    """x as an int when it is an integer, else None."""
-    return x.numerator if x.denominator == 1 else None
-
-
 def genericity_registry(p: Params, rho=None):
     """Denominator expressions that must stay nonzero, as (label, vanishes) pairs.
 
@@ -80,61 +75,52 @@ def genericity_registry(p: Params, rho=None):
     coefficients, overlap prefactors, weights and norms used downstream.
     Expressions involving rho are included only when rho is given.
 
-    Every entry is an integer shift s + c or s - c of one of nine
-    combinations c: -alpha, alpha-beta, 2beta+2zeta, 2alpha+beta+2zeta,
-    alpha+beta+2zeta, 2alpha+rho, beta+rho, beta-2alpha and
-    beta-rho+2zeta.  alpha+beta+2zeta enters through the lower parameter
-    n-alpha-beta-2zeta+1 of calU-tilde.  The last two are the Racah-hat
-    g-a-N and -N-b of the Stilde prefactor, weight and norm; like every
-    Racah-hat parameter, they enter only with rho.
-    Each combination is computed once.  When it
-    is not an integer, no entry built on it can vanish; when it is, its
-    entries are tested in int arithmetic.  A linear entry vanishes when
-    its value is 0, and a Pochhammer entry (x)_k when x is an integer in
-    [1-k, 0]; nothing is multiplied out.
+    Each entry is passed the value of the expression its label names: (x)
+    vanishes when x is 0, and (x)_k when x is an integer in [1-k, 0].  The
+    combinations alpha-beta, 2beta+2zeta, 2alpha+beta+2zeta and
+    alpha+beta+2zeta, and given rho 2alpha+rho, beta+rho, beta-2alpha and
+    beta-rho+2zeta, are formed once (with their shift where it does not
+    depend on n), so each value costs at most one addition.
+    alpha+beta+2zeta enters through the lower parameter n-alpha-beta-2zeta+1
+    of calU-tilde, and the last two are the Racah-hat g-a-N and -N-b of the
+    Stilde prefactor, weight and norm.
     """
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
-    neg_a = _as_int(-a)
-    a_b = _as_int(a - b)
-    bz2 = _as_int(2 * b + 2 * z)
-    abz = _as_int(2 * a + b + 2 * z)
-    ab2z = _as_int(a + b + 2 * z)
+    a_b, bz2, ab2z = a - b, 2 * b + 2 * z, a + b + 2 * z
+    neg_a, abz = -a, 2 * a + b + 2 * z - 2 * N + 1
     items = []
 
-    # the entry is s + sign * c, which is never an integer when c is None
-    def poch(label, c, s, k, sign=1):
-        items.append((label, c is not None and 1 - k <= s + sign * c <= 0))
+    def poch(label, x, k):
+        items.append((label, x.denominator == 1 and 1 - k <= x <= 0))
 
-    def linear(label, c, s, sign=1):
-        items.append((label, c is not None and s + sign * c == 0))
+    def linear(label, x):
+        items.append((label, x == 0))
 
     if rho is not None:
         r = Q(rho)
-        ar2 = _as_int(2 * a + r)
-        br = _as_int(b + r)
-        b_a2 = _as_int(b - 2 * a)
-        brz = _as_int(b - r + 2 * z)
+        ar2, neg_br, br = 2 * a + r, -b - r, b + r - N + 1
+        b_a2, brz = b - 2 * a + 1, b - r + 2 * z - N + 1
     for n in range(N + 1):
-        poch(f"(-alpha)_({n}+1)", neg_a, 0, n + 1)
-        poch(f"(alpha-beta-{n})_{n}", a_b, -n, n)
-        poch(f"({n}-N-alpha+beta+1)_(N-{n})", a_b, n - N + 1, N - n, -1)
+        poch(f"(-alpha)_({n}+1)", neg_a, n + 1)
+        poch(f"(alpha-beta-{n})_{n}", a_b - n, n)
+        poch(f"({n}-N-alpha+beta+1)_(N-{n})", n - N + 1 - a_b, N - n)
         for k in range(-3, 4):
-            linear(f"(2*{n}-2beta-2zeta-({k}))", bz2, 2 * n - k, -1)
-        linear(f"({n}-alpha)", neg_a, n)
-        linear(f"({n}-alpha+beta)", a_b, n, -1)
-        poch(f"({n}-2beta-2zeta-1)_{n}", bz2, n - 1, n, -1)
-        poch(f"(2beta+2zeta-N-{n}+1)_(N-{n})", bz2, 1 - N - n, N - n)
-        poch(f"(2alpha+beta+2zeta-2N+1)_(N-{n})", abz, 1 - 2 * N, N - n)
-        poch(f"({n}-alpha-beta-2zeta+1)_(N-{n})", ab2z, n + 1, N - n, -1)
-        poch(f"({n}-1-2beta-2zeta)_(N+1)", bz2, n - 1, N + 1, -1)
+            linear(f"(2*{n}-2beta-2zeta-({k}))", 2 * n - k - bz2)
+        linear(f"({n}-alpha)", n - a)
+        linear(f"({n}-alpha+beta)", n - a_b)
+        poch(f"({n}-2beta-2zeta-1)_{n}", n - 1 - bz2, n)
+        poch(f"(2beta+2zeta-N-{n}+1)_(N-{n})", bz2 + (1 - N - n), N - n)
+        poch(f"(2alpha+beta+2zeta-2N+1)_(N-{n})", abz, N - n)
+        poch(f"({n}-alpha-beta-2zeta+1)_(N-{n})", n + 1 - ab2z, N - n)
+        poch(f"({n}-1-2beta-2zeta)_(N+1)", n - 1 - bz2, N + 1)
         if rho is not None:
             for k in range(-1, 3):
-                linear(f"(2*{n}-2alpha-rho+({k}))", ar2, 2 * n + k, -1)
-            poch(f"({n}-2alpha-rho)_{n}", ar2, n, n, -1)
-            poch(f"(-beta-rho)_{n}", br, 0, n, -1)
-            poch(f"(beta+rho-N+1)_(N-{n})", br, 1 - N, N - n)
-            poch(f"(beta-2alpha+1)_{n}", b_a2, 1, n)
-            poch(f"(beta-rho+2zeta-N+1)_{n}", brz, 1 - N, n)
+                linear(f"(2*{n}-2alpha-rho+({k}))", 2 * n + k - ar2)
+            poch(f"({n}-2alpha-rho)_{n}", n - ar2, n)
+            poch(f"(-beta-rho)_{n}", neg_br, n)
+            poch(f"(beta+rho-N+1)_(N-{n})", br, N - n)
+            poch(f"(beta-2alpha+1)_{n}", b_a2, n)
+            poch(f"(beta-rho+2zeta-N+1)_{n}", brz, n)
     return items
 
 

@@ -285,10 +285,12 @@ class Context(Frozen):
     store under keys that name their kind: each closed-form family
     (``basis``), each overlap grid (``grid``), each dual side, (b*)^T
     times the weight (``dual_side``), which the Gram checks and every
-    operator matrix in an eigenbasis (``matrixreps.matrix_on``) share, and
-    each family's closed-form band tables (``band_tables``).  Each matrix keeps
-    its own transpose and integer-scaled forms.  Equality and hashing
-    follow (p, rho); rho = 0 is given.
+    operator matrix in an eigenbasis (``matrixreps.matrix_on``) share, the
+    weight times a family (``weighted``; completeness-d and identify-Utilde
+    read Z d), and each family's closed-form band tables
+    (``band_tables``).  Each matrix keeps its own transpose and
+    integer-scaled forms.  Equality and hashing follow (p, rho); rho = 0 is
+    given.
     """
 
     _fields = ("p", "rho")
@@ -307,8 +309,13 @@ class Context(Frozen):
     Xt = property(lambda self: self._transposes[2])
     I = cached_property(lambda self: RationalMatrix.identity(self.p.N + 1))
     Vtilde = cached_property(lambda self: right_divide_lower_bidiagonal(self.X, self.Z))
-    W = cached_property(lambda self: self.X + self.rho * self.Z)
     C = cached_property(build_casimir)
+
+    @cached_property
+    def W(self) -> RationalMatrix:
+        if self.rho is None:
+            raise PreconditionViolated("the Racah operator X + rho Z needs rho")
+        return self.X + self.rho * self.Z
 
     def keep(self, key, build: Callable, *args):
         """The table kept under key, a tuple that names its kind first:
@@ -330,6 +337,11 @@ class Context(Frozen):
             left = self.basis(fam.dual).vectors.transpose()
             return left * getattr(self, fam.weight) if fam.weight else left
         return self.keep(("dual side", label), build)
+
+    def weighted(self, label: str) -> RationalMatrix:
+        """The weight times the family b = label, kept (b itself without a weight)."""
+        w, b = family(label, self.rho).weight, self.basis(label).vectors
+        return self.keep(("weighted", label), lambda: getattr(self, w) * b) if w else b
 
     def band_tables(self, basis: str) -> dict:
         """The closed-form band tables matrixreps.COEFFS[basis] builds, each
@@ -456,12 +468,11 @@ def check_orthogonality(ctx: Context) -> VerificationReport:
     for label in ("d", "e", "f", "z"):
         fam, b = FAMILIES[label], ctx.basis(label)
         w = fam.weight or ""
-        weighted = getattr(ctx, w) * b.vectors if w else b.vectors
         bar = f"|{w}|" if w else "|"
         rep.add_grid(f"gram-{label}", f"<{label}*_m{bar}{label}_n> = delta_mn",
                      ctx.dual_side(label) * b.vectors - ctx.I)
         rep.add_grid(f"completeness-{label}", f"sum_n {w}|{label}_n><{label}*_n| = I",
-                     weighted * ctx.basis(fam.dual).vectors.transpose() - ctx.I)
+                     ctx.weighted(label) * ctx.basis(fam.dual).vectors.transpose() - ctx.I)
         distinct = len(set(b.eigenvalues)) == len(b.eigenvalues)
         rep.add(f"distinct-eigenvalues-{label}", f"family {label}: eigenvalues pairwise distinct",
                 distinct, "" if distinct else "repeated eigenvalue")

@@ -344,14 +344,14 @@ def verify_rational(ctx: Context) -> VerificationReport:
     N = p.N
     rep = VerificationReport(suite="rational", params=p.as_dict())
 
-    e, estar, d, dstar = (ctx.basis(label) for label in ("e", "eStar", "d", "dStar"))
+    e, estar, dstar = (ctx.basis(label) for label in ("e", "eStar", "dStar"))
 
     cU, cUt = ctx.grid("calU"), ctx.grid("calUtilde")
     U, Ut = ctx.grid("U"), ctx.grid("Utilde")
     rep.add_grid("identify-U", "<e_m|d*_n> = prefactor * calU_m(n) on the full grid",
                  e.vectors.transpose() * dstar.vectors - U)
     rep.add_grid("identify-Utilde", "<e*_m|Z|d_n> = prefactor * calU_tilde_m(n) on the full grid",
-                 estar.vectors.transpose() * (ctx.Z * d.vectors) - Ut)
+                 estar.vectors.transpose() * ctx.weighted("d") - Ut)
 
     W = [weight_W(j, p) for j in range(N + 1)]
     Ws = [weight_Wstar(j, p) for j in range(N + 1)]

@@ -1,4 +1,6 @@
+import math
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -251,3 +253,44 @@ def test_registry_labels_match_multiplied_out_reference():
             assert validate_params(p, r) == expected, (p, r)
             degenerate += bool(expected)
     assert degenerate > 300
+
+
+def _label_verdict(label, p, rho):
+    """Whether the expression a registry label names vanishes at (p, rho).
+
+    A label is (x)_k, the Pochhammer product x (x+1) ... (x+k-1), or (x);
+    x and k are read as exact expressions in N, alpha, beta, zeta and rho,
+    2beta as 2*beta, and the product is multiplied out."""
+    depth = 0
+    for end, char in enumerate(label):
+        depth += {"(": 1, ")": -1}.get(char, 0)
+        if depth == 0:
+            break
+    names = {"N": p.N, "alpha": p.alpha, "beta": p.beta, "zeta": p.zeta, "rho": rho}
+
+    def read(text):
+        assert re.fullmatch(r"[-+*()0-9a-zN]+", text), text
+        return eval(re.sub(r"(\d)([a-zN])", r"\1*\2", text), {"__builtins__": {}}, names)
+
+    x, rest = read(label[1:end]), label[end + 1:]
+    if not rest:
+        return x == 0
+    assert rest.startswith("_"), label
+    return math.prod(x + i for i in range(read(rest[1:]))) == 0
+
+
+def test_registry_entries_are_the_values_their_labels_name():
+    # each entry's verdict is read off its own label, not off a second
+    # hand-written list of values
+    rng = random.Random(31)
+    values = sorted({Q(k, d) for k in range(-12, 13) for d in (1, 2, 3)})
+    draws = [(Params(N=rng.randint(1, 8), alpha=rng.choice(values), beta=rng.choice(values),
+                     zeta=rng.choice(values)), rng.choice(values)) for _ in range(120)]
+    draws += [_integer_combination_draw(rng, rng.randint(1, 12)) for _ in range(120)]
+    vanishing = 0
+    for p, rho in draws:
+        for r in (None, rho):
+            for label, vanishes in genericity_registry(p, r):
+                assert vanishes == _label_verdict(label, p, r), (label, p, r)
+                vanishing += vanishes
+    assert vanishing > 500

@@ -561,7 +561,8 @@ def test_one_validation_and_one_build_per_set(capsys, monkeypatch, argv):
 def test_verify_all_product_count(capsys, monkeypatch):
     # the algebra checks share the Context's one Casimir (8 products), and the
     # Gram check of d and the conjugations on d and d* share the Context's
-    # dual sides (b*)^T W (one product each for d and d*); each
+    # dual sides (b*)^T W (one product each for d and d*), completeness-d and
+    # identify-Utilde share the Context's one Z d; each
     # commutator/anticommutator pair of the relations reads one a*b and one
     # b*a, a diagonal factor is a scaling, never a product, and the trio
     # reads X where it would form Vtilde Z
@@ -576,7 +577,7 @@ def test_verify_all_product_count(capsys, monkeypatch):
     monkeypatch.setattr(matrices.RationalMatrix, "__mul__", counted)
     code, _ = run(capsys, "verify", "--suite", "all", "--N", "8")
     assert code == 0
-    assert len(products) == 126
+    assert len(products) == 125
 
 
 def test_verify_all_writes_out_few_results(capsys, monkeypatch):

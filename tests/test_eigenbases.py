@@ -55,11 +55,13 @@ def test_orthogonality_and_completeness(ctx5):
 
 def test_families_name_each_dual_pair(ctx3):
     # the dual of a dual is the family, and the dual side, (b*)^T times the
-    # weight, is kept in the Context
+    # weight, and the weight times the family are kept in the Context
     for label, fam in FAMILIES.items():
         assert FAMILIES[fam.dual].dual == label
         assert ctx3.dual_side(label) is ctx3.dual_side(label)
         assert ctx3.dual_side(label) * ctx3.basis(label).vectors == ctx3.I
+        assert ctx3.weighted(label) is ctx3.weighted(label)
+        assert ctx3.weighted(label) * ctx3.basis(fam.dual).vectors.transpose() == ctx3.I
     assert {label: fam.weight for label, fam in FAMILIES.items() if fam.weight} == {
         "d": "Z", "dStar": "Zt"}
 
@@ -130,6 +132,14 @@ def test_rho_families_need_fparams(p3):
             ctx.basis(label)
         with pytest.raises(PreconditionViolated, match=f"label '{label}' needs rho"):
             model_basis(ctx, label)
+
+
+def test_racah_operator_needs_rho(p3, rho):
+    # W = X + rho Z refuses a Context without rho, as the f family does
+    with pytest.raises(PreconditionViolated, match="^the Racah operator X \\+ rho Z needs rho$"):
+        Context(p3).W
+    ctx = Context(p3, rho)
+    assert ctx.W is ctx.W and ctx.W == ctx.X + rho * ctx.Z
 
 
 # each suite entry point and the message it refuses a Context without rho
