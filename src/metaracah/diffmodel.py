@@ -34,6 +34,7 @@ from .eigenbases import FAMILIES, LABELS, Context, family
 from .errors import Frozen
 from .hyper import multi_pochhammer, pochhammer, series_terms
 from .matrices import RationalMatrix
+from .rationalfns import em_zstar_table
 from .report import VerificationReport
 
 Q = Fraction
@@ -271,18 +272,12 @@ def _e_as_jacobi(p: Params) -> tuple:
 # One function per family: the n-th model polynomial at (p, rho).
 
 
-def _e_head(p, n):
-    """(-N)_n (N-2alpha-beta-2zeta)_n / (n-2beta-2zeta-1)_n, the head of e_n."""
-    a, b, z, N = p.alpha, p.beta, p.zeta, p.N
-    return multi_pochhammer((Q(-N), N - 2 * a - b - 2 * z), n) / pochhammer(
-        n - 2 * b - 2 * z - 1, n
-    )
-
-
 def _model_e(p, rho, n):
     a, b, z, N = p.alpha, p.beta, p.zeta, p.N
+    head = multi_pochhammer((Q(-N), N - 2 * a - b - 2 * z), n) / pochhammer(
+        n - 2 * b - 2 * z - 1, n)
     return LaurentPoly(0, series_terms((-n, n - 2 * b - 2 * z - 1), (N - 2 * a - b - 2 * z,),
-                                       n + 1, head=_e_head(p, n)))
+                                       n + 1, head=head))
 
 
 def _model_d(p, rho, n):
@@ -421,13 +416,12 @@ def model_orthogonality(rep: VerificationReport, ctx: Context, families: dict) -
 def integral_representations(rep: VerificationReport, ctx: Context, families: dict) -> None:
     """Add to rep the residue formulas for S, U and the dual Hahn values on
     the full grid, each the pairing of model e with a dual model family and
-    compared with the closed-form grid of the Context: <e_m, f*_n> = S_m(n),
-    <e_m, d*_n> = U_m(n), and <e_m, z*_k> k! / head(e_m) = R^(dH)_k(m), with
-    head(e_m) = (-N)_m (N-2alpha-beta-2zeta)_m / (m-2beta-2zeta-1)_m.
+    compared with a closed-form table of the Context: <e_m, f*_n> = S_m(n),
+    <e_m, d*_n> = U_m(n), and <e_m, z*_k> = g_m R^(dH)_k(m) / k!, g the U
+    prefactor's factor in m, the table rationalfns.em_zstar_table keeps.
 
     families maps each label to its model family.
     """
-    N = ctx.p.N
     e = families["e"]
     rep.add_grid("integral-S", "residue formula reproduces S_m(n) on the full grid",
                  residue_grid(e, families["fStar"]) - ctx.grid("S"))
@@ -435,10 +429,7 @@ def integral_representations(rep: VerificationReport, ctx: Context, families: di
                  residue_grid(e, families["dStar"]) - ctx.grid("U"))
     rep.add_grid("integral-dual-hahn",
                  "residue formula reproduces R^(dH)_k(m) on the full grid",
-                 residue_grid(e, families["zStar"]).scaled(
-                     [1 / _e_head(ctx.p, m) for m in range(N + 1)],
-                     [pochhammer(Q(1), k) for k in range(N + 1)])
-                 - ctx.grid("dualHahn").transpose(), axes="(m, k)")
+                 residue_grid(e, families["zStar"]) - em_zstar_table(ctx), axes="(m, k)")
 
 
 def model_transposes(rep: VerificationReport, ctx: Context, g: list, g_dual: list) -> None:

@@ -287,10 +287,10 @@ class Context(Frozen):
     times the weight (``dual_side``), which the Gram checks and every
     operator matrix in an eigenbasis (``matrixreps.matrix_on``) share, the
     weight times a family (``weighted``; completeness-d and identify-Utilde
-    read Z d), and each family's closed-form band tables
-    (``band_tables``).  Each matrix keeps its own transpose and
-    integer-scaled forms.  Equality and hashing follow (p, rho); rho = 0 is
-    given.
+    read Z d), each family's closed-form band tables (``band_tables``) and
+    the closed e^T z* table (``rationalfns.em_zstar_table``).  Each matrix
+    keeps its own transpose and integer-scaled forms.  Equality and hashing
+    follow (p, rho); rho = 0 is given.
     """
 
     _fields = ("p", "rho")

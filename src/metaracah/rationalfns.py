@@ -21,7 +21,8 @@ in m and one in n (``hyper.series_table``), and serves the calU grid, the
 calU-tilde grid (its columns reversed) and the contiguity-shifted table
 alike; ``dual_hahn_table`` does the same for the dual Hahn grid.  The
 per-point ``calU_general``, ``calU``, ``calU_tilde``, ``dual_hahn`` and
-``closed_form_*`` stay as independent single-value references.
+``closed_form_*`` stay as independent single-value references, and refuse
+indices outside 0..N.
 
 Verified here, all in exact arithmetic: the dot-product/closed-form
 identification, two biorthogonality relations with explicit weights
@@ -41,6 +42,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .algebra import Params, build_X, build_Z
+from .errors import PreconditionViolated
 from .hyper import multi_pochhammer, pochhammer, series_table, terminating_hyp
 from .matrices import RationalMatrix, dot
 from .report import VerificationReport
@@ -51,8 +53,15 @@ if TYPE_CHECKING:
 Q = Fraction
 
 
+def _require_indices(what: str, N: int, *indices) -> None:
+    """Refuse indices outside 0..N, as racahpoly.racah does."""
+    if not all(0 <= i <= N for i in indices):
+        raise PreconditionViolated(f"{what} indices {indices} must lie in 0..{N}")
+
+
 def calU_general(m: int, n: int, a, b, c, N: int) -> Fraction:
     """The bare 4F3 at argument 1 for arbitrary rational (a, b, c)."""
+    _require_indices("calU", N, m, n)
     a, b, c = Q(a), Q(b), Q(c)
     return terminating_hyp(
         upper=(Q(-m), Q(-n), -a, m - 2 * b - 2 * c - 1),
@@ -70,6 +79,7 @@ def tilde_params(p: Params) -> tuple:
 
 
 def calU_tilde(m: int, n: int, p: Params) -> Fraction:
+    _require_indices("calU-tilde", p.N, m, n)
     return calU_general(m, p.N - n, *tilde_params(p), p.N)
 
 
@@ -112,13 +122,13 @@ def _prefactor_Utilde_n(n: int, p: Params) -> Fraction:
 
 
 def closed_form_U(m: int, n: int, p: Params) -> Fraction:
-    """Prefactor times calU_m(n) for U_m(n) = <e_m|d*_n>."""
-    return _prefactor_U_m(m, p) * _prefactor_U_n(n, p) * calU(m, n, p)
+    """Prefactor times calU_m(n) for U_m(n) = <e_m|d*_n>; calU first, as it checks m, n."""
+    return calU(m, n, p) * _prefactor_U_m(m, p) * _prefactor_U_n(n, p)
 
 
 def closed_form_Utilde(m: int, n: int, p: Params) -> Fraction:
-    """Prefactor times calU_tilde_m(n) for Utilde_m(n) = <e*_m|Z|d_n>."""
-    return _prefactor_Utilde_m(m, p) * _prefactor_Utilde_n(n, p) * calU_tilde(m, n, p)
+    """Prefactor times calU_tilde_m(n) for Utilde_m(n) = <e*_m|Z|d_n>; the series first."""
+    return calU_tilde(m, n, p) * _prefactor_Utilde_m(m, p) * _prefactor_Utilde_n(n, p)
 
 
 # -- biorthogonality ---------------------------------------------------------
@@ -208,6 +218,7 @@ def contiguity_operator_check(rep: VerificationReport, ctx: Context) -> None:
 def dual_hahn(i: int, x: int, rho) -> Fraction:
     """R^(dH)_i(x; rho) = 3F2(-i, -x, x+r1+r2+1; r1+1, -N; 1)."""
     r1, r2, N = Q(rho[0]), Q(rho[1]), rho[2]
+    _require_indices("dual Hahn", N, i, x)
     return terminating_hyp(upper=(Q(-i), Q(-x), x + r1 + r2 + 1), lower=(r1 + 1, Q(-N)))
 
 
@@ -227,12 +238,14 @@ def dual_hahn_table(rho) -> RationalMatrix:
 def em_zstar_closed(m: int, k: int, p: Params) -> Fraction:
     """Closed form for <e_m|z*_k>: the factor in m of the U prefactor over k!,
     times the dual Hahn value R^(dH)_k(m)."""
+    _require_indices("<e_m|z*_k>", p.N, m, k)
     return _prefactor_U_m(m, p) / pochhammer(Q(1), k) * dual_hahn(k, m, dual_hahn_params(p))
 
 
 def zk_dstar_closed(k: int, n: int, p: Params) -> Fraction:
     """Closed form for <z_k|d*_n>; vanishes for k > n."""
     a, b, z, N = p.alpha, p.beta, p.zeta, p.N
+    _require_indices("<z_k|d*_n>", N, k, n)
     if k > n:
         return Q(0)
     return (
@@ -242,24 +255,30 @@ def zk_dstar_closed(k: int, n: int, p: Params) -> Fraction:
     )
 
 
-def _dual_hahn_row(n: int, p: Params) -> list:
-    """Row n of the expansion table, calU_m(n) = sum_k C_nk R^(dH)_k(m):
-    C_nk = n!/(alpha-beta-n)_n (-alpha)_k (2alpha-beta-n)_{n-k} / ((n-k)! k!)
-    for k = 0..n; the table is lower triangular."""
-    a, b = p.alpha, p.beta
-    head = pochhammer(Q(1), n) / pochhammer(a - b - n, n)
-    return [head * pochhammer(-a, k) * pochhammer(2 * a - b - n, n - k)
-            / (pochhammer(Q(1), n - k) * pochhammer(Q(1), k)) for k in range(n + 1)]
+def em_zstar_table(ctx: Context) -> RationalMatrix:
+    """em_zstar_closed at every (m, k), kept once per Context: the dual Hahn
+    grid transposed, scaled by _prefactor_U_m, looked up at build, in m and
+    by 1/k! in k."""
+    def build():
+        p, indices = ctx.p, range(ctx.p.N + 1)
+        return ctx.grid("dualHahn").transpose().scaled(
+            [_prefactor_U_m(m, p) for m in indices], [1 / pochhammer(Q(1), k) for k in indices])
+    return ctx.keep(("closed overlap", "e", "zStar"), build)
 
 
 def dual_hahn_expansion(ctx: Context, m: int, n: int) -> VerificationReport:
-    """Expansion of calU_m(n) over dual Hahn values, verified exactly."""
+    """Expansion of calU_m(n) over dual Hahn values, verified exactly: the
+    coefficients C_nk = <z_k|d*_n> / (k! g_n), g the U prefactor's factor
+    in n, are read off the closed <z_k|d*_n>, as U = (e^T z*)(z^T d*)."""
     p = ctx.p
+    _require_indices("dual Hahn expansion", p.N, m, n)
     rho = dual_hahn_params(p)
     rep = VerificationReport(suite="dual-hahn-expansion",
                              params={**p.as_dict(), "m": str(m), "n": str(n)})
 
-    expansion = dot(_dual_hahn_row(n, p), [dual_hahn(k, m, rho) for k in range(n + 1)])
+    g = _prefactor_U_n(n, p)
+    expansion = dot([zk_dstar_closed(k, n, p) / (pochhammer(Q(1), k) * g) for k in range(n + 1)],
+                    [dual_hahn(k, m, rho) for k in range(n + 1)])
     value = calU(m, n, p)
     rep.add(
         "expansion",
@@ -386,16 +405,16 @@ def verify_rational(ctx: Context) -> VerificationReport:
     # the dual Hahn check fails at (m, n) where row m of em-zstar, column n
     # of zk-dstar or entry (m, n) of the expansion residual is nonzero: its
     # residual is the expansion residual on the rows and columns whose
-    # overlaps hold, and 1 elsewhere
-    R = ctx.grid("dualHahn")
+    # overlaps hold, and 1 elsewhere; C = diag(1/g) (z^T d*)^T diag(1/k!)
+    # is read off the closed z^T d* table
     zstar, zfam = ctx.basis("zStar"), ctx.basis("z")
-    em = e.vectors.transpose() * zstar.vectors - R.transpose().scaled(
-        [_prefactor_U_m(m, p) for m in range(N + 1)],
-        [1 / pochhammer(Q(1), k) for k in range(N + 1)])
-    zk = zfam.vectors.transpose() * dstar.vectors - RationalMatrix(
+    em = e.vectors.transpose() * zstar.vectors - em_zstar_table(ctx)
+    zk_closed = RationalMatrix(
         [[zk_dstar_closed(k, n, p) for n in range(N + 1)] for k in range(N + 1)])
-    expansion = RationalMatrix(
-        [_dual_hahn_row(n, p) + [0] * (N - n) for n in range(N + 1)]) * R
+    zk = zfam.vectors.transpose() * dstar.vectors - zk_closed
+    expansion = zk_closed.transpose().scaled(
+        [1 / _prefactor_U_n(n, p) for n in range(N + 1)],
+        [1 / pochhammer(Q(1), k) for k in range(N + 1)]) * ctx.grid("dualHahn")
     row_ok, col_ok = [1] * (N + 1), [1] * (N + 1)
     for m, _ in em.nonzeros():
         row_ok[m] = 0

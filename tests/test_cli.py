@@ -65,6 +65,25 @@ def test_verify_exit_codes(capsys):
     assert failing and all("(" in c["detail"] for c in failing)
 
 
+def test_a_sweep_without_a_generic_draw_is_reported_as_skipped(capsys, monkeypatch):
+    # with no resample allowed every sweep runs out of budget: the run still
+    # passes, and each sweep is one skipped-degenerate report of its own
+    monkeypatch.setattr(cli, "MAX_RESAMPLES", 0)
+    argv = ("verify", "--suite", "algebra", "--N", "2", "--sweeps", "2")
+    code, out = run(capsys, *argv)
+    payload = json.loads(out)
+    assert (code, payload["status"], payload["skipped_sweeps"]) == (0, "pass", 2)
+    skipped = [r for r in payload["reports"] if r["suite"].startswith("sweep")]
+    assert skipped == [{"suite": f"sweep-{i}", "params": {"N": "2"}, "checks": [{
+        "id": "sweep", "status": "skipped-degenerate",
+        "statement": "no nondegenerate parameters found within budget", "detail": ""}]}
+        for i in range(2)]
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("sweep")] == [
+        "sweep-0,sweep,skipped-degenerate,", "sweep-1,sweep,skipped-degenerate,"]
+
+
 @pytest.mark.parametrize("suite", ["", "algebra,"])
 def test_an_empty_suite_name_is_a_usage_error(capsys, suite):
     # an empty entry names no suite, so it is unknown

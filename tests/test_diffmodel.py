@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import metaracah.diffmodel as diffmodel
+import metaracah.rationalfns as rf
 from metaracah import LABELS, Context, Params, build_basis
 from metaracah.cli import main
 from metaracah.diffmodel import (
@@ -290,7 +291,9 @@ def _jacobi_2_plus_x2(e_as_jacobi):
 # that reads it, row by row: f_2 + 1 adds the x^(-1) term of every f*_m to
 # column n = 2; Xt + x pairs x g*_m ~ x^(-m) with g_(m-1); jac_2 + x^2 is
 # read by model-e-jacobi alone, at its exponent l = 2; e_2 + x^2 meets only
-# the duals f*_n, d*_n and z*_n with n >= 2, which reach down to x^(-3)
+# the duals f*_n, d*_n and z*_n with n >= 2, which reach down to x^(-3);
+# z*_2 + x^(-2) is read at basis vector l = 1 and meets the x^1 term of
+# every e_m with m >= 1 and of z_0 and z_1
 MODEL_FAULTS = [
     (diffmodel._MODELS, "f", _n2_plus(0),
      {"gram-f": "failing (m, n): [(0, 2), (1, 2), (2, 2), (3, 2)]"}),
@@ -303,6 +306,11 @@ MODEL_FAULTS = [
         "integral-U": "failing (m, n): [(2, 2), (2, 3)]",
         "integral-dual-hahn": "failing (m, k): [(2, 2), (2, 3)]",
     }),
+    (diffmodel._MODELS, "zStar", _n2_plus(-2), {
+        "model-zStar": "failing (l, n): [(1, 2)]",
+        "gram-z": "failing (m, n): [(2, 0), (2, 1)]",
+        "integral-dual-hahn": "failing (m, k): [(1, 2), (2, 2), (3, 2)]",
+    }),
 ]
 
 
@@ -314,6 +322,17 @@ def test_residue_checks_name_the_points_a_fault_breaks(ctx3, monkeypatch, table,
     checks = {c.id: c for c in verify_model(ctx3).checks}
     assert {i: (checks[i].status, checks[i].detail) for i in details} == {
         i: ("fail", detail) for i, detail in details.items()}
+
+
+def test_a_fault_in_the_closed_e_zstar_table_fails_the_dual_hahn_residue_check(ctx3,
+                                                                               monkeypatch):
+    # the residue grid of model e against model z* is compared with the kept
+    # closed e^T z* table, whose factor in m no model polynomial reads: that
+    # factor off at m = 1 fails row 1 of integral-dual-hahn and nothing else
+    pre = rf._prefactor_U_m
+    monkeypatch.setattr(rf, "_prefactor_U_m", lambda m, p: pre(m, p) + (m == 1))
+    failed = {c.id: c.detail for c in verify_model(ctx3).failures}
+    assert failed == {"integral-dual-hahn": "failing (m, k): [(1, 0), (1, 1), (1, 2), (1, 3)]"}
 
 
 def test_the_jacobi_family_is_built_once_and_read_by_its_check_alone(ctx3, monkeypatch):

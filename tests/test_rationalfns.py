@@ -6,7 +6,7 @@ import pytest
 import metaracah.matrixreps as mr
 import metaracah.rationalfns as rf
 from metaracah.eigenbases import GRIDS, Context, eigenvalue
-from metaracah.errors import DegenerateParameters
+from metaracah.errors import DegenerateParameters, PreconditionViolated
 from metaracah.hyper import pochhammer
 from metaracah.matrices import RationalMatrix, dot
 from metaracah.racahpoly import RacahParams, norm, verify_racah, weight
@@ -280,6 +280,41 @@ def test_em_zstar_head(p5):
             / pochhammer(m - 2 * b - 2 * z - 1, m)
         )
         assert em_zstar_closed(m, 0, p5) == expected
+
+
+@pytest.mark.parametrize("ctx_name", ["ctx3", "ctx_other"])
+def test_the_kept_em_zstar_table_is_the_closed_form_at_every_point(request, ctx_name):
+    ctx = request.getfixturevalue(ctx_name)
+    rng = range(ctx.p.N + 1)
+    table = rf.em_zstar_table(ctx)
+    assert table == RationalMatrix([[em_zstar_closed(m, k, ctx.p) for k in rng] for m in rng])
+    assert rf.em_zstar_table(ctx) is table
+
+
+# each per-point reference at an index pair (i, j) in its own argument order
+INDEXED_REFERENCES = {
+    "calU_general": lambda ctx, i, j: calU_general(i, j, Q(1, 3), Q(1, 5), Q(1, 7), ctx.p.N),
+    "calU": lambda ctx, i, j: calU(i, j, ctx.p),
+    "calU_tilde": lambda ctx, i, j: calU_tilde(i, j, ctx.p),
+    "closed_form_U": lambda ctx, i, j: closed_form_U(i, j, ctx.p),
+    "closed_form_Utilde": lambda ctx, i, j: closed_form_Utilde(i, j, ctx.p),
+    "dual_hahn": lambda ctx, i, j: dual_hahn(i, j, dual_hahn_params(ctx.p)),
+    "em_zstar_closed": lambda ctx, i, j: em_zstar_closed(i, j, ctx.p),
+    "zk_dstar_closed": lambda ctx, i, j: zk_dstar_closed(i, j, ctx.p),
+    "dual_hahn_expansion": lambda ctx, i, j: dual_hahn_expansion(ctx, i, j),
+}
+
+
+@pytest.mark.parametrize("outside", ["-1", "N+1"])
+@pytest.mark.parametrize("position", [0, 1])
+@pytest.mark.parametrize("name", INDEXED_REFERENCES)
+def test_rational_references_refuse_indices_outside_0_to_N(ctx3, name, position, outside):
+    # as racahpoly.racah does; an index past N would read a series past its
+    # termination, and a negative one an empty or reversed Pochhammer
+    indices = [1, 1]
+    indices[position] = -1 if outside == "-1" else ctx3.p.N + 1
+    with pytest.raises(PreconditionViolated, match=re.escape(f"indices {tuple(indices)}")):
+        INDEXED_REFERENCES[name](ctx3, *indices)
 
 
 def test_hahn_limit_exact_head(p5):
