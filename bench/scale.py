@@ -39,13 +39,16 @@ passes over the sixteen; the record keeps, per command, the minimum time,
 exit code and stdout sha256, and the minimum pass total.
 
 Start-up is measured in fresh interpreters, because every CLI run pays
-it: ``python -c pass``, ``python -c "import metaracah.cli"`` and ``python
--m metaracah.cli table --which racah --N 24``, each run with PYTHONPATH
-set to the tree's ``src`` only, five times per tree with the trees taking
-turns; the record keeps, per command, the minimum wall time, exit code and
+it: ``python -S -c pass``, ``python -c pass``, ``python -c "import
+metaracah.cli"`` and ``python -m metaracah.cli table --which racah --N
+24``, each run with PYTHONPATH set to the tree's ``src`` only, five times
+per tree with the trees taking turns; the record keeps, per command, the minimum wall time, exit code and
 stdout sha256.  ``-c pass`` is the interpreter and ``site`` start-up
 alone, so the import line minus it is the cost of loading (and, without
-cached bytecode, compiling) ``src/``.
+cached bytecode, compiling) ``src/``.  ``-S -c pass`` skips ``site``, so
+``-c pass`` minus it is the ``site`` share of every op's start-up (the
+``.pth`` files of the installed packages included), which no change to
+``src/`` can move.
 Whether an interpreter compiles the package first depends on the
 environment, so the record holds PYTHONDONTWRITEBYTECODE and, per tree,
 whether its ``src/metaracah/__pycache__`` existed when the run began.
@@ -81,7 +84,7 @@ TABLES = ("racah", "S", "Stilde", "calU", "calUtilde", "U", "Utilde", "dualHahn"
 LABELS = ("d", "dStar", "e", "eStar", "f", "fStar", "z", "zStar")
 EMIT = ([["table", "--which", name] for name in TABLES]
         + [["matrix", "--which", f"basis:{label}"] for label in LABELS])
-STARTUP = (["-c", "pass"], ["-c", "import metaracah.cli"],
+STARTUP = (["-S", "-c", "pass"], ["-c", "pass"], ["-c", "import metaracah.cli"],
            ["-m", "metaracah.cli", "table", "--which", "racah", "--N", "24"])
 STARTUP_REPEATS = 5
 RATIONAL = re.compile(r"(\d+)(?:/(\d+))?")

@@ -21,6 +21,13 @@ class PreconditionViolated(Exception):
     """An argument combination outside an operation's stated domain."""
 
 
+def require_indices(what: str, N: int, *indices) -> None:
+    """Refuse indices outside 0..N, the grid of every per-point Racah and
+    rational reference, before any series or Pochhammer is formed there."""
+    if not all(0 <= i <= N for i in indices):
+        raise PreconditionViolated(f"{what} indices {indices} must lie in 0..{N}")
+
+
 class NondegenerateSpectrumViolated(Exception):
     """The eigenbasis oracle found no one-dimensional kernel to compare: its
     pencil is not bidiagonal, no diagonal entry or several vanish at an

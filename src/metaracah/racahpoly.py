@@ -19,7 +19,8 @@ Both the series and the prefactors separate.  At summation index k the
 (``hyper.series_table``); each prefactor is a factor in m times a factor
 in n, evaluated once per index by the grids and once per point by the
 single-value references ``racah``, ``closed_form_S`` and
-``closed_form_Stilde``.
+``closed_form_Stilde``.  These, ``weight`` and ``norm`` refuse an index
+outside 0..N (``errors.require_indices``) before any arithmetic.
 
 Every function below works over Fraction and every identity is an exact
 equality, checked as one residual matrix that must be zero: the
@@ -34,7 +35,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .algebra import Params
-from .errors import Frozen, PreconditionViolated
+from .errors import Frozen, PreconditionViolated, require_indices
 from .hyper import multi_pochhammer, pochhammer, series_table, terminating_hyp
 from .matrices import RationalMatrix
 from .report import VerificationReport
@@ -70,8 +71,7 @@ class RacahParams(Frozen):
 
 def racah(i: int, x: int, rp: RacahParams) -> Fraction:
     """R_i(x) = 4F3(-i, i+a+b+1, -x, x+g-N; a+1, b+g+1, -N; 1)."""
-    if not (0 <= i <= rp.N and 0 <= x <= rp.N):
-        raise PreconditionViolated("racah indices must lie in 0..N")
+    require_indices("racah", rp.N, i, x)
     a, b, g = rp.alpha_hat, rp.beta_hat, rp.gamma_hat
     return terminating_hyp(
         upper=(Q(-i), i + a + b + 1, Q(-x), x + g - rp.N),
@@ -116,16 +116,19 @@ def _prefactor_Stilde_n(n: int, rp: RacahParams) -> Fraction:
 
 def closed_form_S(m: int, n: int, rp: RacahParams) -> Fraction:
     """Prefactor times R_m(n) for S_m(n) = <f*_n|e_m>."""
+    require_indices("closed_form_S", rp.N, m, n)
     return _prefactor_S_m(m, rp) * _prefactor_S_n(n, rp) * racah(m, n, rp)
 
 
 def closed_form_Stilde(m: int, n: int, rp: RacahParams) -> Fraction:
     """Prefactor times R_m(n) for Stilde_m(n) = <f_n|e*_m>."""
+    require_indices("closed_form_Stilde", rp.N, m, n)
     return _prefactor_Stilde_m(m, rp) * _prefactor_Stilde_n(n, rp) * racah(m, n, rp)
 
 
 def weight(n: int, rp: RacahParams) -> Fraction:
     """Discrete orthogonality weight W_n of the Racah family."""
+    require_indices("weight", rp.N, n)
     a, b, g, N = rp.alpha_hat, rp.beta_hat, rp.gamma_hat, rp.N
     num = multi_pochhammer((-b - g - n, a + 1), n)
     den = (
@@ -138,6 +141,7 @@ def weight(n: int, rp: RacahParams) -> Fraction:
 
 def norm(m: int, rp: RacahParams) -> Fraction:
     """Diagonal Gram value N_m in sum_n W_n R_k(n) R_m(n) = N_m delta_km."""
+    require_indices("norm", rp.N, m)
     a, b, g, N = rp.alpha_hat, rp.beta_hat, rp.gamma_hat, rp.N
     sign = Q(-1) ** N
     num = pochhammer(-N - m - a - b - 1, N - m) * pochhammer(m + a + b + 1, m)

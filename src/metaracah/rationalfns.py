@@ -21,8 +21,9 @@ in m and one in n (``hyper.series_table``), and serves the calU grid, the
 calU-tilde grid (its columns reversed) and the contiguity-shifted table
 alike; ``dual_hahn_table`` does the same for the dual Hahn grid.  The
 per-point ``calU_general``, ``calU``, ``calU_tilde``, ``dual_hahn`` and
-``closed_form_*`` stay as independent single-value references, and refuse
-indices outside 0..N.
+``closed_form_*`` stay as independent single-value references.  Every
+public per-index function here refuses an index outside 0..N
+(``errors.require_indices``) before it forms any series or Pochhammer.
 
 Verified here, all in exact arithmetic: the dot-product/closed-form
 identification, two biorthogonality relations with explicit weights
@@ -42,7 +43,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .algebra import Params, build_X, build_Z
-from .errors import PreconditionViolated
+from .errors import PreconditionViolated, require_indices
 from .hyper import multi_pochhammer, pochhammer, series_table, terminating_hyp
 from .matrices import RationalMatrix, dot
 from .report import VerificationReport
@@ -53,15 +54,9 @@ if TYPE_CHECKING:
 Q = Fraction
 
 
-def _require_indices(what: str, N: int, *indices) -> None:
-    """Refuse indices outside 0..N, as racahpoly.racah does."""
-    if not all(0 <= i <= N for i in indices):
-        raise PreconditionViolated(f"{what} indices {indices} must lie in 0..{N}")
-
-
 def calU_general(m: int, n: int, a, b, c, N: int) -> Fraction:
     """The bare 4F3 at argument 1 for arbitrary rational (a, b, c)."""
-    _require_indices("calU", N, m, n)
+    require_indices("calU", N, m, n)
     a, b, c = Q(a), Q(b), Q(c)
     return terminating_hyp(
         upper=(Q(-m), Q(-n), -a, m - 2 * b - 2 * c - 1),
@@ -79,7 +74,7 @@ def tilde_params(p: Params) -> tuple:
 
 
 def calU_tilde(m: int, n: int, p: Params) -> Fraction:
-    _require_indices("calU-tilde", p.N, m, n)
+    require_indices("calU-tilde", p.N, m, n)
     return calU_general(m, p.N - n, *tilde_params(p), p.N)
 
 
@@ -135,6 +130,7 @@ def closed_form_Utilde(m: int, n: int, p: Params) -> Fraction:
 
 
 def weight_W(j: int, p: Params) -> Fraction:
+    require_indices("weight_W", p.N, j)
     a, b, z, N = p.alpha, p.beta, p.zeta, p.N
     num = multi_pochhammer((Q(-N), 1 - a + b, N - 2 * a - b - 2 * z), j) * multi_pochhammer(
         (2 * a - b - N, a + b - N + 2 * z), N - j
@@ -144,6 +140,7 @@ def weight_W(j: int, p: Params) -> Fraction:
 
 
 def weight_Wstar(j: int, p: Params) -> Fraction:
+    require_indices("weight_Wstar", p.N, j)
     a, b, z, N = p.alpha, p.beta, p.zeta, p.N
     return (
         pochhammer(Q(-N), j)
@@ -156,6 +153,7 @@ def weight_Wstar(j: int, p: Params) -> Fraction:
 
 
 def norm_h(n: int, p: Params) -> Fraction:
+    require_indices("norm_h", p.N, n)
     # The (-2b-2z)_{n-1} in the raw formula is rewritten as
     # (-2b-2z)_n / (n-1-2b-2z) so that n = 0 is regular and h_0 = 1.
     a, b, z, N = p.alpha, p.beta, p.zeta, p.N
@@ -165,6 +163,7 @@ def norm_h(n: int, p: Params) -> Fraction:
 
 
 def norm_hstar(n: int, p: Params) -> Fraction:
+    require_indices("norm_hstar", p.N, n)
     a, b, z, N = p.alpha, p.beta, p.zeta, p.N
     num = multi_pochhammer((Q(1), 1 - 2 * a + b, 1 - a - b - 2 * z), n)
     den = multi_pochhammer((Q(-N), 1 - a + b, N - 2 * a - b - 2 * z), n)
@@ -217,8 +216,8 @@ def contiguity_operator_check(rep: VerificationReport, ctx: Context) -> None:
 
 def dual_hahn(i: int, x: int, rho) -> Fraction:
     """R^(dH)_i(x; rho) = 3F2(-i, -x, x+r1+r2+1; r1+1, -N; 1)."""
+    require_indices("dual Hahn", rho[2], i, x)
     r1, r2, N = Q(rho[0]), Q(rho[1]), rho[2]
-    _require_indices("dual Hahn", N, i, x)
     return terminating_hyp(upper=(Q(-i), Q(-x), x + r1 + r2 + 1), lower=(r1 + 1, Q(-N)))
 
 
@@ -238,14 +237,14 @@ def dual_hahn_table(rho) -> RationalMatrix:
 def em_zstar_closed(m: int, k: int, p: Params) -> Fraction:
     """Closed form for <e_m|z*_k>: the factor in m of the U prefactor over k!,
     times the dual Hahn value R^(dH)_k(m)."""
-    _require_indices("<e_m|z*_k>", p.N, m, k)
+    require_indices("<e_m|z*_k>", p.N, m, k)
     return _prefactor_U_m(m, p) / pochhammer(Q(1), k) * dual_hahn(k, m, dual_hahn_params(p))
 
 
 def zk_dstar_closed(k: int, n: int, p: Params) -> Fraction:
     """Closed form for <z_k|d*_n>; vanishes for k > n."""
+    require_indices("<z_k|d*_n>", p.N, k, n)
     a, b, z, N = p.alpha, p.beta, p.zeta, p.N
-    _require_indices("<z_k|d*_n>", N, k, n)
     if k > n:
         return Q(0)
     return (
@@ -271,7 +270,7 @@ def dual_hahn_expansion(ctx: Context, m: int, n: int) -> VerificationReport:
     coefficients C_nk = <z_k|d*_n> / (k! g_n), g the U prefactor's factor
     in n, are read off the closed <z_k|d*_n>, as U = (e^T z*)(z^T d*)."""
     p = ctx.p
-    _require_indices("dual Hahn expansion", p.N, m, n)
+    require_indices("dual Hahn expansion", p.N, m, n)
     rho = dual_hahn_params(p)
     rep = VerificationReport(suite="dual-hahn-expansion",
                              params={**p.as_dict(), "m": str(m), "n": str(n)})
@@ -309,6 +308,10 @@ def hahn_limit_check(m: int, n: int, aH, bH, p0: Params, tValues) -> Verificatio
     exactly; deviations must decrease along tValues and the last one
     must be below 1/1000 in absolute value.
     """
+    require_indices("hahn_limit_check", p0.N, m, n)
+    tValues = tuple(tValues)
+    if not tValues:
+        raise PreconditionViolated("hahn_limit_check needs at least one value in tValues")
     aH, bH = Q(aH), Q(bH)
     N = p0.N
     rep = VerificationReport(

@@ -1,3 +1,4 @@
+import re
 import sys
 from collections import Counter
 from fractions import Fraction as Q
@@ -43,9 +44,23 @@ def test_racah_trivial_rows(rp):
         assert racah(i, 0, rp) == 1
 
 
-def test_racah_rejects_out_of_window(rp):
-    with pytest.raises(PreconditionViolated):
-        racah(rp.N + 1, 0, rp)
+# each per-point reference and the number of its indices
+RACAH_REFERENCES = {"racah": (racah, 2), "closed_form_S": (closed_form_S, 2),
+                    "closed_form_Stilde": (closed_form_Stilde, 2), "weight": (weight, 1),
+                    "norm": (norm, 1)}
+
+
+@pytest.mark.parametrize("outside", ["-1", "N+1"])
+@pytest.mark.parametrize("name, position", [(name, position) for name, (_, count)
+                                            in RACAH_REFERENCES.items() for position in range(count)])
+def test_racah_references_refuse_indices_outside_0_to_N(rp, name, position, outside):
+    # unguarded, most of these fail first inside a Pochhammer, naming neither
+    # the function nor the index
+    reference, count = RACAH_REFERENCES[name]
+    indices = [1] * count
+    indices[position] = -1 if outside == "-1" else rp.N + 1
+    with pytest.raises(PreconditionViolated, match=re.escape(f"{name} indices {tuple(indices)}")):
+        reference(*indices, rp)
 
 
 def test_overlaps_match_closed_forms(p5, ctx5, rp):

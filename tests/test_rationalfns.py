@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 import metaracah.matrixreps as mr
+import metaracah.racahpoly as racahpoly
 import metaracah.rationalfns as rf
 from metaracah.eigenbases import GRIDS, Context, eigenvalue
 from metaracah.errors import DegenerateParameters, PreconditionViolated
@@ -302,7 +303,12 @@ INDEXED_REFERENCES = {
     "em_zstar_closed": lambda ctx, i, j: em_zstar_closed(i, j, ctx.p),
     "zk_dstar_closed": lambda ctx, i, j: zk_dstar_closed(i, j, ctx.p),
     "dual_hahn_expansion": lambda ctx, i, j: dual_hahn_expansion(ctx, i, j),
+    "hahn_limit_check": lambda ctx, i, j: hahn_limit_check(i, j, Q(1, 3), Q(1, 5), ctx.p, (1000,)),
 }
+
+# each one-index reference at its index
+ONE_INDEX_REFERENCES = {"weight_W": weight_W, "weight_Wstar": weight_Wstar,
+                        "norm_h": norm_h, "norm_hstar": norm_hstar}
 
 
 @pytest.mark.parametrize("outside", ["-1", "N+1"])
@@ -315,6 +321,55 @@ def test_rational_references_refuse_indices_outside_0_to_N(ctx3, name, position,
     indices[position] = -1 if outside == "-1" else ctx3.p.N + 1
     with pytest.raises(PreconditionViolated, match=re.escape(f"indices {tuple(indices)}")):
         INDEXED_REFERENCES[name](ctx3, *indices)
+
+
+@pytest.mark.parametrize("outside", ["-1", "N+1"])
+@pytest.mark.parametrize("name", ONE_INDEX_REFERENCES)
+def test_weights_and_norms_refuse_indices_outside_0_to_N(p3, name, outside):
+    # unguarded, norm_h(N+1) divides by zero and weight_Wstar(N+1) is 0
+    j = -1 if outside == "-1" else p3.N + 1
+    with pytest.raises(PreconditionViolated, match=re.escape(f"{name} indices ({j},)")):
+        ONE_INDEX_REFERENCES[name](j, p3)
+
+
+def test_out_of_range_indices_are_refused_before_any_arithmetic(ctx3, monkeypatch):
+    # with every series and Pochhammer of both modules made to raise, each
+    # per-point reference still meets the index guard first
+    def formed(*args, **kwargs):
+        raise AssertionError("arithmetic formed before the index guard")
+    for module in (rf, racahpoly):
+        for name in ("pochhammer", "multi_pochhammer", "terminating_hyp"):
+            monkeypatch.setattr(module, name, formed)
+    rp = RacahParams.from_params(ctx3.p, ctx3.rho)
+    two_index = {**INDEXED_REFERENCES, **{
+        name: lambda ctx, i, j, ref=getattr(racahpoly, name): ref(i, j, rp)
+        for name in ("racah", "closed_form_S", "closed_form_Stilde")}}
+    one_index = {**{name: lambda j, ref=ref: ref(j, ctx3.p)
+                    for name, ref in ONE_INDEX_REFERENCES.items()},
+                 "weight": lambda j: weight(j, rp), "norm": lambda j: norm(j, rp)}
+    for outside in (-1, ctx3.p.N + 1):
+        for indices in ((outside, 1), (1, outside)):
+            for name, reference in two_index.items():
+                with pytest.raises(PreconditionViolated, match=re.escape(f"indices {indices}")):
+                    reference(ctx3, *indices)
+        for name, reference in one_index.items():
+            with pytest.raises(PreconditionViolated, match=re.escape(f"{name} indices ({outside},)")):
+                reference(outside)
+
+
+@pytest.mark.parametrize("t_values", [(), iter(())], ids=["tuple", "iterator"])
+def test_hahn_limit_refuses_no_t_values(p3, t_values):
+    with pytest.raises(PreconditionViolated, match="tValues"):
+        hahn_limit_check(1, 1, Q(1, 3), Q(1, 5), p3, t_values)
+
+
+def test_hahn_limit_reads_an_iterator_of_t_values_as_its_tuple(p3):
+    # the deviation detail lists every t, so tValues is read once
+    t_values = (1000, 10000)
+    from_iterator, from_tuple = (hahn_limit_check(1, 1, Q(1, 3), Q(1, 5), p3, ts)
+                                 for ts in (iter(t_values), t_values))
+    assert [c.as_dict() for c in from_iterator.checks] == [c.as_dict() for c in from_tuple.checks]
+    assert from_tuple.checks[0].detail.startswith("t=1000: ")
 
 
 def test_hahn_limit_exact_head(p5):
