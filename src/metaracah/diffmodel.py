@@ -406,11 +406,10 @@ def model_orthogonality(rep: VerificationReport, ctx: Context, families: dict) -
         if w:
             corner = residue_pair(b_dual[0], b[0])
             plain_is_I = corner == 1 and (residue_grid(b_dual, b) - ctx.I).is_zero()
-            rep.add_info(
-                f"gram-{label}-no-{w}",
-                f"<{label}*_m, {label}_n> without the {w} insertion is not the identity",
-                detail="identity" if plain_is_I
-                else f"differs from identity, e.g. entry (0, 0) = {corner}")
+            rep.add(f"gram-{label}-no-{w}",
+                    f"<{label}*_m, {label}_n> without the {w} insertion is not the identity", True,
+                    "identity" if plain_is_I
+                    else f"differs from identity, e.g. entry (0, 0) = {corner}")
 
 
 def integral_representations(rep: VerificationReport, ctx: Context, families: dict) -> None:

@@ -285,10 +285,11 @@ class Context(Frozen):
     store under keys that name their kind: each closed-form family
     (``basis``), each overlap grid (``grid``), each dual side, (b*)^T
     times the weight (``dual_side``), which the Gram checks and every
-    operator matrix in an eigenbasis (``matrixreps.matrix_on``) share, the
-    weight times a family (``weighted``; completeness-d and identify-Utilde
-    read Z d), each family's closed-form band tables (``band_tables``) and
-    the closed e^T z* table (``rationalfns.em_zstar_table``).  Each matrix
+    operator matrix in an eigenbasis (``matrixreps.matrix_on``) share, and
+    whose transpose for the dual b* is the weight times b (completeness-d
+    and identify-Utilde read Z d as ``dual_side("dStar")`` transposed),
+    each family's closed-form band tables (``band_tables``) and the closed
+    e^T z* table (``rationalfns.em_zstar_table``).  Each matrix
     keeps its own transpose and integer-scaled forms.  Equality and hashing
     follow (p, rho); rho = 0 is given.
     """
@@ -337,11 +338,6 @@ class Context(Frozen):
             left = self.basis(fam.dual).vectors.transpose()
             return left * getattr(self, fam.weight) if fam.weight else left
         return self.keep(("dual side", label), build)
-
-    def weighted(self, label: str) -> RationalMatrix:
-        """The weight times the family b = label, kept (b itself without a weight)."""
-        w, b = family(label, self.rho).weight, self.basis(label).vectors
-        return self.keep(("weighted", label), lambda: getattr(self, w) * b) if w else b
 
     def band_tables(self, basis: str) -> dict:
         """The closed-form band tables matrixreps.COEFFS[basis] builds, each
@@ -472,7 +468,8 @@ def check_orthogonality(ctx: Context) -> VerificationReport:
         rep.add_grid(f"gram-{label}", f"<{label}*_m{bar}{label}_n> = delta_mn",
                      ctx.dual_side(label) * b.vectors - ctx.I)
         rep.add_grid(f"completeness-{label}", f"sum_n {w}|{label}_n><{label}*_n| = I",
-                     ctx.weighted(label) * ctx.basis(fam.dual).vectors.transpose() - ctx.I)
+                     ctx.dual_side(fam.dual).transpose() * ctx.basis(fam.dual).vectors.transpose()
+                     - ctx.I)
         distinct = len(set(b.eigenvalues)) == len(b.eigenvalues)
         rep.add(f"distinct-eigenvalues-{label}", f"family {label}: eigenvalues pairwise distinct",
                 distinct, "" if distinct else "repeated eigenvalue")

@@ -22,9 +22,10 @@ class PreconditionViolated(Exception):
 
 
 def require_indices(what: str, N: int, *indices) -> None:
-    """Refuse indices outside 0..N, the grid of every per-point Racah and
-    rational reference, before any series or Pochhammer is formed there."""
-    if not all(0 <= i <= N for i in indices):
+    """Refuse an index that is not an int in 0..N (a bool is not one), the
+    grid of every per-point Racah and rational reference, before any series
+    or Pochhammer is formed there."""
+    if not all(type(i) is int and 0 <= i <= N for i in indices):
         raise PreconditionViolated(f"{what} indices {indices} must lie in 0..{N}")
 
 

@@ -253,6 +253,9 @@ class RationalMatrix(Frozen):
         for ones), without a product: each factor's numerator multiplies
         the integers of the integer form and its denominator the scale of
         its row or column."""
+        for side, factors, size in (("row", r, self.rows), ("column", c, self.cols)):
+            if factors is not None and len(factors) != size:
+                raise ValueError(f"{len(factors)} {side} factors for {size} {side}s")
         s, ds, es = self._form()
         if r is not None:
             r = [x.as_integer_ratio() for x in r]

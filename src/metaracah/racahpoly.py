@@ -214,7 +214,7 @@ def verify_racah(ctx: Context) -> VerificationReport:
                  St.hadamard(S).scaled(Nm) - R.hadamard(R).scaled(None, W))
 
     signs = "".join("+" if w > 0 else ("-" if w < 0 else "0") for w in W)
-    rep.add_info("weight-signs", f"signs of W_0..W_{N}: {signs} (positivity not asserted)")
+    rep.add("weight-signs", f"signs of W_0..W_{N}: {signs} (positivity not asserted)", True)
     signs = "".join("+" if v > 0 else ("-" if v < 0 else "0") for v in Nm)
-    rep.add_info("norm-signs", f"signs of N_0..N_{N}: {signs} (positivity not asserted)")
+    rep.add("norm-signs", f"signs of N_0..N_{N}: {signs} (positivity not asserted)", True)
     return rep

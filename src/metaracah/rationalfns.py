@@ -373,7 +373,7 @@ def verify_rational(ctx: Context) -> VerificationReport:
     rep.add_grid("identify-U", "<e_m|d*_n> = prefactor * calU_m(n) on the full grid",
                  e.vectors.transpose() * dstar.vectors - U)
     rep.add_grid("identify-Utilde", "<e*_m|Z|d_n> = prefactor * calU_tilde_m(n) on the full grid",
-                 estar.vectors.transpose() * ctx.weighted("d") - Ut)
+                 estar.vectors.transpose() * ctx.dual_side("dStar").transpose() - Ut)
 
     W = [weight_W(j, p) for j in range(N + 1)]
     Ws = [weight_Wstar(j, p) for j in range(N + 1)]

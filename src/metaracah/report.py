@@ -47,10 +47,6 @@ class VerificationReport:
         bad = [i for i in range(N + 1) if not predicate(i)]
         return self.add(check_id, statement, not bad, "" if not bad else f"failing {axis}: {bad}")
 
-    def add_info(self, check_id: str, statement: str, detail: str = ""):
-        """Informational entry that never fails."""
-        self.checks.append(Check(check_id, statement, PASS, detail))
-
     def add_skipped(self, check_id: str, statement: str, detail: str = ""):
         self.checks.append(Check(check_id, statement, SKIPPED, detail))
 

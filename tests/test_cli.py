@@ -581,7 +581,7 @@ def test_verify_all_product_count(capsys, monkeypatch):
     # the algebra checks share the Context's one Casimir (8 products), and the
     # Gram check of d and the conjugations on d and d* share the Context's
     # dual sides (b*)^T W (one product each for d and d*), completeness-d and
-    # identify-Utilde share the Context's one Z d; each
+    # identify-Utilde read Z d as the d* dual side transposed; each
     # commutator/anticommutator pair of the relations reads one a*b and one
     # b*a, a diagonal factor is a scaling, never a product, and the trio
     # reads X where it would form Vtilde Z
@@ -596,7 +596,7 @@ def test_verify_all_product_count(capsys, monkeypatch):
     monkeypatch.setattr(matrices.RationalMatrix, "__mul__", counted)
     code, _ = run(capsys, "verify", "--suite", "all", "--N", "8")
     assert code == 0
-    assert len(products) == 125
+    assert len(products) == 124
 
 
 def test_verify_all_writes_out_few_results(capsys, monkeypatch):

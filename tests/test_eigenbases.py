@@ -54,14 +54,17 @@ def test_orthogonality_and_completeness(ctx5):
 
 
 def test_families_name_each_dual_pair(ctx3):
-    # the dual of a dual is the family, and the dual side, (b*)^T times the
-    # weight, and the weight times the family are kept in the Context
+    # the dual of a dual is the family, the dual side, (b*)^T times the
+    # weight, is kept in the Context, and as each dual has the transposed
+    # weight, the dual's dual side transposed is the weight times the family
     for label, fam in FAMILIES.items():
         assert FAMILIES[fam.dual].dual == label
         assert ctx3.dual_side(label) is ctx3.dual_side(label)
         assert ctx3.dual_side(label) * ctx3.basis(label).vectors == ctx3.I
-        assert ctx3.weighted(label) is ctx3.weighted(label)
-        assert ctx3.weighted(label) * ctx3.basis(fam.dual).vectors.transpose() == ctx3.I
+        b = ctx3.basis(label).vectors
+        weighted = ctx3.dual_side(fam.dual).transpose()
+        assert weighted == (getattr(ctx3, fam.weight) * b if fam.weight else b)
+        assert weighted * ctx3.basis(fam.dual).vectors.transpose() == ctx3.I
     assert {label: fam.weight for label, fam in FAMILIES.items() if fam.weight} == {
         "d": "Z", "dStar": "Zt"}
 

@@ -294,6 +294,20 @@ def test_transpose_is_built_once():
     assert one.transpose().transpose() is one and one.transpose() == one
 
 
+@pytest.mark.parametrize("r, c, message", [
+    ([1], None, "1 row factors for 2 rows"), ([1] * 3, None, "3 row factors for 2 rows"),
+    (None, [1] * 2, "2 column factors for 3 columns"),
+    (None, [1] * 4, "4 column factors for 3 columns"),
+    ([1] * 2, [1] * 2, "2 column factors for 3 columns")])
+def test_scaled_refuses_factors_that_do_not_fit_the_shape(r, c, message):
+    # zipped with the rows or columns, a short list would drop some and a
+    # long one be cut, so a residual built on it could pass on what is left
+    m = RationalMatrix([[1, Q(1, 2), 0], [0, 3, Q(-2, 5)]])
+    for form in (m, m + m):
+        with pytest.raises(ValueError, match=message):
+            form.scaled(r, c)
+
+
 def test_int_entries_become_fractions():
     m = RationalMatrix([[1, 0], [-3, True]])
     assert m.to_strings() == [["1", "0"], ["-3", "1"]]

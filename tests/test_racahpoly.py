@@ -50,15 +50,15 @@ RACAH_REFERENCES = {"racah": (racah, 2), "closed_form_S": (closed_form_S, 2),
                     "norm": (norm, 1)}
 
 
-@pytest.mark.parametrize("outside", ["-1", "N+1"])
+@pytest.mark.parametrize("outside", ["-1", "N+1", "1/2", "True"])
 @pytest.mark.parametrize("name, position", [(name, position) for name, (_, count)
                                             in RACAH_REFERENCES.items() for position in range(count)])
 def test_racah_references_refuse_indices_outside_0_to_N(rp, name, position, outside):
     # unguarded, most of these fail first inside a Pochhammer, naming neither
-    # the function nor the index
+    # the function nor the index, and a Fraction or True index is evaluated
     reference, count = RACAH_REFERENCES[name]
     indices = [1] * count
-    indices[position] = -1 if outside == "-1" else rp.N + 1
+    indices[position] = {"-1": -1, "N+1": rp.N + 1, "1/2": Q(1, 2), "True": True}[outside]
     with pytest.raises(PreconditionViolated, match=re.escape(f"{name} indices {tuple(indices)}")):
         reference(*indices, rp)
 

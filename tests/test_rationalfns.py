@@ -311,24 +311,33 @@ ONE_INDEX_REFERENCES = {"weight_W": weight_W, "weight_Wstar": weight_Wstar,
                         "norm_h": norm_h, "norm_hstar": norm_hstar}
 
 
-@pytest.mark.parametrize("outside", ["-1", "N+1"])
+# indices no per-point reference takes: outside 0..N, or not an int
+OUTSIDE = ["-1", "N+1", "1/2", "True"]
+
+
+def _outside(name, N):
+    return {"-1": -1, "N+1": N + 1, "1/2": Q(1, 2), "True": True}[name]
+
+
+@pytest.mark.parametrize("outside", OUTSIDE)
 @pytest.mark.parametrize("position", [0, 1])
 @pytest.mark.parametrize("name", INDEXED_REFERENCES)
 def test_rational_references_refuse_indices_outside_0_to_N(ctx3, name, position, outside):
     # as racahpoly.racah does; an index past N would read a series past its
-    # termination, and a negative one an empty or reversed Pochhammer
+    # termination, a negative one an empty or reversed Pochhammer, and one
+    # that is no int, True included, a value off the grid
     indices = [1, 1]
-    indices[position] = -1 if outside == "-1" else ctx3.p.N + 1
+    indices[position] = _outside(outside, ctx3.p.N)
     with pytest.raises(PreconditionViolated, match=re.escape(f"indices {tuple(indices)}")):
         INDEXED_REFERENCES[name](ctx3, *indices)
 
 
-@pytest.mark.parametrize("outside", ["-1", "N+1"])
+@pytest.mark.parametrize("outside", OUTSIDE)
 @pytest.mark.parametrize("name", ONE_INDEX_REFERENCES)
 def test_weights_and_norms_refuse_indices_outside_0_to_N(p3, name, outside):
     # unguarded, norm_h(N+1) divides by zero and weight_Wstar(N+1) is 0
-    j = -1 if outside == "-1" else p3.N + 1
-    with pytest.raises(PreconditionViolated, match=re.escape(f"{name} indices ({j},)")):
+    j = _outside(outside, p3.N)
+    with pytest.raises(PreconditionViolated, match=re.escape(f"{name} indices {(j,)}")):
         ONE_INDEX_REFERENCES[name](j, p3)
 
 
@@ -347,13 +356,14 @@ def test_out_of_range_indices_are_refused_before_any_arithmetic(ctx3, monkeypatc
     one_index = {**{name: lambda j, ref=ref: ref(j, ctx3.p)
                     for name, ref in ONE_INDEX_REFERENCES.items()},
                  "weight": lambda j: weight(j, rp), "norm": lambda j: norm(j, rp)}
-    for outside in (-1, ctx3.p.N + 1):
+    for outside in (-1, ctx3.p.N + 1, Q(1, 2), True):
         for indices in ((outside, 1), (1, outside)):
             for name, reference in two_index.items():
                 with pytest.raises(PreconditionViolated, match=re.escape(f"indices {indices}")):
                     reference(ctx3, *indices)
         for name, reference in one_index.items():
-            with pytest.raises(PreconditionViolated, match=re.escape(f"{name} indices ({outside},)")):
+            with pytest.raises(PreconditionViolated,
+                               match=re.escape(f"{name} indices {(outside,)}")):
                 reference(outside)
 
 
