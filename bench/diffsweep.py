@@ -45,7 +45,11 @@ The vector list is fixed:
     ``--N 0``, ``--suite nope``, ``--sweeps -1``, ``--alpha x``,
     ``--precision 0`` with csv and ``--precision 3`` without, an
     unwritable ``--out``, and the degenerate sets alpha = 0 and
-    alpha = beta.
+    alpha = beta;
+  * ``table --which calUtilde|Utilde|calU`` and ``matrix --which
+    Z|coeffs:d``, which validate without rho, at N = 2, 3 and 4 on sets
+    with 2alpha - beta = 1, 2 and 4, an integer in 1..N, where the
+    registry entry (beta-2alpha+1)_n vanishes, 15 vectors.
 
 Standard library only; it imports nothing from perfbench.
 """
@@ -138,9 +142,17 @@ USAGE_VECTORS = [
     ["verify", "--N", "3", "--alpha", "1/5", "--beta", "1/5"],
 ]
 
+REGISTRY_EDGE_VECTORS = [
+    [*command, "--N", N, "--alpha=5/2", f"--beta={beta}", "--zeta=6"]
+    for N, beta in (("2", "4"), ("3", "3"), ("4", "1"))
+    for command in (["table", "--which", "calUtilde"], ["table", "--which", "Utilde"],
+                    ["table", "--which", "calU"], ["matrix", "--which", "Z"],
+                    ["matrix", "--which", "coeffs:d"])
+]
+
 VECTORS = (_subset_vectors() + _drawn_vectors() + _emit_vectors() + _coeffs_vectors()
            + [["verify", "--suite", "all", "--N", str(N)] for N in (8, 10, 12)]
-           + USAGE_VECTORS)
+           + USAGE_VECTORS + REGISTRY_EDGE_VECTORS)
 
 
 def run_vectors(src: str, vectors: list) -> list:

@@ -77,17 +77,18 @@ def genericity_registry(p: Params, rho=None):
 
     Each entry is passed the value of the expression its label names: (x)
     vanishes when x is 0, and (x)_k when x is an integer in [1-k, 0].  The
-    combinations alpha-beta, 2beta+2zeta, 2alpha+beta+2zeta and
-    alpha+beta+2zeta, and given rho 2alpha+rho, beta+rho, beta-2alpha and
-    beta-rho+2zeta, are formed once (with their shift where it does not
+    combinations alpha-beta, 2beta+2zeta, 2alpha+beta+2zeta,
+    alpha+beta+2zeta and beta-2alpha, and given rho 2alpha+rho, beta+rho
+    and beta-rho+2zeta, are formed once (with their shift where it does not
     depend on n), so each value costs at most one addition.
-    alpha+beta+2zeta enters through the lower parameter n-alpha-beta-2zeta+1
-    of calU-tilde, and the last two are the Racah-hat g-a-N and -N-b of the
-    Stilde prefactor, weight and norm.
+    alpha+beta+2zeta and beta-2alpha enter through calU-tilde's lower
+    parameters n-alpha-beta-2zeta+1 and 2alpha-beta-N; beta-2alpha and
+    beta-rho+2zeta are also the Racah-hat g-a-N and -N-b of the Stilde
+    prefactor, weight and norm.
     """
     N, a, b, z = p.N, p.alpha, p.beta, p.zeta
     a_b, bz2, ab2z = a - b, 2 * b + 2 * z, a + b + 2 * z
-    neg_a, abz = -a, 2 * a + b + 2 * z - 2 * N + 1
+    neg_a, abz, b_a2 = -a, 2 * a + b + 2 * z - 2 * N + 1, b - 2 * a + 1
     items = []
 
     def poch(label, x, k):
@@ -99,7 +100,7 @@ def genericity_registry(p: Params, rho=None):
     if rho is not None:
         r = Q(rho)
         ar2, neg_br, br = 2 * a + r, -b - r, b + r - N + 1
-        b_a2, brz = b - 2 * a + 1, b - r + 2 * z - N + 1
+        brz = b - r + 2 * z - N + 1
     for n in range(N + 1):
         poch(f"(-alpha)_({n}+1)", neg_a, n + 1)
         poch(f"(alpha-beta-{n})_{n}", a_b - n, n)
@@ -119,7 +120,8 @@ def genericity_registry(p: Params, rho=None):
             poch(f"({n}-2alpha-rho)_{n}", n - ar2, n)
             poch(f"(-beta-rho)_{n}", neg_br, n)
             poch(f"(beta+rho-N+1)_(N-{n})", br, N - n)
-            poch(f"(beta-2alpha+1)_{n}", b_a2, n)
+        poch(f"(beta-2alpha+1)_{n}", b_a2, n)
+        if rho is not None:
             poch(f"(beta-rho+2zeta-N+1)_{n}", brz, n)
     return items
 

@@ -288,8 +288,9 @@ class Context(Frozen):
     operator matrix in an eigenbasis (``matrixreps.matrix_on``) share, and
     whose transpose for the dual b* is the weight times b (completeness-d
     and identify-Utilde read Z d as ``dual_side("dStar")`` transposed),
-    each family's closed-form band tables (``band_tables``) and the closed
-    e^T z* table (``rationalfns.em_zstar_table``).  Each matrix
+    each family's closed-form band tables (``band_tables``), the closed
+    e^T z* table (``rationalfns.em_zstar_table``) and the dual Hahn
+    residuals (``rationalfns.dual_hahn_residuals``).  Each matrix
     keeps its own transpose and integer-scaled forms.  Equality and hashing
     follow (p, rho); rho = 0 is given.
     """

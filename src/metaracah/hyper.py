@@ -48,8 +48,8 @@ def pochhammer(a, n: int) -> Fraction:
 
     With a = p/q this is prod_k (p + k q) / q^n, one reduction in all.
     """
-    if n < 0:
-        raise PreconditionViolated(f"pochhammer index must be >= 0, got {n}")
+    if type(n) is not int or n < 0:
+        raise PreconditionViolated(f"pochhammer order must be an int >= 0, got {n!r}")
     if type(a) is not Q:
         a = Q(a)
     p, q = a.numerator, a.denominator

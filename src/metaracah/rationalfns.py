@@ -40,12 +40,13 @@ and the difference equation in n is Vt Zt and Zt acting on d*.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import TYPE_CHECKING
 
 from .algebra import Params, build_X, build_Z
 from .errors import PreconditionViolated, require_indices
 from .hyper import multi_pochhammer, pochhammer, series_table, terminating_hyp
-from .matrices import RationalMatrix, dot
+from .matrices import RationalMatrix
 from .report import VerificationReport
 
 if TYPE_CHECKING:
@@ -265,35 +266,47 @@ def em_zstar_table(ctx: Context) -> RationalMatrix:
     return ctx.keep(("closed overlap", "e", "zStar"), build)
 
 
+def dual_hahn_residuals(ctx: Context) -> tuple:
+    """The residuals of U = (e^T z*)(z^T d*), kept once per Context: e^T z*
+    - em_zstar_table, z^T d* - its closed table, and (C R)^T - calU, R the
+    dual Hahn grid, C_nk = <z_k|d*_n> / (k! g_n) for k <= n off that table
+    and g the U prefactor's factor in n."""
+    def build():
+        p, indices = ctx.p, range(ctx.p.N + 1)
+        e, zstar, zfam, dstar = (ctx.basis(label) for label in ("e", "zStar", "z", "dStar"))
+        closed = [[zk_dstar_closed(k, n, p) for n in indices] for k in indices]
+        g = [_prefactor_U_n(n, p) for n in indices]
+        coeffs = RationalMatrix([[closed[k][n] / (factorial(k) * g[n]) if k <= n else 0
+                                  for k in indices] for n in indices])
+        return (e.vectors.transpose() * zstar.vectors - em_zstar_table(ctx),
+                zfam.vectors.transpose() * dstar.vectors - RationalMatrix(closed),
+                (coeffs * ctx.grid("dualHahn")).transpose() - ctx.grid("calU"))
+    return ctx.keep(("residuals", "dual Hahn"), build)
+
+
 def dual_hahn_expansion(ctx: Context, m: int, n: int) -> VerificationReport:
-    """Expansion of calU_m(n) over dual Hahn values, verified exactly: the
-    coefficients C_nk = <z_k|d*_n> / (k! g_n), g the U prefactor's factor
-    in n, are read off the closed <z_k|d*_n>, as U = (e^T z*)(z^T d*)."""
+    """Expansion of calU_m(n) over dual Hahn values at (m, n), read off
+    dual_hahn_residuals: entry (m, n), row m of e^T z* and column n of z^T d*."""
     p = ctx.p
     require_indices("dual Hahn expansion", p.N, m, n)
-    rho = dual_hahn_params(p)
     rep = VerificationReport(suite="dual-hahn-expansion",
                              params={**p.as_dict(), "m": str(m), "n": str(n)})
-
-    g = _prefactor_U_n(n, p)
-    expansion = dot([zk_dstar_closed(k, n, p) / (pochhammer(Q(1), k) * g) for k in range(n + 1)],
-                    [dual_hahn(k, m, rho) for k in range(n + 1)])
-    value = calU(m, n, p)
+    em, zk, expansion = dual_hahn_residuals(ctx)
+    value = ctx.grid("calU")[m, n]
     rep.add(
         "expansion",
         "calU_m(n) = n!/(alpha-beta-n)_n sum_k (-alpha)_k (2alpha-beta-n)_{n-k}"
         " / ((n-k)! k!) R^(dH)_k(m)",
-        expansion == value,
-        detail=f"expansion = {expansion}, calU = {value}",
+        not expansion[m, n],
+        detail=f"expansion = {expansion[m, n] + value}, calU = {value}",
     )
-
-    e, zstar, zfam, dstar = (ctx.basis(label) for label in ("e", "zStar", "z", "dStar"))
-    rep.add_line("em-zstar", "<e_m|z*_k> matches the dual Hahn closed form for all k",
-                 p.N, lambda k: dot(e.column(m), zstar.column(k)) == em_zstar_closed(m, k, p),
-                 axis="k")
-    rep.add_line("zk-dstar", "<z_k|d*_n> is triangular with Pochhammer-ratio entries",
-                 p.N, lambda k: dot(zfam.column(k), dstar.column(n)) == zk_dstar_closed(k, n, p),
-                 axis="k")
+    for check_id, statement, bad in (
+        ("em-zstar", "<e_m|z*_k> matches the dual Hahn closed form for all k",
+         [k for i, k in em.nonzeros() if i == m]),
+        ("zk-dstar", "<z_k|d*_n> is triangular with Pochhammer-ratio entries",
+         [k for k, j in zk.nonzeros() if j == n]),
+    ):
+        rep.add(check_id, statement, not bad, "" if not bad else f"failing k: {bad}")
     return rep
 
 
@@ -360,7 +373,7 @@ def verify_rational(ctx: Context) -> VerificationReport:
       * difference:       U (VtZt)_d* - diag(mu) U (Zt)_d*.
 
     The dual Hahn check fails at (m, n) exactly where
-    dual_hahn_expansion(ctx, m, n) does.
+    dual_hahn_expansion(ctx, m, n) does; both read dual_hahn_residuals.
     """
     p = ctx.p
     N = p.N
@@ -405,26 +418,15 @@ def verify_rational(ctx: Context) -> VerificationReport:
 
     contiguity_operator_check(rep, ctx)
 
-    # the dual Hahn check fails at (m, n) where row m of em-zstar, column n
-    # of zk-dstar or entry (m, n) of the expansion residual is nonzero: its
-    # residual is the expansion residual on the rows and columns whose
-    # overlaps hold, and 1 elsewhere; C = diag(1/g) (z^T d*)^T diag(1/k!)
-    # is read off the closed z^T d* table
-    zstar, zfam = ctx.basis("zStar"), ctx.basis("z")
-    em = e.vectors.transpose() * zstar.vectors - em_zstar_table(ctx)
-    zk_closed = RationalMatrix(
-        [[zk_dstar_closed(k, n, p) for n in range(N + 1)] for k in range(N + 1)])
-    zk = zfam.vectors.transpose() * dstar.vectors - zk_closed
-    expansion = zk_closed.transpose().scaled(
-        [1 / _prefactor_U_n(n, p) for n in range(N + 1)],
-        [1 / pochhammer(Q(1), k) for k in range(N + 1)]) * ctx.grid("dualHahn")
-    row_ok, col_ok = [1] * (N + 1), [1] * (N + 1)
-    for m, _ in em.nonzeros():
-        row_ok[m] = 0
-    for _, n in zk.nonzeros():
-        col_ok[n] = 0
+    # the dual Hahn check fails at (m, n) where row m of em, column n of zk
+    # or entry (m, n) of the expansion residual is nonzero: its residual is
+    # the expansion residual on the rows and columns whose overlaps hold,
+    # and 1 elsewhere
+    em, zk, expansion = dual_hahn_residuals(ctx)
+    bad_rows, bad_cols = {m for m, _ in em.nonzeros()}, {n for _, n in zk.nonzeros()}
+    row_ok, col_ok = ([int(i not in bad) for i in range(N + 1)] for bad in (bad_rows, bad_cols))
     rep.add_grid("dual-hahn", "dual Hahn expansion and overlap closed forms on the full grid",
-                 (expansion.transpose() - cU).scaled(row_ok, col_ok)
+                 expansion.scaled(row_ok, col_ok)
                  + RationalMatrix([[1 - r * c for c in col_ok] for r in row_ok]))
 
     rep.checks.extend(

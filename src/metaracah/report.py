@@ -41,12 +41,6 @@ class VerificationReport:
         bad = list(islice(residual.nonzeros(), 4))
         return self.add(check_id, statement, not bad, "" if not bad else f"failing {axes}: {bad}")
 
-    def add_line(self, check_id: str, statement: str, N: int, predicate, axis: str = "n"):
-        """Pass iff predicate(i) holds for every i in 0..N; a failure lists
-        every failing index under the axis name, as in "failing k: [0, 3]"."""
-        bad = [i for i in range(N + 1) if not predicate(i)]
-        return self.add(check_id, statement, not bad, "" if not bad else f"failing {axis}: {bad}")
-
     def add_skipped(self, check_id: str, statement: str, detail: str = ""):
         self.checks.append(Check(check_id, statement, SKIPPED, detail))
 

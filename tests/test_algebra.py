@@ -183,8 +183,11 @@ def _reference_registry(p, rho=None):
             items.append((f"({n}-2alpha-rho)_{n}", pochhammer(n - 2 * a - r, n)))
             items.append((f"(-beta-rho)_{n}", pochhammer(-b - r, n)))
             items.append((f"(beta+rho-N+1)_(N-{n})", pochhammer(b + r - N + 1, N - n)))
-            # (g-a-N)_n and (-N-b)_n in the Racah-hat parameters of Stilde
-            items.append((f"(beta-2alpha+1)_{n}", pochhammer(b - 2 * a + 1, n)))
+        # (g-a-N)_n and (-N-b)_n in the Racah-hat parameters of Stilde; the
+        # first, which reads no rho, is also the lower parameter 2alpha-beta-N
+        # of calU-tilde
+        items.append((f"(beta-2alpha+1)_{n}", pochhammer(b - 2 * a + 1, n)))
+        if rho is not None:
             items.append(
                 (f"(beta-rho+2zeta-N+1)_{n}", pochhammer(b - r + 2 * z - N + 1, n))
             )
@@ -294,3 +297,17 @@ def test_registry_entries_are_the_values_their_labels_name():
                 assert vanishes == _label_verdict(label, p, r), (label, p, r)
                 vanishing += vanishes
     assert vanishing > 500
+
+
+def test_registry_without_rho_is_the_registry_with_rho_less_its_rho_entries():
+    # every entry that reads no rho is stated whether or not rho is given,
+    # in the same order
+    rng = random.Random(37)
+    values = sorted({Q(k, d) for k in range(-12, 13) for d in (1, 2, 3)})
+    draws = [(Params(N=rng.randint(1, 8), alpha=rng.choice(values), beta=rng.choice(values),
+                     zeta=rng.choice(values)), rng.choice(values)) for _ in range(300)]
+    draws += [_integer_combination_draw(rng, rng.randint(1, 12)) for _ in range(100)]
+    for p, rho in draws:
+        assert validate_params(p) == [label for label in validate_params(p, rho)
+                                      if "rho" not in label], (p, rho)
+    assert validate_params(Params(2, Q(5, 2), 3, Q(5, 2))) == ["(beta-2alpha+1)_2"]

@@ -1,6 +1,7 @@
 """The overlap tables and the oracle kernels against their per-point and
 dense-elimination references."""
 
+import itertools
 import json
 import random
 import sys
@@ -90,6 +91,29 @@ def test_every_table_equals_its_per_point_closed_form(monkeypatch):
             outcomes[want[0]] += 1
     # the draws reach every outcome
     assert set(outcomes) == {"value", "degenerate", "zero-division"}, outcomes
+
+
+def test_every_set_a_context_accepts_without_rho_builds_its_rho_free_tables():
+    # the registry without rho covers every denominator of the tables that
+    # read no rho: on each set with denominators 1 and 2 that Context(p)
+    # accepts, each such grid and the band tables of the families without
+    # rho build; the lower parameter 2alpha-beta-N of calU-tilde is the
+    # registry's (beta-2alpha+1)_n, which reads no rho
+    values = sorted({Q(k, 2) for k in range(-2, 7)})
+    built = 0
+    for N in range(1, 6):
+        for alpha, beta, zeta in itertools.product(values, repeat=3):
+            try:
+                ctx = Context(Params(N=N, alpha=alpha, beta=beta, zeta=zeta))
+            except DegenerateParameters:
+                continue
+            for name, grid in GRIDS.items():
+                if not grid.needs_rho:
+                    ctx.grid(name)
+            for basis in ("e", "d", "dStar", "z"):
+                ctx.band_tables(basis)
+            built += 1
+    assert built > 200
 
 
 def test_series_table_stops_each_factor_at_its_own_reach():

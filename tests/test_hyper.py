@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -38,6 +39,13 @@ def test_pochhammer_base_cases():
     assert pochhammer(0, 0) == 1
     with pytest.raises(PreconditionViolated):
         pochhammer(Q(1, 2), -1)
+
+
+@pytest.mark.parametrize("n", [1.5, True, Q(1), Q(1, 2)], ids=["1.5", "True", "1/1", "1/2"])
+def test_pochhammer_refuses_an_order_that_is_no_int(n):
+    # as errors.require_indices refuses an index, a bool included
+    with pytest.raises(PreconditionViolated, match=re.escape(f"must be an int >= 0, got {n!r}")):
+        pochhammer(Q(1, 2), n)
 
 
 @given(a=st.fractions(min_value=-8, max_value=8, max_denominator=10),

@@ -265,6 +265,25 @@ def test_dual_hahn_expansion_grid(p3, ctx3):
             assert rep.passed, [(c.id, c.detail) for c in rep.failures]
 
 
+def test_dual_hahn_expansion_reads_the_suites_kept_residuals(ctx3, monkeypatch):
+    # one route for the identity: verify_rational keeps the three residuals,
+    # and dual_hahn_expansion reads each point off them, forming no series,
+    # closed form or product of its own
+    verify_rational(ctx3)
+    kept = rf.dual_hahn_residuals(ctx3)
+
+    def formed(*args, **kwargs):
+        raise AssertionError("formed again after the suite")
+    for name in ("dual_hahn", "calU", "em_zstar_closed", "zk_dstar_closed", "terminating_hyp",
+                 "series_table", "pochhammer", "multi_pochhammer"):
+        monkeypatch.setattr(rf, name, formed)
+    monkeypatch.setattr(RationalMatrix, "__mul__", formed)
+    for m in range(ctx3.p.N + 1):
+        for n in range(ctx3.p.N + 1):
+            assert dual_hahn_expansion(ctx3, m, n).passed
+    assert rf.dual_hahn_residuals(ctx3) is kept
+
+
 def test_zk_dstar_vanishes_above_the_diagonal(p5):
     assert zk_dstar_closed(3, 1, p5) == 0
     assert zk_dstar_closed(5, 4, p5) == 0
@@ -406,9 +425,9 @@ def test_full_suite_negative_params(ctx_other):
 def test_dual_hahn_detail_names_first_failing_point(p3, ctx3, monkeypatch, bad_m, bad_n):
     # break <e_m|z*_k> at one m and <z_k|d*_n> at one n; the suite must name
     # the first four points, row by row, where dual_hahn_expansion fails.
-    # The suite reads the U prefactor's factor in m times the dual Hahn grid,
-    # the reference em_zstar_closed, so the fault goes into the factor both
-    # share; GRIDS bound the original at import, so the U grid stays sound
+    # The closed e^T z* table is the U prefactor's factor in m times the
+    # dual Hahn grid, so the fault goes into that factor; GRIDS bound the
+    # original at import, so the U grid stays sound
     pre, zk = rf._prefactor_U_m, rf.zk_dstar_closed
     monkeypatch.setattr(rf, "_prefactor_U_m", lambda m, p: pre(m, p) + (m == bad_m))
     monkeypatch.setattr(rf, "zk_dstar_closed",

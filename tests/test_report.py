@@ -43,20 +43,3 @@ def test_add_grid_reads_a_residual_without_writing_its_entries():
     assert not written(same) and not written(off)
     assert off[0, 1] == 2 and written(off)
 
-
-def test_add_line_lists_every_failing_index():
-    rep = VerificationReport(suite="line")
-    seen = []
-
-    def predicate(k):
-        seen.append(k)
-        return k % 2 == 1
-
-    assert rep.add_line("odd", "odd indices only", 5, predicate, axis="k") is False
-    assert seen == list(range(6))
-    assert rep.checks[0].status == FAIL
-    assert rep.checks[0].detail == "failing k: [0, 2, 4]"
-    assert rep.add_line("all", "always holds", 3, lambda n: True)
-    assert (rep.checks[1].status, rep.checks[1].detail) == (PASS, "")
-    rep.add_line("last", "fails at 3 only", 3, lambda n: n != 3)
-    assert rep.checks[2].detail == "failing n: [3]"

@@ -54,6 +54,7 @@ TEST_REFERENCES = {
     "heun_bidiagonal": "the bidiagonal slice of algebraic_heun, acceptance criterion 4",
     "z_action_on_d": "closed form of Z d_n, checked against the matrix product",
     "etilde_in_z": "expansion of Z d_n over the z family, checked by reconstruction",
+    "em_zstar_closed": "per-point <e_m|z*_k>, the reference for the kept em_zstar_table",
 }
 
 
