@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple
 from . import matrixreps, racahpoly, rationalfns
 from .algebra import (Params, build_Z, build_V, build_X, build_transposes, build_casimir,
                       require_generic)
-from .errors import Frozen, NondegenerateSpectrumViolated, PreconditionViolated
+from .errors import Frozen, NondegenerateSpectrumViolated, PreconditionViolated, require_indices
 from .hyper import pochhammer, series_terms
 from .matrices import RationalMatrix, right_divide_lower_bidiagonal
 from .report import VerificationReport
@@ -61,6 +61,7 @@ class BasisFamily(Frozen):
         object.__setattr__(self, "eigenvalues", eigenvalues)
 
     def column(self, n: int):
+        require_indices("basis column", self.vectors.cols - 1, n)
         return self.vectors.column(n)
 
 
@@ -195,6 +196,7 @@ def family(label: str, rho: Fraction | None) -> Family:
 
 
 def eigenvalue(label: str, p: Params, rho: Fraction | None, n: int) -> Fraction:
+    require_indices("eigenvalue", p.N, n)
     return family(label, rho).eigenvalue(p, rho, n)
 
 
@@ -442,6 +444,7 @@ def z_action_on_d(p: Params, n: int):
 
     with pref(n) the same prefactor as in the d-family closed form.
     """
+    require_indices("z_action_on_d", p.N, n)
     N, a, b = p.N, p.alpha, p.beta
     c = n - N - a + b + 1
     pref = (a - b - 1) * pochhammer(c, N - n) / (

@@ -115,8 +115,7 @@ class RationalMatrix(Frozen):
 
     @classmethod
     def from_columns(cls, columns):
-        columns = [list(c) for c in columns]
-        return cls([[columns[j][i] for j in range(len(columns))] for i in range(len(columns[0]))])
+        return cls(columns).transpose()
 
     # -- access ------------------------------------------------------------
 

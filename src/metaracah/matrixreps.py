@@ -10,7 +10,7 @@ one dual side, (Bstar)^T times the weight.  COEFFS maps
 each basis to the builder of its named band tables, which
 ``Context.band_tables`` keeps once per Context for every reader: ``matrix
 --which coeffs:`` emits them, ``verify_coefficients`` checks each against
-``matrix_on`` under the statement COEFFICIENT_STATEMENTS gives its id, and
+``matrix_on`` under a statement read off the family's dual and weight, and
 the trio, the racah suite and the rational suite read them.  Six tables
 are built by RationalMatrix.banded from their bands, three diagonals read
 off the defining relations; the others are read off them by the [V, Z]
@@ -29,6 +29,7 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 from .algebra import Params, central_params
+from .errors import require_indices
 from .hyper import series_terms
 from .matrices import RationalMatrix
 from .report import VerificationReport
@@ -186,6 +187,7 @@ def etilde_in_z(p: Params, n: int):
 
     Z d_n / (n - a) = sum_{l=n}^N (n-2a+b+1)_(l-n) / ((l-n)! (n-a)_(l-n)) z_l.
     """
+    require_indices("etilde_in_z", p.N, n)
     N, a, b = p.N, p.alpha, p.beta
     return (Q(0),) * n + tuple(series_terms((n - 2 * a + b + 1,), (n - a,), N - n + 1))
 
@@ -221,43 +223,38 @@ COEFFS = {
                               "Vtilde", "X", [1 / x for x in lam]),
 }
 
-# the statement of each coefficient check, keyed by its id
-COEFFICIENT_STATEMENTS = {
-    "Z-on-e": "closed-form Z coefficients on e match (e*)^T Z e",
-    "X-on-e": "closed-form X coefficients on e match (e*)^T X e",
-    "Zt-on-estar": "transposed-operator coefficients on e* are the transpose of Z on e",
-    "Xt-on-estar": "transposed-operator coefficients on e* are the transpose of X on e",
-    "V-on-f": "closed-form V coefficients on f match (f*)^T V f",
-    "Vt-on-fstar": "transposed-operator coefficients on f* are the transpose of V on f",
-    "Z-on-d": "closed-form Z coefficients on d match (d*)^T Z Z d",
-    "X-on-d": "closed-form X coefficients on d match (d*)^T Z X d",
-    "VZ-on-d": "closed-form VZ coefficients on d match (d*)^T Z (VZ) d",
-    "Zt-on-dstar": "closed-form Zt coefficients on d* match d^T Zt Zt d*",
-    "Xt-on-dstar": "closed-form Xt coefficients on d* match d^T Zt Xt d*",
-    "VtZt-on-dstar": "closed-form VtZt coefficients on d* match d^T Zt (VtZt) d*",
-    "V-on-z": "closed-form V coefficients on z match (z*)^T V z",
-    "X-on-z": "closed-form X coefficients on z match (z*)^T X z",
-    "Vtilde-on-z": "closed-form X Z^{-1} coefficients on z match (z*)^T X Z^{-1} z",
-}
-
-
 # -- verification ---------------------------------------------------------------
+
+
+def _statement(basis: str, name: str, fam) -> str:
+    """The statement of the check of table name on basis, read off its
+    family's dual and weight; Vtilde is shown as X Z^{-1}."""
+    b, dual = (label.replace("Star", "*") for label in (basis, fam.dual))
+    shown = "X Z^{-1}" if name == "Vtilde" else name
+    op = shown if len(re.findall("[A-Z]", name)) == 1 else f"({name})"
+    left = f"({dual})^T" if "*" in dual else f"{dual}^T"
+    weight = f"{fam.weight} " if fam.weight else ""
+    return f"closed-form {shown} coefficients on {b} match {left} {weight}{op} {b}"
 
 
 def verify_coefficients(ctx: Context) -> VerificationReport:
     """Every band table of COEFFS against its conjugation oracle, and each
     transposed operator on e* and f* by the transpose of that residual."""
+    from .eigenbases import FAMILIES  # eigenbases imports this module
     rep = VerificationReport(
         suite="matrixreps:coefficients", params={**ctx.p.as_dict(), "rho": str(ctx.rho)}
     )
-    grids = {f"{name}-on-{basis.lower()}": table - matrix_on(ctx, basis, name)
-             for basis in COEFFS for name, table in ctx.band_tables(basis).items()}
-    # as Ot = O^T, b^T Ot b* = ((b*)^T O b)^T: on e* and f* each residual is
-    # the transpose of its residual on e and f
-    grids.update({f"{name}t-on-{basis}star": grids[f"{name}-on-{basis}"].transpose()
-                  for basis in ("e", "f") for name in ctx.band_tables(basis)})
-    for check_id, grid in grids.items():
-        rep.add_grid(check_id, COEFFICIENT_STATEMENTS[check_id], grid)
+    for basis in COEFFS:
+        for name, table in ctx.band_tables(basis).items():
+            residual = table - matrix_on(ctx, basis, name)
+            rep.add_grid(f"{name}-on-{basis.lower()}", _statement(basis, name, FAMILIES[basis]),
+                         residual)
+            # as Ot = O^T, b^T Ot b* = ((b*)^T O b)^T: on e* and f* each
+            # residual is the transpose of its residual on e and f
+            if basis in ("e", "f"):
+                rep.add_grid(f"{name}t-on-{basis}star", "transposed-operator coefficients on"
+                             f" {basis}* are the transpose of {name} on {basis}",
+                             residual.transpose())
     return rep
 
 

@@ -61,6 +61,8 @@ class RacahParams(Frozen):
 
     @classmethod
     def from_params(cls, p: Params, rho: Fraction) -> "RacahParams":
+        if rho is None:
+            raise PreconditionViolated("the Racah parameters need rho")
         return cls(
             alpha_hat=-p.beta - rho - 1,
             beta_hat=-p.beta + rho - 2 * p.zeta - 1,

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction as Q
 
@@ -258,3 +259,22 @@ def test_grids_cannot_be_changed_in_place(ctx3):
         grid.rows = 2
     assert ctx3.grid("Utilde") is grid
     assert grid == eb.Context(ctx3.p, ctx3.rho).grid("Utilde")
+
+
+# each per-index entry point on the family table, and its name in the refusal
+PER_INDEX = [
+    ("eigenvalue", lambda ctx, n: eigenvalue("d", ctx.p, None, n)),
+    ("basis column", lambda ctx, n: ctx.basis("e").column(n)),
+    ("z_action_on_d", lambda ctx, n: z_action_on_d(ctx.p, n)),
+    ("etilde_in_z", lambda ctx, n: mr.etilde_in_z(ctx.p, n)),
+]
+
+
+@pytest.mark.parametrize("outside", ["-1", "N+1", "1/2", "True"])
+@pytest.mark.parametrize("name, entry", PER_INDEX, ids=[name for name, _ in PER_INDEX])
+def test_per_index_entries_refuse_indices_outside_0_to_N(ctx3, name, entry, outside):
+    # unguarded, -1 reads the last column, a Fraction or True index is
+    # evaluated, and N+1 fails inside a Pochhammer or a tuple, or not at all
+    n = {"-1": -1, "N+1": ctx3.p.N + 1, "1/2": Q(1, 2), "True": True}[outside]
+    with pytest.raises(PreconditionViolated, match=re.escape(f"{name} indices ({n!r},)")):
+        entry(ctx3, n)

@@ -308,6 +308,17 @@ def test_scaled_refuses_factors_that_do_not_fit_the_shape(r, c, message):
             form.scaled(r, c)
 
 
+@pytest.mark.parametrize("columns, message", [
+    ([[1], [2, 3]], "ragged rows"), ([[1, 2], [3]], "ragged rows"),
+    ([], "at least one row and column")])
+def test_from_columns_refuses_ragged_or_empty_columns(columns, message):
+    # read row by row off the first column, a longer later column would be
+    # cut and a shorter one fail on a bare index
+    with pytest.raises(ValueError, match=message):
+        RationalMatrix.from_columns(columns)
+    assert RationalMatrix.from_columns([[1, 2], [3, 4]]) == RationalMatrix([[1, 3], [2, 4]])
+
+
 def test_int_entries_become_fractions():
     m = RationalMatrix([[1, 0], [-3, True]])
     assert m.to_strings() == [["1", "0"], ["-3", "1"]]

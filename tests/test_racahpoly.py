@@ -36,6 +36,12 @@ def test_parameter_dictionary(p5, rho):
     assert rp.N == p5.N
 
 
+def test_parameter_dictionary_needs_rho(p5):
+    # as Context.W does, the Racah parameters refuse a missing rho by name
+    with pytest.raises(PreconditionViolated, match="^the Racah parameters need rho$"):
+        RacahParams.from_params(p5, None)
+
+
 def test_racah_trivial_rows(rp):
     # degree zero is constant; argument zero gives 1 for every degree
     for x in range(rp.N + 1):
