@@ -49,10 +49,7 @@ class Params(Frozen):
     def __init__(self, N: int, alpha: Fraction, beta: Fraction, zeta: Fraction):
         if not isinstance(N, int) or isinstance(N, bool) or N < 1:
             raise ValueError(f"N must be an integer >= 1, got {N!r}")
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "alpha", Q(alpha))
-        object.__setattr__(self, "beta", Q(beta))
-        object.__setattr__(self, "zeta", Q(zeta))
+        super().__init__(N, Q(alpha), Q(beta), Q(zeta))
 
     def as_dict(self):
         return {"N": str(self.N), "alpha": str(self.alpha), "beta": str(self.beta),

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .algebra import Params
 from .eigenbases import FAMILIES, LABELS, Context, family
-from .errors import Frozen
+from .errors import Frozen, PreconditionViolated
 from .hyper import multi_pochhammer, pochhammer, series_terms
 from .matrices import RationalMatrix
 from .rationalfns import em_zstar_table
@@ -47,6 +47,8 @@ class LaurentPoly(Frozen):
     __slots__ = _fields = ("min_exp", "coeffs")
 
     def __init__(self, min_exp: int, coeffs: tuple):
+        if type(min_exp) is not int:
+            raise PreconditionViolated(f"min_exp must be an int, got {min_exp!r}")
         cs = [c if type(c) is Q else Q(c) for c in coeffs]
         lo = min_exp
         while cs and cs[-1] == 0:
@@ -56,8 +58,7 @@ class LaurentPoly(Frozen):
             lo += 1
         if not cs:
             lo = 0
-        object.__setattr__(self, "min_exp", lo)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        super().__init__(lo, tuple(cs))
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -95,12 +96,16 @@ class LaurentPoly(Frozen):
         return _ZERO
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         terms = dict(self.items())
         for e, c in other.items():
             terms[e] = terms.get(e, _ZERO) + c
         return LaurentPoly.from_dict(terms)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "LaurentPoly":
@@ -132,9 +137,7 @@ class DiffOp(Frozen):
     __slots__ = _fields = ("a2", "a1", "a0")
 
     def __init__(self, a2: LaurentPoly, a1: LaurentPoly, a0: LaurentPoly):
-        object.__setattr__(self, "a2", a2)
-        object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "a0", a0)
+        super().__init__(a2, a1, a0)
 
     def apply(self, f: LaurentPoly) -> LaurentPoly:
         df = f.derivative()

@@ -56,9 +56,7 @@ class BasisFamily(Frozen):
     __slots__ = _fields = ("label", "vectors", "eigenvalues")
 
     def __init__(self, label: str, vectors: RationalMatrix, eigenvalues: tuple):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "eigenvalues", eigenvalues)
+        super().__init__(label, vectors, eigenvalues)
 
     def column(self, n: int):
         require_indices("basis column", self.vectors.cols - 1, n)

@@ -36,16 +36,22 @@ class NondegenerateSpectrumViolated(Exception):
 
 
 class Frozen:
-    """An immutable value: the records of every module, and RationalMatrix.
+    """An immutable value: the records of every module, and RationalMatrix,
+    which states its own construction, equality, hash, repr and copies.
 
     A subclass names its fields in ``_fields`` (and in ``__slots__``,
-    unless it needs a ``__dict__``), and its constructor sets them past
-    its own __setattr__, with object.__setattr__.  Equality and hash go by
-    type and fields, the repr lists the fields, and assigning or deleting
-    an attribute raises AttributeError.
+    unless it needs a ``__dict__``); its constructor checks its arguments
+    and passes the field values, in order, to Frozen.__init__.  Copies and
+    pickles call the constructor again.  Equality and hash go by type and
+    fields, the repr lists the fields, and assigning or deleting an
+    attribute raises AttributeError.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _values(self):
         return tuple(getattr(self, name) for name in self._fields)
@@ -68,9 +74,5 @@ class Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __setstate__(self, state):
-        # copy and pickle restore the fields here, past __setattr__; the
-        # state of a __slots__ class is a (None, slots) pair
-        for part in state if isinstance(state, tuple) else (state,):
-            for name, value in (part or {}).items():
-                object.__setattr__(self, name, value)
+    def __reduce__(self):
+        return type(self), self._values()

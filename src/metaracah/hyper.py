@@ -167,12 +167,13 @@ class HypSeries(Frozen):
     def __init__(self, upper: tuple, lower: tuple, argument: Fraction = Q(1)):
         upper = tuple(Q(u) for u in upper)
         lower = tuple(Q(l) for l in lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "argument", Q(argument))
+        argument = Q(argument)
         k = _cap(upper)
         _require_terminating(k, lower)
-        object.__setattr__(self, "termination_index", k)
+        super().__init__(upper, lower, argument, k)
+
+    def __reduce__(self):
+        return HypSeries, (self.upper, self.lower, self.argument)
 
 
 def hyp_sum(series: HypSeries) -> Fraction:

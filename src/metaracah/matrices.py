@@ -29,12 +29,11 @@ class RationalMatrix(Frozen):
     that is only checked for zero or for its nonzero points, stays on
     integers.  Every matrix keeps, from first use, its transpose and the
     integer-scaled forms a product reads of its factors; as no attribute
-    can be assigned, none goes stale.  Copies and pickles carry the
-    entries only.
+    can be assigned, none goes stale.  Copies and pickles are rebuilt by
+    the constructor from the entries alone.
     """
 
     __slots__ = ("rows", "cols", "_e", "_sums", "_t", "_row_scaled", "_col_scaled")
-    _fields = ("rows", "cols", "_e")
 
     def __init__(self, entries):
         rows = tuple(tuple(x if type(x) is Q else Q(x) for x in row) for row in entries)
@@ -75,12 +74,8 @@ class RationalMatrix(Frozen):
         object.__setattr__(self, "_e", e)
         return e
 
-    def __getstate__(self):
-        return (None, {name: getattr(self, name) for name in self._fields})
-
-    def __setstate__(self, state):
-        super().__setstate__(state)
-        self._set(self.rows, self.cols, self._e, None)
+    def __reduce__(self):
+        return RationalMatrix, (self._e,)
 
     # -- constructors ------------------------------------------------------
 
@@ -119,14 +114,23 @@ class RationalMatrix(Frozen):
 
     # -- access ------------------------------------------------------------
 
+    def _require_index(self, what, k, size):
+        # a negative index would read from the end, as a tuple's does
+        if type(k) is not int or not 0 <= k < size:
+            raise IndexError(f"{what} index {k!r} out of range for a {self.rows} x {self.cols} matrix")
+
     def __getitem__(self, ij):
         i, j = ij
+        self._require_index("row", i, self.rows)
+        self._require_index("column", j, self.cols)
         return self._e[i][j]
 
     def row(self, i):
+        self._require_index("row", i, self.rows)
         return self._e[i]
 
     def column(self, j):
+        self._require_index("column", j, self.cols)
         return tuple(self._e[i][j] for i in range(self.rows))
 
     @property
@@ -185,9 +189,13 @@ class RationalMatrix(Frozen):
         return self.scaled([-1] * self.rows)
 
     def __add__(self, other):
+        if not isinstance(other, RationalMatrix):
+            return NotImplemented
         return self._combine(other, 1)
 
     def __sub__(self, other):
+        if not isinstance(other, RationalMatrix):
+            return NotImplemented
         return self._combine(other, -1)
 
     def _combine(self, other, sign):
@@ -268,6 +276,8 @@ class RationalMatrix(Frozen):
 
     def hadamard(self, other):
         """The entrywise product, on the integer forms."""
+        if not isinstance(other, RationalMatrix):
+            raise TypeError(f"hadamard needs a RationalMatrix, not {type(other).__name__}")
         self._check_shape(other)
         (s, d1, e1), (t, d2, e2) = self._form(), other._form()
         return RationalMatrix._of(self.rows, self.cols, sums=(

@@ -52,12 +52,10 @@ class RacahParams(Frozen):
     __slots__ = _fields = ("alpha_hat", "beta_hat", "gamma_hat", "N")
 
     def __init__(self, alpha_hat: Fraction, beta_hat: Fraction, gamma_hat: Fraction, N: int):
-        object.__setattr__(self, "alpha_hat", Q(alpha_hat))
-        object.__setattr__(self, "beta_hat", Q(beta_hat))
-        object.__setattr__(self, "gamma_hat", Q(gamma_hat))
+        hats = Q(alpha_hat), Q(beta_hat), Q(gamma_hat)
         if not isinstance(N, int) or isinstance(N, bool) or N < 1:
             raise PreconditionViolated("N must be a positive integer")
-        object.__setattr__(self, "N", N)
+        super().__init__(*hats, N)
 
     @classmethod
     def from_params(cls, p: Params, rho: Fraction) -> "RacahParams":

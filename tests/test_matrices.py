@@ -319,6 +319,33 @@ def test_from_columns_refuses_ragged_or_empty_columns(columns, message):
     assert RationalMatrix.from_columns([[1, 2], [3, 4]]) == RationalMatrix([[1, 3], [2, 4]])
 
 
+@pytest.mark.parametrize("accessor, index, message", [
+    ("column", -1, "column index -1"), ("column", 2, "column index 2"),
+    ("row", -1, "row index -1"), ("row", 2, "row index 2"), ("row", True, "row index True"),
+    ("__getitem__", (-1, -1), "row index -1"), ("__getitem__", (2, 0), "row index 2"),
+    ("__getitem__", (0, 1.0), "column index 1.0"),
+    ("__getitem__", (0, False), "column index False")])
+def test_accessors_refuse_an_index_outside_the_shape(accessor, index, message):
+    # a negative index would read the last row or column as if it were
+    # asked for, and a bad one fail on a bare tuple index
+    m = RationalMatrix([[1, 2], [3, 4]])
+    for form in (m, m + m):
+        with pytest.raises(IndexError, match=f"^{message} out of range for a 2 x 2 matrix$"):
+            getattr(form, accessor)(index)
+    assert (m.row(1), m.column(0), m[1, 0]) == ((3, 4), (1, 3), 3)
+
+
+def test_arithmetic_refuses_an_operand_that_is_not_a_matrix():
+    m = RationalMatrix([[1]])
+    for other in (1, Q(1, 2), [[1]]):
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \+"):
+            m + other
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -"):
+            m - other
+        with pytest.raises(TypeError, match="hadamard needs a RationalMatrix"):
+            m.hadamard(other)
+
+
 def test_int_entries_become_fractions():
     m = RationalMatrix([[1, 0], [-3, True]])
     assert m.to_strings() == [["1", "0"], ["-3", "1"]]

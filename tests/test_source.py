@@ -115,6 +115,21 @@ def test_parameters_are_validated_only_by_a_context():
     assert sorted(found) == [("eigenbases.py", "Context"), ("eigenbases.py", "import")], found
 
 
+def test_frozen_fields_are_set_only_by_frozen_and_the_matrix():
+    # one construction path: every value's constructor passes its fields
+    # to errors.Frozen.__init__, and copies and pickles call the
+    # constructor; only RationalMatrix sets its lazily written forms
+    found = sorted({
+        (path.name, getattr(top, "name", None))
+        for path in SOURCES
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+    })
+    assert found == [("errors.py", "Frozen"), ("matrices.py", "RationalMatrix")], found
+
+
 def test_overlap_grids_are_built_only_by_a_context():
     # every (N+1) x (N+1) overlap table is an entry of Context.grid, built
     # once per set by its GRIDS row; a suite or command that called a

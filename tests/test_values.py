@@ -71,6 +71,43 @@ def test_values_survive_copy_and_pickle(name):
         assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
 
 
+def _twins(value):
+    return copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
+
+
+@pytest.mark.parametrize("name", [*VALUES, "RationalMatrix"])
+def test_copies_and_pickles_are_built_by_the_constructor(name, monkeypatch):
+    # one construction path: a copy passes the checks a new value does
+    value = (VALUES[name][0](0) if name in VALUES
+             else RationalMatrix([[Q(1, 2), 0], [3, Q(-1, 3)]]) * RationalMatrix.identity(2))
+    cls, init, calls = type(value), type(value).__init__, []
+
+    def counting(self, *args, **kwargs):
+        calls.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting)
+    for twin in _twins(value):
+        assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+    assert calls == [cls] * 3
+
+
+def test_a_tampered_pickle_meets_the_constructor_checks():
+    p = Params(N=9, alpha=Q(1, 3), beta=Q(1, 5), zeta=Q(1, 7))
+    data = pickle.dumps(p)
+    assert data.count(b"K\x09") == 1  # N, as a one-byte int
+    with pytest.raises(ValueError, match=r"^N must be an integer >= 1, got 0$"):
+        pickle.loads(data.replace(b"K\x09", b"K\x00"))
+
+
+def test_a_copied_context_keeps_its_own_store():
+    ctx = Context(_params(0), Q(1, 13))
+    ctx.basis("e")
+    for twin in _twins(ctx):
+        assert twin == ctx and twin._kept == {} and twin._kept is not ctx._kept
+        assert twin.basis("e") == ctx.basis("e") and twin.basis("e") is not ctx.basis("e")
+
+
 def test_matrix_forms_can_be_neither_assigned_nor_copied():
     # a matrix keeps its transpose and scaled forms; none can be replaced,
     # and copies and pickles carry the entries only, building their own
@@ -146,6 +183,24 @@ def test_laurent_poly_trims_both_ends():
     zero = LaurentPoly(5, (0, 0))
     assert (zero.min_exp, zero.coeffs) == (0, ()) and zero == LaurentPoly.zero()
     assert LaurentPoly(3, (Q(0), Q(7))) == LaurentPoly.monomial(4, 7)
+
+
+@pytest.mark.parametrize("min_exp", [Q(1, 2), Q(3), 1.0, True, False, "1", None], ids=repr)
+def test_laurent_poly_refuses_an_exponent_that_is_not_an_int(min_exp):
+    # a Fraction exponent would be kept and fail later on a tuple index,
+    # and True would print as an exponent
+    with pytest.raises(PreconditionViolated, match="^min_exp must be an int, got "):
+        LaurentPoly(min_exp, (1, 2))
+
+
+def test_laurent_arithmetic_refuses_an_operand_that_is_not_a_polynomial():
+    f = LaurentPoly(0, (1,))
+    for other in (1, Q(1, 2), (1,)):
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \+"):
+            f + other
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -"):
+            f - other
+    assert f + f == f * 2 and (f - f).is_zero
 
 
 def test_termination_index_is_the_smallest_cap():
