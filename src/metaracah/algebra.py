@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import DegenerateParameters, Frozen, PreconditionViolated
+from .errors import DegenerateParameters, Frozen, PreconditionViolated, exact
 from .matrices import RationalMatrix, anticommutator, brackets, commutator
 from .report import VerificationReport
 
@@ -49,7 +49,7 @@ class Params(Frozen):
     def __init__(self, N: int, alpha: Fraction, beta: Fraction, zeta: Fraction):
         if not isinstance(N, int) or isinstance(N, bool) or N < 1:
             raise ValueError(f"N must be an integer >= 1, got {N!r}")
-        super().__init__(N, Q(alpha), Q(beta), Q(zeta))
+        super().__init__(N, exact(alpha), exact(beta), exact(zeta))
 
     def as_dict(self):
         return {"N": str(self.N), "alpha": str(self.alpha), "beta": str(self.beta),

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .algebra import Params
 from .eigenbases import FAMILIES, LABELS, Context, family
-from .errors import Frozen, PreconditionViolated
+from .errors import Frozen, PreconditionViolated, exact
 from .hyper import multi_pochhammer, pochhammer, series_terms
 from .matrices import RationalMatrix
 from .rationalfns import em_zstar_table
@@ -49,7 +49,7 @@ class LaurentPoly(Frozen):
     def __init__(self, min_exp: int, coeffs: tuple):
         if type(min_exp) is not int:
             raise PreconditionViolated(f"min_exp must be an int, got {min_exp!r}")
-        cs = [c if type(c) is Q else Q(c) for c in coeffs]
+        cs = [c if type(c) is Q else exact(c) for c in coeffs]
         lo = min_exp
         while cs and cs[-1] == 0:
             cs.pop()
@@ -66,7 +66,7 @@ class LaurentPoly(Frozen):
 
     @classmethod
     def monomial(cls, exp: int, coeff=Q(1)) -> "LaurentPoly":
-        return cls(exp, (Q(coeff),))
+        return cls(exp, (coeff,))
 
     @classmethod
     def from_dict(cls, terms: dict) -> "LaurentPoly":
@@ -112,8 +112,11 @@ class LaurentPoly(Frozen):
         return LaurentPoly(self.min_exp, tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
+        # a float scalar is NotImplemented, as it is for a RationalMatrix
+        if isinstance(other, (int, Q)):
+            return LaurentPoly(self.min_exp, tuple(other * c for c in self.coeffs))
         if not isinstance(other, LaurentPoly):
-            return LaurentPoly(self.min_exp, tuple(Q(other) * c for c in self.coeffs))
+            return NotImplemented
         if self.is_zero or other.is_zero:
             return LaurentPoly.zero()
         out = [Q(0)] * (len(self.coeffs) + len(other.coeffs) - 1)

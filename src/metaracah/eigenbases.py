@@ -42,7 +42,8 @@ from typing import Callable, NamedTuple
 from . import matrixreps, racahpoly, rationalfns
 from .algebra import (Params, build_Z, build_V, build_X, build_transposes, build_casimir,
                       require_generic)
-from .errors import Frozen, NondegenerateSpectrumViolated, PreconditionViolated, require_indices
+from .errors import (Frozen, NondegenerateSpectrumViolated, PreconditionViolated, exact,
+                     require_indices)
 from .hyper import pochhammer, series_terms
 from .matrices import RationalMatrix, right_divide_lower_bidiagonal
 from .report import VerificationReport
@@ -298,8 +299,9 @@ class Context(Frozen):
     _fields = ("p", "rho")
 
     def __init__(self, p: Params, rho: Fraction | None = None):
+        super().__init__(p, None if rho is None else exact(rho))
         # no __slots__: cached_property keeps its values in the __dict__ too
-        self.__dict__.update(p=p, rho=None if rho is None else Q(rho), _kept={})
+        self.__dict__["_kept"] = {}
         require_generic(self.p, self.rho)
 
     Z = cached_property(lambda self: build_Z(self.p))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 
 class DegenerateParameters(Exception):
     """Raised when a parameter choice makes a required denominator vanish.
@@ -27,6 +29,18 @@ def require_indices(what: str, N: int, *indices) -> None:
     or Pochhammer is formed there."""
     if not all(type(i) is int and 0 <= i <= N for i in indices):
         raise PreconditionViolated(f"{what} indices {indices} must lie in 0..{N}")
+
+
+def exact(x) -> Fraction:
+    """x as a Fraction, for the constructors of the values and for scaling
+    factors: an int, a bool, a Fraction or a string such as "1/3" is read
+    exactly, and a float raises TypeError, as its binary expansion is not
+    the rational it was written as."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"{x!r} is a float; give an exact value, such as a Fraction or a string")
+    return Fraction(x)
 
 
 class NondegenerateSpectrumViolated(Exception):

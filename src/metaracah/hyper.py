@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import inf, prod
 from typing import Iterable, Sequence
 
-from .errors import DegenerateParameters, Frozen, PreconditionViolated
+from .errors import DegenerateParameters, Frozen, PreconditionViolated, exact
 from .matrices import RationalMatrix
 
 Q = Fraction
@@ -145,9 +145,9 @@ def series_table(rows: Sequence, cols: Sequence) -> RationalMatrix:
     row_counts = [min(c, top_col) + 1 for c in row_caps]
     col_counts = [min(c, top_row) + 1 for c in col_caps]
     width = max(row_counts)
-    A = RationalMatrix([series_terms(up, lo, n) + [0] * (width - n)
+    A = RationalMatrix([series_terms(up, lo, n) + [Q(0)] * (width - n)
                         for (up, lo), n in zip(rows, row_counts)])
-    Bt = RationalMatrix(list(zip(*(series_terms(up + [1], lo, n) + [0] * (width - n)
+    Bt = RationalMatrix(list(zip(*(series_terms(up + [1], lo, n) + [Q(0)] * (width - n)
                                    for (up, lo), n in zip(cols, col_counts)))))
     return A * Bt
 
@@ -165,9 +165,9 @@ class HypSeries(Frozen):
     __slots__ = _fields = ("upper", "lower", "argument", "termination_index")
 
     def __init__(self, upper: tuple, lower: tuple, argument: Fraction = Q(1)):
-        upper = tuple(Q(u) for u in upper)
-        lower = tuple(Q(l) for l in lower)
-        argument = Q(argument)
+        upper = tuple(exact(u) for u in upper)
+        lower = tuple(exact(l) for l in lower)
+        argument = exact(argument)
         k = _cap(upper)
         _require_terminating(k, lower)
         super().__init__(upper, lower, argument, k)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .errors import Frozen
+from .errors import Frozen, exact
 
 Q = Fraction
 _ZERO = Q(0)
@@ -36,7 +36,7 @@ class RationalMatrix(Frozen):
     __slots__ = ("rows", "cols", "_e", "_sums", "_t", "_row_scaled", "_col_scaled")
 
     def __init__(self, entries):
-        rows = tuple(tuple(x if type(x) is Q else Q(x) for x in row) for row in entries)
+        rows = tuple(tuple(x if type(x) is Q else exact(x) for x in row) for row in entries)
         if not rows or not rows[0]:
             raise ValueError("matrix must have at least one row and column")
         width = len(rows[0])
@@ -227,7 +227,8 @@ class RationalMatrix(Frozen):
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
     def __mul__(self, other):
-        """Matrix product, or entrywise product with a scalar.
+        """Matrix product, or entrywise product with an int or a Fraction;
+        any other operand, a float among them, is NotImplemented.
 
         Left rows and right columns are scaled to integers over the lcm of
         their denominators; entry (i, j) is an integer sum over the nonzeros
@@ -250,26 +251,29 @@ class RationalMatrix(Frozen):
                 sums.append(acc)
             return RationalMatrix._of(self.rows, other.cols,
                                       sums=(sums, [d for d, _ in left], scales))
-        return self.scaled([other] * self.rows)
+        return self.__rmul__(other)
 
     def __rmul__(self, scalar):
+        if not isinstance(scalar, (int, Q)):
+            return NotImplemented
         return self.scaled([scalar] * self.rows)
 
     def scaled(self, r=None, c=None):
         """diag(r) self diag(c), for row factors r and column factors c (None
         for ones), without a product: each factor's numerator multiplies
         the integers of the integer form and its denominator the scale of
-        its row or column."""
+        its row or column.  Each factor is read by errors.exact, so a float
+        raises TypeError."""
         for side, factors, size in (("row", r, self.rows), ("column", c, self.cols)):
             if factors is not None and len(factors) != size:
                 raise ValueError(f"{len(factors)} {side} factors for {size} {side}s")
         s, ds, es = self._form()
         if r is not None:
-            r = [x.as_integer_ratio() for x in r]
+            r = [exact(x).as_integer_ratio() for x in r]
             s = [[num * x for x in row] for (num, _), row in zip(r, s)]
             ds = [d * den for (_, den), d in zip(r, ds)]
         if c is not None:
-            c = [x.as_integer_ratio() for x in c]
+            c = [exact(x).as_integer_ratio() for x in c]
             s = [[x * num for x, (num, _) in zip(row, c)] for row in s]
             es = [e * den for (_, den), e in zip(c, es)]
         return RationalMatrix._of(self.rows, self.cols, sums=(s, ds, es))
@@ -301,19 +305,13 @@ class RationalMatrix(Frozen):
 
     def _right(self):
         """(column scales, row k as its (j, integer) nonzeros) of the
-        column-scaled matrix, for products with self on the right: the
-        scaled rows of the transpose, or the integer form's rows over the
-        lcm D of its row scales."""
+        column-scaled matrix, for products with self on the right: each
+        column is scaled as the transpose's _left scales that row, in either
+        form, and the integers are regrouped by row."""
         if self._col_scaled is None:
-            if self._sums is None:
-                cols = self.transpose()._left()
-                right = ([e for e, _ in cols], [[(j, x) for j, x in enumerate(r) if x]
-                                                for r in zip(*(c for _, c in cols))])
-            else:
-                sums, ds, es = self._sums
-                D = lcm(*ds)
-                right = ([e * D for e in es], [[(j, s * (D // d)) for j, s in enumerate(row) if s]
-                                               for d, row in zip(ds, sums)])
+            cols = self.transpose()._left()
+            right = ([e for e, _ in cols], [[(j, x) for j, x in enumerate(r) if x]
+                                            for r in zip(*(c for _, c in cols))])
             object.__setattr__(self, "_col_scaled", right)
         return self._col_scaled
 

@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .algebra import Params
-from .errors import Frozen, PreconditionViolated, require_indices
+from .errors import Frozen, PreconditionViolated, exact, require_indices
 from .hyper import multi_pochhammer, pochhammer, series_table, terminating_hyp
 from .matrices import RationalMatrix
 from .report import VerificationReport
@@ -52,7 +52,7 @@ class RacahParams(Frozen):
     __slots__ = _fields = ("alpha_hat", "beta_hat", "gamma_hat", "N")
 
     def __init__(self, alpha_hat: Fraction, beta_hat: Fraction, gamma_hat: Fraction, N: int):
-        hats = Q(alpha_hat), Q(beta_hat), Q(gamma_hat)
+        hats = exact(alpha_hat), exact(beta_hat), exact(gamma_hat)
         if not isinstance(N, int) or isinstance(N, bool) or N < 1:
             raise PreconditionViolated("N must be a positive integer")
         super().__init__(*hats, N)

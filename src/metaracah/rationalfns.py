@@ -268,19 +268,18 @@ def em_zstar_table(ctx: Context) -> RationalMatrix:
 
 def dual_hahn_residuals(ctx: Context) -> tuple:
     """The residuals of U = (e^T z*)(z^T d*), kept once per Context: e^T z*
-    - em_zstar_table, z^T d* - its closed table, and (C R)^T - calU, R the
-    dual Hahn grid, C_nk = <z_k|d*_n> / (k! g_n) for k <= n off that table
-    and g the U prefactor's factor in n."""
+    - em_zstar_table, z^T d* - its closed table T, and R^T C - calU, R the
+    dual Hahn grid, C = diag(1/k!) T diag(1/g_n) the expansion coefficients
+    and g the U prefactor's factor in n; T, and so C, is 0 at k > n."""
     def build():
         p, indices = ctx.p, range(ctx.p.N + 1)
         e, zstar, zfam, dstar = (ctx.basis(label) for label in ("e", "zStar", "z", "dStar"))
-        closed = [[zk_dstar_closed(k, n, p) for n in indices] for k in indices]
-        g = [_prefactor_U_n(n, p) for n in indices]
-        coeffs = RationalMatrix([[closed[k][n] / (factorial(k) * g[n]) if k <= n else 0
-                                  for k in indices] for n in indices])
+        closed = RationalMatrix([[zk_dstar_closed(k, n, p) for n in indices] for k in indices])
+        coeffs = closed.scaled([Q(1, factorial(k)) for k in indices],
+                               [1 / _prefactor_U_n(n, p) for n in indices])
         return (e.vectors.transpose() * zstar.vectors - em_zstar_table(ctx),
-                zfam.vectors.transpose() * dstar.vectors - RationalMatrix(closed),
-                (coeffs * ctx.grid("dualHahn")).transpose() - ctx.grid("calU"))
+                zfam.vectors.transpose() * dstar.vectors - closed,
+                ctx.grid("dualHahn").transpose() * coeffs - ctx.grid("calU"))
     return ctx.keep(("residuals", "dual Hahn"), build)
 
 

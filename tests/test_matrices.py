@@ -346,6 +346,28 @@ def test_arithmetic_refuses_an_operand_that_is_not_a_matrix():
             m.hadamard(other)
 
 
+@pytest.mark.parametrize("scalar", [0.1, 0.5, "a", "1/3", None], ids=repr)
+def test_scalar_products_refuse_what_is_not_an_int_or_a_fraction(scalar):
+    # 0.1 would scale by its binary expansion, not by 1/10, and a string
+    # failed on a missing as_integer_ratio instead of a TypeError
+    m = RationalMatrix([[1, 2], [3, 4]])
+    for form in (m, m + m):
+        with pytest.raises(TypeError, match="unsupported operand|can't multiply"):
+            form * scalar
+        with pytest.raises(TypeError, match="unsupported operand|can't multiply"):
+            scalar * form
+    assert m * True == True * m == m and m * Q(1, 2) == Q(1, 2) * m == m.scaled([Q(1, 2)] * 2)
+
+
+@pytest.mark.parametrize("r, c", [([0.5, 1], None), (None, [1, 0.5]), ([Q(1, 2), 1.0], [1, 1])])
+def test_scaled_refuses_a_float_factor(r, c):
+    m = RationalMatrix([[1, 2], [3, 4]])
+    for form in (m, m + m):
+        with pytest.raises(TypeError, match="is a float"):
+            form.scaled(r, c)
+    assert m.scaled([True, "1/2"], [Q(1, 3), 2]) == RationalMatrix([[Q(1, 3), 4], [Q(1, 2), 4]])
+
+
 def test_int_entries_become_fractions():
     m = RationalMatrix([[1, 0], [-3, True]])
     assert m.to_strings() == [["1", "0"], ["-3", "1"]]

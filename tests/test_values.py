@@ -17,6 +17,7 @@ from metaracah import (
     RationalMatrix,
 )
 from metaracah.diffmodel import DiffOp, LaurentPoly
+from metaracah.errors import Frozen, exact
 from metaracah.hyper import HypSeries
 from metaracah.report import Check, VerificationReport
 
@@ -156,6 +157,54 @@ def test_constructors_coerce_to_fractions():
     assert Params(2, 1, 0, -2) == p
 
 
+# each builds a value from one float; 0.1 would be kept as its binary
+# expansion, 3602879701896397/36028797018963968
+FLOAT_BUILDS = {
+    "exact": lambda: exact(0.1),
+    "Params": lambda: Params(3, 0.1, Q(1, 5), Q(1, 7)),
+    "Params-zeta": lambda: Params(3, Q(1, 3), Q(1, 5), 0.5),
+    "Context": lambda: Context(_params(0), 0.1),
+    "RationalMatrix": lambda: RationalMatrix([[0.1]]),
+    "banded": lambda: RationalMatrix.banded(2, {0: [1, 0.5]}),
+    "LaurentPoly": lambda: LaurentPoly(0, (0.1,)),
+    "monomial": lambda: LaurentPoly.monomial(1, 0.5),
+    "RacahParams": lambda: RacahParams(Q(1, 2), 0.1, Q(1, 5), 4),
+    "HypSeries-upper": lambda: HypSeries((-2, 0.5), ()),
+    "HypSeries-lower": lambda: HypSeries((-2,), (0.5,)),
+    "HypSeries-argument": lambda: HypSeries((-2,), (), 0.5),
+}
+
+
+@pytest.mark.parametrize("name", FLOAT_BUILDS)
+def test_constructors_refuse_a_float(name):
+    with pytest.raises(TypeError, match=r"^0\.[15] is a float; give an exact value"):
+        FLOAT_BUILDS[name]()
+
+
+def test_constructors_read_ints_bools_strings_and_fractions_exactly():
+    assert exact(True) == 1 and exact("-2/6") == Q(-1, 3) and exact(4) == 4
+    assert all(type(exact(x)) is Q for x in (True, "-2/6", 4, Q(1, 2)))
+    assert Params(3, "1/3", True, 0) == Params(3, Q(1, 3), Q(1), Q(0))
+    assert Context(_params(0), "1/13") == Context(_params(0), Q(1, 13))
+    assert RacahParams("1/2", 1, False, 4) == RacahParams(Q(1, 2), Q(1), Q(0), 4)
+    assert HypSeries(("-2",), ("1/3",), True) == HypSeries((-2,), (Q(1, 3),), 1)
+    assert LaurentPoly(0, ("1/2", True)) == LaurentPoly(0, (Q(1, 2), 1))
+    assert RationalMatrix([["1/2", True]]) == RationalMatrix([[Q(1, 2), 1]])
+
+
+def test_a_context_sets_its_fields_through_frozen_init(monkeypatch):
+    # as every other value does; only the store is set beside them
+    p, init, calls = _params(0), Frozen.__init__, []
+
+    def counting(self, *values):
+        calls.append((type(self), values))
+        init(self, *values)
+
+    monkeypatch.setattr(Frozen, "__init__", counting)
+    ctx = Context(p, 3)
+    assert calls == [(Context, (p, Q(3)))] and type(ctx.rho) is Q and ctx._kept == {}
+
+
 def test_constructor_errors_keep_type_and_message():
     with pytest.raises(ValueError, match=r"^N must be an integer >= 1, got 0$"):
         Params(N=0, alpha=Q(1, 3), beta=Q(1, 5), zeta=Q(1, 7))
@@ -201,6 +250,18 @@ def test_laurent_arithmetic_refuses_an_operand_that_is_not_a_polynomial():
         with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -"):
             f - other
     assert f + f == f * 2 and (f - f).is_zero
+
+
+@pytest.mark.parametrize("scalar", [0.1, 0.5, "1/3", "a", None], ids=repr)
+def test_laurent_scalar_products_refuse_what_is_not_an_int_or_a_fraction(scalar):
+    # 0.1 would scale by its binary expansion, and "1/3" was parsed
+    f = LaurentPoly(0, (1,))
+    for product in (lambda: f * scalar, lambda: scalar * f):
+        with pytest.raises(TypeError, match="unsupported operand|can't multiply"):
+            product()
+    g = LaurentPoly(-1, (Q(1, 2), 3))
+    assert g * True == True * g == g and 2 * g == g * 2 == g + g
+    assert g * Q(2, 3) == Q(2, 3) * g == LaurentPoly(-1, (Q(1, 3), 2))
 
 
 def test_termination_index_is_the_smallest_cap():
