@@ -95,7 +95,7 @@ def genericity_registry(p: Params, rho=None):
         items.append((label, x == 0))
 
     if rho is not None:
-        r = Q(rho)
+        r = exact(rho)
         ar2, neg_br, br = 2 * a + r, -b - r, b + r - N + 1
         brz = b - r + 2 * z - N + 1
     for n in range(N + 1):
@@ -320,6 +320,6 @@ def heun_bidiagonal(p: Params, h0, h1, h4):
     whether its nonzero pattern is confined to the diagonal and first
     subdiagonal.
     """
-    h0, h1, h4 = Q(h0), Q(h1), Q(h4)
+    h0, h1, h4 = map(exact, (h0, h1, h4))
     m = algebraic_heun(p, h0, h1, -h4, -h4, h4)
     return m, m.in_band(1, 0)

@@ -39,7 +39,7 @@ from .eigenbases import (
     check_orthogonality,
     oracle_mismatch,
 )
-from .errors import DegenerateParameters
+from .errors import DegenerateParameters, exact
 from .matrices import RationalMatrix
 from .matrixreps import COEFFS, verify_coefficients, verify_leonard_trio
 from .racahpoly import verify_racah
@@ -96,7 +96,7 @@ class Parser(argparse.ArgumentParser):
 
 def rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return exact(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 

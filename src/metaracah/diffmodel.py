@@ -257,7 +257,7 @@ def g_bases(norms: list) -> tuple:
 
 def jacobi_poly(n: int, a, b) -> LaurentPoly:
     """J_n^(a,b)(x) = (a+1)_n/n! 2F1(-n, n+a+b+1; a+1; x) on (0, 1)."""
-    a, b = Q(a), Q(b)
+    a, b = map(exact, (a, b))
     pre = pochhammer(a + 1, n) / pochhammer(Q(1), n)
     return LaurentPoly(0, series_terms((-n, n + a + b + 1), (a + 1,), n + 1, head=pre))
 

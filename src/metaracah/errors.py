@@ -32,10 +32,10 @@ def require_indices(what: str, N: int, *indices) -> None:
 
 
 def exact(x) -> Fraction:
-    """x as a Fraction, for the constructors of the values and for scaling
-    factors: an int, a bool, a Fraction or a string such as "1/3" is read
-    exactly, and a float raises TypeError, as its binary expansion is not
-    the rational it was written as."""
+    """x as a Fraction, the one reading of an argument at every public entry,
+    constructor and scaling factor: an int, a bool, a Fraction or a string
+    such as "1/3" is read exactly, and a float raises TypeError, as its
+    binary expansion is not the rational it was written as."""
     if type(x) is Fraction:
         return x
     if isinstance(x, float):

@@ -50,9 +50,7 @@ def pochhammer(a, n: int) -> Fraction:
     """
     if type(n) is not int or n < 0:
         raise PreconditionViolated(f"pochhammer order must be an int >= 0, got {n!r}")
-    if type(a) is not Q:
-        a = Q(a)
-    p, q = a.numerator, a.denominator
+    p, q = exact(a).as_integer_ratio()
     return Q(prod(range(p, p + n * q, q)), q**n)
 
 
@@ -74,12 +72,12 @@ def series_terms(upper: Sequence, lower: Sequence, count: int, head=1, argument=
     ratio after the last term is never formed, so a lower parameter may
     vanish at l + count - 1.
     """
-    upper = [Q(u) for u in upper]
-    lower = [Q(l) for l in lower]
-    z = Q(argument)
+    upper = [exact(u) for u in upper]
+    lower = [exact(l) for l in lower]
+    z = exact(argument)
     num_const = z.numerator * prod(l.denominator for l in lower)
     den_const = z.denominator * prod(u.denominator for u in upper)
-    terms = [Q(head)][:count]
+    terms = [exact(head)][:count]
     for k in range(count - 1):
         num = num_const * prod(u.numerator + k * u.denominator for u in upper)
         den = (k + 1) * den_const * prod(l.numerator + k * l.denominator for l in lower)
@@ -127,8 +125,8 @@ def series_table(rows: Sequence, cols: Sequence) -> RationalMatrix:
     row by row, with a lower parameter that vanishes within its summation
     range, naming the column's lower parameters before the row's.
     """
-    rows = [([Q(u) for u in up], [Q(l) for l in lo]) for up, lo in rows]
-    cols = [([Q(v) for v in up], [Q(w) for w in lo]) for up, lo in cols]
+    rows = [([exact(u) for u in up], [exact(l) for l in lo]) for up, lo in rows]
+    cols = [([exact(v) for v in up], [exact(w) for w in lo]) for up, lo in cols]
     row_caps = [_cap(up) for up, _ in rows]
     col_caps = [_cap(up) for up, _ in cols]
     top_row, top_col = max(row_caps), max(col_caps)
@@ -198,7 +196,7 @@ def hyp_sum_reference(series: HypSeries) -> Fraction:
 
 def terminating_hyp(upper: Sequence, lower: Sequence, argument=1) -> Fraction:
     """Shorthand: build the HypSeries and evaluate it."""
-    return hyp_sum(HypSeries(tuple(upper), tuple(lower), Q(argument)))
+    return hyp_sum(HypSeries(tuple(upper), tuple(lower), argument))
 
 
 def whipple_check(n: int, a, b, c, d, e, f) -> bool:
@@ -212,7 +210,7 @@ def whipple_check(n: int, a, b, c, d, e, f) -> bool:
 
     Returns whether both sides agree exactly.
     """
-    a, b, c, d, e, f = (Q(v) for v in (a, b, c, d, e, f))
+    a, b, c, d, e, f = map(exact, (a, b, c, d, e, f))
     if 1 - n + a + b + c != d + e + f:
         raise PreconditionViolated(
             "balance 1 - n + a + b + c = d + e + f fails: "

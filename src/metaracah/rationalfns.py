@@ -44,7 +44,7 @@ from math import factorial
 from typing import TYPE_CHECKING
 
 from .algebra import Params, build_X, build_Z
-from .errors import PreconditionViolated, require_indices
+from .errors import PreconditionViolated, exact, require_indices
 from .hyper import multi_pochhammer, pochhammer, series_table, terminating_hyp
 from .matrices import RationalMatrix
 from .report import VerificationReport
@@ -58,7 +58,7 @@ Q = Fraction
 def calU_general(m: int, n: int, a, b, c, N: int) -> Fraction:
     """The bare 4F3 at argument 1 for arbitrary rational (a, b, c)."""
     require_indices("calU", N, m, n)
-    a, b, c = Q(a), Q(b), Q(c)
+    a, b, c = map(exact, (a, b, c))
     return terminating_hyp(
         upper=(Q(-m), Q(-n), -a, m - 2 * b - 2 * c - 1),
         lower=(Q(-N), a - b - n, N - 2 * a - b - 2 * c),
@@ -84,7 +84,7 @@ def calU_table(a, b, c, N: int, ns) -> RationalMatrix:
     (columns) as one series_table: the term at k is
     (-m)_k (m-2b-2c-1)_k (-a)_k / ((-N)_k (N-2a-b-2c)_k k!) times
     (-n)_k / (a-b-n)_k."""
-    a, b, c = Q(a), Q(b), Q(c)
+    a, b, c = map(exact, (a, b, c))
     return series_table(
         [((-m, m - 2 * b - 2 * c - 1, -a), (-N, N - 2 * a - b - 2 * c)) for m in range(N + 1)],
         [((-n,), (a - b - n,)) for n in ns],
@@ -218,7 +218,7 @@ def contiguity_operator_check(rep: VerificationReport, ctx: Context) -> None:
 def dual_hahn(i: int, x: int, rho) -> Fraction:
     """R^(dH)_i(x; rho) = 3F2(-i, -x, x+r1+r2+1; r1+1, -N; 1)."""
     require_indices("dual Hahn", rho[2], i, x)
-    r1, r2, N = Q(rho[0]), Q(rho[1]), rho[2]
+    r1, r2, N = exact(rho[0]), exact(rho[1]), rho[2]
     return terminating_hyp(upper=(Q(-i), Q(-x), x + r1 + r2 + 1), lower=(r1 + 1, Q(-N)))
 
 
@@ -230,7 +230,7 @@ def dual_hahn_params(p: Params) -> tuple:
 def dual_hahn_table(rho) -> RationalMatrix:
     """dual_hahn(i, x, rho) at every i, x in 0..N as one series_table: the
     term at k is (-i)_k / ((r1+1)_k (-N)_k k!) times (-x)_k (x+r1+r2+1)_k."""
-    r1, r2, N = Q(rho[0]), Q(rho[1]), rho[2]
+    r1, r2, N = exact(rho[0]), exact(rho[1]), rho[2]
     return series_table([((-i,), (r1 + 1, -N)) for i in range(N + 1)],
                         [((-x, x + r1 + r2 + 1), ()) for x in range(N + 1)])
 
@@ -268,18 +268,19 @@ def em_zstar_table(ctx: Context) -> RationalMatrix:
 
 def dual_hahn_residuals(ctx: Context) -> tuple:
     """The residuals of U = (e^T z*)(z^T d*), kept once per Context: e^T z*
-    - em_zstar_table, z^T d* - its closed table T, and R^T C - calU, R the
-    dual Hahn grid, C = diag(1/k!) T diag(1/g_n) the expansion coefficients
-    and g the U prefactor's factor in n; T, and so C, is 0 at k > n."""
+    - em_zstar_table, z^T d* - its closed table T, and
+    (R^T diag(1/k!)) T diag(1/g_n) - calU, R the dual Hahn grid and g the U
+    prefactor's factor in n; T is 0 at k > n.  The scales are applied to
+    the factor and to the product, not to T, whose integer form would carry
+    the lcm of every row's k! over each column."""
     def build():
         p, indices = ctx.p, range(ctx.p.N + 1)
         e, zstar, zfam, dstar = (ctx.basis(label) for label in ("e", "zStar", "z", "dStar"))
         closed = RationalMatrix([[zk_dstar_closed(k, n, p) for n in indices] for k in indices])
-        coeffs = closed.scaled([Q(1, factorial(k)) for k in indices],
-                               [1 / _prefactor_U_n(n, p) for n in indices])
+        Rt = ctx.grid("dualHahn").transpose().scaled(None, [Q(1, factorial(k)) for k in indices])
+        expansion = (Rt * closed).scaled(None, [1 / _prefactor_U_n(n, p) for n in indices])
         return (e.vectors.transpose() * zstar.vectors - em_zstar_table(ctx),
-                zfam.vectors.transpose() * dstar.vectors - closed,
-                ctx.grid("dualHahn").transpose() * coeffs - ctx.grid("calU"))
+                zfam.vectors.transpose() * dstar.vectors - closed, expansion - ctx.grid("calU"))
     return ctx.keep(("residuals", "dual Hahn"), build)
 
 
@@ -324,7 +325,7 @@ def hahn_limit_check(m: int, n: int, aH, bH, p0: Params, tValues) -> Verificatio
     tValues = tuple(tValues)
     if not tValues:
         raise PreconditionViolated("hahn_limit_check needs at least one value in tValues")
-    aH, bH = Q(aH), Q(bH)
+    aH, bH = map(exact, (aH, bH))
     N = p0.N
     rep = VerificationReport(
         suite="hahn-limit",
@@ -333,7 +334,7 @@ def hahn_limit_check(m: int, n: int, aH, bH, p0: Params, tValues) -> Verificatio
     target = terminating_hyp(upper=(Q(-m), Q(-n), m + bH - N), lower=(Q(-N), aH - n))
     devs = []
     for t in tValues:
-        t = Q(t)
+        t = exact(t)
         val = calU_general(m, n, t, t - aH, Q(N - 1 - bH + 2 * aH, 2) - t, N)
         devs.append(abs(val - target))
     # non-strict so that exact agreement at finite t (e.g. m = n = 0) passes

@@ -14,7 +14,7 @@ import metaracah.eigenbases as eb
 from metaracah import (Context, DegenerateParameters, NondegenerateSpectrumViolated, Params, cli,
                        matrices)
 from metaracah.cli import SWEEP_DENOMINATORS, SWEEP_NUMERATORS
-from metaracah.eigenbases import FAMILIES, GRIDS, LABELS, eigenvalue, oracle_basis
+from metaracah.eigenbases import BasisFamily, FAMILIES, GRIDS, LABELS, eigenvalue, oracle_basis
 from metaracah.hyper import series_table, terminating_hyp
 from metaracah.matrices import RationalMatrix, nullspace, right_divide_lower_bidiagonal
 from metaracah.racahpoly import RacahParams, closed_form_S, closed_form_Stilde, racah
@@ -200,6 +200,39 @@ def test_a_pencil_off_the_band_reaches_the_elimination(ctx3, capsys, monkeypatch
     assert (check.status, check.detail) == ("fail", f"failing families: ['z']; oracle: {message}")
     assert cli.main(["matrix", "--which", "basis:z", "--N", "3"]) == 1
     assert capsys.readouterr().out == f"basis z failed revalidation on emit: {message}\n"
+
+
+def _plant_closed_basis(monkeypatch, vectors):
+    """Make every closed-form family the columns of vectors, each at
+    eigenvalue 1/2."""
+    monkeypatch.setattr(eb, "build_basis", lambda p, rho, label: BasisFamily(
+        label, vectors, (Q(1, 2),) * vectors.cols))
+
+
+def test_a_diagonal_entry_vanishing_at_every_eigenvalue_anchors_each_kernel(rho, monkeypatch):
+    # at alpha = 0, Z has the diagonal (0, 1, 2, 3), so the pencil
+    # Z - lam Z = (1 - lam) Z has a_0 = b_0 = 0: entry (0, 0) vanishes at
+    # every lam, and at lam = 1/2 it is the only one, so each kernel vector
+    # starts at |0> and follows Z's recurrence v_j = -v_(j-1) / j
+    _refuse_nullspace(monkeypatch)
+    monkeypatch.setattr(eb, "require_generic", lambda p, rho=None: None)
+    ctx = Context(Params(N=3, alpha=0, beta=Q(1, 5), zeta=Q(1, 7)), rho)
+    monkeypatch.setitem(FAMILIES, "z", FAMILIES["z"]._replace(weight="Z"))
+    monkeypatch.setattr(eb, "eigenvalue", lambda *args: Q(1, 2))
+    _plant_closed_basis(monkeypatch, RationalMatrix.identity(4))
+    v = (Q(1), Q(-1), Q(1, 2), Q(-1, 6))
+    assert oracle_basis(ctx, "z").vectors == RationalMatrix.from_columns(
+        [[x / v[n] for x in v] for n in range(4)])
+
+
+def test_a_vanishing_component_on_the_anchor_reaches_the_elimination(ctx3, monkeypatch):
+    # each kernel vector is scaled to the closed form's component on |n>;
+    # a closed family that is 0 there leaves nothing to scale it by
+    _refuse_nullspace(monkeypatch)
+    _plant_closed_basis(monkeypatch, RationalMatrix.zeros(4))
+    with pytest.raises(NondegenerateSpectrumViolated) as exc:
+        oracle_basis(ctx3, "z")
+    assert str(exc.value) == "family z, index 0: vanishing component on |0>"
 
 
 def test_oracle_takes_no_elimination_on_the_eight_pencils(ctx3, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -344,6 +345,41 @@ def test_arithmetic_refuses_an_operand_that_is_not_a_matrix():
             m - other
         with pytest.raises(TypeError, match="hadamard needs a RationalMatrix"):
             m.hadamard(other)
+
+
+@pytest.mark.parametrize("combine", [
+    pytest.param(lambda a, b: a + b, id="add"), pytest.param(lambda a, b: a - b, id="sub"),
+    pytest.param(lambda a, b: a.hadamard(b), id="hadamard")])
+def test_entrywise_operations_refuse_operands_of_another_shape(combine):
+    # zipped row by row, a 2 x 3 and a 3 x 2 operand would make a 2 x 2
+    # result out of part of each
+    m, t = RationalMatrix([[1, Q(1, 2), 0], [0, 3, Q(-2, 5)]]), RationalMatrix([[1, 2]] * 3)
+    for a, b in ((m, t), (m + m, t * 2), (t, m)):
+        with pytest.raises(ValueError, match=re.escape(f"shape mismatch {a.shape} vs {b.shape}")):
+            combine(a, b)
+
+
+def test_products_refuse_factors_whose_inner_sizes_differ():
+    m = RationalMatrix([[1, Q(1, 2), 0], [0, 3, Q(-2, 5)]])
+    for a in (m, m + m):
+        with pytest.raises(ValueError, match=r"^cannot multiply \(2, 3\) by \(2, 3\)$"):
+            a * a
+    assert (m * m.transpose()).shape == (2, 2)
+
+
+def test_apply_refuses_a_vector_of_another_length():
+    m = RationalMatrix([[1, Q(1, 2), 0], [0, 3, Q(-2, 5)]])
+    for vector in ([1, 2], [1, 2, 3, 4]):
+        with pytest.raises(ValueError, match="^vector length mismatch$"):
+            m.apply(vector)
+    assert m.apply([2, 2, 5]) == (3, 4)
+
+
+def test_dot_refuses_vectors_of_different_lengths():
+    for u, v in (([1, 2], [Q(1, 3)]), ([Q(1, 2)], [1, 2])):
+        with pytest.raises(ValueError, match="^length mismatch$"):
+            dot(u, v)
+    assert dot([Q(1, 2), 3], [4, Q(1, 3)]) == 3
 
 
 @pytest.mark.parametrize("scalar", [0.1, 0.5, "a", "1/3", None], ids=repr)

@@ -198,6 +198,27 @@ def test_only_the_context_reads_its_store():
     assert SOURCES and not found, found
 
 
+def test_arguments_become_fractions_only_through_exact():
+    # errors.exact is the one reading of an argument as a Fraction, so a
+    # float raises TypeError at every entry; Fraction(x) or Q(x) on a name,
+    # an item or an attribute elsewhere would read it as its binary
+    # expansion.  Literals such as Q(-N) or Q(1, 3) build a number instead
+    found = []
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if path.name == "errors.py" and getattr(top, "name", None) == "exact":
+                continue
+            found += [
+                f"{path.name}:{node.lineno}"
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("Fraction", "Q") and len(node.args) == 1
+                and not node.keywords
+                and isinstance(node.args[0], (ast.Name, ast.Subscript, ast.Attribute))
+            ]
+    assert SOURCES and not found, found
+
+
 def test_no_module_imports_dataclasses():
     # every CLI op is a fresh interpreter; the records are plain classes,
     # so no import pays for dataclasses (and the inspect it pulls in) or

@@ -16,9 +16,14 @@ from metaracah import (
     RacahParams,
     RationalMatrix,
 )
-from metaracah.diffmodel import DiffOp, LaurentPoly
+from metaracah.algebra import genericity_registry, heun_bidiagonal, validate_params
+from metaracah.cli import rational
+from metaracah.diffmodel import DiffOp, LaurentPoly, jacobi_poly
 from metaracah.errors import Frozen, exact
-from metaracah.hyper import HypSeries
+from metaracah.hyper import (HypSeries, multi_pochhammer, pochhammer, series_table, series_terms,
+                             terminating_hyp, whipple_check)
+from metaracah.rationalfns import (calU_general, calU_table, dual_hahn, dual_hahn_table,
+                                   hahn_limit_check)
 from metaracah.report import Check, VerificationReport
 
 
@@ -190,6 +195,61 @@ def test_constructors_read_ints_bools_strings_and_fractions_exactly():
     assert HypSeries(("-2",), ("1/3",), True) == HypSeries((-2,), (Q(1, 3),), 1)
     assert LaurentPoly(0, ("1/2", True)) == LaurentPoly(0, (Q(1, 2), 1))
     assert RationalMatrix([["1/2", True]]) == RationalMatrix([[Q(1, 2), 1]])
+
+
+# each public entry that reads a number, with one argument left open, and
+# the exact values it is called with there
+P = _params(0)
+THIRD_AND_ONE = (Q(1, 3), Q(1))
+OPEN_ENTRIES = {
+    "pochhammer": (lambda x: pochhammer(x, 3), THIRD_AND_ONE),
+    "multi_pochhammer": (lambda x: multi_pochhammer((Q(1, 5), x), 2), THIRD_AND_ONE),
+    "series_terms-upper": (lambda x: series_terms((-2, x), (Q(1, 7),), 3), THIRD_AND_ONE),
+    "series_terms-lower": (lambda x: series_terms((-2,), (x,), 3), THIRD_AND_ONE),
+    "series_terms-head": (lambda x: series_terms((-2, Q(1, 5)), (), 3, head=x), THIRD_AND_ONE),
+    "series_terms-argument": (lambda x: series_terms((-2,), (Q(1, 7),), 3, argument=x),
+                              THIRD_AND_ONE),
+    "series_table": (lambda x: series_table([((-1, x), (Q(1, 7),)), ((-2,), (x,))],
+                                            [((-2,), ())]), THIRD_AND_ONE),
+    "terminating_hyp": (lambda x: terminating_hyp((-2, Q(1, 5)), (Q(1, 7),), x), THIRD_AND_ONE),
+    "whipple_check": (lambda x: whipple_check(1, x, Q(1, 3), Q(1, 5), x, Q(1, 3), Q(1, 5)),
+                      THIRD_AND_ONE),
+    "calU_general": (lambda x: calU_general(1, 2, x, Q(1, 5), Q(1, 7), 3), THIRD_AND_ONE),
+    "calU_table": (lambda x: calU_table(x, Q(1, 5), Q(1, 7), 3, range(4)), THIRD_AND_ONE),
+    "dual_hahn": (lambda x: dual_hahn(1, 2, (x, Q(1, 5), 3)), THIRD_AND_ONE),
+    "dual_hahn_table": (lambda x: dual_hahn_table((Q(1, 5), x, 3)), THIRD_AND_ONE),
+    # the series have the lower parameter a - 1, so a is not 1 here
+    "hahn_limit_check-a": (lambda x: hahn_limit_check(1, 1, x, Q(1, 5), P, (10, 100)).as_dict(),
+                           (Q(1, 3), Q(2))),
+    # the report prints each t as given, so t is not 0 or 1, where a bool would print
+    "hahn_limit_check-t": (
+        lambda x: hahn_limit_check(1, 1, Q(1, 3), Q(1, 5), P, (10, x)).as_dict(), (Q(10**4),)),
+    "jacobi_poly": (lambda x: jacobi_poly(2, x, Q(1, 5)), THIRD_AND_ONE),
+    "heun_bidiagonal": (lambda x: heun_bidiagonal(P, x, Q(1, 5), 2), THIRD_AND_ONE),
+    "genericity_registry": (lambda x: genericity_registry(P, x), THIRD_AND_ONE),
+    "validate_params": (lambda x: validate_params(P, x), THIRD_AND_ONE),
+}
+
+
+@pytest.mark.parametrize("name, value", [
+    pytest.param(name, value, id=f"{name}-{value}")
+    for name, (_, values) in OPEN_ENTRIES.items() for value in values])
+def test_public_entries_refuse_a_float(name, value):
+    # 1/3 would be read as its binary expansion; 1.0 is refused too, as the
+    # constructors refuse it, though its expansion is exact
+    entry, _ = OPEN_ENTRIES[name]
+    with pytest.raises(TypeError, match="is a float; give an exact value"):
+        entry(float(value))
+
+
+@pytest.mark.parametrize("name", OPEN_ENTRIES)
+def test_public_entries_read_ints_bools_strings_and_fractions_exactly(name):
+    entry, values = OPEN_ENTRIES[name]
+    for value in values:
+        expected = entry(value)
+        given = [str(value)] + [int(value)] * (value.denominator == 1) + [True] * (value == 1)
+        assert all(entry(x) == expected for x in given), (value, given)
+    assert rational("1/3") == Q(1, 3) and rational("-0.25") == Q(-1, 4) and rational("2") == 2
 
 
 def test_a_context_sets_its_fields_through_frozen_init(monkeypatch):
