@@ -196,7 +196,7 @@ def family(label: str, rho: Fraction | None) -> Family:
 
 def eigenvalue(label: str, p: Params, rho: Fraction | None, n: int) -> Fraction:
     require_indices("eigenvalue", p.N, n)
-    return family(label, rho).eigenvalue(p, rho, n)
+    return family(label, rho).eigenvalue(p, None if rho is None else exact(rho), n)
 
 
 def build_basis(p: Params, rho: Fraction | None, label: str) -> BasisFamily:

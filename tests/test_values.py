@@ -19,6 +19,7 @@ from metaracah import (
 from metaracah.algebra import genericity_registry, heun_bidiagonal, validate_params
 from metaracah.cli import rational
 from metaracah.diffmodel import DiffOp, LaurentPoly, jacobi_poly
+from metaracah.eigenbases import eigenvalue
 from metaracah.errors import Frozen, exact
 from metaracah.hyper import (HypSeries, multi_pochhammer, pochhammer, series_table, series_terms,
                              terminating_hyp, whipple_check)
@@ -228,6 +229,7 @@ OPEN_ENTRIES = {
     "heun_bidiagonal": (lambda x: heun_bidiagonal(P, x, Q(1, 5), 2), THIRD_AND_ONE),
     "genericity_registry": (lambda x: genericity_registry(P, x), THIRD_AND_ONE),
     "validate_params": (lambda x: validate_params(P, x), THIRD_AND_ONE),
+    "eigenvalue": (lambda x: eigenvalue("f", P, x, 1), THIRD_AND_ONE),
 }
 
 
