@@ -5,6 +5,8 @@ Everything is computed over Fraction, so every verification either holds on
 the nose or reports the exact offending entry.
 """
 
+from types import ModuleType as _ModuleType
+
 from .algebra import (
     Params,
     build_V,
@@ -58,54 +60,9 @@ from .diffmodel import (
 )
 from .report import Check, VerificationReport
 
-__all__ = [
-    "BasisFamily",
-    "Check",
-    "Context",
-    "DegenerateParameters",
-    "DiffOp",
-    "LABELS",
-    "LaurentPoly",
-    "NondegenerateSpectrumViolated",
-    "Params",
-    "PreconditionViolated",
-    "RacahParams",
-    "RationalMatrix",
-    "VerificationReport",
-    "anticommutator",
-    "build_V",
-    "build_X",
-    "build_Z",
-    "build_basis",
-    "build_transposes",
-    "calU",
-    "calU_tilde",
-    "central_params",
-    "check_casimir_central",
-    "check_defining_relations",
-    "check_orthogonality",
-    "check_subalgebras",
-    "closed_form_S",
-    "closed_form_Stilde",
-    "closed_form_U",
-    "closed_form_Utilde",
-    "commutator",
-    "dot",
-    "dual_hahn",
-    "eigenvalue",
-    "hahn_limit_check",
-    "oracle_basis",
-    "pochhammer",
-    "racah",
-    "residue_pair",
-    "terminating_hyp",
-    "validate_params",
-    "verify_coefficients",
-    "verify_leonard_trio",
-    "verify_model",
-    "verify_racah",
-    "verify_rational",
-    "whipple_check",
-]
+# The public API is what the imports above bind, less the submodules they
+# bind on the package as a side effect.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))
 
 __version__ = "0.1.0"

@@ -24,9 +24,12 @@ class PreconditionViolated(Exception):
 
 
 def require_indices(what: str, N: int, *indices) -> None:
-    """Refuse an index that is not an int in 0..N (a bool is not one), the
-    grid of every per-point Racah and rational reference, before any series
-    or Pochhammer is formed there."""
+    """Refuse an order N that is not an int >= 1, and then an index that is
+    not an int in 0..N (a bool is neither), the grid of every per-point
+    Racah and rational reference, before any series or Pochhammer is formed
+    there."""
+    if type(N) is not int or N < 1:
+        raise PreconditionViolated(f"{what} order N = {N!r} must be an int >= 1")
     if not all(type(i) is int and 0 <= i <= N for i in indices):
         raise PreconditionViolated(f"{what} indices {indices} must lie in 0..{N}")
 

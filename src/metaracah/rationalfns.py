@@ -84,6 +84,7 @@ def calU_table(a, b, c, N: int, ns) -> RationalMatrix:
     (columns) as one series_table: the term at k is
     (-m)_k (m-2b-2c-1)_k (-a)_k / ((-N)_k (N-2a-b-2c)_k k!) times
     (-n)_k / (a-b-n)_k."""
+    require_indices("calU_table", N)
     a, b, c = map(exact, (a, b, c))
     return series_table(
         [((-m, m - 2 * b - 2 * c - 1, -a), (-N, N - 2 * a - b - 2 * c)) for m in range(N + 1)],
@@ -230,6 +231,7 @@ def dual_hahn_params(p: Params) -> tuple:
 def dual_hahn_table(rho) -> RationalMatrix:
     """dual_hahn(i, x, rho) at every i, x in 0..N as one series_table: the
     term at k is (-i)_k / ((r1+1)_k (-N)_k k!) times (-x)_k (x+r1+r2+1)_k."""
+    require_indices("dual_hahn_table", rho[2])
     r1, r2, N = exact(rho[0]), exact(rho[1]), rho[2]
     return series_table([((-i,), (r1 + 1, -N)) for i in range(N + 1)],
                         [((-x, x + r1 + r2 + 1), ()) for x in range(N + 1)])
@@ -322,7 +324,7 @@ def hahn_limit_check(m: int, n: int, aH, bH, p0: Params, tValues) -> Verificatio
     must be below 1/1000 in absolute value.
     """
     require_indices("hahn_limit_check", p0.N, m, n)
-    tValues = tuple(tValues)
+    tValues = tuple(map(exact, tValues))
     if not tValues:
         raise PreconditionViolated("hahn_limit_check needs at least one value in tValues")
     aH, bH = map(exact, (aH, bH))
@@ -334,7 +336,6 @@ def hahn_limit_check(m: int, n: int, aH, bH, p0: Params, tValues) -> Verificatio
     target = terminating_hyp(upper=(Q(-m), Q(-n), m + bH - N), lower=(Q(-N), aH - n))
     devs = []
     for t in tValues:
-        t = exact(t)
         val = calU_general(m, n, t, t - aH, Q(N - 1 - bH + 2 * aH, 2) - t, N)
         devs.append(abs(val - target))
     # non-strict so that exact agreement at finite t (e.g. m = n = 0) passes

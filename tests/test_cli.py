@@ -151,6 +151,17 @@ def test_an_out_of_range_count_names_only_its_own_option(capsys, argv, message):
     assert capsys.readouterr().err == f"metaracah: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("matrix --which coeffs:eStar --N 3", "no coefficient table for 'coeffs:eStar'"),
+    ("matrix --which nope --N 3", "unknown matrix selector 'nope'"),
+    ("verify --N 0", "--N must be at least 1"),
+])
+def test_a_selector_or_order_outside_the_domain_is_a_usage_error(capsys, argv, message):
+    # refused before any Context is built, on stderr alone
+    assert main(argv.split()) == 3
+    assert capsys.readouterr() == ("", f"metaracah: {message}\n")
+
+
 def test_usage_errors_exit_three(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--no-such-flag"])
@@ -464,6 +475,16 @@ def test_an_oracle_without_a_kernel_fails_closed_vs_oracle(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_context", lambda args, needs_rho: ctx)
     code, out = run(capsys, "matrix", "--which", "basis:d", "--N", "3")
     assert (code, out) == (1, f"basis d failed revalidation on emit: {message('d')}\n")
+
+
+def test_an_emitted_casimir_that_is_not_central_fails(capsys, monkeypatch):
+    # C + E_00 does not commute with Z, whose entry (1, 0) is nonzero, so the
+    # emit re-check refuses it and exits 1 with no payload
+    ctx = eb.Context(Params(N=3, alpha=Q(1, 3), beta=Q(1, 5), zeta=Q(1, 7)))
+    ctx.__dict__["C"] = ctx.C + matrices.RationalMatrix.banded(4, {0: [1, 0, 0, 0]})
+    monkeypatch.setattr(cli, "_context", lambda args, needs_rho: ctx)
+    assert run(capsys, "matrix", "--which", "C", "--N", "3") == (
+        1, "casimir centrality failed on emit\n")
 
 
 def test_a_planted_racah_operator_reaches_the_f_oracle_and_the_racah_pair():

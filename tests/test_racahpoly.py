@@ -9,7 +9,7 @@ import metaracah.matrixreps as mr
 import metaracah.racahpoly as racahpoly
 from metaracah.eigenbases import eigenvalue
 from metaracah.errors import PreconditionViolated
-from metaracah.hyper import pochhammer
+from metaracah.hyper import multi_pochhammer, pochhammer
 from metaracah.matrices import RationalMatrix, dot
 from metaracah.racahpoly import (
     RacahParams,
@@ -106,6 +106,28 @@ def test_weight_orthogonality_row_sums(p5, rho, rp):
         weight(n, rp) * racah(0, n, rp) * racah(1, n, rp) for n in range(rp.N + 1)
     )
     assert mixed == 0
+
+
+@pytest.mark.parametrize("ctx_name", ["ctx3", "ctx5", "ctx_other"])
+def test_weight_and_norm_are_those_of_koekoek_lesky_swarttouw(request, ctx_name):
+    # KLS section 9.2 at alpha = a, beta = b, gamma = -N-1, delta = g (the
+    # hatted parameters): its weight makes the R grid orthogonal, and weight
+    # and norm are its weight and squared norm up to a factor free of x and m
+    ctx = request.getfixturevalue(ctx_name)
+    rp = RacahParams.from_params(ctx.p, ctx.rho)
+    al, be, ga, de = rp.alpha_hat, rp.beta_hat, -rp.N - 1, rp.gamma_hat
+    R, xs = ctx.grid("racah"), range(rp.N + 1)
+    w = [multi_pochhammer((al + 1, be + de + 1, ga + 1, ga + de + 1, (ga + de + 3) / 2), x)
+         / multi_pochhammer((-al + ga + de + 1, -be + ga + 1, (ga + de + 1) / 2, de + 1, 1), x)
+         for x in xs]
+    h = [multi_pochhammer((m + al + be + 1, al + be - ga + 1, al - de + 1, be + 1, 1), m)
+         / (pochhammer(al + be + 2, 2 * m) * multi_pochhammer((al + 1, be + de + 1, ga + 1), m))
+         for m in xs]
+    gram = [[sum(w[x] * R[m, x] * R[n, x] for x in xs) for n in xs] for m in xs]
+    assert all(gram[m][n] == 0 for m in xs for n in xs if m != n)
+    assert len({gram[m][m] / h[m] for m in xs}) == 1
+    assert len({weight(x, rp) / w[x] for x in xs}) == 1
+    assert len({norm(m, rp) / h[m] for m in xs}) == 1
 
 
 def _band_sum(band, i, value):

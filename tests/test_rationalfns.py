@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction as Q
+from math import factorial
 
 import pytest
 
@@ -8,7 +9,7 @@ import metaracah.racahpoly as racahpoly
 import metaracah.rationalfns as rf
 from metaracah.eigenbases import GRIDS, Context, eigenvalue
 from metaracah.errors import DegenerateParameters, PreconditionViolated
-from metaracah.hyper import pochhammer
+from metaracah.hyper import multi_pochhammer, pochhammer
 from metaracah.matrices import RationalMatrix, dot
 from metaracah.racahpoly import RacahParams, norm, verify_racah, weight
 from metaracah.rationalfns import (
@@ -256,6 +257,24 @@ def test_dual_hahn_rows(p5):
         assert dual_hahn(0, x, rho) == 1
     for i in range(p5.N + 1):
         assert dual_hahn(i, 0, rho) == 1
+
+
+@pytest.mark.parametrize("ctx_name", ["ctx3", "ctx5", "ctx_other"])
+def test_dual_hahn_grid_has_the_koekoek_lesky_swarttouw_norms(request, ctx_name):
+    # KLS section 9.6 at (gamma, delta, N) = dual_hahn_params(p): the sum
+    # over x of its weight times R_m(x) R_n(x) is exactly
+    # delta_mn / (C(gamma+n, n) C(delta+N-n, N-n)), C(a, k) = (a-k+1)_k / k!
+    ctx = request.getfixturevalue(ctx_name)
+    ga, de, N = dual_hahn_params(ctx.p)
+    R, xs = ctx.grid("dualHahn"), range(N + 1)
+    w = [(2 * x + ga + de + 1) * multi_pochhammer((ga + 1, -N), x) * factorial(N)
+         / ((-1) ** x * pochhammer(x + ga + de + 1, N + 1) * multi_pochhammer((de + 1, 1), x))
+         for x in xs]
+
+    def binomial(a, k):
+        return pochhammer(a - k + 1, k) / factorial(k)
+    assert [[sum(w[x] * R[m, x] * R[n, x] for x in xs) for n in xs] for m in xs] == [
+        [(m == n) / (binomial(ga + n, n) * binomial(de + N - n, N - n)) for n in xs] for m in xs]
 
 
 def test_dual_hahn_expansion_grid(p3, ctx3):

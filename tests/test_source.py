@@ -4,6 +4,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import metaracah
@@ -95,6 +96,21 @@ def test_every_library_function_has_a_caller():
                 orphans.append(f"{module}:{node.name}")
     assert not orphans, orphans
     assert set(TEST_REFERENCES) <= defined, set(TEST_REFERENCES) - defined
+
+
+def test_the_public_api_is_what_the_package_imports_from_its_modules():
+    # __all__ is read off the import block of __init__.py: sorted, each name
+    # once, each the object of the module it is imported from, and no
+    # submodule or helper such as types.ModuleType among them
+    tree = ast.parse(Path(metaracah.__file__).read_text(encoding="utf-8"))
+    source = {alias.asname or alias.name: node.module for node in tree.body
+              if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+    public = metaracah.__all__
+    assert public == sorted(set(public)) and set(public) == set(source)
+    for name in public:
+        value = getattr(metaracah, name)
+        assert not isinstance(value, types.ModuleType), name
+        assert value is getattr(importlib.import_module(f"metaracah.{source[name]}"), name), name
 
 
 def test_parameters_are_validated_only_by_a_context():

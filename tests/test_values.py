@@ -3,6 +3,7 @@ equality and hashing by fields, immutability, constructor checks and repr."""
 
 import copy
 import pickle
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -221,9 +222,10 @@ OPEN_ENTRIES = {
     # the series have the lower parameter a - 1, so a is not 1 here
     "hahn_limit_check-a": (lambda x: hahn_limit_check(1, 1, x, Q(1, 5), P, (10, 100)).as_dict(),
                            (Q(1, 3), Q(2))),
-    # the report prints each t as given, a bool as True, so t is not 1 here
+    # the report prints each t as read, so a t of True is printed as 1
     "hahn_limit_check-t": (
-        lambda x: hahn_limit_check(1, 1, Q(1, 3), Q(1, 5), P, (10, x)).as_dict(), (Q(10**4),)),
+        lambda x: hahn_limit_check(1, 1, Q(1, 3), Q(1, 5), P, (10, x)).as_dict(),
+        (Q(10**4), Q(1))),
     "jacobi_poly": (lambda x: jacobi_poly(2, x, Q(1, 5)), THIRD_AND_ONE),
     "heun_bidiagonal": (lambda x: heun_bidiagonal(P, x, Q(1, 5), 2), THIRD_AND_ONE),
     "genericity_registry": (lambda x: genericity_registry(P, x), THIRD_AND_ONE),
@@ -250,6 +252,39 @@ def test_public_entries_read_ints_bools_strings_and_fractions_exactly(name):
         expected = entry(value)
         given = [str(value)] + [int(value)] * (value.denominator == 1) + [True] * (value == 1)
         assert all(entry(x) == expected for x in given), (value, given)
+
+
+# each per-point reference and grid that takes its order N bare, at N, and
+# its value at N = 3
+ORDER_ENTRIES = {
+    "dual_hahn": (lambda N: dual_hahn(1, 1, (Q(1, 3), Q(1, 5), N)), Q(11, 30)),
+    "calU_general": (lambda N: calU_general(1, 1, Q(1, 3), Q(1, 5), Q(1, 7), N), Q(1321, 1261)),
+    "calU_table": (lambda N: calU_table(Q(1, 3), Q(1, 5), Q(1, 7), N, range(2))[1, 1],
+                   Q(1321, 1261)),
+    "dual_hahn_table": (lambda N: dual_hahn_table((Q(1, 3), Q(1, 5), N))[1, 1], Q(11, 30)),
+}
+
+
+@pytest.mark.parametrize("N", [3.0, True, Q(3), "3", 0], ids=repr)
+@pytest.mark.parametrize("name", ORDER_ENTRIES)
+def test_per_point_references_refuse_an_order_that_is_not_an_int_from_1(name, N):
+    # as Params and RacahParams do; read bare, 3.0 and Q(3) would pass as 3,
+    # True as 1 and 0 as an empty grid
+    entry, at_three = ORDER_ENTRIES[name]
+    with pytest.raises(PreconditionViolated,
+                       match=re.escape(f"order N = {N!r} must be an int >= 1")):
+        entry(N)
+    assert entry(3) == at_three
+
+
+def test_degenerate_parameters_reads_one_offender_as_a_list():
+    assert DegenerateParameters("x").offenders == ["x"]
+    assert str(DegenerateParameters(["x", "y"])) == "x; y"
+
+
+def test_a_value_leaves_equality_with_another_type_to_it():
+    assert Params(2, 1, 2, 3).__eq__(3) is NotImplemented
+    assert Params(2, 1, 2, 3) != 3
 
 
 def test_a_context_sets_its_fields_through_frozen_init(monkeypatch):
