@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import DegenerateParameters, Frozen, PreconditionViolated, exact
+from .errors import DegenerateParameters, Frozen, exact, read_rho, require_indices
 from .matrices import RationalMatrix, anticommutator, brackets, commutator
 from .report import VerificationReport
 
@@ -47,8 +47,7 @@ class Params(Frozen):
     __slots__ = _fields = ("N", "alpha", "beta", "zeta")
 
     def __init__(self, N: int, alpha: Fraction, beta: Fraction, zeta: Fraction):
-        if not isinstance(N, int) or isinstance(N, bool) or N < 1:
-            raise ValueError(f"N must be an integer >= 1, got {N!r}")
+        require_indices("Params", N)
         super().__init__(N, exact(alpha), exact(beta), exact(zeta))
 
     def as_dict(self):
@@ -94,8 +93,8 @@ def genericity_registry(p: Params, rho=None):
     def linear(label, x):
         items.append((label, x == 0))
 
-    if rho is not None:
-        r = exact(rho)
+    r = read_rho(rho)
+    if r is not None:
         ar2, neg_br, br = 2 * a + r, -b - r, b + r - N + 1
         brz = b - r + 2 * z - N + 1
     for n in range(N + 1):
@@ -111,14 +110,14 @@ def genericity_registry(p: Params, rho=None):
         poch(f"(2alpha+beta+2zeta-2N+1)_(N-{n})", abz, N - n)
         poch(f"({n}-alpha-beta-2zeta+1)_(N-{n})", n + 1 - ab2z, N - n)
         poch(f"({n}-1-2beta-2zeta)_(N+1)", n - 1 - bz2, N + 1)
-        if rho is not None:
+        if r is not None:
             for k in range(-1, 3):
                 linear(f"(2*{n}-2alpha-rho+({k}))", 2 * n + k - ar2)
             poch(f"({n}-2alpha-rho)_{n}", n - ar2, n)
             poch(f"(-beta-rho)_{n}", neg_br, n)
             poch(f"(beta+rho-N+1)_(N-{n})", br, N - n)
         poch(f"(beta-2alpha+1)_{n}", b_a2, n)
-        if rho is not None:
+        if r is not None:
             poch(f"(beta-rho+2zeta-N+1)_{n}", brz, n)
     return items
 
@@ -238,9 +237,7 @@ def check_subalgebras(ctx: Context) -> VerificationReport:
 
     rho and the Casimir C are the Context's, so the Context needs rho.
     """
-    p, rho = ctx.p, ctx.rho
-    if rho is None:
-        raise PreconditionViolated("the subalgebra checks need rho")
+    p, rho = ctx.p, read_rho(ctx.rho, "the subalgebra checks need rho")
     Z, V, X = ctx.Z, ctx.V, ctx.X
     xi, eta = central_params(p)
     z = p.zeta

@@ -31,14 +31,7 @@ from .algebra import (
     check_defining_relations,
     check_subalgebras,
 )
-from .eigenbases import (
-    FAMILIES,
-    GRIDS,
-    LABELS,
-    Context,
-    check_orthogonality,
-    oracle_mismatch,
-)
+from .eigenbases import FAMILIES, GRIDS, Context, check_orthogonality, oracle_mismatch
 from .errors import DegenerateParameters, exact
 from .matrices import RationalMatrix
 from .matrixreps import COEFFS, verify_coefficients, verify_leonard_trio
@@ -56,7 +49,7 @@ FAULT_SUITE = "algebra-fault-injection"
 SUITE_RUNNERS = {
     "algebra": lambda ctx: [check_defining_relations(ctx), check_casimir_central(ctx),
                             check_subalgebras(ctx)],
-    "bases": lambda ctx: [_bases_report(ctx)],
+    "bases": lambda ctx: [check_orthogonality(ctx)],
     "matrixreps": lambda ctx: [verify_coefficients(ctx), verify_leonard_trio(ctx)],
     "racah": lambda ctx: [verify_racah(ctx)],
     "rational": lambda ctx: [verify_rational(ctx)],
@@ -151,20 +144,6 @@ def _fault_report(ctx: Context) -> VerificationReport:
     N = ctx.p.N
     rep = check_defining_relations(ctx, Z=ctx.Z + RationalMatrix.banded(N + 1, {0: [1] + [0] * N}))
     rep.suite = FAULT_SUITE
-    return rep
-
-
-def _bases_report(ctx: Context) -> VerificationReport:
-    rep = check_orthogonality(ctx)
-    reasons = {label: oracle_mismatch(ctx, label) for label in LABELS}
-    bad = [label for label, reason in reasons.items() if reason is not None]
-    raised = [f"; oracle: {reason}" for reason in reasons.values() if reason]
-    rep.add(
-        "closed-vs-oracle",
-        "closed-form expansions equal the pencil-kernel oracle for all families",
-        not bad,
-        detail="" if not bad else f"failing families: {bad}" + "".join(raised),
-    )
     return rep
 
 

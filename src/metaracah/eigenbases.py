@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple
 from . import matrixreps, racahpoly, rationalfns
 from .algebra import (Params, build_Z, build_V, build_X, build_transposes, build_casimir,
                       require_generic)
-from .errors import (Frozen, NondegenerateSpectrumViolated, PreconditionViolated, exact,
+from .errors import (Frozen, NondegenerateSpectrumViolated, PreconditionViolated, read_rho,
                      require_indices)
 from .hyper import pochhammer, series_terms
 from .matrices import RationalMatrix, right_divide_lower_bidiagonal
@@ -189,19 +189,19 @@ def family(label: str, rho: Fraction | None) -> Family:
     fam = FAMILIES.get(label)
     if fam is None:
         raise PreconditionViolated(f"unknown basis label {label!r}")
-    if fam.needs_rho and rho is None:
-        raise PreconditionViolated(f"label {label!r} needs rho")
+    if fam.needs_rho:
+        read_rho(rho, f"label {label!r} needs rho")
     return fam
 
 
 def eigenvalue(label: str, p: Params, rho: Fraction | None, n: int) -> Fraction:
     require_indices("eigenvalue", p.N, n)
-    return family(label, rho).eigenvalue(p, None if rho is None else exact(rho), n)
+    return family(label, rho).eigenvalue(p, read_rho(rho), n)
 
 
 def build_basis(p: Params, rho: Fraction | None, label: str) -> BasisFamily:
     """Evaluate the closed-form expansion of every vector in the family."""
-    fam = family(label, rho)
+    fam, rho = family(label, rho), read_rho(rho)
     N = p.N
     cols = [fam.column(p, rho, n) for n in range(N + 1)]
     eigs = tuple(fam.eigenvalue(p, rho, n) for n in range(N + 1))
@@ -299,7 +299,7 @@ class Context(Frozen):
     _fields = ("p", "rho")
 
     def __init__(self, p: Params, rho: Fraction | None = None):
-        super().__init__(p, None if rho is None else exact(rho))
+        super().__init__(p, read_rho(rho))
         # no __slots__: cached_property keeps its values in the __dict__ too
         self.__dict__["_kept"] = {}
         require_generic(self.p, self.rho)
@@ -317,9 +317,7 @@ class Context(Frozen):
 
     @cached_property
     def W(self) -> RationalMatrix:
-        if self.rho is None:
-            raise PreconditionViolated("the Racah operator X + rho Z needs rho")
-        return self.X + self.rho * self.Z
+        return self.X + read_rho(self.rho, "the Racah operator X + rho Z needs rho") * self.Z
 
     def keep(self, key, build: Callable, *args):
         """The table kept under key, a tuple that names its kind first:
@@ -357,8 +355,8 @@ class Context(Frozen):
         once); like every RationalMatrix it cannot be changed in place."""
         if name not in GRIDS:
             raise PreconditionViolated(f"unknown grid {name!r}")
-        if GRIDS[name].needs_rho and self.rho is None:
-            raise PreconditionViolated(f"grid {name!r} needs rho")
+        if GRIDS[name].needs_rho:
+            read_rho(self.rho, f"grid {name!r} needs rho")
         return self.keep(("grid", name), lambda: GRIDS[name].build(self).reduced())
 
 
@@ -456,11 +454,14 @@ def z_action_on_d(p: Params, n: int):
 
 
 def check_orthogonality(ctx: Context) -> VerificationReport:
-    """Gram, completeness and distinct-eigenvalue checks for the four basis
-    pairs b, b* of d, e, f and z, each paired through its weight B in
-    FAMILIES (Z for the pencil family d, the identity otherwise): the Gram
-    (b*)^T B b and the resolution of identity B b (b*)^T are both I, and
-    the family's own eigenvalues are pairwise distinct.
+    """The bases suite: Gram, completeness and distinct-eigenvalue checks
+    for the four basis pairs b, b* of d, e, f and z, each paired through its
+    weight B in FAMILIES (Z for the pencil family d, the identity
+    otherwise): the Gram (b*)^T B b and the resolution of identity
+    B b (b*)^T are both I, and the family's own eigenvalues are pairwise
+    distinct.  Last, closed-vs-oracle: every closed-form family equals
+    oracle_basis's, and a failure names each family that does not, with
+    the oracle's message where it raised.
     """
     rep = VerificationReport(
         suite="eigenbases:orthogonality", params={**ctx.p.as_dict(), "rho": str(ctx.rho)}
@@ -477,4 +478,10 @@ def check_orthogonality(ctx: Context) -> VerificationReport:
         distinct = len(set(b.eigenvalues)) == len(b.eigenvalues)
         rep.add(f"distinct-eigenvalues-{label}", f"family {label}: eigenvalues pairwise distinct",
                 distinct, "" if distinct else "repeated eigenvalue")
+    reasons = {label: oracle_mismatch(ctx, label) for label in LABELS}
+    bad = [label for label, reason in reasons.items() if reason is not None]
+    raised = [f"; oracle: {reason}" for reason in reasons.values() if reason]
+    rep.add("closed-vs-oracle",
+            "closed-form expansions equal the pencil-kernel oracle for all families",
+            not bad, detail="" if not bad else f"failing families: {bad}" + "".join(raised))
     return rep

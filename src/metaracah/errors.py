@@ -19,7 +19,7 @@ class DegenerateParameters(Exception):
         super().__init__("; ".join(self.offenders))
 
 
-class PreconditionViolated(Exception):
+class PreconditionViolated(ValueError):
     """An argument combination outside an operation's stated domain."""
 
 
@@ -27,7 +27,7 @@ def require_indices(what: str, N: int, *indices) -> None:
     """Refuse an order N that is not an int >= 1, and then an index that is
     not an int in 0..N (a bool is neither), the grid of every per-point
     Racah and rational reference, before any series or Pochhammer is formed
-    there."""
+    there.  Params and RacahParams check their order here, with no index."""
     if type(N) is not int or N < 1:
         raise PreconditionViolated(f"{what} order N = {N!r} must be an int >= 1")
     if not all(type(i) is int and 0 <= i <= N for i in indices):
@@ -44,6 +44,17 @@ def exact(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError(f"{x!r} is a float; give an exact value, such as a Fraction or a string")
     return Fraction(x)
+
+
+def read_rho(rho, refusal: str | None = None) -> Fraction | None:
+    """The rho of X + rho Z read through exact, or None when it is not
+    given; a caller that needs rho passes its refusal, the message of the
+    PreconditionViolated raised when rho is None."""
+    if rho is not None:
+        return exact(rho)
+    if refusal is not None:
+        raise PreconditionViolated(refusal)
+    return None
 
 
 class NondegenerateSpectrumViolated(Exception):

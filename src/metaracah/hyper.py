@@ -211,12 +211,14 @@ def whipple_check(n: int, a, b, c, d, e, f) -> bool:
     Returns whether both sides agree exactly.
     """
     a, b, c, d, e, f = map(exact, (a, b, c, d, e, f))
+    # pochhammer refuses an order n that is not an int >= 0 before the
+    # balance reads it
+    den = pochhammer(e, n) * pochhammer(f, n)
     if 1 - n + a + b + c != d + e + f:
         raise PreconditionViolated(
             "balance 1 - n + a + b + c = d + e + f fails: "
             f"{1 - n + a + b + c} != {d + e + f}"
         )
-    den = pochhammer(e, n) * pochhammer(f, n)
     if den == 0:
         raise DegenerateParameters([f"(e)_{n} (f)_{n} = 0 with e={e}, f={f}"])
     lhs = terminating_hyp((-n, a, b, c), (d, e, f))

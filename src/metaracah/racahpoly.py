@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .algebra import Params
-from .errors import Frozen, PreconditionViolated, exact, require_indices
+from .errors import Frozen, exact, read_rho, require_indices
 from .hyper import multi_pochhammer, pochhammer, series_table, terminating_hyp
 from .matrices import RationalMatrix
 from .report import VerificationReport
@@ -53,14 +53,12 @@ class RacahParams(Frozen):
 
     def __init__(self, alpha_hat: Fraction, beta_hat: Fraction, gamma_hat: Fraction, N: int):
         hats = exact(alpha_hat), exact(beta_hat), exact(gamma_hat)
-        if not isinstance(N, int) or isinstance(N, bool) or N < 1:
-            raise PreconditionViolated("N must be a positive integer")
+        require_indices("RacahParams", N)
         super().__init__(*hats, N)
 
     @classmethod
     def from_params(cls, p: Params, rho: Fraction) -> "RacahParams":
-        if rho is None:
-            raise PreconditionViolated("the Racah parameters need rho")
+        rho = read_rho(rho, "the Racah parameters need rho")
         return cls(
             alpha_hat=-p.beta - rho - 1,
             beta_hat=-p.beta + rho - 2 * p.zeta - 1,

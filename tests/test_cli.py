@@ -467,7 +467,7 @@ def test_an_oracle_without_a_kernel_fails_closed_vs_oracle(capsys, monkeypatch):
     message = "family {}, index 1: kernel dimension 0, expected 1".format
     with pytest.raises(NondegenerateSpectrumViolated, match=message("d")):
         eb.oracle_basis(ctx, "d")
-    check, = [c for c in cli._bases_report(ctx).checks if c.id == "closed-vs-oracle"]
+    check, = [c for c in eb.check_orthogonality(ctx).checks if c.id == "closed-vs-oracle"]
     assert check.status == "fail"
     assert check.detail == "failing families: ['d', 'f', 'z']" + "".join(
         f"; oracle: {message(label)}" for label in "dfz")
@@ -494,7 +494,7 @@ def test_a_planted_racah_operator_reaches_the_f_oracle_and_the_racah_pair():
     # transposed generators and the shifted and Hahn relations read no W
     ctx = eb.Context(Params(N=3, alpha=Q(1, 3), beta=Q(1, 5), zeta=Q(1, 7)), Q(1, 13))
     ctx.__dict__["W"] = ctx.W + matrices.RationalMatrix.banded(4, {0: [0, 1, 0, 0]})
-    check, = [c for c in cli._bases_report(ctx).checks if c.id == "closed-vs-oracle"]
+    check, = [c for c in eb.check_orthogonality(ctx).checks if c.id == "closed-vs-oracle"]
     assert (check.status, check.detail) == (
         "fail", "failing families: ['f']; oracle: family f, index 1: kernel dimension 0, expected 1")
     assert [c.id for c in algebra.check_subalgebras(ctx).failures] == ["racah-1", "racah-2"]

@@ -24,7 +24,7 @@ from metaracah import (
     oracle_basis,
 )
 from metaracah.algebra import check_casimir_central, check_defining_relations, check_subalgebras
-from metaracah.cli import SUITES, _bases_report, run_suites
+from metaracah.cli import SUITES, run_suites
 from metaracah.diffmodel import model_basis, verify_model
 from metaracah.eigenbases import FAMILIES, eigenvalue, z_action_on_d
 from metaracah.matrices import RationalMatrix
@@ -153,7 +153,6 @@ RHOLESS = [
     (check_casimir_central, None),
     (check_subalgebras, "the subalgebra checks need rho"),
     (check_orthogonality, "label 'f' needs rho"),
-    (_bases_report, "label 'f' needs rho"),
     (mr.verify_coefficients, "label 'f' needs rho"),
     (mr.verify_leonard_trio, None),
     (verify_racah, "grid 'racah' needs rho"),

@@ -196,7 +196,7 @@ def test_a_pencil_off_the_band_reaches_the_elimination(ctx3, capsys, monkeypatch
     with pytest.raises(NondegenerateSpectrumViolated) as exc:
         oracle_basis(ctx3, "z")
     assert str(exc.value) == message
-    check, = [c for c in cli._bases_report(ctx3).checks if c.id == "closed-vs-oracle"]
+    check, = [c for c in eb.check_orthogonality(ctx3).checks if c.id == "closed-vs-oracle"]
     assert (check.status, check.detail) == ("fail", f"failing families: ['z']; oracle: {message}")
     assert cli.main(["matrix", "--which", "basis:z", "--N", "3"]) == 1
     assert capsys.readouterr().out == f"basis z failed revalidation on emit: {message}\n"

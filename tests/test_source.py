@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 import types
@@ -259,3 +260,43 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]", out
+
+
+def _is_order_N(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "N"
+            or isinstance(node, ast.Attribute) and node.attr == "N")
+
+
+def test_each_parameter_rule_is_stated_in_one_module():
+    # errors.py alone refuses an order N below 1 (the --N usage check of
+    # cli.main exits 3 before any Params is built) and alone raises the
+    # missing-rho refusal, each caller passing its message to read_rho;
+    # cli.py adds no check to a report but the skipped-sweep entry, since
+    # each suite's checks are built by the module that owns the suite
+    orders, rho_raises, rho_messages, cli_checks = [], [], [], []
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = (path.name, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Compare) and any(
+                        isinstance(op, (ast.Lt, ast.GtE)) for op in node.ops) and any(
+                        _is_order_N(side) for side in [node.left, *node.comparators]) and any(
+                        isinstance(side, ast.Constant) and side.value == 1
+                        for side in [node.left, *node.comparators]):
+                    orders.append(owner)
+                elif isinstance(node, ast.Raise) and "rho" in ast.unparse(node):
+                    rho_raises.append(owner)
+                elif isinstance(node, ast.Call) and any(
+                        isinstance(arg, (ast.Constant, ast.JoinedStr))
+                        and re.search(r"needs? rho$", ast.unparse(arg).strip("'\""))
+                        for arg in node.args):
+                    rho_messages.append((*owner, ast.unparse(node.func)))
+                elif (path.name == "cli.py" and isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("add", "add_grid", "add_skipped")):
+                    cli_checks.append((owner[1], node.func.attr))
+    assert sorted(orders) == [("cli.py", "main"), ("errors.py", "require_indices")], orders
+    assert rho_raises == [], rho_raises
+    assert {func for *_, func in rho_messages} == {"read_rho"} and len(rho_messages) == 5, \
+        rho_messages
+    assert cli_checks == [("cmd_verify", "add_skipped")], cli_checks

@@ -19,7 +19,7 @@ from metaracah import (
 )
 from metaracah.algebra import genericity_registry, heun_bidiagonal, validate_params
 from metaracah.diffmodel import DiffOp, LaurentPoly, jacobi_poly
-from metaracah.eigenbases import eigenvalue
+from metaracah.eigenbases import build_basis, eigenvalue
 from metaracah.errors import Frozen, exact
 from metaracah.hyper import (HypSeries, multi_pochhammer, pochhammer, series_table, series_terms,
                              terminating_hyp, whipple_check)
@@ -103,7 +103,7 @@ def test_a_tampered_pickle_meets_the_constructor_checks():
     p = Params(N=9, alpha=Q(1, 3), beta=Q(1, 5), zeta=Q(1, 7))
     data = pickle.dumps(p)
     assert data.count(b"K\x09") == 1  # N, as a one-byte int
-    with pytest.raises(ValueError, match=r"^N must be an integer >= 1, got 0$"):
+    with pytest.raises(ValueError, match=r"^Params order N = 0 must be an int >= 1$"):
         pickle.loads(data.replace(b"K\x09", b"K\x00"))
 
 
@@ -231,6 +231,11 @@ OPEN_ENTRIES = {
     "genericity_registry": (lambda x: genericity_registry(P, x), THIRD_AND_ONE),
     "validate_params": (lambda x: validate_params(P, x), THIRD_AND_ONE),
     "eigenvalue": (lambda x: eigenvalue("f", P, x, 1), THIRD_AND_ONE),
+    # rho = 1/3 is a pole of the f columns at P; d reads no rho, yet a
+    # given rho is read as every other one is
+    "build_basis-f": (lambda x: build_basis(P, x, "f"), (Q(1, 13), Q(1))),
+    "build_basis-d": (lambda x: build_basis(P, x, "d"), (Q(1, 13), Q(1))),
+    "RacahParams.from_params": (lambda x: RacahParams.from_params(P, x), THIRD_AND_ONE),
 }
 
 
@@ -277,6 +282,19 @@ def test_per_point_references_refuse_an_order_that_is_not_an_int_from_1(name, N)
     assert entry(3) == at_three
 
 
+@pytest.mark.parametrize("n", ["1", 1.0, True, Q(1), -1], ids=repr)
+def test_whipple_check_refuses_an_order_pochhammer_refuses(n):
+    # balanced at n = 1; read bare before pochhammer saw it, "1" failed on a
+    # str, 1.0 put a float into the balance message, -1 failed the balance,
+    # and True and Q(1) passed it as 1
+    a, b, c, d, e = Q(1, 3), Q(1, 5), Q(1, 7), Q(2, 9), Q(3, 11)
+    args = (a, b, c, d, e, a + b + c - d - e)
+    with pytest.raises(PreconditionViolated,
+                       match=re.escape(f"pochhammer order must be an int >= 0, got {n!r}")):
+        whipple_check(n, *args)
+    assert whipple_check(1, *args) is True
+
+
 def test_degenerate_parameters_reads_one_offender_as_a_list():
     assert DegenerateParameters("x").offenders == ["x"]
     assert str(DegenerateParameters(["x", "y"])) == "x; y"
@@ -301,17 +319,21 @@ def test_a_context_sets_its_fields_through_frozen_init(monkeypatch):
 
 
 def test_constructor_errors_keep_type_and_message():
-    with pytest.raises(ValueError, match=r"^N must be an integer >= 1, got 0$"):
+    # both orders are checked by errors.require_indices; its
+    # PreconditionViolated is a ValueError, which Params raised before
+    with pytest.raises(ValueError, match=r"^Params order N = 0 must be an int >= 1$"):
         Params(N=0, alpha=Q(1, 3), beta=Q(1, 5), zeta=Q(1, 7))
-    with pytest.raises(ValueError, match=r"^N must be an integer >= 1, got 2\.0$"):
+    with pytest.raises(PreconditionViolated, match=r"^Params order N = 2\.0 must be an int >= 1$"):
         Params(N=2.0, alpha=0, beta=0, zeta=0)
-    with pytest.raises(PreconditionViolated, match=r"^N must be a positive integer$"):
+    with pytest.raises(PreconditionViolated,
+                       match=r"^RacahParams order N = 0 must be an int >= 1$"):
         RacahParams(Q(1, 2), Q(1, 3), Q(1, 5), 0)
     # True == 1 and hashes like 1, yet a report would print "N": "True", so
     # two equal sets would serialize differently
-    with pytest.raises(ValueError, match=r"^N must be an integer >= 1, got True$"):
+    with pytest.raises(ValueError, match=r"^Params order N = True must be an int >= 1$"):
         Params(N=True, alpha=Q(1, 3), beta=Q(1, 5), zeta=Q(1, 7))
-    with pytest.raises(PreconditionViolated, match=r"^N must be a positive integer$"):
+    with pytest.raises(PreconditionViolated,
+                       match=r"^RacahParams order N = True must be an int >= 1$"):
         RacahParams(Q(1, 2), Q(1, 3), Q(1, 5), True)
     with pytest.raises(PreconditionViolated, match="does not terminate"):
         HypSeries((Q(1, 2),), ())
