@@ -50,6 +50,8 @@ The vector list is fixed:
     Z|coeffs:d``, which validate without rho, at N = 2, 3 and 4 on sets
     with 2alpha - beta = 1, 2 and 4, an integer in 1..N, where the
     registry entry (beta-2alpha+1)_n vanishes, 15 vectors.
+  * the help text: ``--help``, ``verify --help``, ``table --help`` and
+    ``matrix --help``, 4 vectors.
 
 Standard library only; it imports nothing from perfbench.
 """
@@ -152,7 +154,8 @@ REGISTRY_EDGE_VECTORS = [
 
 VECTORS = (_subset_vectors() + _drawn_vectors() + _emit_vectors() + _coeffs_vectors()
            + [["verify", "--suite", "all", "--N", str(N)] for N in (8, 10, 12)]
-           + USAGE_VECTORS + REGISTRY_EDGE_VECTORS)
+           + USAGE_VECTORS + REGISTRY_EDGE_VECTORS
+           + [["--help"]] + [[command, "--help"] for command in ("verify", "table", "matrix")])
 
 
 def run_vectors(src: str, vectors: list) -> list:

@@ -22,8 +22,6 @@ import random
 import re
 import sys
 from fractions import Fraction
-from functools import partial
-from operator import attrgetter
 
 from .algebra import (
     Params,
@@ -58,6 +56,10 @@ SUITE_RUNNERS = {
     FAULT_SUITE: lambda ctx: [_fault_report(ctx)],
 }
 SUITES = tuple(name for name in SUITE_RUNNERS if name != FAULT_SUITE)
+
+# the matrices `matrix --which` emits by name; basis:<label> and
+# coeffs:<basis> select the rest
+GENERATORS = ("X", "V", "Z", "Xt", "Vt", "Zt", "C")
 
 
 SWEEP_DENOMINATORS = (3, 5, 7, 11, 13, 17, 19, 23)
@@ -132,7 +134,7 @@ def build_parser() -> Parser:
     sp = sub.add_parser("matrix", help="emit a matrix or coefficient table")
     add_common(sp, formats=False)
     sp.add_argument("--which", required=True,
-                    help="one of X, V, Z, Xt, Vt, Zt, C, basis:<label>, coeffs:<basis>")
+                    help=f"one of {', '.join(GENERATORS)}, basis:<label>, coeffs:<basis>")
     return parser
 
 
@@ -268,67 +270,37 @@ def cmd_table(args: argparse.Namespace) -> tuple:
 # -- matrix -------------------------------------------------------------------
 
 
-class _EmitFailed(Exception):
-    """An emitted object failed its re-validation; the message is the output."""
-
-
-def _casimir_checked(ctx: Context) -> RationalMatrix:
-    if not check_casimir_central(ctx).passed:
-        raise _EmitFailed("casimir centrality failed on emit\n")
-    return ctx.C
-
-
-# selector -> the matrix of a Context
-MATRICES = {**{name: attrgetter(name) for name in ("X", "V", "Z", "Xt", "Vt", "Zt")},
-            "C": _casimir_checked}
-
-
-def _basis_payload(label: str, ctx: Context) -> dict:
-    reason = oracle_mismatch(ctx, label)
-    if reason is not None:
-        raise _EmitFailed(f"basis {label} failed revalidation on emit"
-                          f"{': ' if reason else ''}{reason}\n")
-    fam = ctx.basis(label)
-    return {"rows": fam.vectors.to_strings(),
-            "eigenvalues": [str(v) for v in fam.eigenvalues]}
-
-
-def _rows_payload(matrix, ctx: Context) -> dict:
-    return {"rows": matrix(ctx).to_strings()}
-
-
-def _coeffs_payload(basis: str, ctx: Context) -> dict:
-    # sup, diag and sub are bands -1, 0 and 1 of each table
-    return {"bands": {
-        name: {key: [str(v) for v in table.band(k)]
-               for key, k in (("sup", -1), ("diag", 0), ("sub", 1))}
-        for name, table in ctx.band_tables(basis).items()
-    }}
-
-
 def cmd_matrix(args: argparse.Namespace) -> tuple:
     which = args.which
     kind, sep, name = which.partition(":")
     if sep and kind == "basis":
         if name not in FAMILIES:
             return EXIT_USAGE, f"metaracah: unknown basis label in {which!r}\n"
-        needs_rho = True  # even for a family that does not use rho
-        build = partial(_basis_payload, name)
+        ctx = _context(args, True)  # even for a family that does not use rho
+        reason = oracle_mismatch(ctx, name)
+        if reason is not None:
+            return EXIT_FAIL, (f"basis {name} failed revalidation on emit"
+                               f"{': ' if reason else ''}{reason}\n")
+        fam = ctx.basis(name)
+        payload = {"rows": fam.vectors.to_strings(),
+                   "eigenvalues": [str(v) for v in fam.eigenvalues]}
     elif sep and kind == "coeffs":
         if name not in COEFFS:
             return EXIT_USAGE, f"metaracah: no coefficient table for {which!r}\n"
-        needs_rho = FAMILIES[name].needs_rho
-        build = partial(_coeffs_payload, name)
-    elif which in MATRICES:
-        needs_rho = False
-        build = partial(_rows_payload, MATRICES[which])
+        ctx = _context(args, FAMILIES[name].needs_rho)
+        # sup, diag and sub are bands -1, 0 and 1 of each table
+        payload = {"bands": {
+            table: {key: [str(v) for v in band_table.band(k)]
+                    for key, k in (("sup", -1), ("diag", 0), ("sub", 1))}
+            for table, band_table in ctx.band_tables(name).items()
+        }}
+    elif which in GENERATORS:
+        ctx = _context(args, False)
+        if which == "C" and not check_casimir_central(ctx).passed:
+            return EXIT_FAIL, "casimir centrality failed on emit\n"
+        payload = {"rows": getattr(ctx, which).to_strings()}
     else:
         return EXIT_USAGE, f"metaracah: unknown matrix selector {which!r}\n"
-    ctx = _context(args, needs_rho)
-    try:
-        payload = build(ctx)
-    except _EmitFailed as exc:
-        return EXIT_FAIL, str(exc)
     return EXIT_OK, _json({"which": which, "params": {**ctx.p.as_dict(), "rho": str(args.rho)},
                            **payload})
 

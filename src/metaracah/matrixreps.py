@@ -29,7 +29,7 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 from .algebra import Params, central_params
-from .errors import require_indices
+from .errors import exact, require_indices
 from .hyper import series_terms
 from .matrices import RationalMatrix
 from .report import VerificationReport
@@ -101,7 +101,7 @@ def coeffs_X_on_e(p: Params, z_on_e: RationalMatrix, mu: tuple) -> RationalMatri
 
 def coeffs_V_on_f(p: Params, rho: Fraction) -> RationalMatrix:
     """V is irreducible tridiagonal on the eigenbasis of X + rho Z."""
-    N, a, b, z, r = p.N, p.alpha, p.beta, p.zeta, rho
+    N, a, b, z, r = p.N, p.alpha, p.beta, p.zeta, exact(rho)
 
     def lower(n):
         return -(

@@ -153,6 +153,7 @@ def test_an_out_of_range_count_names_only_its_own_option(capsys, argv, message):
 
 @pytest.mark.parametrize("argv, message", [
     ("matrix --which coeffs:eStar --N 3", "no coefficient table for 'coeffs:eStar'"),
+    ("matrix --which basis:nope --N 3", "unknown basis label in 'basis:nope'"),
     ("matrix --which nope --N 3", "unknown matrix selector 'nope'"),
     ("verify --N 0", "--N must be at least 1"),
 ])

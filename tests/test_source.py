@@ -267,6 +267,16 @@ def _is_order_N(node) -> bool:
             or isinstance(node, ast.Attribute) and node.attr == "N")
 
 
+def test_the_cli_defines_no_exception_class():
+    # a command that fails returns its exit code and message to main, so
+    # no failure is raised and caught inside cli.py
+    from metaracah import cli
+    own = [name for name, obj in vars(cli).items()
+           if isinstance(obj, type) and obj.__module__ == cli.__name__
+           and issubclass(obj, BaseException)]
+    assert own == [], own
+
+
 def test_each_parameter_rule_is_stated_in_one_module():
     # errors.py alone refuses an order N below 1 (the --N usage check of
     # cli.main exits 3 before any Params is built) and alone raises the

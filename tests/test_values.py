@@ -23,6 +23,7 @@ from metaracah.eigenbases import build_basis, eigenvalue
 from metaracah.errors import Frozen, exact
 from metaracah.hyper import (HypSeries, multi_pochhammer, pochhammer, series_table, series_terms,
                              terminating_hyp, whipple_check)
+from metaracah.matrixreps import coeffs_V_on_f
 from metaracah.rationalfns import (calU_general, calU_table, dual_hahn, dual_hahn_table,
                                    hahn_limit_check)
 from metaracah.report import Check, VerificationReport
@@ -236,6 +237,7 @@ OPEN_ENTRIES = {
     "build_basis-f": (lambda x: build_basis(P, x, "f"), (Q(1, 13), Q(1))),
     "build_basis-d": (lambda x: build_basis(P, x, "d"), (Q(1, 13), Q(1))),
     "RacahParams.from_params": (lambda x: RacahParams.from_params(P, x), THIRD_AND_ONE),
+    "coeffs_V_on_f": (lambda x: coeffs_V_on_f(P, x), (Q(1, 13), Q(1))),
 }
 
 
@@ -257,6 +259,17 @@ def test_public_entries_read_ints_bools_strings_and_fractions_exactly(name):
         expected = entry(value)
         given = [str(value)] + [int(value)] * (value.denominator == 1) + [True] * (value == 1)
         assert all(entry(x) == expected for x in given), (value, given)
+
+
+def test_coeffs_V_on_f_reads_its_rho_before_any_arithmetic():
+    # read raw, 0.5 failed only on a float computed from it, and None
+    # failed inside the first band
+    with pytest.raises(TypeError, match=r"^0\.5 is a float"):
+        coeffs_V_on_f(P, 0.5)
+    with pytest.raises(TypeError) as excinfo:
+        coeffs_V_on_f(P, None)
+    frames = [entry.name for entry in excinfo.traceback]
+    assert frames[frames.index("coeffs_V_on_f") + 1] == "exact", frames
 
 
 # each per-point reference and grid that takes its order N bare, at N, and
