@@ -258,11 +258,6 @@ def verify_coefficients(ctx: Context) -> VerificationReport:
     return rep
 
 
-def _band_nonzero(rep, check_id, statement, entries):
-    bad = [i for i, x in enumerate(entries) if x == 0]
-    rep.add(check_id, statement, not bad, "" if not bad else f"zero at index {bad[0]}")
-
-
 def verify_leonard_trio(ctx: Context) -> VerificationReport:
     """The ordered triple (V, Vtilde, Z) with Vtilde = X Z^{-1} forms a lower
     reduced Leonard trio; the three clauses are checked in explicit bases.
@@ -275,66 +270,50 @@ def verify_leonard_trio(ctx: Context) -> VerificationReport:
 
     Irreducibility failures are reported with the offending band index.
     """
-    p = ctx.p
-    rep = VerificationReport(suite="matrixreps:leonard-trio", params=p.as_dict())
-
-    v_e = matrix_on(ctx, "e", "V")
-    z_e = matrix_on(ctx, "e", "Z")
-    rep.add("trio-i-V-diagonal", "clause (i): V diagonal on e", v_e.in_band(0, 0))
-    rep.add(
-        "trio-i-VtildeZ-tridiagonal",
-        "clause (i): Vtilde Z tridiagonal on e",
-        matrix_on(ctx, "e", "X").in_band(1, 1),  # Vtilde Z = X
-    )
-    rep.add("trio-i-Z-tridiagonal", "clause (i): Z tridiagonal on e", z_e.in_band(1, 1))
-    _band_nonzero(rep, "trio-i-Z-irreducible", "clause (i): Z bands on e nonzero",
-                  z_e.band(-1) + z_e.band(1))
-
+    rep = VerificationReport(suite="matrixreps:leonard-trio", params=ctx.p.as_dict())
+    v_e, z_e = matrix_on(ctx, "e", "V"), matrix_on(ctx, "e", "Z")
     # the coefficient extraction for vectors Z d_n reuses the d pairing:
     # <d*_m | O Z d_n> gives O's matrix on the Z d family, which for O = Z
     # and O = Z V is the matrix of Z and of V Z on d, and for O = Vtilde
     # is d*^T X d, as Vtilde Z = X
     d, on_d = ctx.basis("d"), ctx.band_tables("d")
     vt_et = ctx.basis("dStar").vectors.transpose() * ctx.X * d.vectors
-    z_et = matrix_on(ctx, "d", "Z")
-    rep.add("trio-ii-Vtilde-diagonal", "clause (ii): Vtilde diagonal on Z d_n", vt_et.in_band(0, 0))
-    rep.add(
-        "trio-ii-Vtilde-eigenvalues",
-        "clause (ii): Vtilde eigenvalue on Z d_n is alpha - n",
-        vt_et.band(0) == d.eigenvalues,
-    )
-    zv_et = matrix_on(ctx, "d", "VZ")
-    rep.add("trio-ii-ZV-tridiagonal", "clause (ii): Z V tridiagonal on Z d_n", zv_et.in_band(1, 1))
-    rep.add_grid(
-        "trio-ii-ZV-coefficients",
-        "clause (ii): Z V on Z d_n carries the VZ coefficients of the d family",
-        zv_et - on_d["VZ"],
-    )
-    # the diagonal n - alpha and the subdiagonal (n-2a+b+1)/(n-a+1) are
-    # the bands of the Z-on-d table
-    rep.add(
-        "trio-ii-Z-lower-bidiagonal",
-        "clause (ii): Z lower bidiagonal on Z d_n with diagonal n - alpha",
-        z_et.in_band(1, 0) and z_et.band(0) == on_d["Z"].band(0),
-    )
-    rep.add(
-        "trio-ii-Z-subdiagonal",
-        "clause (ii): Z subdiagonal on Z d_n is (n-2a+b+1)/(n-a+1); the numerator"
-        " alone appears for the head-rescaled family",
-        z_et.band(-1) == on_d["Z"].band(-1),
-    )
-    _band_nonzero(rep, "trio-ii-Z-irreducible", "clause (ii): Z subdiagonal on Z d_n nonzero",
-                  z_et.band(-1))
-
-    z_z = matrix_on(ctx, "z", "Z")
-    vt_z = matrix_on(ctx, "z", "Vtilde")
-    v_z = matrix_on(ctx, "z", "V")
-    rep.add("trio-iii-Z-diagonal", "clause (iii): Z diagonal on z", z_z.in_band(0, 0))
-    rep.add("trio-iii-Vtilde-lower-bidiagonal", "clause (iii): Vtilde lower bidiagonal on z",
-            vt_z.in_band(1, 0))
-    _band_nonzero(rep, "trio-iii-Vtilde-irreducible",
-                  "clause (iii): Vtilde subdiagonal on z nonzero", vt_z.band(-1))
-    rep.add("trio-iii-V-tridiagonal", "clause (iii): V tridiagonal on z", v_z.in_band(1, 1))
-    _band_nonzero(rep, "trio-iii-V-irreducible", "clause (iii): V bands on z nonzero",
-                  v_z.band(-1) + v_z.band(1))
+    z_et, zv_et = matrix_on(ctx, "d", "Z"), matrix_on(ctx, "d", "VZ")
+    z_z, vt_z, v_z = (matrix_on(ctx, "z", op) for op in ("Z", "Vtilde", "V"))
+    for check_id, statement, ok in (
+        ("trio-i-V-diagonal", "clause (i): V diagonal on e", v_e.in_band(0, 0)),
+        ("trio-i-VtildeZ-tridiagonal", "clause (i): Vtilde Z tridiagonal on e",
+         matrix_on(ctx, "e", "X").in_band(1, 1)),  # Vtilde Z = X
+        ("trio-i-Z-tridiagonal", "clause (i): Z tridiagonal on e", z_e.in_band(1, 1)),
+        ("trio-ii-Vtilde-diagonal", "clause (ii): Vtilde diagonal on Z d_n", vt_et.in_band(0, 0)),
+        ("trio-ii-Vtilde-eigenvalues", "clause (ii): Vtilde eigenvalue on Z d_n is alpha - n",
+         vt_et.band(0) == d.eigenvalues),
+        ("trio-ii-ZV-tridiagonal", "clause (ii): Z V tridiagonal on Z d_n", zv_et.in_band(1, 1)),
+        # the diagonal n - alpha and the subdiagonal (n-2a+b+1)/(n-a+1) are
+        # the bands of the Z-on-d table
+        ("trio-ii-Z-lower-bidiagonal",
+         "clause (ii): Z lower bidiagonal on Z d_n with diagonal n - alpha",
+         z_et.in_band(1, 0) and z_et.band(0) == on_d["Z"].band(0)),
+        ("trio-ii-Z-subdiagonal",
+         "clause (ii): Z subdiagonal on Z d_n is (n-2a+b+1)/(n-a+1); the numerator"
+         " alone appears for the head-rescaled family", z_et.band(-1) == on_d["Z"].band(-1)),
+        ("trio-iii-Z-diagonal", "clause (iii): Z diagonal on z", z_z.in_band(0, 0)),
+        ("trio-iii-Vtilde-lower-bidiagonal", "clause (iii): Vtilde lower bidiagonal on z",
+         vt_z.in_band(1, 0)),
+        ("trio-iii-V-tridiagonal", "clause (iii): V tridiagonal on z", v_z.in_band(1, 1)),
+    ):
+        rep.add(check_id, statement, ok)
+    rep.add_grid("trio-ii-ZV-coefficients",
+                 "clause (ii): Z V on Z d_n carries the VZ coefficients of the d family",
+                 zv_et - on_d["VZ"])
+    for check_id, statement, entries in (
+        ("trio-i-Z-irreducible", "clause (i): Z bands on e nonzero", z_e.band(-1) + z_e.band(1)),
+        ("trio-ii-Z-irreducible", "clause (ii): Z subdiagonal on Z d_n nonzero", z_et.band(-1)),
+        ("trio-iii-Vtilde-irreducible", "clause (iii): Vtilde subdiagonal on z nonzero",
+         vt_z.band(-1)),
+        ("trio-iii-V-irreducible", "clause (iii): V bands on z nonzero",
+         v_z.band(-1) + v_z.band(1)),
+    ):
+        zero = next((i for i, x in enumerate(entries) if x == 0), None)
+        rep.add(check_id, statement, zero is None, "" if zero is None else f"zero at index {zero}")
     return rep

@@ -217,19 +217,23 @@ def contiguity_operator_check(rep: VerificationReport, ctx: Context) -> None:
 
 
 def dual_hahn(i: int, x: int, rho) -> Fraction:
-    """R^(dH)_i(x; rho) = 3F2(-i, -x, x+r1+r2+1; r1+1, -N; 1)."""
+    """R^(dH)_i(x; rho) = 3F2(-i, -x, x+r1+r2+1; r1+1, -N; 1), rho the triple
+    (r1, r2, N) of dual_hahn_params, not the rho of X + rho Z."""
     require_indices("dual Hahn", rho[2], i, x)
     r1, r2, N = exact(rho[0]), exact(rho[1]), rho[2]
     return terminating_hyp(upper=(Q(-i), Q(-x), x + r1 + r2 + 1), lower=(r1 + 1, Q(-N)))
 
 
 def dual_hahn_params(p: Params) -> tuple:
+    """The dual Hahn parameters (r1, r2, N) of p, the rho that dual_hahn and
+    dual_hahn_table take; not the rho of X + rho Z."""
     a, b, z, N = p.alpha, p.beta, p.zeta, p.N
     return (N - 2 * a - b - 2 * z - 1, 2 * a - b - N - 1, N)
 
 
 def dual_hahn_table(rho) -> RationalMatrix:
-    """dual_hahn(i, x, rho) at every i, x in 0..N as one series_table: the
+    """dual_hahn(i, x, rho) at every i, x in 0..N as one series_table, rho the
+    triple (r1, r2, N) of dual_hahn_params, not the rho of X + rho Z: the
     term at k is (-i)_k / ((r1+1)_k (-N)_k k!) times (-x)_k (x+r1+r2+1)_k."""
     require_indices("dual_hahn_table", rho[2])
     r1, r2, N = exact(rho[0]), exact(rho[1]), rho[2]

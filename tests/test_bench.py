@@ -1,11 +1,15 @@
+import hashlib
 import importlib.util
 import json
 import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from metaracah import cli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -85,3 +89,27 @@ def test_a_revision_is_exported_and_named_by_its_full_hash(diffsweep, tmp_path):
     with pytest.raises(ValueError, match="neither a directory nor a revision"):
         with gittree.tree("no-such-revision", repo=str(repo)):
             pass
+
+
+def _scale(kind, N):
+    """The record bench/scale.py --measure writes for the tree of this test."""
+    child = subprocess.run([sys.executable, str(BENCH / "scale.py"), "--measure", kind,
+                            str(BENCH.parent / "src"), str(N)],
+                           capture_output=True, text=True, check=True)
+    return json.loads(child.stdout)
+
+
+def test_scale_records_a_verify_run_and_the_sixteen_emit_commands(capsys):
+    verify = _scale("verify", 2)
+    assert set(verify) == {"total_s", "calls", "suite_s", "exit_code", "stdout_sha256",
+                           "max_bits_verify_output", "max_bits_overlap_tables"}
+    assert verify["exit_code"] == 0
+    assert set(verify["suite_s"]) == set(cli.SUITES)
+    assert cli.main(["verify", "--suite", "all", "--N", "2"]) == 0
+    out = capsys.readouterr().out
+    assert verify["stdout_sha256"] == hashlib.sha256(out.encode()).hexdigest()
+    assert type(verify["calls"]) is int and verify["calls"] > 0
+
+    emit = _scale("emit", 2)
+    assert len(emit["ops"]) == 16
+    assert {op["exit_code"] for op in emit["ops"].values()} == {0}

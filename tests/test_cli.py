@@ -47,6 +47,20 @@ def test_verify_is_byte_deterministic(capsys):
     assert first == second
 
 
+def test_every_suite_reports_the_same_check_ids_at_every_order():
+    # at the default parameters the nine reports hold 111 checks, no report
+    # names an id twice, and no check appears or goes with N
+    id_sets = set()
+    for N in range(1, 7):
+        reports = cli.run_suites(Params(N=N, alpha=Q(1, 3), beta=Q(1, 5), zeta=Q(1, 7)),
+                                 Q(1, 13), cli.SUITES)
+        assert len(reports) == 9 and sum(len(rep.checks) for rep in reports) == 111
+        ids = {rep.suite: [c.id for c in rep.checks] for rep in reports}
+        assert all(len(set(listed)) == len(listed) for listed in ids.values()), N
+        id_sets.add(tuple((suite, frozenset(listed)) for suite, listed in ids.items()))
+    assert len(id_sets) == 1
+
+
 def test_verify_exit_codes(capsys):
     # integer alpha degenerates the representation: exit 2
     code, out = run(capsys, "verify", "--N", "3", "--alpha", "1", "--suite", "algebra")

@@ -17,6 +17,7 @@ from metaracah.cli import SWEEP_DENOMINATORS, SWEEP_NUMERATORS
 from metaracah.eigenbases import BasisFamily, FAMILIES, GRIDS, LABELS, eigenvalue, oracle_basis
 from metaracah.hyper import series_table, terminating_hyp
 from metaracah.matrices import RationalMatrix, nullspace, right_divide_lower_bidiagonal
+from metaracah.matrixreps import COEFFS
 from metaracah.racahpoly import RacahParams, closed_form_S, closed_form_Stilde, racah
 from metaracah.rationalfns import (
     calU,
@@ -114,6 +115,28 @@ def test_every_set_a_context_accepts_without_rho_builds_its_rho_free_tables():
                 ctx.band_tables(basis)
             built += 1
     assert built > 200
+
+
+def test_every_set_a_context_accepts_with_rho_builds_every_table_and_oracle():
+    # the registry with rho covers every denominator of every table: on each
+    # set with denominators 1 and 2 that Context(p, rho) accepts, every grid
+    # and every band table builds, and each oracle finds the closed-form
+    # family, as oracle_basis promises for accepted sets
+    values = sorted({Q(k, 2) for k in range(-2, 7)})
+    built = 0
+    for N in range(1, 4):
+        for alpha, beta, zeta, rho in itertools.product(values, repeat=4):
+            try:
+                ctx = Context(Params(N=N, alpha=alpha, beta=beta, zeta=zeta), rho)
+            except DegenerateParameters:
+                continue
+            for name in GRIDS:
+                ctx.grid(name)
+            for basis in COEFFS:
+                ctx.band_tables(basis)
+            assert [eb.oracle_mismatch(ctx, label) for label in LABELS] == [None] * 8, ctx
+            built += 1
+    assert built > 1000
 
 
 def test_series_table_stops_each_factor_at_its_own_reach():

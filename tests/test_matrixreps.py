@@ -2,10 +2,13 @@ import sys
 from collections import Counter
 from fractions import Fraction as Q
 
+import pytest
+
 import metaracah.eigenbases as eb
 import metaracah.matrixreps as mr
 from metaracah import Context, Params, build_V, build_X, build_Z, build_basis
 from metaracah.cli import main
+from metaracah.eigenbases import BasisFamily
 from metaracah.matrices import RationalMatrix, inverse
 from metaracah.racahpoly import verify_racah
 from metaracah.rationalfns import verify_rational
@@ -141,6 +144,86 @@ def _plus_1_at(table, m, n):
     """table with 1 added at entry (m, n)."""
     return table + RationalMatrix([[int((i, j) == (m, n)) for j in range(table.cols)]
                                    for i in range(table.rows)])
+
+
+def _zero_at(table, m, n):
+    """table with entry (m, n) set to 0."""
+    return RationalMatrix([[0 if (i, j) == (m, n) else table[i, j] for j in range(table.cols)]
+                           for i in range(table.rows)])
+
+
+def _shifted(family):
+    """family with 1 added to each eigenvalue."""
+    return BasisFamily(family.label, family.vectors, tuple(x + 1 for x in family.eigenvalues))
+
+
+# trio id -> the kept value a fault changes, the change, and the trio ids the
+# fault flips.  The value is a ("matrix on", label, op) matrix, the d band
+# tables, the d family or the Context's X, which matrix_on, Vtilde and the
+# trio's d*^T X d read; a fault in the d family reaches the VZ table built
+# from its eigenvalues, and a zeroed band entry keeps every band shape
+TRIO_FAULTS = {
+    "trio-i-V-diagonal": (("matrix on", "e", "V"), lambda t: _plus_1_at(t, 0, 1),
+                          {"trio-i-V-diagonal"}),
+    "trio-i-VtildeZ-tridiagonal": (("matrix on", "e", "X"), lambda t: _plus_1_at(t, 0, 2),
+                                   {"trio-i-VtildeZ-tridiagonal"}),
+    "trio-i-Z-tridiagonal": (("matrix on", "e", "Z"), lambda t: _plus_1_at(t, 0, 2),
+                             {"trio-i-Z-tridiagonal"}),
+    "trio-i-Z-irreducible": (("matrix on", "e", "Z"), lambda t: _zero_at(t, 1, 0),
+                             {"trio-i-Z-irreducible"}),
+    "trio-ii-Vtilde-diagonal": ("X", lambda t: _plus_1_at(t, 0, 0),
+                                {"trio-i-VtildeZ-tridiagonal", "trio-ii-Vtilde-diagonal",
+                                 "trio-ii-Vtilde-eigenvalues",
+                                 "trio-iii-Vtilde-lower-bidiagonal"}),
+    "trio-ii-Vtilde-eigenvalues": (("basis", "d"), _shifted,
+                                   {"trio-ii-Vtilde-eigenvalues", "trio-ii-ZV-coefficients"}),
+    "trio-ii-ZV-tridiagonal": (("matrix on", "d", "VZ"), lambda t: _plus_1_at(t, 0, 2),
+                               {"trio-ii-ZV-tridiagonal", "trio-ii-ZV-coefficients"}),
+    "trio-ii-ZV-coefficients": (("band tables", "d"),
+                                lambda d: {**d, "VZ": _plus_1_at(d["VZ"], 1, 1)},
+                                {"trio-ii-ZV-coefficients"}),
+    "trio-ii-Z-lower-bidiagonal": (("band tables", "d"),
+                                   lambda d: {**d, "Z": _plus_1_at(d["Z"], 1, 1)},
+                                   {"trio-ii-Z-lower-bidiagonal"}),
+    "trio-ii-Z-subdiagonal": (("band tables", "d"),
+                              lambda d: {**d, "Z": _plus_1_at(d["Z"], 2, 1)},
+                              {"trio-ii-Z-subdiagonal"}),
+    "trio-ii-Z-irreducible": (("matrix on", "d", "Z"), lambda t: _zero_at(t, 1, 0),
+                              {"trio-ii-Z-irreducible", "trio-ii-Z-subdiagonal"}),
+    "trio-iii-Z-diagonal": (("matrix on", "z", "Z"), lambda t: _plus_1_at(t, 0, 1),
+                            {"trio-iii-Z-diagonal"}),
+    "trio-iii-Vtilde-lower-bidiagonal": (("matrix on", "z", "Vtilde"),
+                                         lambda t: _plus_1_at(t, 0, 1),
+                                         {"trio-iii-Vtilde-lower-bidiagonal"}),
+    "trio-iii-Vtilde-irreducible": (("matrix on", "z", "Vtilde"), lambda t: _zero_at(t, 1, 0),
+                                    {"trio-iii-Vtilde-irreducible"}),
+    "trio-iii-V-tridiagonal": (("matrix on", "z", "V"), lambda t: _plus_1_at(t, 0, 2),
+                               {"trio-iii-V-tridiagonal"}),
+    "trio-iii-V-irreducible": (("matrix on", "z", "V"), lambda t: _zero_at(t, 0, 1),
+                               {"trio-iii-V-irreducible"}),
+}
+
+
+def test_every_trio_check_has_a_fault_row(ctx3):
+    rep = verify_leonard_trio(ctx3)
+    assert rep.passed
+    assert {c.id for c in rep.checks} == set(TRIO_FAULTS)
+
+
+@pytest.mark.parametrize("check_id", TRIO_FAULTS)
+def test_each_trio_fault_flips_its_row_exactly(ctx3, check_id):
+    # the clean value is read off a Context the trio has run on, changed,
+    # and kept in a fresh Context before the trio reads it
+    key, change, flipped = TRIO_FAULTS[check_id]
+    verify_leonard_trio(ctx3)
+    planted = change(ctx3.X if key == "X" else ctx3.keep(key, lambda: pytest.fail(f"{key} is not kept")))
+    ctx = Context(ctx3.p, ctx3.rho)
+    if key == "X":
+        vars(ctx)["X"] = planted  # where the cached property keeps it
+    else:
+        ctx.keep(key, lambda: planted)
+    assert check_id in flipped
+    assert {c.id for c in verify_leonard_trio(ctx).failures} == flipped
 
 
 def _bumped_at_2_1(builder, name):
