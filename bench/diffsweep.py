@@ -38,6 +38,9 @@ The vector list is fixed:
     are compared at every N up to 8; and at N = 4 on five sets that their
     own ``random.Random(2027)`` draws as above, without alpha = -1, given
     in ``--name=value`` form, 25 vectors;
+  * ``matrix --which basis:<label>`` for the eight families at N = 4 on
+    the same five drawn sets, 40 vectors, so that the oracle's revalidation
+    on emit runs off the default set;
   * ``matrix --which coeffs:<basis>`` for the five bases at N = 12, 16 and
     24, 15 vectors;
   * ``verify --suite all`` at N = 8, 10 and 12;
@@ -127,6 +130,8 @@ def _coeffs_vectors() -> list:
              for basis in COEFF_BASES for N in (2, 3, 5, 6, 7, 8)]
             + [["matrix", "--which", f"coeffs:{basis}", "--N", "4", *drawn]
                for drawn in sets for basis in COEFF_BASES]
+            + [["matrix", "--which", f"basis:{label}", "--N", "4", *drawn]
+               for drawn in sets for label in LABELS]
             + [["matrix", "--which", f"coeffs:{basis}", "--N", str(N)]
                for basis in COEFF_BASES for N in (12, 16, 24)])
 

@@ -29,7 +29,8 @@ from .algebra import (
     check_defining_relations,
     check_subalgebras,
 )
-from .eigenbases import FAMILIES, GRIDS, Context, check_orthogonality, oracle_mismatch
+from .eigenbases import (FAMILIES, GRIDS, RHO_GRIDS, Context, check_orthogonality,
+                         oracle_mismatch)
 from .errors import DegenerateParameters, exact
 from .matrices import RationalMatrix
 from .matrixreps import COEFFS, verify_coefficients, verify_leonard_trio
@@ -243,7 +244,7 @@ def cmd_table(args: argparse.Namespace) -> tuple:
     for flag, given in (("--precision", args.precision is not None), ("--exact", args.exact)):
         if given and args.format != "csv":
             return EXIT_USAGE, f"metaracah: {flag} applies only to --format csv\n"
-    ctx = _context(args, GRIDS[which].needs_rho)
+    ctx = _context(args, which in RHO_GRIDS)
     p, grid = ctx.p, ctx.grid(which)
 
     if args.format == "csv":

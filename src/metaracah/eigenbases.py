@@ -11,9 +11,10 @@ Four operators are diagonalized, each together with its transpose:
 Every basis vector has an explicit expansion over the standard basis with
 Pochhammer-ratio coefficients; build_basis evaluates those closed forms,
 while oracle_basis recomputes each vector from scratch as a kernel of the
-relevant matrix pencil and only borrows the closed form's normalization.
-Every pencil is bidiagonal (d, e*, f and z lower; d*, e, f* and z*
-upper), so each kernel is a two-term recurrence along the band.
+relevant matrix pencil at the kept family's eigenvalue row, borrowing only
+that row and the closed form's normalization.  Every pencil is bidiagonal
+(d, e*, f and z lower; d*, e, f* and z* upper), so each kernel is a
+two-term recurrence along the band.
 FAMILIES maps each label to its eigenvalue, column, operator, dual and
 weight; every entry point looks its label up there.  GRIDS maps the name
 of each closed-form overlap table to its builder, and each table is one
@@ -208,15 +209,6 @@ def build_basis(p: Params, rho: Fraction | None, label: str) -> BasisFamily:
     return BasisFamily(label=label, vectors=RationalMatrix.from_columns(cols), eigenvalues=eigs)
 
 
-class Grid(NamedTuple):
-    """One row of the grid table: build(ctx) is the closed-form overlap
-    table of a Context as a RationalMatrix, entry (m, n) its value at
-    (m, n)."""
-
-    build: Callable  # (ctx) -> RationalMatrix
-    needs_rho: bool = False
-
-
 def _racah_params(ctx):
     return racahpoly.RacahParams.from_params(ctx.p, ctx.rho)
 
@@ -248,23 +240,24 @@ def _params(ctx):
     return ctx.p
 
 
-# The eight overlap tables, keyed by `table --which` name, each built as one
-# RationalMatrix.  Every table is a closed form, and none is evaluated point
-# by point.
+# The eight overlap tables, keyed by `table --which` name: each builder
+# (ctx) -> RationalMatrix returns one closed form, entry (m, n) its value at
+# (m, n), and none is evaluated point by point.  RHO_GRIDS are the tables
+# that read rho, through the Racah parameters.
 GRIDS = {
-    "racah": Grid(lambda c: racahpoly.racah_table(_racah_params(c)), needs_rho=True),
-    "S": Grid(_prefactored("racah", racahpoly._prefactor_S_m, racahpoly._prefactor_S_n,
-                           _racah_params), needs_rho=True),
-    "Stilde": Grid(_prefactored("racah", racahpoly._prefactor_Stilde_m,
-                                racahpoly._prefactor_Stilde_n, _racah_params), needs_rho=True),
-    "calU": Grid(_calU_grid),
-    "calUtilde": Grid(_calU_tilde_grid),
-    "U": Grid(_prefactored("calU", rationalfns._prefactor_U_m, rationalfns._prefactor_U_n,
-                           _params)),
-    "Utilde": Grid(_prefactored("calUtilde", rationalfns._prefactor_Utilde_m,
-                                rationalfns._prefactor_Utilde_n, _params)),
-    "dualHahn": Grid(lambda c: rationalfns.dual_hahn_table(rationalfns.dual_hahn_params(c.p))),
+    "racah": lambda c: racahpoly.racah_table(_racah_params(c)),
+    "S": _prefactored("racah", racahpoly._prefactor_S_m, racahpoly._prefactor_S_n,
+                      _racah_params),
+    "Stilde": _prefactored("racah", racahpoly._prefactor_Stilde_m,
+                           racahpoly._prefactor_Stilde_n, _racah_params),
+    "calU": _calU_grid,
+    "calUtilde": _calU_tilde_grid,
+    "U": _prefactored("calU", rationalfns._prefactor_U_m, rationalfns._prefactor_U_n, _params),
+    "Utilde": _prefactored("calUtilde", rationalfns._prefactor_Utilde_m,
+                           rationalfns._prefactor_Utilde_n, _params),
+    "dualHahn": lambda c: rationalfns.dual_hahn_table(rationalfns.dual_hahn_params(c.p)),
 }
+RHO_GRIDS = ("racah", "S", "Stilde")
 
 
 # Nothing in the library calls cached_basis: the families live in a Context.
@@ -350,19 +343,21 @@ class Context(Frozen):
         return self.keep(("band tables", basis), matrixreps.COEFFS[basis], self)
 
     def grid(self, name: str) -> RationalMatrix:
-        """The overlap table GRIDS[name], entry (m, n) its value at (m, n),
-        built on first use and kept as its reduced entries (each written
-        once); like every RationalMatrix it cannot be changed in place."""
+        """The overlap table GRIDS[name] builds, entry (m, n) its value at
+        (m, n), built on first use and kept as its reduced entries (each
+        written once); like every RationalMatrix it cannot be changed in
+        place.  A name in RHO_GRIDS is refused without rho."""
         if name not in GRIDS:
             raise PreconditionViolated(f"unknown grid {name!r}")
-        if GRIDS[name].needs_rho:
+        if name in RHO_GRIDS:
             read_rho(self.rho, f"grid {name!r} needs rho")
-        return self.keep(("grid", name), lambda: GRIDS[name].build(self).reduced())
+        return self.keep(("grid", name), lambda: GRIDS[name](self).reduced())
 
 
 def oracle_basis(ctx: Context, label: str) -> BasisFamily:
-    """Recompute each basis vector as the kernel of A - eigenvalue B, A the
-    family's operator and B its weight.
+    """Recompute each basis vector of the kept family ctx.basis(label) as
+    the kernel of A - eigenvalue B at the family's own eigenvalue row, A
+    the family's operator and B its weight.
 
     Every pencil (A, B) is bidiagonal, lower when A and B both are, else
     upper; its diagonal and off bands are read once, off the integer form
@@ -373,8 +368,10 @@ def oracle_basis(ctx: Context, label: str) -> BasisFamily:
     v_j = -off v_(j-1) / diag_j for j > k (lower) or -off v_(j+1) / diag_j
     for j < k (upper), zero on the other side: O(N) per index, forming
     only the entries the recurrence reads.  The vector is scaled so its
-    component on |n> matches the closed form's, the only use made of the
-    closed-form data.
+    component on |n> matches the kept family's entry (n, n): that diagonal
+    and the eigenvalue row, which it returns, are all the oracle reads of
+    the family, so an eigenvalue that is off moves the kernel off the
+    family's vector.
 
     NondegenerateSpectrumViolated for a pencil off the band, an eigenvalue
     at which no diagonal entry vanishes (a nonsingular band matrix: kernel
@@ -382,8 +379,8 @@ def oracle_basis(ctx: Context, label: str) -> BasisFamily:
     prod_j (a_j - lam b_j)), or a vanishing component on |n>; no set that
     a Context accepts reaches any of them.
     """
-    p, rho = ctx.p, ctx.rho
-    fam = family(label, rho)
+    kept = ctx.basis(label)  # refuses an unknown label, or a missing rho
+    fam = FAMILIES[label]
     A, B = fam.operator(ctx), getattr(ctx, fam.weight or "I")
     lower = A.in_band(1, 0) and B.in_band(1, 0)
     if not (lower or A.in_band(0, 1) and B.in_band(0, 1)):
@@ -396,11 +393,9 @@ def oracle_basis(ctx: Context, label: str) -> BasisFamily:
             roots.setdefault(x / y, []).append(j)
         elif not x:
             always.append(j)
-    N = p.N
-    eigs = tuple(eigenvalue(label, p, rho, n) for n in range(N + 1))
-    closed = ctx.basis(label).vectors
+    N = ctx.p.N
     cols = []
-    for n, lam in enumerate(eigs):
+    for n, lam in enumerate(kept.eigenvalues):
         zeros = always + roots.get(lam, [])
         if len(zeros) != 1:
             what = f"{len(zeros)} diagonal entries vanish" if zeros else "kernel dimension 0"
@@ -413,14 +408,15 @@ def oracle_basis(ctx: Context, label: str) -> BasisFamily:
             i = min(j, prev)  # off-band entry (j, prev) is at index i of its band
             off = a_off[i] - lam * b_off[i] if b_off[i] else a_off[i]
             v[j] = -off * v[prev] / (a_diag[j] - lam * b_diag[j])
-        anchor = closed[n, n]
+        anchor = kept.vectors[n, n]
         if v[n] == 0 or anchor == 0:
             raise NondegenerateSpectrumViolated(
                 f"family {label}, index {n}: vanishing component on |{n}>"
             )
         scale = anchor / v[n]
         cols.append([scale * x for x in v])
-    return BasisFamily(label=label, vectors=RationalMatrix.from_columns(cols), eigenvalues=eigs)
+    return BasisFamily(label=label, vectors=RationalMatrix.from_columns(cols),
+                       eigenvalues=kept.eigenvalues)
 
 
 def oracle_mismatch(ctx: Context, label: str) -> str | None:

@@ -29,7 +29,7 @@ def diffsweep(monkeypatch):
 
 def test_diffsweep_vectors_are_the_documented_list(diffsweep):
     vectors = diffsweep.VECTORS
-    assert len(vectors) == 378 + 160 + 54 + 46 + 30 + 25 + 15 + 3 + 10 + 15 + 4 == 740
+    assert len(vectors) == 378 + 160 + 54 + 46 + 30 + 25 + 40 + 15 + 3 + 10 + 15 + 4 == 780
     assert len({json.dumps(v) for v in vectors}) == len(vectors)
     assert _load("diffsweep").VECTORS == vectors  # a fixed list, drawn the same each time
     drawn = vectors[378:538]

@@ -707,12 +707,12 @@ def test_each_overlap_grid_is_built_once_per_set(capsys, monkeypatch):
             hahn_limit.pop()
 
     rebind(limit, inside_limit)
-    for name, row in eb.GRIDS.items():
-        def build(ctx, _name=name, _build=row.build):
+    for name, original in eb.GRIDS.items():
+        def build(ctx, _name=name, _build=original):
             builds[_name, ctx] += 1
             return _build(ctx)
 
-        monkeypatch.setitem(eb.GRIDS, name, row._replace(build=build))
+        monkeypatch.setitem(eb.GRIDS, name, build)
     code, _ = run(capsys, "verify", "--suite", "all", "--N", "3", "--sweeps", "1", "--seed", "5")
     assert code == 0
     contexts = {ctx for _, ctx in builds}

@@ -23,6 +23,7 @@ from metaracah import (
     closed_form_Utilde,
     oracle_basis,
 )
+from metaracah import cli
 from metaracah.algebra import check_casimir_central, check_defining_relations, check_subalgebras
 from metaracah.cli import SUITES, run_suites
 from metaracah.diffmodel import model_basis, verify_model
@@ -102,11 +103,51 @@ def test_eigenvalues_by_direct_action(ctx3):
             assert A.apply(v) == tuple(lam * x for x in B.apply(v)), (label, n)
 
 
-def test_oracle_guards_empty_kernel(ctx3, monkeypatch):
-    # an off-spectrum value leaves nothing in the kernel
-    monkeypatch.setattr(eb, "eigenvalue", lambda *args: Q(1, 2))
+def test_oracle_guards_empty_kernel(ctx3):
+    # an off-spectrum eigenvalue row, kept as the z family's, leaves nothing
+    # in the kernel
+    z = ctx3.basis("z")
+    ctx = Context(ctx3.p, ctx3.rho)
+    ctx.keep(("basis", "z"), lambda: eb.BasisFamily("z", z.vectors, (Q(1, 2),) * 4))
     with pytest.raises(NondegenerateSpectrumViolated):
-        eb.oracle_basis(ctx3, "z")
+        eb.oracle_basis(ctx, "z")
+
+
+# kept family -> the oracle's reason once 1 is added to its eigenvalue at
+# index 1: off the spectrum of e* and f*; at z*, the next eigenvalue, whose
+# kernel is another vector
+OFF_EIGENVALUE = {
+    "eStar": "family eStar, index 1: kernel dimension 0, expected 1",
+    "fStar": "family fStar, index 1: kernel dimension 0, expected 1",
+    "zStar": "",
+}
+
+
+@pytest.mark.parametrize("label", OFF_EIGENVALUE)
+def test_an_eigenvalue_off_in_a_kept_dual_family_fails_the_oracle(label, p3, rho, capsys,
+                                                                  monkeypatch):
+    # distinct-eigenvalues-* reads only d, e, f and z; the oracle solves at
+    # the row each family keeps, which `matrix --which basis:<label>` emits,
+    # so one entry off in an e*, f* or z* row fails closed-vs-oracle,
+    # naming that family, and the emit
+    build = eb.build_basis
+
+    def bumped(p, rho, name):
+        fam = build(p, rho, name)
+        if name != label:
+            return fam
+        return eb.BasisFamily(name, fam.vectors,
+                              tuple(x + (n == 1) for n, x in enumerate(fam.eigenvalues)))
+
+    monkeypatch.setattr(eb, "build_basis", bumped)
+    reason = OFF_EIGENVALUE[label]
+    check, = [c for c in check_orthogonality(Context(p3, rho)).checks
+              if c.id == "closed-vs-oracle"]
+    assert (check.status, check.detail) == (
+        "fail", f"failing families: [{label!r}]" + (f"; oracle: {reason}" if reason else ""))
+    assert cli.main(["matrix", "--which", f"basis:{label}", "--N", "3"]) == 1
+    assert capsys.readouterr().out == (f"basis {label} failed revalidation on emit"
+                                       f"{': ' if reason else ''}{reason}\n")
 
 
 @pytest.mark.parametrize("entry", [
@@ -223,13 +264,13 @@ def test_rho_zero_is_a_given_rho(p3):
 
 def test_rho_grids_need_fparams_and_each_grid_is_kept(p3, rho):
     ctx = Context(p3)
-    for name, row in eb.GRIDS.items():
-        if row.needs_rho:
+    for name in eb.GRIDS:
+        if name in eb.RHO_GRIDS:
             with pytest.raises(PreconditionViolated, match=f"grid '{name}' needs rho"):
                 ctx.grid(name)
         else:
             assert ctx.grid(name) is ctx.grid(name)
-    assert {name for name, row in eb.GRIDS.items() if row.needs_rho} == {"racah", "S", "Stilde"}
+    assert set(eb.RHO_GRIDS) == {"racah", "S", "Stilde"}
     # the grids built on the R, calU and calU-tilde grids equal the
     # per-point closed forms
     ctx = Context(p3, rho)

@@ -1,0 +1,174 @@
+"""Every check of the racah and rational suites can fail: one fault row per
+check id.
+
+A row plants one fault, either in one item a Context keeps (a family, a
+grid, a band table, a dual side or the Context's X) or in one route a
+suite calls (a weight, a norm, a builder or a parameter shift), and lists
+exactly the (suite, id) pairs that fault flips; the ids are paired with
+their suites because both suites have a check named difference.  The
+Leonard-trio rows are tests/test_matrixreps.py::TRIO_FAULTS.
+"""
+
+import pytest
+
+import metaracah.racahpoly as rp
+import metaracah.rationalfns as rf
+from metaracah import Context, Params
+from metaracah.cli import SUITE_RUNNERS, run_suites
+from metaracah.eigenbases import BasisFamily
+from metaracah.matrices import RationalMatrix
+
+SUITES = ("racah", "rational")
+# they record signs for information only, and always pass
+EXEMPT = {("racah", "weight-signs"), ("racah", "norm-signs")}
+
+
+def _plus_1_at(table, m, n):
+    """table with 1 added at entry (m, n)."""
+    return table + RationalMatrix([[int((i, j) == (m, n)) for j in range(table.cols)]
+                                   for i in range(table.rows)])
+
+
+def _vectors_plus_1(family):
+    """family with 1 added at entry (1, 2) of its vectors."""
+    return BasisFamily(family.label, _plus_1_at(family.vectors, 1, 2), family.eigenvalues)
+
+
+def _eigenvalue_plus_1(family):
+    """family with 1 added to its eigenvalue at index 1."""
+    return BasisFamily(family.label, family.vectors,
+                       tuple(x + (n == 1) for n, x in enumerate(family.eigenvalues)))
+
+
+def _plus_1_at_index(index):
+    """The wrap of f(k, ...) into f with 1 added at k = index."""
+    return lambda f: lambda k, *args: f(k, *args) + (k == index)
+
+
+def _calU_general_plus(extra):
+    """The wrap of calU_general(m, n, t, ...) into it plus extra(t)."""
+    return lambda f: lambda m, n, t, *args: f(m, n, t, *args) + extra(t)
+
+
+def kept(key, change):
+    """The fault change(value) in the item a Context keeps under key, or in
+    its X; the value is read off a Context the suites have run on."""
+    def plant(clean, ctx, monkeypatch):
+        if key == "X":
+            vars(ctx)["X"] = change(clean.X)  # where the cached property keeps it
+        else:
+            value = change(clean.keep(key, lambda: pytest.fail(f"{key} is not kept")))
+            ctx.keep(key, lambda: value)
+    return plant
+
+
+def route(module, name, wrap):
+    """The fault wrap(f) in the function f that module names name."""
+    def plant(clean, ctx, monkeypatch):
+        monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    return plant
+
+
+RACAH, RATIONAL = "racah", "rational"
+
+# (suite, id) -> the fault and the (suite, id) pairs it flips.  A fault in
+# a grid reaches the grids built on it; gram-U and gram-U-dual state the
+# same identity of square matrices, so every fault flips both
+FAULTS = {
+    (RACAH, "identify-S"): (kept(("basis", "fStar"), _vectors_plus_1),
+                            {(RACAH, "identify-S")}),
+    (RACAH, "identify-Stilde"): (kept(("basis", "f"), _vectors_plus_1),
+                                 {(RACAH, "identify-Stilde")}),
+    (RACAH, "recurrence"): (kept(("band tables", "f"),
+                                 lambda d: {**d, "V": _plus_1_at(d["V"], 1, 1)}),
+                            {(RACAH, "recurrence")}),
+    (RACAH, "difference"): (kept(("basis", "f"), _eigenvalue_plus_1), {(RACAH, "difference")}),
+    (RACAH, "gram-S"): (kept(("grid", "Stilde"), lambda t: _plus_1_at(t, 1, 2)),
+                        {(RACAH, "gram-S"), (RACAH, "identify-Stilde"),
+                         (RACAH, "weight-norm-consistency")}),
+    (RACAH, "weight-orthogonality"): (route(rp, "weight", _plus_1_at_index(1)),
+                                      {(RACAH, "weight-orthogonality"),
+                                       (RACAH, "weight-norm-consistency")}),
+    (RACAH, "weight-norm-consistency"): (route(rp, "norm", _plus_1_at_index(1)),
+                                         {(RACAH, "weight-orthogonality"),
+                                          (RACAH, "weight-norm-consistency")}),
+    (RATIONAL, "identify-U"): (kept(("basis", "dStar"), _vectors_plus_1),
+                               {(RATIONAL, "identify-U"), (RATIONAL, "dual-hahn")}),
+    (RATIONAL, "identify-Utilde"): (kept(("dual side", "dStar"),
+                                         lambda t: _plus_1_at(t, 1, 2)),
+                                    {(RATIONAL, "identify-Utilde")}),
+    (RATIONAL, "h0-normalization"): (route(rf, "norm_h", _plus_1_at_index(0)),
+                                     {(RATIONAL, "h0-normalization"),
+                                      (RATIONAL, "biorth-point")}),
+    (RATIONAL, "biorth-point"): (route(rf, "weight_W", _plus_1_at_index(1)),
+                                 {(RATIONAL, "biorth-point")}),
+    (RATIONAL, "biorth-degree"): (route(rf, "weight_Wstar", _plus_1_at_index(1)),
+                                  {(RATIONAL, "biorth-degree")}),
+    (RATIONAL, "gram-U"): (kept(("grid", "Utilde"), lambda t: _plus_1_at(t, 1, 2)),
+                           {(RATIONAL, "gram-U"), (RATIONAL, "gram-U-dual"),
+                            (RATIONAL, "identify-Utilde")}),
+    (RATIONAL, "gram-U-dual"): (kept(("grid", "U"), lambda t: _plus_1_at(t, 1, 2)),
+                                {(RATIONAL, "gram-U"), (RATIONAL, "gram-U-dual"),
+                                 (RATIONAL, "identify-U"), (RATIONAL, "gevp-recurrence"),
+                                 (RATIONAL, "difference")}),
+    (RATIONAL, "gevp-recurrence"): (kept(("basis", "dStar"), _eigenvalue_plus_1),
+                                    {(RATIONAL, "gevp-recurrence")}),
+    (RATIONAL, "difference"): (kept(("band tables", "dStar"),
+                                    lambda d: {**d, "VtZt": _plus_1_at(d["VtZt"], 1, 1)}),
+                               {(RATIONAL, "difference")}),
+    # zeta + 3 for zeta + 2: X and Z read no zeta, so the shift checks pass
+    (RATIONAL, "contiguity"): (route(rf, "shifted_params", lambda f: lambda p: f(
+        Params(N=p.N, alpha=p.alpha, beta=p.beta, zeta=p.zeta + 1))),
+                               {(RATIONAL, "contiguity")}),
+    (RATIONAL, "shift-X"): (kept("X", lambda t: _plus_1_at(t, 1, 1)), {(RATIONAL, "shift-X")}),
+    (RATIONAL, "shift-Z"): (route(rf, "build_Z", lambda f: lambda p: _plus_1_at(f(p), 1, 1)),
+                            {(RATIONAL, "shift-Z")}),
+    (RATIONAL, "dual-hahn"): (kept(("grid", "dualHahn"), lambda t: _plus_1_at(t, 1, 2)),
+                              {(RATIONAL, "dual-hahn")}),
+    # the Hahn limit off by 1 at its middle t, and off by 1000/t at every t:
+    # still decreasing, but too slowly
+    (RATIONAL, "deviation-decreasing"): (route(rf, "calU_general",
+                                               _calU_general_plus(lambda t: t == 10000)),
+                                         {(RATIONAL, "deviation-decreasing")}),
+    (RATIONAL, "final-deviation-small"): (route(rf, "calU_general",
+                                                _calU_general_plus(lambda t: 1000 / t)),
+                                          {(RATIONAL, "final-deviation-small")}),
+}
+
+
+def _failures(ctx):
+    return {(rep.suite, c.id) for suite in SUITES for rep in SUITE_RUNNERS[suite](ctx)
+            for c in rep.failures}
+
+
+def test_every_racah_and_rational_check_has_a_fault_row(p3, rho):
+    reports = run_suites(p3, rho, SUITES)
+    assert all(rep.passed for rep in reports)
+    ids = {(rep.suite, c.id) for rep in reports for c in rep.checks}
+    assert EXEMPT <= ids and len(ids) == 24
+    assert ids - EXEMPT == set(FAULTS)
+
+
+@pytest.mark.parametrize("check", FAULTS, ids=lambda check: "/".join(check))
+def test_each_fault_flips_its_row_exactly(ctx3, check, monkeypatch):
+    # the clean value is read off a Context the suites have run on, changed,
+    # and kept in a fresh Context before the suites read it
+    plant, flipped = FAULTS[check]
+    assert not _failures(ctx3)
+    ctx = Context(ctx3.p, ctx3.rho)
+    plant(ctx3, ctx, monkeypatch)
+    assert check in flipped
+    assert _failures(ctx) == flipped
+
+
+def test_a_fault_in_the_R_grid_moves_both_sides_of_weight_norm_consistency(ctx3):
+    # S and Stilde are built on the kept R grid, so N_m Stilde_m(n) S_m(n)
+    # and W_n R_m(n)^2 both read the planted entry, and the check that
+    # compares them still passes: the fault reaches both sides of the
+    # identity alike
+    assert not _failures(ctx3)
+    ctx = Context(ctx3.p, ctx3.rho)
+    kept(("grid", "racah"), lambda t: _plus_1_at(t, 1, 2))(ctx3, ctx, None)
+    assert _failures(ctx) == {(RACAH, "identify-S"), (RACAH, "identify-Stilde"),
+                              (RACAH, "recurrence"), (RACAH, "difference"), (RACAH, "gram-S"),
+                              (RACAH, "weight-orthogonality")}

@@ -14,7 +14,8 @@ import metaracah.eigenbases as eb
 from metaracah import (Context, DegenerateParameters, NondegenerateSpectrumViolated, Params, cli,
                        matrices)
 from metaracah.cli import SWEEP_DENOMINATORS, SWEEP_NUMERATORS
-from metaracah.eigenbases import BasisFamily, FAMILIES, GRIDS, LABELS, eigenvalue, oracle_basis
+from metaracah.eigenbases import (BasisFamily, FAMILIES, GRIDS, LABELS, RHO_GRIDS, eigenvalue,
+                                  oracle_basis)
 from metaracah.hyper import series_table, terminating_hyp
 from metaracah.matrices import RationalMatrix, nullspace, right_divide_lower_bidiagonal
 from metaracah.matrixreps import COEFFS
@@ -108,8 +109,8 @@ def test_every_set_a_context_accepts_without_rho_builds_its_rho_free_tables():
                 ctx = Context(Params(N=N, alpha=alpha, beta=beta, zeta=zeta))
             except DegenerateParameters:
                 continue
-            for name, grid in GRIDS.items():
-                if not grid.needs_rho:
+            for name in GRIDS:
+                if name not in RHO_GRIDS:
                     ctx.grid(name)
             for basis in ("e", "d", "dStar", "z"):
                 ctx.band_tables(basis)
@@ -186,11 +187,18 @@ def _refuse_nullspace(monkeypatch):
     monkeypatch.setattr(matrices, "nullspace", refused)
 
 
+def _plant_closed_basis(monkeypatch, vectors, eigenvalues):
+    """Make every closed-form family the columns of vectors, at the
+    eigenvalue row eigenvalues, which the oracle solves at."""
+    monkeypatch.setattr(eb, "build_basis", lambda p, rho, label: BasisFamily(
+        label, vectors, tuple(eigenvalues)))
+
+
 def test_off_spectrum_value_reaches_the_elimination(ctx3, monkeypatch):
     # no diagonal entry of Z - I/2 vanishes, so the band matrix is
     # nonsingular and its kernel is empty
     _refuse_nullspace(monkeypatch)
-    monkeypatch.setattr(eb, "eigenvalue", lambda *args: Q(1, 2))
+    _plant_closed_basis(monkeypatch, RationalMatrix.identity(4), (Q(1, 2),) * 4)
     with pytest.raises(NondegenerateSpectrumViolated) as exc:
         oracle_basis(ctx3, "z")
     assert str(exc.value) == "family z, index 0: kernel dimension 0, expected 1"
@@ -202,7 +210,7 @@ def test_two_vanishing_diagonal_entries_reach_the_elimination(ctx3, monkeypatch)
     _refuse_nullspace(monkeypatch)
     operator = lambda c: RationalMatrix.diagonal([0, 0, 2, 3])
     monkeypatch.setitem(FAMILIES, "z", FAMILIES["z"]._replace(operator=operator))
-    monkeypatch.setattr(eb, "eigenvalue", lambda *args: Q(0))
+    _plant_closed_basis(monkeypatch, RationalMatrix.identity(4), (Q(0),) * 4)
     with pytest.raises(NondegenerateSpectrumViolated) as exc:
         oracle_basis(ctx3, "z")
     assert str(exc.value) == "family z, index 0: 2 diagonal entries vanish, expected 1"
@@ -225,13 +233,6 @@ def test_a_pencil_off_the_band_reaches_the_elimination(ctx3, capsys, monkeypatch
     assert capsys.readouterr().out == f"basis z failed revalidation on emit: {message}\n"
 
 
-def _plant_closed_basis(monkeypatch, vectors):
-    """Make every closed-form family the columns of vectors, each at
-    eigenvalue 1/2."""
-    monkeypatch.setattr(eb, "build_basis", lambda p, rho, label: BasisFamily(
-        label, vectors, (Q(1, 2),) * vectors.cols))
-
-
 def test_a_diagonal_entry_vanishing_at_every_eigenvalue_anchors_each_kernel(rho, monkeypatch):
     # at alpha = 0, Z has the diagonal (0, 1, 2, 3), so the pencil
     # Z - lam Z = (1 - lam) Z has a_0 = b_0 = 0: entry (0, 0) vanishes at
@@ -241,8 +242,7 @@ def test_a_diagonal_entry_vanishing_at_every_eigenvalue_anchors_each_kernel(rho,
     monkeypatch.setattr(eb, "require_generic", lambda p, rho=None: None)
     ctx = Context(Params(N=3, alpha=0, beta=Q(1, 5), zeta=Q(1, 7)), rho)
     monkeypatch.setitem(FAMILIES, "z", FAMILIES["z"]._replace(weight="Z"))
-    monkeypatch.setattr(eb, "eigenvalue", lambda *args: Q(1, 2))
-    _plant_closed_basis(monkeypatch, RationalMatrix.identity(4))
+    _plant_closed_basis(monkeypatch, RationalMatrix.identity(4), (Q(1, 2),) * 4)
     v = (Q(1), Q(-1), Q(1, 2), Q(-1, 6))
     assert oracle_basis(ctx, "z").vectors == RationalMatrix.from_columns(
         [[x / v[n] for x in v] for n in range(4)])
@@ -250,9 +250,11 @@ def test_a_diagonal_entry_vanishing_at_every_eigenvalue_anchors_each_kernel(rho,
 
 def test_a_vanishing_component_on_the_anchor_reaches_the_elimination(ctx3, monkeypatch):
     # each kernel vector is scaled to the closed form's component on |n>;
-    # a closed family that is 0 there leaves nothing to scale it by
+    # a closed family that is 0 there, at the z eigenvalues, leaves nothing
+    # to scale it by
     _refuse_nullspace(monkeypatch)
-    _plant_closed_basis(monkeypatch, RationalMatrix.zeros(4))
+    _plant_closed_basis(monkeypatch, RationalMatrix.zeros(4),
+                        [eigenvalue("z", ctx3.p, None, n) for n in range(4)])
     with pytest.raises(NondegenerateSpectrumViolated) as exc:
         oracle_basis(ctx3, "z")
     assert str(exc.value) == "family z, index 0: vanishing component on |0>"

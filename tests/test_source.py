@@ -149,17 +149,16 @@ def test_frozen_fields_are_set_only_by_frozen_and_the_matrix():
 
 def test_overlap_grids_are_built_only_by_a_context():
     # every (N+1) x (N+1) overlap table is an entry of Context.grid, built
-    # once per set by its GRIDS row; a suite or command that called a
-    # row's builder itself would hold a private copy of a grid the Context
-    # already shares, so GRIDS[...].build is read there and nowhere else
+    # once per set by its GRIDS builder; a suite or command that called the
+    # builder itself would hold a private copy of a grid the Context
+    # already shares, so GRIDS[...] is called there and nowhere else
     found = []
     for path in SOURCES:
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             for node in ast.walk(top):
-                if (isinstance(node, ast.Attribute) and node.attr == "build"
-                        and isinstance(node.value, ast.Subscript)
-                        and isinstance(node.value.value, ast.Name)
-                        and node.value.value.id == "GRIDS"):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Subscript)
+                        and isinstance(node.func.value, ast.Name)
+                        and node.func.value.id == "GRIDS"):
                     found.append((path.name, getattr(top, "name", None)))
     assert found == [("eigenbases.py", "Context")], found
 
