@@ -27,8 +27,11 @@ size of the integers every product and pairing multiplies.
 Wall times of one tree read apart by up to 1.6x between children on a
 2-core VM whose CPUs switch speeds, so each child also runs its workload
 (one verify run, or one pass over the emit commands) once more, untimed,
-under cProfile, and records the Python call count of that run
-(``pstats.Stats.total_calls``).  The count does not depend on machine
+under cProfile, and records the Python call count of that run (the
+calls of every code object the profiler saw, summed; ``pstats`` keeps
+one of the code objects that share a file, line and name, such as two
+generator expressions on one line, so its total moved with where they
+sat in memory).  The count does not depend on machine
 speed: equal code gives an equal count, so it tells two trees apart where
 their times cannot.
 
@@ -67,7 +70,6 @@ import io
 import json
 import os
 import platform
-import pstats
 import re
 import subprocess
 import sys
@@ -107,7 +109,7 @@ def _call_count(run) -> int:
     """The Python calls of one untimed run() under cProfile."""
     profiler = cProfile.Profile()
     profiler.runcall(run)
-    return pstats.Stats(profiler).total_calls
+    return sum(entry.callcount for entry in profiler.getstats())
 
 
 def measure(src: str, N: int) -> dict:

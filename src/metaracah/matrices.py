@@ -216,7 +216,7 @@ class RationalMatrix(Frozen):
 
     def _form(self):
         """The integer form (rows, row scales, column scales): that of a
-        result, or else the rows as _scaled gives them, with unit columns."""
+        result, or else the rows as _left scales them, with unit columns."""
         if self._sums is not None:
             return self._sums
         left = self._left()
@@ -290,11 +290,16 @@ class RationalMatrix(Frozen):
 
     def _left(self):
         """Each row as (d, integers) over a common denominator d, for
-        products with self on the left: the rows as _scaled gives them, or
-        the integer form's rows over the lcm E of its column scales."""
+        products with self on the left: each row of entries over the lcm d
+        of its denominators, or the integer form's rows over the lcm E of
+        its column scales."""
         if self._row_scaled is None:
             if self._sums is None:
-                left = _scaled(self._e)
+                left = []
+                for row in self._e:
+                    ratios = [x.as_integer_ratio() for x in row]
+                    d = lcm(*(q for _, q in ratios))
+                    left.append((d, [p * (d // q) for p, q in ratios]))
             else:
                 sums, ds, es = self._sums
                 E = lcm(*es)
@@ -355,80 +360,51 @@ def brackets(a: RationalMatrix, b: RationalMatrix) -> tuple:
 
 
 def dot(u, v) -> Fraction:
-    """Plain bilinear pairing sum_i u_i v_i (no conjugation), as one integer
-    inner product over the lcm scales of u and v."""
-    (d, a), (e, b) = _scaled((u, v))
-    if len(a) != len(b):
+    """Plain bilinear pairing sum_i u_i v_i (no conjugation), a Fraction sum
+    over the entries as errors.exact reads them, so a float raises TypeError."""
+    u, v = list(u), list(v)
+    if len(u) != len(v):
         raise ValueError("length mismatch")
-    return Q(sum(x * y for x, y in zip(a, b) if y), d * e)
-
-
-def _scaled(vectors):
-    """Each vector v as (d, [d * x for x in v]) with d the lcm of its denominators,
-    so the list holds integers: what products, pairings and Bareiss work on."""
-    out = []
-    for v in vectors:
-        ratios = [x.as_integer_ratio() for x in v]
-        d = lcm(*(q for _, q in ratios))
-        out.append((d, [p * (d // q) for p, q in ratios]))
-    return out
+    return sum((exact(x) * exact(y) for x, y in zip(u, v)), _ZERO)
 
 
 # -- elimination kernels -----------------------------------------------------
 
 
 def nullspace(m: RationalMatrix):
-    """Basis of the right kernel, via fraction-free (Bareiss) elimination.
+    """Basis of the right kernel, by Gauss-Jordan elimination over Fraction.
 
     No suite or command reaches it: the eigenbasis oracle solves each
     kernel along the band.  It stays, with inverse, as the tests' dense
     reference and as a name the benchmark tracer wraps.
 
-    Each row is first scaled to integers by the lcm of its denominators
-    (integer numerators, no Fraction arithmetic), then reduced with the
-    two-step division-free pivoting rule.  Back substitution runs over
-    Fraction and skips the zero entries of each pivot row, which for a
-    banded matrix are nearly all of them.  Returns a list of tuples, one
-    per free column.
+    Returns a list of tuples, one per free column c in increasing order:
+    the kernel vector that is 1 at c and 0 at the other free columns,
+    its entry at each pivot column being minus the entry in column c of
+    that pivot's row of the reduced row echelon form.
     """
-    a = [row for _, row in _scaled(m._e)]
-    rows, cols = len(a), len(a[0])
-    pivots = []  # (row, col) in echelon order
-    prev = 1
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if a[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    a = [list(row) for row in m._e]
+    pivots = []  # the pivot column of each reduced row, in order
+    for c in range(m.cols):
+        r = len(pivots)
+        i = next((i for i in range(r, m.rows) if a[i][c]), None)
+        if i is None:
             continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                num = a[r][c] * a[i][j] - a[i][c] * a[r][j]
-                q, rem = divmod(num, prev)
-                if rem:  # Bareiss guarantees exact division
-                    raise ArithmeticError("fraction-free elimination lost exactness")
-                a[i][j] = q
-            a[i][c] = 0
-        prev = a[r][c]
-        pivots.append((r, c))
-        r += 1
-        if r == rows:
-            break
-    pivot_cols = [c for (_, c) in pivots]
-    free_cols = [c for c in range(cols) if c not in pivot_cols]
+        a[r], a[i] = a[i], a[r]
+        head = a[r][c]
+        a[r] = [x / head for x in a[r]]
+        for i in range(m.rows):
+            if i != r and (f := a[i][c]):
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
     basis = []
-    for fc in free_cols:
-        v = [Q(0)] * cols
-        v[fc] = Q(1)
-        for (pr, pc) in reversed(pivots):
-            row = a[pr]
-            s = sum((row[j] * v[j] for j in range(pc + 1, cols) if row[j]), Q(0))
-            v[pc] = -s / row[pc]
-        basis.append(tuple(v))
+    for c in range(m.cols):
+        if c not in pivots:
+            v = [_ZERO] * m.cols
+            v[c] = Q(1)
+            for r, pc in enumerate(pivots):
+                v[pc] = -a[r][c]
+            basis.append(tuple(v))
     return basis
 
 

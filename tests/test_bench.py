@@ -91,6 +91,20 @@ def test_a_revision_is_exported_and_named_by_its_full_hash(diffsweep, tmp_path):
             pass
 
 
+def test_scale_counts_the_calls_of_each_code_object(monkeypatch):
+    # the two generator expressions share a file, line and name, under which
+    # pstats keeps the calls of only one of them
+    monkeypatch.syspath_prepend(str(BENCH))
+    scale = _load("scale")
+
+    def run():
+        return tuple(tuple(x for x in row) for row in ((1, 2), (3, 4)))
+
+    # run, 3 resumes of the outer generator, 3 of each inner one, and the
+    # profiler's own disable()
+    assert scale._call_count(run) == 11
+
+
 def _scale(kind, N):
     """The record bench/scale.py --measure writes for the tree of this test."""
     child = subprocess.run([sys.executable, str(BENCH / "scale.py"), "--measure", kind,

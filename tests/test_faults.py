@@ -1,12 +1,13 @@
-"""Every check of the racah and rational suites can fail: one fault row per
-check id.
+"""Every check of the bases, racah and rational suites can fail: one fault
+row per check id.
 
 A row plants one fault, either in one item a Context keeps (a family, a
 grid, a band table, a dual side or the Context's X) or in one route a
 suite calls (a weight, a norm, a builder or a parameter shift), and lists
 exactly the (suite, id) pairs that fault flips; the ids are paired with
-their suites because both suites have a check named difference.  The
-Leonard-trio rows are tests/test_matrixreps.py::TRIO_FAULTS.
+their suites because the racah and rational suites both have a check
+named difference.  The Leonard-trio rows are
+tests/test_matrixreps.py::TRIO_FAULTS.
 """
 
 import pytest
@@ -18,7 +19,7 @@ from metaracah.cli import SUITE_RUNNERS, run_suites
 from metaracah.eigenbases import BasisFamily
 from metaracah.matrices import RationalMatrix
 
-SUITES = ("racah", "rational")
+SUITES = ("bases", "racah", "rational")
 # they record signs for information only, and always pass
 EXEMPT = {("racah", "weight-signs"), ("racah", "norm-signs")}
 
@@ -38,6 +39,17 @@ def _eigenvalue_plus_1(family):
     """family with 1 added to its eigenvalue at index 1."""
     return BasisFamily(family.label, family.vectors,
                        tuple(x + (n == 1) for n, x in enumerate(family.eigenvalues)))
+
+
+def _eigenvalue_repeated(family):
+    """family with its eigenvalue at index 1 set to the one at index 0."""
+    eigs = family.eigenvalues
+    return BasisFamily(family.label, family.vectors, (eigs[0], eigs[0]) + eigs[2:])
+
+
+def _dual_side_plus_1(label):
+    """The fault that adds 1 at entry (1, 2) of the kept dual side of label."""
+    return kept(("dual side", label), lambda t: _plus_1_at(t, 1, 2))
 
 
 def _plus_1_at_index(index):
@@ -69,20 +81,54 @@ def route(module, name, wrap):
     return plant
 
 
-RACAH, RATIONAL = "racah", "rational"
+BASES, RACAH, RATIONAL = "eigenbases:orthogonality", "racah", "rational"
 
 # (suite, id) -> the fault and the (suite, id) pairs it flips.  A fault in
 # a grid reaches the grids built on it; gram-U and gram-U-dual state the
-# same identity of square matrices, so every fault flips both
+# same identity of square matrices, so every fault flips both.  A fault in
+# a family's vectors flips its gram and completeness checks together, and
+# the oracle, which solves for them afresh; gram-b reads the kept dual side
+# of b and completeness-b that of b*, so a fault in one flips one of them
 FAULTS = {
+    (BASES, "gram-d"): (_dual_side_plus_1("d"), {(BASES, "gram-d")}),
+    (BASES, "completeness-d"): (_dual_side_plus_1("dStar"),
+                                {(BASES, "completeness-d"), (RATIONAL, "identify-Utilde")}),
+    (BASES, "gram-e"): (_dual_side_plus_1("e"), {(BASES, "gram-e")}),
+    (BASES, "completeness-e"): (_dual_side_plus_1("eStar"), {(BASES, "completeness-e")}),
+    (BASES, "gram-f"): (_dual_side_plus_1("f"), {(BASES, "gram-f")}),
+    (BASES, "completeness-f"): (_dual_side_plus_1("fStar"), {(BASES, "completeness-f")}),
+    (BASES, "gram-z"): (_dual_side_plus_1("z"), {(BASES, "gram-z")}),
+    (BASES, "completeness-z"): (_dual_side_plus_1("zStar"), {(BASES, "completeness-z")}),
+    # the oracle solves at the kept eigenvalues, so a repeated one also
+    # moves an oracle vector off the family's
+    (BASES, "distinct-eigenvalues-d"): (kept(("basis", "d"), _eigenvalue_repeated),
+                                        {(BASES, "distinct-eigenvalues-d"),
+                                         (BASES, "closed-vs-oracle"), (RATIONAL, "difference")}),
+    (BASES, "distinct-eigenvalues-e"): (kept(("basis", "e"), _eigenvalue_repeated),
+                                        {(BASES, "distinct-eigenvalues-e"),
+                                         (BASES, "closed-vs-oracle"), (RACAH, "recurrence"),
+                                         (RACAH, "difference"), (RATIONAL, "gevp-recurrence"),
+                                         (RATIONAL, "difference")}),
+    (BASES, "distinct-eigenvalues-f"): (kept(("basis", "f"), _eigenvalue_repeated),
+                                        {(BASES, "distinct-eigenvalues-f"),
+                                         (BASES, "closed-vs-oracle"), (RACAH, "difference")}),
+    (BASES, "distinct-eigenvalues-z"): (kept(("basis", "z"), _eigenvalue_repeated),
+                                        {(BASES, "distinct-eigenvalues-z"),
+                                         (BASES, "closed-vs-oracle")}),
+    # no check but the oracle reads the e* eigenvalues
+    (BASES, "closed-vs-oracle"): (kept(("basis", "eStar"), _eigenvalue_plus_1),
+                                  {(BASES, "closed-vs-oracle")}),
     (RACAH, "identify-S"): (kept(("basis", "fStar"), _vectors_plus_1),
-                            {(RACAH, "identify-S")}),
+                            {(RACAH, "identify-S"), (BASES, "gram-f"),
+                             (BASES, "completeness-f"), (BASES, "closed-vs-oracle")}),
     (RACAH, "identify-Stilde"): (kept(("basis", "f"), _vectors_plus_1),
-                                 {(RACAH, "identify-Stilde")}),
+                                 {(RACAH, "identify-Stilde"), (BASES, "gram-f"),
+                                  (BASES, "completeness-f"), (BASES, "closed-vs-oracle")}),
     (RACAH, "recurrence"): (kept(("band tables", "f"),
                                  lambda d: {**d, "V": _plus_1_at(d["V"], 1, 1)}),
                             {(RACAH, "recurrence")}),
-    (RACAH, "difference"): (kept(("basis", "f"), _eigenvalue_plus_1), {(RACAH, "difference")}),
+    (RACAH, "difference"): (kept(("basis", "f"), _eigenvalue_plus_1),
+                            {(RACAH, "difference"), (BASES, "closed-vs-oracle")}),
     (RACAH, "gram-S"): (kept(("grid", "Stilde"), lambda t: _plus_1_at(t, 1, 2)),
                         {(RACAH, "gram-S"), (RACAH, "identify-Stilde"),
                          (RACAH, "weight-norm-consistency")}),
@@ -93,10 +139,11 @@ FAULTS = {
                                          {(RACAH, "weight-orthogonality"),
                                           (RACAH, "weight-norm-consistency")}),
     (RATIONAL, "identify-U"): (kept(("basis", "dStar"), _vectors_plus_1),
-                               {(RATIONAL, "identify-U"), (RATIONAL, "dual-hahn")}),
-    (RATIONAL, "identify-Utilde"): (kept(("dual side", "dStar"),
-                                         lambda t: _plus_1_at(t, 1, 2)),
-                                    {(RATIONAL, "identify-Utilde")}),
+                               {(RATIONAL, "identify-U"), (RATIONAL, "dual-hahn"),
+                                (BASES, "gram-d"), (BASES, "completeness-d"),
+                                (BASES, "closed-vs-oracle")}),
+    (RATIONAL, "identify-Utilde"): (_dual_side_plus_1("dStar"),
+                                    {(RATIONAL, "identify-Utilde"), (BASES, "completeness-d")}),
     (RATIONAL, "h0-normalization"): (route(rf, "norm_h", _plus_1_at_index(0)),
                                      {(RATIONAL, "h0-normalization"),
                                       (RATIONAL, "biorth-point")}),
@@ -112,7 +159,8 @@ FAULTS = {
                                  (RATIONAL, "identify-U"), (RATIONAL, "gevp-recurrence"),
                                  (RATIONAL, "difference")}),
     (RATIONAL, "gevp-recurrence"): (kept(("basis", "dStar"), _eigenvalue_plus_1),
-                                    {(RATIONAL, "gevp-recurrence")}),
+                                    {(RATIONAL, "gevp-recurrence"),
+                                     (BASES, "closed-vs-oracle")}),
     (RATIONAL, "difference"): (kept(("band tables", "dStar"),
                                     lambda d: {**d, "VtZt": _plus_1_at(d["VtZt"], 1, 1)}),
                                {(RATIONAL, "difference")}),
@@ -120,7 +168,9 @@ FAULTS = {
     (RATIONAL, "contiguity"): (route(rf, "shifted_params", lambda f: lambda p: f(
         Params(N=p.N, alpha=p.alpha, beta=p.beta, zeta=p.zeta + 1))),
                                {(RATIONAL, "contiguity")}),
-    (RATIONAL, "shift-X"): (kept("X", lambda t: _plus_1_at(t, 1, 1)), {(RATIONAL, "shift-X")}),
+    # the oracle of d reads the Context's X
+    (RATIONAL, "shift-X"): (kept("X", lambda t: _plus_1_at(t, 1, 1)),
+                            {(RATIONAL, "shift-X"), (BASES, "closed-vs-oracle")}),
     (RATIONAL, "shift-Z"): (route(rf, "build_Z", lambda f: lambda p: _plus_1_at(f(p), 1, 1)),
                             {(RATIONAL, "shift-Z")}),
     (RATIONAL, "dual-hahn"): (kept(("grid", "dualHahn"), lambda t: _plus_1_at(t, 1, 2)),
@@ -141,11 +191,11 @@ def _failures(ctx):
             for c in rep.failures}
 
 
-def test_every_racah_and_rational_check_has_a_fault_row(p3, rho):
+def test_every_bases_racah_and_rational_check_has_a_fault_row(p3, rho):
     reports = run_suites(p3, rho, SUITES)
     assert all(rep.passed for rep in reports)
     ids = {(rep.suite, c.id) for rep in reports for c in rep.checks}
-    assert EXEMPT <= ids and len(ids) == 24
+    assert EXEMPT <= ids and len(ids) == 37
     assert ids - EXEMPT == set(FAULTS)
 
 

@@ -161,8 +161,8 @@ def _projective(v):
 @pytest.mark.parametrize("ctx_name", ["ctx3", "ctx_other"])
 @pytest.mark.parametrize("label", LABELS)
 def test_bidiagonal_kernel_equals_nullspace(request, ctx_name, label):
-    # each column of the band recurrence spans the kernel that the dense
-    # Bareiss elimination finds
+    # each column of the band recurrence spans the kernel that dense
+    # Gauss-Jordan elimination finds
     ctx = request.getfixturevalue(ctx_name)
     fam = FAMILIES[label]
     A, B = fam.operator(ctx), getattr(ctx, fam.weight or "I")

@@ -66,6 +66,11 @@ def test_nullspace_is_the_kernel(case):
     assert rank(kernel) == len(kernel)
     # the planted vectors lie in the span of the returned basis
     assert rank(kernel + known) == len(kernel)
+    # one vector per free column c, in increasing order, 1 at c and 0 at the
+    # other free columns; c is free when it adds no rank to the columns before it
+    free = [c for c in range(m.cols)
+            if rank([r[:c + 1] for r in rows]) == rank([r[:c] for r in rows])]
+    assert [[v[c] for c in free] for v in kernel] == [[int(c == f) for c in free] for f in free]
 
 
 def test_nullspace_of_zero_and_full_rank():
@@ -380,6 +385,16 @@ def test_dot_refuses_vectors_of_different_lengths():
         with pytest.raises(ValueError, match="^length mismatch$"):
             dot(u, v)
     assert dot([Q(1, 2), 3], [4, Q(1, 3)]) == 3
+
+
+def test_dot_and_apply_refuse_a_float_entry():
+    # each entry is read by errors.exact, as a constructor's and a scaling
+    # factor's are, not by its as_integer_ratio, which a float also has
+    m = RationalMatrix([[1, 2], [3, 4]])
+    for call in (lambda: dot([0.5], [2]), lambda: dot([Q(1, 2)], [0.25]),
+                 lambda: m.apply([0.5, 1])):
+        with pytest.raises(TypeError, match="is a float"):
+            call()
 
 
 @pytest.mark.parametrize("scalar", [0.1, 0.5, "a", "1/3", None], ids=repr)
