@@ -230,10 +230,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
 
 
 def _decimal_str(v: Fraction, precision: int) -> str:
-    with decimal.localcontext() as ctx:
-        ctx.prec = precision
-        d = decimal.Decimal(v.numerator) / decimal.Decimal(v.denominator)
-    return str(d)
+    ctx = decimal.Context(prec=precision)
+    return str(ctx.divide(decimal.Decimal(v.numerator), decimal.Decimal(v.denominator)))
 
 
 def cmd_table(args: argparse.Namespace) -> tuple:
@@ -241,6 +239,8 @@ def cmd_table(args: argparse.Namespace) -> tuple:
     precision = 12 if args.precision is None else args.precision
     if precision < 1:
         return EXIT_USAGE, "metaracah: --precision must be >= 1\n"
+    if precision > decimal.MAX_PREC:
+        return EXIT_USAGE, f"metaracah: --precision must be <= {decimal.MAX_PREC}\n"
     for flag, given in (("--precision", args.precision is not None), ("--exact", args.exact)):
         if given and args.format != "csv":
             return EXIT_USAGE, f"metaracah: {flag} applies only to --format csv\n"

@@ -37,7 +37,7 @@ with matching resolutions of identity.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from . import matrixreps, racahpoly, rationalfns
@@ -266,51 +266,51 @@ RHO_GRIDS = ("racah", "S", "Stilde")
 cached_basis = lru_cache(maxsize=256)(build_basis)
 
 
+def _operator(name: str, build: Callable) -> property:
+    """The Context attribute kept under ("operator", name): build(ctx)."""
+    return property(lambda ctx: ctx.keep(("operator", name), build, ctx))
+
+
 class Context(Frozen):
     """One parameter set: p, and rho of X + rho Z as a Fraction, or None if not given.
 
     Making a Context is the one genericity check: it raises
-    DegenerateParameters unless (p, rho) is generic, and nothing that
-    takes a Context checks again.  Everything a suite reads more than once
-    is built on first use and kept for the Context's lifetime.  The
-    generators Z, V, X, their transposes Zt, Vt, Xt, the identity I,
-    Vtilde = X Z^{-1}, the Racah operator W = X + rho Z (given rho) and the
-    Casimir C are attributes; every other table goes through ``keep``, one
-    store under keys that name their kind: each closed-form family
-    (``basis``), each overlap grid (``grid``), each dual side, (b*)^T
-    times the weight (``dual_side``), which the Gram checks and every
-    operator matrix in an eigenbasis (``matrixreps.matrix_on``) share, and
-    whose transpose for the dual b* is the weight times b (completeness-d
-    and identify-Utilde read Z d as ``dual_side("dStar")`` transposed),
-    each family's closed-form band tables (``band_tables``), the closed
-    e^T z* table (``rationalfns.em_zstar_table``) and the dual Hahn
-    residuals (``rationalfns.dual_hahn_residuals``).  Each matrix
-    keeps its own transpose and integer-scaled forms.  Equality and hashing
-    follow (p, rho); rho = 0 is given.
+    DegenerateParameters unless (p, rho) is generic, and nothing that takes
+    a Context checks again.  Everything a suite reads more than once is
+    built on first use and kept for the Context's lifetime by ``keep``, one
+    store under keys that name their kind: each operator attribute
+    (``operator``), that is the generators Z, V, X, their transposes Zt, Vt,
+    Xt (read off one kept ``transposes`` call), the identity I,
+    Vtilde = X Z^{-1}, the Casimir C and W = X + rho Z (given rho); each
+    closed-form family (``basis``); each overlap grid (``grid``); each dual
+    side, (b*)^T times the weight (``dual side``), which the Gram checks and
+    every operator matrix in an eigenbasis (``matrixreps.matrix_on``) share,
+    and whose transpose for the dual b* is the weight times b (completeness-d
+    and identify-Utilde read Z d as ``dual_side("dStar")`` transposed); each
+    family's closed-form band tables (``band tables``); the closed e^T z*
+    table (``rationalfns.em_zstar_table``) and the dual Hahn residuals
+    (``rationalfns.dual_hahn_residuals``).  Equality and hashing follow
+    (p, rho); rho = 0 is given.
     """
 
     _fields = ("p", "rho")
 
     def __init__(self, p: Params, rho: Fraction | None = None):
         super().__init__(p, read_rho(rho))
-        # no __slots__: cached_property keeps its values in the __dict__ too
         self.__dict__["_kept"] = {}
         require_generic(self.p, self.rho)
 
-    Z = cached_property(lambda self: build_Z(self.p))
-    V = cached_property(lambda self: build_V(self.p))
-    X = cached_property(lambda self: build_X(self.p))
-    _transposes = cached_property(lambda self: build_transposes(self.p))
-    Zt = property(lambda self: self._transposes[0])
-    Vt = property(lambda self: self._transposes[1])
-    Xt = property(lambda self: self._transposes[2])
-    I = cached_property(lambda self: RationalMatrix.identity(self.p.N + 1))
-    Vtilde = cached_property(lambda self: right_divide_lower_bidiagonal(self.X, self.Z))
-    C = cached_property(build_casimir)
-
-    @cached_property
-    def W(self) -> RationalMatrix:
-        return self.X + read_rho(self.rho, "the Racah operator X + rho Z needs rho") * self.Z
+    Z = _operator("Z", lambda c: build_Z(c.p))
+    V = _operator("V", lambda c: build_V(c.p))
+    X = _operator("X", lambda c: build_X(c.p))
+    Zt = _operator("Zt", lambda c: c.keep(("transposes",), build_transposes, c.p)[0])
+    Vt = _operator("Vt", lambda c: c.keep(("transposes",), build_transposes, c.p)[1])
+    Xt = _operator("Xt", lambda c: c.keep(("transposes",), build_transposes, c.p)[2])
+    I = _operator("I", lambda c: RationalMatrix.identity(c.p.N + 1))
+    Vtilde = _operator("Vtilde", lambda c: right_divide_lower_bidiagonal(c.X, c.Z))
+    C = _operator("C", build_casimir)
+    W = _operator("W", lambda c: c.X + read_rho(c.rho, "the Racah operator X + rho Z needs rho")
+                  * c.Z)
 
     def keep(self, key, build: Callable, *args):
         """The table kept under key, a tuple that names its kind first:

@@ -1,4 +1,5 @@
 import contextlib
+import decimal
 import errno
 import hashlib
 import io
@@ -159,6 +160,11 @@ def test_csv_precision_defaults_to_twelve_digits(capsys):
 @pytest.mark.parametrize("argv, message", [
     ("verify --N 2 --sweeps -1", "--sweeps must be >= 0"),
     ("table --which S --N 2 --precision 0", "--precision must be >= 1"),
+    # above decimal.MAX_PREC the decimal module refuses the precision itself
+    ("table --which S --N 2 --format csv --precision 1000000000000000000",
+     f"--precision must be <= {decimal.MAX_PREC}"),
+    ("table --which S --N 2 --format csv --precision 10000000000000000000",
+     f"--precision must be <= {decimal.MAX_PREC}"),
 ])
 def test_an_out_of_range_count_names_only_its_own_option(capsys, argv, message):
     assert main(argv.split()) == 3
@@ -477,8 +483,10 @@ def test_an_oracle_without_a_kernel_fails_closed_vs_oracle(capsys, monkeypatch):
     # (X + rho Z, I) and (Z, I), so each oracle finds no kernel at index 1
     # and raises; the bases suite reports a failing check that names each
     # family and its message, and the emit exits 1
-    ctx = eb.Context(Params(N=3, alpha=Q(1, 3), beta=Q(1, 5), zeta=Q(1, 7)), Q(1, 13))
-    ctx.__dict__["Z"] = ctx.Z + matrices.RationalMatrix.banded(4, {0: [0, 1, 0, 0]})
+    clean = eb.Context(Params(N=3, alpha=Q(1, 3), beta=Q(1, 5), zeta=Q(1, 7)), Q(1, 13))
+    ctx = eb.Context(clean.p, clean.rho)
+    ctx.keep(("operator", "Z"),
+             lambda: clean.Z + matrices.RationalMatrix.banded(4, {0: [0, 1, 0, 0]}))
     message = "family {}, index 1: kernel dimension 0, expected 1".format
     with pytest.raises(NondegenerateSpectrumViolated, match=message("d")):
         eb.oracle_basis(ctx, "d")
@@ -495,8 +503,10 @@ def test_an_oracle_without_a_kernel_fails_closed_vs_oracle(capsys, monkeypatch):
 def test_an_emitted_casimir_that_is_not_central_fails(capsys, monkeypatch):
     # C + E_00 does not commute with Z, whose entry (1, 0) is nonzero, so the
     # emit re-check refuses it and exits 1 with no payload
-    ctx = eb.Context(Params(N=3, alpha=Q(1, 3), beta=Q(1, 5), zeta=Q(1, 7)))
-    ctx.__dict__["C"] = ctx.C + matrices.RationalMatrix.banded(4, {0: [1, 0, 0, 0]})
+    clean = eb.Context(Params(N=3, alpha=Q(1, 3), beta=Q(1, 5), zeta=Q(1, 7)))
+    ctx = eb.Context(clean.p)
+    ctx.keep(("operator", "C"),
+             lambda: clean.C + matrices.RationalMatrix.banded(4, {0: [1, 0, 0, 0]}))
     monkeypatch.setattr(cli, "_context", lambda args, needs_rho: ctx)
     assert run(capsys, "matrix", "--which", "C", "--N", "3") == (
         1, "casimir centrality failed on emit\n")
@@ -507,8 +517,10 @@ def test_a_planted_racah_operator_reaches_the_f_oracle_and_the_racah_pair():
     # Context's W: bumping its diagonal entry 1 leaves no kernel at index 1
     # of the f oracle and breaks both Racah relations, while f* reads the
     # transposed generators and the shifted and Hahn relations read no W
-    ctx = eb.Context(Params(N=3, alpha=Q(1, 3), beta=Q(1, 5), zeta=Q(1, 7)), Q(1, 13))
-    ctx.__dict__["W"] = ctx.W + matrices.RationalMatrix.banded(4, {0: [0, 1, 0, 0]})
+    clean = eb.Context(Params(N=3, alpha=Q(1, 3), beta=Q(1, 5), zeta=Q(1, 7)), Q(1, 13))
+    ctx = eb.Context(clean.p, clean.rho)
+    ctx.keep(("operator", "W"),
+             lambda: clean.W + matrices.RationalMatrix.banded(4, {0: [0, 1, 0, 0]}))
     check, = [c for c in eb.check_orthogonality(ctx).checks if c.id == "closed-vs-oracle"]
     assert (check.status, check.detail) == (
         "fail", "failing families: ['f']; oracle: family f, index 1: kernel dimension 0, expected 1")

@@ -2,12 +2,12 @@
 row per check id.
 
 A row plants one fault, either in one item a Context keeps (a family, a
-grid, a band table, a dual side or the Context's X) or in one route a
+grid, a band table, a dual side or an operator) or in one route a
 suite calls (a weight, a norm, a builder or a parameter shift), and lists
 exactly the (suite, id) pairs that fault flips; the ids are paired with
 their suites because the racah and rational suites both have a check
-named difference.  The Leonard-trio rows are
-tests/test_matrixreps.py::TRIO_FAULTS.
+named difference.  The Leonard-trio and band-table coefficient rows are
+tests/test_matrixreps.py::TRIO_FAULTS and COEFF_FAULTS.
 """
 
 import pytest
@@ -63,14 +63,11 @@ def _calU_general_plus(extra):
 
 
 def kept(key, change):
-    """The fault change(value) in the item a Context keeps under key, or in
-    its X; the value is read off a Context the suites have run on."""
+    """The fault change(value) in the item a Context keeps under key; the
+    value is read off a Context the suites have run on."""
     def plant(clean, ctx, monkeypatch):
-        if key == "X":
-            vars(ctx)["X"] = change(clean.X)  # where the cached property keeps it
-        else:
-            value = change(clean.keep(key, lambda: pytest.fail(f"{key} is not kept")))
-            ctx.keep(key, lambda: value)
+        value = change(clean.keep(key, lambda: pytest.fail(f"{key} is not kept")))
+        ctx.keep(key, lambda: value)
     return plant
 
 
@@ -169,7 +166,7 @@ FAULTS = {
         Params(N=p.N, alpha=p.alpha, beta=p.beta, zeta=p.zeta + 1))),
                                {(RATIONAL, "contiguity")}),
     # the oracle of d reads the Context's X
-    (RATIONAL, "shift-X"): (kept("X", lambda t: _plus_1_at(t, 1, 1)),
+    (RATIONAL, "shift-X"): (kept(("operator", "X"), lambda t: _plus_1_at(t, 1, 1)),
                             {(RATIONAL, "shift-X"), (BASES, "closed-vs-oracle")}),
     (RATIONAL, "shift-Z"): (route(rf, "build_Z", lambda f: lambda p: _plus_1_at(f(p), 1, 1)),
                             {(RATIONAL, "shift-Z")}),

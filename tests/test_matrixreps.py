@@ -159,7 +159,7 @@ def _shifted(family):
 
 # trio id -> the kept value a fault changes, the change, and the trio ids the
 # fault flips.  The value is a ("matrix on", label, op) matrix, the d band
-# tables, the d family or the Context's X, which matrix_on, Vtilde and the
+# tables, the d family or the operator X, which matrix_on, Vtilde and the
 # trio's d*^T X d read; a fault in the d family reaches the VZ table built
 # from its eigenvalues, and a zeroed band entry keeps every band shape
 TRIO_FAULTS = {
@@ -171,7 +171,7 @@ TRIO_FAULTS = {
                              {"trio-i-Z-tridiagonal"}),
     "trio-i-Z-irreducible": (("matrix on", "e", "Z"), lambda t: _zero_at(t, 1, 0),
                              {"trio-i-Z-irreducible"}),
-    "trio-ii-Vtilde-diagonal": ("X", lambda t: _plus_1_at(t, 0, 0),
+    "trio-ii-Vtilde-diagonal": (("operator", "X"), lambda t: _plus_1_at(t, 0, 0),
                                 {"trio-i-VtildeZ-tridiagonal", "trio-ii-Vtilde-diagonal",
                                  "trio-ii-Vtilde-eigenvalues",
                                  "trio-iii-Vtilde-lower-bidiagonal"}),
@@ -216,14 +216,55 @@ def test_each_trio_fault_flips_its_row_exactly(ctx3, check_id):
     # and kept in a fresh Context before the trio reads it
     key, change, flipped = TRIO_FAULTS[check_id]
     verify_leonard_trio(ctx3)
-    planted = change(ctx3.X if key == "X" else ctx3.keep(key, lambda: pytest.fail(f"{key} is not kept")))
+    planted = change(ctx3.keep(key, lambda: pytest.fail(f"{key} is not kept")))
     ctx = Context(ctx3.p, ctx3.rho)
-    if key == "X":
-        vars(ctx)["X"] = planted  # where the cached property keeps it
-    else:
-        ctx.keep(key, lambda: planted)
+    ctx.keep(key, lambda: planted)
     assert check_id in flipped
     assert {c.id for c in verify_leonard_trio(ctx).failures} == flipped
+
+
+# coefficient id -> the basis and the name of the band table that a fault,
+# 1 added at entry (1, 1) of that table in the kept ("band tables", basis),
+# changes, and the coefficient ids the fault flips.  On e* and f* each
+# residual is the transpose of its residual on e or f, so neither flips
+# alone; the d* tables Zt and Xt are read off Z on d, so a fault there
+# flips them too
+COEFF_FAULTS = {
+    "Z-on-e": ("e", "Z", {"Z-on-e", "Zt-on-estar"}),
+    "Zt-on-estar": ("e", "Z", {"Z-on-e", "Zt-on-estar"}),
+    "X-on-e": ("e", "X", {"X-on-e", "Xt-on-estar"}),
+    "Xt-on-estar": ("e", "X", {"X-on-e", "Xt-on-estar"}),
+    "V-on-f": ("f", "V", {"V-on-f", "Vt-on-fstar"}),
+    "Vt-on-fstar": ("f", "V", {"V-on-f", "Vt-on-fstar"}),
+    "Z-on-d": ("d", "Z", {"Z-on-d", "Zt-on-dstar", "Xt-on-dstar"}),
+    "VZ-on-d": ("d", "VZ", {"VZ-on-d", "VtZt-on-dstar"}),
+    "X-on-d": ("d", "X", {"X-on-d"}),
+    "Xt-on-dstar": ("dStar", "Xt", {"Xt-on-dstar"}),
+    "Zt-on-dstar": ("dStar", "Zt", {"Zt-on-dstar"}),
+    "VtZt-on-dstar": ("dStar", "VtZt", {"VtZt-on-dstar"}),
+    "V-on-z": ("z", "V", {"V-on-z"}),
+    "X-on-z": ("z", "X", {"X-on-z"}),
+    "Vtilde-on-z": ("z", "Vtilde", {"Vtilde-on-z"}),
+}
+
+
+def test_every_coefficient_check_has_a_fault_row(ctx3):
+    rep = verify_coefficients(ctx3)
+    assert rep.passed
+    assert [c.id for c in rep.checks] == list(COEFF_FAULTS)
+
+
+@pytest.mark.parametrize("check_id", COEFF_FAULTS)
+def test_each_coefficient_fault_flips_its_row_exactly(ctx3, check_id):
+    # the clean tables are read off a Context the check has run on, one is
+    # changed, and all are kept in a fresh Context before the check reads them
+    basis, name, flipped = COEFF_FAULTS[check_id]
+    verify_coefficients(ctx3)
+    tables = ctx3.keep(("band tables", basis), lambda: pytest.fail(f"{basis} is not kept"))
+    ctx = Context(ctx3.p, ctx3.rho)
+    ctx.keep(("band tables", basis), lambda: {**tables, name: _plus_1_at(tables[name], 1, 1)})
+    assert check_id in flipped
+    assert {c.id for c in verify_coefficients(ctx).failures} == flipped
 
 
 def _bumped_at_2_1(builder, name):

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import metaracah
@@ -212,6 +213,32 @@ def test_only_the_context_reads_its_store():
         if isinstance(node, ast.Attribute) and node.attr in CONTEXT_STORES
     ]
     assert SOURCES and not found, found
+
+
+OPERATORS = ("Z", "V", "X", "Zt", "Vt", "Xt", "I", "Vtilde", "C", "W")
+
+
+def test_the_context_keeps_its_operators_in_its_one_store():
+    # each operator attribute reads Context.keep under ("operator", name),
+    # so a fault is planted in an operator as in any kept table; a
+    # cached_property would hold the operators in a second store
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if "cached_property" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                 getattr(node, "name", None))
+    ]
+    assert SOURCES and not found, found
+    attributes = {name for name, value in vars(metaracah.Context).items()
+                  if isinstance(value, property)}
+    assert attributes == set(OPERATORS), attributes
+    p = metaracah.Params(N=2, alpha=Fraction(1, 3), beta=Fraction(1, 5), zeta=Fraction(1, 7))
+    ctx = metaracah.Context(p, Fraction(1, 13))
+    planted = {name: object() for name in OPERATORS}
+    for name, value in planted.items():
+        ctx.keep(("operator", name), lambda value=value: value)
+    assert {name: getattr(ctx, name) for name in OPERATORS} == planted
 
 
 def test_arguments_become_fractions_only_through_exact():
