@@ -184,8 +184,15 @@ def _json(payload) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple:
-    suites = args.suites + ((FAULT_SUITE,) if args.inject_fault else ())
-    reports = run_suites(_params(args), args.rho, suites)
+    wanted = tuple(s.strip() for s in args.suite.split(","))
+    unknown = [s for s in wanted if s not in SUITES and s != "all"]
+    if unknown:
+        return EXIT_USAGE, f"metaracah: unknown suite(s): {', '.join(map(repr, unknown))}\n"
+    if args.sweeps < 0:
+        return EXIT_USAGE, "metaracah: --sweeps must be >= 0\n"
+    suites = SUITES if "all" in wanted else tuple(s for s in SUITES if s in wanted)
+    reports = run_suites(_params(args), args.rho,
+                         suites + ((FAULT_SUITE,) if args.inject_fault else ()))
 
     skipped = 0
     rng = random.Random(args.seed)
@@ -197,7 +204,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
                 ctx = Context(*sweep_parameters(rng, args.N))
             except DegenerateParameters:
                 continue
-            sweep_reports = _reports(ctx, args.suites)
+            sweep_reports = _reports(ctx, suites)
             for r in sweep_reports:
                 r.suite = f"sweep-{i}/{r.suite}"
             reports.extend(sweep_reports)
@@ -321,19 +328,8 @@ def _emit(text: str, out: str | None) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-
-    wanted = tuple(s.strip() for s in getattr(args, "suite", "all").split(","))
-    unknown = [s for s in wanted if s not in SUITES and s != "all"]
-    if unknown:
-        print(f"metaracah: unknown suite(s): {', '.join(map(repr, unknown))}", file=sys.stderr)
-        return EXIT_USAGE
-    args.suites = SUITES if "all" in wanted else tuple(s for s in SUITES if s in wanted)
-
     if args.N < 1:
         print("metaracah: --N must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
-    if getattr(args, "sweeps", 0) < 0:
-        print("metaracah: --sweeps must be >= 0", file=sys.stderr)
         return EXIT_USAGE
 
     handler = {"verify": cmd_verify, "table": cmd_table, "matrix": cmd_matrix}[args.command]

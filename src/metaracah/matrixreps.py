@@ -52,6 +52,16 @@ def matrix_on(ctx: Context, label: str, op: str) -> RationalMatrix:
     return ctx.keep(("matrix on", label, op), build)
 
 
+def _vtilde_refusal(ctx: Context) -> str:
+    """"" if right division forms Vtilde = X Z^{-1} of the Context, else
+    its refusal, the detail of each check that reads Vtilde on z."""
+    try:
+        ctx.Vtilde
+    except ValueError as exc:
+        return f"Vtilde = X Z^{{-1}} refused: {exc}"
+    return ""
+
+
 # -- closed forms --------------------------------------------------------------
 
 
@@ -246,9 +256,13 @@ def verify_coefficients(ctx: Context) -> VerificationReport:
     )
     for basis in COEFFS:
         for name, table in ctx.band_tables(basis).items():
+            check_id = f"{name}-on-{basis.lower()}"
+            statement = _statement(basis, name, FAMILIES[basis])
+            if name == "Vtilde" and (refusal := _vtilde_refusal(ctx)):
+                rep.add(check_id, statement, False, refusal)
+                continue
             residual = table - matrix_on(ctx, basis, name)
-            rep.add_grid(f"{name}-on-{basis.lower()}", _statement(basis, name, FAMILIES[basis]),
-                         residual)
+            rep.add_grid(check_id, statement, residual)
             # as Ot = O^T, b^T Ot b* = ((b*)^T O b)^T: on e* and f* each
             # residual is the transpose of its residual on e and f
             if basis in ("e", "f"):
@@ -279,7 +293,9 @@ def verify_leonard_trio(ctx: Context) -> VerificationReport:
     d, on_d = ctx.basis("d"), ctx.band_tables("d")
     vt_et = ctx.basis("dStar").vectors.transpose() * ctx.X * d.vectors
     z_et, zv_et = matrix_on(ctx, "d", "Z"), matrix_on(ctx, "d", "VZ")
-    z_z, vt_z, v_z = (matrix_on(ctx, "z", op) for op in ("Z", "Vtilde", "V"))
+    z_z, v_z = matrix_on(ctx, "z", "Z"), matrix_on(ctx, "z", "V")
+    refusal = _vtilde_refusal(ctx)  # a verdict on a refused Vtilde is None
+    vt_z = None if refusal else matrix_on(ctx, "z", "Vtilde")
     for check_id, statement, ok in (
         ("trio-i-V-diagonal", "clause (i): V diagonal on e", v_e.in_band(0, 0)),
         ("trio-i-VtildeZ-tridiagonal", "clause (i): Vtilde Z tridiagonal on e",
@@ -299,10 +315,10 @@ def verify_leonard_trio(ctx: Context) -> VerificationReport:
          " alone appears for the head-rescaled family", z_et.band(-1) == on_d["Z"].band(-1)),
         ("trio-iii-Z-diagonal", "clause (iii): Z diagonal on z", z_z.in_band(0, 0)),
         ("trio-iii-Vtilde-lower-bidiagonal", "clause (iii): Vtilde lower bidiagonal on z",
-         vt_z.in_band(1, 0)),
+         vt_z and vt_z.in_band(1, 0)),
         ("trio-iii-V-tridiagonal", "clause (iii): V tridiagonal on z", v_z.in_band(1, 1)),
     ):
-        rep.add(check_id, statement, ok)
+        rep.add(check_id, statement, ok, refusal if ok is None else "")
     rep.add_grid("trio-ii-ZV-coefficients",
                  "clause (ii): Z V on Z d_n carries the VZ coefficients of the d family",
                  zv_et - on_d["VZ"])
@@ -310,10 +326,11 @@ def verify_leonard_trio(ctx: Context) -> VerificationReport:
         ("trio-i-Z-irreducible", "clause (i): Z bands on e nonzero", z_e.band(-1) + z_e.band(1)),
         ("trio-ii-Z-irreducible", "clause (ii): Z subdiagonal on Z d_n nonzero", z_et.band(-1)),
         ("trio-iii-Vtilde-irreducible", "clause (iii): Vtilde subdiagonal on z nonzero",
-         vt_z.band(-1)),
+         vt_z and vt_z.band(-1)),
         ("trio-iii-V-irreducible", "clause (iii): V bands on z nonzero",
          v_z.band(-1) + v_z.band(1)),
     ):
-        zero = next((i for i, x in enumerate(entries) if x == 0), None)
-        rep.add(check_id, statement, zero is None, "" if zero is None else f"zero at index {zero}")
+        zero = next((i for i, x in enumerate(entries or ()) if x == 0), None)
+        detail = refusal if entries is None else "" if zero is None else f"zero at index {zero}"
+        rep.add(check_id, statement, not detail, detail)
     return rep

@@ -174,8 +174,8 @@ def verify_racah(ctx: Context) -> VerificationReport:
         forms on both slots);
       * R diag(W) R^T - diag(N_m), i.e. sum_n W_n R_k(n) R_m(n) =
         N_m delta_km with the explicit weight and norm;
-      * the weight/norm pair is consistent with the overlap Gram,
-        N_m * Stilde_m(n) * S_m(n) = W_n * R_m(n)^2, entrywise.
+      * N_m Stilde_m(n) S_m(n) = W_n R_m(n)^2 entrywise, with e*^T f and
+        e^T f* for Stilde and S: the dot products, not the grids.
 
     Signs of W_n and N_m are recorded for information only; positivity
     needs parameter restrictions this library does not impose.
@@ -188,10 +188,10 @@ def verify_racah(ctx: Context) -> VerificationReport:
     R, S, St = ctx.grid("racah"), ctx.grid("S"), ctx.grid("Stilde")
     rp = RacahParams.from_params(p, rho)
     fstar, e, f, estar = (ctx.basis(label) for label in ("fStar", "e", "f", "eStar"))
-    rep.add_grid("identify-S", "<f*_n|e_m> = prefactor * R_m(n) on the full grid",
-                 e.vectors.transpose() * fstar.vectors - S)
+    ef, eft = e.vectors.transpose() * fstar.vectors, estar.vectors.transpose() * f.vectors
+    rep.add_grid("identify-S", "<f*_n|e_m> = prefactor * R_m(n) on the full grid", ef - S)
     rep.add_grid("identify-Stilde", "<f_n|e*_m> = prefactor * R_m(n) on the full grid",
-                 estar.vectors.transpose() * f.vectors - St)
+                 eft - St)
 
     # the bands stop at the edges, so no neighbour outside 0..N enters
     vf = ctx.band_tables("f")["V"]
@@ -209,7 +209,7 @@ def verify_racah(ctx: Context) -> VerificationReport:
     rep.add_grid("weight-orthogonality", "sum_n W_n R_k(n) R_m(n) = N_m delta_km",
                  R.scaled(None, W) * R.transpose() - RationalMatrix.diagonal(Nm), axes="(k, m)")
     rep.add_grid("weight-norm-consistency", "N_m Stilde_m(n) S_m(n) = W_n R_m(n)^2",
-                 St.hadamard(S).scaled(Nm) - R.hadamard(R).scaled(None, W))
+                 eft.hadamard(ef).scaled(Nm) - R.hadamard(R).scaled(None, W))
 
     signs = "".join("+" if w > 0 else ("-" if w < 0 else "0") for w in W)
     rep.add("weight-signs", f"signs of W_0..W_{N}: {signs} (positivity not asserted)", True)

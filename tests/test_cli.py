@@ -176,6 +176,8 @@ def test_an_out_of_range_count_names_only_its_own_option(capsys, argv, message):
     ("matrix --which basis:nope --N 3", "unknown basis label in 'basis:nope'"),
     ("matrix --which nope --N 3", "unknown matrix selector 'nope'"),
     ("verify --N 0", "--N must be at least 1"),
+    # main checks the --N every command reads before cmd_verify checks --suite
+    ("verify --N 0 --suite nosuch", "--N must be at least 1"),
 ])
 def test_a_selector_or_order_outside_the_domain_is_a_usage_error(capsys, argv, message):
     # refused before any Context is built, on stderr alone

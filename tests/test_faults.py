@@ -1,13 +1,18 @@
-"""Every check of the bases, racah and rational suites can fail: one fault
-row per check id.
+"""Every check of the algebra, bases, racah and rational suites can fail:
+one fault row per check id.
 
 A row plants one fault, either in one item a Context keeps (a family, a
 grid, a band table, a dual side or an operator) or in one route a
 suite calls (a weight, a norm, a builder or a parameter shift), and lists
 exactly the (suite, id) pairs that fault flips; the ids are paired with
 their suites because the racah and rational suites both have a check
-named difference.  The Leonard-trio and band-table coefficient rows are
-tests/test_matrixreps.py::TRIO_FAULTS and COEFF_FAULTS.
+named difference.  The algebra rows each plant one operator of the
+Context, and the same fault in an operator flips the same set in every
+row that plants it.  Apart from the rows, each of the eight overlap grids
+gets one fault, 1 added at entry (1, 2), and its exact flip set, so a
+check that reads one grid on both sides of its identity shows as an id
+missing from that set.  The Leonard-trio and band-table coefficient rows
+are tests/test_matrixreps.py::TRIO_FAULTS and COEFF_FAULTS.
 """
 
 import pytest
@@ -16,10 +21,10 @@ import metaracah.racahpoly as rp
 import metaracah.rationalfns as rf
 from metaracah import Context, Params
 from metaracah.cli import SUITE_RUNNERS, run_suites
-from metaracah.eigenbases import BasisFamily
+from metaracah.eigenbases import GRIDS, BasisFamily
 from metaracah.matrices import RationalMatrix
 
-SUITES = ("bases", "racah", "rational")
+SUITES = ("algebra", "bases", "racah", "rational")
 # they record signs for information only, and always pass
 EXEMPT = {("racah", "weight-signs"), ("racah", "norm-signs")}
 
@@ -79,14 +84,86 @@ def route(module, name, wrap):
 
 
 BASES, RACAH, RATIONAL = "eigenbases:orthogonality", "racah", "rational"
+RELATIONS, CASIMIR, SUBALGEBRAS = "algebra:relations", "algebra:casimir", "algebra:subalgebras"
+ALGEBRA = {(RELATIONS, "relation-ZX"), (RELATIONS, "relation-XV"), (RELATIONS, "relation-VZ"),
+           (CASIMIR, "casimir-Z"), (CASIMIR, "casimir-V"), (CASIMIR, "casimir-X"),
+           (SUBALGEBRAS, "shifted-ZX"), (SUBALGEBRAS, "shifted-XV"), (SUBALGEBRAS, "shifted-VZ"),
+           (SUBALGEBRAS, "hahn-1"), (SUBALGEBRAS, "hahn-2"), (SUBALGEBRAS, "racah-1"),
+           (SUBALGEBRAS, "racah-2"), (SUBALGEBRAS, "borel")}
+
+# operator -> the (suite, id) pairs that 1 added at its entry (1, 1) flips.
+# No relation in [Z, X] or the borel pair reads V, and the Hahn pair reads
+# no X; only the Racah pair reads W and C, and the casimir checks C.  The
+# pencils of the oracle read X, Z, V and W, the Gram of d reads Z, and the
+# shift checks compare the Context's X and Z with the builders'
+OPERATOR_FLIPS = {
+    "Z": ALGEBRA | {(BASES, "gram-d"), (BASES, "closed-vs-oracle"), (RATIONAL, "shift-X"),
+                    (RATIONAL, "shift-Z")},
+    "V": (ALGEBRA - {(RELATIONS, "relation-ZX"), (SUBALGEBRAS, "shifted-ZX"),
+                     (SUBALGEBRAS, "borel")}) | {(BASES, "closed-vs-oracle")},
+    "X": (ALGEBRA - {(SUBALGEBRAS, "hahn-1"), (SUBALGEBRAS, "hahn-2")})
+         | {(BASES, "closed-vs-oracle"), (RATIONAL, "shift-X")},
+    "C": {(CASIMIR, "casimir-Z"), (CASIMIR, "casimir-V"), (CASIMIR, "casimir-X"),
+          (SUBALGEBRAS, "racah-2")},
+    "W": {(SUBALGEBRAS, "racah-1"), (SUBALGEBRAS, "racah-2"), (BASES, "closed-vs-oracle")},
+}
+
+
+def _operator_fault(name):
+    """The fault 1 added at entry (1, 1) of the operator name, and its flips."""
+    return kept(("operator", name), lambda t: _plus_1_at(t, 1, 1)), OPERATOR_FLIPS[name]
+
+
+# grid -> the (suite, id) pairs that 1 added at its entry (1, 2) flips.  S
+# and Stilde are built on the R grid, U on calU and Utilde on calUtilde, so
+# a fault in a grid reaches the grids built on it; weight-norm-consistency
+# reads R and the dot-product overlaps, not S or Stilde, so only the R grid
+# reaches it.  gram-U and gram-U-dual state the same identity of square
+# matrices, so every fault flips both
+GRID_FLIPS = {
+    "racah": {(RACAH, "identify-S"), (RACAH, "identify-Stilde"), (RACAH, "recurrence"),
+              (RACAH, "difference"), (RACAH, "gram-S"), (RACAH, "weight-orthogonality"),
+              (RACAH, "weight-norm-consistency")},
+    "S": {(RACAH, "identify-S"), (RACAH, "recurrence"), (RACAH, "difference"), (RACAH, "gram-S")},
+    "Stilde": {(RACAH, "identify-Stilde"), (RACAH, "gram-S")},
+    "calU": {(RATIONAL, "identify-U"), (RATIONAL, "gram-U"), (RATIONAL, "gram-U-dual"),
+             (RATIONAL, "gevp-recurrence"), (RATIONAL, "difference"), (RATIONAL, "biorth-point"),
+             (RATIONAL, "biorth-degree"), (RATIONAL, "contiguity"), (RATIONAL, "dual-hahn")},
+    "calUtilde": {(RATIONAL, "identify-Utilde"), (RATIONAL, "gram-U"), (RATIONAL, "gram-U-dual"),
+                  (RATIONAL, "biorth-point"), (RATIONAL, "biorth-degree")},
+    "U": {(RATIONAL, "identify-U"), (RATIONAL, "gram-U"), (RATIONAL, "gram-U-dual"),
+          (RATIONAL, "gevp-recurrence"), (RATIONAL, "difference")},
+    "Utilde": {(RATIONAL, "identify-Utilde"), (RATIONAL, "gram-U"), (RATIONAL, "gram-U-dual")},
+    "dualHahn": {(RATIONAL, "dual-hahn")},
+}
+
+
+def _grid_fault(name):
+    """The fault 1 added at entry (1, 2) of the grid name, and its flips."""
+    return kept(("grid", name), lambda t: _plus_1_at(t, 1, 2)), GRID_FLIPS[name]
+
 
 # (suite, id) -> the fault and the (suite, id) pairs it flips.  A fault in
-# a grid reaches the grids built on it; gram-U and gram-U-dual state the
-# same identity of square matrices, so every fault flips both.  A fault in
 # a family's vectors flips its gram and completeness checks together, and
 # the oracle, which solves for them afresh; gram-b reads the kept dual side
-# of b and completeness-b that of b*, so a fault in one flips one of them
+# of b and completeness-b that of b*, so a fault in one flips one of them.
+# identify-S and identify-Stilde read the products e^T f* and e*^T f, as
+# weight-norm-consistency does, so a fault in f* or f flips all three
 FAULTS = {
+    (RELATIONS, "relation-ZX"): _operator_fault("Z"),
+    (RELATIONS, "relation-XV"): _operator_fault("V"),
+    (RELATIONS, "relation-VZ"): _operator_fault("V"),
+    (CASIMIR, "casimir-Z"): _operator_fault("C"),
+    (CASIMIR, "casimir-V"): _operator_fault("C"),
+    (CASIMIR, "casimir-X"): _operator_fault("C"),
+    (SUBALGEBRAS, "shifted-ZX"): _operator_fault("X"),
+    (SUBALGEBRAS, "shifted-XV"): _operator_fault("V"),
+    (SUBALGEBRAS, "shifted-VZ"): _operator_fault("V"),
+    (SUBALGEBRAS, "hahn-1"): _operator_fault("V"),
+    (SUBALGEBRAS, "hahn-2"): _operator_fault("V"),
+    (SUBALGEBRAS, "racah-1"): _operator_fault("W"),
+    (SUBALGEBRAS, "racah-2"): _operator_fault("W"),
+    (SUBALGEBRAS, "borel"): _operator_fault("X"),
     (BASES, "gram-d"): (_dual_side_plus_1("d"), {(BASES, "gram-d")}),
     (BASES, "completeness-d"): (_dual_side_plus_1("dStar"),
                                 {(BASES, "completeness-d"), (RATIONAL, "identify-Utilde")}),
@@ -116,19 +193,19 @@ FAULTS = {
     (BASES, "closed-vs-oracle"): (kept(("basis", "eStar"), _eigenvalue_plus_1),
                                   {(BASES, "closed-vs-oracle")}),
     (RACAH, "identify-S"): (kept(("basis", "fStar"), _vectors_plus_1),
-                            {(RACAH, "identify-S"), (BASES, "gram-f"),
-                             (BASES, "completeness-f"), (BASES, "closed-vs-oracle")}),
+                            {(RACAH, "identify-S"), (RACAH, "weight-norm-consistency"),
+                             (BASES, "gram-f"), (BASES, "completeness-f"),
+                             (BASES, "closed-vs-oracle")}),
     (RACAH, "identify-Stilde"): (kept(("basis", "f"), _vectors_plus_1),
-                                 {(RACAH, "identify-Stilde"), (BASES, "gram-f"),
-                                  (BASES, "completeness-f"), (BASES, "closed-vs-oracle")}),
+                                 {(RACAH, "identify-Stilde"), (RACAH, "weight-norm-consistency"),
+                                  (BASES, "gram-f"), (BASES, "completeness-f"),
+                                  (BASES, "closed-vs-oracle")}),
     (RACAH, "recurrence"): (kept(("band tables", "f"),
                                  lambda d: {**d, "V": _plus_1_at(d["V"], 1, 1)}),
                             {(RACAH, "recurrence")}),
     (RACAH, "difference"): (kept(("basis", "f"), _eigenvalue_plus_1),
                             {(RACAH, "difference"), (BASES, "closed-vs-oracle")}),
-    (RACAH, "gram-S"): (kept(("grid", "Stilde"), lambda t: _plus_1_at(t, 1, 2)),
-                        {(RACAH, "gram-S"), (RACAH, "identify-Stilde"),
-                         (RACAH, "weight-norm-consistency")}),
+    (RACAH, "gram-S"): _grid_fault("Stilde"),
     (RACAH, "weight-orthogonality"): (route(rp, "weight", _plus_1_at_index(1)),
                                       {(RACAH, "weight-orthogonality"),
                                        (RACAH, "weight-norm-consistency")}),
@@ -148,13 +225,8 @@ FAULTS = {
                                  {(RATIONAL, "biorth-point")}),
     (RATIONAL, "biorth-degree"): (route(rf, "weight_Wstar", _plus_1_at_index(1)),
                                   {(RATIONAL, "biorth-degree")}),
-    (RATIONAL, "gram-U"): (kept(("grid", "Utilde"), lambda t: _plus_1_at(t, 1, 2)),
-                           {(RATIONAL, "gram-U"), (RATIONAL, "gram-U-dual"),
-                            (RATIONAL, "identify-Utilde")}),
-    (RATIONAL, "gram-U-dual"): (kept(("grid", "U"), lambda t: _plus_1_at(t, 1, 2)),
-                                {(RATIONAL, "gram-U"), (RATIONAL, "gram-U-dual"),
-                                 (RATIONAL, "identify-U"), (RATIONAL, "gevp-recurrence"),
-                                 (RATIONAL, "difference")}),
+    (RATIONAL, "gram-U"): _grid_fault("Utilde"),
+    (RATIONAL, "gram-U-dual"): _grid_fault("U"),
     (RATIONAL, "gevp-recurrence"): (kept(("basis", "dStar"), _eigenvalue_plus_1),
                                     {(RATIONAL, "gevp-recurrence"),
                                      (BASES, "closed-vs-oracle")}),
@@ -165,13 +237,10 @@ FAULTS = {
     (RATIONAL, "contiguity"): (route(rf, "shifted_params", lambda f: lambda p: f(
         Params(N=p.N, alpha=p.alpha, beta=p.beta, zeta=p.zeta + 1))),
                                {(RATIONAL, "contiguity")}),
-    # the oracle of d reads the Context's X
-    (RATIONAL, "shift-X"): (kept(("operator", "X"), lambda t: _plus_1_at(t, 1, 1)),
-                            {(RATIONAL, "shift-X"), (BASES, "closed-vs-oracle")}),
+    (RATIONAL, "shift-X"): _operator_fault("X"),
     (RATIONAL, "shift-Z"): (route(rf, "build_Z", lambda f: lambda p: _plus_1_at(f(p), 1, 1)),
                             {(RATIONAL, "shift-Z")}),
-    (RATIONAL, "dual-hahn"): (kept(("grid", "dualHahn"), lambda t: _plus_1_at(t, 1, 2)),
-                              {(RATIONAL, "dual-hahn")}),
+    (RATIONAL, "dual-hahn"): _grid_fault("dualHahn"),
     # the Hahn limit off by 1 at its middle t, and off by 1000/t at every t:
     # still decreasing, but too slowly
     (RATIONAL, "deviation-decreasing"): (route(rf, "calU_general",
@@ -188,11 +257,12 @@ def _failures(ctx):
             for c in rep.failures}
 
 
-def test_every_bases_racah_and_rational_check_has_a_fault_row(p3, rho):
+def test_every_algebra_bases_racah_and_rational_check_has_a_fault_row(p3, rho):
     reports = run_suites(p3, rho, SUITES)
     assert all(rep.passed for rep in reports)
     ids = {(rep.suite, c.id) for rep in reports for c in rep.checks}
-    assert EXEMPT <= ids and len(ids) == 37
+    assert EXEMPT <= ids and len(ids) == 51
+    assert ALGEBRA == {check for check in ids if check[0].startswith("algebra:")}
     assert ids - EXEMPT == set(FAULTS)
 
 
@@ -208,14 +278,13 @@ def test_each_fault_flips_its_row_exactly(ctx3, check, monkeypatch):
     assert _failures(ctx) == flipped
 
 
-def test_a_fault_in_the_R_grid_moves_both_sides_of_weight_norm_consistency(ctx3):
-    # S and Stilde are built on the kept R grid, so N_m Stilde_m(n) S_m(n)
-    # and W_n R_m(n)^2 both read the planted entry, and the check that
-    # compares them still passes: the fault reaches both sides of the
-    # identity alike
+@pytest.mark.parametrize("name", GRID_FLIPS)
+def test_each_grid_fault_flips_exactly_the_checks_that_read_it(ctx3, name):
+    # one row per kept overlap grid; a check that read a grid on both sides
+    # of its identity would pass under that grid's fault and be missing here
+    assert set(GRID_FLIPS) == set(GRIDS)
     assert not _failures(ctx3)
+    plant, flipped = _grid_fault(name)
     ctx = Context(ctx3.p, ctx3.rho)
-    kept(("grid", "racah"), lambda t: _plus_1_at(t, 1, 2))(ctx3, ctx, None)
-    assert _failures(ctx) == {(RACAH, "identify-S"), (RACAH, "identify-Stilde"),
-                              (RACAH, "recurrence"), (RACAH, "difference"), (RACAH, "gram-S"),
-                              (RACAH, "weight-orthogonality")}
+    plant(ctx3, ctx, None)
+    assert _failures(ctx) == flipped

@@ -7,7 +7,7 @@ import pytest
 import metaracah.eigenbases as eb
 import metaracah.matrixreps as mr
 from metaracah import Context, Params, build_V, build_X, build_Z, build_basis
-from metaracah.cli import main
+from metaracah.cli import SUITE_RUNNERS, SUITES, main
 from metaracah.eigenbases import BasisFamily
 from metaracah.matrices import RationalMatrix, inverse
 from metaracah.racahpoly import verify_racah
@@ -324,6 +324,39 @@ def test_a_fault_in_X_on_z_reaches_Vtilde_on_z(ctx3, monkeypatch):
         (COEFFICIENTS, "X-on-z"): "failing (m, n): [(2, 1)]",
         (COEFFICIENTS, "Vtilde-on-z"): "failing (m, n): [(2, 1)]",
     }
+
+
+# the matrixreps ids a planted Z flips at N=3 besides those that read
+# Vtilde on z: each conjugation and trio clause that reads Z
+Z_FLIPS = {"Z-on-e", "Zt-on-estar", "Z-on-d", "X-on-d", "VZ-on-d", "trio-i-Z-tridiagonal",
+           "trio-ii-Z-lower-bidiagonal", "trio-ii-Z-subdiagonal", "trio-ii-ZV-tridiagonal",
+           "trio-ii-ZV-coefficients", "trio-iii-Z-diagonal"}
+VTILDE_ON_Z = ("Vtilde-on-z", "trio-iii-Vtilde-lower-bidiagonal", "trio-iii-Vtilde-irreducible")
+REFUSED = "Vtilde = X Z^{-1} refused: "
+
+
+@pytest.mark.parametrize("change, vtilde_failures", [
+    # 1 added on the diagonal: right division still divides by Z
+    (lambda z: _plus_1_at(z, 1, 1),
+     {"Vtilde-on-z": "failing (m, n): [(1, 0), (1, 1), (2, 0), (2, 1)]",
+      "trio-iii-Vtilde-lower-bidiagonal": ""}),
+    (lambda z: _plus_1_at(z, 1, 2), dict.fromkeys(
+        VTILDE_ON_Z, REFUSED + "right division needs a lower-bidiagonal divisor of matching size")),
+    (lambda z: _zero_at(z, 1, 1), dict.fromkeys(VTILDE_ON_Z, REFUSED + "matrix is singular")),
+], ids=("bidiagonal", "above-the-band", "singular"))
+def test_a_Z_that_Vtilde_cannot_divide_by_fails_its_checks_without_a_crash(ctx3, change,
+                                                                          vtilde_failures):
+    # every suite returns its reports; the checks that read Vtilde on z fail
+    # with the refusal of right division, and the others as for a Z that
+    # right division divides by
+    planted = change(ctx3.Z)
+    ctx = Context(ctx3.p, ctx3.rho)
+    ctx.keep(("operator", "Z"), lambda: planted)
+    reports = [rep for suite in SUITES for rep in SUITE_RUNNERS[suite](ctx)]
+    failed = {c.id: c.detail for rep in reports if rep.suite.startswith("matrixreps")
+              for c in rep.failures}
+    assert {i: failed.get(i) for i in vtilde_failures} == vtilde_failures
+    assert set(failed) == Z_FLIPS | set(vtilde_failures)
 
 
 ON_THE_DIAGONAL = "failing (m, n): [(0, 0), (1, 1), (2, 2), (3, 3)]"
