@@ -454,10 +454,11 @@ def check_orthogonality(ctx: Context) -> VerificationReport:
     for the four basis pairs b, b* of d, e, f and z, each paired through its
     weight B in FAMILIES (Z for the pencil family d, the identity
     otherwise): the Gram (b*)^T B b and the resolution of identity
-    B b (b*)^T are both I, and the family's own eigenvalues are pairwise
-    distinct.  Last, closed-vs-oracle: every closed-form family equals
-    oracle_basis's, and a failure names each family that does not, with
-    the oracle's message where it raised.
+    B b (b*)^T are both I, a zero Gram residual deciding the latter where
+    it reads the same two square factors (e, f, z, not d), and the family's
+    own eigenvalues are pairwise distinct.  Last, closed-vs-oracle: every
+    closed-form family equals oracle_basis's, and a failure names each
+    family that does not, with the oracle's message where it raised.
     """
     rep = VerificationReport(
         suite="eigenbases:orthogonality", params={**ctx.p.as_dict(), "rho": str(ctx.rho)}
@@ -466,11 +467,13 @@ def check_orthogonality(ctx: Context) -> VerificationReport:
         fam, b = FAMILIES[label], ctx.basis(label)
         w = fam.weight or ""
         bar = f"|{w}|" if w else "|"
-        rep.add_grid(f"gram-{label}", f"<{label}*_m{bar}{label}_n> = delta_mn",
-                     ctx.dual_side(label) * b.vectors - ctx.I)
+        gram = ctx.dual_side(label) * b.vectors - ctx.I
+        ok = rep.add_grid(f"gram-{label}", f"<{label}*_m{bar}{label}_n> = delta_mn", gram)
+        left, right = ctx.dual_side(fam.dual).transpose(), ctx.basis(fam.dual).vectors.transpose()
+        # square factors: where they are the Gram's own two, swapped, its zero decides this too
+        same = ok and left is b.vectors and right is ctx.dual_side(label)
         rep.add_grid(f"completeness-{label}", f"sum_n {w}|{label}_n><{label}*_n| = I",
-                     ctx.dual_side(fam.dual).transpose() * ctx.basis(fam.dual).vectors.transpose()
-                     - ctx.I)
+                     gram if same else left * right - ctx.I)
         distinct = len(set(b.eigenvalues)) == len(b.eigenvalues)
         rep.add(f"distinct-eigenvalues-{label}", f"family {label}: eigenvalues pairwise distinct",
                 distinct, "" if distinct else "repeated eigenvalue")

@@ -188,8 +188,6 @@ def hyp_sum_reference(series: HypSeries) -> Fraction:
     total = Q(0)
     for k in range(series.termination_index + 1):
         den = multi_pochhammer(series.lower, k) * pochhammer(1, k)
-        if den == 0:
-            raise DegenerateParameters([f"lower Pochhammer vanishes at k={k}"])
         total += multi_pochhammer(series.upper, k) * series.argument**k / den
     return total
 

@@ -369,8 +369,7 @@ def verify_rational(ctx: Context) -> VerificationReport:
     where the identity holds: every sum over an index, and every band
     residual, is an entry of one matrix product, and each diagonal factor
     is a scaling, not a product; gram-U-dual, the square converse of
-    gram-U, passes with it and forms its product only to name its failing
-    points when gram-U fails.  Both biorthogonality relations are
+    gram-U, reads gram-U's residual if zero.  Both biorthogonality relations are
     checked exactly, with the explicit weights.  The bispectral checks
     read the band tables X_e, Z_e of X and Z on e and (VtZt)_d*, (Zt)_d*
     of Vt Zt and Zt on d*, with lambda_n = alpha - n the d* eigenvalues
@@ -406,13 +405,11 @@ def verify_rational(ctx: Context) -> VerificationReport:
                  cUt.scaled(None, W) * cU.transpose() - RationalMatrix.diagonal(h))
     rep.add_grid("biorth-degree", "sum_j W*(j) calUt_j(m) calU_j(n) = h*_n delta_nm",
                  cUt.transpose().scaled(None, Ws) * cU - RationalMatrix.diagonal(hs))
-    # Ut and U are square, so Ut U^T = I gives Ut^T U = I
-    dual = "sum_m Ut_m(k) U_m(n) = delta_kn"
-    if rep.add_grid("gram-U", "sum_n Ut_k(n) U_m(n) = delta_km",
-                    Ut * U.transpose() - ctx.I, axes="(k, m)"):
-        rep.add("gram-U-dual", dual, True)
-    else:
-        rep.add_grid("gram-U-dual", dual, Ut.transpose() * U - ctx.I, axes="(k, n)")
+    # Ut and U are square, so a zero Ut U^T - I is the residual of Ut^T U - I too
+    gram = Ut * U.transpose() - ctx.I
+    ok = rep.add_grid("gram-U", "sum_n Ut_k(n) U_m(n) = delta_km", gram, axes="(k, m)")
+    rep.add_grid("gram-U-dual", "sum_m Ut_m(k) U_m(n) = delta_kn",
+                 gram if ok else Ut.transpose() * U - ctx.I, axes="(k, n)")
 
     # e^T X^T d* = X_e^T U, as X e = e X_e, and X^T d* = Z^T d* diag(lambda);
     # e^T Vt Zt d* = U (VtZt)_d*, and V e = e diag(mu)

@@ -634,7 +634,9 @@ def test_verify_all_product_count(capsys, monkeypatch):
     # identify-Utilde read Z d as the d* dual side transposed; each
     # commutator/anticommutator pair of the relations reads one a*b and one
     # b*a, a diagonal factor is a scaling, never a product, the trio reads
-    # X where it would form Vtilde Z, and gram-U-dual passes with gram-U
+    # X where it would form Vtilde Z, and gram-U-dual, completeness-e,
+    # completeness-f and completeness-z read the zero residual of gram-U,
+    # gram-e, gram-f and gram-z, the same square factors
     products = []
     mul = matrices.RationalMatrix.__mul__
 
@@ -646,14 +648,15 @@ def test_verify_all_product_count(capsys, monkeypatch):
     monkeypatch.setattr(matrices.RationalMatrix, "__mul__", counted)
     code, _ = run(capsys, "verify", "--suite", "all", "--N", "8")
     assert code == 0
-    assert len(products) == 123
+    assert len(products) == 120
 
 
 def test_verify_all_writes_out_few_results(capsys, monkeypatch):
     # every residual matrix is checked by add_grid, which reads it off its
     # integer form, so none writes its Fraction entries; what is written out
     # is the eight grids (each once) and matrices whose entries a check or
-    # the output reads; gram-U-dual, passing with gram-U, has no residual
+    # the output reads; gram-U-dual is decided on gram-U's zero residual,
+    # the same object, so it adds one residual and writes nothing
     written, residuals = [], []
     read = matrices.RationalMatrix.__getattr__
     add_grid = report.VerificationReport.add_grid
@@ -671,7 +674,7 @@ def test_verify_all_writes_out_few_results(capsys, monkeypatch):
     monkeypatch.setattr(report.VerificationReport, "add_grid", collected)
     code, _ = run(capsys, "verify", "--suite", "all", "--N", "8")
     assert code == 0
-    assert len(residuals) == 81
+    assert len(residuals) == 82
     assert not any(r is w for r in residuals for w in written)
     assert len(written) == 8
 

@@ -1,14 +1,17 @@
-"""Every check of the algebra, bases, racah and rational suites can fail:
-one fault row per check id.
+"""Every check of the algebra, bases, racah, rational and model suites can
+fail: one fault row per check id.
 
 A row plants one fault, either in one item a Context keeps (a family, a
 grid, a band table, a dual side or an operator) or in one route a
-suite calls (a weight, a norm, a builder or a parameter shift), and lists
-exactly the (suite, id) pairs that fault flips; the ids are paired with
-their suites because the racah and rational suites both have a check
-named difference.  The algebra rows each plant one operator of the
-Context, and the same fault in an operator flips the same set in every
-row that plants it.  Apart from the rows, each of the eight overlap grids
+suite calls (a weight, a norm, a builder, a parameter shift, a model
+family, a model operator or the Jacobi split of model e), and lists
+exactly the (suite, id) pairs that fault flips across the five suites;
+the ids are paired with their suites because the racah and rational
+suites both have a check named difference, and the bases and model
+suites both have gram-d..gram-z.  The algebra rows each plant one
+operator of the Context, and the same fault in an operator flips the
+same set in every row that plants it; the same holds for a model family
+and MODEL_FLIPS.  Apart from the rows, each of the eight overlap grids
 gets one fault, 1 added at entry (1, 2), and its exact flip set, so a
 check that reads one grid on both sides of its identity shows as an id
 missing from that set.  The Leonard-trio and band-table coefficient rows
@@ -19,14 +22,17 @@ import pytest
 
 import metaracah.racahpoly as rp
 import metaracah.rationalfns as rf
-from metaracah import Context, Params
+from metaracah import Context, Params, diffmodel
 from metaracah.cli import SUITE_RUNNERS, run_suites
 from metaracah.eigenbases import GRIDS, BasisFamily
 from metaracah.matrices import RationalMatrix
 
-SUITES = ("algebra", "bases", "racah", "rational")
-# they record signs for information only, and always pass
-EXEMPT = {("racah", "weight-signs"), ("racah", "norm-signs")}
+from test_diffmodel import _a0_plus, _jacobi_2_plus_x2, _n2_plus
+
+SUITES = ("algebra", "bases", "racah", "rational", "model")
+# they record signs, or whether the model Gram of d holds without its
+# weight Z, for information only, and always pass
+EXEMPT = {("racah", "weight-signs"), ("racah", "norm-signs"), ("model", "gram-d-no-Z")}
 
 
 def _plus_1_at(table, m, n):
@@ -83,7 +89,12 @@ def route(module, name, wrap):
     return plant
 
 
-BASES, RACAH, RATIONAL = "eigenbases:orthogonality", "racah", "rational"
+def _model_operator_fault(name, exp):
+    """The fault x^exp added to a0 of the model operator diff_<name>."""
+    return route(diffmodel, f"diff_{name}", lambda diff: _a0_plus(diff, exp))
+
+
+BASES, RACAH, RATIONAL, MODEL = "eigenbases:orthogonality", "racah", "rational", "model"
 RELATIONS, CASIMIR, SUBALGEBRAS = "algebra:relations", "algebra:casimir", "algebra:subalgebras"
 ALGEBRA = {(RELATIONS, "relation-ZX"), (RELATIONS, "relation-XV"), (RELATIONS, "relation-VZ"),
            (CASIMIR, "casimir-Z"), (CASIMIR, "casimir-V"), (CASIMIR, "casimir-X"),
@@ -94,15 +105,16 @@ ALGEBRA = {(RELATIONS, "relation-ZX"), (RELATIONS, "relation-XV"), (RELATIONS, "
 # operator -> the (suite, id) pairs that 1 added at its entry (1, 1) flips.
 # No relation in [Z, X] or the borel pair reads V, and the Hahn pair reads
 # no X; only the Racah pair reads W and C, and the casimir checks C.  The
-# pencils of the oracle read X, Z, V and W, the Gram of d reads Z, and the
-# shift checks compare the Context's X and Z with the builders'
+# pencils of the oracle read X, Z, V and W, the Gram of d reads Z, the
+# shift checks compare the Context's X and Z with the builders', and the
+# model's g-basis checks compare its differential Z, V and X with them
 OPERATOR_FLIPS = {
     "Z": ALGEBRA | {(BASES, "gram-d"), (BASES, "closed-vs-oracle"), (RATIONAL, "shift-X"),
-                    (RATIONAL, "shift-Z")},
+                    (RATIONAL, "shift-Z"), (MODEL, "g-basis-Z")},
     "V": (ALGEBRA - {(RELATIONS, "relation-ZX"), (SUBALGEBRAS, "shifted-ZX"),
-                     (SUBALGEBRAS, "borel")}) | {(BASES, "closed-vs-oracle")},
+                     (SUBALGEBRAS, "borel")}) | {(BASES, "closed-vs-oracle"), (MODEL, "g-basis-V")},
     "X": (ALGEBRA - {(SUBALGEBRAS, "hahn-1"), (SUBALGEBRAS, "hahn-2")})
-         | {(BASES, "closed-vs-oracle"), (RATIONAL, "shift-X")},
+         | {(BASES, "closed-vs-oracle"), (RATIONAL, "shift-X"), (MODEL, "g-basis-X")},
     "C": {(CASIMIR, "casimir-Z"), (CASIMIR, "casimir-V"), (CASIMIR, "casimir-X"),
           (SUBALGEBRAS, "racah-2")},
     "W": {(SUBALGEBRAS, "racah-1"), (SUBALGEBRAS, "racah-2"), (BASES, "closed-vs-oracle")},
@@ -119,28 +131,60 @@ def _operator_fault(name):
 # a fault in a grid reaches the grids built on it; weight-norm-consistency
 # reads R and the dot-product overlaps, not S or Stilde, so only the R grid
 # reaches it.  gram-U and gram-U-dual state the same identity of square
-# matrices, so every fault flips both
+# matrices, so every fault flips both.  The model's residue formulas
+# compare their pairings with the S grid, the U grid and the kept closed
+# e^T z* table, whose dual Hahn factor is the dualHahn grid
 GRID_FLIPS = {
     "racah": {(RACAH, "identify-S"), (RACAH, "identify-Stilde"), (RACAH, "recurrence"),
               (RACAH, "difference"), (RACAH, "gram-S"), (RACAH, "weight-orthogonality"),
-              (RACAH, "weight-norm-consistency")},
-    "S": {(RACAH, "identify-S"), (RACAH, "recurrence"), (RACAH, "difference"), (RACAH, "gram-S")},
+              (RACAH, "weight-norm-consistency"), (MODEL, "integral-S")},
+    "S": {(RACAH, "identify-S"), (RACAH, "recurrence"), (RACAH, "difference"), (RACAH, "gram-S"),
+          (MODEL, "integral-S")},
     "Stilde": {(RACAH, "identify-Stilde"), (RACAH, "gram-S")},
     "calU": {(RATIONAL, "identify-U"), (RATIONAL, "gram-U"), (RATIONAL, "gram-U-dual"),
              (RATIONAL, "gevp-recurrence"), (RATIONAL, "difference"), (RATIONAL, "biorth-point"),
-             (RATIONAL, "biorth-degree"), (RATIONAL, "contiguity"), (RATIONAL, "dual-hahn")},
+             (RATIONAL, "biorth-degree"), (RATIONAL, "contiguity"), (RATIONAL, "dual-hahn"),
+             (MODEL, "integral-U")},
     "calUtilde": {(RATIONAL, "identify-Utilde"), (RATIONAL, "gram-U"), (RATIONAL, "gram-U-dual"),
                   (RATIONAL, "biorth-point"), (RATIONAL, "biorth-degree")},
     "U": {(RATIONAL, "identify-U"), (RATIONAL, "gram-U"), (RATIONAL, "gram-U-dual"),
-          (RATIONAL, "gevp-recurrence"), (RATIONAL, "difference")},
+          (RATIONAL, "gevp-recurrence"), (RATIONAL, "difference"), (MODEL, "integral-U")},
     "Utilde": {(RATIONAL, "identify-Utilde"), (RATIONAL, "gram-U"), (RATIONAL, "gram-U-dual")},
-    "dualHahn": {(RATIONAL, "dual-hahn")},
+    "dualHahn": {(RATIONAL, "dual-hahn"), (MODEL, "integral-dual-hahn")},
 }
 
 
 def _grid_fault(name):
     """The fault 1 added at entry (1, 2) of the grid name, and its flips."""
     return kept(("grid", name), lambda t: _plus_1_at(t, 1, 2)), GRID_FLIPS[name]
+
+
+# model family -> the (suite, id) pairs that x^1, or x^(-2) for a dual
+# family, added to its polynomial n = 2 flips: each family is read over
+# g_0..g_N or g*_0..g*_N, so the term is in its basis check's window, and
+# it flips the model Gram that pairs it and each residue formula that
+# pairs model e with it; model e is also the one family the Jacobi check
+# reads, and it meets every dual family that a formula pairs it with
+MODEL_FLIPS = {
+    "d": {(MODEL, "model-d"), (MODEL, "gram-d")},
+    "dStar": {(MODEL, "model-dStar"), (MODEL, "gram-d"), (MODEL, "integral-U")},
+    "e": {(MODEL, "model-e"), (MODEL, "model-e-jacobi"), (MODEL, "gram-e"), (MODEL, "integral-S"),
+          (MODEL, "integral-U"), (MODEL, "integral-dual-hahn")},
+    "eStar": {(MODEL, "model-eStar"), (MODEL, "gram-e")},
+    "f": {(MODEL, "model-f"), (MODEL, "gram-f")},
+    "fStar": {(MODEL, "model-fStar"), (MODEL, "gram-f"), (MODEL, "integral-S")},
+    "z": {(MODEL, "model-z"), (MODEL, "gram-z")},
+    "zStar": {(MODEL, "model-zStar"), (MODEL, "gram-z"), (MODEL, "integral-dual-hahn")},
+}
+
+
+def _model_fault(label):
+    """The fault of MODEL_FLIPS in the model family label, and its flips."""
+    fault = _n2_plus(-2 if label.endswith("Star") else 1)
+
+    def plant(clean, ctx, monkeypatch):
+        monkeypatch.setitem(diffmodel._MODELS, label, fault(diffmodel._MODELS[label]))
+    return plant, MODEL_FLIPS[label]
 
 
 # (suite, id) -> the fault and the (suite, id) pairs it flips.  A fault in
@@ -195,11 +239,11 @@ FAULTS = {
     (RACAH, "identify-S"): (kept(("basis", "fStar"), _vectors_plus_1),
                             {(RACAH, "identify-S"), (RACAH, "weight-norm-consistency"),
                              (BASES, "gram-f"), (BASES, "completeness-f"),
-                             (BASES, "closed-vs-oracle")}),
+                             (BASES, "closed-vs-oracle"), (MODEL, "model-fStar")}),
     (RACAH, "identify-Stilde"): (kept(("basis", "f"), _vectors_plus_1),
                                  {(RACAH, "identify-Stilde"), (RACAH, "weight-norm-consistency"),
                                   (BASES, "gram-f"), (BASES, "completeness-f"),
-                                  (BASES, "closed-vs-oracle")}),
+                                  (BASES, "closed-vs-oracle"), (MODEL, "model-f")}),
     (RACAH, "recurrence"): (kept(("band tables", "f"),
                                  lambda d: {**d, "V": _plus_1_at(d["V"], 1, 1)}),
                             {(RACAH, "recurrence")}),
@@ -215,7 +259,7 @@ FAULTS = {
     (RATIONAL, "identify-U"): (kept(("basis", "dStar"), _vectors_plus_1),
                                {(RATIONAL, "identify-U"), (RATIONAL, "dual-hahn"),
                                 (BASES, "gram-d"), (BASES, "completeness-d"),
-                                (BASES, "closed-vs-oracle")}),
+                                (BASES, "closed-vs-oracle"), (MODEL, "model-dStar")}),
     (RATIONAL, "identify-Utilde"): (_dual_side_plus_1("dStar"),
                                     {(RATIONAL, "identify-Utilde"), (BASES, "completeness-d")}),
     (RATIONAL, "h0-normalization"): (route(rf, "norm_h", _plus_1_at_index(0)),
@@ -249,6 +293,49 @@ FAULTS = {
     (RATIONAL, "final-deviation-small"): (route(rf, "calU_general",
                                                 _calU_general_plus(lambda t: 1000 / t)),
                                           {(RATIONAL, "final-deviation-small")}),
+    # each model basis check, Gram and residue formula reads the model
+    # families of MODEL_FLIPS: a Gram is faulted in its dual family, a
+    # formula in the dual family it pairs model e with
+    (MODEL, "model-d"): _model_fault("d"),
+    (MODEL, "model-dStar"): _model_fault("dStar"),
+    (MODEL, "model-e"): _model_fault("e"),
+    (MODEL, "model-eStar"): _model_fault("eStar"),
+    (MODEL, "model-f"): _model_fault("f"),
+    (MODEL, "model-fStar"): _model_fault("fStar"),
+    (MODEL, "model-z"): _model_fault("z"),
+    (MODEL, "model-zStar"): _model_fault("zStar"),
+    (MODEL, "gram-d"): _model_fault("dStar"),
+    (MODEL, "gram-e"): _model_fault("eStar"),
+    (MODEL, "gram-f"): _model_fault("fStar"),
+    (MODEL, "gram-z"): _model_fault("zStar"),
+    (MODEL, "integral-S"): _model_fault("fStar"),
+    (MODEL, "integral-U"): _model_fault("dStar"),
+    (MODEL, "integral-dual-hahn"): _model_fault("zStar"),
+    (MODEL, "model-e-jacobi"): (route(diffmodel, "_e_as_jacobi", _jacobi_2_plus_x2),
+                                {(MODEL, "model-e-jacobi")}),
+    # x^4 = x^(N+1) added to a0 lifts every image of g_n past x^N, or every
+    # dual image of g*_m to x^(3-m), off the exponents that a pairing reads
+    # and, but for x^0, off the ghosts; a constant stays in both spans, so
+    # it moves only the matrices, and diff_Z is also the weight of the
+    # model Gram of d
+    (MODEL, "g-basis-Z"): (_model_operator_fault("Z", 4), {(MODEL, "g-basis-Z")}),
+    (MODEL, "adjoint-Z"): (_model_operator_fault("Z", 0),
+                           {(MODEL, "g-basis-Z"), (MODEL, "adjoint-Z"), (MODEL, "gram-d")}),
+    (MODEL, "quotient-Z"): (_model_operator_fault("Zt", 0),
+                            {(MODEL, "adjoint-Z"), (MODEL, "quotient-Z")}),
+    (MODEL, "ghosts-Z"): (_model_operator_fault("Zt", 4), {(MODEL, "ghosts-Z")}),
+    (MODEL, "g-basis-V"): (_model_operator_fault("V", 4), {(MODEL, "g-basis-V")}),
+    (MODEL, "adjoint-V"): (_model_operator_fault("V", 0),
+                           {(MODEL, "g-basis-V"), (MODEL, "adjoint-V")}),
+    (MODEL, "quotient-V"): (_model_operator_fault("Vt", 0),
+                            {(MODEL, "adjoint-V"), (MODEL, "quotient-V")}),
+    (MODEL, "ghosts-V"): (_model_operator_fault("Vt", 4), {(MODEL, "ghosts-V")}),
+    (MODEL, "g-basis-X"): (_model_operator_fault("X", 4), {(MODEL, "g-basis-X")}),
+    (MODEL, "adjoint-X"): (_model_operator_fault("X", 0),
+                           {(MODEL, "g-basis-X"), (MODEL, "adjoint-X")}),
+    (MODEL, "quotient-X"): (_model_operator_fault("Xt", 0),
+                            {(MODEL, "adjoint-X"), (MODEL, "quotient-X")}),
+    (MODEL, "ghosts-X"): (_model_operator_fault("Xt", 4), {(MODEL, "ghosts-X")}),
 }
 
 
@@ -257,11 +344,11 @@ def _failures(ctx):
             for c in rep.failures}
 
 
-def test_every_algebra_bases_racah_and_rational_check_has_a_fault_row(p3, rho):
+def test_every_check_of_the_five_suites_has_a_fault_row(p3, rho):
     reports = run_suites(p3, rho, SUITES)
     assert all(rep.passed for rep in reports)
     ids = {(rep.suite, c.id) for rep in reports for c in rep.checks}
-    assert EXEMPT <= ids and len(ids) == 51
+    assert EXEMPT <= ids and len(ids) == 80
     assert ALGEBRA == {check for check in ids if check[0].startswith("algebra:")}
     assert ids - EXEMPT == set(FAULTS)
 

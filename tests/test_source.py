@@ -10,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import metaracah
+from metaracah.eigenbases import LABELS, check_orthogonality
 
 SOURCES = sorted(Path(metaracah.__file__).parent.glob("*.py"))
 
@@ -336,3 +337,43 @@ def test_each_parameter_rule_is_stated_in_one_module():
     assert {func for *_, func in rho_messages} == {"read_rho"} and len(rho_messages) == 5, \
         rho_messages
     assert cli_checks == [("cmd_verify", "add_skipped")], cli_checks
+
+
+def test_only_information_records_pass_whatever_they_find():
+    # every identity is decided by add_grid on its residual, or by add on a
+    # verdict it computes; add with the verdict True records information: the
+    # signs of the Racah weights and norms, and whether a weighted model Gram
+    # is the identity without its weight.  gram-U-dual, the square converse
+    # of gram-U, is decided by add_grid on gram-U's residual where it is zero
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "add"):
+                continue
+            verdict = node.args[2:3] + [k.value for k in node.keywords if k.arg == "ok"]
+            if any(isinstance(v, ast.Constant) and v.value is True for v in verdict):
+                found.append((path.name, ast.unparse(node.args[0])))
+    assert sorted(found) == [("diffmodel.py", "f'gram-{label}-no-{w}'"),
+                             ("racahpoly.py", "'norm-signs'"),
+                             ("racahpoly.py", "'weight-signs'")], found
+
+
+def test_completeness_of_e_f_and_z_forms_no_product(ctx3, monkeypatch):
+    # with the bases and dual sides built, the bases suite forms the four
+    # Gram products and completeness-d's, whose left factor Z d is a product
+    # of its own; completeness-e, -f and -z read their Gram's two square
+    # factors swapped, so the Gram's zero residual decides each of them
+    for label in LABELS:
+        ctx3.dual_side(label)
+    products = []
+    mul = metaracah.matrices.RationalMatrix.__mul__
+
+    def counted(self, other):
+        if isinstance(other, metaracah.matrices.RationalMatrix):
+            products.append(other.shape)
+        return mul(self, other)
+
+    monkeypatch.setattr(metaracah.matrices.RationalMatrix, "__mul__", counted)
+    assert check_orthogonality(ctx3).passed
+    assert len(products) == 5
