@@ -364,7 +364,9 @@ def model_basis(ctx: Context, label: str) -> list:
 def model_bases(rep: VerificationReport, ctx: Context, norms: list) -> dict:
     """Add to rep that the model families expand to exactly the abstract
     closed-form columns: entry (l, n) of each residual reads model polynomial
-    n over g_l, or over g*_l for a dual family; norms = _g_norms(N).  Also
+    n over g_l, or over g*_l for a dual family; norms = _g_norms(N).  A term
+    outside that window, exponents 0..N or -N-1..-1, fails the family's
+    check, whose detail names the exponents outside it.  Also
     that e is the Jacobi family of _e_as_jacobi(p) up to its scales, the one
     reader of that family.
 
@@ -372,15 +374,19 @@ def model_bases(rep: VerificationReport, ctx: Context, norms: list) -> dict:
     """
     p = ctx.p
     families = {}
-    over_g = (range(p.N + 1), [1 / c for c in norms])
-    over_gstar = ([-k - 1 for k in range(p.N + 1)], norms)
+    over_g = (range(p.N + 1), [1 / c for c in norms], "0..N")
+    over_gstar = (range(-1, -p.N - 2, -1), norms, "-N-1..-1")
     for label in LABELS:
         fam = families[label] = model_basis(ctx, label)
-        exps, scale = over_gstar if label.endswith("Star") else over_g
-        rep.add_grid(f"model-{label}",
-                     f"model family {label} matches the abstract expansion columnwise",
-                     coefficients(fam, exps).scaled(scale) - ctx.basis(label).vectors,
-                     axes="(l, n)")
+        exps, scale, window = over_gstar if label.endswith("Star") else over_g
+        statement = f"model family {label} matches the abstract expansion columnwise"
+        outside = sorted({e for f in fam for e, _ in f.items() if e not in exps})
+        if outside:
+            rep.add(f"model-{label}", statement, False, f"exponents outside {window}: {outside}")
+        else:
+            rep.add_grid(f"model-{label}", statement,
+                         coefficients(fam, exps).scaled(scale) - ctx.basis(label).vectors,
+                         axes="(l, n)")
 
     # row l of the residual is the l-th exponent of the window both span
     e_fam, (jac, scales) = families["e"], _e_as_jacobi(p)

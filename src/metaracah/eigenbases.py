@@ -283,14 +283,14 @@ class Context(Frozen):
     Xt (read off one kept ``transposes`` call), the identity I,
     Vtilde = X Z^{-1}, the Casimir C and W = X + rho Z (given rho); each
     closed-form family (``basis``); each overlap grid (``grid``); each dual
-    side, (b*)^T times the weight (``dual side``), which the Gram checks and
-    every operator matrix in an eigenbasis (``matrixreps.matrix_on``) share,
-    and whose transpose for the dual b* is the weight times b (completeness-d
-    and identify-Utilde read Z d as ``dual_side("dStar")`` transposed); each
-    family's closed-form band tables (``band tables``); the closed e^T z*
-    table (``rationalfns.em_zstar_table``) and the dual Hahn residuals
-    (``rationalfns.dual_hahn_residuals``).  Equality and hashing follow
-    (p, rho); rho = 0 is given.
+    side, (b*)^T times the weight (``dual side``), which every operator
+    matrix in an eigenbasis (``matrixreps.matrix_on``) reads; that of b*
+    transposed is the weight times b, which the Gram and completeness of b
+    read (Z d for d, which identify-Utilde and the trio's Z V clause read
+    too); each family's closed-form band tables (``band tables``); the
+    closed e^T z* table (``rationalfns.em_zstar_table``) and the dual Hahn
+    residuals (``rationalfns.dual_hahn_residuals``).  Equality and hashing
+    follow (p, rho); rho = 0 is given.
     """
 
     _fields = ("p", "rho")
@@ -453,9 +453,9 @@ def check_orthogonality(ctx: Context) -> VerificationReport:
     """The bases suite: Gram, completeness and distinct-eigenvalue checks
     for the four basis pairs b, b* of d, e, f and z, each paired through its
     weight B in FAMILIES (Z for the pencil family d, the identity
-    otherwise): the Gram (b*)^T B b and the resolution of identity
-    B b (b*)^T are both I, a zero Gram residual deciding the latter where
-    it reads the same two square factors (e, f, z, not d), and the family's
+    otherwise): the Gram (b*)^T (B b) and the resolution of identity
+    (B b) (b*)^T are both I, read off the same two square factors (B b is
+    Z d for d), so a zero Gram decides both; and the family's
     own eigenvalues are pairwise distinct.  Last, closed-vs-oracle: every
     closed-form family equals oracle_basis's, and a failure names each
     family that does not, with the oracle's message where it raised.
@@ -467,13 +467,12 @@ def check_orthogonality(ctx: Context) -> VerificationReport:
         fam, b = FAMILIES[label], ctx.basis(label)
         w = fam.weight or ""
         bar = f"|{w}|" if w else "|"
-        gram = ctx.dual_side(label) * b.vectors - ctx.I
-        ok = rep.add_grid(f"gram-{label}", f"<{label}*_m{bar}{label}_n> = delta_mn", gram)
+        # B b and (b*)^T, square: a zero Gram (b*)^T (B b) - I decides (B b) (b*)^T = I too
         left, right = ctx.dual_side(fam.dual).transpose(), ctx.basis(fam.dual).vectors.transpose()
-        # square factors: where they are the Gram's own two, swapped, its zero decides this too
-        same = ok and left is b.vectors and right is ctx.dual_side(label)
+        gram = right * left - ctx.I
+        ok = rep.add_grid(f"gram-{label}", f"<{label}*_m{bar}{label}_n> = delta_mn", gram)
         rep.add_grid(f"completeness-{label}", f"sum_n {w}|{label}_n><{label}*_n| = I",
-                     gram if same else left * right - ctx.I)
+                     gram if ok else left * right - ctx.I)
         distinct = len(set(b.eigenvalues)) == len(b.eigenvalues)
         rep.add(f"distinct-eigenvalues-{label}", f"family {label}: eigenvalues pairwise distinct",
                 distinct, "" if distinct else "repeated eigenvalue")

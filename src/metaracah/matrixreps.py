@@ -6,14 +6,15 @@ conjugation (Bstar)^T O B with the weight of the pairing between
 (Bstar)^T and O; ``eigenbases.FAMILIES`` names the dual and the weight: Z
 for the pencil family d, Z^T for its adjoint d*, none for the others.
 ``matrix_on`` builds each such matrix once per Context, on the Context's
-one dual side, (Bstar)^T times the weight.  COEFFS maps
-each basis to the builder of its named band tables, which
-``Context.band_tables`` keeps once per Context for every reader: ``matrix
---which coeffs:`` emits them, ``verify_coefficients`` checks each against
-``matrix_on`` under a statement read off the family's dual and weight, and
-the trio, the racah suite and the rational suite read them.  Six tables
-are built by RationalMatrix.banded from their bands, three diagonals read
-off the defining relations; the others are read off them by the [V, Z]
+one dual side, (Bstar)^T times the weight.  COEFFS maps each basis to the
+builder of its named band tables, which ``Context.band_tables`` keeps once
+per Context for every reader: ``matrix --which coeffs:`` emits them,
+``verify_coefficients`` checks each against ``matrix_on`` under a statement
+read off the family's dual and weight, and each table O_b on e and f also
+against the transposed operator on the dual, Ot b* = b* O_b^T; the trio,
+the racah suite and the rational suite read them too.  Six tables are
+built by RationalMatrix.banded from their bands, three diagonals read off
+the defining relations; the others are read off them by the [V, Z]
 relation, an eigenvalue equation or a transpose.  In a table, band -1
 (entry (n+1, n)) feeds |b_{n+1}> in O|b_n>, band 1 (entry (n, n+1)) feeds
 |b_n> in O|b_{n+1}>; the JSON keys sup, diag and sub of ``matrix --which
@@ -249,7 +250,9 @@ def _statement(basis: str, name: str, fam) -> str:
 
 def verify_coefficients(ctx: Context) -> VerificationReport:
     """Every band table of COEFFS against its conjugation oracle, and each
-    transposed operator on e* and f* by the transpose of that residual."""
+    table O_b on e and f against the kept transposed operator Ot on the
+    dual b*: Ot b* = b* O_b^T, which gram-b makes equivalent to the
+    transposed conjugation b^T Ot b* = O_b^T, read with no pairing."""
     from .eigenbases import FAMILIES  # eigenbases imports this module
     rep = VerificationReport(
         suite="matrixreps:coefficients", params={**ctx.p.as_dict(), "rho": str(ctx.rho)}
@@ -261,14 +264,13 @@ def verify_coefficients(ctx: Context) -> VerificationReport:
             if name == "Vtilde" and (refusal := _vtilde_refusal(ctx)):
                 rep.add(check_id, statement, False, refusal)
                 continue
-            residual = table - matrix_on(ctx, basis, name)
-            rep.add_grid(check_id, statement, residual)
-            # as Ot = O^T, b^T Ot b* = ((b*)^T O b)^T: on e* and f* each
-            # residual is the transpose of its residual on e and f
+            rep.add_grid(check_id, statement, table - matrix_on(ctx, basis, name))
+            # (b*)^T b = I makes b^T b* = I, so O b = b O_b gives Ot b* = b* O_b^T
             if basis in ("e", "f"):
+                bstar = ctx.basis(basis + "Star").vectors
                 rep.add_grid(f"{name}t-on-{basis}star", "transposed-operator coefficients on"
                              f" {basis}* are the transpose of {name} on {basis}",
-                             residual.transpose())
+                             getattr(ctx, name + "t") * bstar - bstar * table.transpose())
     return rep
 
 
@@ -282,11 +284,16 @@ def verify_leonard_trio(ctx: Context) -> VerificationReport:
     (iii) on z:  Z diagonal, Vtilde irreducible lower bidiagonal,
          V irreducible tridiagonal.
 
-    Irreducibility failures are reported with the offending band index.
+    The diagonals of V on e and Z on z are compared with the eigenvalue
+    rows of e and z, as the Z diagonal on Z d_n is with the Z table on d.
+    The Z V coefficients on Z d_n are read without the d pairing, as
+    Z V (Z d) = (Z d) (VZ)_d, Z d the d* dual side transposed, so they do
+    not restate VZ-on-d.  Irreducibility failures are reported with the
+    offending band index.
     """
     rep = VerificationReport(suite="matrixreps:leonard-trio", params=ctx.p.as_dict())
     v_e, z_e = matrix_on(ctx, "e", "V"), matrix_on(ctx, "e", "Z")
-    # the coefficient extraction for vectors Z d_n reuses the d pairing:
+    # the shape checks on the vectors Z d_n reuse the d pairing:
     # <d*_m | O Z d_n> gives O's matrix on the Z d family, which for O = Z
     # and O = Z V is the matrix of Z and of V Z on d, and for O = Vtilde
     # is d*^T X d, as Vtilde Z = X
@@ -297,7 +304,8 @@ def verify_leonard_trio(ctx: Context) -> VerificationReport:
     refusal = _vtilde_refusal(ctx)  # a verdict on a refused Vtilde is None
     vt_z = None if refusal else matrix_on(ctx, "z", "Vtilde")
     for check_id, statement, ok in (
-        ("trio-i-V-diagonal", "clause (i): V diagonal on e", v_e.in_band(0, 0)),
+        ("trio-i-V-diagonal", "clause (i): V diagonal on e",
+         v_e.in_band(0, 0) and v_e.band(0) == ctx.basis("e").eigenvalues),
         ("trio-i-VtildeZ-tridiagonal", "clause (i): Vtilde Z tridiagonal on e",
          matrix_on(ctx, "e", "X").in_band(1, 1)),  # Vtilde Z = X
         ("trio-i-Z-tridiagonal", "clause (i): Z tridiagonal on e", z_e.in_band(1, 1)),
@@ -313,15 +321,18 @@ def verify_leonard_trio(ctx: Context) -> VerificationReport:
         ("trio-ii-Z-subdiagonal",
          "clause (ii): Z subdiagonal on Z d_n is (n-2a+b+1)/(n-a+1); the numerator"
          " alone appears for the head-rescaled family", z_et.band(-1) == on_d["Z"].band(-1)),
-        ("trio-iii-Z-diagonal", "clause (iii): Z diagonal on z", z_z.in_band(0, 0)),
+        ("trio-iii-Z-diagonal", "clause (iii): Z diagonal on z",
+         z_z.in_band(0, 0) and z_z.band(0) == ctx.basis("z").eigenvalues),
         ("trio-iii-Vtilde-lower-bidiagonal", "clause (iii): Vtilde lower bidiagonal on z",
          vt_z and vt_z.in_band(1, 0)),
         ("trio-iii-V-tridiagonal", "clause (iii): V tridiagonal on z", v_z.in_band(1, 1)),
     ):
         rep.add(check_id, statement, ok, refusal if ok is None else "")
+    # its own route, clear of the d pairing: V Z d = d (VZ)_d, so Z V (Z d) = (Z d) (VZ)_d
+    zd = ctx.dual_side("dStar").transpose()
     rep.add_grid("trio-ii-ZV-coefficients",
                  "clause (ii): Z V on Z d_n carries the VZ coefficients of the d family",
-                 zv_et - on_d["VZ"])
+                 ctx.Z * (ctx.V * zd) - zd * on_d["VZ"])
     for check_id, statement, entries in (
         ("trio-i-Z-irreducible", "clause (i): Z bands on e nonzero", z_e.band(-1) + z_e.band(1)),
         ("trio-ii-Z-irreducible", "clause (ii): Z subdiagonal on Z d_n nonzero", z_et.band(-1)),

@@ -629,14 +629,16 @@ def test_one_validation_and_one_build_per_set(capsys, monkeypatch, argv):
 
 def test_verify_all_product_count(capsys, monkeypatch):
     # the algebra checks share the Context's one Casimir (8 products), and the
-    # Gram check of d and the conjugations on d and d* share the Context's
-    # dual sides (b*)^T W (one product each for d and d*), completeness-d and
-    # identify-Utilde read Z d as the d* dual side transposed; each
-    # commutator/anticommutator pair of the relations reads one a*b and one
-    # b*a, a diagonal factor is a scaling, never a product, the trio reads
-    # X where it would form Vtilde Z, and gram-U-dual, completeness-e,
-    # completeness-f and completeness-z read the zero residual of gram-U,
-    # gram-e, gram-f and gram-z, the same square factors
+    # conjugations on d and d* share the Context's dual sides (b*)^T W (one
+    # product each for d and d*); gram-d, completeness-d, identify-Utilde
+    # and the trio's Z V clause read Z d as the d* dual side transposed;
+    # each commutator/anticommutator pair of the relations reads one a*b
+    # and one b*a, a diagonal factor is a scaling, never a product, the
+    # trio reads X where it would form Vtilde Z, and gram-U-dual and the
+    # four completeness checks read the zero residual of gram-U and of
+    # their Gram, the same square factors.  The e* and f* coefficient
+    # checks (2 products each) and the trio's Z V clause (3) read no
+    # pairing: they form their own products, each with a banded factor
     products = []
     mul = matrices.RationalMatrix.__mul__
 
@@ -648,7 +650,7 @@ def test_verify_all_product_count(capsys, monkeypatch):
     monkeypatch.setattr(matrices.RationalMatrix, "__mul__", counted)
     code, _ = run(capsys, "verify", "--suite", "all", "--N", "8")
     assert code == 0
-    assert len(products) == 120
+    assert len(products) == 128
 
 
 def test_verify_all_writes_out_few_results(capsys, monkeypatch):

@@ -360,6 +360,22 @@ def test_a_model_fault_fails_its_own_basis_check_only(ctx3, monkeypatch, label):
     assert failed == {f"model-{label}": "failing (l, n): [(1, 2)]"}
 
 
+# one term outside the window a family is read over, 0..N or -N-1..-1 for
+# a dual family, added to model polynomial n = 2; before the window was
+# read in full, no basis check saw any of these
+STRAY_TERMS = [(label, exp) for labels, exps in (
+    (("f", "z"), (-1, -2, 4, -5)), (("d",), (-2, 4, -5)), (("e",), (-1, 4)),
+    (("dStar", "eStar", "fStar", "zStar"), (1, 0, 4, -5))) for label in labels for exp in exps]
+
+
+@pytest.mark.parametrize("label, exp", STRAY_TERMS)
+def test_a_stray_term_fails_its_basis_check(ctx3, monkeypatch, label, exp):
+    monkeypatch.setitem(diffmodel._MODELS, label, _n2_plus(exp)(diffmodel._MODELS[label]))
+    window = "-N-1..-1" if label.endswith("Star") else "0..N"
+    failed = {c.id: c.detail for c in verify_model(ctx3).failures}
+    assert failed[f"model-{label}"] == f"exponents outside {window}: [{exp}]"
+
+
 def _a0_plus(diff, exp):
     def op(p):
         d = diff(p)

@@ -105,12 +105,13 @@ ALGEBRA = {(RELATIONS, "relation-ZX"), (RELATIONS, "relation-XV"), (RELATIONS, "
 # operator -> the (suite, id) pairs that 1 added at its entry (1, 1) flips.
 # No relation in [Z, X] or the borel pair reads V, and the Hahn pair reads
 # no X; only the Racah pair reads W and C, and the casimir checks C.  The
-# pencils of the oracle read X, Z, V and W, the Gram of d reads Z, the
-# shift checks compare the Context's X and Z with the builders', and the
-# model's g-basis checks compare its differential Z, V and X with them
+# pencils of the oracle read X, Z, V and W, the shift checks compare the
+# Context's X and Z with the builders', and the model's g-basis checks
+# compare its differential Z, V and X with them.  The Gram of d reads Z d,
+# the d* dual side transposed, which is read off the kept Zt, not Z
 OPERATOR_FLIPS = {
-    "Z": ALGEBRA | {(BASES, "gram-d"), (BASES, "closed-vs-oracle"), (RATIONAL, "shift-X"),
-                    (RATIONAL, "shift-Z"), (MODEL, "g-basis-Z")},
+    "Z": ALGEBRA | {(BASES, "closed-vs-oracle"), (RATIONAL, "shift-X"), (RATIONAL, "shift-Z"),
+                    (MODEL, "g-basis-Z")},
     "V": (ALGEBRA - {(RELATIONS, "relation-ZX"), (SUBALGEBRAS, "shifted-ZX"),
                      (SUBALGEBRAS, "borel")}) | {(BASES, "closed-vs-oracle"), (MODEL, "g-basis-V")},
     "X": (ALGEBRA - {(SUBALGEBRAS, "hahn-1"), (SUBALGEBRAS, "hahn-2")})
@@ -187,10 +188,14 @@ def _model_fault(label):
     return plant, MODEL_FLIPS[label]
 
 
-# (suite, id) -> the fault and the (suite, id) pairs it flips.  A fault in
-# a family's vectors flips its gram and completeness checks together, and
-# the oracle, which solves for them afresh; gram-b reads the kept dual side
-# of b and completeness-b that of b*, so a fault in one flips one of them.
+# what a fault in Z d, the kept d* dual side transposed, flips in the five
+# suites: the two checks of the d pair and identify-Utilde, which read it
+Z_D_FLIPS = {(BASES, "gram-d"), (BASES, "completeness-d"), (RATIONAL, "identify-Utilde")}
+
+# (suite, id) -> the fault and the (suite, id) pairs it flips.  gram-b and
+# completeness-b both read B b, the kept dual side of b* transposed, and
+# (b*)^T, so every fault flips both: a fault in that dual side, and one in
+# a family's vectors, which the oracle also solves for afresh.
 # identify-S and identify-Stilde read the products e^T f* and e*^T f, as
 # weight-norm-consistency does, so a fault in f* or f flips all three
 FAULTS = {
@@ -208,15 +213,20 @@ FAULTS = {
     (SUBALGEBRAS, "racah-1"): _operator_fault("W"),
     (SUBALGEBRAS, "racah-2"): _operator_fault("W"),
     (SUBALGEBRAS, "borel"): _operator_fault("X"),
-    (BASES, "gram-d"): (_dual_side_plus_1("d"), {(BASES, "gram-d")}),
-    (BASES, "completeness-d"): (_dual_side_plus_1("dStar"),
-                                {(BASES, "completeness-d"), (RATIONAL, "identify-Utilde")}),
-    (BASES, "gram-e"): (_dual_side_plus_1("e"), {(BASES, "gram-e")}),
-    (BASES, "completeness-e"): (_dual_side_plus_1("eStar"), {(BASES, "completeness-e")}),
-    (BASES, "gram-f"): (_dual_side_plus_1("f"), {(BASES, "gram-f")}),
-    (BASES, "completeness-f"): (_dual_side_plus_1("fStar"), {(BASES, "completeness-f")}),
-    (BASES, "gram-z"): (_dual_side_plus_1("z"), {(BASES, "gram-z")}),
-    (BASES, "completeness-z"): (_dual_side_plus_1("zStar"), {(BASES, "completeness-z")}),
+    (BASES, "gram-d"): (_dual_side_plus_1("dStar"), Z_D_FLIPS),
+    (BASES, "completeness-d"): (_dual_side_plus_1("dStar"), Z_D_FLIPS),
+    (BASES, "gram-e"): (_dual_side_plus_1("eStar"),
+                        {(BASES, "gram-e"), (BASES, "completeness-e")}),
+    (BASES, "completeness-e"): (_dual_side_plus_1("eStar"),
+                                {(BASES, "gram-e"), (BASES, "completeness-e")}),
+    (BASES, "gram-f"): (_dual_side_plus_1("fStar"),
+                        {(BASES, "gram-f"), (BASES, "completeness-f")}),
+    (BASES, "completeness-f"): (_dual_side_plus_1("fStar"),
+                                {(BASES, "gram-f"), (BASES, "completeness-f")}),
+    (BASES, "gram-z"): (_dual_side_plus_1("zStar"),
+                        {(BASES, "gram-z"), (BASES, "completeness-z")}),
+    (BASES, "completeness-z"): (_dual_side_plus_1("zStar"),
+                                {(BASES, "gram-z"), (BASES, "completeness-z")}),
     # the oracle solves at the kept eigenvalues, so a repeated one also
     # moves an oracle vector off the family's
     (BASES, "distinct-eigenvalues-d"): (kept(("basis", "d"), _eigenvalue_repeated),
@@ -260,8 +270,7 @@ FAULTS = {
                                {(RATIONAL, "identify-U"), (RATIONAL, "dual-hahn"),
                                 (BASES, "gram-d"), (BASES, "completeness-d"),
                                 (BASES, "closed-vs-oracle"), (MODEL, "model-dStar")}),
-    (RATIONAL, "identify-Utilde"): (_dual_side_plus_1("dStar"),
-                                    {(RATIONAL, "identify-Utilde"), (BASES, "completeness-d")}),
+    (RATIONAL, "identify-Utilde"): (_dual_side_plus_1("dStar"), Z_D_FLIPS),
     (RATIONAL, "h0-normalization"): (route(rf, "norm_h", _plus_1_at_index(0)),
                                      {(RATIONAL, "h0-normalization"),
                                       (RATIONAL, "biorth-point")}),

@@ -126,8 +126,8 @@ def test_leonard_trio_degenerate_control(monkeypatch):
 
 def test_vz_fault_details_name_the_one_bumped_point(ctx3, monkeypatch):
     # one wrong entry of the VZ diagonal, which VZ on d and VtZt on d*
-    # share: the two coefficient checks and the trio each fail at that
-    # entry alone
+    # share: the two coefficient checks fail at that entry alone, and the
+    # trio, which multiplies the table by Z d, down column 1 of Z d
     on_d = mr.coeffs_on_d
     monkeypatch.setattr(mr, "coeffs_on_d",
                         lambda *a: {**(d := on_d(*a)), "VZ": _plus_1_at(d["VZ"], 1, 1)})
@@ -136,7 +136,7 @@ def test_vz_fault_details_name_the_one_bumped_point(ctx3, monkeypatch):
     assert failed == {
         "VZ-on-d": "failing (m, n): [(1, 1)]",
         "VtZt-on-dstar": "failing (m, n): [(1, 1)]",
-        "trio-ii-ZV-coefficients": "failing (m, n): [(1, 1)]",
+        "trio-ii-ZV-coefficients": "failing (m, n): [(1, 1), (2, 1), (3, 1)]",
     }
 
 
@@ -157,50 +157,79 @@ def _shifted(family):
     return BasisFamily(family.label, family.vectors, tuple(x + 1 for x in family.eigenvalues))
 
 
-# trio id -> the kept value a fault changes, the change, and the trio ids the
-# fault flips.  The value is a ("matrix on", label, op) matrix, the d band
-# tables, the d family or the operator X, which matrix_on, Vtilde and the
-# trio's d*^T X d read; a fault in the d family reaches the VZ table built
-# from its eigenvalues, and a zeroed band entry keeps every band shape
+def _table_plus_1(name):
+    """The change that adds 1 at entry (1, 1) of the band table name."""
+    return lambda tables: {**tables, name: _plus_1_at(tables[name], 1, 1)}
+
+
+def _matrixreps_failures(ctx):
+    return {c.id for rep in SUITE_RUNNERS["matrixreps"](ctx) for c in rep.failures}
+
+
+def _kept_fault_failures(ctx3, key, change):
+    """The matrixreps ids that fail on a fresh Context of ctx3's set that
+    keeps change(value), value the item ctx3 keeps under key once the suite
+    has run on it."""
+    assert not _matrixreps_failures(ctx3)
+    planted = change(ctx3.keep(key, lambda: pytest.fail(f"{key} is not kept")))
+    ctx = Context(ctx3.p, ctx3.rho)
+    ctx.keep(key, lambda: planted)
+    return _matrixreps_failures(ctx)
+
+
+# trio id -> the key of the kept value a fault changes, the change, and the
+# matrixreps ids the fault flips, coefficient checks included.  The value
+# is a ("matrix on", label, op) matrix, which the coefficient checks of op
+# on label read too, the d band tables, the d family, the d* dual side or
+# the operator X, which matrix_on, Vtilde and the trio's d*^T X d read; a
+# fault in the d family reaches the X and VZ tables built from its
+# eigenvalues, a fault in the Z table on d the Zt and Xt tables on d* read
+# off it, and a zeroed band entry keeps every band shape.  The V-on-e and
+# Z-on-z diagonals are their families' eigenvalue rows.  The Z V clause
+# reads Z d, the d* dual side transposed, so a fault there flips it, and
+# the d* conjugations, but not VZ-on-d, which reads the d dual side
 TRIO_FAULTS = {
-    "trio-i-V-diagonal": (("matrix on", "e", "V"), lambda t: _plus_1_at(t, 0, 1),
+    "trio-i-V-diagonal": (("matrix on", "e", "V"), lambda t: _plus_1_at(t, 1, 1),
                           {"trio-i-V-diagonal"}),
     "trio-i-VtildeZ-tridiagonal": (("matrix on", "e", "X"), lambda t: _plus_1_at(t, 0, 2),
-                                   {"trio-i-VtildeZ-tridiagonal"}),
+                                   {"trio-i-VtildeZ-tridiagonal", "X-on-e"}),
     "trio-i-Z-tridiagonal": (("matrix on", "e", "Z"), lambda t: _plus_1_at(t, 0, 2),
-                             {"trio-i-Z-tridiagonal"}),
+                             {"trio-i-Z-tridiagonal", "Z-on-e"}),
     "trio-i-Z-irreducible": (("matrix on", "e", "Z"), lambda t: _zero_at(t, 1, 0),
-                             {"trio-i-Z-irreducible"}),
+                             {"trio-i-Z-irreducible", "Z-on-e"}),
     "trio-ii-Vtilde-diagonal": (("operator", "X"), lambda t: _plus_1_at(t, 0, 0),
                                 {"trio-i-VtildeZ-tridiagonal", "trio-ii-Vtilde-diagonal",
                                  "trio-ii-Vtilde-eigenvalues",
-                                 "trio-iii-Vtilde-lower-bidiagonal"}),
+                                 "trio-iii-Vtilde-lower-bidiagonal", "X-on-e", "X-on-d",
+                                 "X-on-z", "Vtilde-on-z"}),
     "trio-ii-Vtilde-eigenvalues": (("basis", "d"), _shifted,
-                                   {"trio-ii-Vtilde-eigenvalues", "trio-ii-ZV-coefficients"}),
+                                   {"trio-ii-Vtilde-eigenvalues", "trio-ii-ZV-coefficients",
+                                    "X-on-d", "VZ-on-d", "VtZt-on-dstar"}),
     "trio-ii-ZV-tridiagonal": (("matrix on", "d", "VZ"), lambda t: _plus_1_at(t, 0, 2),
-                               {"trio-ii-ZV-tridiagonal", "trio-ii-ZV-coefficients"}),
-    "trio-ii-ZV-coefficients": (("band tables", "d"),
-                                lambda d: {**d, "VZ": _plus_1_at(d["VZ"], 1, 1)},
-                                {"trio-ii-ZV-coefficients"}),
-    "trio-ii-Z-lower-bidiagonal": (("band tables", "d"),
-                                   lambda d: {**d, "Z": _plus_1_at(d["Z"], 1, 1)},
-                                   {"trio-ii-Z-lower-bidiagonal"}),
+                               {"trio-ii-ZV-tridiagonal", "VZ-on-d"}),
+    "trio-ii-ZV-coefficients": (("dual side", "dStar"), lambda t: _plus_1_at(t, 1, 2),
+                                {"trio-ii-ZV-coefficients", "Xt-on-dstar", "Zt-on-dstar",
+                                 "VtZt-on-dstar"}),
+    "trio-ii-Z-lower-bidiagonal": (("band tables", "d"), _table_plus_1("Z"),
+                                   {"trio-ii-Z-lower-bidiagonal", "Z-on-d", "Zt-on-dstar",
+                                    "Xt-on-dstar"}),
     "trio-ii-Z-subdiagonal": (("band tables", "d"),
                               lambda d: {**d, "Z": _plus_1_at(d["Z"], 2, 1)},
-                              {"trio-ii-Z-subdiagonal"}),
+                              {"trio-ii-Z-subdiagonal", "Z-on-d", "Zt-on-dstar",
+                               "Xt-on-dstar"}),
     "trio-ii-Z-irreducible": (("matrix on", "d", "Z"), lambda t: _zero_at(t, 1, 0),
-                              {"trio-ii-Z-irreducible", "trio-ii-Z-subdiagonal"}),
-    "trio-iii-Z-diagonal": (("matrix on", "z", "Z"), lambda t: _plus_1_at(t, 0, 1),
+                              {"trio-ii-Z-irreducible", "trio-ii-Z-subdiagonal", "Z-on-d"}),
+    "trio-iii-Z-diagonal": (("matrix on", "z", "Z"), lambda t: _plus_1_at(t, 1, 1),
                             {"trio-iii-Z-diagonal"}),
     "trio-iii-Vtilde-lower-bidiagonal": (("matrix on", "z", "Vtilde"),
                                          lambda t: _plus_1_at(t, 0, 1),
-                                         {"trio-iii-Vtilde-lower-bidiagonal"}),
+                                         {"trio-iii-Vtilde-lower-bidiagonal", "Vtilde-on-z"}),
     "trio-iii-Vtilde-irreducible": (("matrix on", "z", "Vtilde"), lambda t: _zero_at(t, 1, 0),
-                                    {"trio-iii-Vtilde-irreducible"}),
+                                    {"trio-iii-Vtilde-irreducible", "Vtilde-on-z"}),
     "trio-iii-V-tridiagonal": (("matrix on", "z", "V"), lambda t: _plus_1_at(t, 0, 2),
-                               {"trio-iii-V-tridiagonal"}),
+                               {"trio-iii-V-tridiagonal", "V-on-z"}),
     "trio-iii-V-irreducible": (("matrix on", "z", "V"), lambda t: _zero_at(t, 0, 1),
-                               {"trio-iii-V-irreducible"}),
+                               {"trio-iii-V-irreducible", "V-on-z"}),
 }
 
 
@@ -212,39 +241,43 @@ def test_every_trio_check_has_a_fault_row(ctx3):
 
 @pytest.mark.parametrize("check_id", TRIO_FAULTS)
 def test_each_trio_fault_flips_its_row_exactly(ctx3, check_id):
-    # the clean value is read off a Context the trio has run on, changed,
-    # and kept in a fresh Context before the trio reads it
     key, change, flipped = TRIO_FAULTS[check_id]
-    verify_leonard_trio(ctx3)
-    planted = change(ctx3.keep(key, lambda: pytest.fail(f"{key} is not kept")))
-    ctx = Context(ctx3.p, ctx3.rho)
-    ctx.keep(key, lambda: planted)
     assert check_id in flipped
-    assert {c.id for c in verify_leonard_trio(ctx).failures} == flipped
+    assert _kept_fault_failures(ctx3, key, change) == flipped
 
 
-# coefficient id -> the basis and the name of the band table that a fault,
-# 1 added at entry (1, 1) of that table in the kept ("band tables", basis),
-# changes, and the coefficient ids the fault flips.  On e* and f* each
-# residual is the transpose of its residual on e or f, so neither flips
-# alone; the d* tables Zt and Xt are read off Z on d, so a fault there
-# flips them too
+# coefficient id -> the key of the kept value a fault changes, the change,
+# and the matrixreps ids the fault flips.  Most faults add 1 at entry (1, 1)
+# of one band table, which the check on e* or f* of the transposed
+# operator reads too; the d* tables Zt and Xt are read off Z on d, so a
+# fault there flips them, and the trio's Z-on-d diagonal.  The e* and f*
+# checks read the kept Zt, Xt and Vt, so a fault in one flips its e* or f*
+# check and not the e or f check, and the d* conjugations that read it;
+# Z d is the d* dual side transposed, and so reads Zt.  A fault in the d
+# dual side flips every conjugation on d, but not the trio's Z V clause
 COEFF_FAULTS = {
-    "Z-on-e": ("e", "Z", {"Z-on-e", "Zt-on-estar"}),
-    "Zt-on-estar": ("e", "Z", {"Z-on-e", "Zt-on-estar"}),
-    "X-on-e": ("e", "X", {"X-on-e", "Xt-on-estar"}),
-    "Xt-on-estar": ("e", "X", {"X-on-e", "Xt-on-estar"}),
-    "V-on-f": ("f", "V", {"V-on-f", "Vt-on-fstar"}),
-    "Vt-on-fstar": ("f", "V", {"V-on-f", "Vt-on-fstar"}),
-    "Z-on-d": ("d", "Z", {"Z-on-d", "Zt-on-dstar", "Xt-on-dstar"}),
-    "VZ-on-d": ("d", "VZ", {"VZ-on-d", "VtZt-on-dstar"}),
-    "X-on-d": ("d", "X", {"X-on-d"}),
-    "Xt-on-dstar": ("dStar", "Xt", {"Xt-on-dstar"}),
-    "Zt-on-dstar": ("dStar", "Zt", {"Zt-on-dstar"}),
-    "VtZt-on-dstar": ("dStar", "VtZt", {"VtZt-on-dstar"}),
-    "V-on-z": ("z", "V", {"V-on-z"}),
-    "X-on-z": ("z", "X", {"X-on-z"}),
-    "Vtilde-on-z": ("z", "Vtilde", {"Vtilde-on-z"}),
+    "Z-on-e": (("band tables", "e"), _table_plus_1("Z"), {"Z-on-e", "Zt-on-estar"}),
+    "Zt-on-estar": (("operator", "Zt"), lambda t: _plus_1_at(t, 1, 1),
+                    {"Zt-on-estar", "Zt-on-dstar", "Xt-on-dstar", "VtZt-on-dstar",
+                     "trio-ii-ZV-coefficients"}),
+    "X-on-e": (("band tables", "e"), _table_plus_1("X"), {"X-on-e", "Xt-on-estar"}),
+    "Xt-on-estar": (("operator", "Xt"), lambda t: _plus_1_at(t, 1, 1),
+                    {"Xt-on-estar", "Xt-on-dstar"}),
+    "V-on-f": (("band tables", "f"), _table_plus_1("V"), {"V-on-f", "Vt-on-fstar"}),
+    "Vt-on-fstar": (("operator", "Vt"), lambda t: _plus_1_at(t, 1, 1),
+                    {"Vt-on-fstar", "VtZt-on-dstar"}),
+    "Z-on-d": (("band tables", "d"), _table_plus_1("Z"),
+               {"Z-on-d", "Zt-on-dstar", "Xt-on-dstar", "trio-ii-Z-lower-bidiagonal"}),
+    "VZ-on-d": (("dual side", "d"), lambda t: _plus_1_at(t, 1, 2),
+                {"VZ-on-d", "Z-on-d", "X-on-d", "trio-ii-Z-lower-bidiagonal",
+                 "trio-ii-Z-subdiagonal", "trio-ii-ZV-tridiagonal"}),
+    "X-on-d": (("band tables", "d"), _table_plus_1("X"), {"X-on-d"}),
+    "Xt-on-dstar": (("band tables", "dStar"), _table_plus_1("Xt"), {"Xt-on-dstar"}),
+    "Zt-on-dstar": (("band tables", "dStar"), _table_plus_1("Zt"), {"Zt-on-dstar"}),
+    "VtZt-on-dstar": (("band tables", "dStar"), _table_plus_1("VtZt"), {"VtZt-on-dstar"}),
+    "V-on-z": (("band tables", "z"), _table_plus_1("V"), {"V-on-z"}),
+    "X-on-z": (("band tables", "z"), _table_plus_1("X"), {"X-on-z"}),
+    "Vtilde-on-z": (("band tables", "z"), _table_plus_1("Vtilde"), {"Vtilde-on-z"}),
 }
 
 
@@ -256,15 +289,9 @@ def test_every_coefficient_check_has_a_fault_row(ctx3):
 
 @pytest.mark.parametrize("check_id", COEFF_FAULTS)
 def test_each_coefficient_fault_flips_its_row_exactly(ctx3, check_id):
-    # the clean tables are read off a Context the check has run on, one is
-    # changed, and all are kept in a fresh Context before the check reads them
-    basis, name, flipped = COEFF_FAULTS[check_id]
-    verify_coefficients(ctx3)
-    tables = ctx3.keep(("band tables", basis), lambda: pytest.fail(f"{basis} is not kept"))
-    ctx = Context(ctx3.p, ctx3.rho)
-    ctx.keep(("band tables", basis), lambda: {**tables, name: _plus_1_at(tables[name], 1, 1)})
+    key, change, flipped = COEFF_FAULTS[check_id]
     assert check_id in flipped
-    assert {c.id for c in verify_coefficients(ctx).failures} == flipped
+    assert _kept_fault_failures(ctx3, key, change) == flipped
 
 
 def _bumped_at_2_1(builder, name):
@@ -303,16 +330,17 @@ def test_a_fault_in_Z_on_d_reaches_every_table_read_off_it(ctx3, monkeypatch):
 
 
 def test_a_fault_in_Z_on_e_reaches_X_on_e(ctx3, monkeypatch):
-    # X on e is read off Z on e by the [V, Z] relation, the e* checks are
-    # the transposes of the e checks, and the racah difference equation
-    # and the rational recurrence read both tables on e
+    # X on e is read off Z on e by the [V, Z] relation, the e* checks read
+    # e* times the transposed tables, so the transposed point (1, 2) fails
+    # down column 2, at each nonzero of column 1 of e*, and the racah
+    # difference equation and the rational recurrence read both tables on e
     z_on_e = mr.coeffs_Z_on_e
     monkeypatch.setattr(mr, "coeffs_Z_on_e", lambda *a: _plus_1_at(z_on_e(*a), 2, 1))
     assert _band_table_failures(ctx3) == {
         (COEFFICIENTS, "Z-on-e"): "failing (m, n): [(2, 1)]",
         (COEFFICIENTS, "X-on-e"): "failing (m, n): [(2, 1)]",
-        (COEFFICIENTS, "Zt-on-estar"): "failing (m, n): [(1, 2)]",
-        (COEFFICIENTS, "Xt-on-estar"): "failing (m, n): [(1, 2)]",
+        (COEFFICIENTS, "Zt-on-estar"): "failing (m, n): [(1, 2), (2, 2), (3, 2)]",
+        (COEFFICIENTS, "Xt-on-estar"): "failing (m, n): [(1, 2), (2, 2), (3, 2)]",
         ("racah", "difference"): "failing (m, n): [(1, 0), (1, 1), (1, 2), (1, 3)]",
         ("rational", "gevp-recurrence"): "failing (m, n): [(1, 0), (1, 1), (1, 2), (1, 3)]",
     }
@@ -327,8 +355,9 @@ def test_a_fault_in_X_on_z_reaches_Vtilde_on_z(ctx3, monkeypatch):
 
 
 # the matrixreps ids a planted Z flips at N=3 besides those that read
-# Vtilde on z: each conjugation and trio clause that reads Z
-Z_FLIPS = {"Z-on-e", "Zt-on-estar", "Z-on-d", "X-on-d", "VZ-on-d", "trio-i-Z-tridiagonal",
+# Vtilde on z: each conjugation and trio clause that reads Z; the e* check
+# of Zt reads the kept Zt, which a planted Z does not reach
+Z_FLIPS = {"Z-on-e", "Z-on-d", "X-on-d", "VZ-on-d", "trio-i-Z-tridiagonal",
            "trio-ii-Z-lower-bidiagonal", "trio-ii-Z-subdiagonal", "trio-ii-ZV-tridiagonal",
            "trio-ii-ZV-coefficients", "trio-iii-Z-diagonal"}
 VTILDE_ON_Z = ("Vtilde-on-z", "trio-iii-Vtilde-lower-bidiagonal", "trio-iii-Vtilde-irreducible")
@@ -361,13 +390,16 @@ def test_a_Z_that_Vtilde_cannot_divide_by_fails_its_checks_without_a_crash(ctx3,
 
 ON_THE_DIAGONAL = "failing (m, n): [(0, 0), (1, 1), (2, 2), (3, 3)]"
 IN_ROW_0 = "failing (m, n): [(0, 0), (0, 1), (0, 2), (0, 3)]"
+# a diagonal off in a table, as the e* checks and the trio's Z V clause
+# read it: times e* or Z d, both lower triangular
+IN_THE_LOWER_TRIANGLE = "failing (m, n): [(0, 0), (1, 0), (1, 1), (2, 0)]"
 # what xi + 1 breaks: the Z-on-e diagonal, read off the [X, V] relation,
 # and all that reads Z on e
 XI_FAILURES = {
     (COEFFICIENTS, "Z-on-e"): ON_THE_DIAGONAL,
     (COEFFICIENTS, "X-on-e"): ON_THE_DIAGONAL,
-    (COEFFICIENTS, "Zt-on-estar"): ON_THE_DIAGONAL,
-    (COEFFICIENTS, "Xt-on-estar"): ON_THE_DIAGONAL,
+    (COEFFICIENTS, "Zt-on-estar"): IN_THE_LOWER_TRIANGLE,
+    (COEFFICIENTS, "Xt-on-estar"): IN_THE_LOWER_TRIANGLE,
     ("racah", "difference"): IN_ROW_0,
     ("rational", "gevp-recurrence"): IN_ROW_0,
 }
@@ -392,7 +424,7 @@ def test_the_diagonals_on_e_d_and_z_are_read_off_eta(ctx3, monkeypatch):
         (COEFFICIENTS, "VZ-on-d"): ON_THE_DIAGONAL,
         (COEFFICIENTS, "VtZt-on-dstar"): ON_THE_DIAGONAL,
         (COEFFICIENTS, "V-on-z"): ON_THE_DIAGONAL,
-        (TRIO, "trio-ii-ZV-coefficients"): ON_THE_DIAGONAL,
+        (TRIO, "trio-ii-ZV-coefficients"): IN_THE_LOWER_TRIANGLE,
         ("rational", "difference"): IN_ROW_0,
     }
 
@@ -423,7 +455,9 @@ def test_matrixreps_suite_builds_each_conjugation_once(capsys, monkeypatch):
     # the trio reads the operator matrices verify_coefficients has built,
     # X on e among them, as Vtilde Z = X; only Vtilde on Z d_n (d*^T X d),
     # V on e and Z on z are its own, and each dual side (b*)^T W is formed
-    # once per family
+    # once per family.  The e* and f* checks (Ot b* - b* O_b^T) and the
+    # trio's Z V clause (Z (V Z d) - Z d (VZ)_d) form their own products,
+    # 2 each and 3, every one with a banded factor
     products = []
     mul = RationalMatrix.__mul__
 
@@ -435,7 +469,7 @@ def test_matrixreps_suite_builds_each_conjugation_once(capsys, monkeypatch):
     monkeypatch.setattr(RationalMatrix, "__mul__", counted)
     assert main(["verify", "--suite", "matrixreps", "--N", "8"]) == 0
     capsys.readouterr()
-    assert len(products) == 34
+    assert len(products) == 43
 
 
 def test_each_band_table_is_built_once_per_context(ctx5, monkeypatch):

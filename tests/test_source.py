@@ -361,9 +361,9 @@ def test_only_information_records_pass_whatever_they_find():
 
 def test_completeness_of_e_f_and_z_forms_no_product(ctx3, monkeypatch):
     # with the bases and dual sides built, the bases suite forms the four
-    # Gram products and completeness-d's, whose left factor Z d is a product
-    # of its own; completeness-e, -f and -z read their Gram's two square
-    # factors swapped, so the Gram's zero residual decides each of them
+    # Gram products (b*)^T (B b) and no other: each completeness check reads
+    # the same two square factors, B b and (b*)^T, so the Gram's zero
+    # residual decides it, for d, whose B b is Z d, as for e, f and z
     for label in LABELS:
         ctx3.dual_side(label)
     products = []
@@ -376,4 +376,4 @@ def test_completeness_of_e_f_and_z_forms_no_product(ctx3, monkeypatch):
 
     monkeypatch.setattr(metaracah.matrices.RationalMatrix, "__mul__", counted)
     assert check_orthogonality(ctx3).passed
-    assert len(products) == 5
+    assert len(products) == 4
