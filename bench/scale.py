@@ -33,7 +33,10 @@ one of the code objects that share a file, line and name, such as two
 generator expressions on one line, so its total moved with where they
 sat in memory).  The count does not depend on machine
 speed: equal code gives an equal count, so it tells two trees apart where
-their times cannot.
+their times cannot.  One more untimed run records the number of
+matrix-by-matrix products (``RationalMatrix.__mul__`` with a matrix on
+the right), which does not depend on machine speed either and counts the
+work the dense kernels do.
 
 The emit commands are the `emit` workload of perfbench at the default
 parameters: ``table --which <name>`` for the eight overlap tables and
@@ -112,11 +115,28 @@ def _call_count(run) -> int:
     return sum(entry.callcount for entry in profiler.getstats())
 
 
+def _product_count(matrices, run) -> int:
+    """The matrix-by-matrix products of one untimed run()."""
+    count = [0]
+    mul = matrices.RationalMatrix.__mul__
+
+    def counted(self, other):
+        count[0] += isinstance(other, matrices.RationalMatrix)
+        return mul(self, other)
+
+    matrices.RationalMatrix.__mul__ = counted
+    try:
+        run()
+    finally:
+        matrices.RationalMatrix.__mul__ = mul
+    return count[0]
+
+
 def measure(src: str, N: int) -> dict:
     """Time the tree whose package lives under src at one N; runs in a child
     process."""
     sys.path.insert(0, src)
-    from metaracah import cli
+    from metaracah import cli, matrices
 
     runners = dict(cli.SUITE_RUNNERS)
     argv = ["verify", "--suite", "all", "--N", str(N)]
@@ -150,6 +170,7 @@ def measure(src: str, N: int) -> dict:
     return {
         "total_s": round(min(totals), 4),
         "calls": _call_count(lambda: _run(cli, argv)),
+        "products": _product_count(matrices, lambda: _run(cli, argv)),
         "suite_s": {name: round(min(times), 4) for name, times in suites.items()},
         "exit_code": code,
         "stdout_sha256": digest,
@@ -163,7 +184,7 @@ def measure_emit(src: str, N: int) -> dict:
     """Time the sixteen emit commands of the tree under src at one N; runs
     in a child process."""
     sys.path.insert(0, src)
-    from metaracah import cli
+    from metaracah import cli, matrices
 
     times = {" ".join(argv): [] for argv in EMIT}
     totals, outcomes = [], {}
@@ -183,8 +204,12 @@ def measure_emit(src: str, N: int) -> dict:
     for key, seconds in times.items():
         (code, digest), = outcomes[key]
         ops[key] = {"s": round(min(seconds), 4), "exit_code": code, "stdout_sha256": digest}
-    calls = _call_count(lambda: [_run(cli, argv + ["--N", str(N)]) for argv in EMIT])
-    return {"total_s": round(min(totals), 4), "calls": calls, "ops": ops}
+
+    def emit_pass():
+        return [_run(cli, argv + ["--N", str(N)]) for argv in EMIT]
+
+    return {"total_s": round(min(totals), 4), "calls": _call_count(emit_pass),
+            "products": _product_count(matrices, emit_pass), "ops": ops}
 
 
 def measure_startup(trees: dict) -> dict:
@@ -245,7 +270,8 @@ def record(trees: dict) -> dict:
                    " default parameters, in process; start-up commands in fresh"
                    " interpreters (startup)",
         "statistic": f"min of {REPEATS} runs (startup: min of {STARTUP_REPEATS}); calls:"
-                     " Python calls of one more, untimed run under cProfile",
+                     " Python calls of one more, untimed run under cProfile; products:"
+                     " matrix-by-matrix products of one more, untimed run",
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),

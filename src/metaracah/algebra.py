@@ -182,30 +182,32 @@ def build_casimir(ctx: Context) -> RationalMatrix:
 # -- relation checks ----------------------------------------------------------
 
 
-def _relations(Z, V, X, zeta, xi, eta, ident) -> tuple:
+def _relations(ctx: Context, Z) -> tuple:
     """The residuals of [Z,X] = Z^2 + X, [X,V] = {V,Z} + 2 zeta X
-    + 2 zeta^2 Z + xi I and [V,Z] = V + 2 X + 2 zeta Z + eta I, I = ident,
-    in that order, then the [V,Z], {V,Z} and Z^2 they form."""
+    + 2 zeta^2 Z + xi I and [V,Z] = V + 2 X + 2 zeta Z + eta I on the
+    Context's V, X and I, in that order, then the [V,Z], {V,Z} and Z^2 they
+    form.  A Context keeps them for its own Z under ("relations",)."""
+    V, X, I, zeta = ctx.V, ctx.X, ctx.I, ctx.p.zeta
+    xi, eta = central_params(ctx.p)
     vz_c, vz_a = brackets(V, Z)
     Z2 = Z * Z
-    return ((commutator(Z, X) - (Z2 + X),
-             commutator(X, V) - (vz_a + 2 * zeta * X + 2 * zeta * zeta * Z + xi * ident),
-             vz_c - (V + 2 * X + 2 * zeta * Z + eta * ident)), vz_c, vz_a, Z2)
+    return (commutator(Z, X) - (Z2 + X),
+            commutator(X, V) - (vz_a + 2 * zeta * X + 2 * zeta * zeta * Z + xi * I),
+            vz_c - (V + 2 * X + 2 * zeta * Z + eta * I), vz_c, vz_a, Z2)
 
 
 def check_defining_relations(ctx: Context, Z=None) -> VerificationReport:
     """Verify the three defining relations on the generator matrices.
 
-    Z may be overridden (fault injection in tests and the CLI).
+    Z may be overridden (fault injection in tests and the CLI); an
+    overriding Z forms its own residuals and leaves the kept ones alone.
     """
-    p = ctx.p
-    xi, eta = central_params(p)
-    residuals = _relations(ctx.Z if Z is None else Z, ctx.V, ctx.X, p.zeta, xi, eta, ctx.I)[0]
-    rep = VerificationReport(suite="algebra:relations", params=p.as_dict())
+    kept = ctx.keep(("relations",), _relations, ctx, ctx.Z) if Z is None else _relations(ctx, Z)
+    rep = VerificationReport(suite="algebra:relations", params=ctx.p.as_dict())
     for check_id, statement, residual in zip(("relation-ZX", "relation-XV", "relation-VZ"), (
             "[Z,X] - (Z^2 + X) = 0",
             "[X,V] - ({V,Z} + 2 zeta X + 2 zeta^2 Z + xi I) = 0",
-            "[V,Z] - (V + 2 X + 2 zeta Z + eta I) = 0"), residuals):
+            "[V,Z] - (V + 2 X + 2 zeta Z + eta I) = 0"), kept):
         rep.add_grid(check_id, statement, residual)
     return rep
 
@@ -224,45 +226,45 @@ def check_subalgebras(ctx: Context) -> VerificationReport:
 
     (a) the shifted generators Zb = Z - zeta/2, Xb = X + zeta Z - zeta^2/4,
         Vb = V satisfy the defining relations at zeta = 0 with
-        xib = xi - eta zeta and etab = eta + zeta^2/2;
+        xib = xi - eta zeta and etab = eta + zeta^2/2.  For any Z, V, X
+        their residuals are zx, xv - zeta vz and vz, where zx, xv and vz
+        are the defining-relation residuals the Context keeps, so Zb, Xb
+        and Vb are never formed;
     (b) the Hahn-type pair (Zb, Vb):
             [[Vb,Zb],Vb] = 2{Vb,Zb} + 2 xib I
-            [Zb,[Vb,Zb]] = 2 Zb^2 - Vb - etab I;
+            [Zb,[Vb,Zb]] = 2 Zb^2 - Vb - etab I,
+        formed from the kept brackets as [Vb,Zb] = [V,Z],
+        {Vb,Zb} = {V,Z} - zeta V and 2 Zb^2 - etab I = 2 Z^2 - 2 zeta Z - eta I;
     (c) the Racah-type pair (W, V) with W = X + rho Z, the Context's W:
             [V,[W,V]] = 2{W,V} + 2V^2 + 2(eta + zeta(zeta - rho))V
                         + 2(rho xi + zeta(zeta eta - xi - eta rho))I
             [[W,V],W] = 2{W,V} + 2W^2 + 2(eta + zeta(zeta - rho))W
                         + (1 - rho^2)V - C + rho(xi - rho eta)I;
-    (d) the solvable pair E = X + Z^2, H = Z with [H,E] = E.
+    (d) the solvable pair E = X + Z^2, H = Z with [H,E] = E, whose residual
+        is zx, as [Z, Z^2] = 0, so E is never formed.
 
     rho and the Casimir C are the Context's, so the Context needs rho.
     """
     p, rho = ctx.p, read_rho(ctx.rho, "the subalgebra checks need rho")
-    Z, V, X = ctx.Z, ctx.V, ctx.X
+    Z, V, ident = ctx.Z, ctx.V, ctx.I
     xi, eta = central_params(p)
     z = p.zeta
-    ident = ctx.I
     rep = VerificationReport(suite="algebra:subalgebras", params={**p.as_dict(), "rho": str(rho)})
 
-    Zb = Z - (z / 2) * ident
-    Xb = X + z * Z - (z * z / 4) * ident
-    Vb = V
-    xib = xi - eta * z
-    etab = eta + z * z / 2
-    residuals, K, vz_a, Zb2 = _relations(Zb, Vb, Xb, 0, xib, etab, ident)
+    zx, xv, vz, K, vz_a, Z2 = ctx.keep(("relations",), _relations, ctx, Z)
     for check_id, statement, residual in zip(("shifted-ZX", "shifted-XV", "shifted-VZ"), (
             "[Zb,Xb] = Zb^2 + Xb", "[Xb,Vb] = {Vb,Zb} + xib I", "[Vb,Zb] = Vb + 2 Xb + etab I"),
-            residuals):
+            (zx, xv - z * vz, vz)):
         rep.add_grid(check_id, statement, residual)
     rep.add_grid(
         "hahn-1",
         "[[Vb,Zb],Vb] = 2{Vb,Zb} + 2 xib I",
-        commutator(K, Vb) - (2 * vz_a + 2 * xib * ident),
+        commutator(K, V) - (2 * (vz_a - z * V) + 2 * (xi - eta * z) * ident),
     )
     rep.add_grid(
         "hahn-2",
         "[Zb,[Vb,Zb]] = 2 Zb^2 - Vb - etab I",
-        commutator(Zb, K) - (2 * Zb2 - Vb - etab * ident),
+        commutator(Z, K) - (2 * Z2 - 2 * z * Z - V - eta * ident),
     )
 
     W = ctx.W
@@ -294,8 +296,7 @@ def check_subalgebras(ctx: Context) -> VerificationReport:
         ),
     )
 
-    E = X + Z * Z
-    rep.add_grid("borel", "[Z, X + Z^2] = X + Z^2", commutator(Z, E) - E)
+    rep.add_grid("borel", "[Z, X + Z^2] = X + Z^2", zx)
     return rep
 
 

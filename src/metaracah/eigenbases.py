@@ -288,8 +288,11 @@ class Context(Frozen):
     transposed is the weight times b, which the Gram and completeness of b
     read (Z d for d, which identify-Utilde and the trio's Z V clause read
     too); each family's closed-form band tables (``band tables``); the
-    closed e^T z* table (``rationalfns.em_zstar_table``) and the dual Hahn
-    residuals (``rationalfns.dual_hahn_residuals``).  Equality and hashing
+    closed e^T z* table (``rationalfns.em_zstar_table``), the dual Hahn
+    residuals (``rationalfns.dual_hahn_residuals``) and the three
+    defining-relation residuals with the [V,Z], {V,Z} and Z^2 they form
+    (``relations``, built by ``algebra._relations``), which the relation,
+    shifted, Hahn and Borel checks read.  Equality and hashing
     follow (p, rho); rho = 0 is given.
     """
 

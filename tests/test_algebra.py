@@ -4,6 +4,7 @@ import re
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import metaracah.algebra as algebra
 from metaracah.algebra import (
@@ -22,7 +23,7 @@ from metaracah.algebra import (
 )
 from metaracah.eigenbases import Context
 from metaracah.hyper import pochhammer
-from metaracah.matrices import RationalMatrix, commutator, nullspace
+from metaracah.matrices import RationalMatrix, anticommutator, commutator, nullspace
 
 P2 = Params(N=2, alpha=Q(1, 3), beta=Q(1, 5), zeta=Q(1, 7))
 
@@ -76,18 +77,67 @@ def test_a_relation_fault_lists_its_exact_failing_points(ctx3):
 
 
 def test_one_relation_builder_states_both_presentations(ctx3, monkeypatch):
-    # the zeta-free presentation is the defining relations at zeta = 0, from
-    # the same builder: a fault in its [V,Z] residual fails relation-VZ and
-    # shifted-VZ together, and nothing else
-    relations = algebra._relations
+    # the zeta-free presentation, the Hahn pair and the Borel pair read the
+    # defining-relation residuals the Context keeps, built once between the
+    # two checks; a fault in the kept [V,Z] residual fails relation-VZ,
+    # shifted-VZ and shifted-XV, whose residual is xv - zeta vz, and nothing else
+    relations, builds = algebra._relations, []
 
-    def faulty(*args):
-        (zx, xv, vz), *formed = relations(*args)
-        return ((zx, xv, vz + ctx3.I), *formed)
+    def counted(*args):
+        builds.append(args)
+        return relations(*args)
 
-    monkeypatch.setattr(algebra, "_relations", faulty)
-    reports = check_defining_relations(ctx3), check_subalgebras(ctx3)
-    assert {c.id for rep in reports for c in rep.failures} == {"relation-VZ", "shifted-VZ"}
+    monkeypatch.setattr(algebra, "_relations", counted)
+    assert check_defining_relations(ctx3).passed and check_subalgebras(ctx3).passed
+    assert len(builds) == 1
+    zx, xv, vz, *formed = ctx3.keep(("relations",), pytest.fail)
+    ctx = Context(ctx3.p, ctx3.rho)
+    ctx.keep(("relations",), lambda: (zx, xv, vz + ctx3.I, *formed))
+    reports = check_defining_relations(ctx), check_subalgebras(ctx)
+    assert {c.id for rep in reports for c in rep.failures} == {
+        "relation-VZ", "shifted-XV", "shifted-VZ"}
+    assert len(builds) == 1
+
+
+scalars = st.fractions(min_value=-5, max_value=5, max_denominator=9)
+
+
+@st.composite
+def square_triples(draw):
+    """Random square rational Z, V, X of one size, not the generators."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    return [RationalMatrix([[draw(scalars) for _ in range(n)] for _ in range(n)])
+            for _ in range(3)]
+
+
+def _relation_residuals(Z, V, X, zeta, xi, eta, ident):
+    """The three defining-relation residuals, stated here on their own."""
+    return (commutator(Z, X) - (Z * Z + X),
+            commutator(X, V) - (anticommutator(V, Z) + 2 * zeta * X + 2 * zeta * zeta * Z
+                                + xi * ident),
+            commutator(V, Z) - (V + 2 * X + 2 * zeta * Z + eta * ident))
+
+
+@given(square_triples(), scalars, scalars, scalars)
+@settings(max_examples=60, deadline=None)
+def test_shifted_hahn_and_borel_residuals_are_those_of_the_relations(ZVX, zeta, xi, eta):
+    # the consequences check_subalgebras reads off the kept residuals hold
+    # for any Z, V, X: the zeta = 0 residuals of Zb, Xb, Vb at xib, etab are
+    # zx, xv - zeta vz and vz; both Hahn expressions are their rewritten
+    # forms on [V,Z], {V,Z} and Z^2; and [Z, X + Z^2] - (X + Z^2) is zx
+    Z, V, X = ZVX
+    ident = RationalMatrix.identity(Z.rows)
+    Zb, Xb, Vb = Z - (zeta / 2) * ident, X + zeta * Z - (zeta * zeta / 4) * ident, V
+    xib, etab = xi - eta * zeta, eta + zeta * zeta / 2
+    zx, xv, vz = _relation_residuals(Z, V, X, zeta, xi, eta, ident)
+    assert _relation_residuals(Zb, Vb, Xb, 0, xib, etab, ident) == (zx, xv - zeta * vz, vz)
+    K, Kb = commutator(V, Z), commutator(Vb, Zb)
+    assert commutator(Kb, Vb) - (2 * anticommutator(Vb, Zb) + 2 * xib * ident) == \
+        commutator(K, V) - (2 * (anticommutator(V, Z) - zeta * V) + 2 * (xi - eta * zeta) * ident)
+    assert commutator(Zb, Kb) - (2 * (Zb * Zb) - Vb - etab * ident) == \
+        commutator(Z, K) - (2 * (Z * Z) - 2 * zeta * Z - V - eta * ident)
+    E = X + Z * Z
+    assert commutator(Z, E) - E == zx
 
 
 def test_casimir_is_scalar_at_p2():
