@@ -231,11 +231,13 @@ def diff_Xt(p: Params) -> DiffOp:
     )
 
 
-def _diff(name: str, p: Params) -> DiffOp:
+def _diff(ctx: Context, name: str) -> DiffOp:
     """The model operator of the generator name, Z, V or X, or of its
-    transpose Zt, Vt or Xt, at p; the names are looked up when called."""
-    return {"Z": diff_Z, "V": diff_V, "X": diff_X,
-            "Zt": diff_Zt, "Vt": diff_Vt, "Xt": diff_Xt}[name](p)
+    transpose Zt, Vt or Xt, kept under ("model operator", name); its
+    builder diff_<name> is looked up when called."""
+    build = {"Z": diff_Z, "V": diff_V, "X": diff_X,
+             "Zt": diff_Zt, "Vt": diff_Vt, "Xt": diff_Xt}[name]
+    return ctx.keep(("model operator", name), build, ctx.p)
 
 
 def _g_norms(N: int) -> list:
@@ -361,23 +363,26 @@ def model_basis(ctx: Context, label: str) -> list:
     return [model(ctx.p, ctx.rho, n) for n in range(ctx.p.N + 1)]
 
 
-def model_bases(rep: VerificationReport, ctx: Context, norms: list) -> dict:
+def _model(ctx: Context, label: str) -> list:
+    """The model family label, kept under ("model", label); its builder
+    model_basis is looked up when called."""
+    return ctx.keep(("model", label), model_basis, ctx, label)
+
+
+def model_bases(rep: VerificationReport, ctx: Context) -> None:
     """Add to rep that the model families expand to exactly the abstract
     closed-form columns: entry (l, n) of each residual reads model polynomial
-    n over g_l, or over g*_l for a dual family; norms = _g_norms(N).  A term
-    outside that window, exponents 0..N or -N-1..-1, fails the family's
-    check, whose detail names the exponents outside it.  Also
-    that e is the Jacobi family of _e_as_jacobi(p) up to its scales, the one
-    reader of that family.
-
-    Returns the model families it built, by label.
+    n over g_l, or over g*_l for a dual family.  A term outside that window,
+    exponents 0..N or -N-1..-1, fails the family's check, whose detail names
+    the exponents outside it.  Also that e is the Jacobi family of
+    _e_as_jacobi(p) up to its scales, the one reader of that family.
     """
     p = ctx.p
-    families = {}
+    norms = _g_norms(p.N)
     over_g = (range(p.N + 1), [1 / c for c in norms], "0..N")
     over_gstar = (range(-1, -p.N - 2, -1), norms, "-N-1..-1")
     for label in LABELS:
-        fam = families[label] = model_basis(ctx, label)
+        fam = _model(ctx, label)
         exps, scale, window = over_gstar if label.endswith("Star") else over_g
         statement = f"model family {label} matches the abstract expansion columnwise"
         outside = sorted({e for f in fam for e, _ in f.items() if e not in exps})
@@ -389,29 +394,25 @@ def model_bases(rep: VerificationReport, ctx: Context, norms: list) -> dict:
                          axes="(l, n)")
 
     # row l of the residual is the l-th exponent of the window both span
-    e_fam, (jac, scales) = families["e"], _e_as_jacobi(p)
+    e_fam, (jac, scales) = _model(ctx, "e"), _e_as_jacobi(p)
     window = _window(e_fam + jac)
     rep.add_grid("model-e-jacobi", "e_n(x) is a Jacobi polynomial up to the stated prefactor",
                  coefficients(e_fam, window) - coefficients(jac, window).scaled(None, scales),
                  axes="(l, n)")
-    return families
 
 
-def model_orthogonality(rep: VerificationReport, ctx: Context, families: dict) -> None:
+def model_orthogonality(rep: VerificationReport, ctx: Context) -> None:
     """Add to rep that the four residue-pairing Grams are exactly the
     identity: each family b of d, e, f and z pairs with its dual b* through
     the model operator of its weight W, both read from FAMILIES, as
     <b*_m, W b_n> = delta_mn.  A weighted pair also records whether its Gram
     without W is the identity; its corner <b*_0, b_0> is read first, and the
     whole Gram is formed only when that corner is 1.
-
-    families maps each label to its model family.
     """
-    p = ctx.p
     for label in ("d", "e", "f", "z"):
         fam = FAMILIES[label]
-        b, b_dual, w = families[label], families[fam.dual], fam.weight
-        gram = residue_grid(b_dual, list(map(_diff(w, p).apply, b)) if w else b)
+        b, b_dual, w = _model(ctx, label), _model(ctx, fam.dual), fam.weight
+        gram = residue_grid(b_dual, list(map(_diff(ctx, w).apply, b)) if w else b)
         pair = f"<{label}*_m, {w} {label}_n>" if w else f"<{fam.dual}_m, {label}_n>"
         rep.add_grid(f"gram-{label}", f"{pair} = delta_mn under the residue pairing",
                      gram - ctx.I)
@@ -424,28 +425,26 @@ def model_orthogonality(rep: VerificationReport, ctx: Context, families: dict) -
                     else f"differs from identity, e.g. entry (0, 0) = {corner}")
 
 
-def integral_representations(rep: VerificationReport, ctx: Context, families: dict) -> None:
+def integral_representations(rep: VerificationReport, ctx: Context) -> None:
     """Add to rep the residue formulas for S, U and the dual Hahn values on
     the full grid, each the pairing of model e with a dual model family and
     compared with a closed-form table of the Context: <e_m, f*_n> = S_m(n),
     <e_m, d*_n> = U_m(n), and <e_m, z*_k> = g_m R^(dH)_k(m) / k!, g the U
     prefactor's factor in m, the table rationalfns.em_zstar_table keeps.
-
-    families maps each label to its model family.
     """
-    e = families["e"]
+    e = _model(ctx, "e")
     rep.add_grid("integral-S", "residue formula reproduces S_m(n) on the full grid",
-                 residue_grid(e, families["fStar"]) - ctx.grid("S"))
+                 residue_grid(e, _model(ctx, "fStar")) - ctx.grid("S"))
     rep.add_grid("integral-U", "residue formula reproduces U_m(n) on the full grid",
-                 residue_grid(e, families["dStar"]) - ctx.grid("U"))
+                 residue_grid(e, _model(ctx, "dStar")) - ctx.grid("U"))
     rep.add_grid("integral-dual-hahn",
                  "residue formula reproduces R^(dH)_k(m) on the full grid",
-                 residue_grid(e, families["zStar"]) - em_zstar_table(ctx), axes="(m, k)")
+                 residue_grid(e, _model(ctx, "zStar")) - em_zstar_table(ctx), axes="(m, k)")
 
 
-def model_transposes(rep: VerificationReport, ctx: Context, g: list, g_dual: list) -> None:
+def model_transposes(rep: VerificationReport, ctx: Context) -> None:
     """Add to rep the differential operators and their transposes against
-    the abstract matrices on g, g_dual = g_bases(norms), each operator
+    the abstract matrices on the monomial bases g, g_dual, each operator
     applied once per index.
 
     The model matrices are the two residue grids of the adjoint check:
@@ -455,10 +454,10 @@ def model_transposes(rep: VerificationReport, ctx: Context, g: list, g_dual: lis
     dual image with one outside -N-1..-1 other than the ghosts, fails its
     check; the grids alone cannot see it.
     """
-    p = ctx.p
-    N = p.N
+    N = ctx.p.N
+    g, g_dual = g_bases(_g_norms(N))
     for name in ("Z", "V", "X"):
-        op, op_t = _diff(name, p), _diff(name + "t", p)
+        op, op_t = _diff(ctx, name), _diff(ctx, name + "t")
         images = [op.apply(x) for x in g]
         dual_images = [op_t.apply(x) for x in g_dual]
         on_g = residue_grid(g_dual, images)
@@ -488,15 +487,11 @@ def model_transposes(rep: VerificationReport, ctx: Context, g: list, g_dual: lis
 
 def verify_model(ctx: Context) -> VerificationReport:
     """Aggregate suite for the differential model, one report: each part
-    adds its checks to it, and the report lists them by id, so the order
-    the parts run in does not show.  The g-norms, the monomial bases and
-    the model families are built once, here or in model_bases, and every
-    pairing of the suite reads them."""
-    p = ctx.p
-    rep = VerificationReport(suite="model", params={**p.as_dict(), "rho": str(ctx.rho)})
-    norms = _g_norms(p.N)
-    families = model_bases(rep, ctx, norms)
-    model_orthogonality(rep, ctx, families)
-    integral_representations(rep, ctx, families)
-    model_transposes(rep, ctx, *g_bases(norms))
+    takes the report and the Context, adds its checks, and reads every
+    model family and model operator off the Context, which builds each
+    once; the report lists the checks by id, so the order the parts run
+    in does not show."""
+    rep = VerificationReport(suite="model", params={**ctx.p.as_dict(), "rho": str(ctx.rho)})
+    for part in (model_bases, model_orthogonality, integral_representations, model_transposes):
+        part(rep, ctx)
     return rep

@@ -292,8 +292,10 @@ class Context(Frozen):
     residuals (``rationalfns.dual_hahn_residuals``) and the three
     defining-relation residuals with the [V,Z], {V,Z} and Z^2 they form
     (``relations``, built by ``algebra._relations``), which the relation,
-    shifted, Hahn and Borel checks read.  Equality and hashing
-    follow (p, rho); rho = 0 is given.
+    shifted, Hahn and Borel checks read; and the Laurent model's families
+    (``model``) and differential operators (``model operator``), built by
+    ``diffmodel.model_basis`` and ``diffmodel.diff_<name>``.  Equality and
+    hashing follow (p, rho); rho = 0 is given.
     """
 
     _fields = ("p", "rho")

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 import pytest
 
 from metaracah import Context, Params
+from metaracah.matrices import RationalMatrix
 
 
 @pytest.fixture
@@ -44,3 +45,20 @@ def ctx5(p5, rho):
 @pytest.fixture
 def ctx_other(p_other, rho_other):
     return Context(p_other, rho_other)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The shapes of the right factors of the matrix-by-matrix products
+    formed while the test runs, one per product; a scalar multiple is not
+    a product.  Clear the list to count from a later point."""
+    shapes = []
+    mul = RationalMatrix.__mul__
+
+    def counted(self, other):
+        if isinstance(other, RationalMatrix):
+            shapes.append(other.shape)
+        return mul(self, other)
+
+    monkeypatch.setattr(RationalMatrix, "__mul__", counted)
+    return shapes

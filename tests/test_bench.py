@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from metaracah import cli, matrices
+from metaracah import cli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -113,38 +113,23 @@ def _scale(kind, N):
     return json.loads(child.stdout)
 
 
-def _products(monkeypatch, argvs):
-    """The matrix-by-matrix products of cli.main over argvs, in this process."""
-    products = []
-    mul = matrices.RationalMatrix.__mul__
-
-    def counted(self, other):
-        if isinstance(other, matrices.RationalMatrix):
-            products.append(other.shape)
-        return mul(self, other)
-
-    with monkeypatch.context() as patched:
-        patched.setattr(matrices.RationalMatrix, "__mul__", counted)
-        for argv in argvs:
-            assert cli.main(argv) == 0
-    return len(products)
-
-
-def test_scale_records_a_verify_run_and_the_sixteen_emit_commands(capsys, monkeypatch):
+def test_scale_records_a_verify_run_and_the_sixteen_emit_commands(capsys, products):
     verify, argv = _scale("verify", 2), ["verify", "--suite", "all", "--N", "2"]
     assert set(verify) == {"total_s", "calls", "products", "suite_s", "exit_code",
                            "stdout_sha256", "max_bits_verify_output",
                            "max_bits_overlap_tables"}
     assert verify["exit_code"] == 0
     assert set(verify["suite_s"]) == set(cli.SUITES)
+    products.clear()
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert verify["stdout_sha256"] == hashlib.sha256(out.encode()).hexdigest()
     assert type(verify["calls"]) is int and verify["calls"] > 0
-    assert verify["products"] == _products(monkeypatch, [argv])
+    assert verify["products"] == len(products)
 
     emit = _scale("emit", 2)
     assert len(emit["ops"]) == 16
     assert {op["exit_code"] for op in emit["ops"].values()} == {0}
-    assert emit["products"] == _products(monkeypatch, [op.split() + ["--N", "2"]
-                                                       for op in emit["ops"]])
+    products.clear()
+    assert {cli.main(op.split() + ["--N", "2"]) for op in emit["ops"]} == {0}
+    assert emit["products"] == len(products)

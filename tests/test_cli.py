@@ -627,31 +627,16 @@ def test_one_validation_and_one_build_per_set(capsys, monkeypatch, argv):
     assert set(calls.values()) <= {1}
 
 
-def _products(capsys, monkeypatch, *argv):
-    """The number of matrix-by-matrix products a passing command forms."""
-    products = []
-    mul = matrices.RationalMatrix.__mul__
-
-    def counted(self, other):
-        if isinstance(other, matrices.RationalMatrix):
-            products.append(other.shape)
-        return mul(self, other)
-
-    monkeypatch.setattr(matrices.RationalMatrix, "__mul__", counted)
-    code, _ = run(capsys, *argv)
-    assert code == 0
-    return len(products)
-
-
-def test_verify_algebra_product_count(capsys, monkeypatch):
+def test_verify_algebra_product_count(capsys, products):
     # the relations form 7 products once per Context, kept for the shifted,
     # Hahn and Borel checks, which form no Zb, Xb, Vb or X + Z^2: the Hahn
     # pair adds 4 on the kept brackets, the Casimir 8 and its centrality 6,
     # the Racah pair 8
-    assert _products(capsys, monkeypatch, "verify", "--suite", "algebra", "--N", "8") == 33
+    assert run(capsys, "verify", "--suite", "algebra", "--N", "8")[0] == 0
+    assert len(products) == 33
 
 
-def test_verify_all_product_count(capsys, monkeypatch):
+def test_verify_all_product_count(capsys, products):
     # the algebra checks share the Context's one Casimir (8 products) and
     # its kept defining-relation residuals and brackets (7), and the
     # conjugations on d and d* share the Context's dual sides (b*)^T W (one
@@ -664,7 +649,8 @@ def test_verify_all_product_count(capsys, monkeypatch):
     # their Gram, the same square factors.  The e* and f* coefficient
     # checks (2 products each) and the trio's Z V clause (3) read no
     # pairing: they form their own products, each with a banded factor
-    assert _products(capsys, monkeypatch, "verify", "--suite", "all", "--N", "8") == 118
+    assert run(capsys, "verify", "--suite", "all", "--N", "8")[0] == 0
+    assert len(products) == 118
 
 
 def test_verify_all_writes_out_few_results(capsys, monkeypatch):

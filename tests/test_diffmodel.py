@@ -192,15 +192,29 @@ def test_jacobi_poly_where_a_plus_one_plus_n_vanishes(n, a, b):
     assert jacobi_poly(n, a, b) == LaurentPoly.from_dict(want)
 
 
+# the clean builders of the six model operators, by name
+OPERATORS = {name: getattr(diffmodel, f"diff_{name}")
+             for name in ("Z", "V", "X", "Zt", "Vt", "Xt")}
+
+
 def families_of(ctx):
-    return {label: model_basis(ctx, label) for label in LABELS}
+    """The model families ctx keeps, by label, built now if not yet kept."""
+    return {label: ctx.keep(("model", label), model_basis, ctx, label) for label in LABELS}
+
+
+def plant(ctx, key, change):
+    """Keep change(value) in ctx under key, ("model", label) or ("model
+    operator", name), value the clean family or operator."""
+    kind, name = key
+    value = model_basis(ctx, name) if kind == "model" else OPERATORS[name](ctx.p)
+    ctx.keep(key, lambda: change(value))
 
 
 def test_model_bases_report(ctx5):
     rep = VerificationReport("model")
-    families = model_bases(rep, ctx5, _g_norms(ctx5.p.N))
+    model_bases(rep, ctx5)
     assert rep.passed, [(c.id, c.detail) for c in rep.failures]
-    assert tuple(families) == LABELS
+    assert {key for key in ctx5._kept if key[0] == "model"} == {("model", l) for l in LABELS}
     assert len(rep.checks) == len(LABELS) + 1
 
 
@@ -222,7 +236,7 @@ def test_model_orthogonality(ctx3, monkeypatch):
     families = families_of(ctx3)
     dense = _count_dense_plain_grams(monkeypatch, families)
     rep = VerificationReport("model")
-    model_orthogonality(rep, ctx3, families)
+    model_orthogonality(rep, ctx3)
     assert rep.passed, [(c.id, c.detail) for c in rep.failures]
     # the pencil pair is recorded as non-orthogonal without the Z insertion,
     # read off its corner -1/alpha alone
@@ -238,7 +252,7 @@ def test_plain_d_gram_is_formed_where_its_corner_is_one(monkeypatch):
     families = families_of(ctx)
     dense = _count_dense_plain_grams(monkeypatch, families)
     rep = VerificationReport("model")
-    model_orthogonality(rep, ctx, families)
+    model_orthogonality(rep, ctx)
     assert rep.passed, [(c.id, c.detail) for c in rep.failures]
     info, = [c.detail for c in rep.checks if c.id == "gram-d-no-Z"]
     assert info == "differs from identity, e.g. entry (0, 0) = 1"
@@ -246,13 +260,13 @@ def test_plain_d_gram_is_formed_where_its_corner_is_one(monkeypatch):
 
 
 def test_integral_representations(ctx_other, monkeypatch):
-    # the three residue formulas pair the model families they are given
+    # the three residue formulas pair the model families the Context keeps
     # and build no Laurent polynomial of their own
-    families = families_of(ctx_other)
+    families_of(ctx_other)
     built = []
     monkeypatch.setattr(LaurentPoly, "__init__", lambda self, *args: built.append(args))
     rep = VerificationReport("model")
-    integral_representations(rep, ctx_other, families)
+    integral_representations(rep, ctx_other)
     assert rep.passed, [(c.id, c.detail) for c in rep.failures]
     assert [c.id for c in rep.checks] == ["integral-S", "integral-U", "integral-dual-hahn"]
     assert not built
@@ -260,24 +274,20 @@ def test_integral_representations(ctx_other, monkeypatch):
 
 def test_transposed_operators(ctx3):
     rep = VerificationReport("model")
-    model_transposes(rep, ctx3, *monomial_bases(ctx3.p))
+    model_transposes(rep, ctx3)
     assert rep.passed, [(c.id, c.detail) for c in rep.failures]
     ghost_checks = [c for c in rep.checks if c.id.startswith("ghosts-")]
     assert len(ghost_checks) == 3
 
 
 def _n2_plus(exp):
-    """The fault that adds x^exp to model polynomial n = 2."""
-    def fault(model):
-        return lambda p, rho, n: model(p, rho, n) + (mono(exp) if n == 2 else LaurentPoly.zero())
-    return fault
+    """The fault that adds x^exp to polynomial n = 2 of a model family."""
+    return lambda fam: [f + mono(exp) if n == 2 else f for n, f in enumerate(fam)]
 
 
-def _xt_plus_x(diff):
-    def op(p):
-        xt = diff(p)
-        return DiffOp(xt.a2, xt.a1, xt.a0 + mono(1))
-    return op
+def _a0_plus(exp):
+    """The fault that adds x^exp to a0 of a model operator."""
+    return lambda d: DiffOp(d.a2, d.a1, d.a0 + mono(exp))
 
 
 def _jacobi_2_plus_x2(e_as_jacobi):
@@ -287,26 +297,31 @@ def _jacobi_2_plus_x2(e_as_jacobi):
     return split
 
 
-# one model function off, and the first four points of each residue grid
-# that reads it, row by row: f_2 + 1 adds the x^(-1) term of every f*_m to
-# column n = 2; Xt + x pairs x g*_m ~ x^(-m) with g_(m-1); jac_2 + x^2 is
-# read by model-e-jacobi alone, at its exponent l = 2; e_2 + x^2 meets only
-# the duals f*_n, d*_n and z*_n with n >= 2, which reach down to x^(-3);
-# z*_2 + x^(-2) is read at basis vector l = 1 and meets the x^1 term of
-# every e_m with m >= 1 and of z_0 and z_1
+def _jacobi_fault(ctx, monkeypatch):
+    """The Jacobi split of model e is a route, not a kept item."""
+    monkeypatch.setattr(diffmodel, "_e_as_jacobi", _jacobi_2_plus_x2(_e_as_jacobi))
+
+
+# one model family, operator or the Jacobi split off, and the first four
+# points of each residue grid that reads it, row by row: f_2 + 1 adds the
+# x^(-1) term of every f*_m to column n = 2; Xt + x pairs x g*_m ~ x^(-m)
+# with g_(m-1); jac_2 + x^2 is read by model-e-jacobi alone, at its
+# exponent l = 2; e_2 + x^2 meets only the duals f*_n, d*_n and z*_n with
+# n >= 2, which reach down to x^(-3); z*_2 + x^(-2) is read at basis
+# vector l = 1 and meets the x^1 term of every e_m with m >= 1 and of z_0
+# and z_1
 MODEL_FAULTS = [
-    (diffmodel._MODELS, "f", _n2_plus(0),
+    ("f", lambda ctx, _: plant(ctx, ("model", "f"), _n2_plus(0)),
      {"gram-f": "failing (m, n): [(0, 2), (1, 2), (2, 2), (3, 2)]"}),
-    (vars(diffmodel), "diff_Xt", _xt_plus_x,
+    ("diff_Xt", lambda ctx, _: plant(ctx, ("model operator", "Xt"), _a0_plus(1)),
      {"adjoint-X": "failing (m, n): [(1, 0), (2, 1), (3, 2)]"}),
-    (vars(diffmodel), "_e_as_jacobi", _jacobi_2_plus_x2,
-     {"model-e-jacobi": "failing (l, n): [(2, 2)]"}),
-    (diffmodel._MODELS, "e", _n2_plus(2), {
+    ("_e_as_jacobi", _jacobi_fault, {"model-e-jacobi": "failing (l, n): [(2, 2)]"}),
+    ("e", lambda ctx, _: plant(ctx, ("model", "e"), _n2_plus(2)), {
         "integral-S": "failing (m, n): [(2, 2), (2, 3)]",
         "integral-U": "failing (m, n): [(2, 2), (2, 3)]",
         "integral-dual-hahn": "failing (m, k): [(2, 2), (2, 3)]",
     }),
-    (diffmodel._MODELS, "zStar", _n2_plus(-2), {
+    ("zStar", lambda ctx, _: plant(ctx, ("model", "zStar"), _n2_plus(-2)), {
         "model-zStar": "failing (l, n): [(1, 2)]",
         "gram-z": "failing (m, n): [(2, 0), (2, 1)]",
         "integral-dual-hahn": "failing (m, k): [(1, 2), (2, 2), (3, 2)]",
@@ -314,11 +329,10 @@ MODEL_FAULTS = [
 ]
 
 
-@pytest.mark.parametrize("table, key, fault, details", MODEL_FAULTS,
-                         ids=[key for _, key, _, _ in MODEL_FAULTS])
-def test_residue_checks_name_the_points_a_fault_breaks(ctx3, monkeypatch, table, key, fault,
-                                                       details):
-    monkeypatch.setitem(table, key, fault(table[key]))
+@pytest.mark.parametrize("fault, details", [row[1:] for row in MODEL_FAULTS],
+                         ids=[key for key, _, _ in MODEL_FAULTS])
+def test_residue_checks_name_the_points_a_fault_breaks(ctx3, monkeypatch, fault, details):
+    fault(ctx3, monkeypatch)
     checks = {c.id: c for c in verify_model(ctx3).checks}
     assert {i: (checks[i].status, checks[i].detail) for i in details} == {
         i: ("fail", detail) for i, detail in details.items()}
@@ -352,9 +366,8 @@ def test_the_jacobi_family_is_built_once_and_read_by_its_check_alone(ctx3, monke
 # read over g_0..g_N, x^(-2) for a dual family read over g*_0..g*_N, both
 # basis vector l = 1; no other family's basis check reads it
 @pytest.mark.parametrize("label", LABELS)
-def test_a_model_fault_fails_its_own_basis_check_only(ctx3, monkeypatch, label):
-    fault = _n2_plus(-2 if label.endswith("Star") else 1)
-    monkeypatch.setitem(diffmodel._MODELS, label, fault(diffmodel._MODELS[label]))
+def test_a_model_fault_fails_its_own_basis_check_only(ctx3, label):
+    plant(ctx3, ("model", label), _n2_plus(-2 if label.endswith("Star") else 1))
     basis_checks = {f"model-{other}" for other in LABELS}
     failed = {c.id: c.detail for c in verify_model(ctx3).failures if c.id in basis_checks}
     assert failed == {f"model-{label}": "failing (l, n): [(1, 2)]"}
@@ -369,18 +382,11 @@ STRAY_TERMS = [(label, exp) for labels, exps in (
 
 
 @pytest.mark.parametrize("label, exp", STRAY_TERMS)
-def test_a_stray_term_fails_its_basis_check(ctx3, monkeypatch, label, exp):
-    monkeypatch.setitem(diffmodel._MODELS, label, _n2_plus(exp)(diffmodel._MODELS[label]))
+def test_a_stray_term_fails_its_basis_check(ctx3, label, exp):
+    plant(ctx3, ("model", label), _n2_plus(exp))
     window = "-N-1..-1" if label.endswith("Star") else "0..N"
     failed = {c.id: c.detail for c in verify_model(ctx3).failures}
     assert failed[f"model-{label}"] == f"exponents outside {window}: [{exp}]"
-
-
-def _a0_plus(diff, exp):
-    def op(p):
-        d = diff(p)
-        return DiffOp(d.a2, d.a1, d.a0 + mono(exp))
-    return op
 
 
 # one monomial added to a0 of one differential operator, and every check of
@@ -388,20 +394,20 @@ def _a0_plus(diff, exp):
 # takes V g_0 below x^0, x^(-2) takes Xt g*_3 below the ghost x^(-N-2), and
 # a constant stays in the span, so only the matrices see it
 TRANSPOSE_FAULTS = [
-    ("diff_X", 2, {
+    ("X", 2, {
         "g-basis-X": "image exponents outside 0..N: [4, 5]",
         "adjoint-X": "failing (m, n): [(2, 0), (3, 1)]",
     }),
-    ("diff_V", -1, {
+    ("V", -1, {
         "g-basis-V": "image exponents outside 0..N: [-1]",
         "adjoint-V": "failing (m, n): [(0, 1), (1, 2), (2, 3)]",
     }),
-    ("diff_Xt", -2, {
+    ("Xt", -2, {
         "adjoint-X": "failing (m, n): [(0, 2), (1, 3)]",
         "quotient-X": "failing (m, n): [(2, 0), (3, 1)]",
         "ghosts-X": "ghost exponents: [-6, -5, 0]",
     }),
-    ("diff_Z", 0, {
+    ("Z", 0, {
         "g-basis-Z": "failing (m, n): [(0, 0), (1, 1), (2, 2), (3, 3)]",
         "adjoint-Z": "failing (m, n): [(0, 0), (1, 1), (2, 2), (3, 3)]",
     }),
@@ -409,16 +415,17 @@ TRANSPOSE_FAULTS = [
 
 
 @pytest.mark.parametrize("name, exp, details", TRANSPOSE_FAULTS,
-                         ids=[name for name, _, _ in TRANSPOSE_FAULTS])
-def test_every_transpose_check_can_fail_and_none_raises(ctx3, monkeypatch, name, exp, details):
-    monkeypatch.setattr(diffmodel, name, _a0_plus(getattr(diffmodel, name), exp))
+                         ids=[f"diff_{name}" for name, _, _ in TRANSPOSE_FAULTS])
+def test_every_transpose_check_can_fail_and_none_raises(ctx3, name, exp, details):
+    plant(ctx3, ("model operator", name), _a0_plus(exp))
     rep = VerificationReport("model")
-    model_transposes(rep, ctx3, *monomial_bases(ctx3.p))
+    model_transposes(rep, ctx3)
     assert {c.id: c.detail for c in rep.failures} == details
 
 
 def test_a_faulty_operator_is_an_identity_failure_in_the_cli(capsys, monkeypatch):
-    monkeypatch.setattr(diffmodel, "diff_X", _a0_plus(diffmodel.diff_X, 2))
+    # the builder is looked up when the Context first keeps the operator
+    monkeypatch.setattr(diffmodel, "diff_X", lambda p, diff=diffmodel.diff_X: _a0_plus(2)(diff(p)))
     assert main(["verify", "--suite", "model", "--N", "3"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "fail"
@@ -441,6 +448,27 @@ def test_adjoint_identity_single_pair(p3):
 def test_full_model_suite(ctx5):
     rep = verify_model(ctx5)
     assert rep.passed, [(c.id, c.detail) for c in rep.failures]
+
+
+def test_verify_model_builds_each_model_family_and_operator_once(ctx3, monkeypatch):
+    # every part reads the model families and operators off the Context,
+    # which builds each on first use, Z once for gram-d and model_transposes
+    # alike; a second run on the same Context builds none
+    built = []
+
+    def counting(name, build):
+        def counted(*args):
+            built.append(args[1] if name == "model_basis" else name)
+            return build(*args)
+        return counted
+
+    for name in ["model_basis", *(f"diff_{op}" for op in OPERATORS)]:
+        monkeypatch.setattr(diffmodel, name, counting(name, getattr(diffmodel, name)))
+    assert verify_model(ctx3).passed
+    assert sorted(built) == sorted([*LABELS, *(f"diff_{op}" for op in OPERATORS)])
+    built.clear()
+    assert verify_model(ctx3).passed
+    assert built == []
 
 
 def test_model_suite_applies_each_operator_once(p5, ctx5, monkeypatch):

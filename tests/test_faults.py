@@ -2,9 +2,9 @@
 fail: one fault row per check id.
 
 A row plants one fault, either in one item a Context keeps (a family, a
-grid, a band table, a dual side or an operator) or in one route a
-suite calls (a weight, a norm, a builder, a parameter shift, a model
-family, a model operator or the Jacobi split of model e), and lists
+grid, a band table, a dual side, an operator, a model family or a model
+operator) or in one route a suite calls (a weight, a norm, a builder, a
+parameter shift or the Jacobi split of model e), and lists
 exactly the (suite, id) pairs that fault flips across the five suites;
 the ids are paired with their suites because the racah and rational
 suites both have a check named difference, and the bases and model
@@ -90,8 +90,8 @@ def route(module, name, wrap):
 
 
 def _model_operator_fault(name, exp):
-    """The fault x^exp added to a0 of the model operator diff_<name>."""
-    return route(diffmodel, f"diff_{name}", lambda diff: _a0_plus(diff, exp))
+    """The fault x^exp added to a0 of the model operator name."""
+    return kept(("model operator", name), _a0_plus(exp))
 
 
 BASES, RACAH, RATIONAL, MODEL = "eigenbases:orthogonality", "racah", "rational", "model"
@@ -182,10 +182,7 @@ MODEL_FLIPS = {
 def _model_fault(label):
     """The fault of MODEL_FLIPS in the model family label, and its flips."""
     fault = _n2_plus(-2 if label.endswith("Star") else 1)
-
-    def plant(clean, ctx, monkeypatch):
-        monkeypatch.setitem(diffmodel._MODELS, label, fault(diffmodel._MODELS[label]))
-    return plant, MODEL_FLIPS[label]
+    return kept(("model", label), fault), MODEL_FLIPS[label]
 
 
 # what a fault in Z d, the kept d* dual side transposed, flips in the five
@@ -325,8 +322,8 @@ FAULTS = {
     # x^4 = x^(N+1) added to a0 lifts every image of g_n past x^N, or every
     # dual image of g*_m to x^(3-m), off the exponents that a pairing reads
     # and, but for x^0, off the ghosts; a constant stays in both spans, so
-    # it moves only the matrices, and diff_Z is also the weight of the
-    # model Gram of d
+    # it moves only the matrices, and the model operator Z is also the
+    # weight of the model Gram of d
     (MODEL, "g-basis-Z"): (_model_operator_fault("Z", 4), {(MODEL, "g-basis-Z")}),
     (MODEL, "adjoint-Z"): (_model_operator_fault("Z", 0),
                            {(MODEL, "g-basis-Z"), (MODEL, "adjoint-Z"), (MODEL, "gram-d")}),

@@ -451,22 +451,13 @@ def test_a_table_added_to_COEFFS_gets_its_check_and_statement(ctx3, monkeypatch)
     assert checks["Z-on-z"].statement == "closed-form Z coefficients on z match (z*)^T Z z"
 
 
-def test_matrixreps_suite_builds_each_conjugation_once(capsys, monkeypatch):
+def test_matrixreps_suite_builds_each_conjugation_once(capsys, products):
     # the trio reads the operator matrices verify_coefficients has built,
     # X on e among them, as Vtilde Z = X; only Vtilde on Z d_n (d*^T X d),
     # V on e and Z on z are its own, and each dual side (b*)^T W is formed
     # once per family.  The e* and f* checks (Ot b* - b* O_b^T) and the
     # trio's Z V clause (Z (V Z d) - Z d (VZ)_d) form their own products,
     # 2 each and 3, every one with a banded factor
-    products = []
-    mul = RationalMatrix.__mul__
-
-    def counted(self, other):
-        if isinstance(other, RationalMatrix):
-            products.append(other.shape)
-        return mul(self, other)
-
-    monkeypatch.setattr(RationalMatrix, "__mul__", counted)
     assert main(["verify", "--suite", "matrixreps", "--N", "8"]) == 0
     capsys.readouterr()
     assert len(products) == 43

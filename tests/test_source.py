@@ -359,21 +359,13 @@ def test_only_information_records_pass_whatever_they_find():
                              ("racahpoly.py", "'weight-signs'")], found
 
 
-def test_completeness_of_e_f_and_z_forms_no_product(ctx3, monkeypatch):
+def test_completeness_of_e_f_and_z_forms_no_product(ctx3, products):
     # with the bases and dual sides built, the bases suite forms the four
     # Gram products (b*)^T (B b) and no other: each completeness check reads
     # the same two square factors, B b and (b*)^T, so the Gram's zero
     # residual decides it, for d, whose B b is Z d, as for e, f and z
     for label in LABELS:
         ctx3.dual_side(label)
-    products = []
-    mul = metaracah.matrices.RationalMatrix.__mul__
-
-    def counted(self, other):
-        if isinstance(other, metaracah.matrices.RationalMatrix):
-            products.append(other.shape)
-        return mul(self, other)
-
-    monkeypatch.setattr(metaracah.matrices.RationalMatrix, "__mul__", counted)
+    products.clear()
     assert check_orthogonality(ctx3).passed
     assert len(products) == 4
